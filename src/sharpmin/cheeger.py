@@ -14,7 +14,8 @@ The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
 solution set: the dual necessary condition fails for beta > 1 (the penalty is
 smooth, its subdifferential a single point) and holds sampled-consistent for
-beta < 1 with modulus 1.
+beta < 1 with modulus 1.  Distances to the nonnegative slice come from
+``dist_upper_estimate``: exact at desk scale, a local-search bracket above it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +38,6 @@ from .stiefel import (
     StiefelPoint,
     as_matrix,
     frame_residual,
-    polar_factor,
     qr_retract,
     random_stiefel,
     stiefel_tangent_project,
@@ -53,10 +54,6 @@ class GraphFormatError(ValueError):
 class BudgetExceededError(RuntimeError):
     """The enumeration would exceed the assignment budget; refusing to
     silently approximate."""
-
-
-class AlternationError(RuntimeError):
-    """Alternating feasibility search failed; the distance is unbracketed."""
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,8 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     with its lexicographically smallest canonical argmin.  Refuses (rather
     than silently approximating) when (k+1)^n exceeds the budget.
     """
-    if k < 1:
-        raise GraphFormatError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= graph.n:
+        raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
     total = (k + 1) ** graph.n
     if total > budget:
         raise BudgetExceededError(
@@ -272,11 +269,13 @@ def lipschitz_bound(graph: Graph, k: int) -> float:
     return math.sqrt(k * float(np.sum(deg.astype(float) ** 2)))
 
 
+EXACT_ASSIGNMENTS = 3**8  # largest k**n that dist_upper_estimate enumerates
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceEstimate:
-    """Bracket on the ambient distance from a frame to the nonnegative slice:
-    lb = Frobenius norm of the negative part, ub = distance to a constructed
-    feasible frame."""
+    """Bracket [lb, ub] on the ambient distance from a matrix to St+(n, k), with
+    a feasible frame at distance ub; exact (lb == ub) if k**n <= EXACT_ASSIGNMENTS."""
 
     lb: float
     ub: float
@@ -287,71 +286,95 @@ class DistanceEstimate:
             raise GeometryError(f"bracket inverted: lb={self.lb} > ub={self.ub}")
 
 
-def dist_upper_estimate(u, max_rounds: int = 120, seed: int = 0) -> DistanceEstimate:
-    """Upper estimate of the ambient distance to the nonnegative slice.
+def dist_upper_estimate(u) -> DistanceEstimate:
+    """Ambient distance from an n-by-k matrix U to the nonnegative slice.
 
-    Alternates entrywise clamping with polar re-orthonormalization from
-    several starts (the clamped frame, the entrywise absolute value, and a
-    few seeded feasible frames), keeps the closest feasible result, and pairs
-    it with the always-valid lower bound ||negative part||_F.  Raises
-    AlternationError when no start reaches joint feasibility.
+    Nonnegative orthonormal columns have disjoint supports, so
+    dist(U, St+)^2 = ||U||^2 + k - 2 max_S sum_j g_j(S_j), the max over
+    assignments S of the rows to k nonempty groups, where g_j(S) is the norm
+    of the positive part of column j on S, or the largest entry of column j
+    on S when that norm is 0.  When k**n <= EXACT_ASSIGNMENTS every
+    assignment is scored and lb == ub is the exact distance.  Above that,
+    single-row moves improve the argmax assignment to a feasible frame (ub),
+    and sum_j g_j <= sum_j ||(u_j)_+|| gives lb >= ||U_-||_F.
     """
     mat = as_matrix(u)
-    lb = float(np.linalg.norm(np.minimum(mat, 0.0)))
     n, k = mat.shape
-    rng = default_rng(seed)
-    starts = [np.maximum(mat, 0.0), np.abs(mat)]
-    for _ in range(3):
-        starts.append(np.abs(random_stiefel(n, k, rng)))
-    best = None
-    for start in starts:
-        v = _alternate_to_feasible(start, max_rounds)
-        if v is None:
-            continue
-        d = float(np.linalg.norm(mat - v))
-        if best is None or d < best[0]:
-            best = (d, v)
-    if best is None:
-        raise AlternationError("no start reached the nonnegative slice")
-    ub, v = best
-    return DistanceEstimate(lb=lb, ub=ub, feasible=StiefelPoint(v))
+    if not 0 < k <= n:
+        raise FrameError(f"St+({n}, {k}) is empty")
+    if k**n > EXACT_ASSIGNMENTS:
+        return _local_search_bracket(mat)
+    table = _assignment_table(n, k)
+    pos2 = np.maximum(mat, 0.0) ** 2
+    score = np.zeros(table.shape[1])
+    for j in range(k):
+        member = table == j
+        p2 = pos2[:, j] @ member.astype(float)
+        top = np.where(member, mat[:, j:j + 1], -np.inf).max(axis=0)
+        score += np.where(p2 > 0.0, np.sqrt(p2), top)
+    v = _slice_frame(mat, table[:, int(np.argmax(score))])
+    d = float(np.linalg.norm(mat - v))
+    return DistanceEstimate(lb=d, ub=d, feasible=StiefelPoint(v))
 
 
-def _alternate_to_feasible(start: np.ndarray, max_rounds: int):
-    v = start
-    for _ in range(max_rounds):
-        v = np.maximum(v, 0.0)
-        try:
-            v = polar_factor(v)
-        except FrameError:
-            return None
-        worst_neg = float(np.max(np.maximum(-v, 0.0), initial=0.0))
-        # the alternation tail is linear and can need thousands of rounds to
-        # cross the feasibility tolerance; try finishing early instead
-        snapped = _snap_to_slice(v, max(1e-8, 2.0 * worst_neg))
-        if snapped is not None:
-            return snapped
-    return None
+@lru_cache(maxsize=None)
+def _assignment_table(n: int, k: int) -> np.ndarray:
+    """All maps of n rows onto k columns that leave no column empty, one per
+    column of an n-row int8 array (reductions then run over the short axis 0)."""
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int16)  # k**n <= EXACT_ASSIGNMENTS < 2**15
+    table = (np.arange(k**n, dtype=np.int16) // powers[:, None] % k).astype(np.int8)
+    covers = np.all(np.any(table == np.arange(k)[:, None, None], axis=1), axis=0)
+    table = np.ascontiguousarray(table[:, covers])
+    table.flags.writeable = False
+    return table
 
 
-def _snap_to_slice(v: np.ndarray, threshold: float):
-    """Finish an almost-feasible frame exactly.
+def _slice_frame(mat: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Closest St+ frame to mat whose column j is supported on the rows
+    with owner == j (every column must own a row)."""
+    v = np.zeros_like(mat)
+    for j in range(mat.shape[1]):
+        rows = np.flatnonzero(owner == j)
+        col = np.maximum(mat[rows, j], 0.0)
+        norm = np.linalg.norm(col)
+        if norm > 0.0:
+            v[rows, j] = col / norm
+        else:
+            v[rows[np.argmax(mat[rows, j])], j] = 1.0
+    return v
 
-    Near the slice the limit has disjoint column supports, so zeroing
-    sub-threshold entries and renormalizing columns yields an exactly
-    orthonormal nonnegative frame whenever the support pattern has settled.
-    Returns None when it has not (overlapping rows, drained columns, or a
-    residual above tolerance)."""
-    w = np.where(v > threshold, v, 0.0)
-    norms = np.linalg.norm(w, axis=0)
-    if np.any(norms < 0.5):
-        return None
-    if int(np.max(np.count_nonzero(w > 0.0, axis=1), initial=0)) > 1:
-        return None  # overlapping row support: not settled yet
-    w = w / norms
-    if frame_residual(w) <= 1e-10 and np.all(w >= 0.0):
-        return w
-    return None
+
+def _local_search_bracket(mat: np.ndarray) -> DistanceEstimate:
+    """Distance bracket from a best-improvement search over single-row
+    moves, started from each row's argmax column; see dist_upper_estimate.
+    Moves are scored by sum_j ||(u_j)_+ on S_j||, from column sums of
+    (U_+)^2; any assignment yields a feasible frame, hence a valid ub."""
+    n, k = mat.shape
+    rows = np.arange(n)
+    pos2 = np.maximum(mat, 0.0) ** 2
+    owner = np.argmax(mat, axis=1)
+    for j in range(k):
+        counts = np.bincount(owner, minlength=k)
+        if counts[j] == 0:
+            # fill an empty column with the cheapest row of a shared column
+            loss = np.where(counts[owner] > 1, mat[rows, owner] - mat[:, j], np.inf)
+            owner[np.argmin(loss)] = j
+    for _ in range(n * k):
+        counts = np.bincount(owner, minlength=k)
+        p2 = np.bincount(owner, weights=pos2[rows, owner], minlength=k)
+        rest2 = np.maximum(p2[owner] - pos2[rows, owner], 0.0)
+        gain = (np.sqrt(rest2) - np.sqrt(p2[owner]))[:, None] + np.sqrt(p2 + pos2) - np.sqrt(p2)
+        gain[rows, owner] = -np.inf
+        gain[counts[owner] < 2] = -np.inf
+        i, j = divmod(int(np.argmax(gain)), k)
+        if not gain[i, j] > 1e-12:
+            break
+        owner[i] = j
+    v = _slice_frame(mat, owner)
+    ub = float(np.linalg.norm(mat - v))
+    pos_norms = float(np.sum(np.sqrt(np.sum(pos2, axis=0))))
+    lb = math.sqrt(max(0.0, float(np.sum(mat * mat)) + k - 2.0 * pos_norms))
+    return DistanceEstimate(lb=min(lb, ub), ub=ub, feasible=StiefelPoint(v))
 
 
 def penalized_objective(graph: Graph, u, beta: float, c: float) -> float:
@@ -423,6 +446,8 @@ class SolverConfig:
             raise GeometryError(f"unknown step schedule {self.schedule!r}")
         if self.restarts < 1:
             raise GeometryError("need at least one restart")
+        if self.max_iters < 1:
+            raise GeometryError(f"need at least one iteration, got max_iters={self.max_iters}")
         if self.round_policy != "argmax-threshold-sweep":
             raise GeometryError(f"unknown rounding policy {self.round_policy!r}")
 
@@ -473,11 +498,7 @@ def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0, n_samples: int
         mass = float(np.sum(np.maximum(-u, 0.0)))
         if mass < 1e-9:
             continue
-        try:
-            est = dist_upper_estimate(u)
-        except AlternationError:
-            continue
-        num += est.ub * mass
+        num += dist_upper_estimate(u).ub * mass
         den += mass * mass
     c_hat = (num / den) if den > 0 else 1.0
     c = 2.0 * max(l, 1.0) * max(c_hat, 0.25)
@@ -633,18 +654,13 @@ class PenaltyStudy:
 
 
 def _stiefel_bracket(u: Point):
-    """Distance bracket to the nonnegative slice.  Exact chordal distance on
-    the circle (height 2, width 1); alternation-based bracket otherwise."""
+    """Distance bracket to the nonnegative slice: the closed form on the
+    circle (height 2, width 1, exactly 0 on the arc), else dist_upper_estimate."""
     mat = u.coords
     if mat.shape == (2, 1):
-        theta = math.atan2(float(mat[1, 0]), float(mat[0, 0]))
-        d = arc_chordal_distance(theta)
+        d = arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
         return d, d
-    lb = float(np.linalg.norm(np.minimum(mat, 0.0)))
-    try:
-        est = dist_upper_estimate(mat)
-    except AlternationError:
-        return lb, math.inf
+    est = dist_upper_estimate(mat)
     return est.lb, est.ub
 
 

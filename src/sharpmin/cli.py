@@ -170,6 +170,8 @@ _LEMMA_RADII = (0.4, 0.2, 0.1, 0.05)
 
 
 def _run_verify_lemma(args):
+    if args.samples < 1:  # a zero budget would pass vacuously
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     sphere_point = manifolds.Point(manifolds.sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
     sphere_sampler = manifolds.geodesic_sphere_sampler(sphere_point)
     sphere_report = manifolds.verify_local_distance_lemma(
@@ -212,6 +214,8 @@ def _run_verify_lemma(args):
 
 
 def _run_verify_cones(args):
+    if min(args.covectors, args.frames) < 1:  # a zero budget would pass vacuously
+        raise UsageError("--covectors and --frames must be at least 1")
     schedule = cones.DEFAULT_SCHEDULE
     identity_reports = []
     violations = []

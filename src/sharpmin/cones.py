@@ -497,11 +497,6 @@ def _supported_block_basis(mat: np.ndarray, zrows: tuple, mask: np.ndarray) -> n
     return basis if basis.size else np.zeros((dim, 0))
 
 
-def pattern_cone_contains(cone: PatternCone, x, tol: float = MEMBER_TOL) -> bool:
-    """Membership in the sign/support pattern, checked to tolerance."""
-    return cone.contains(x, tol)
-
-
 def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL) -> Callable[[float, Generator], list]:
     """Constructive sampler of St+(n, k) near a feasible frame P.
 

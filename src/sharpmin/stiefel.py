@@ -1,7 +1,7 @@
 """Frame numerics shared by the cone, sharpness, and clustering modules.
 
-Holds the orthonormal-frame type, QR/polar factorizations with deterministic
-sign conventions, random frame generators, and structure helpers for the
+Holds the orthonormal-frame type, the QR retraction with a deterministic
+sign convention, random frame generators, and structure helpers for the
 entrywise-nonnegative slice St+(n, k).  A basic fact drives the St+ helpers:
 orthogonal nonnegative columns have disjoint supports, so every row of a
 feasible frame carries at most one positive entry.
@@ -74,15 +74,6 @@ def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return q * signs
 
 
-def polar_factor(a: np.ndarray) -> np.ndarray:
-    """Closest orthonormal frame to ``a`` in Frobenius norm (polar factor)."""
-    a = np.asarray(a, dtype=float)
-    w, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[-1] < 1e-12 * max(1.0, s[0] if len(s) else 1.0):
-        raise FrameError("rank-deficient matrix: polar factor undefined")
-    return w @ vt
-
-
 def stiefel_tangent_project(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Project an ambient matrix onto {X : X^T P + P^T X = 0} at frame P."""
     p = np.asarray(p, dtype=float)
@@ -142,13 +133,3 @@ def random_stiefel_plus(n: int, k: int, rng: Generator, rows_used: int | None = 
         u[g, j] = vals / np.linalg.norm(vals)
     return u
 
-
-def givens_rows(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    """Rotation acting on rows i and j of an n-row matrix (left action)."""
-    g = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[i, j] = -s
-    g[j, i] = s
-    g[j, j] = c
-    return g

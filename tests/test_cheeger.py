@@ -3,6 +3,7 @@ penalty, subgradient, solver, rounding, and the penalty exponent study."""
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sharpmin.cheeger import (
     GraphFormatError,
     SolverConfig,
     SubPartition,
+    _local_search_bracket,
     cheeger_objective,
     cut_boundary,
     dist_upper_estimate,
@@ -31,7 +33,7 @@ from sharpmin.cheeger import (
     wsm_penalty_check,
 )
 from sharpmin.manifolds import GeometryError
-from sharpmin.stiefel import random_stiefel, stiefel_tangent_project
+from sharpmin.stiefel import qr_retract, random_stiefel, random_stiefel_plus, stiefel_tangent_project
 
 K2 = "p 2 1\ne 1 2"
 P3 = "p 3 2\ne 1 2\ne 2 3"
@@ -41,6 +43,23 @@ TWO_EDGES = "p 4 2\ne 1 2\ne 3 4"
 
 def parts(*sets):
     return SubPartition(tuple(frozenset(s) for s in sets))
+
+
+def slice_distance_by_loop(u):
+    """Reference for the exact distance to St+: the disjoint-support formula
+    evaluated one assignment of rows to columns at a time."""
+    n, k = u.shape
+    best = -math.inf
+    for owner in product(range(k), repeat=n):
+        if len(set(owner)) < k:
+            continue
+        total = 0.0
+        for j in range(k):
+            col = [u[i, j] for i in range(n) if owner[i] == j]
+            pos = math.sqrt(sum(max(x, 0.0) ** 2 for x in col))
+            total += pos if pos > 0.0 else max(col)
+        best = max(best, total)
+    return math.sqrt(max(0.0, float(np.sum(u * u)) + k - 2.0 * best))
 
 
 class TestLoadGraph:
@@ -258,19 +277,24 @@ class TestDistUpperEstimate:
                     for t in grid)
         assert exact == pytest.approx(math.sqrt(2), abs=1e-6)
         est = dist_upper_estimate(u)
-        assert est.lb == 1.0
-        assert exact - 1e-9 <= est.ub <= 2.0 + 1e-12
-        assert est.lb <= est.ub
+        assert est.lb == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert est.ub == pytest.approx(math.sqrt(2), abs=1e-12)
         assert np.all(est.feasible.matrix >= 0.0)
 
-    def test_perturbation_sweep(self):
-        from sharpmin.stiefel import polar_factor
+    def test_nonpositive_column_takes_its_largest_entry(self):
+        # column 2 has no positive entry: it must take row 2 (entry 0), not row 3
+        u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
+        est = dist_upper_estimate(u)
+        assert est.lb == est.ub == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert est.ub == pytest.approx(slice_distance_by_loop(u), abs=1e-12)
+        assert np.array_equal(est.feasible.matrix, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
+    def test_perturbation_sweep(self):
         rng = np.random.default_rng(9)
         base = np.abs(random_stiefel(5, 2, rng))
         base = dist_upper_estimate(base).feasible.matrix
         for eps in (1e-3, 1e-2):
-            u = polar_factor(base + eps * rng.standard_normal((5, 2)))
+            u = qr_retract(base, eps * rng.standard_normal((5, 2)))
             est = dist_upper_estimate(u)
             assert est.lb <= est.ub
             assert est.ub <= 3.0 * max(est.lb, eps)
@@ -282,6 +306,27 @@ class TestDistUpperEstimate:
             est = dist_upper_estimate(u)
             assert est.lb <= est.ub + 1e-12
             assert np.all(est.feasible.matrix >= 0.0)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3)])
+    def test_exact_against_seeded_slice_frames(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        for _ in range(5):
+            u = random_stiefel(n, k, rng)
+            est = dist_upper_estimate(u)
+            exact = est.ub
+            assert est.lb == exact
+            assert exact == pytest.approx(slice_distance_by_loop(u), abs=1e-9)
+            v = est.feasible.matrix
+            assert np.all(v >= 0.0)
+            assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
+            assert exact == pytest.approx(float(np.linalg.norm(u - v)), abs=1e-12)
+            for _ in range(200):
+                w = random_stiefel_plus(n, k, rng)
+                assert exact <= float(np.linalg.norm(u - w)) + 1e-12
+            local = _local_search_bracket(u)
+            assert local.lb <= exact + 1e-12 and exact <= local.ub + 1e-12
+            assert local.lb >= float(np.linalg.norm(np.minimum(u, 0.0))) - 1e-12
+            assert np.all(local.feasible.matrix >= 0.0)
 
 
 class TestPenalizedObjective:

@@ -58,6 +58,29 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "self-loop" in json.loads(out)["reason"]
 
+    def test_k_above_vertex_count(self, capsys, c4_file):
+        code, out, err = run_captured(capsys, ["exact", "--graph", c4_file, "--k", "5"])
+        assert code == EXIT_USAGE
+        assert "k=5" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
+    def test_lemma_without_samples(self, capsys):
+        code, out, _ = run_captured(capsys, ["verify-lemma", "--samples", "0"])
+        assert code == EXIT_USAGE
+        assert "--samples" in json.loads(out)["reason"]
+
+    def test_cones_without_frames_or_covectors(self, capsys):
+        code, out, _ = run_captured(
+            capsys, ["verify-cones", "--frames", "0", "--covectors", "0"])
+        assert code == EXIT_USAGE
+        assert "--covectors" in json.loads(out)["reason"]
+
+    def test_relax_negative_iterations(self, capsys, c4_file):
+        code, out, _ = run_captured(
+            capsys, ["relax", "--graph", c4_file, "--k", "2", "--max-iters", "-3"])
+        assert code == EXIT_USAGE
+        assert "max_iters=-3" in json.loads(out)["reason"]
+
 
 class TestRelax:
     def test_report_schema(self, capsys, c4_file, tmp_path):

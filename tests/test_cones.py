@@ -17,7 +17,6 @@ from sharpmin.cones import (
     cross_validate_pattern_cone,
     frechet_normal_refute,
     frechet_subdiff_refute,
-    pattern_cone_contains,
     ray_distance,
     stiefel_plus_normal_cone,
     stiefel_plus_sampler,
@@ -50,15 +49,15 @@ class TestPatternCone:
     def test_first_axis_point(self):
         cone = stiefel_plus_normal_cone(np.array([[1.0], [0.0]]))
         assert cone.zero_rows == (1,)
-        assert pattern_cone_contains(cone, np.array([[0.0], [-1.0]]))
-        assert pattern_cone_contains(cone, np.array([[0.0], [0.0]]))
-        assert not pattern_cone_contains(cone, np.array([[0.0], [1.0]]))
+        assert cone.contains(np.array([[0.0], [-1.0]]))
+        assert cone.contains(np.array([[0.0], [0.0]]))
+        assert not cone.contains(np.array([[0.0], [1.0]]))
 
     def test_second_axis_point(self):
         cone = stiefel_plus_normal_cone(np.array([[0.0], [1.0]]))
         assert cone.zero_rows == (0,)
-        assert pattern_cone_contains(cone, np.array([[-1.0], [0.0]]))
-        assert not pattern_cone_contains(cone, np.array([[1.0], [0.0]]))
+        assert cone.contains(np.array([[-1.0], [0.0]]))
+        assert not cone.contains(np.array([[1.0], [0.0]]))
 
     def test_identity_frame_all_skew(self):
         # no zero rows; the diagonal support vanishes on skew matrices anyway,
@@ -66,10 +65,10 @@ class TestPatternCone:
         cone = stiefel_plus_normal_cone(np.eye(2))
         assert cone.zero_rows == ()
         skew = np.array([[0.0, 3.0], [-3.0, 0.0]])
-        assert pattern_cone_contains(cone, skew)
-        assert pattern_cone_contains(cone, -skew)
+        assert cone.contains(skew)
+        assert cone.contains(-skew)
         not_tangent = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert not pattern_cone_contains(cone, not_tangent)
+        assert not cone.contains(not_tangent)
 
     def test_infeasible_base_refused(self):
         with pytest.raises(GeometryError):
@@ -80,8 +79,8 @@ class TestPatternCone:
         s = 1.0 / np.sqrt(2.0)
         cone = stiefel_plus_normal_cone(np.array([[s], [s]]))
         assert cone.zero_rows == ()
-        assert pattern_cone_contains(cone, np.zeros((2, 1)))
-        assert not pattern_cone_contains(cone, np.array([[-s], [s]]))
+        assert cone.contains(np.zeros((2, 1)))
+        assert not cone.contains(np.array([[-s], [s]]))
         assert cone.subspace_basis.shape[1] == 0
 
     @given(st.integers(0, 10_000))
