@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .manifolds import GeometryError, Point, stiefel
+from .manifolds import GeometryError, Point, stiefel, tangent_project
 from .stiefel import (
     ENTRY_ZERO_TOL,
     FrameError,
@@ -40,7 +40,6 @@ from .stiefel import (
     frame_residual,
     qr_retract,
     random_stiefel,
-    stiefel_tangent_project,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
 from .wsm import NcVerdict, WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
@@ -207,10 +206,10 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     """
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
-    total = (k + 1) ** graph.n
-    if total > budget:
+    if (k + 1) ** graph.n > budget:
+        # (k+1)^n itself can pass Python's digit limit for int-to-str conversion
         raise BudgetExceededError(
-            f"enumeration needs {total} assignments, budget is {budget}"
+            f"enumeration needs {k + 1}^{graph.n} assignments, budget is {budget}"
         )
     edges = graph.edges
     best_val = math.inf
@@ -412,7 +411,7 @@ def riemannian_subgradient(graph: Graph, u, beta: float, c: float) -> np.ndarray
     negative = mat < 0.0
     if negative.any():
         grad[negative] -= c * beta * np.maximum(-mat[negative], 0.0) ** (beta - 1.0)
-    return stiefel_tangent_project(mat, grad)
+    return tangent_project(stiefel(*mat.shape), mat, grad)
 
 
 @dataclass(frozen=True)
@@ -433,7 +432,6 @@ class SolverConfig:
     seed: int = 0
     oracle_budget: int = 20_000_000
     with_oracle: bool = True
-    round_policy: str = "argmax-threshold-sweep"
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 2.0:
@@ -448,8 +446,6 @@ class SolverConfig:
             raise GeometryError("need at least one restart")
         if self.max_iters < 1:
             raise GeometryError(f"need at least one iteration, got max_iters={self.max_iters}")
-        if self.round_policy != "argmax-threshold-sweep":
-            raise GeometryError(f"unknown rounding policy {self.round_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,7 +60,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("relax", help="penalized relaxation solver")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--penalty-c", type=float, default=None)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=300)
@@ -117,11 +116,7 @@ def _run_exact(args):
 
 def _run_relax(args):
     graph = _load_graph_arg(args.graph)
-    if args.beta != 1.0:
-        raise UsageError("the solver runs with --beta 1; other exponents are study-only "
-                         "(see verify-wsm)")
     cfg = ch.SolverConfig(
-        beta=args.beta,
         penalty_c=args.penalty_c,
         restarts=args.restarts,
         max_iters=args.max_iters,
@@ -334,7 +329,7 @@ def _run_report(args):
     traces.update(cones_traces)
     if args.graph is not None:
         rcode, relax_report, relax_traces = _run_relax(argparse.Namespace(
-            graph=args.graph, k=args.k, beta=1.0, penalty_c=None, restarts=20,
+            graph=args.graph, k=args.k, penalty_c=None, restarts=20,
             max_iters=300, budget=args.budget, no_oracle=False, seed=args.seed,
             out=args.out, format=args.format))
         graph_section = relax_report

@@ -11,6 +11,17 @@ concrete witness sample whose quotient violates the defining inequality
 beyond tolerance at two consecutive scales; ``consistent`` only means no
 violation was found and is never a membership certificate.
 
+``frechet_subdiff_refute`` and ``contingent_derivative`` handle each scale
+as one block of shape (s, *ambient_shape).  All the scale's random
+directions come from one seeded ``standard_normal`` draw and are projected
+onto the tangent space together.  The block of steps is then checked tangent
+by the rule of ``Tangent`` and mapped in one call: the exact exponential map
+on euclidean spaces and spheres, the positive-diagonal QR retraction (with
+its rank check) on frames.  Only the call of f stays per sample, on a
+validated ``Point``.  Every reduction is taken row by row in the order the
+one-sample-at-a-time loop used, so the traces, witnesses and skip counts are
+bitwise those of that loop.
+
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
 constructive neighborhood sampler used to cross-validate that description
@@ -31,10 +42,11 @@ from .manifolds import (
     GeometryError,
     Point,
     Tangent,
-    exp_map,
+    exp_coords,
     log_map,
-    random_tangent,
-    retract,
+    random_tangents,
+    require_tangent,
+    row_norms,
     stiefel,
 )
 from .stiefel import (
@@ -43,6 +55,7 @@ from .stiefel import (
     as_matrix,
     column_supports,
     is_nonnegative,
+    qr_retract,
     random_stiefel_plus,
     zero_rows as _zero_rows,
 )
@@ -172,6 +185,22 @@ def frechet_normal_refute(
     return RefutationVerdict("consistent", None, tuple(trace))
 
 
+def _approach_block(p: Point, t: float, dirs: np.ndarray):
+    """Points reached from p by the steps t * dirs, one row of ``dirs`` each.
+
+    The whole block is checked tangent by the rule of ``Tangent`` and mapped
+    in one call: the exact exponential map on euclidean and sphere, the QR
+    retraction (with its rank check) on stiefel.  Returns the coordinate
+    block and one validated Point per row, the argument f is called on."""
+    steps = t * dirs
+    require_tangent(p, steps)
+    if p.manifold.kind in ("euclidean", "sphere"):
+        coords = exp_coords(p, steps)
+    else:
+        coords = qr_retract(p.coords, steps)
+    return coords, [Point(p.manifold, c) for c in coords]
+
+
 def frechet_subdiff_refute(
     f: Callable[[Point], float],
     p: Point,
@@ -186,14 +215,21 @@ def frechet_subdiff_refute(
     probing +/- the direction of x itself.  ``refuted`` means the quotient
     fell below -tol at two consecutive scales, so x cannot belong to the
     subdifferential; ``consistent`` certifies nothing.
+
+    Each scale is one block: the probes and ``samples_per_scale`` random
+    tangent directions are stepped, mapped and scored together, and f is
+    called once per sample.  A sample where f is NaN is skipped and counted;
+    the first sample attaining the least quotient is the scale's witness.
     """
     f0 = float(f(p))
     if not math.isfinite(f0):
         raise GeometryError("f must be finite at the base point")
     xnorm = float(np.linalg.norm(x.vec))
-    probes = []
+    shape = p.manifold.ambient_shape
+    axes = tuple(range(1, len(shape) + 1))
+    probes = np.empty((0, *shape))
     if xnorm > 0:
-        probes = [x.vec / xnorm, -x.vec / xnorm]
+        probes = np.stack([x.vec / xnorm, -x.vec / xnorm])
     streams = SeedSequence(seed).spawn(len(schedule.scales))
     trace = []
     best = []
@@ -201,29 +237,23 @@ def frechet_subdiff_refute(
     exact_chart = p.manifold.kind in ("euclidean", "sphere")
     for t, ss in zip(schedule.scales, streams):
         rng = default_rng(ss)
-        dirs = list(probes)
-        for _ in range(schedule.samples_per_scale):
-            dirs.append(random_tangent(p, rng).vec)
-        q_min, arg = math.inf, None
-        for w in dirs:
-            step = Tangent(p, t * w)
-            u = exp_map(p, step) if exact_chart else retract(p, step)
-            fu = float(f(u))
-            if math.isnan(fu):
-                skipped += 1
-                continue
+        dirs = np.concatenate([probes, random_tangents(p, rng, schedule.samples_per_scale)])
+        coords, points = _approach_block(p, t, dirs)
+        fu = np.array([float(f(u)) for u in points])
+        excluded = np.isnan(fu)
+        skipped += int(excluded.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
             if exact_chart:
-                q = (fu - f0 - t * _inner(x.vec, w)) / t
+                q = (fu - f0 - t * np.sum(x.vec * dirs, axis=axes)) / t
             else:
-                chord = u.coords - p.coords
-                d = float(np.linalg.norm(chord))
-                if d <= 0.0:
-                    continue
-                q = (fu - f0 - _inner(x.vec, chord)) / d
-            if q < q_min:
-                q_min, arg = q, u
-        trace.append((t, q_min))
-        best.append(arg)
+                chords = coords - p.coords
+                d = row_norms(chords)
+                excluded |= d <= 0.0
+                q = (fu - f0 - np.sum(x.vec * chords, axis=axes)) / d
+        q[excluded | np.isnan(q)] = math.inf
+        i = int(np.argmin(q))  # the first least quotient, as a strict-< scan finds it
+        trace.append((t, float(q[i])))
+        best.append(points[i] if q[i] < math.inf else None)
     idx = _two_consecutive(trace, schedule.tol, above=False)
     if idx is not None:
         u = best[idx]
@@ -250,14 +280,14 @@ def contingent_derivative(
     collapses onto {v} at the smallest ``tail_scales`` scales; the estimate is
     the minimum over those tail scales.  The collapse makes the estimate exact
     for linear functions and for any function Lipschitz near p, where the
-    limit along the ray equals the full lower limit.
+    limit along the ray equals the full lower limit.  Each scale's directions
+    are stepped and mapped as one block, as in ``frechet_subdiff_refute``.
     """
     f0 = float(f(p))
     if not math.isfinite(f0):
         raise GeometryError("f must be finite at the base point")
     scales = schedule.scales
     t0 = scales[0]
-    exact_chart = p.manifold.kind in ("euclidean", "sphere")
     streams = SeedSequence(seed).spawn(len(scales))
     tail_start = max(0, len(scales) - tail_scales)
     estimate = math.inf
@@ -265,13 +295,11 @@ def contingent_derivative(
     for j, (t, ss) in enumerate(zip(scales, streams)):
         rng = default_rng(ss)
         delta = 0.0 if j >= tail_start else perturb_frac * vnorm * (t / t0)
-        ws = [v.vec]
-        for _ in range(n_perturb if delta > 0 else 0):
-            ws.append(v.vec + delta * random_tangent(p, rng).vec)
+        ws = v.vec[None]
+        if delta > 0:
+            ws = np.concatenate([ws, v.vec + delta * random_tangents(p, rng, n_perturb)])
         q_min = math.inf
-        for w in ws:
-            step = Tangent(p, t * w)
-            u = exp_map(p, step) if exact_chart else retract(p, step)
+        for u in _approach_block(p, t, ws)[1]:
             fu = float(f(u))
             if math.isnan(fu):
                 continue

@@ -12,6 +12,11 @@ distance and is all the downstream clustering pipeline needs.
 All types are immutable values; every operation is pure.  Sampling helpers
 take an explicit seed or generator and never touch global RNG state, and the
 local-distance verifier derives an independent substream per radius.
+
+The tangent projection, the tangency check, the exponential map and the
+seeded tangent draw also take a stack (s, *ambient_shape) of vectors at one
+point, for the sampled estimators that work a block at a time; each row comes
+out bitwise as if it were handled alone.
 """
 
 from __future__ import annotations
@@ -146,14 +151,50 @@ class Point:
         return point_feasibility_residual(self.manifold, self.coords)
 
 
-def tangency_residual(p: Point, vec: np.ndarray) -> float:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of a stack with the matching row of a second
+    stack, or with one row shared by all.
+
+    ``np.vecdot`` runs one BLAS dot per row, so the values are bitwise those
+    of ``np.dot`` on the flattened rows (and their square roots those of
+    ``np.linalg.norm``)."""
+    if a.ndim > 2:
+        size = math.prod(a.shape[1:])
+        a, b = a.reshape(len(a), size), b.reshape(-1, size)
+    return np.vecdot(a, b)
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a stack, bitwise ``np.linalg.norm`` of
+    each row."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-row scalars shaped to broadcast against the stack ``like``."""
+    return values.reshape(-1, *(1,) * (like.ndim - 1))
+
+
+def require_tangent(p: Point, vecs: np.ndarray) -> None:
+    """Raise unless every row of the stack ``vecs`` is tangent at p.
+
+    A row's residual (|<v, p>| / rho on spheres, ||V^T P + P^T V||_F on
+    stiefel, identically 0 on euclidean) may be at most TANGENCY_TOL times
+    its norm.  This is the rule every ``Tangent`` is validated by."""
     m = p.manifold
     if m.kind == "euclidean":
-        return 0.0
+        return
     if m.kind == "sphere":
-        return abs(float(np.dot(vec, p.coords))) / m.radius
-    s = vec.T @ p.coords + p.coords.T @ vec
-    return float(np.linalg.norm(s))
+        residuals = [abs(d) / m.radius for d in _row_dots(vecs, p.coords).tolist()]
+    else:
+        s = np.swapaxes(vecs, -1, -2) @ p.coords + p.coords.T @ vecs
+        residuals = [math.sqrt(d) for d in _row_dots(s, s).tolist()]
+    for res, sq in zip(residuals, _row_dots(vecs, vecs).tolist()):
+        nrm = math.sqrt(sq)
+        if res > TANGENCY_TOL * max(nrm, 1e-30):
+            raise GeometryError(
+                f"vector not tangent at base (residual {res:.3e} vs norm {nrm:.3e})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +210,7 @@ class Tangent:
         if vec.shape != self.base.manifold.ambient_shape:
             raise GeometryError(f"tangent shape {vec.shape} does not match {self.base.manifold}")
         object.__setattr__(self, "vec", vec)
-        nrm = float(np.linalg.norm(vec))
-        res = tangency_residual(self.base, vec)
-        if res > TANGENCY_TOL * max(nrm, 1e-30):
-            raise GeometryError(
-                f"vector not tangent at base (residual {res:.3e} vs norm {nrm:.3e})"
-            )
+        require_tangent(self.base, vec[None])
 
     @property
     def norm(self) -> float:
@@ -197,20 +233,32 @@ def exp_map(p: Point, v: Tangent) -> Point:
     St(n, k) is refused here (no closed form is implemented); use ``retract``.
     """
     _same_base(p, v)
+    return Point(p.manifold, exp_coords(p, v.vec[None])[0])
+
+
+def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
+    """Ambient coordinates of exp_p(v) for each row v of a stack
+    (s, *ambient_shape) of tangent vectors at p; the rows are not validated
+    as points.  The same closed forms as ``exp_map``."""
     m = p.manifold
     if m.kind == "euclidean":
-        return Point(m, p.coords + v.vec)
-    if m.kind == "sphere":
-        rho = m.radius
-        nv = v.norm
-        if nv == 0.0:
-            return Point(m, p.coords)
-        theta = nv / rho
-        coords = math.cos(theta) * p.coords + (rho * math.sin(theta) / nv) * v.vec
-        # renormalize to kill the O(eps) drift of the closed form
-        coords = coords * (rho / np.linalg.norm(coords))
-        return Point(m, coords)
-    raise GeometryError(f"no exact exponential map for {m}; use retract")
+        return p.coords + vecs
+    if m.kind != "sphere":
+        raise GeometryError(f"no exact exponential map for {m}; use retract")
+    nv = row_norms(vecs).tolist()
+    if 0.0 in nv:  # a zero step stays at p
+        moving = np.array(nv) != 0.0
+        coords = np.array(np.broadcast_to(p.coords, vecs.shape))
+        coords[moving] = exp_coords(p, vecs[moving])
+        return coords
+    rho = m.radius
+    # scalar libm cos/sin row by row (np.cos/np.sin may round differently)
+    cos_t = np.array([math.cos(n / rho) for n in nv])
+    coef = np.array([rho * math.sin(n / rho) / n for n in nv])
+    coords = _per_row(cos_t, vecs) * p.coords + _per_row(coef, vecs) * vecs
+    # renormalize to kill the O(eps) drift of the closed form
+    coords *= _per_row(rho / row_norms(coords), vecs)
+    return coords
 
 
 def log_map(p: Point, q: Point) -> Tangent:
@@ -251,23 +299,29 @@ def geodesic_distance(p: Point, q: Point) -> float:
     return float(np.linalg.norm(q.coords - p.coords))
 
 
-def tangent_project(p: Point, z: np.ndarray) -> Tangent:
-    """Orthogonal projection of an ambient vector onto the tangent space at p."""
+def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ambient vectors onto the tangent space of m at
+    the point with coordinates ``base``.
+
+    ``z`` is one ambient vector (shape ``m.ambient_shape``) or a stack of them
+    (shape ``(s, *m.ambient_shape)``); the result has the shape of z.  On
+    stiefel the projection is Z - P sym(P^T Z), so ``base`` may be any frame,
+    validated or not.  The projection is applied twice, which scrubs the
+    roundoff left when z has a large normal part.
+    """
+    base = np.asarray(base, dtype=float)
     z = np.asarray(z, dtype=float)
-    if z.shape != p.manifold.ambient_shape:
-        raise GeometryError(f"ambient vector shape {z.shape} does not match {p.manifold}")
-    m = p.manifold
-
-    def _proj(w):
-        if m.kind == "euclidean":
-            return w
+    if m.ambient_shape not in (z.shape, z.shape[1:]):
+        raise GeometryError(f"ambient vector shape {z.shape} does not match {m}")
+    if m.kind == "euclidean":
+        return z
+    for _ in range(2):
         if m.kind == "sphere":
-            return w - (np.dot(w, p.coords) / m.radius**2) * p.coords
-        s = p.coords.T @ w
-        return w - p.coords @ ((s + s.T) / 2.0)
-
-    # projecting twice scrubs the roundoff left when z has a large normal part
-    return Tangent(p, _proj(_proj(z)))
+            z = z - (np.vecdot(z, base) / m.radius**2)[..., None] * base
+        else:
+            s = base.T @ z
+            z = z - base @ ((s + np.swapaxes(s, -1, -2)) / 2.0)
+    return z
 
 
 def retract(p: Point, v: Tangent) -> Point:
@@ -303,14 +357,42 @@ def point_set_distance(q: Point, points: Sequence[Point]) -> float:
     return min(geodesic_distance(q, s) for s in pts)
 
 
+def random_tangents(p: Point, rng: Generator, count: int, norm: float = 1.0) -> np.ndarray:
+    """Stack (count, *ambient_shape) of seeded tangent directions at p, each
+    of length ``norm`` and uniform over directions.
+
+    All directions come from one ``standard_normal`` draw, which a seeded
+    Generator fills in order, so row i equals the i-th of ``count`` calls of
+    ``random_tangent``.  A projection of length <= 1e-12 (a measure-zero
+    event) is redrawn, at most 64 draws per row; only then does the stream
+    part from the one-at-a-time order.
+    """
+    m = p.manifold
+
+    def draw(rows: int) -> np.ndarray:
+        vecs = tangent_project(m, p.coords, rng.standard_normal((rows, *m.ambient_shape)))
+        require_tangent(p, vecs)
+        return vecs
+
+    vecs = draw(count)
+    lengths = row_norms(vecs)
+    for attempt in range(64):
+        redo = [i for i, length in enumerate(lengths.tolist()) if length <= 1e-12]
+        if not redo:
+            break
+        if attempt == 63:
+            raise GeometryError("failed to sample a nondegenerate tangent direction")
+        vecs[redo] = draw(len(redo))
+        lengths[redo] = row_norms(vecs[redo])
+    vecs = _per_row(norm / lengths, vecs) * vecs
+    require_tangent(p, vecs)
+    return vecs
+
+
 def random_tangent(p: Point, rng: Generator, norm: float = 1.0) -> Tangent:
-    """Seeded tangent direction of prescribed norm, uniform over directions."""
-    for _ in range(64):
-        z = rng.standard_normal(p.manifold.ambient_shape)
-        t = tangent_project(p, z)
-        if t.norm > 1e-12:
-            return Tangent(p, (norm / t.norm) * t.vec)
-    raise GeometryError("failed to sample a nondegenerate tangent direction")
+    """Seeded tangent direction of prescribed norm, uniform over directions:
+    the one-row case of ``random_tangents``."""
+    return Tangent(p, random_tangents(p, rng, 1, norm)[0])
 
 
 def sample_chart_ball(p: Point, r: float, rng: Generator) -> Point:

@@ -22,10 +22,6 @@ class FrameError(ValueError):
     """Raised for rank-deficient retractions or infeasible frames."""
 
 
-def sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
-
-
 def frame_residual(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
@@ -64,22 +60,19 @@ def as_matrix(u) -> np.ndarray:
 
 def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """QR-based retraction of P + X with R forced to a positive diagonal,
-    which makes the result deterministic.  Raises on numerical rank loss."""
+    which makes the result deterministic.  Raises on numerical rank loss.
+
+    ``x`` may be one step (n, k) or a stack of steps (s, n, k); a stack is
+    factored in one batched QR, slice by slice the same as one at a time."""
     a = np.asarray(p, dtype=float) + np.asarray(x, dtype=float)
     q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    if np.any(np.abs(diag) < 1e-12 * max(1.0, float(np.linalg.norm(a)))):
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    flat = a.reshape(*a.shape[:-2], -1)
+    scale = np.maximum(1.0, np.sqrt(np.vecdot(flat, flat)))[..., None]  # ||A||_F per slice
+    if np.any(np.abs(diag) < 1e-12 * scale):
         raise FrameError("rank-deficient step: QR retraction undefined")
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs
-
-
-def stiefel_tangent_project(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Project an ambient matrix onto {X : X^T P + P^T X = 0} at frame P."""
-    p = np.asarray(p, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = z - p @ sym(p.T @ z)
-    return out - p @ sym(p.T @ out)
+    return q * signs[..., None, :]
 
 
 def random_stiefel(n: int, k: int, rng: Generator) -> np.ndarray:

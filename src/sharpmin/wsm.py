@@ -30,6 +30,9 @@ from .cones import (
 )
 
 VIOLATION_TOL = 1e-9
+# A sample whose upper distance bound is at most this lies in the solution set:
+# points on the set get rounding-level distances, not exact zeros.
+INSIDE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +116,7 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
             raise GeometryError(f"bracket inverted: lb={lb} > ub={ub}")
         checked += 1
         gain = fu - f0
-        if ub > 0 and math.isfinite(ub):
+        if ub > INSIDE_TOL and math.isfinite(ub):
             modulus = min(modulus, gain / ub)
         if witness is None and gain < inst.alpha * lb - tol:
             witness = (np.array(u.coords), fu, lb, ub)
@@ -134,14 +137,14 @@ def estimate_modulus(
     f_min: float = 0.0,
 ) -> float:
     """Infimum over samples of (f(u) - f_min) / ub(u), skipping points inside
-    the set (ub = 0).  Using the upper bracket end makes this a conservative
-    estimate of the best modulus valid on the sampled region."""
+    the set (ub <= INSIDE_TOL).  Using the upper bracket end makes this a
+    conservative estimate of the best modulus valid on the sampled region."""
     rng = default_rng(seed)
     est = math.inf
     outside = 0
     for u in feasible_sampler(n_samples, rng):
         lb, ub = bracket(u)
-        if ub <= 0 or not math.isfinite(ub):
+        if ub <= INSIDE_TOL or not math.isfinite(ub):
             continue  # inside the set, or unbracketed
         outside += 1
         est = min(est, (float(f(u)) - f_min) / ub)

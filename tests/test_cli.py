@@ -1,8 +1,15 @@
 """Command-line front end tests: exit codes, report schema, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, run
 
@@ -62,6 +69,15 @@ class TestUsageErrors:
         code, out, err = run_captured(capsys, ["exact", "--graph", c4_file, "--k", "5"])
         assert code == EXIT_USAGE
         assert "k=5" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
+    def test_budget_refusal_on_huge_vertex_count(self, capsys, tmp_path):
+        # 2^20000 has more digits than Python converts to str by default
+        f = tmp_path / "wide.txt"
+        f.write_text("e 1 20000\n")
+        code, out, err = run_captured(capsys, ["exact", "--graph", str(f), "--k", "1"])
+        assert code == EXIT_BUDGET
+        assert "2^20000" in json.loads(out)["reason"]
         assert "Traceback" not in err
 
     def test_lemma_without_samples(self, capsys):
@@ -178,3 +194,106 @@ class TestDeterminism:
             assert code == EXIT_OK
         assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
         assert (dirs[0] / "relax_trace.csv").read_bytes() == (dirs[1] / "relax_trace.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under random input
+# ---------------------------------------------------------------------------
+
+def _mostly(valid, anything):
+    """Half the draws from a valid range, half from a wider one with invalid
+    values, so that examples reach both the work and the usage checks."""
+    return st.one_of(valid, anything)
+
+
+_GRAPH_LINES = st.one_of(
+    st.builds("e {} {}".format, st.integers(1, 4), st.integers(5, 6)),
+    st.builds("{} {}".format, st.integers(1, 6), st.integers(1, 6)),
+    st.builds("p {} {}".format, st.integers(-1, 7), st.integers(-1, 6)),
+    st.builds("e {} {}".format, st.integers(-1, 8), st.integers(-1, 8)),
+    st.just("c comment"),
+    st.text(alphabet="pec -.x1", max_size=4),  # vertex numbers stay below 10^4
+)
+_NUMBERS = st.sampled_from(["-1", "0", "0.5", "1", "2", "9.5", "nan", "inf", "x"])
+_K = _mostly(st.integers(1, 2), st.integers(-1, 5))
+# Work budgets are always drawn, small (or invalid), so every example stays
+# quick; other flags are drawn or left at their defaults.  ``report`` runs the
+# other commands at fixed full budgets, so it is left out.
+_BUDGETS = {
+    "exact": {"--budget": _mostly(st.integers(100, 5000), st.integers(-1, 5000))},
+    "relax": {"--restarts": _mostly(st.just(1), st.integers(-1, 2)),
+              "--max-iters": _mostly(st.integers(1, 4), st.integers(-1, 4)),
+              "--budget": st.integers(-1, 5000)},
+    "verify-lemma": {"--samples": _mostly(st.integers(1, 4), st.integers(-1, 4))},
+    "verify-cones": {"--covectors": _mostly(st.just(1), st.integers(-1, 1)),
+                     "--frames": _mostly(st.just(1), st.integers(-1, 1))},
+    "verify-wsm": {"--samples": _mostly(st.integers(4, 8), st.integers(-1, 8))},
+}
+_OPTIONAL = {
+    "relax": {"--penalty-c": _mostly(st.sampled_from(["2", "9.5"]), _NUMBERS),
+              "--no-oracle": st.none()},
+    "verify-wsm": {"--alpha": _NUMBERS},
+}
+_NEARLY_ALWAYS = st.sampled_from([True, True, True, False])
+_REQUIRED = {  # drawn nearly always, omitted now and then
+    "exact": {"--k": _K},
+    "relax": {"--k": _K},
+    "verify-wsm": {"--n": _mostly(st.integers(2, 4), st.integers(-1, 9)), "--k": _K,
+                   "--beta": _mostly(st.sampled_from(["0.5", "2"]), _NUMBERS)},
+}
+_TAKES_GRAPH = ("exact", "relax")
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv without --graph and --out, graph text or None for a missing file)."""
+    command = draw(st.sampled_from(sorted(_BUDGETS) + ["bogus"]))
+    argv = [command]
+    for flag, values in _BUDGETS.get(command, {}).items():
+        argv += [flag, str(draw(values))]
+    for flag, values in _OPTIONAL.get(command, {}).items():
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    for flag, values in _REQUIRED.get(command, {}).items():
+        if draw(_NEARLY_ALWAYS):
+            argv += [flag, str(draw(values))]
+    argv += ["--format", draw(st.sampled_from(["json", "csv"])), "--seed",
+             str(draw(st.integers(0, 3)))]
+    graph = None
+    if command in _TAKES_GRAPH and draw(_NEARLY_ALWAYS):
+        graph = "\n".join(draw(st.lists(_GRAPH_LINES, max_size=8)))
+    return argv, graph
+
+
+@given(cli_inputs())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_cli_keeps_exit_contract(inputs):
+    """Any command line and graph text ends in exit 0-3 without a traceback,
+    and every nonzero exit leaves a JSON reason: in report.json under --out,
+    or on stdout when the flags did not parse."""
+    argv, graph = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if argv[0] in _TAKES_GRAPH:
+            graph_file = tmp / "graph.txt"
+            if graph is not None:
+                graph_file.write_text(graph)
+            argv = argv + ["--graph", str(graph_file)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. duplicate edges collapsed
+            code = run(argv + ["--out", str(tmp / "out")])
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_BUDGET)
+        assert "Traceback" not in err.getvalue()
+        report_path = tmp / "out" / "report.json"
+        if report_path.exists():
+            report = json.loads(report_path.read_text())
+        else:
+            assert code == EXIT_USAGE, "only a parse failure may skip report.json"
+            report = json.loads(out.getvalue())
+        assert report["exit_code"] == code
+        if code != EXIT_OK:
+            assert isinstance(report["reason"], str) and report["reason"]

@@ -1,15 +1,22 @@
 """Tests for the cone estimators/refuters, the sign/support pattern of the
 normal cone to the nonnegative Stiefel slice, and the identity checkers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import SeedSequence, default_rng
 
 import sharpmin.fixtures as fx
 from sharpmin.cones import (
+    DEFAULT_SCHEDULE,
     GeometryError,
+    RefutationVerdict,
     Schedule,
+    Witness,
+    _two_consecutive,
     check_dirderiv_identity,
     check_dist_subdiff_identity,
     contingent_cone_distance,
@@ -21,7 +28,16 @@ from sharpmin.cones import (
     stiefel_plus_normal_cone,
     stiefel_plus_sampler,
 )
-from sharpmin.manifolds import Point, Tangent, euclidean, stiefel
+from sharpmin.manifolds import (
+    Point,
+    Tangent,
+    euclidean,
+    random_tangent,
+    random_tangents,
+    sphere,
+    stiefel,
+    tangent_project,
+)
 from sharpmin.stiefel import random_stiefel_plus
 
 
@@ -345,3 +361,218 @@ class TestChordalPath:
         x = Tangent(self.p, np.array([[0.0], [-1.0]]))
         assert frechet_subdiff_refute(self.penalty(2.0), self.p, x, seed=0).refuted
         assert not frechet_subdiff_refute(self.penalty(0.5), self.p, x, seed=0).refuted
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-sample-at-a-time refuter that the block kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_project(p, w):
+    m = p.manifold
+    if m.kind == "euclidean":
+        return w
+    if m.kind == "sphere":
+        return w - (np.dot(w, p.coords) / m.radius**2) * p.coords
+    s = p.coords.T @ w
+    return w - p.coords @ ((s + s.T) / 2.0)
+
+
+def ref_random_tangent(p, rng, norm=1.0):
+    for _ in range(64):
+        z = rng.standard_normal(p.manifold.ambient_shape)
+        t = Tangent(p, _ref_project(p, _ref_project(p, z)))
+        if t.norm > 1e-12:
+            return Tangent(p, (norm / t.norm) * t.vec)
+    raise GeometryError("failed to sample a nondegenerate tangent direction")
+
+
+def _ref_step(p, step):
+    """exp_p(step) on euclidean and sphere, QR retraction on stiefel."""
+    m = p.manifold
+    if m.kind == "euclidean":
+        return Point(m, p.coords + step.vec)
+    if m.kind == "sphere":
+        rho, nv = m.radius, step.norm
+        if nv == 0.0:
+            return Point(m, p.coords)
+        theta = nv / rho
+        coords = math.cos(theta) * p.coords + (rho * math.sin(theta) / nv) * step.vec
+        return Point(m, coords * (rho / np.linalg.norm(coords)))
+    a = p.coords + step.vec
+    q, r = np.linalg.qr(a)
+    diag = np.diag(r)
+    assert not np.any(np.abs(diag) < 1e-12 * max(1.0, float(np.linalg.norm(a))))
+    return Point(m, q * np.where(diag < 0.0, -1.0, 1.0))
+
+
+def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+    f0 = float(f(p))
+    xnorm = float(np.linalg.norm(x.vec))
+    probes = [x.vec / xnorm, -x.vec / xnorm] if xnorm > 0 else []
+    streams = SeedSequence(seed).spawn(len(schedule.scales))
+    trace, best, skipped = [], [], 0
+    exact_chart = p.manifold.kind in ("euclidean", "sphere")
+    for t, ss in zip(schedule.scales, streams):
+        rng = default_rng(ss)
+        dirs = list(probes)
+        for _ in range(schedule.samples_per_scale):
+            dirs.append(ref_random_tangent(p, rng).vec)
+        q_min, arg = math.inf, None
+        for w in dirs:
+            u = _ref_step(p, Tangent(p, t * w))
+            fu = float(f(u))
+            if math.isnan(fu):
+                skipped += 1
+                continue
+            if exact_chart:
+                q = (fu - f0 - t * float(np.sum(x.vec * w))) / t
+            else:
+                chord = u.coords - p.coords
+                d = float(np.linalg.norm(chord))
+                if d <= 0.0:
+                    continue
+                q = (fu - f0 - float(np.sum(x.vec * chord))) / d
+            if q < q_min:
+                q_min, arg = q, u
+        trace.append((t, q_min))
+        best.append(arg)
+    idx = _two_consecutive(trace, schedule.tol, above=False)
+    if idx is None:
+        return RefutationVerdict("consistent", None, tuple(trace), skipped)
+    witness = Witness(covector=np.array(x.vec), point_coords=np.array(best[idx].coords),
+                      scale=trace[idx][0], quotient=trace[idx][1])
+    return RefutationVerdict("refuted", witness, tuple(trace), skipped)
+
+
+def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
+                              perturb_frac=0.5, n_perturb=8, tail_scales=2):
+    f0 = float(f(p))
+    scales = schedule.scales
+    streams = SeedSequence(seed).spawn(len(scales))
+    tail_start = max(0, len(scales) - tail_scales)
+    estimate = math.inf
+    vnorm = max(v.norm, 1.0)
+    for j, (t, ss) in enumerate(zip(scales, streams)):
+        rng = default_rng(ss)
+        delta = 0.0 if j >= tail_start else perturb_frac * vnorm * (t / scales[0])
+        ws = [v.vec]
+        for _ in range(n_perturb if delta > 0 else 0):
+            ws.append(v.vec + delta * ref_random_tangent(p, rng).vec)
+        q_min = math.inf
+        for w in ws:
+            fu = float(f(_ref_step(p, Tangent(p, t * w))))
+            if math.isnan(fu):
+                continue
+            q = (fu - f0) / t if math.isfinite(fu) else math.inf
+            q_min = min(q_min, q)
+        if j >= tail_start:
+            estimate = min(estimate, q_min)
+    return estimate
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_verdict(got, ref):
+    assert got.status == ref.status
+    assert got.skipped_samples == ref.skipped_samples
+    assert _bits(got.quotient_trace) == _bits(ref.quotient_trace)
+    if ref.witness is None:
+        assert got.witness is None
+        return
+    for field in ("covector", "point_coords", "scale", "quotient"):
+        assert _bits(getattr(got.witness, field)) == _bits(getattr(ref.witness, field))
+
+
+def _nan_right_half(u):
+    return float("nan") if u.coords[0] > 0 else 0.0
+
+
+def _penalty(beta):
+    return lambda u: float(np.sum(np.maximum(-u.coords, 0.0) ** beta))
+
+
+def _frame_point(n, k, seed):
+    return Point(stiefel(n, k), random_stiefel_plus(n, k, np.random.default_rng(seed)))
+
+
+def _refuter_cases():
+    """(name, f, base point, covectors, schedule) over all three manifold kinds."""
+    half, arc = fx.halfplane_fixture(), fx.arc_fixture()
+    origin = Point(euclidean(2), np.zeros(2))
+    ball = Point(sphere(3, 2.0), np.array([0.0, 0.0, 2.0]))
+    light = Schedule.geometric(samples_per_scale=10)
+    cases = [
+        ("euclidean-halfplane", half.dist_fn, half.point,
+         [[0.0, 0.5], [0.0, 1.3], [0.4, 0.2], [0.0, -0.3]], DEFAULT_SCHEDULE),
+        ("euclidean-nan", _nan_right_half, origin, [[0.0, 0.0], [0.7, -0.2]],
+         DEFAULT_SCHEDULE),
+        ("sphere-arc", arc.dist_fn, arc.point, [[0.0, -0.5], [0.0, -1.1], [0.0, 0.4]],
+         DEFAULT_SCHEDULE),
+        ("sphere-square-penalty", _penalty(2.0), fx.circle_point(0.0), [[0.0, -1.0]],
+         DEFAULT_SCHEDULE),
+        ("sphere-radius-two", lambda u: abs(float(u.coords[0])), ball,
+         [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], DEFAULT_SCHEDULE),
+    ]
+    for n, k, seed in ((4, 2, 3), (6, 3, 8)):
+        p = _frame_point(n, k, seed)
+        cone = stiefel_plus_normal_cone(p.coords)
+        covectors = cone.extreme_rays()[:2] + cone.sample_members(np.random.default_rng(seed), 2)
+        for beta in (0.5, 2.0):
+            cases.append((f"stiefel-{n}x{k}-beta{beta}", _penalty(beta), p, covectors, light))
+    return cases
+
+
+REFUTER_CASES = _refuter_cases()
+
+
+class TestBlockKernelMatchesPerSampleReference:
+    """The block kernel must reproduce the one-sample-at-a-time refuter bit for
+    bit: same random stream, same trace, same witness, same skip count."""
+
+    @pytest.mark.parametrize("case", REFUTER_CASES, ids=[c[0] for c in REFUTER_CASES])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_subdiff_refute(self, case, seed):
+        _, f, p, covectors, schedule = case
+        for x in covectors:
+            x = Tangent(p, np.asarray(x, dtype=float))
+            assert_same_verdict(frechet_subdiff_refute(f, p, x, schedule, seed=seed),
+                                ref_subdiff_refute(f, p, x, schedule, seed=seed))
+
+    def test_cases_cover_refutations_and_skips(self):
+        verdicts = [ref_subdiff_refute(f, p, Tangent(p, np.asarray(x, dtype=float)), s)
+                    for _, f, p, xs, s in REFUTER_CASES for x in xs]
+        assert any(v.refuted for v in verdicts)
+        assert any(not v.refuted for v in verdicts)
+        assert any(v.skipped_samples > 0 for v in verdicts)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_contingent_derivative(self, seed):
+        ax, arc = fx.axis_fixture(), fx.arc_fixture()
+        frame = _frame_point(4, 2, 3)
+        cases = [(ax.dist_fn, ax.point, d) for d in ax.directions]
+        cases += [(arc.dist_fn, arc.point, d) for d in arc.directions]
+        cases += [(_penalty(0.5), frame,
+                   tangent_project(frame.manifold, frame.coords, np.arange(8.0).reshape(4, 2)))]
+        for f, p, vec in cases:
+            v = Tangent(p, np.asarray(vec, dtype=float))
+            got = contingent_derivative(f, p, v, seed=seed)
+            assert _bits(got) == _bits(ref_contingent_derivative(f, p, v, seed=seed))
+
+    @pytest.mark.parametrize("p", [
+        Point(euclidean(3), np.array([1.0, -2.0, 0.5])),
+        fx.circle_point(0.7),
+        Point(sphere(4, 3.0), np.array([0.0, 3.0, 0.0, 0.0])),
+        _frame_point(5, 2, 1),
+        _frame_point(8, 3, 2),
+    ], ids=["euclidean", "circle", "sphere", "stiefel-5x2", "stiefel-8x3"])
+    def test_block_draw_equals_sequential_draws(self, p):
+        for seed, count, norm in ((0, 1, 1.0), (1, 17, 1.0), (2, 32, 0.25)):
+            block = random_tangents(p, np.random.default_rng(seed), count, norm)
+            rng = np.random.default_rng(seed)
+            sequential = [ref_random_tangent(p, rng, norm).vec for _ in range(count)]
+            assert block.tobytes() == np.stack(sequential).tobytes()
+        one = random_tangent(p, np.random.default_rng(9))
+        assert one.vec.tobytes() == ref_random_tangent(p, np.random.default_rng(9)).vec.tobytes()

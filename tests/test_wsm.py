@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
-from sharpmin.manifolds import Point, stiefel
-from sharpmin.stiefel import stiefel_tangent_project
+from sharpmin.manifolds import Point, stiefel, tangent_project
+from sharpmin.cheeger import wsm_penalty_check
 from sharpmin.wsm import (
+    INSIDE_TOL,
     WsmInstance,
     check_difference_nc,
     check_dual_nc,
@@ -174,6 +175,28 @@ class TestEstimateModulus:
         with pytest.raises(GeometryError):
             estimate_modulus(fx.circle_penalty(0.5), inside_sampler, arc_bracket, 5, seed=0)
 
+    def test_rounding_level_distance_counts_as_inside(self):
+        # a point on the set whose computed distance is an ulp above zero must
+        # be skipped, not read as a zero modulus
+        inside, outside = fx.circle_point(0.3), fx.circle_point(-0.5)
+
+        def two_point_sampler(count, rng):
+            return [inside, outside]
+
+        def bracket(u):
+            return (1e-16, 1e-16) if u is inside else (0.5, 0.5)
+
+        est = estimate_modulus(fx.circle_penalty(1.0), two_point_sampler, bracket, 2)
+        assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
+        assert 0.0 < INSIDE_TOL <= 1e-12
+
+    def test_penalty_study_on_octant_keeps_positive_modulus(self):
+        # random unit vectors in R^3 land on St+(3, 1) with probability 1/8,
+        # where the exact distance is rounding-level, not 0
+        study = wsm_penalty_check(3, 1, 0.5, n_samples=20)
+        assert study.modulus_trace
+        assert all(est > 0 for _, est in study.modulus_trace)
+
 
 class TestPrimalNc:
     def test_distance_equality_case(self):
@@ -266,7 +289,7 @@ class TestDifferenceNc:
             return np.array([[g], [-g]])
 
         def residual_at(p):
-            return lambda x: float(np.linalg.norm(stiefel_tangent_project(p, -x)))
+            return lambda x: float(np.linalg.norm(tangent_project(stiefel(2, 1), p, -x)))
 
         star = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
         verdict = check_difference_nc(grad(star), [np.zeros((2, 1))], residual_at(star))
