@@ -9,6 +9,10 @@ The pipeline: parse a graph, optionally compute the exact constant by
 enumeration, run a multi-restart Riemannian subgradient descent on the
 penalized relaxation, round the best frame to a sub-partition with a
 threshold sweep, and compare against the enumeration oracle when affordable.
+The restarts advance together as one stack of frames, the objective and its
+subgradient go through index arrays of the signed incidence matrix B that
+each graph builds once, and the oracle scores assignments in numpy blocks;
+each gives the bits of the one-frame, one-assignment loop it replaced.
 
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -88,6 +92,40 @@ class Graph:
         if not self.edges:
             return np.zeros((0, 2), dtype=int)
         return np.array(self.edges, dtype=int) - 1
+
+    @cached_property
+    def edge_ends(self) -> tuple:
+        """Read-only 0-indexed (tail, head) index arrays, built once: edge e
+        is the row e_tail - e_head of the signed incidence matrix B."""
+        ends = self.edge_array()
+        tail, head = ends[:, 0].copy(), ends[:, 1].copy()
+        tail.flags.writeable = head.flags.writeable = False
+        return tail, head
+
+    @cached_property
+    def half_edges(self) -> tuple:
+        """Read-only (source, target, vertices, starts), built once: every
+        edge in both directions sorted by source, the distinct sources, and
+        where the run of each one starts.  Row v of B^T sign(B U) is the sum
+        of sign(U_v - U_target) over the run of v."""
+        tail, head = self.edge_ends
+        source, target = np.concatenate((tail, head)), np.concatenate((head, tail))
+        order = np.argsort(source, kind="stable")
+        source, target = source[order], target[order]
+        vertices = np.unique(source)
+        starts = np.searchsorted(source, vertices)
+        for a in (source, target, vertices, starts):
+            a.flags.writeable = False
+        return source, target, vertices, starts
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        """0-indexed neighbour tuple of each vertex, built once."""
+        adjacent = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adjacent[u - 1].append(v - 1)
+            adjacent[v - 1].append(u - 1)
+        return tuple(tuple(a) for a in adjacent)
 
 
 def load_graph(source) -> Graph:
@@ -196,6 +234,9 @@ def _canonical(assignment) -> bool:
     return True
 
 
+ORACLE_BLOCK_BYTES = 1 << 18  # cap on one (edges, assignments) mask of an oracle block
+
+
 def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     """Global minimum of the discrete objective by full enumeration.
 
@@ -203,6 +244,8 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     skipping non-canonical label permutations, and returns the best value
     with its lexicographically smallest canonical argmin.  Refuses (rather
     than silently approximating) when (k+1)^n exceeds the budget.
+    Assignments are scored in numpy blocks (see ``_oracle_blocks``); the
+    result is the one a scalar scan in product order would keep.
     """
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
@@ -211,44 +254,101 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
         raise BudgetExceededError(
             f"enumeration needs {k + 1}^{graph.n} assignments, budget is {budget}"
         )
-    edges = graph.edges
     best_val = math.inf
     best_assignment = None
-    for assignment in product(range(k + 1), repeat=graph.n):
-        if not _canonical(assignment):
-            continue
-        sizes = [0] * (k + 1)
-        for a in assignment:
-            sizes[a] += 1
-        if any(sizes[i] == 0 for i in range(1, k + 1)):
-            continue
-        boundary = [0] * (k + 1)
-        for u, v in edges:
-            au, av = assignment[u - 1], assignment[v - 1]
-            if au != av:
-                if au:
-                    boundary[au] += 1
-                if av:
-                    boundary[av] += 1
-        val = sum(boundary[i] / math.sqrt(sizes[i]) for i in range(1, k + 1))
-        if val < best_val - 1e-15:
-            best_val = val
-            best_assignment = assignment
-    parts = [frozenset(i + 1 for i, a in enumerate(best_assignment) if a == j)
+    for digits, values in _oracle_blocks(graph, k):
+        start = 0
+        while True:  # a scan keeps each value below its best by more than 1e-15
+            below = np.flatnonzero(values[start:] < best_val - 1e-15)
+            if not below.size:
+                break
+            start += int(below[0])
+            best_val, best_assignment = float(values[start]), digits[:, start]
+            start += 1
+    parts = [frozenset(int(i) + 1 for i in np.flatnonzero(best_assignment == j))
              for j in range(1, k + 1)]
     return best_val, SubPartition(tuple(parts))
 
 
-def grad_norm_l1(graph: Graph, u) -> float:
-    """Columnwise sum over edges of |U[a, i] - U[b, i]| (the relaxation
-    objective; equals the discrete objective on indicator frames)."""
+def _oracle_blocks(graph: Graph, k: int):
+    """Yield (digits, values) blocks over the canonical assignments that
+    leave no part empty, in product order.  ``digits[v, a]`` is the part of
+    vertex v + 1 (0 for none) in assignment a, and ``values[a]`` is
+    0 + b_1/sqrt(s_1) + ... + b_k/sqrt(s_k), summed in that order.
+
+    A block fixes the first vertices to one canonical prefix and runs the
+    remaining ``low`` vertices through the suffixes that complete it; ``low``
+    is the largest length whose (edges, assignments) masks fit in
+    ORACLE_BLOCK_BYTES."""
+    n = graph.n
+    tail, head = graph.edge_ends
+    width = max(n, graph.m)
+    low = 0
+    while low < n and (k + 1) ** (low + 1) * width <= ORACLE_BLOCK_BYTES:
+        low += 1
+    suffixes = _canonical_suffixes(low, k)
+    for prefix in product(range(k + 1), repeat=n - low):
+        if not _canonical(prefix):
+            continue
+        rows = suffixes[max(prefix, default=0)]
+        if not rows.shape[1]:
+            continue
+        digits = np.empty((n, rows.shape[1]), dtype=np.int8)
+        digits[:n - low] = np.array(prefix, dtype=np.int8)[:, None]
+        digits[n - low:] = rows
+        values = np.zeros(rows.shape[1])
+        for j in range(1, k + 1):
+            member = digits == j
+            cut = np.count_nonzero(member[tail] != member[head], axis=0)
+            values = values + cut / np.sqrt(np.count_nonzero(member, axis=0))
+        yield digits, values
+
+
+@lru_cache(maxsize=None)
+def _canonical_suffixes(length: int, k: int) -> tuple:
+    """Suffix digits in product order, as read-only (length, count) int8
+    arrays, by the largest label t of the prefix: entry t holds the suffixes
+    that keep labels in first-occurrence order after t and end with largest
+    label k."""
+    index = np.arange((k + 1) ** length, dtype=np.int32)  # at most ORACLE_BLOCK_BYTES rows
+    digits = np.empty((length, index.size), dtype=np.int8)
+    for v in range(length):
+        digits[v] = index // (k + 1) ** (length - 1 - v) % (k + 1)
+    tables = []
+    for t in range(k + 1):
+        top = np.full(index.size, t, dtype=np.int8)
+        keep = np.ones(index.size, dtype=bool)
+        for row in digits:
+            keep &= row <= top + 1
+            top = np.maximum(top, row)
+        table = digits[:, keep & (top == k)]
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _scored_assignments(n: int, k: int) -> int:
+    """Number of assignments the oracle scores: the canonical ones with no
+    empty part.  Each is a split of the n vertices plus a marker for "no
+    part" into k + 1 blocks, so this is the Stirling number S(n + 1, k + 1)."""
+    row = [1] + [0] * (k + 1)  # S(0, j) for j = 0..k+1
+    for _ in range(n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 2)]
+    return row[k + 1]
+
+
+def grad_norm_l1(graph: Graph, u):
+    """Columnwise sum over edges of |U[a, i] - U[b, i]|, i.e. |B U|_1 for the
+    signed incidence matrix B (the relaxation objective; equals the discrete
+    objective on indicator frames).  A stack of frames (s, n, k) gives one
+    value per slice, each summed with the bits of the one-frame call."""
     mat = as_matrix(u)
-    if mat.shape[0] != graph.n:
-        raise GraphFormatError(f"frame has {mat.shape[0]} rows, graph has {graph.n} vertices")
-    ea = graph.edge_array()
-    if ea.shape[0] == 0:
-        return 0.0
-    return float(np.sum(np.abs(mat[ea[:, 0], :] - mat[ea[:, 1], :])))
+    if mat.shape[-2] != graph.n:
+        raise GraphFormatError(f"frame has {mat.shape[-2]} rows, graph has {graph.n} vertices")
+    tail, head = graph.edge_ends
+    diffs = np.abs(np.take(mat, tail, axis=-2) - np.take(mat, head, axis=-2))
+    total = np.sum(diffs.reshape(*mat.shape[:-2], -1), axis=-1)
+    return float(total) if mat.ndim == 2 else total
 
 
 def penalty_h(u, beta: float) -> float:
@@ -389,29 +489,31 @@ def penalized_objective(graph: Graph, u, beta: float, c: float) -> float:
 
 
 def riemannian_subgradient(graph: Graph, u, beta: float, c: float) -> np.ndarray:
-    """Tangent subgradient of the penalized objective at a frame.
+    """Tangent subgradient of the penalized objective at a frame, or at each
+    slice of a stack of frames (s, n, k).
 
-    Edge terms contribute the sign pattern of the column differences (0 on
-    ties, a valid selection at the kink); the penalty contributes
-    -C * beta * (-u)^(beta-1) at strictly negative entries.  Exponents below
-    1 are refused: the penalty derivative blows up at the boundary of the
-    nonnegative slice, which breaks diminishing-step subgradient descent.
+    Edge terms contribute B^T sign(B U), the sign pattern of the column
+    differences (0 on ties, a valid selection at the kink); the penalty
+    contributes -C * beta * (-u)^(beta-1) at strictly negative entries.
+    Exponents below 1 are refused: the penalty derivative blows up at the
+    boundary of the nonnegative slice, which breaks diminishing-step
+    subgradient descent.
     """
     if beta < 1.0:
         raise GeometryError(
             f"subgradient unsupported for beta={beta} < 1 (unbounded near the boundary)"
         )
     mat = as_matrix(u)
+    source, target, vertices, starts = graph.half_edges
     grad = np.zeros_like(mat)
-    ea = graph.edge_array()
-    if ea.shape[0]:
-        signs = np.sign(mat[ea[:, 0], :] - mat[ea[:, 1], :])
-        np.add.at(grad, ea[:, 0], signs)
-        np.add.at(grad, ea[:, 1], -signs)
+    if vertices.size:
+        # the terms are -1, 0 or 1, so each vertex's sum is exact in any order
+        signs = np.sign(np.take(mat, source, axis=-2) - np.take(mat, target, axis=-2))
+        grad[..., vertices, :] = np.add.reduceat(signs, starts, axis=-2)
     negative = mat < 0.0
     if negative.any():
         grad[negative] -= c * beta * np.maximum(-mat[negative], 0.0) ** (beta - 1.0)
-    return tangent_project(stiefel(*mat.shape), mat, grad)
+    return tangent_project(stiefel(*mat.shape[-2:]), mat, grad)
 
 
 @dataclass(frozen=True)
@@ -469,6 +571,8 @@ class ClusterReport:
     best_restart: int
     max_feasibility_residual: float
     trace: tuple  # (iter, objective, penalty, feasibility_residual)
+    restart_best_values: tuple  # best penalized value of each restart
+    oracle_assignments: int | None  # assignments the oracle scored
 
     def __post_init__(self):
         values = [self.best_continuous_value, self.best_penalty_value, self.rounded_value]
@@ -508,30 +612,33 @@ def round_solution(graph: Graph, u) -> SubPartition:
     (ties to the smallest index); vertices with no magnitude anywhere are
     left out, matching the support restriction of the threshold principle.
     Within each column's pool, prefix sets of the magnitude ordering are
-    swept and the one minimizing |boundary| / sqrt(size) wins.  Columns with
-    empty pools are dropped; an entirely empty result is an error.
+    swept and the one minimizing |boundary| / sqrt(size) wins; the boundary
+    is updated as each vertex joins.  Columns with empty pools are dropped;
+    an entirely empty result is an error.
     """
     mat = as_matrix(u)
     if mat.shape[0] != graph.n:
         raise GraphFormatError(f"frame has {mat.shape[0]} rows, graph has {graph.n} vertices")
     magnitudes = np.abs(mat)
     owner = np.argmax(magnitudes, axis=1)  # argmax takes the smallest index on ties
+    neighbours = graph.neighbours
     parts = []
     for j in range(mat.shape[1]):
-        pool = [v for v in range(graph.n)
-                if owner[v] == j and magnitudes[v, j] > ENTRY_ZERO_TOL]
-        if not pool:
+        pool = np.flatnonzero((owner == j) & (magnitudes[:, j] > ENTRY_ZERO_TOL))
+        if not pool.size:
             continue
-        pool.sort(key=lambda v: (-magnitudes[v, j], v))
-        best_ratio, best_prefix = math.inf, None
-        chosen = set()
-        for v in pool:
-            chosen.add(v + 1)
-            ratio = cut_boundary(graph, chosen) / math.sqrt(len(chosen))
+        pool = pool[np.lexsort((pool, -magnitudes[pool, j]))].tolist()  # by (-magnitude, v)
+        best_ratio, best_size = math.inf, 0
+        inside = [False] * graph.n
+        boundary = 0
+        for size, v in enumerate(pool, start=1):
+            inside[v] = True
+            for w in neighbours[v]:  # the edge vw leaves the boundary or joins it
+                boundary += -1 if inside[w] else 1
+            ratio = boundary / math.sqrt(size)
             if ratio < best_ratio - 1e-15:
-                best_ratio = ratio
-                best_prefix = frozenset(chosen)
-        parts.append(best_prefix)
+                best_ratio, best_size = ratio, size
+        parts.append(frozenset(v + 1 for v in pool[:best_size]))
     if not parts:
         raise GeometryError("rounding produced no nonempty part (all-zero frame?)")
     return SubPartition(tuple(parts))
@@ -567,42 +674,46 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     l = lipschitz_bound(graph, k)
     step0 = cfg.step0 if cfg.step0 is not None else 1.0 / max(l, 1.0)
 
+    # all restarts advance together as one (R, n, k) stack; each start frame
+    # comes from its own spawned generator, as a loop over restarts would draw it
+    u = np.stack([random_stiefel(graph.n, k, default_rng(ss))
+                  for ss in SeedSequence(cfg.seed).spawn(cfg.restarts)])
+    local_best = grad_norm_l1(graph, u) + c * _negative_mass(u)
+    local_u = u.copy()
+    values = np.empty((cfg.max_iters, cfg.restarts))
+    penalties = np.empty_like(values)
+    residuals = np.empty_like(values)
+    for t in range(1, cfg.max_iters + 1):
+        g = riemannian_subgradient(graph, u, 1.0, c)
+        gamma = step0 / math.sqrt(t) if cfg.schedule == "sqrt" else step0 / t
+        u = qr_retract(u, -gamma * g)
+        penalty = c * _negative_mass(u)
+        val = grad_norm_l1(graph, u) + penalty
+        if not np.all(np.isfinite(val)):
+            bad = int(np.argmin(np.isfinite(val)))
+            raise GeometryError(f"non-finite objective at restart {bad}, iter {t}")
+        values[t - 1], penalties[t - 1], residuals[t - 1] = val, penalty, frame_residual(u)
+        better = val < local_best
+        local_best[better] = val[better]
+        local_u[better] = u[better]
     best_val = math.inf
-    best_u = None
     best_restart = -1
-    best_trace = ()
-    max_residual = 0.0
-    for r, ss in enumerate(SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        rng = default_rng(ss)
-        u = random_stiefel(graph.n, k, rng)
-        trace = []
-        local_best = grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
-        local_u = u
-        for t in range(1, cfg.max_iters + 1):
-            g = riemannian_subgradient(graph, u, 1.0, c)
-            gamma = step0 / math.sqrt(t) if cfg.schedule == "sqrt" else step0 / t
-            u = qr_retract(u, -gamma * g)
-            val = grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
-            if not math.isfinite(val):
-                raise GeometryError(f"non-finite objective at restart {r}, iter {t}")
-            res = frame_residual(u)
-            max_residual = max(max_residual, res)
-            trace.append((t, val, c * penalty_h(u, 1.0), res))
-            if val < local_best:
-                local_best = val
-                local_u = u
-        if local_best < best_val - 1e-15:
-            best_val = local_best
-            best_u = local_u
+    for r, value in enumerate(local_best.tolist()):
+        if value < best_val - 1e-15:
+            best_val = value
             best_restart = r
-            best_trace = tuple(trace)
+    best_u = local_u[best_restart]
+    best_trace = tuple(zip(range(1, cfg.max_iters + 1), values[:, best_restart].tolist(),
+                           penalties[:, best_restart].tolist(),
+                           residuals[:, best_restart].tolist()))
 
     rounded = round_solution(graph, best_u)
     rounded_value = cheeger_objective(graph, rounded)
-    oracle_value = oracle_parts = gap = None
+    oracle_value = oracle_parts = gap = oracle_assignments = None
     if cfg.with_oracle and (k + 1) ** graph.n <= cfg.oracle_budget:
         oracle_value, oracle_parts = exact_cheeger(graph, k, cfg.oracle_budget)
         gap = rounded_value - oracle_value
+        oracle_assignments = _scored_assignments(graph.n, k)
     return ClusterReport(
         graph_n=graph.n,
         graph_m=graph.m,
@@ -619,9 +730,17 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         oracle_parts=oracle_parts,
         gap=gap,
         best_restart=best_restart,
-        max_feasibility_residual=max_residual,
+        max_feasibility_residual=float(residuals.max()),
         trace=best_trace,
+        restart_best_values=tuple(local_best.tolist()),
+        oracle_assignments=oracle_assignments,
     )
+
+
+def _negative_mass(u: np.ndarray) -> np.ndarray:
+    """penalty_h(U, 1) of each slice of a stack of frames, summed with the
+    bits of the one-frame call."""
+    return np.sum(np.maximum(-u, 0.0).reshape(len(u), -1), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -125,15 +125,6 @@ def _run_relax(args):
         with_oracle=not args.no_oracle,
     )
     result = ch.solve_relaxation(graph, args.k, cfg)
-    study_n, study_k = min(graph.n, 6), min(args.k, 3)
-    studies = {}
-    for beta in (0.5, 2.0):
-        s = ch.wsm_penalty_check(study_n, study_k, beta, n_samples=200, seed=args.seed)
-        studies[str(beta)] = {
-            "modulus_trace": list(s.modulus_trace),
-            "dual_consistent": s.dual_consistent,
-            "wsm_status": s.wsm.status,
-        }
     trace_rows = list(result.trace)
     report = {
         "command": "relax",
@@ -151,8 +142,8 @@ def _run_relax(args):
         "gap": result.gap,
         "best_restart": result.best_restart,
         "max_feasibility_residual": result.max_feasibility_residual,
-        "modulus_estimates": {b: studies[b]["modulus_trace"] for b in studies},
-        "nc_verdicts": {b: studies[b]["dual_consistent"] for b in studies},
+        "restart_best_values": list(result.restart_best_values),
+        "oracle_assignments": result.oracle_assignments,
         "trace_csv_path": "relax_trace.csv" if args.out else None,
     }
     print(result.rounded_value)
@@ -361,7 +352,8 @@ _HANDLERS = {
 
 def emit_report(report: dict, traces: dict, args) -> None:
     """Write report.json and CSV traces under --out (byte-stable for equal
-    flags) and print the requested format to stdout."""
+    flags) and print the requested format to stdout.  In CSV a nonzero exit
+    ends with an ``exit_code,reason`` table, so the reason is on stdout too."""
     out = getattr(args, "out", None)
     if out is not None:
         out_dir = Path(out)
@@ -374,6 +366,9 @@ def emit_report(report: dict, traces: dict, args) -> None:
     else:
         for name, (header, rows) in traces.items():
             sys.stdout.write(csv_text(header, rows))
+        if report.get("exit_code", EXIT_OK) != EXIT_OK:
+            sys.stdout.write(csv_text(("exit_code", "reason"),
+                                      [(report["exit_code"], report["reason"])]))
 
 
 def run(argv=None) -> int:

@@ -306,8 +306,9 @@ def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> n
     ``z`` is one ambient vector (shape ``m.ambient_shape``) or a stack of them
     (shape ``(s, *m.ambient_shape)``); the result has the shape of z.  On
     stiefel the projection is Z - P sym(P^T Z), so ``base`` may be any frame,
-    validated or not.  The projection is applied twice, which scrubs the
-    roundoff left when z has a large normal part.
+    validated or not, or a stack of frames paired slice by slice with z.  The
+    projection is applied twice, which scrubs the roundoff left when z has a
+    large normal part.
     """
     base = np.asarray(base, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -319,7 +320,7 @@ def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> n
         if m.kind == "sphere":
             z = z - (np.vecdot(z, base) / m.radius**2)[..., None] * base
         else:
-            s = base.T @ z
+            s = base.mT @ z
             z = z - base @ ((s + np.swapaxes(s, -1, -2)) / 2.0)
     return z
 

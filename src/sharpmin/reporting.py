@@ -64,7 +64,10 @@ def csv_text(header, rows) -> str:
 def _cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    text = str(x)
+    if any(c in text for c in ',"\r\n'):  # quote as RFC 4180 does
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(header, rows, path: Path) -> None:

@@ -22,9 +22,14 @@ class FrameError(ValueError):
     """Raised for rank-deficient retractions or infeasible frames."""
 
 
-def frame_residual(u: np.ndarray) -> float:
+def frame_residual(u: np.ndarray):
+    """||U^T U - I||_F; a stack of frames (s, n, k) gives one residual per
+    slice, each with the bits of the one-frame call."""
     u = np.asarray(u, dtype=float)
-    return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
+    if u.ndim == 2:
+        return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
+    flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(len(u), -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, report schema, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -108,9 +109,14 @@ class TestRelax:
         report = json.loads((out_dir / "report.json").read_text())
         for key in ("graph", "k", "beta", "C", "seed", "continuous_value",
                     "rounded_parts", "rounded_value", "oracle_value", "gap",
-                    "modulus_estimates", "nc_verdicts", "trace_csv_path"):
+                    "restart_best_values", "oracle_assignments", "trace_csv_path"):
             assert key in report
+        # the penalty studies belong to verify-wsm and report, not to relax
+        assert "modulus_estimates" not in report and "nc_verdicts" not in report
         assert report["gap"] is not None and report["gap"] >= 0.0
+        assert len(report["restart_best_values"]) == 5
+        assert min(report["restart_best_values"]) == report["penalized_value"]
+        assert report["oracle_assignments"] == 25  # S(5, 3) canonical splits of C4
         trace = (out_dir / "relax_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,objective,penalty,feasibility_residual"
         assert len(trace) > 1
@@ -297,3 +303,38 @@ def test_fuzzed_cli_keeps_exit_contract(inputs):
         assert report["exit_code"] == code
         if code != EXIT_OK:
             assert isinstance(report["reason"], str) and report["reason"]
+        if "csv" in argv and code != EXIT_OK and report_path.exists():
+            assert csv_reason_without_out(argv) == (code, report["reason"])
+
+
+def csv_reason_without_out(argv):
+    """(exit code, reason) read off stdout when argv runs without --out; in
+    CSV a nonzero exit ends stdout with an ``exit_code,reason`` table."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run(argv)
+    assert "Traceback" not in err.getvalue()
+    header, row = out.getvalue().splitlines()[-2:]
+    assert header == "exit_code,reason"
+    exit_code, reason = next(csv.reader([row]))
+    assert int(exit_code) == code
+    return code, reason
+
+
+class TestCsvReason:
+    def test_violation_reason_on_stdout(self):
+        code, reason = csv_reason_without_out(
+            ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--samples", "20",
+             "--format", "csv"])
+        assert code == EXIT_VIOLATION
+        assert reason.startswith("dual necessary condition refuted")
+
+    def test_usage_reason_with_comma_on_stdout(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("p 2 1\ne 1 3\n")
+        code, reason = csv_reason_without_out(
+            ["exact", "--graph", str(f), "--k", "1", "--format", "csv"])
+        assert code == EXIT_USAGE
+        assert reason == "edge (1, 3) out of range for n=2 (need 1 <= u < v <= n)"
