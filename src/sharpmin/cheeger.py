@@ -351,13 +351,16 @@ def grad_norm_l1(graph: Graph, u):
     return float(total) if mat.ndim == 2 else total
 
 
-def penalty_h(u, beta: float) -> float:
+def penalty_h(u, beta: float):
     """Negative-part penalty sum(max(-u_ij, 0)^beta); zero exactly on
-    entrywise-nonnegative frames."""
+    entrywise-nonnegative frames.  A stack of frames (s, n, k) gives one
+    value per slice, each summed with the bits of the one-frame call."""
     if not beta > 0:
         raise GeometryError(f"penalty exponent must be positive, got {beta}")
-    neg = np.maximum(-as_matrix(u), 0.0)
-    return float(np.sum(neg**beta))
+    mat = as_matrix(u)
+    neg = np.maximum(-mat, 0.0) ** beta
+    total = np.sum(neg.reshape(*mat.shape[:-2], -1), axis=-1)
+    return float(total) if mat.ndim == 2 else total
 
 
 def lipschitz_bound(graph: Graph, k: int) -> float:
@@ -678,7 +681,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     # comes from its own spawned generator, as a loop over restarts would draw it
     u = np.stack([random_stiefel(graph.n, k, default_rng(ss))
                   for ss in SeedSequence(cfg.seed).spawn(cfg.restarts)])
-    local_best = grad_norm_l1(graph, u) + c * _negative_mass(u)
+    local_best = grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
     local_u = u.copy()
     values = np.empty((cfg.max_iters, cfg.restarts))
     penalties = np.empty_like(values)
@@ -687,7 +690,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         g = riemannian_subgradient(graph, u, 1.0, c)
         gamma = step0 / math.sqrt(t) if cfg.schedule == "sqrt" else step0 / t
         u = qr_retract(u, -gamma * g)
-        penalty = c * _negative_mass(u)
+        penalty = c * penalty_h(u, 1.0)
         val = grad_norm_l1(graph, u) + penalty
         if not np.all(np.isfinite(val)):
             bad = int(np.argmin(np.isfinite(val)))
@@ -735,12 +738,6 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         restart_best_values=tuple(local_best.tolist()),
         oracle_assignments=oracle_assignments,
     )
-
-
-def _negative_mass(u: np.ndarray) -> np.ndarray:
-    """penalty_h(U, 1) of each slice of a stack of frames, summed with the
-    bits of the one-frame call."""
-    return np.sum(np.maximum(-u, 0.0).reshape(len(u), -1), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +793,12 @@ def wsm_penalty_check(
     estimate trace.  Small dimensions only (dense sampling)."""
     if n > 8 or k > 3:
         raise GeometryError("penalty study is desk-scale only (n <= 8, k <= 3)")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise GeometryError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     manifold = stiefel(n, k)
 
-    def f(u: Point) -> float:
-        return penalty_h(u.coords, beta)
+    def f(u: np.ndarray) -> np.ndarray:
+        return penalty_h(u, beta)
 
     def feasible_sampler(count: int, rng: Generator) -> list:
         return [Point(manifold, random_stiefel(n, k, rng)) for _ in range(count)]

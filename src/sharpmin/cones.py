@@ -11,16 +11,22 @@ concrete witness sample whose quotient violates the defining inequality
 beyond tolerance at two consecutive scales; ``consistent`` only means no
 violation was found and is never a membership certificate.
 
-``frechet_subdiff_refute`` and ``contingent_derivative`` handle each scale
-as one block of shape (s, *ambient_shape).  All the scale's random
-directions come from one seeded ``standard_normal`` draw and are projected
-onto the tangent space together.  The block of steps is then checked tangent
-by the rule of ``Tangent`` and mapped in one call: the exact exponential map
+Objectives follow one convention here and in ``wsm`` and ``fixtures``: f
+maps a stack (s, *ambient_shape) of ambient coordinates of manifold points to
+s values (see ``objective_values``), and each row's value has the bits of
+f on that row alone.
+
+``frechet_subdiff_refute`` scores one covector's whole schedule as one block
+of shape (scales * rows per scale, *ambient_shape); ``contingent_derivative``
+works one block per scale.  Each scale's random directions come from its own
+seeded ``standard_normal`` draw; the block is projected onto the tangent
+space, normalised and checked tangent by the rule of ``Tangent`` together,
+stepped by each row's scale and mapped in one call: the exact exponential map
 on euclidean spaces and spheres, the positive-diagonal QR retraction (with
-its rank check) on frames.  Only the call of f stays per sample, on a
-validated ``Point``.  Every reduction is taken row by row in the order the
-one-sample-at-a-time loop used, so the traces, witnesses and skip counts are
-bitwise those of that loop.
+its rank check) on frames.  The mapped block is checked on the manifold by
+the rule of ``Point`` and f is called once on it.  Every reduction is taken
+row by row in the order the one-sample-at-a-time loop used, so the traces,
+witnesses and skip counts are bitwise those of that loop.
 
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
@@ -45,6 +51,7 @@ from .manifolds import (
     exp_coords,
     log_map,
     random_tangents,
+    require_on_manifold,
     require_tangent,
     row_norms,
     stiefel,
@@ -185,24 +192,42 @@ def frechet_normal_refute(
     return RefutationVerdict("consistent", None, tuple(trace))
 
 
-def _approach_block(p: Point, t: float, dirs: np.ndarray):
-    """Points reached from p by the steps t * dirs, one row of ``dirs`` each.
+def objective_values(f: Callable[[np.ndarray], np.ndarray], coords: np.ndarray) -> np.ndarray:
+    """f on a stack (s, *ambient_shape) of point coordinates: s floats, one
+    per row, from a single call.  Refuses an objective that does not return
+    one value per row."""
+    values = np.asarray(f(coords), dtype=float)
+    if values.shape != (len(coords),):
+        raise GeometryError(
+            f"objective gave shape {values.shape} for a stack of {len(coords)} points")
+    return values
 
-    The whole block is checked tangent by the rule of ``Tangent`` and mapped
-    in one call: the exact exponential map on euclidean and sphere, the QR
-    retraction (with its rank check) on stiefel.  Returns the coordinate
-    block and one validated Point per row, the argument f is called on."""
-    steps = t * dirs
+
+def _base_value(f, p: Point) -> float:
+    f0 = float(objective_values(f, p.coords[None])[0])
+    if not math.isfinite(f0):
+        raise GeometryError("f must be finite at the base point")
+    return f0
+
+
+def _approach_block(p: Point, steps: np.ndarray) -> np.ndarray:
+    """Coordinates of the points reached from p by a stack of steps.
+
+    The steps are checked tangent by the rule of ``Tangent`` and mapped in one
+    call: the exact exponential map on euclidean and sphere, the QR
+    retraction (with its rank check) on stiefel.  The result is checked on
+    the manifold by the rule of ``Point``."""
     require_tangent(p, steps)
     if p.manifold.kind in ("euclidean", "sphere"):
         coords = exp_coords(p, steps)
     else:
         coords = qr_retract(p.coords, steps)
-    return coords, [Point(p.manifold, c) for c in coords]
+    require_on_manifold(p.manifold, coords)
+    return coords
 
 
 def frechet_subdiff_refute(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     p: Point,
     x: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
@@ -216,55 +241,55 @@ def frechet_subdiff_refute(
     fell below -tol at two consecutive scales, so x cannot belong to the
     subdifferential; ``consistent`` certifies nothing.
 
-    Each scale is one block: the probes and ``samples_per_scale`` random
-    tangent directions are stepped, mapped and scored together, and f is
-    called once per sample.  A sample where f is NaN is skipped and counted;
-    the first sample attaining the least quotient is the scale's witness.
+    f maps a stack of point coordinates to one value per row.  The whole
+    schedule is one block: at every scale the probes and
+    ``samples_per_scale`` random tangent directions, all stepped, mapped and
+    scored together, with one call of f.  A sample where f is NaN is skipped
+    and counted; the first sample attaining a scale's least quotient is that
+    scale's witness.
     """
-    f0 = float(f(p))
-    if not math.isfinite(f0):
-        raise GeometryError("f must be finite at the base point")
+    f0 = _base_value(f, p)
     xnorm = float(np.linalg.norm(x.vec))
+    scales = schedule.scales
     shape = p.manifold.ambient_shape
     axes = tuple(range(1, len(shape) + 1))
-    probes = np.empty((0, *shape))
+    rngs = [default_rng(ss) for ss in SeedSequence(seed).spawn(len(scales))]
+    dirs = random_tangents(p, rngs, schedule.samples_per_scale)
+    dirs = dirs.reshape(len(scales), schedule.samples_per_scale, *shape)
     if xnorm > 0:
         probes = np.stack([x.vec / xnorm, -x.vec / xnorm])
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
-    trace = []
-    best = []
-    skipped = 0
-    exact_chart = p.manifold.kind in ("euclidean", "sphere")
-    for t, ss in zip(schedule.scales, streams):
-        rng = default_rng(ss)
-        dirs = np.concatenate([probes, random_tangents(p, rng, schedule.samples_per_scale)])
-        coords, points = _approach_block(p, t, dirs)
-        fu = np.array([float(f(u)) for u in points])
-        excluded = np.isnan(fu)
-        skipped += int(excluded.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if exact_chart:
-                q = (fu - f0 - t * np.sum(x.vec * dirs, axis=axes)) / t
-            else:
-                chords = coords - p.coords
-                d = row_norms(chords)
-                excluded |= d <= 0.0
-                q = (fu - f0 - np.sum(x.vec * chords, axis=axes)) / d
-        q[excluded | np.isnan(q)] = math.inf
-        i = int(np.argmin(q))  # the first least quotient, as a strict-< scan finds it
-        trace.append((t, float(q[i])))
-        best.append(points[i] if q[i] < math.inf else None)
+        dirs = np.concatenate([np.broadcast_to(probes, (len(scales), *probes.shape)), dirs],
+                              axis=1)
+    per_scale = dirs.shape[1]
+    dirs = dirs.reshape(-1, *shape)
+    t = np.repeat(scales, per_scale)  # each row's scale
+    coords = _approach_block(p, t.reshape(-1, *(1,) * len(shape)) * dirs)
+    fu = objective_values(f, coords)
+    excluded = np.isnan(fu)
+    skipped = int(excluded.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p.manifold.kind in ("euclidean", "sphere"):  # exact chart: d = t
+            q = (fu - f0 - t * np.sum(x.vec * dirs, axis=axes)) / t
+        else:
+            chords = coords - p.coords
+            d = row_norms(chords)
+            excluded |= d <= 0.0
+            q = (fu - f0 - np.sum(x.vec * chords, axis=axes)) / d
+    q[excluded | np.isnan(q)] = math.inf
+    q = q.reshape(len(scales), per_scale)
+    first = np.argmin(q, axis=1)  # the first least quotient, as a strict-< scan finds it
+    trace = tuple(zip(scales, q[np.arange(len(scales)), first].tolist()))
     idx = _two_consecutive(trace, schedule.tol, above=False)
     if idx is not None:
-        u = best[idx]
-        witness = Witness(covector=np.array(x.vec), point_coords=np.array(u.coords),
+        witness = Witness(covector=np.array(x.vec),
+                          point_coords=np.array(coords[idx * per_scale + first[idx]]),
                           scale=trace[idx][0], quotient=trace[idx][1])
-        return RefutationVerdict("refuted", witness, tuple(trace), skipped)
-    return RefutationVerdict("consistent", None, tuple(trace), skipped)
+        return RefutationVerdict("refuted", witness, trace, skipped)
+    return RefutationVerdict("consistent", None, trace, skipped)
 
 
 def contingent_derivative(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     p: Point,
     v: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
@@ -280,12 +305,11 @@ def contingent_derivative(
     collapses onto {v} at the smallest ``tail_scales`` scales; the estimate is
     the minimum over those tail scales.  The collapse makes the estimate exact
     for linear functions and for any function Lipschitz near p, where the
-    limit along the ray equals the full lower limit.  Each scale's directions
-    are stepped and mapped as one block, as in ``frechet_subdiff_refute``.
+    limit along the ray equals the full lower limit.  f maps a stack of point
+    coordinates to one value per row; each scale's directions are stepped,
+    mapped and scored as one block, with one call of f.
     """
-    f0 = float(f(p))
-    if not math.isfinite(f0):
-        raise GeometryError("f must be finite at the base point")
+    f0 = _base_value(f, p)
     scales = schedule.scales
     t0 = scales[0]
     streams = SeedSequence(seed).spawn(len(scales))
@@ -298,13 +322,11 @@ def contingent_derivative(
         ws = v.vec[None]
         if delta > 0:
             ws = np.concatenate([ws, v.vec + delta * random_tangents(p, rng, n_perturb)])
-        q_min = math.inf
-        for u in _approach_block(p, t, ws)[1]:
-            fu = float(f(u))
-            if math.isnan(fu):
-                continue
-            q = (fu - f0) / t if math.isfinite(fu) else math.inf
-            q_min = min(q_min, q)
+        fu = objective_values(f, _approach_block(p, t * ws))
+        fu = fu[~np.isnan(fu)]
+        with np.errstate(over="ignore"):
+            q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
+        q_min = min(q.tolist(), default=math.inf)
         if j >= tail_start:
             estimate = min(estimate, q_min)
     return estimate

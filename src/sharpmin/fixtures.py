@@ -2,7 +2,9 @@
 constructive samplers, and analytic normal/contingent cones.
 
 Each fixture bundles everything the identity checkers need: the base point,
-an exact dist(.; set) on the manifold, a sampler yielding set points at a
+an exact dist(.; set) on the manifold (an objective in the stack form of
+``cones``: a stack (s, *ambient_shape) of coordinates in, s distances out,
+each with the bits of the one-point call), a sampler yielding set points at a
 given approach scale (exactly on the set), samplers for the analytic normal
 cone at the base point (inside the unit ball, and outside by a margin), its
 extreme rays, and tangent directions that exercise the directional-derivative
@@ -25,7 +27,7 @@ from .manifolds import Point, euclidean, sphere
 class SetFixture:
     name: str
     point: Point
-    dist_fn: Callable[[Point], float]
+    dist_fn: Callable[[np.ndarray], np.ndarray]
     omega_sampler: Callable[[float, Generator], list]
     cone_sample_in: Callable[[Generator], np.ndarray]
     cone_sample_out: Callable[[Generator, float], np.ndarray]
@@ -44,8 +46,8 @@ def axis_fixture() -> SetFixture:
     m = euclidean(2)
     p = Point(m, np.zeros(2))
 
-    def dist_fn(u: Point) -> float:
-        return abs(float(u.coords[1]))
+    def dist_fn(u: np.ndarray) -> np.ndarray:
+        return np.abs(u[:, 1])
 
     def omega_sampler(t: float, rng: Generator) -> list:
         xs = t * rng.uniform(0.05, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
@@ -82,8 +84,8 @@ def halfplane_fixture() -> SetFixture:
     m = euclidean(2)
     p = Point(m, np.zeros(2))
 
-    def dist_fn(u: Point) -> float:
-        return max(float(u.coords[1]), 0.0)
+    def dist_fn(u: np.ndarray) -> np.ndarray:
+        return np.where(u[:, 1] < 0.0, 0.0, u[:, 1])  # max(y, 0.0), NaN and -0.0 kept
 
     def omega_sampler(t: float, rng: Generator) -> list:
         # the contingent cone here is two-dimensional, so ray-distance
@@ -153,9 +155,9 @@ def arc_fixture() -> SetFixture:
     m = sphere(2, 1.0)
     p = Point(m, np.array([1.0, 0.0]))
 
-    def dist_fn(u: Point) -> float:
-        theta = math.atan2(float(u.coords[1]), float(u.coords[0]))
-        return arc_angular_distance(theta)
+    def dist_fn(u: np.ndarray) -> np.ndarray:
+        # scalar libm atan2 row by row (np.arctan2 may round differently)
+        return np.array([arc_angular_distance(math.atan2(y, x)) for x, y in u.tolist()])
 
     def omega_sampler(t: float, rng: Generator) -> list:
         angs = np.minimum(t, _ARC_HI) * rng.uniform(0.05, 1.0, size=8)
@@ -189,8 +191,8 @@ def fullspace_fixture(dim: int = 2) -> SetFixture:
     m = euclidean(dim)
     p = Point(m, np.zeros(dim))
 
-    def dist_fn(u: Point) -> float:
-        return 0.0
+    def dist_fn(u: np.ndarray) -> np.ndarray:
+        return np.zeros(len(u))
 
     def omega_sampler(t: float, rng: Generator) -> list:
         out = []
@@ -243,13 +245,12 @@ def circle_point(theta: float) -> Point:
     return Point(sphere(2, 1.0), np.array([math.cos(theta), math.sin(theta)]))
 
 
-def circle_penalty(beta: float) -> Callable[[Point], float]:
+def circle_penalty(beta: float) -> Callable[[np.ndarray], np.ndarray]:
     """Entrywise negative-part penalty sum(max(-u_i, 0)^beta) restricted to
-    the unit circle."""
+    the unit circle, on a stack (s, 2) of circle points."""
 
-    def f(u: Point) -> float:
-        neg = np.maximum(-u.coords, 0.0)
-        return float(np.sum(neg**beta))
+    def f(u: np.ndarray) -> np.ndarray:
+        return np.sum(np.maximum(-u, 0.0) ** beta, axis=-1)
 
     return f
 

@@ -13,10 +13,12 @@ All types are immutable values; every operation is pure.  Sampling helpers
 take an explicit seed or generator and never touch global RNG state, and the
 local-distance verifier derives an independent substream per radius.
 
-The tangent projection, the tangency check, the exponential map and the
-seeded tangent draw also take a stack (s, *ambient_shape) of vectors at one
-point, for the sampled estimators that work a block at a time; each row comes
-out bitwise as if it were handled alone.
+The tangent projection, the tangency check, the on-manifold check, the
+exponential map and the seeded tangent draw also take a stack
+(s, *ambient_shape) of vectors at one point (or of points), for the sampled
+estimators that work a block at a time; each row comes out bitwise as if it
+were handled alone.  ``Point`` and ``Tangent`` are validated by the same
+stack rules on a one-row stack, and both refuse non-finite coordinates.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
+
+from .stiefel import frame_residual, qr_retract
 
 FEASIBILITY_TOL = 1e-10   # on-manifold residual allowed for Point
 TANGENCY_TOL = 1e-10      # relative tangency residual allowed for Tangent
@@ -117,15 +121,29 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
-def point_feasibility_residual(m: ManifoldDescriptor, coords: np.ndarray) -> float:
-    """On-manifold residual: 0 for euclidean, |norm - rho| for spheres,
-    ||U^T U - I||_F for stiefel."""
+def feasibility_residuals(m: ManifoldDescriptor, coords: np.ndarray) -> np.ndarray:
+    """On-manifold residual of each row of a stack (s, *ambient_shape) of
+    coordinates: 0 for euclidean, |norm - rho| for spheres, ||U^T U - I||_F
+    for stiefel."""
     if m.kind == "euclidean":
-        return 0.0
+        return np.zeros(len(coords))
     if m.kind == "sphere":
-        return abs(float(np.linalg.norm(coords)) - m.radius)
-    gram = coords.T @ coords
-    return float(np.linalg.norm(gram - np.eye(m.k)))
+        return np.abs(row_norms(coords) - m.radius)
+    return frame_residual(coords)
+
+
+def require_on_manifold(m: ManifoldDescriptor, coords: np.ndarray) -> None:
+    """Raise unless every row of the stack ``coords`` is a point of m: finite,
+    with an on-manifold residual of at most FEASIBILITY_TOL.  This is the
+    rule every ``Point`` is validated by."""
+    if not np.isfinite(coords).all():
+        raise GeometryError(f"point on {m} has a non-finite coordinate")
+    if m.kind == "euclidean":
+        return
+    res = feasibility_residuals(m, coords)
+    bad = res > FEASIBILITY_TOL
+    if bad.any():
+        raise GeometryError(f"point off {m}: residual {res[bad.argmax()]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +161,10 @@ class Point:
                 f"(expected {self.manifold.ambient_shape})"
             )
         object.__setattr__(self, "coords", coords)
-        res = point_feasibility_residual(self.manifold, coords)
-        if res > FEASIBILITY_TOL:
-            raise GeometryError(f"point off {self.manifold}: residual {res:.3e}")
+        require_on_manifold(self.manifold, coords[None])
 
     def feasibility_residual(self) -> float:
-        return point_feasibility_residual(self.manifold, self.coords)
+        return float(feasibility_residuals(self.manifold, self.coords[None])[0])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,25 +192,29 @@ def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 def require_tangent(p: Point, vecs: np.ndarray) -> None:
-    """Raise unless every row of the stack ``vecs`` is tangent at p.
+    """Raise unless every row of the stack ``vecs`` is a finite tangent vector
+    at p.
 
     A row's residual (|<v, p>| / rho on spheres, ||V^T P + P^T V||_F on
     stiefel, identically 0 on euclidean) may be at most TANGENCY_TOL times
-    its norm.  This is the rule every ``Tangent`` is validated by."""
+    its norm; the first offending row is reported.  This is the rule every
+    ``Tangent`` is validated by."""
+    if not np.isfinite(vecs).all():
+        raise GeometryError("tangent vector has a non-finite entry")
     m = p.manifold
     if m.kind == "euclidean":
         return
     if m.kind == "sphere":
-        residuals = [abs(d) / m.radius for d in _row_dots(vecs, p.coords).tolist()]
+        residuals = np.abs(_row_dots(vecs, p.coords)) / m.radius
     else:
-        s = np.swapaxes(vecs, -1, -2) @ p.coords + p.coords.T @ vecs
-        residuals = [math.sqrt(d) for d in _row_dots(s, s).tolist()]
-    for res, sq in zip(residuals, _row_dots(vecs, vecs).tolist()):
-        nrm = math.sqrt(sq)
-        if res > TANGENCY_TOL * max(nrm, 1e-30):
-            raise GeometryError(
-                f"vector not tangent at base (residual {res:.3e} vs norm {nrm:.3e})"
-            )
+        residuals = row_norms(np.swapaxes(vecs, -1, -2) @ p.coords + p.coords.T @ vecs)
+    norms = row_norms(vecs)
+    bad = residuals > TANGENCY_TOL * np.maximum(norms, 1e-30)
+    if bad.any():
+        i = bad.argmax()  # the first offending row
+        raise GeometryError(
+            f"vector not tangent at base (residual {residuals[i]:.3e} vs norm {norms[i]:.3e})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,8 +355,6 @@ def retract(p: Point, v: Tangent) -> Point:
     if m.kind == "sphere":
         w = p.coords + v.vec
         return Point(m, w * (m.radius / np.linalg.norm(w)))
-    from .stiefel import qr_retract
-
     return Point(m, qr_retract(p.coords, v.vec))
 
 
@@ -358,32 +376,40 @@ def point_set_distance(q: Point, points: Sequence[Point]) -> float:
     return min(geodesic_distance(q, s) for s in pts)
 
 
-def random_tangents(p: Point, rng: Generator, count: int, norm: float = 1.0) -> np.ndarray:
-    """Stack (count, *ambient_shape) of seeded tangent directions at p, each
-    of length ``norm`` and uniform over directions.
+def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
+                    norm: float = 1.0) -> np.ndarray:
+    """Stack of seeded tangent directions at p, each of length ``norm`` and
+    uniform over directions: ``count`` rows from ``rng``, or ``count`` rows
+    from each generator of a sequence ``rng`` in turn, projected, checked and
+    normalised as one block.
 
-    All directions come from one ``standard_normal`` draw, which a seeded
-    Generator fills in order, so row i equals the i-th of ``count`` calls of
-    ``random_tangent``.  A projection of length <= 1e-12 (a measure-zero
-    event) is redrawn, at most 64 draws per row; only then does the stream
-    part from the one-at-a-time order.
+    Each generator makes one ``standard_normal`` draw, which it fills in
+    order, so its row i equals the i-th of ``count`` calls of
+    ``random_tangent`` on it.  A projection of length <= 1e-12 (a
+    measure-zero event) is redrawn from the generator it came from, at most
+    64 draws per row; only then does the stream part from the one-at-a-time
+    order.
     """
     m = p.manifold
+    gens = [rng] if isinstance(rng, Generator) else list(rng)
 
-    def draw(rows: int) -> np.ndarray:
-        vecs = tangent_project(m, p.coords, rng.standard_normal((rows, *m.ambient_shape)))
+    def draw(rows: Sequence[tuple]) -> np.ndarray:
+        """Projected draws, ``rows`` = ((generator index, row count), ...)."""
+        z = np.concatenate([gens[g].standard_normal((r, *m.ambient_shape)) for g, r in rows])
+        vecs = tangent_project(m, p.coords, z)
         require_tangent(p, vecs)
         return vecs
 
-    vecs = draw(count)
+    vecs = draw([(g, count) for g in range(len(gens))])
     lengths = row_norms(vecs)
     for attempt in range(64):
-        redo = [i for i, length in enumerate(lengths.tolist()) if length <= 1e-12]
-        if not redo:
+        redo = np.flatnonzero(lengths <= 1e-12)
+        if not redo.size:
             break
         if attempt == 63:
             raise GeometryError("failed to sample a nondegenerate tangent direction")
-        vecs[redo] = draw(len(redo))
+        owners, rows = np.unique(redo // count, return_counts=True)
+        vecs[redo] = draw(list(zip(owners.tolist(), rows.tolist())))
         lengths[redo] = row_norms(vecs[redo])
     vecs = _per_row(norm / lengths, vecs) * vecs
     require_tangent(p, vecs)

@@ -9,6 +9,11 @@ pass_weak / violated) to stay honest about the bracket width.  The
 necessary-condition checkers are refutation-oriented: they can certify
 failure of sharpness through a concrete witness, but only ever report
 consistency otherwise; sufficiency is never claimed.
+
+Objectives take the stack form of ``cones``: f maps a stack
+(s, *ambient_shape) of point coordinates to s values, and every check calls
+it once on all the points it scores.  Samplers and brackets still work on
+``Point`` values.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .cones import (
     contingent_cone_distance,
     contingent_derivative,
     frechet_subdiff_refute,
+    objective_values,
 )
 
 VIOLATION_TOL = 1e-9
@@ -39,6 +45,7 @@ INSIDE_TOL = 1e-12
 class WsmInstance:
     """One sharpness-verification problem.
 
+    ``f`` maps a stack of point coordinates to one value per row;
     ``feasible_sampler(count, rng)`` yields feasible points; ``bracket(u)``
     returns (lb, ub) enclosing dist(u; solution set); ``point`` is a reference
     solution where f attains its minimum; ``radius`` restricts the check to a
@@ -47,7 +54,7 @@ class WsmInstance:
     sampled solution-set points before any verdict is issued.
     """
 
-    f: Callable[[Point], float]
+    f: Callable[[np.ndarray], np.ndarray]
     feasible_sampler: Callable[[int, np.random.Generator], Sequence[Point]]
     bracket: Callable[[Point], tuple]
     point: Point
@@ -63,11 +70,9 @@ class WsmInstance:
         if self.solution_sampler is None:
             return
         rng = default_rng(seed)
-        f0 = float(self.f(self.point))
-        for s in self.solution_sampler(n_samples, rng):
-            if float(self.f(s)) < f0 - tol:
-                raise GeometryError(
-                    "reference point is not minimal over sampled solution set")
+        f0 = _values_at(self.f, [self.point])[0]
+        if any(fs < f0 - tol for fs in _values_at(self.f, self.solution_sampler(n_samples, rng))):
+            raise GeometryError("reference point is not minimal over sampled solution set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +105,15 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
     rng = default_rng(seed)
-    f0 = float(inst.f(inst.point))
+    f0 = _values_at(inst.f, [inst.point])[0]
     strong = True
     witness = None
     modulus = math.inf
     checked = 0
-    for u in inst.feasible_sampler(n_samples, rng):
-        if inst.radius < math.inf and geodesic_distance(u, inst.point) > inst.radius:
-            continue
-        fu = float(inst.f(u))
+    samples = [u for u in inst.feasible_sampler(n_samples, rng)
+               if not (inst.radius < math.inf
+                       and geodesic_distance(u, inst.point) > inst.radius)]
+    for u, fu in zip(samples, _values_at(inst.f, samples)):
         if not math.isfinite(fu):
             raise GeometryError("objective not finite at a feasible sample")
         lb, ub = inst.bracket(u)
@@ -128,8 +133,17 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
     return WsmVerdict(status, None, modulus, checked)
 
 
+def _values_at(f, points: Sequence[Point]) -> list:
+    """f at each of a list of points, as floats, from one call on the stack
+    of their coordinates (no call for an empty list)."""
+    points = list(points)
+    if not points:
+        return []
+    return objective_values(f, np.stack([u.coords for u in points])).tolist()
+
+
 def estimate_modulus(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     feasible_sampler: Callable[[int, np.random.Generator], Sequence[Point]],
     bracket: Callable[[Point], tuple],
     n_samples: int,
@@ -140,16 +154,18 @@ def estimate_modulus(
     the set (ub <= INSIDE_TOL).  Using the upper bracket end makes this a
     conservative estimate of the best modulus valid on the sampled region."""
     rng = default_rng(seed)
-    est = math.inf
-    outside = 0
+    outside, ubs = [], []
     for u in feasible_sampler(n_samples, rng):
         lb, ub = bracket(u)
         if ub <= INSIDE_TOL or not math.isfinite(ub):
             continue  # inside the set, or unbracketed
-        outside += 1
-        est = min(est, (float(f(u)) - f_min) / ub)
-    if outside == 0:
+        outside.append(u)
+        ubs.append(ub)
+    if not outside:
         raise GeometryError("all samples landed inside the solution set")
+    est = math.inf
+    for fu, ub in zip(_values_at(f, outside), ubs):
+        est = min(est, (fu - f_min) / ub)
     return est
 
 
@@ -170,7 +186,7 @@ class NcVerdict:
 
 
 def check_primal_nc(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     omega_sampler,
     p: Point,
     alpha: float,
@@ -194,7 +210,7 @@ def check_primal_nc(
 
 
 def check_dual_nc(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     cone,
     p: Point,
     alpha: float = 1.0,

@@ -73,7 +73,7 @@ def test_criterion_4_wsm_necessary_condition_split():
 
     def penalty(beta):
         def f(u):
-            return float(np.sum(np.maximum(-u.coords, 0.0) ** beta))
+            return np.sum((np.maximum(-u, 0.0) ** beta).reshape(len(u), -1), axis=-1)
 
         return f
 

@@ -236,6 +236,13 @@ class TestPenalty:
         with pytest.raises(GeometryError):
             penalty_h(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 0.7])
+    def test_stack_gives_one_frame_bits(self, beta):
+        rng = np.random.default_rng(3)
+        frames = np.stack([random_stiefel(6, 3, rng) for _ in range(5)])
+        one_by_one = [penalty_h(u, beta) for u in frames]
+        assert penalty_h(frames, beta).tobytes() == np.array(one_by_one).tobytes()
+
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
     def test_zero_iff_nonnegative(self, seed):

@@ -92,6 +92,17 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--covectors" in json.loads(out)["reason"]
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                            ("--beta", "inf")])
+    def test_verify_wsm_non_finite_modulus_or_exponent(self, capsys, flag, value):
+        flags = {"--beta": "2", "--alpha": "1", flag: value}
+        code, out, err = run_captured(
+            capsys, ["verify-wsm", "--n", "4", "--k", "2", "--samples", "20",
+                     *[x for item in flags.items() for x in item]])
+        assert code == EXIT_USAGE
+        assert "finite" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(
             capsys, ["relax", "--graph", c4_file, "--k", "2", "--max-iters", "-3"])

@@ -39,6 +39,7 @@ from sharpmin.manifolds import (
     tangent_project,
 )
 from sharpmin.stiefel import random_stiefel_plus
+from sharpmin.wsm import check_dual_nc
 
 
 def plane_point(*coords):
@@ -166,7 +167,7 @@ class TestSubdiffRefuter:
         c = np.array([1.0, -2.0, 0.5])
 
         def f(u):
-            return float(c @ u.coords)
+            return u @ c
 
         ok = frechet_subdiff_refute(f, p, Tangent(p, c), seed=0)
         assert ok.status == "consistent"
@@ -194,9 +195,7 @@ class TestSubdiffRefuter:
         p = Point(m, np.zeros(2))
 
         def f(u):
-            if u.coords[0] > 0:
-                return float("nan")
-            return 0.0
+            return np.where(u[:, 0] > 0, np.nan, 0.0)
 
         v = frechet_subdiff_refute(f, p, Tangent(p, np.zeros(2)), seed=0)
         assert v.skipped_samples > 0
@@ -205,7 +204,7 @@ class TestSubdiffRefuter:
         m = euclidean(2)
         p = Point(m, np.zeros(2))
         with pytest.raises(GeometryError):
-            frechet_subdiff_refute(lambda u: float("inf"), p, Tangent(p, np.zeros(2)))
+            frechet_subdiff_refute(lambda u: np.full(len(u), np.inf), p, Tangent(p, np.zeros(2)))
 
 
 class TestContingentDerivative:
@@ -222,7 +221,7 @@ class TestContingentDerivative:
         p = Point(m, np.zeros(3))
 
         def f(u):
-            return float(np.linalg.norm(u.coords))
+            return np.linalg.norm(u, axis=-1)
 
         rng = np.random.default_rng(5)
         v = rng.standard_normal(3)
@@ -237,7 +236,7 @@ class TestContingentDerivative:
         v = np.array([1.0, 1.0, -1.0, 0.5])
 
         def f(u):
-            return float(c @ u.coords)
+            return u @ c
 
         got = contingent_derivative(f, p, Tangent(p, v))
         assert abs(got - float(c @ v)) <= 1e-10
@@ -342,7 +341,7 @@ class TestChordalPath:
 
     def penalty(self, beta):
         def f(u):
-            return float(np.sum(np.maximum(-u.coords, 0.0) ** beta))
+            return np.sum(np.maximum(-u, 0.0).reshape(len(u), -1) ** beta, axis=-1)
 
         return f
 
@@ -406,8 +405,13 @@ def _ref_step(p, step):
     return Point(m, q * np.where(diag < 0.0, -1.0, 1.0))
 
 
+def _ref_value(f, u):
+    """f at one point, through a one-row stack."""
+    return float(f(u.coords[None])[0])
+
+
 def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
-    f0 = float(f(p))
+    f0 = _ref_value(f, p)
     xnorm = float(np.linalg.norm(x.vec))
     probes = [x.vec / xnorm, -x.vec / xnorm] if xnorm > 0 else []
     streams = SeedSequence(seed).spawn(len(schedule.scales))
@@ -421,7 +425,7 @@ def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
         q_min, arg = math.inf, None
         for w in dirs:
             u = _ref_step(p, Tangent(p, t * w))
-            fu = float(f(u))
+            fu = _ref_value(f, u)
             if math.isnan(fu):
                 skipped += 1
                 continue
@@ -447,7 +451,7 @@ def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
 
 def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
                               perturb_frac=0.5, n_perturb=8, tail_scales=2):
-    f0 = float(f(p))
+    f0 = _ref_value(f, p)
     scales = schedule.scales
     streams = SeedSequence(seed).spawn(len(scales))
     tail_start = max(0, len(scales) - tail_scales)
@@ -461,7 +465,7 @@ def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
             ws.append(v.vec + delta * ref_random_tangent(p, rng).vec)
         q_min = math.inf
         for w in ws:
-            fu = float(f(_ref_step(p, Tangent(p, t * w))))
+            fu = _ref_value(f, _ref_step(p, Tangent(p, t * w)))
             if math.isnan(fu):
                 continue
             q = (fu - f0) / t if math.isfinite(fu) else math.inf
@@ -487,11 +491,11 @@ def assert_same_verdict(got, ref):
 
 
 def _nan_right_half(u):
-    return float("nan") if u.coords[0] > 0 else 0.0
+    return np.where(u[:, 0] > 0, np.nan, 0.0)
 
 
 def _penalty(beta):
-    return lambda u: float(np.sum(np.maximum(-u.coords, 0.0) ** beta))
+    return lambda u: np.sum((np.maximum(-u, 0.0) ** beta).reshape(len(u), -1), axis=-1)
 
 
 def _frame_point(n, k, seed):
@@ -513,7 +517,7 @@ def _refuter_cases():
          DEFAULT_SCHEDULE),
         ("sphere-square-penalty", _penalty(2.0), fx.circle_point(0.0), [[0.0, -1.0]],
          DEFAULT_SCHEDULE),
-        ("sphere-radius-two", lambda u: abs(float(u.coords[0])), ball,
+        ("sphere-radius-two", lambda u: np.abs(u[:, 0]), ball,
          [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], DEFAULT_SCHEDULE),
     ]
     for n, k, seed in ((4, 2, 3), (6, 3, 8)):
@@ -522,7 +526,17 @@ def _refuter_cases():
         covectors = cone.extreme_rays()[:2] + cone.sample_members(np.random.default_rng(seed), 2)
         for beta in (0.5, 2.0):
             cases.append((f"stiefel-{n}x{k}-beta{beta}", _penalty(beta), p, covectors, light))
+    # a zero covector (no probes) and NaN samples scattered through one block
+    p = _frame_point(4, 2, 3)
+    cases.append(("stiefel-4x2-nan-zero-covector", _nan_above(p.coords[1, 1], _penalty(0.5)), p,
+                  [np.zeros((4, 2)), stiefel_plus_normal_cone(p.coords).extreme_rays()[0]],
+                  light))
     return cases
+
+
+def _nan_above(level, f):
+    """f, but NaN wherever entry (1, 1) exceeds ``level``."""
+    return lambda u: np.where(u[:, 1, 1] > level, np.nan, f(u))
 
 
 REFUTER_CASES = _refuter_cases()
@@ -547,6 +561,44 @@ class TestBlockKernelMatchesPerSampleReference:
         assert any(v.refuted for v in verdicts)
         assert any(not v.refuted for v in verdicts)
         assert any(v.skipped_samples > 0 for v in verdicts)
+
+    def test_zero_covector_case_mixes_skips_and_scores(self):
+        _, f, p, xs, schedule = REFUTER_CASES[-1]
+        v = ref_subdiff_refute(f, p, Tangent(p, xs[0]), schedule)
+        assert 0 < v.skipped_samples < len(schedule.scales) * schedule.samples_per_scale
+        assert all(math.isfinite(q) for _, q in v.quotient_trace)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 2), (8, 3)])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("frame", [0, 1, 2])
+    def test_check_dual_nc(self, n, k, beta, frame):
+        # the frames, covectors, seeds and schedule of the penalty study at seed 0
+        rng = np.random.default_rng(1)
+        frames = [np.eye(n, k)] + [random_stiefel_plus(n, k, rng) for _ in range(2)]
+        p = Point(stiefel(n, k), frames[frame])
+        cone = stiefel_plus_normal_cone(p.coords)
+        f, seed, schedule = _penalty(beta), 101 * frame, Schedule.geometric(samples_per_scale=10)
+        got = check_dual_nc(f, cone, p, alpha=1.0, n_cone_samples=24, seed=seed,
+                            schedule=schedule)
+        rng = np.random.default_rng(seed)
+        candidates = list(cone.extreme_rays())
+        candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
+        refs = [ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=int(rng.integers(2**31)))
+                for x in candidates]
+        want = [r.witness for r in refs if r.refuted]
+        assert got.checked == len(refs)
+        assert got.passed == (not want)
+        assert len(got.failures) == len(want)
+        for w_got, w_ref in zip(got.failures, want):
+            for field in ("covector", "point_coords", "scale", "quotient"):
+                assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
+        if beta == 2.0 and frame == 0:
+            assert want  # the smooth penalty is refuted at the reference frame
+
+    def test_objective_must_give_one_value_per_row(self):
+        p = Point(euclidean(2), np.zeros(2))
+        with pytest.raises(GeometryError, match="shape"):
+            frechet_subdiff_refute(lambda u: float(np.sum(u)), p, tangent(p, 1.0, 0.0))
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_contingent_derivative(self, seed):
@@ -576,3 +628,28 @@ class TestBlockKernelMatchesPerSampleReference:
             assert block.tobytes() == np.stack(sequential).tobytes()
         one = random_tangent(p, np.random.default_rng(9))
         assert one.vec.tobytes() == ref_random_tangent(p, np.random.default_rng(9)).vec.tobytes()
+
+    def test_block_redraws_from_each_rows_own_generator(self):
+        p = fx.circle_point(0.0)  # tangent space: the y-axis, so (x, 0) draws are degenerate
+
+        def gens():
+            return [_Scripted([[0.3, 0.5], [2.0, 0.0]], [[7.0, 0.0]], [[1.0, -0.2]]),
+                    _Scripted([[0.1, 0.0], [0.0, -2.0]], [[0.0, 0.4]])]
+
+        block = random_tangents(p, gens(), 2)
+        one_by_one = np.concatenate([random_tangents(p, [g], 2) for g in gens()])
+        assert block.tobytes() == one_by_one.tobytes()
+        assert np.array_equal(block, [[0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+class _Scripted:
+    """A generator stand-in whose ``standard_normal`` calls return the given
+    draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def standard_normal(self, shape):
+        out = self.draws.pop(0)
+        assert out.shape == shape
+        return out

@@ -20,6 +20,7 @@ from sharpmin.manifolds import (
     geodesic_sphere_sampler,
     log_map,
     point_set_distance,
+    require_tangent,
     retract,
     sphere,
     stiefel,
@@ -56,6 +57,33 @@ class TestDescriptors:
         p = sphere_point(1.0, 0.0)
         with pytest.raises(GeometryError):
             Tangent(p, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("m,coords", [
+        (stiefel(2, 1), [[np.nan], [np.nan]]),
+        (euclidean(2), [np.inf, 0.0]),
+        (euclidean(2), [0.0, np.nan]),
+        (sphere(2, 1.0), [np.nan, 0.0]),
+    ])
+    def test_point_refuses_non_finite(self, m, coords):
+        with pytest.raises(GeometryError, match="non-finite"):
+            Point(m, np.array(coords))
+
+    @pytest.mark.parametrize("p,vec", [
+        (Point(euclidean(2), np.zeros(2)), [np.nan, 0.0]),
+        (Point(euclidean(2), np.zeros(2)), [np.inf, 1.0]),
+        (sphere_point(1.0, 0.0), [0.0, np.inf]),
+        (Point(stiefel(2, 1), np.array([[1.0], [0.0]])), [[0.0], [np.nan]]),
+    ])
+    def test_tangent_refuses_non_finite(self, p, vec):
+        with pytest.raises(GeometryError, match="non-finite"):
+            Tangent(p, np.array(vec))
+
+    def test_tangency_check_reports_first_bad_row(self):
+        p = sphere_point(2.0, 0.0)
+        stack = np.array([[0.0, 1.0], [0.5, 1.0], [3.0, 1.0]])
+        with pytest.raises(GeometryError, match=r"residual 5\.000e-01 vs norm 1\.118e\+00"):
+            require_tangent(p, stack)
+        require_tangent(p, stack[:1])
 
 
 class TestExpLog:

@@ -124,7 +124,7 @@ class TestVerifyWsm:
             return [fx.circle_point(t) for t in rng.uniform(0.0, math.pi / 2, size=count)]
 
         inst = WsmInstance(
-            f=lambda u: -float(u.coords[0]),  # minimized at theta = 0, not 0.9
+            f=lambda u: -u[:, 0],  # minimized at theta = 0, not 0.9
             feasible_sampler=circle_sampler,
             bracket=arc_bracket,
             point=fx.circle_point(0.9),
@@ -161,7 +161,8 @@ class TestEstimateModulus:
 
         grid = fx.circle_grid(2000)
         f = fx.circle_penalty(0.5)
-        oracle = min(f(u) / chordal_bracket(u)[1] for u in grid if chordal_bracket(u)[1] > 0)
+        oracle = min(f(u.coords[None])[0] / chordal_bracket(u)[1]
+                     for u in grid if chordal_bracket(u)[1] > 0)
         assert oracle >= 0.70
 
         est = estimate_modulus(f, circle_sampler, chordal_bracket, 1000, seed=0)
@@ -227,8 +228,8 @@ class TestDualNc:
 
     def as_point_fn(self, beta):
         def f(u):
-            neg = np.maximum(-u.coords, 0.0)
-            return float(np.sum(neg**beta))
+            neg = np.maximum(-u, 0.0)
+            return np.sum((neg**beta).reshape(len(u), -1), axis=-1)
 
         return f
 
@@ -236,8 +237,8 @@ class TestDualNc:
         # subgradients of alpha * dist fill the scaled cone ball: no sampled
         # cone element may be refuted
         def fdist(u):
-            theta = math.atan2(float(u.coords[1, 0]), float(u.coords[0, 0]))
-            return 0.7 * fx.arc_angular_distance(theta)
+            return np.array([0.7 * fx.arc_angular_distance(math.atan2(y, x))
+                             for x, y in u[:, :, 0].tolist()])
 
         verdict = check_dual_nc(fdist, self.cone(), self.base(), alpha=0.7,
                                 n_cone_samples=16, seed=0)
