@@ -12,8 +12,6 @@ from .manifolds import (
     exp_map,
     geodesic_distance,
     log_map,
-    point_set_distance,
-    retract,
     sphere,
     stiefel,
     tangent_project,
@@ -59,7 +57,6 @@ from .cheeger import (
     indicator_frame,
     lipschitz_bound,
     load_graph,
-    penalized_objective,
     penalty_h,
     riemannian_subgradient,
     round_solution,

@@ -44,6 +44,7 @@ from .stiefel import (
     frame_residual,
     qr_retract,
     random_stiefel,
+    random_stiefel_plus,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
 from .wsm import NcVerdict, WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
@@ -479,18 +480,6 @@ def _local_search_bracket(mat: np.ndarray) -> DistanceEstimate:
     return DistanceEstimate(lb=min(lb, ub), ub=ub, feasible=StiefelPoint(v))
 
 
-def penalized_objective(graph: Graph, u, beta: float, c: float) -> float:
-    """Relaxation objective plus C times the negative-part penalty."""
-    l = lipschitz_bound(graph, as_matrix(u).shape[1])
-    if c < l:
-        warnings.warn(
-            f"penalty weight {c:.3g} is below the Lipschitz rate {l:.3g}; "
-            "the penalized problem may not be exact",
-            stacklevel=2,
-        )
-    return grad_norm_l1(graph, u) + c * penalty_h(u, beta)
-
-
 def riemannian_subgradient(graph: Graph, u, beta: float, c: float) -> np.ndarray:
     """Tangent subgradient of the penalized objective at a frame, or at each
     slice of a stack of frames (s, n, k).
@@ -765,10 +754,10 @@ class PenaltyStudy:
         return all(v.passed for v in self.dual)
 
 
-def _stiefel_bracket(u: Point):
-    """Distance bracket to the nonnegative slice: the closed form on the
-    circle (height 2, width 1, exactly 0 on the arc), else dist_upper_estimate."""
-    mat = u.coords
+def _stiefel_bracket(mat: np.ndarray):
+    """Distance bracket from the frame ``mat`` to the nonnegative slice: the
+    closed form on the circle (height 2, width 1, exactly 0 on the arc), else
+    dist_upper_estimate."""
     if mat.shape == (2, 1):
         d = arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
         return d, d
@@ -800,13 +789,12 @@ def wsm_penalty_check(
     def f(u: np.ndarray) -> np.ndarray:
         return penalty_h(u, beta)
 
-    def feasible_sampler(count: int, rng: Generator) -> list:
-        return [Point(manifold, random_stiefel(n, k, rng)) for _ in range(count)]
+    def feasible_sampler(count: int, rng: Generator) -> np.ndarray:
+        return random_stiefel(n, k, rng, count)
 
-    def solution_sampler(count: int, rng: Generator) -> list:
-        from .stiefel import random_stiefel_plus
-
-        return [Point(manifold, random_stiefel_plus(n, k, rng)) for _ in range(count)]
+    def solution_sampler(count: int, rng: Generator) -> np.ndarray:
+        frames = [random_stiefel_plus(n, k, rng) for _ in range(count)]
+        return np.array(frames, dtype=float).reshape(count, n, k)
 
     reference = np.zeros((n, k))
     reference[:k, :k] = np.eye(k)
@@ -829,8 +817,6 @@ def wsm_penalty_check(
     frames = [reference]
     rng = default_rng(seed + 1)
     for _ in range(2):
-        from .stiefel import random_stiefel_plus
-
         frames.append(random_stiefel_plus(n, k, rng))
     dual = []
     for i, frame in enumerate(frames):
@@ -844,7 +830,7 @@ def wsm_penalty_check(
         if count < 1:
             continue
         est = estimate_modulus(f, feasible_sampler, _stiefel_bracket, count,
-                               seed=seed + 13 * i)
+                               seed=seed + 13 * i, manifold=manifold)
         trace.append((count, est))
     return PenaltyStudy(n=n, k=k, beta=beta, alpha=alpha, wsm=wsm_verdict,
                         dual=tuple(dual), modulus_trace=tuple(trace))

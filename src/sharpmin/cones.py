@@ -14,18 +14,25 @@ violation was found and is never a membership certificate.
 Objectives follow one convention here and in ``wsm`` and ``fixtures``: f
 maps a stack (s, *ambient_shape) of ambient coordinates of manifold points to
 s values (see ``objective_values``), and each row's value has the bits of
-f on that row alone.
+f on that row alone.  Set samplers follow the contract of ``manifolds``:
+``sampler(t, rng)`` returns one stack of set points, checked on the manifold
+by one call.
 
-``frechet_subdiff_refute`` scores one covector's whole schedule as one block
-of shape (scales * rows per scale, *ambient_shape); ``contingent_derivative``
-works one block per scale.  Each scale's random directions come from its own
-seeded ``standard_normal`` draw; the block is projected onto the tangent
-space, normalised and checked tangent by the rule of ``Tangent`` together,
-stepped by each row's scale and mapped in one call: the exact exponential map
-on euclidean spaces and spheres, the positive-diagonal QR retraction (with
-its rank check) on frames.  The mapped block is checked on the manifold by
-the rule of ``Point`` and f is called once on it.  Every reduction is taken
-row by row in the order the one-sample-at-a-time loop used, so the traces,
+Both refuters take one covector (a ``Tangent`` and its seed) or a stack of
+covectors with one seed each, and score the stack as numpy blocks of at most
+``REFUTE_BLOCK_BYTES``; one covector is the one-row case.  Every scale of
+every covector draws from its own spawned generator, so a covector's verdict
+does not depend on the stack it is scored in.  ``frechet_subdiff_refute``
+lays out each covector's whole schedule as rows of the block: the random
+directions of each scale come from one seeded ``standard_normal`` draw, are
+projected, normalised and checked tangent together, stepped by the row's
+scale and mapped in one call (the exact exponential map on euclidean spaces
+and spheres, the positive-diagonal QR retraction with its rank check on
+frames), checked on the manifold by the rule of ``Point`` and scored by one
+call of f.  ``frechet_normal_refute`` and ``contingent_cone_distance``
+concatenate the sampled stacks and pull them back to chart vectors as one
+block.  Every reduction keeps the order the one-sample-at-a-time loop used
+(the first extremal sample of a scale is its witness), so the traces,
 witnesses and skip counts are bitwise those of that loop.
 
 The module also carries the exact sign/support description of the Frechet
@@ -42,14 +49,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
-from scipy.linalg import null_space
 
 from .manifolds import (
     GeometryError,
     Point,
     Tangent,
     exp_coords,
-    log_map,
+    log_coords,
+    point_stack,
     random_tangents,
     require_on_manifold,
     require_tangent,
@@ -69,6 +76,7 @@ from .stiefel import (
 
 REFUTE_TOL = 1e-3      # quotient excess needed, at two consecutive scales
 MEMBER_TOL = 1e-10     # pattern membership tolerance
+REFUTE_BLOCK_BYTES = 1 << 18  # cap on the (rows, *ambient_shape) blocks of one refuter chunk
 
 
 @dataclass(frozen=True)
@@ -127,18 +135,61 @@ class RefutationVerdict:
         return self.status == "refuted"
 
 
-def _chart_vector(p: Point, u: Point):
-    """Chart coordinates of u at p and their length: the exact log map where
-    one exists, the ambient chord on stiefel."""
+class RefutationBlock(tuple):
+    """The verdicts of a stack of covectors, in order.  ``refuted`` counts the
+    refuted ones and ``skipped_samples`` sums their skips."""
+
+    @property
+    def refuted(self) -> int:
+        return sum(v.refuted for v in self)
+
+    @property
+    def skipped_samples(self) -> int:
+        return sum(v.skipped_samples for v in self)
+
+
+def _covectors(p: Point, x, seed):
+    """(stack of covectors, their seeds, whether x was one ``Tangent``) from
+    one Tangent and its seed or from a stack of covectors at p, checked
+    tangent, and one seed each."""
+    if isinstance(x, Tangent):
+        return x.vec[None], [seed], True
+    xs = np.ascontiguousarray(x, dtype=float)
+    if xs.shape[1:] != p.manifold.ambient_shape or xs.ndim != len(p.manifold.ambient_shape) + 1:
+        raise GeometryError(f"covector stack shape {xs.shape} does not match {p.manifold}")
+    require_tangent(p, xs)
+    seeds = list(seed)
+    if len(seeds) != len(xs):
+        raise GeometryError(f"{len(xs)} covectors need as many seeds, got {len(seeds)}")
+    return xs, seeds, False
+
+
+def _scale_generators(seeds, n_scales: int) -> list:
+    """One generator per (covector, scale), covector-major: each seed spawns
+    one stream per scale."""
+    return [default_rng(ss) for seed in seeds for ss in SeedSequence(seed).spawn(n_scales)]
+
+
+def _chart_block(p: Point, coords: np.ndarray):
+    """Chart vectors of a stack of points at p and their lengths: the exact
+    log map where one exists, the ambient chord on stiefel."""
     if p.manifold.kind in ("euclidean", "sphere"):
-        t = log_map(p, u)
-        return t.vec, t.norm
-    chord = u.coords - p.coords
-    return chord, float(np.linalg.norm(chord))
+        vecs = log_coords(p, coords)
+    else:
+        vecs = coords - p.coords
+    return vecs, row_norms(vecs)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-row scalars shaped to broadcast against the stack ``like``."""
+    return values.reshape(-1, *(1,) * (like.ndim - 1))
+
+
+def _row_inner(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<x, v> for each row v of a stack, where x is one vector or one per
+    row; each a single sum of the elementwise products, as ``np.sum`` of one
+    row gives it."""
+    return np.sum(x * vecs, axis=tuple(range(1, vecs.ndim)))
 
 
 def _two_consecutive(trace, tol: float, above: bool):
@@ -153,43 +204,86 @@ def _two_consecutive(trace, tol: float, above: bool):
     return None
 
 
-def frechet_normal_refute(
-    sampler: Callable[[float, Generator], Sequence[Point]],
-    p: Point,
-    x: Tangent,
-    schedule: Schedule = DEFAULT_SCHEDULE,
-    seed: int = 0,
-) -> RefutationVerdict:
-    """One-sided test of x against the Frechet normal cone of a set at p.
+def _verdict(x: np.ndarray, trace: tuple, coords_at, tol: float, above: bool,
+             skipped: int = 0) -> RefutationVerdict:
+    """Verdict on one covector from its per-scale extremal trace;
+    ``coords_at(idx)`` gives the extremal sample of scale idx."""
+    idx = _two_consecutive(trace, tol, above)
+    if idx is None:
+        return RefutationVerdict("consistent", None, trace, skipped)
+    witness = Witness(covector=np.array(x), point_coords=np.array(coords_at(idx)),
+                      scale=trace[idx][0], quotient=trace[idx][1])
+    return RefutationVerdict("refuted", witness, trace, skipped)
 
-    ``sampler(t, rng)`` must yield points of the set at distance in (0, t]
-    from p, exactly on the set (constructive parameterizations only;
-    the quotients are sensitive to O(t) feasibility error).  The refuter
-    estimates the limiting sup of <x, chart(u)> / d(u, p) and reports
+
+def frechet_normal_refute(
+    sampler: Callable[[float, Generator], np.ndarray],
+    p: Point,
+    x,
+    schedule: Schedule = DEFAULT_SCHEDULE,
+    seed=0,
+):
+    """One-sided test of covectors against the Frechet normal cone of a set
+    at p.
+
+    ``sampler(t, rng)`` must return a stack of points of the set at distance
+    in (0, t] from p, exactly on the set (constructive parameterizations
+    only; the quotients are sensitive to O(t) feasibility error).  The
+    refuter estimates the limiting sup of <x, chart(u)> / d(u, p) and reports
     ``refuted`` when the quotient exceeds +tol at two consecutive scales.
+
+    ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
+    ``RefutationVerdict``, or a stack of covectors at p with a sequence of
+    seeds, one each, which gives a ``RefutationBlock``.  The sampler is
+    called once per covector and scale; the samples of a chunk of covectors
+    are checked on the manifold, pulled back and scored as one block, and
+    each scale keeps its first largest quotient.
     """
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
-    trace = []
-    best = []  # per-scale argmax sample
-    for t, ss in zip(schedule.scales, streams):
-        rng = default_rng(ss)
-        q_max, arg = -math.inf, None
-        for u in sampler(t, rng):
-            w, d = _chart_vector(p, u)
-            if d <= 0.0 or d > 2.0 * t:
-                continue
-            q = _inner(x.vec, w) / d
-            if q > q_max:
-                q_max, arg = q, u
-        trace.append((t, q_max))
-        best.append(arg)
-    idx = _two_consecutive(trace, schedule.tol, above=True)
-    if idx is not None:
-        u = best[idx]
-        witness = Witness(covector=np.array(x.vec), point_coords=np.array(u.coords),
-                          scale=trace[idx][0], quotient=trace[idx][1])
-        return RefutationVerdict("refuted", witness, tuple(trace))
-    return RefutationVerdict("consistent", None, tuple(trace))
+    xs, seeds, single = _covectors(p, x, seed)
+    scales = schedule.scales
+    shape = p.manifold.ambient_shape
+    row_bytes = 8 * math.prod(shape)
+    rngs = iter(_scale_generators(seeds, len(scales)))
+    verdicts, chunk, stacks = [], [], []
+    for c in range(len(xs)):
+        for t in scales:
+            pts = np.asarray(sampler(t, next(rngs)), dtype=float)
+            if pts.shape[1:] != shape:
+                raise GeometryError(f"sampler gave shape {pts.shape} for points of {p.manifold}")
+            stacks.append(pts)
+        chunk.append(c)
+        if sum(map(len, stacks)) * row_bytes >= REFUTE_BLOCK_BYTES or c == len(xs) - 1:
+            verdicts += _normal_block(p, xs[chunk], stacks, schedule)
+            chunk, stacks = [], []
+    return verdicts[0] if single else RefutationBlock(verdicts)
+
+
+def _normal_block(p: Point, xs: np.ndarray, stacks: list, schedule: Schedule) -> list:
+    """Verdicts on the covectors xs from their sampled stacks, one per
+    (covector, scale), covector-major."""
+    scales = schedule.scales
+    counts = np.array([len(a) for a in stacks])
+    coords = point_stack(p.manifold, np.concatenate(stacks))
+    segment = np.repeat(np.arange(len(stacks)), counts)  # (covector, scale) of each row
+    t = np.asarray(scales)[segment % len(scales)]
+    w, d = _chart_block(p, coords)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _row_inner(xs[segment // len(scales)], w) / d
+    q[(d <= 0.0) | (d > 2.0 * t) | np.isnan(q)] = -math.inf
+    # one row per (covector, scale), padded with -inf: the first argmax of a
+    # row is the first largest quotient of the scale, as a strict-> scan finds it
+    table = np.full((len(stacks), max(counts.max(initial=0), 1)), -math.inf)
+    starts = np.cumsum(counts) - counts
+    table[segment, np.arange(len(q)) - starts[segment]] = q
+    first = np.argmax(table, axis=1)
+    best = table[np.arange(len(stacks)), first].reshape(len(xs), len(scales))
+    verdicts = []
+    for c, x in enumerate(xs):
+        trace = tuple(zip(scales, best[c].tolist()))
+        base = c * len(scales)
+        verdicts.append(_verdict(x, trace, lambda i: coords[starts[base + i] + first[base + i]],
+                                 schedule.tol, above=True))
+    return verdicts
 
 
 def objective_values(f: Callable[[np.ndarray], np.ndarray], coords: np.ndarray) -> np.ndarray:
@@ -229,11 +323,12 @@ def _approach_block(p: Point, steps: np.ndarray) -> np.ndarray:
 def frechet_subdiff_refute(
     f: Callable[[np.ndarray], np.ndarray],
     p: Point,
-    x: Tangent,
+    x,
     schedule: Schedule = DEFAULT_SCHEDULE,
-    seed: int = 0,
-) -> RefutationVerdict:
-    """One-sided test of x against the Frechet subdifferential of f at p.
+    seed=0,
+):
+    """One-sided test of covectors against the Frechet subdifferential of f
+    at p.
 
     Estimates the limiting inf of (f(u) - f(p) - <x, chart(u)>) / d(u, p)
     over manifold points approaching p along sampled directions, always
@@ -241,51 +336,71 @@ def frechet_subdiff_refute(
     fell below -tol at two consecutive scales, so x cannot belong to the
     subdifferential; ``consistent`` certifies nothing.
 
-    f maps a stack of point coordinates to one value per row.  The whole
-    schedule is one block: at every scale the probes and
+    ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
+    ``RefutationVerdict``, or a stack of covectors at p with a sequence of
+    seeds, one each, which gives a ``RefutationBlock``.  f maps a stack of
+    point coordinates to one value per row.  A chunk of covectors is one
+    block: for each covector and scale the two probes and
     ``samples_per_scale`` random tangent directions, all stepped, mapped and
-    scored together, with one call of f.  A sample where f is NaN is skipped
-    and counted; the first sample attaining a scale's least quotient is that
-    scale's witness.
+    scored together, with one call of f.  A zero covector has no probes; its
+    probe rows are padding, never scored.  A sample where f is NaN is
+    skipped and counted; the first sample attaining a scale's least quotient
+    is that scale's witness.
     """
+    xs, seeds, single = _covectors(p, x, seed)
     f0 = _base_value(f, p)
-    xnorm = float(np.linalg.norm(x.vec))
-    scales = schedule.scales
+    rows = len(schedule.scales) * (2 + schedule.samples_per_scale)
+    per_chunk = max(1, REFUTE_BLOCK_BYTES // (rows * 8 * math.prod(p.manifold.ambient_shape)))
+    verdicts = []
+    for start in range(0, len(xs), per_chunk):
+        verdicts += _subdiff_block(f, f0, p, xs[start:start + per_chunk],
+                                   seeds[start:start + per_chunk], schedule)
+    return verdicts[0] if single else RefutationBlock(verdicts)
+
+
+def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
+                   schedule: Schedule) -> list:
+    """Verdicts on the covectors xs, laid out as (covector, scale, row) with
+    the two probe rows leading each scale."""
+    scales, samples = schedule.scales, schedule.samples_per_scale
     shape = p.manifold.ambient_shape
-    axes = tuple(range(1, len(shape) + 1))
-    rngs = [default_rng(ss) for ss in SeedSequence(seed).spawn(len(scales))]
-    dirs = random_tangents(p, rngs, schedule.samples_per_scale)
-    dirs = dirs.reshape(len(scales), schedule.samples_per_scale, *shape)
-    if xnorm > 0:
-        probes = np.stack([x.vec / xnorm, -x.vec / xnorm])
-        dirs = np.concatenate([np.broadcast_to(probes, (len(scales), *probes.shape)), dirs],
-                              axis=1)
-    per_scale = dirs.shape[1]
+    n_x, n_s, per_scale = len(xs), len(scales), 2 + samples
+    xnorm = row_norms(xs)
+    unit = xs / _per_row(np.where(xnorm > 0, xnorm, 1.0), xs)
+    probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None], (n_x, n_s, 2, *shape))
+    dirs = random_tangents(p, _scale_generators(seeds, n_s), samples)
+    dirs = np.concatenate([probes, dirs.reshape(n_x, n_s, samples, *shape)], axis=2)
     dirs = dirs.reshape(-1, *shape)
-    t = np.repeat(scales, per_scale)  # each row's scale
-    coords = _approach_block(p, t.reshape(-1, *(1,) * len(shape)) * dirs)
+    padding = np.zeros((n_x, n_s, per_scale), dtype=bool)
+    padding[xnorm == 0, :, :2] = True
+    padding = padding.ravel()
+    t = np.tile(np.repeat(scales, per_scale), n_x)  # each row's scale
+    coords = _approach_block(p, _per_row(t, dirs) * dirs)
     fu = objective_values(f, coords)
-    excluded = np.isnan(fu)
-    skipped = int(excluded.sum())
+    nan = np.isnan(fu) & ~padding
+    excluded = nan | padding
+    x_rows = np.repeat(xs, n_s * per_scale, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.manifold.kind in ("euclidean", "sphere"):  # exact chart: d = t
-            q = (fu - f0 - t * np.sum(x.vec * dirs, axis=axes)) / t
+            q = (fu - f0 - t * _row_inner(x_rows, dirs)) / t
         else:
             chords = coords - p.coords
             d = row_norms(chords)
             excluded |= d <= 0.0
-            q = (fu - f0 - np.sum(x.vec * chords, axis=axes)) / d
+            q = (fu - f0 - _row_inner(x_rows, chords)) / d
     q[excluded | np.isnan(q)] = math.inf
-    q = q.reshape(len(scales), per_scale)
+    q = q.reshape(n_x * n_s, per_scale)
     first = np.argmin(q, axis=1)  # the first least quotient, as a strict-< scan finds it
-    trace = tuple(zip(scales, q[np.arange(len(scales)), first].tolist()))
-    idx = _two_consecutive(trace, schedule.tol, above=False)
-    if idx is not None:
-        witness = Witness(covector=np.array(x.vec),
-                          point_coords=np.array(coords[idx * per_scale + first[idx]]),
-                          scale=trace[idx][0], quotient=trace[idx][1])
-        return RefutationVerdict("refuted", witness, trace, skipped)
-    return RefutationVerdict("consistent", None, trace, skipped)
+    least = q[np.arange(len(q)), first].reshape(n_x, n_s)
+    skipped = nan.reshape(n_x, -1).sum(axis=1).tolist()
+    verdicts = []
+    for c, x in enumerate(xs):
+        base = c * n_s
+        verdicts.append(_verdict(
+            x, tuple(zip(scales, least[c].tolist())),
+            lambda i: coords[(base + i) * per_scale + first[base + i]],
+            schedule.tol, above=False, skipped=skipped[c]))
+    return verdicts
 
 
 def contingent_derivative(
@@ -293,57 +408,49 @@ def contingent_derivative(
     p: Point,
     v: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
-    seed: int = 0,
-    perturb_frac: float = 0.5,
-    n_perturb: int = 8,
     tail_scales: int = 2,
 ) -> float:
-    """Sampled lower directional derivative of f at p along v.
+    """Ray quotient estimate of the lower directional derivative of f at p
+    along v: the least of (f(exp_p(t v)) - f(p)) / t over the smallest
+    ``tail_scales`` scales of the schedule (the QR retraction stands in for
+    exp on frames), from one block and one call of f.  A NaN value counts as
+    +inf.  No draw is made, so the estimate takes no seed.
 
-    Difference quotients (f(exp_p(t w)) - f(p)) / t are taken over the
-    schedule with w in a ball around v that shrinks linearly with t and
-    collapses onto {v} at the smallest ``tail_scales`` scales; the estimate is
-    the minimum over those tail scales.  The collapse makes the estimate exact
-    for linear functions and for any function Lipschitz near p, where the
-    limit along the ray equals the full lower limit.  f maps a stack of point
-    coordinates to one value per row; each scale's directions are stepped,
-    mapped and scored as one block, with one call of f.
+    For f Lipschitz near p the limit along the ray equals the contingent
+    lower limit (over directions tending to v as well), so the estimate is
+    exact in the limit, and exact for linear f.  Otherwise it can
+    overestimate: the negative-part penalty h_beta with beta < 1 is not
+    Lipschitz at the nonnegative slice, and a ray that leaves the slice only
+    through the second-order term of the map has quotients of order
+    t^(2 beta - 1) while nearby directions that stay in the slice give 0.
     """
     f0 = _base_value(f, p)
-    scales = schedule.scales
-    t0 = scales[0]
-    streams = SeedSequence(seed).spawn(len(scales))
-    tail_start = max(0, len(scales) - tail_scales)
-    estimate = math.inf
-    vnorm = max(v.norm, 1.0)
-    for j, (t, ss) in enumerate(zip(scales, streams)):
-        rng = default_rng(ss)
-        delta = 0.0 if j >= tail_start else perturb_frac * vnorm * (t / t0)
-        ws = v.vec[None]
-        if delta > 0:
-            ws = np.concatenate([ws, v.vec + delta * random_tangents(p, rng, n_perturb)])
-        fu = objective_values(f, _approach_block(p, t * ws))
-        fu = fu[~np.isnan(fu)]
-        with np.errstate(over="ignore"):
-            q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
-        q_min = min(q.tolist(), default=math.inf)
-        if j >= tail_start:
-            estimate = min(estimate, q_min)
-    return estimate
+    t = np.asarray(schedule.scales[max(0, len(schedule.scales) - tail_scales):])
+    fu = objective_values(f, _approach_block(p, _per_row(t, v.vec[None]) * v.vec))
+    with np.errstate(over="ignore"):
+        q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
+    return min(q.tolist(), default=math.inf)
+
+
+def _ray_distances(v: np.ndarray, ws: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Distance from v to each closed ray {s * w : s >= 0} of a stack of
+    nonzero w with their lengths."""
+    wh = ws / _per_row(lengths, ws)
+    s = np.maximum(_row_inner(v, wh), 0.0)
+    return row_norms(v - _per_row(s, wh) * wh)
 
 
 def ray_distance(v: np.ndarray, w: np.ndarray) -> float:
     """Distance from v to the closed ray {s * w : s >= 0} (w nonzero)."""
-    nw = float(np.linalg.norm(w))
-    if nw <= 0.0:
+    w = np.asarray(w, dtype=float)[None]
+    nw = row_norms(w)
+    if nw[0] <= 0.0:
         raise GeometryError("ray direction must be nonzero")
-    wh = w / nw
-    s = max(_inner(v, wh), 0.0)
-    return float(np.linalg.norm(v - s * wh))
+    return float(_ray_distances(v, w, nw)[0])
 
 
 def contingent_cone_distance(
-    sampler: Callable[[float, Generator], Sequence[Point]],
+    sampler: Callable[[float, Generator], np.ndarray],
     p: Point,
     v: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
@@ -356,26 +463,18 @@ def contingent_cone_distance(
     estimate is the least distance from v to the rays they span, restricted
     to the smallest ``tail_scales`` scales.  It decreases toward the true
     cone distance as the budget grows and is exactly 0 whenever a sampled
-    ray hits a contingent direction of v."""
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
-    tail_start = max(0, len(schedule.scales) - tail_scales)
-    estimate = math.inf
-    seen_smallest = False
-    for j, (t, ss) in enumerate(zip(schedule.scales, streams)):
-        rng = default_rng(ss)
-        pts = list(sampler(t, rng))
-        if j == len(schedule.scales) - 1 and pts:
-            seen_smallest = True
-        if j < tail_start:
-            continue
-        for u in pts:
-            w, d = _chart_vector(p, u)
-            if d <= 0.0:
-                continue
-            estimate = min(estimate, ray_distance(v.vec, w))
-    if not seen_smallest:
+    ray hits a contingent direction of v.  The sampler runs at every scale,
+    each from its own spawned stream; all its stacks are checked on the
+    manifold by one call and the tail ones scored as one block."""
+    scales = schedule.scales
+    stacks = [np.asarray(sampler(t, default_rng(ss)), dtype=float)
+              for t, ss in zip(scales, SeedSequence(seed).spawn(len(scales)))]
+    point_stack(p.manifold, np.concatenate(stacks))
+    if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
-    return estimate
+    w, d = _chart_block(p, np.concatenate(stacks[max(0, len(scales) - tail_scales):]))
+    keep = d > 0.0
+    return min([math.inf, *_ray_distances(v.vec, w[keep], d[keep]).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +547,6 @@ class PatternCone:
             out[~free, :] = (self.subspace_basis @ coeffs).reshape(top.shape)
         out[free, :] = np.minimum(bottom, 0.0)
         return out
-
-    def distance(self, x) -> float:
-        x = self._coerce(x)
-        return float(np.linalg.norm(x - self.project(x)))
 
     def sample_members(self, rng: Generator, count: int, radius: float = 1.0) -> list:
         """Random cone members with norms spread over (0, radius]."""
@@ -542,63 +637,65 @@ def _supported_block_basis(mat: np.ndarray, zrows: tuple, mask: np.ndarray) -> n
             r[:, b] += top[:, a]
             r[:, a] += top[:, b]
             rows.append(r.ravel())
-    a_mat = np.vstack(rows)
-    basis = null_space(a_mat)
+    basis = _null_space(np.vstack(rows))
     return basis if basis.size else np.zeros((dim, 0))
 
 
-def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL) -> Callable[[float, Generator], list]:
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of a, by the rank rule of
+    ``scipy.linalg.null_space``: singular values above max(s) * eps *
+    max(a.shape) count toward the rank, and the basis is ``vh[rank:].T``."""
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(sv, initial=0.0) * (np.finfo(float).eps * max(a.shape))
+    return vh[int(np.sum(sv > tol)):].T
+
+
+def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL
+                         ) -> Callable[[float, Generator], np.ndarray]:
     """Constructive sampler of St+(n, k) near a feasible frame P.
 
-    Yields frames obtained from single row rotations that stay exactly
-    feasible: mass moved into a zero row from a supported row, and mass
-    redistributed between two rows supporting the same column (both signs).
-    Composite moves are deliberately excluded: single moves keep the approach
-    quotients of true cone members nonpositive exactly, so the refuter
-    cross-validation carries no false-positive risk from sampling bias.
+    Returns the stack of frames obtained from single row rotations that stay
+    exactly feasible: mass moved into a zero row from a supported row, and
+    mass redistributed between two rows supporting the same column (both
+    signs).  Composite moves are deliberately excluded: single moves keep the
+    approach quotients of true cone members nonpositive exactly, so the
+    refuter cross-validation carries no false-positive risk from sampling
+    bias.
+
+    Each move rotates by the angles theta, theta * u and -theta, with u from
+    one ``rng.uniform(0.3, 0.95, size=moves)`` draw; the angles and their
+    cosines and sines are scalar libm values, the rotations one block, and
+    the nonnegativity and distance filters masks, in move order.
     """
     mat = as_matrix(p)
     if not is_nonnegative(mat, tol):
         raise GeometryError("sampler base frame must be entrywise nonnegative")
-    n, k = mat.shape
     zrows = list(_zero_rows(mat, tol))
-    supports = column_supports(mat, tol)
-
-    moves = []  # (i, j, sign, weight): rotate rows i<-j, weight = ||row j||
-    for col, sup in enumerate(supports):
+    moves = []  # (i, j, ||row j||): rotate rows i <- j, j supporting a column
+    for sup in column_supports(mat, tol):
         for j in sup:
             wj = float(np.linalg.norm(mat[j, :]))
-            for i in zrows:
-                moves.append((i, j, +1.0, wj))
-            for i in sup:
-                if i != j:
-                    moves.append((i, j, +1.0, wj))
+            if wj > 0:
+                moves += [(i, j, wj) for i in zrows] + [(i, j, wj) for i in sup if i != j]
+    rows_i = np.repeat(np.array([i for i, _, _ in moves], dtype=int), 3)
+    rows_j = np.repeat(np.array([j for _, j, _ in moves], dtype=int), 3)
+    weights = [wj for _, _, wj in moves]
+    block = np.arange(3 * len(moves))
+    ri, rj = mat[rows_i], mat[rows_j]
 
-    def rotate(i, j, theta):
-        out = mat.copy()
-        c, s = math.cos(theta), math.sin(theta)
-        ri, rj = mat[i, :].copy(), mat[j, :].copy()
-        out[i, :] = c * ri + s * rj
-        out[j, :] = -s * ri + c * rj
-        return out
-
-    manifold = stiefel(n, k)
-
-    def sampler(t: float, rng: Generator) -> list:
-        out = []
-        for i, j, sign, wj in moves:
-            if wj <= 0:
-                continue
-            # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
-            theta = min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4)
-            for th in (sign * theta, sign * theta * float(rng.uniform(0.3, 0.95)), -sign * theta):
-                v = rotate(i, j, th)
-                if not is_nonnegative(v, 0.0):
-                    continue
-                d = float(np.linalg.norm(v - mat))
-                if 0.0 < d <= 2.0 * t:
-                    out.append(Point(manifold, v))
-        return out
+    def sampler(t: float, rng: Generator) -> np.ndarray:
+        # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
+        thetas = [min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4) for wj in weights]
+        fracs = rng.uniform(0.3, 0.95, size=len(moves)).tolist()
+        angles = [a for th, u in zip(thetas, fracs) for a in (th, th * u, -th)]
+        cos = np.array([math.cos(a) for a in angles])[:, None]
+        sin = np.array([math.sin(a) for a in angles])[:, None]
+        out = np.repeat(mat[None], len(block), axis=0)
+        out[block, rows_i] = cos * ri + sin * rj
+        out[block, rows_j] = -sin * ri + cos * rj
+        d = row_norms(out - mat)
+        keep = np.all(out >= 0.0, axis=(1, 2)) & (0.0 < d) & (d <= 2.0 * t)
+        return out[keep]
 
     return sampler
 
@@ -637,34 +734,40 @@ def cross_validate_pattern_cone(
     if schedule is None:
         schedule = Schedule.geometric(t0=0.1, eta=0.5, n_scales=8, samples_per_scale=8)
     rng = default_rng(seed)
-    members = violators = 0
+    n_members = n_violators = 0
     disagreements = []
     for idx in range(n_frames):
         n = int(rng.integers(2, n_max + 1))
         k = int(rng.integers(1, min(k_max, n) + 1))
         p = random_stiefel_plus(n, k, rng)
         cone = stiefel_plus_normal_cone(p)
-        sampler = stiefel_plus_sampler(p)
-        base = Point(stiefel(n, k), p)
-        for x in cone.sample_members(rng, members_per_frame):
-            members += 1
-            if not cone.contains(x):
+        # draws in the order of one refuter call per covector: the members,
+        # a seed per member in the pattern, the violators, a seed per
+        # violator outside it; then the frame is scored as one block
+        members = cone.sample_members(rng, members_per_frame)
+        member_seeds = [int(rng.integers(2**31)) if cone.contains(x) else None for x in members]
+        violators = _pattern_violators(cone, rng, violators_per_frame, margin)
+        violator_seeds = [None if cone.contains(x) else int(rng.integers(2**31))
+                          for x in violators]
+        scored = [(x, sd) for x, sd in zip(members + violators, member_seeds + violator_seeds)
+                  if sd is not None]
+        verdicts = iter(frechet_normal_refute(
+            stiefel_plus_sampler(p), Point(stiefel(n, k), p),
+            np.array([x for x, _ in scored]).reshape(len(scored), n, k), schedule,
+            seed=[sd for _, sd in scored]))
+        for x, sd in zip(members, member_seeds):
+            if sd is None:
                 disagreements.append((idx, "member-not-in-pattern", x))
-                continue
-            verdict = frechet_normal_refute(sampler, base, Tangent(base, x),
-                                            schedule, seed=int(rng.integers(2**31)))
-            if verdict.refuted:
+            elif next(verdicts).refuted:
                 disagreements.append((idx, "member-refuted", x))
-        for x in _pattern_violators(cone, rng, violators_per_frame, margin):
-            violators += 1
-            if cone.contains(x):
+        for x, sd in zip(violators, violator_seeds):
+            if sd is None:
                 disagreements.append((idx, "violator-in-pattern", x))
-                continue
-            verdict = frechet_normal_refute(sampler, base, Tangent(base, x),
-                                            schedule, seed=int(rng.integers(2**31)))
-            if not verdict.refuted:
+            elif not next(verdicts).refuted:
                 disagreements.append((idx, "violator-not-refuted", x))
-    return CrossValidationReport(n_frames, members, violators, tuple(disagreements))
+        n_members += len(members)
+        n_violators += len(violators)
+    return CrossValidationReport(n_frames, n_members, n_violators, tuple(disagreements))
 
 
 def _pattern_violators(cone: PatternCone, rng: Generator, count: int, margin: float) -> list:
@@ -737,15 +840,11 @@ def check_dist_subdiff_identity(
     """
     rng = default_rng(seed)
     p = fixture.point
-    inside_failures = []
-    outside_failures = []
-    n_inside = n_covectors
-    for _ in range(n_inside):
-        x = fixture.cone_sample_in(rng)
-        verdict = frechet_subdiff_refute(fixture.dist_fn, p, Tangent(p, x),
-                                         schedule, seed=int(rng.integers(2**31)))
-        if verdict.refuted:
-            inside_failures.append(verdict.witness)
+    # draws in the order of one refuter call per covector, then one block
+    inside, seeds = [], []
+    for _ in range(n_covectors):
+        inside.append(fixture.cone_sample_in(rng))
+        seeds.append(int(rng.integers(2**31)))
     outside = []
     rays = list(fixture.cone_rays)
     for i in range(n_covectors):
@@ -754,17 +853,17 @@ def check_dist_subdiff_identity(
             outside.append((1.0 + margin + float(rng.uniform(0.0, 0.5))) * ray)
         else:
             outside.append(fixture.cone_sample_out(rng, margin))
-    for x in outside:
-        verdict = frechet_subdiff_refute(fixture.dist_fn, p, Tangent(p, x),
-                                         schedule, seed=int(rng.integers(2**31)))
-        if not verdict.refuted:
-            outside_failures.append(x)
+    seeds += [int(rng.integers(2**31)) for _ in outside]
+    covectors = np.array(inside + outside, dtype=float).reshape(len(seeds),
+                                                                *p.manifold.ambient_shape)
+    verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors, schedule, seed=seeds)
     return IdentityCheckReport(
         fixture=fixture.name,
-        inside_checked=n_inside,
+        inside_checked=len(inside),
         outside_checked=len(outside),
-        inside_failures=tuple(inside_failures),
-        outside_failures=tuple(outside_failures),
+        inside_failures=tuple(v.witness for v in verdicts[:len(inside)] if v.refuted),
+        outside_failures=tuple(x for x, v in zip(outside, verdicts[len(inside):])
+                               if not v.refuted),
     )
 
 
@@ -802,7 +901,7 @@ def check_dirderiv_identity(
     rows = []
     for i, vec in enumerate(directions):
         v = Tangent(p, np.asarray(vec, dtype=float))
-        lhs = contingent_derivative(fixture.dist_fn, p, v, schedule, seed=seed + 7 * i)
+        lhs = contingent_derivative(fixture.dist_fn, p, v, schedule)
         rhs = contingent_cone_distance(fixture.omega_sampler, p, v, schedule,
                                        seed=seed + 7 * i + 3)
         rows.append((np.asarray(vec, dtype=float), lhs, rhs, abs(lhs - rhs)))

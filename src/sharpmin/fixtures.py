@@ -4,11 +4,12 @@ constructive samplers, and analytic normal/contingent cones.
 Each fixture bundles everything the identity checkers need: the base point,
 an exact dist(.; set) on the manifold (an objective in the stack form of
 ``cones``: a stack (s, *ambient_shape) of coordinates in, s distances out,
-each with the bits of the one-point call), a sampler yielding set points at a
-given approach scale (exactly on the set), samplers for the analytic normal
-cone at the base point (inside the unit ball, and outside by a margin), its
-extreme rays, and tangent directions that exercise the directional-derivative
-identity.
+each with the bits of the one-point call), a set sampler in the stack form of
+``manifolds`` (``omega_sampler(t, rng)`` returns the stack of coordinates of
+set points at approach scale t, exactly on the set), samplers for the
+analytic normal cone at the base point (inside the unit ball, and outside by
+a margin), its extreme rays, and tangent directions that exercise the
+directional-derivative identity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class SetFixture:
     name: str
     point: Point
     dist_fn: Callable[[np.ndarray], np.ndarray]
-    omega_sampler: Callable[[float, Generator], list]
+    omega_sampler: Callable[[float, Generator], np.ndarray]
     cone_sample_in: Callable[[Generator], np.ndarray]
     cone_sample_out: Callable[[Generator, float], np.ndarray]
     cone_rays: tuple = ()
@@ -49,9 +50,9 @@ def axis_fixture() -> SetFixture:
     def dist_fn(u: np.ndarray) -> np.ndarray:
         return np.abs(u[:, 1])
 
-    def omega_sampler(t: float, rng: Generator) -> list:
+    def omega_sampler(t: float, rng: Generator) -> np.ndarray:
         xs = t * rng.uniform(0.05, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
-        return [Point(m, np.array([x, 0.0])) for x in xs]
+        return np.column_stack([xs, np.zeros(8)])
 
     def cone_in(rng: Generator) -> np.ndarray:
         s = float(rng.uniform(-1.0, 1.0))
@@ -87,19 +88,15 @@ def halfplane_fixture() -> SetFixture:
     def dist_fn(u: np.ndarray) -> np.ndarray:
         return np.where(u[:, 1] < 0.0, 0.0, u[:, 1])  # max(y, 0.0), NaN and -0.0 kept
 
-    def omega_sampler(t: float, rng: Generator) -> list:
+    def omega_sampler(t: float, rng: Generator) -> np.ndarray:
         # the contingent cone here is two-dimensional, so ray-distance
         # estimates need angular density: a deterministic grid over the
         # feasible half turn plus jittered fill-in
-        out = []
-        for ang in np.linspace(math.pi, 2.0 * math.pi, 128):
-            r = t * 0.9
-            out.append(Point(m, r * np.array([math.cos(ang), math.sin(ang)])))
+        polar = [(t * 0.9, ang) for ang in np.linspace(math.pi, 2.0 * math.pi, 128).tolist()]
         for _ in range(8):
             ang = float(rng.uniform(math.pi, 2.0 * math.pi))
-            r = t * float(rng.uniform(0.05, 1.0))
-            out.append(Point(m, r * np.array([math.cos(ang), math.sin(ang)])))
-        return out
+            polar.append((t * float(rng.uniform(0.05, 1.0)), ang))
+        return np.array([[r * math.cos(ang), r * math.sin(ang)] for r, ang in polar])
 
     def cone_in(rng: Generator) -> np.ndarray:
         return np.array([0.0, float(rng.uniform(0.0, 1.0))])
@@ -159,9 +156,9 @@ def arc_fixture() -> SetFixture:
         # scalar libm atan2 row by row (np.arctan2 may round differently)
         return np.array([arc_angular_distance(math.atan2(y, x)) for x, y in u.tolist()])
 
-    def omega_sampler(t: float, rng: Generator) -> list:
+    def omega_sampler(t: float, rng: Generator) -> np.ndarray:
         angs = np.minimum(t, _ARC_HI) * rng.uniform(0.05, 1.0, size=8)
-        return [Point(m, np.array([math.cos(a), math.sin(a)])) for a in angs]
+        return np.array([[math.cos(a), math.sin(a)] for a in angs.tolist()])
 
     def cone_in(rng: Generator) -> np.ndarray:
         return np.array([0.0, -float(rng.uniform(0.0, 1.0))])
@@ -194,13 +191,13 @@ def fullspace_fixture(dim: int = 2) -> SetFixture:
     def dist_fn(u: np.ndarray) -> np.ndarray:
         return np.zeros(len(u))
 
-    def omega_sampler(t: float, rng: Generator) -> list:
+    def omega_sampler(t: float, rng: Generator) -> np.ndarray:
         out = []
         for _ in range(8):
             d = rng.standard_normal(dim)
             d /= np.linalg.norm(d)
-            out.append(Point(m, t * float(rng.uniform(0.05, 1.0)) * d))
-        return out
+            out.append(t * float(rng.uniform(0.05, 1.0)) * d)
+        return np.array(out)
 
     def cone_in(rng: Generator) -> np.ndarray:
         return np.zeros(dim)

@@ -14,11 +14,18 @@ take an explicit seed or generator and never touch global RNG state, and the
 local-distance verifier derives an independent substream per radius.
 
 The tangent projection, the tangency check, the on-manifold check, the
-exponential map and the seeded tangent draw also take a stack
-(s, *ambient_shape) of vectors at one point (or of points), for the sampled
-estimators that work a block at a time; each row comes out bitwise as if it
-were handled alone.  ``Point`` and ``Tangent`` are validated by the same
-stack rules on a one-row stack, and both refuse non-finite coordinates.
+exponential and logarithm maps, the distance and the seeded tangent draw
+also take a stack (s, *ambient_shape) of vectors at one point (or of
+points), for the sampled estimators that work a block at a time; each row
+comes out bitwise as if it were handled alone.  ``Point`` and ``Tangent``
+are validated by the same stack rules on a one-row stack, and both refuse
+non-finite coordinates.
+
+Set samplers follow one contract here and in ``cones``, ``fixtures`` and
+``wsm``: a sampler returns one stack (s, *ambient_shape) of point
+coordinates, and the code that takes it checks it with a single
+``require_on_manifold`` call (``point_stack``) instead of building a
+``Point`` per row.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .stiefel import frame_residual, qr_retract
+from .stiefel import frame_residual
 
 FEASIBILITY_TOL = 1e-10   # on-manifold residual allowed for Point
 TANGENCY_TOL = 1e-10      # relative tangency residual allowed for Tangent
@@ -93,7 +100,7 @@ class ManifoldDescriptor:
             return math.inf
         if self.kind == "sphere":
             return math.pi * self.radius
-        raise GeometryError("stiefel has no exact exponential chart here; use retract")
+        raise GeometryError("stiefel has no exact exponential chart here; use qr_retract")
 
     def __str__(self):
         if self.kind == "sphere":
@@ -133,9 +140,12 @@ def feasibility_residuals(m: ManifoldDescriptor, coords: np.ndarray) -> np.ndarr
 
 
 def require_on_manifold(m: ManifoldDescriptor, coords: np.ndarray) -> None:
-    """Raise unless every row of the stack ``coords`` is a point of m: finite,
-    with an on-manifold residual of at most FEASIBILITY_TOL.  This is the
-    rule every ``Point`` is validated by."""
+    """Raise unless ``coords`` is a stack (s, *ambient_shape) whose every row
+    is a point of m: finite, with an on-manifold residual of at most
+    FEASIBILITY_TOL.  This is the rule every ``Point`` is validated by."""
+    if coords.shape[1:] != m.ambient_shape or coords.ndim != len(m.ambient_shape) + 1:
+        raise GeometryError(f"expected a stack of points of shape (s, {m.ambient_shape}), "
+                            f"got {coords.shape}")
     if not np.isfinite(coords).all():
         raise GeometryError(f"point on {m} has a non-finite coordinate")
     if m.kind == "euclidean":
@@ -165,6 +175,16 @@ class Point:
 
     def feasibility_residual(self) -> float:
         return float(feasibility_residuals(self.manifold, self.coords[None])[0])
+
+
+def point_stack(m: ManifoldDescriptor, coords) -> np.ndarray:
+    """A sampler's output as a C-ordered float stack of points of m, checked
+    by one ``require_on_manifold`` call.  (Rows of a C-ordered stack are laid
+    out as a lone point is, which the per-row bits of the stack routines
+    rely on: BLAS dots of strided rows may round differently.)"""
+    coords = np.ascontiguousarray(coords, dtype=float)
+    require_on_manifold(m, coords)
+    return coords
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,7 +270,8 @@ def _same_base(p: Point, v: Tangent):
 def exp_map(p: Point, v: Tangent) -> Point:
     """Exact exponential map.  Euclidean: p + v.  Sphere: great-circle arc.
 
-    St(n, k) is refused here (no closed form is implemented); use ``retract``.
+    St(n, k) is refused here (no closed form is implemented); use
+    ``stiefel.qr_retract``.
     """
     _same_base(p, v)
     return Point(p.manifold, exp_coords(p, v.vec[None])[0])
@@ -264,11 +285,11 @@ def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
     if m.kind == "euclidean":
         return p.coords + vecs
     if m.kind != "sphere":
-        raise GeometryError(f"no exact exponential map for {m}; use retract")
+        raise GeometryError(f"no exact exponential map for {m}; use qr_retract")
     nv = row_norms(vecs).tolist()
     if 0.0 in nv:  # a zero step stays at p
         moving = np.array(nv) != 0.0
-        coords = np.array(np.broadcast_to(p.coords, vecs.shape))
+        coords = np.repeat(p.coords[None], len(vecs), axis=0)
         coords[moving] = exp_coords(p, vecs[moving])
         return coords
     rho = m.radius
@@ -284,39 +305,68 @@ def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
 def log_map(p: Point, q: Point) -> Tangent:
     """Inverse exponential chart.  Requires q inside the injectivity radius."""
     _same_manifold(p, q)
+    return Tangent(p, log_coords(p, q.coords[None])[0])
+
+
+def log_coords(p: Point, coords: np.ndarray) -> np.ndarray:
+    """log_p(q) for each row q of a stack of points of p's manifold
+    (euclidean or sphere), checked tangent at p.  Refuses a row beyond the
+    injectivity guard."""
     m = p.manifold
     if m.kind == "euclidean":
-        return Tangent(p, q.coords - p.coords)
-    if m.kind == "sphere":
+        vecs = coords - p.coords
+    elif m.kind == "sphere":
         rho = m.radius
-        cos_t = float(np.dot(p.coords, q.coords)) / rho**2
-        w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
-        nw = float(np.linalg.norm(w))
-        theta = math.atan2(nw / rho, cos_t)
-        if theta > INJECTIVITY_GUARD * math.pi:
+        dots = _row_dots(coords, p.coords)
+        w = coords - _per_row(dots / rho**2, coords) * p.coords
+        nw = row_norms(w)
+        theta = _atan2(nw / rho, dots / rho**2)
+        far = theta > INJECTIVITY_GUARD * math.pi
+        if far.any():
             raise GeometryError(
-                f"log undefined: points {theta / math.pi:.4f}*pi apart, "
+                f"log undefined: points {theta[far.argmax()] / math.pi:.4f}*pi apart, "
                 f"beyond the {INJECTIVITY_GUARD}*pi guard"
             )
-        if nw == 0.0:
-            return Tangent(p, np.zeros_like(p.coords))
-        return Tangent(p, (rho * theta / nw) * w)
-    raise GeometryError(f"no exact logarithm map for {m}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vecs = _per_row(rho * theta / nw, w) * w
+        vecs[nw == 0.0] = 0.0
+    else:
+        raise GeometryError(f"no exact logarithm map for {m}")
+    require_tangent(p, vecs)
+    return vecs
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise atan2 by scalar libm calls (np.arctan2 may round
+    differently)."""
+    return np.array([math.atan2(a, b) for a, b in zip(y.ravel().tolist(), x.ravel().tolist())]
+                    ).reshape(y.shape)
 
 
 def geodesic_distance(p: Point, q: Point) -> float:
     """Geodesic distance on euclidean/sphere; ambient chordal distance
     ||P - Q||_F on stiefel (a surrogate that lower-bounds the geodesic one)."""
     _same_manifold(p, q)
-    m = p.manifold
-    if m.kind == "euclidean":
-        return float(np.linalg.norm(q.coords - p.coords))
-    if m.kind == "sphere":
-        rho = m.radius
-        cos_t = float(np.dot(p.coords, q.coords)) / rho**2
-        w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
-        return rho * math.atan2(float(np.linalg.norm(w)) / rho, cos_t)
-    return float(np.linalg.norm(q.coords - p.coords))
+    return float(pairwise_distances(p.manifold, p.coords[None], q.coords[None])[0, 0])
+
+
+def pairwise_distances(m: ManifoldDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each row of the stack ``a`` to each row of the stack
+    ``b`` of points of m, shape (len(a), len(b)): geodesic on euclidean and
+    sphere, chordal on stiefel, as ``geodesic_distance``."""
+    size = math.prod(m.ambient_shape)
+    a, b = a.reshape(len(a), 1, size), b.reshape(1, len(b), size)
+    if m.kind != "sphere":
+        return _pair_norms(b - a)
+    rho = m.radius
+    dots = np.vecdot(a, b)
+    w = b - (dots / rho**2)[..., None] * a
+    return rho * _atan2(_pair_norms(w) / rho, dots / rho**2)
+
+
+def _pair_norms(diffs: np.ndarray) -> np.ndarray:
+    """Row norms of a (A, B, size) array of vectors, shape (A, B)."""
+    return row_norms(diffs.reshape(-1, diffs.shape[-1])).reshape(diffs.shape[:2])
 
 
 def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -345,19 +395,6 @@ def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> n
     return z
 
 
-def retract(p: Point, v: Tangent) -> Point:
-    """First-order retraction: exact exp on euclidean, radial rescaling on the
-    sphere, QR with a positive-diagonal sign convention on stiefel."""
-    _same_base(p, v)
-    m = p.manifold
-    if m.kind == "euclidean":
-        return Point(m, p.coords + v.vec)
-    if m.kind == "sphere":
-        w = p.coords + v.vec
-        return Point(m, w * (m.radius / np.linalg.norm(w)))
-    return Point(m, qr_retract(p.coords, v.vec))
-
-
 def curvature_norm(m: ManifoldDescriptor) -> float:
     """Largest curvature value over orthonormal frames: 0 for euclidean,
     1/rho^2 for the sphere of radius rho.  Unknown for stiefel (refused)."""
@@ -366,14 +403,6 @@ def curvature_norm(m: ManifoldDescriptor) -> float:
     if m.kind == "sphere":
         return 1.0 / m.radius**2
     raise GeometryError(f"unknown curvature bound for {m}")
-
-
-def point_set_distance(q: Point, points: Sequence[Point]) -> float:
-    """Distance from q to a finite set of points (min of pairwise distances)."""
-    pts = list(points)
-    if not pts:
-        raise GeometryError("point_set_distance needs a nonempty set")
-    return min(geodesic_distance(q, s) for s in pts)
 
 
 def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
@@ -390,17 +419,28 @@ def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
     64 draws per row; only then does the stream part from the one-at-a-time
     order.
     """
-    m = p.manifold
+    shape = p.manifold.ambient_shape
     gens = [rng] if isinstance(rng, Generator) else list(rng)
 
-    def draw(rows: Sequence[tuple]) -> np.ndarray:
-        """Projected draws, ``rows`` = ((generator index, row count), ...)."""
-        z = np.concatenate([gens[g].standard_normal((r, *m.ambient_shape)) for g, r in rows])
-        vecs = tangent_project(m, p.coords, z)
-        require_tangent(p, vecs)
-        return vecs
+    def redraw(rows: np.ndarray) -> np.ndarray:
+        owners, counts = np.unique(rows // count, return_counts=True)
+        return np.concatenate([gens[g].standard_normal((r, *shape))
+                               for g, r in zip(owners.tolist(), counts.tolist())])
 
-    vecs = draw([(g, count) for g in range(len(gens))])
+    z = np.concatenate([g.standard_normal((count, *shape)) for g in gens])
+    return _scaled_tangents(p, z, redraw, norm)
+
+
+def _scaled_tangents(p: Point, z: np.ndarray, redraw: Callable[[np.ndarray], np.ndarray],
+                     norm) -> np.ndarray:
+    """The stack of ambient draws z projected onto the tangent space at p and
+    scaled to length ``norm`` (a float, or one per row), checked tangent.  A
+    row whose projection has length <= 1e-12 is replaced by the projection of
+    ``redraw(rows)``, fresh draws for those row indices, at most 64 draws per
+    row."""
+    m = p.manifold
+    vecs = tangent_project(m, p.coords, z)
+    require_tangent(p, vecs)
     lengths = row_norms(vecs)
     for attempt in range(64):
         redo = np.flatnonzero(lengths <= 1e-12)
@@ -408,8 +448,8 @@ def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
             break
         if attempt == 63:
             raise GeometryError("failed to sample a nondegenerate tangent direction")
-        owners, rows = np.unique(redo // count, return_counts=True)
-        vecs[redo] = draw(list(zip(owners.tolist(), rows.tolist())))
+        vecs[redo] = tangent_project(m, p.coords, redraw(redo))
+        require_tangent(p, vecs[redo])
         lengths[redo] = row_norms(vecs[redo])
     vecs = _per_row(norm / lengths, vecs) * vecs
     require_tangent(p, vecs)
@@ -422,13 +462,31 @@ def random_tangent(p: Point, rng: Generator, norm: float = 1.0) -> Tangent:
     return Tangent(p, random_tangents(p, rng, 1, norm)[0])
 
 
-def sample_chart_ball(p: Point, r: float, rng: Generator) -> Point:
-    """Point of exp_p(B(0, r)), uniform in the chart ball (euclidean/sphere)."""
-    d = p.manifold.intrinsic_dim
-    radius = r * float(rng.uniform()) ** (1.0 / max(d, 1))
-    if radius == 0.0:
-        return Point(p.manifold, p.coords)
-    return exp_map(p, random_tangent(p, rng, norm=radius))
+def chart_ball_points(p: Point, r: float, rng: Generator, count: int) -> np.ndarray:
+    """Stack of ``count`` points of exp_p(B(0, r)), uniform in the chart ball
+    (euclidean/sphere).
+
+    The draws stay one point at a time: each point draws its radius, then,
+    unless the radius is 0 (the point is p), one ``standard_normal`` draw for
+    its direction.  The directions are projected, scaled to their radii and
+    mapped as one block; a degenerate projection (a measure-zero event) is
+    redrawn after all points, as in ``random_tangents``."""
+    m = p.manifold
+    exponent = 1.0 / max(m.intrinsic_dim, 1)
+    radii = np.zeros(count)
+    draws = []
+    for i in range(count):
+        radii[i] = r * float(rng.uniform()) ** exponent
+        if radii[i] != 0.0:
+            draws.append(rng.standard_normal(m.ambient_shape))
+    coords = np.repeat(p.coords[None], count, axis=0)
+    if draws:
+        moving = radii != 0.0
+        steps = _scaled_tangents(
+            p, np.array(draws),
+            lambda rows: rng.standard_normal((len(rows), *m.ambient_shape)), radii[moving])
+        coords[moving] = exp_coords(p, steps)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -462,7 +520,7 @@ _FLAT_DEVIATION = 1e-12  # below this the chart is treated as exact (flat case)
 
 def verify_local_distance_lemma(
     p: Point,
-    set_sampler: Callable[[float, Generator], Sequence[Point]],
+    set_sampler: Callable[[float, Generator], np.ndarray],
     radii: Sequence[float],
     samples_per_radius: int = 200,
     seed: int = 0,
@@ -470,12 +528,14 @@ def verify_local_distance_lemma(
 ) -> LemmaReport:
     """Compare set distances against their exponential-chart images.
 
-    For each radius r, ``set_sampler(r, rng)`` must yield a finite subset of
-    the target set intersected with B(p, r).  Test points are drawn uniformly
-    from the chart ball of radius r; for each, the ratio of the manifold set
-    distance to the chart set distance is measured.  The worst deviations are
-    regressed on r in log-log scale and the r^2 coefficient is compared with
-    curvature/6 inflated by ``coefficient_slack``.
+    For each radius r, ``set_sampler(r, rng)`` must return a stack of points
+    of a finite subset of the target set intersected with B(p, r).  Test
+    points are drawn uniformly from the chart ball of radius r; for each, the
+    ratio of the manifold set distance to the chart set distance is measured.
+    The distances from all test points to all set points are one array per
+    radius.  The worst deviations are regressed on r in log-log scale and the
+    r^2 coefficient is compared with curvature/6 inflated by
+    ``coefficient_slack``.
     """
     m = p.manifold
     if m.kind not in ("euclidean", "sphere"):
@@ -491,24 +551,19 @@ def verify_local_distance_lemma(
     deviations = []
     for r, ss in zip(radii, SeedSequence(seed).spawn(len(radii))):
         rng = default_rng(ss)
-        omega = list(set_sampler(r, rng))
-        if not omega:
+        omega = point_stack(m, set_sampler(r, rng))
+        if not len(omega):
             raise GeometryError(f"set sampler returned no points at r={r}")
-        chart_set = []
-        for s in omega:
-            if geodesic_distance(p, s) > r * (1.0 + 1e-9):
-                raise GeometryError(f"sampler produced a point outside B(p, {r})")
-            chart_set.append(log_map(p, s).vec)
-        worst = 0.0
-        for _ in range(samples_per_radius):
-            u = sample_chart_ball(p, r, rng)
-            chart_u = log_map(p, u).vec
-            chart_dist = min(float(np.linalg.norm(chart_u - w)) for w in chart_set)
-            if chart_dist < 1e-14:
-                continue  # test point collided with a set point
-            manifold_dist = point_set_distance(u, omega)
-            worst = max(worst, abs(manifold_dist / chart_dist - 1.0))
-        deviations.append(worst)
+        if np.any(pairwise_distances(m, p.coords[None], omega) > r * (1.0 + 1e-9)):
+            raise GeometryError(f"sampler produced a point outside B(p, {r})")
+        chart_set = log_coords(p, omega)
+        u = point_stack(m, chart_ball_points(p, r, rng, samples_per_radius))
+        chart_u = log_coords(p, u)
+        chart_dist = _pair_norms(chart_u[:, None] - chart_set[None]).min(axis=1)
+        keep = chart_dist >= 1e-14  # a test point that collided with a set point is skipped
+        manifold_dist = pairwise_distances(m, u[keep], omega).min(axis=1)
+        deviations.append(float(np.max(np.abs(manifold_dist / chart_dist[keep] - 1.0),
+                                       initial=0.0)))
 
     target = curvature_norm(m) / 6.0
     if all(d <= _FLAT_DEVIATION for d in deviations):
@@ -532,20 +587,20 @@ def verify_local_distance_lemma(
 
 def geodesic_sphere_sampler(
     p: Point, n_points: int = 16
-) -> Callable[[float, Generator], list]:
-    """Sampler yielding points at geodesic distance exactly r from p, at
-    seeded angles in a fixed tangent 2-plane.  Standard fixture for the
-    local-distance verifier."""
+) -> Callable[[float, Generator], np.ndarray]:
+    """Sampler of the stack of ``n_points`` points at geodesic distance
+    exactly r from p, at seeded angles in a fixed tangent 2-plane.  Standard
+    fixture for the local-distance verifier."""
 
-    def sampler(r: float, rng: Generator) -> list:
-        basis = _tangent_plane_basis(p, rng)
+    def sampler(r: float, rng: Generator) -> np.ndarray:
+        u, w = _tangent_plane_basis(p, rng)
         angles = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-        angles = angles + rng.uniform(0.0, 2.0 * math.pi / n_points)
-        out = []
-        for a in angles:
-            direction = math.cos(a) * basis[0] + math.sin(a) * basis[1]
-            out.append(exp_map(p, Tangent(p, r * direction)))
-        return out
+        angles = (angles + rng.uniform(0.0, 2.0 * math.pi / n_points)).tolist()
+        cos = np.array([math.cos(a) for a in angles])
+        sin = np.array([math.sin(a) for a in angles])
+        steps = r * (cos[:, None] * u + sin[:, None] * w)
+        require_tangent(p, steps)
+        return exp_coords(p, steps)
 
     return sampler
 

@@ -28,7 +28,7 @@ def frame_residual(u: np.ndarray):
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
         return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
-    flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(len(u), -1)
+    flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(len(u), u.shape[-1] ** 2)
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -80,11 +80,13 @@ def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def random_stiefel(n: int, k: int, rng: Generator) -> np.ndarray:
-    """Seeded frame distributed by the orthogonal-invariant measure."""
-    g = rng.standard_normal((n, k))
+def random_stiefel(n: int, k: int, rng: Generator, count: int | None = None) -> np.ndarray:
+    """Seeded frame distributed by the orthogonal-invariant measure, or a
+    stack (count, n, k) of them from one ``standard_normal`` draw and one
+    batched QR; slice i equals the i-th of ``count`` one-frame calls."""
+    g = rng.standard_normal((n, k) if count is None else (count, n, k))
     q, r = np.linalg.qr(g)
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
 
 
 def zero_rows(p: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> tuple:

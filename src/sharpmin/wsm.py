@@ -12,8 +12,10 @@ consistency otherwise; sufficiency is never claimed.
 
 Objectives take the stack form of ``cones``: f maps a stack
 (s, *ambient_shape) of point coordinates to s values, and every check calls
-it once on all the points it scores.  Samplers and brackets still work on
-``Point`` values.
+it once on all the points it scores.  Samplers follow the contract of
+``manifolds``: ``sampler(count, rng)`` returns one stack of point
+coordinates, checked on the manifold by one call.  Brackets take the
+coordinates of one point and are called once per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .manifolds import GeometryError, Point, Tangent, geodesic_distance
+from .manifolds import (
+    GeometryError,
+    ManifoldDescriptor,
+    Point,
+    Tangent,
+    pairwise_distances,
+    point_stack,
+)
 from .cones import (
     DEFAULT_SCHEDULE,
     Schedule,
@@ -46,21 +55,23 @@ class WsmInstance:
     """One sharpness-verification problem.
 
     ``f`` maps a stack of point coordinates to one value per row;
-    ``feasible_sampler(count, rng)`` yields feasible points; ``bracket(u)``
-    returns (lb, ub) enclosing dist(u; solution set); ``point`` is a reference
-    solution where f attains its minimum; ``radius`` restricts the check to a
-    ball around it (math.inf for a global check).  When ``solution_sampler``
-    is given, the reference-minimality of ``point`` is spot-checked against
-    sampled solution-set points before any verdict is issued.
+    ``feasible_sampler(count, rng)`` returns a stack of feasible points;
+    ``bracket(u)`` returns (lb, ub) enclosing dist(u; solution set) for the
+    coordinates u of one point; ``point`` is a reference solution where f
+    attains its minimum; ``radius`` restricts the check to a ball around it
+    (math.inf for a global check).  When ``solution_sampler`` (a stack
+    sampler as well) is given, the reference-minimality of ``point`` is
+    spot-checked against sampled solution-set points before any verdict is
+    issued.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    feasible_sampler: Callable[[int, np.random.Generator], Sequence[Point]]
-    bracket: Callable[[Point], tuple]
+    feasible_sampler: Callable[[int, np.random.Generator], np.ndarray]
+    bracket: Callable[[np.ndarray], tuple]
     point: Point
     alpha: float
     radius: float = math.inf
-    solution_sampler: Callable[[int, np.random.Generator], Sequence[Point]] | None = None
+    solution_sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -70,8 +81,9 @@ class WsmInstance:
         if self.solution_sampler is None:
             return
         rng = default_rng(seed)
-        f0 = _values_at(self.f, [self.point])[0]
-        if any(fs < f0 - tol for fs in _values_at(self.f, self.solution_sampler(n_samples, rng))):
+        f0 = _values_at(self.f, self.point.coords[None])[0]
+        solutions = point_stack(self.point.manifold, self.solution_sampler(n_samples, rng))
+        if any(fs < f0 - tol for fs in _values_at(self.f, solutions)):
             raise GeometryError("reference point is not minimal over sampled solution set")
 
 
@@ -100,19 +112,22 @@ class WsmVerdict:
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
                        tol: float = VIOLATION_TOL) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set)
-    against the distance bracket."""
+    against the distance bracket: f on the stack of samples in one call, the
+    bracket once per sample."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
     rng = default_rng(seed)
-    f0 = _values_at(inst.f, [inst.point])[0]
+    m = inst.point.manifold
+    f0 = _values_at(inst.f, inst.point.coords[None])[0]
     strong = True
     witness = None
     modulus = math.inf
     checked = 0
-    samples = [u for u in inst.feasible_sampler(n_samples, rng)
-               if not (inst.radius < math.inf
-                       and geodesic_distance(u, inst.point) > inst.radius)]
+    samples = point_stack(m, inst.feasible_sampler(n_samples, rng))
+    if inst.radius < math.inf:
+        samples = samples[~(pairwise_distances(m, samples, inst.point.coords[None])[:, 0]
+                            > inst.radius)]
     for u, fu in zip(samples, _values_at(inst.f, samples)):
         if not math.isfinite(fu):
             raise GeometryError("objective not finite at a feasible sample")
@@ -124,7 +139,7 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
         if ub > INSIDE_TOL and math.isfinite(ub):
             modulus = min(modulus, gain / ub)
         if witness is None and gain < inst.alpha * lb - tol:
-            witness = (np.array(u.coords), fu, lb, ub)
+            witness = (np.array(u), fu, lb, ub)
         if gain < inst.alpha * ub - tol:
             strong = False
     if witness is not None:
@@ -133,38 +148,39 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
     return WsmVerdict(status, None, modulus, checked)
 
 
-def _values_at(f, points: Sequence[Point]) -> list:
-    """f at each of a list of points, as floats, from one call on the stack
-    of their coordinates (no call for an empty list)."""
-    points = list(points)
-    if not points:
-        return []
-    return objective_values(f, np.stack([u.coords for u in points])).tolist()
+def _values_at(f, coords: np.ndarray) -> list:
+    """f at each point of a stack, as floats, from one call (no call for an
+    empty stack)."""
+    return objective_values(f, coords).tolist() if len(coords) else []
 
 
 def estimate_modulus(
     f: Callable[[np.ndarray], np.ndarray],
-    feasible_sampler: Callable[[int, np.random.Generator], Sequence[Point]],
-    bracket: Callable[[Point], tuple],
+    feasible_sampler: Callable[[int, np.random.Generator], np.ndarray],
+    bracket: Callable[[np.ndarray], tuple],
     n_samples: int,
     seed: int = 0,
     f_min: float = 0.0,
+    *,
+    manifold: ManifoldDescriptor,
 ) -> float:
     """Infimum over samples of (f(u) - f_min) / ub(u), skipping points inside
     the set (ub <= INSIDE_TOL).  Using the upper bracket end makes this a
-    conservative estimate of the best modulus valid on the sampled region."""
-    rng = default_rng(seed)
+    conservative estimate of the best modulus valid on the sampled region.
+    The sampled stack is checked on ``manifold``; f is called once on the
+    samples outside the set."""
+    samples = point_stack(manifold, feasible_sampler(n_samples, default_rng(seed)))
     outside, ubs = [], []
-    for u in feasible_sampler(n_samples, rng):
+    for i, u in enumerate(samples):
         lb, ub = bracket(u)
         if ub <= INSIDE_TOL or not math.isfinite(ub):
             continue  # inside the set, or unbracketed
-        outside.append(u)
+        outside.append(i)
         ubs.append(ub)
     if not outside:
         raise GeometryError("all samples landed inside the solution set")
     est = math.inf
-    for fu, ub in zip(_values_at(f, outside), ubs):
+    for fu, ub in zip(_values_at(f, samples[outside]), ubs):
         est = min(est, (fu - f_min) / ub)
     return est
 
@@ -202,7 +218,7 @@ def check_primal_nc(
     failures = []
     for i, vec in enumerate(directions):
         v = Tangent(p, vec)
-        lhs = contingent_derivative(f, p, v, schedule, seed=seed + 11 * i)
+        lhs = contingent_derivative(f, p, v, schedule)
         rhs = contingent_cone_distance(omega_sampler, p, v, schedule, seed=seed + 11 * i + 5)
         if lhs < alpha * rhs - tol:
             failures.append((vec, lhs, rhs))
@@ -221,19 +237,18 @@ def check_dual_nc(
     """Dual necessary condition: every covector in the normal cone capped at
     norm alpha must survive the subdifferential refuter on f.  The sampler
     covers the extreme rays of the cone first (the places a sharpness claim
-    fails first) and fills up with random members scaled into the alpha-ball."""
+    fails first) and fills up with random members scaled into the alpha-ball.
+    The candidates and their seeds are drawn first and then refuted as one
+    stack."""
     rng = default_rng(seed)
     candidates = [alpha * r for r in cone.extreme_rays()]
     remaining = max(0, n_cone_samples - len(candidates))
     candidates.extend(cone.sample_members(rng, remaining, radius=alpha))
     if not candidates:
         raise GeometryError("cone description produced no candidate covectors")
-    failures = []
-    for x in candidates:
-        verdict = frechet_subdiff_refute(f, p, Tangent(p, x), schedule,
-                                         seed=int(rng.integers(2**31)))
-        if verdict.refuted:
-            failures.append(verdict.witness)
+    seeds = [int(rng.integers(2**31)) for _ in candidates]
+    verdicts = frechet_subdiff_refute(f, p, np.array(candidates), schedule, seed=seeds)
+    failures = [v.witness for v in verdicts if v.refuted]
     return NcVerdict("dual", not failures, len(candidates), tuple(failures))
 
 

@@ -2,7 +2,6 @@
 penalty, subgradient, solver, rounding, and the penalty exponent study."""
 
 import math
-import warnings
 from itertools import product
 
 import numpy as np
@@ -25,7 +24,6 @@ from sharpmin.cheeger import (
     indicator_frame,
     lipschitz_bound,
     load_graph,
-    penalized_objective,
     penalty_h,
     riemannian_subgradient,
     round_solution,
@@ -336,28 +334,6 @@ class TestDistUpperEstimate:
             assert np.all(local.feasible.matrix >= 0.0)
 
 
-class TestPenalizedObjective:
-    def test_feasible_equals_relaxation(self):
-        g = load_graph(P3)
-        u = np.array([[1.0], [0.0], [0.0]])
-        c = 2.0 * lipschitz_bound(g, 1)
-        assert penalized_objective(g, u, 1.0, c) == grad_norm_l1(g, u)
-
-    def test_zero_weight_warns(self):
-        g = load_graph(P3)
-        u = np.array([[1.0], [0.0], [0.0]])
-        with pytest.warns(UserWarning):
-            assert penalized_objective(g, u, 1.0, 1e-9) == grad_norm_l1(g, u)
-
-    def test_hand_value(self):
-        g = load_graph(P3)
-        u = np.array([[0.0], [0.0], [-1.0]])
-        c = 2.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert penalized_objective(g, u, 1.0, c) == pytest.approx(3.0, abs=1e-15)
-
-
 class TestSubgradient:
     def test_edgeless_tie_is_zero(self):
         g = Graph(n=2, edges=())
@@ -399,9 +375,8 @@ class TestSubgradient:
             h = 1e-6
 
             def val(t):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    return penalized_objective(g, qr_retract(u, t * w), 1.0, c)
+                x = qr_retract(u, t * w)
+                return grad_norm_l1(g, x) + c * penalty_h(x, 1.0)
 
             fd = (val(h) - val(-h)) / (2 * h)
             assert fd == pytest.approx(float(np.sum(grad * w)), abs=1e-4)

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sharpmin
 from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, run
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
@@ -349,3 +352,13 @@ class TestCsvReason:
             ["exact", "--graph", str(f), "--k", "1", "--format", "csv"])
         assert code == EXIT_USAGE
         assert reason == "edge (1, 3) out of range for n=2 (need 1 <= u < v <= n)"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a dev-only dependency: the command line must start without it
+    src = Path(sharpmin.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sharpmin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

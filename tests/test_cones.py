@@ -1,6 +1,7 @@
 """Tests for the cone estimators/refuters, the sign/support pattern of the
 normal cone to the nonnegative Stiefel slice, and the identity checkers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
+import sharpmin.cones as cones_module
 import sharpmin.fixtures as fx
 from sharpmin.cones import (
     DEFAULT_SCHEDULE,
@@ -63,6 +65,21 @@ class TestSchedule:
 
 
 class TestPatternCone:
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (6, 2), (6, 3), (8, 3)])
+    def test_basis_matches_scipy_null_space(self, n, k, monkeypatch):
+        # same rank rule and the same subspace as scipy.linalg.null_space;
+        # the bases agree bit for bit where numpy and scipy share a LAPACK
+        # build, which the byte-identical reports depend on
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(10 * n + k)
+        frames = [random_stiefel_plus(n, k, rng) for _ in range(40)] + [np.eye(n, k)]
+        ours = [stiefel_plus_normal_cone(p).subspace_basis for p in frames]
+        monkeypatch.setattr(cones_module, "_null_space", linalg.null_space)
+        theirs = [stiefel_plus_normal_cone(p).subspace_basis for p in frames]
+        for a, b in zip(ours, theirs):
+            assert a.shape == b.shape
+            assert np.allclose(a @ a.T, b @ b.T, rtol=0.0, atol=1e-12)
+
     def test_first_axis_point(self):
         cone = stiefel_plus_normal_cone(np.array([[1.0], [0.0]]))
         assert cone.zero_rows == (1,)
@@ -257,7 +274,7 @@ class TestContingentConeDistance:
 
         def sampler(t, rng):
             xs = t * rng.uniform(0.1, 1.0, size=6)
-            return [Point(m, np.array([x, x * x])) for x in xs]
+            return np.column_stack([xs, xs * xs])
 
         d = contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
         assert d <= 1e-3  # sampled rays tilt by O(t) at the smallest scales
@@ -267,7 +284,7 @@ class TestContingentConeDistance:
         p = Point(m, np.zeros(2))
 
         def sampler(t, rng):
-            return []
+            return np.zeros((0, 2))
 
         with pytest.raises(GeometryError):
             contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
@@ -325,10 +342,10 @@ class TestCrossValidation:
         p = random_stiefel_plus(5, 2, rng)
         sampler = stiefel_plus_sampler(p)
         pts = sampler(0.05, rng)
-        assert pts
+        assert len(pts)
         for u in pts:
-            assert np.all(u.coords >= 0.0)
-            assert 0 < np.linalg.norm(u.coords - p) <= 0.1
+            assert np.all(u >= 0.0)
+            assert 0 < np.linalg.norm(u - p) <= 0.1
 
 
 class TestChordalPath:
@@ -610,7 +627,7 @@ class TestBlockKernelMatchesPerSampleReference:
                    tangent_project(frame.manifold, frame.coords, np.arange(8.0).reshape(4, 2)))]
         for f, p, vec in cases:
             v = Tangent(p, np.asarray(vec, dtype=float))
-            got = contingent_derivative(f, p, v, seed=seed)
+            got = contingent_derivative(f, p, v)
             assert _bits(got) == _bits(ref_contingent_derivative(f, p, v, seed=seed))
 
     @pytest.mark.parametrize("p", [
@@ -653,3 +670,400 @@ class _Scripted:
         out = self.draws.pop(0)
         assert out.shape == shape
         return out
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-Point-per-sample samplers and consumers that the stack
+# contract replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_stiefel_plus_sampler(p, tol=1e-12):
+    """Per-move, per-angle sampler yielding one Point per accepted frame."""
+    mat = np.asarray(p, dtype=float)
+    n, k = mat.shape
+    zrows = [i for i in range(n) if np.all(np.abs(mat[i]) <= tol)]
+    supports = [tuple(np.flatnonzero(mat[:, j] > tol)) for j in range(k)]
+    moves = []
+    for sup in supports:
+        for j in sup:
+            wj = float(np.linalg.norm(mat[j, :]))
+            for i in zrows:
+                moves.append((i, j, +1.0, wj))
+            for i in sup:
+                if i != j:
+                    moves.append((i, j, +1.0, wj))
+
+    def rotate(i, j, theta):
+        out = mat.copy()
+        c, s = math.cos(theta), math.sin(theta)
+        ri, rj = mat[i, :].copy(), mat[j, :].copy()
+        out[i, :] = c * ri + s * rj
+        out[j, :] = -s * ri + c * rj
+        return out
+
+    def sampler(t, rng):
+        out = []
+        for i, j, sign, wj in moves:
+            if wj <= 0:
+                continue
+            theta = min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4)
+            for th in (sign * theta, sign * theta * float(rng.uniform(0.3, 0.95)), -sign * theta):
+                v = rotate(i, j, th)
+                if not np.all(v >= -0.0):
+                    continue
+                d = float(np.linalg.norm(v - mat))
+                if 0.0 < d <= 2.0 * t:
+                    out.append(Point(stiefel(n, k), v))
+        return out
+
+    return sampler
+
+
+def ref_log(p, q):
+    """Scalar inverse exponential chart (euclidean and sphere)."""
+    m = p.manifold
+    if m.kind == "euclidean":
+        return q.coords - p.coords
+    rho = m.radius
+    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
+    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
+    nw = float(np.linalg.norm(w))
+    theta = math.atan2(nw / rho, cos_t)
+    if nw == 0.0:
+        return np.zeros_like(p.coords)
+    return (rho * theta / nw) * w
+
+
+def _ref_chart_vector(p, u):
+    if p.manifold.kind in ("euclidean", "sphere"):
+        w = ref_log(p, u)
+        return w, float(np.linalg.norm(w))
+    chord = u.coords - p.coords
+    return chord, float(np.linalg.norm(chord))
+
+
+def ref_normal_refute(sampler, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+    streams = SeedSequence(seed).spawn(len(schedule.scales))
+    trace, best = [], []
+    for t, ss in zip(schedule.scales, streams):
+        rng = default_rng(ss)
+        q_max, arg = -math.inf, None
+        for u in sampler(t, rng):
+            w, d = _ref_chart_vector(p, u)
+            if d <= 0.0 or d > 2.0 * t:
+                continue
+            q = float(np.sum(x.vec * w)) / d
+            if q > q_max:
+                q_max, arg = q, u
+        trace.append((t, q_max))
+        best.append(arg)
+    idx = _two_consecutive(trace, schedule.tol, above=True)
+    if idx is None:
+        return RefutationVerdict("consistent", None, tuple(trace))
+    witness = Witness(covector=np.array(x.vec), point_coords=np.array(best[idx].coords),
+                      scale=trace[idx][0], quotient=trace[idx][1])
+    return RefutationVerdict("refuted", witness, tuple(trace))
+
+
+def ref_ray_distance(v, w):
+    nw = float(np.linalg.norm(w))
+    wh = w / nw
+    s = max(float(np.sum(v * wh)), 0.0)
+    return float(np.linalg.norm(v - s * wh))
+
+
+def ref_contingent_cone_distance(sampler, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
+                                 tail_scales=2):
+    streams = SeedSequence(seed).spawn(len(schedule.scales))
+    tail_start = max(0, len(schedule.scales) - tail_scales)
+    estimate = math.inf
+    for j, (t, ss) in enumerate(zip(schedule.scales, streams)):
+        pts = list(sampler(t, default_rng(ss)))
+        if j < tail_start:
+            continue
+        for u in pts:
+            w, d = _ref_chart_vector(p, u)
+            if d > 0.0:
+                estimate = min(estimate, ref_ray_distance(v.vec, w))
+    return estimate
+
+
+def ref_cross_validate(n_frames, seed, n_max=6, k_max=3, per_frame=5, margin=0.1):
+    """The cross-validation as one refuter call per covector."""
+    from sharpmin.cones import _pattern_violators
+
+    schedule = Schedule.geometric(t0=0.1, eta=0.5, n_scales=8, samples_per_scale=8)
+    rng = np.random.default_rng(seed)
+    members = violators = 0
+    disagreements = []
+    for idx in range(n_frames):
+        n = int(rng.integers(2, n_max + 1))
+        k = int(rng.integers(1, min(k_max, n) + 1))
+        p = random_stiefel_plus(n, k, rng)
+        cone = stiefel_plus_normal_cone(p)
+        sampler = ref_stiefel_plus_sampler(p)
+        base = Point(stiefel(n, k), p)
+        for x in cone.sample_members(rng, per_frame):
+            members += 1
+            if not cone.contains(x):
+                disagreements.append((idx, "member-not-in-pattern", x))
+                continue
+            if ref_normal_refute(sampler, base, Tangent(base, x), schedule,
+                                 seed=int(rng.integers(2**31))).refuted:
+                disagreements.append((idx, "member-refuted", x))
+        for x in _pattern_violators(cone, rng, per_frame, margin):
+            violators += 1
+            if cone.contains(x):
+                disagreements.append((idx, "violator-in-pattern", x))
+                continue
+            if not ref_normal_refute(sampler, base, Tangent(base, x), schedule,
+                                     seed=int(rng.integers(2**31))).refuted:
+                disagreements.append((idx, "violator-not-refuted", x))
+    return members, violators, disagreements
+
+
+def ref_dist_subdiff_identity(fixture, n_covectors, seed, margin=0.1):
+    """Failures of the distance-subdifferential check, one refuter call per
+    covector."""
+    rng = np.random.default_rng(seed)
+    p = fixture.point
+    inside = []
+    for _ in range(n_covectors):
+        x = fixture.cone_sample_in(rng)
+        v = ref_subdiff_refute(fixture.dist_fn, p, Tangent(p, x), seed=int(rng.integers(2**31)))
+        if v.refuted:
+            inside.append(v.witness)
+    outside_x, rays = [], list(fixture.cone_rays)
+    for i in range(n_covectors):
+        if rays and i % 2 == 0:
+            outside_x.append((1.0 + margin + float(rng.uniform(0.0, 0.5)))
+                             * rays[(i // 2) % len(rays)])
+        else:
+            outside_x.append(fixture.cone_sample_out(rng, margin))
+    outside = [x for x in outside_x
+               if not ref_subdiff_refute(fixture.dist_fn, p, Tangent(p, x),
+                                         seed=int(rng.integers(2**31))).refuted]
+    return inside, outside
+
+
+def ref_fixture_sampler(name):
+    """The fixtures' set samplers as they were, one Point per set point."""
+    m = euclidean(2)
+    if name == "axis-in-plane":
+        def sampler(t, rng):
+            xs = t * rng.uniform(0.05, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
+            return [Point(m, np.array([x, 0.0])) for x in xs]
+    elif name == "halfplane":
+        def sampler(t, rng):
+            out = []
+            for ang in np.linspace(math.pi, 2.0 * math.pi, 128):
+                r = t * 0.9
+                out.append(Point(m, r * np.array([math.cos(ang), math.sin(ang)])))
+            for _ in range(8):
+                ang = float(rng.uniform(math.pi, 2.0 * math.pi))
+                r = t * float(rng.uniform(0.05, 1.0))
+                out.append(Point(m, r * np.array([math.cos(ang), math.sin(ang)])))
+            return out
+    elif name == "nonnegative-arc":
+        def sampler(t, rng):
+            angs = np.minimum(t, math.pi / 2.0) * rng.uniform(0.05, 1.0, size=8)
+            return [Point(sphere(2, 1.0), np.array([math.cos(a), math.sin(a)])) for a in angs]
+    else:
+        def sampler(t, rng):
+            out = []
+            for _ in range(8):
+                d = rng.standard_normal(2)
+                d /= np.linalg.norm(d)
+                out.append(Point(m, t * float(rng.uniform(0.05, 1.0)) * d))
+            return out
+    return sampler
+
+
+FRAME_GRID = [(2, 1), (4, 2), (6, 2), (8, 3)]
+
+
+def _grid_frames(n, k):
+    """A reference frame with zero rows, a frame without (when n == k or
+    every row is used) and seeded St+ frames."""
+    rng = np.random.default_rng(n * 10 + k)
+    frames = [np.eye(n, k), random_stiefel_plus(n, k, rng, rows_used=n)]
+    return frames + [random_stiefel_plus(n, k, rng) for _ in range(2)]
+
+
+def _grid_covectors(cone, rng):
+    from sharpmin.cones import _pattern_violators
+
+    xs = cone.extreme_rays()[:3] + cone.sample_members(rng, 3)
+    xs += _pattern_violators(cone, rng, 3, 0.1) + [np.zeros((cone.n, cone.k))]
+    if len(cone.zero_rows) >= 2:
+        # equal mass on the zero rows of column 0: symmetric moves from one
+        # supported row tie in quotient, so each scale must keep the first
+        tie = np.zeros((cone.n, cone.k))
+        tie[list(cone.zero_rows), 0] = 0.5
+        xs.append(tie)
+    return xs
+
+
+def _stack_of(points, shape):
+    return np.array([u.coords for u in points], dtype=float).reshape(len(points), *shape)
+
+
+class TestStackSamplersMatchPerSampleReference:
+    """Samplers return coordinate stacks and the refuters score each chunk of
+    covectors as one block; both must reproduce the one-Point-per-sample code
+    bit for bit: same stacks, traces, witnesses and skip counts, however the
+    covectors are split into chunks."""
+
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    def test_stiefel_plus_sampler(self, n, k):
+        for frame in _grid_frames(n, k):
+            for t in (0.1, 0.0125, 1e-4):
+                got = stiefel_plus_sampler(frame)(t, np.random.default_rng(3))
+                want = ref_stiefel_plus_sampler(frame)(t, np.random.default_rng(3))
+                assert got.shape == (len(want), n, k)
+                assert got.tobytes() == _stack_of(want, (n, k)).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 20_000, None], ids=["one-per-chunk", "split", "default"])
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    def test_normal_refute(self, n, k, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+        schedule = Schedule.geometric(t0=0.1, eta=0.5, n_scales=8, samples_per_scale=8)
+        refuted = 0
+        for f_idx, frame in enumerate(_grid_frames(n, k)):
+            cone = stiefel_plus_normal_cone(frame)
+            base = Point(stiefel(n, k), frame)
+            xs = _grid_covectors(cone, np.random.default_rng(f_idx))
+            seeds = [17 * i + f_idx for i in range(len(xs))]
+            got = frechet_normal_refute(stiefel_plus_sampler(frame), base, np.array(xs),
+                                        schedule, seed=seeds)
+            assert len(got) == len(xs)
+            for x, sd, v in zip(xs, seeds, got):
+                want = ref_normal_refute(ref_stiefel_plus_sampler(frame), base,
+                                         Tangent(base, x), schedule, seed=sd)
+                assert_same_verdict(v, want)
+                refuted += want.refuted
+            one = frechet_normal_refute(stiefel_plus_sampler(frame), base,
+                                        Tangent(base, xs[0]), schedule, seed=seeds[0])
+            assert_same_verdict(one, got[0])
+            assert got.refuted == sum(v.refuted for v in got)
+        if n > k:
+            assert refuted > 0
+
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    def test_contingent_cone_distance(self, n, k):
+        for f_idx, frame in enumerate(_grid_frames(n, k)):
+            p = Point(stiefel(n, k), frame)
+            rng = np.random.default_rng(f_idx)
+            for seed in (0, 9):
+                v = Tangent(p, tangent_project(p.manifold, frame, rng.standard_normal((n, k))))
+                got = contingent_cone_distance(stiefel_plus_sampler(frame), p, v, seed=seed)
+                want = ref_contingent_cone_distance(ref_stiefel_plus_sampler(frame), p, v,
+                                                    seed=seed)
+                assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("builder", [fx.axis_fixture, fx.halfplane_fixture, fx.arc_fixture,
+                                         fx.fullspace_fixture])
+    def test_fixture_samplers_and_cone_distance(self, builder):
+        fixture = builder()
+        ref = ref_fixture_sampler(fixture.name)
+        for t, seed in ((0.1, 0), (1e-3, 4)):
+            got = fixture.omega_sampler(t, np.random.default_rng(seed))
+            want = ref(t, np.random.default_rng(seed))
+            assert got.tobytes() == _stack_of(want, fixture.manifold.ambient_shape).tobytes()
+        for i, vec in enumerate(fixture.directions):
+            v = Tangent(fixture.point, vec)
+            assert _bits(contingent_cone_distance(fixture.omega_sampler, fixture.point, v,
+                                                  seed=i)) == \
+                _bits(ref_contingent_cone_distance(ref, fixture.point, v, seed=i))
+
+    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
+    def test_cross_validation(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+        got = cross_validate_pattern_cone(n_frames=12, seed=4)
+        members, violators, disagreements = ref_cross_validate(12, 4)
+        assert (got.members_checked, got.violators_checked) == (members, violators)
+        assert [(i, kind) for i, kind, _ in got.disagreements] == \
+            [(i, kind) for i, kind, _ in disagreements]
+
+    @pytest.mark.parametrize("builder", [fx.halfplane_fixture, fx.arc_fixture,
+                                         fx.fullspace_fixture])
+    def test_dist_subdiff_identity(self, builder, monkeypatch):
+        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 5_000)  # several chunks
+        base = builder()
+        # the cone samplers swapped, so that both kinds of failure occur
+        fixture = dataclasses.replace(
+            base, cone_sample_in=lambda rng: base.cone_sample_out(rng, 0.2),
+            cone_sample_out=lambda rng, margin: base.cone_sample_in(rng))
+        got = check_dist_subdiff_identity(fixture, n_covectors=6, margin=0.1, seed=3)
+        inside, outside = ref_dist_subdiff_identity(fixture, 6, 3, margin=0.1)
+        assert inside and outside
+        assert len(got.inside_failures) == len(inside)
+        for w_got, w_ref in zip(got.inside_failures, inside):
+            for field in ("covector", "point_coords", "scale", "quotient"):
+                assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
+        assert _bits(got.outside_failures) == _bits(outside)
+
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_check_dual_nc_in_chunks(self, n, k, beta, monkeypatch):
+        # chunks of two or three covectors, so each frame's 24 are split
+        per_covector = 11 * 12 * 8 * n * k
+        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 3 * per_covector - 1)
+        rng = np.random.default_rng(1)
+        frame = random_stiefel_plus(n, k, rng)
+        p = Point(stiefel(n, k), frame)
+        cone = stiefel_plus_normal_cone(frame)
+        schedule = Schedule.geometric(samples_per_scale=10)
+        got = check_dual_nc(_penalty(beta), cone, p, alpha=1.0, n_cone_samples=24, seed=7,
+                            schedule=schedule)
+        rng = np.random.default_rng(7)
+        candidates = list(cone.extreme_rays())
+        candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
+        refs = [ref_subdiff_refute(_penalty(beta), p, Tangent(p, x), schedule,
+                                   seed=int(rng.integers(2**31))) for x in candidates]
+        want = [r.witness for r in refs if r.refuted]
+        assert got.checked == len(refs)
+        assert len(got.failures) == len(want)
+        for w_got, w_ref in zip(got.failures, want):
+            for field in ("covector", "point_coords", "scale", "quotient"):
+                assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
+
+    def test_subdiff_stack_with_skips_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 1)
+        _, f, p, xs, schedule = REFUTER_CASES[-1]  # zero covector and NaN samples
+        xs = np.array(xs + xs[::-1])
+        seeds = [3, 1, 4, 1]
+        got = frechet_subdiff_refute(f, p, xs, schedule, seed=seeds)
+        for x, sd, v in zip(xs, seeds, got):
+            assert_same_verdict(v, ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=sd))
+        assert got.skipped_samples == sum(v.skipped_samples for v in got) > 0
+
+    def test_normal_refute_keeps_first_of_tied_samples(self):
+        # mirror pairs (a, b), (a, -b) tie in quotient for x = (1, 0)
+        p = Point(euclidean(2), np.zeros(2))
+
+        def pairs(t, rng):
+            a, b = 0.9 * t, t * rng.uniform(0.1, 0.5)  # a > b
+            return np.array([[b, a], [a, -b], [a, b], [-a, b]])
+
+        def ref_pairs(t, rng):
+            return [Point(p.manifold, u) for u in pairs(t, rng)]
+
+        xs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        got = frechet_normal_refute(pairs, p, xs, seed=[2, 3])
+        for x, sd, v in zip(xs, [2, 3], got):
+            want = ref_normal_refute(ref_pairs, p, Tangent(p, x), seed=sd)
+            assert want.refuted
+            assert_same_verdict(v, want)
+        assert got[0].witness.point_coords[1] < 0.0  # the first of the pair
+
+    def test_stack_needs_one_seed_per_covector(self):
+        p = Point(euclidean(2), np.zeros(2))
+        with pytest.raises(GeometryError, match="seeds"):
+            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((2, 2)), seed=[1])
+        with pytest.raises(GeometryError, match="shape"):
+            frechet_normal_refute(fx.axis_fixture().omega_sampler, p, np.zeros((2, 3)),
+                                  seed=[1, 2])

@@ -19,14 +19,15 @@ from sharpmin.manifolds import (
     geodesic_distance,
     geodesic_sphere_sampler,
     log_map,
-    point_set_distance,
+    pairwise_distances,
+    exp_coords,
     require_tangent,
-    retract,
     sphere,
     stiefel,
     tangent_project,
     verify_local_distance_lemma,
 )
+from sharpmin.stiefel import qr_retract
 
 
 def sphere_point(*coords):
@@ -212,28 +213,25 @@ class TestTangentProject:
 
 class TestRetract:
     def test_zero_step(self):
-        p = Point(stiefel(3, 2), np.eye(3)[:, :2])
-        r = retract(p, Tangent(p, np.zeros((3, 2))))
-        assert np.allclose(r.coords, p.coords, atol=1e-12)
+        p = np.eye(3)[:, :2]
+        r = qr_retract(p, np.zeros((3, 2)))
+        assert np.allclose(r, p, atol=1e-12)
 
     def test_sphere_first_order(self):
-        # oracle: |retract - exp| for the unit circle is t^3/3 + O(t^4) <= t^2
+        # oracle: the radial projection (p + v) / |p + v| is a retraction of
+        # the unit circle; |exp - projection| = t^3/3 + O(t^4) <= t^2
         p = sphere_point(1.0, 0.0)
         for t in (1e-1, 1e-2, 1e-3, 1e-4):
-            v = Tangent(p, np.array([0.0, t]))
-            r = retract(p, v)
-            e = exp_map(p, v)
+            e = exp_coords(p, np.array([[0.0, t]]))[0]
             expected = np.array([1.0, t]) / math.sqrt(1 + t * t)
-            assert np.allclose(r.coords, expected, atol=1e-14)
-            dev = np.linalg.norm(r.coords - e.coords)
+            dev = np.linalg.norm(expected - e)
             assert dev <= t * t
             assert dev / t**2 <= 0.5  # bounded ratio across the grid
 
     def test_stiefel_feasibility(self):
-        p = Point(stiefel(2, 2), np.eye(2))
         x = np.array([[0.0, 0.01], [-0.01, 0.0]])
-        r = retract(p, Tangent(p, x))
-        assert np.linalg.norm(r.coords.T @ r.coords - np.eye(2)) <= 1e-12
+        r = qr_retract(np.eye(2), x)
+        assert np.linalg.norm(r.T @ r - np.eye(2)) <= 1e-12
 
     def test_post_retraction_feasibility_seeded(self):
         rng = np.random.default_rng(3)
@@ -243,7 +241,7 @@ class TestRetract:
         for _ in range(50):
             p = Point(m, random_stiefel(5, 3, rng))
             t = Tangent(p, tangent_project(m, p.coords, rng.standard_normal((5, 3))))
-            r = retract(p, Tangent(p, 0.3 * t.vec))
+            r = Point(m, qr_retract(p.coords, 0.3 * t.vec))
             assert r.feasibility_residual() <= 1e-10
 
 
@@ -259,25 +257,34 @@ class TestCurvature:
             curvature_norm(stiefel(3, 2))
 
 
-class TestPointSetDistance:
+def set_distance(q, points):
+    """Distance from the point q to a finite set of points."""
+    return float(pairwise_distances(q.manifold, q.coords[None],
+                                    np.stack([s.coords for s in points])).min())
+
+
+class TestPairwiseDistances:
     def test_member_gives_zero(self):
         p = sphere_point(1, 0, 0)
-        assert point_set_distance(p, [p, sphere_point(0, 1, 0)]) == 0.0
+        assert set_distance(p, [p, sphere_point(0, 1, 0)]) == 0.0
 
     def test_min_over_set(self):
         q = sphere_point(1, 0, 0)
         s = [sphere_point(0, 1, 0), sphere_point(0, 0, 1)]
-        assert point_set_distance(q, s) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert set_distance(q, s) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_euclidean(self):
         m = euclidean(1)
         q = Point(m, np.array([0.0]))
         s = [Point(m, np.array([-1.0])), Point(m, np.array([2.0]))]
-        assert point_set_distance(q, s) == 1.0
+        assert set_distance(q, s) == 1.0
 
     def test_empty_set(self):
-        with pytest.raises(GeometryError):
-            point_set_distance(sphere_point(1, 0), [])
+        # an empty set has no distance: the lemma refuses an empty sample
+        p = Point(euclidean(2), np.zeros(2))
+        assert pairwise_distances(p.manifold, p.coords[None], np.zeros((0, 2))).shape == (1, 0)
+        with pytest.raises(GeometryError, match="no points"):
+            verify_local_distance_lemma(p, lambda r, rng: np.zeros((0, 2)), RADII, seed=0)
 
 
 RADII = (0.4, 0.2, 0.1, 0.05)
@@ -314,7 +321,141 @@ class TestLocalDistanceLemma:
         p = Point(euclidean(2), np.zeros(2))
 
         def bad_sampler(r, rng):
-            return [Point(euclidean(2), np.array([2 * r, 0.0]))]
+            return np.array([[2 * r, 0.0]])
 
         with pytest.raises(GeometryError):
             verify_local_distance_lemma(p, bad_sampler, RADII, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-Point-per-sample lemma loop that the stack contract
+# replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_project(p, w):
+    if p.manifold.kind == "euclidean":
+        return w
+    return w - (np.dot(w, p.coords) / p.manifold.radius**2) * p.coords
+
+
+def ref_random_tangent(p, rng, norm=1.0):
+    for _ in range(64):
+        z = rng.standard_normal(p.manifold.ambient_shape)
+        t = Tangent(p, _ref_project(p, _ref_project(p, z)))
+        if t.norm > 1e-12:
+            return Tangent(p, (norm / t.norm) * t.vec)
+    raise GeometryError("failed to sample a nondegenerate tangent direction")
+
+
+def ref_exp(p, vec):
+    m = p.manifold
+    if m.kind == "euclidean":
+        return Point(m, p.coords + vec)
+    rho, nv = m.radius, float(np.linalg.norm(vec))
+    if nv == 0.0:
+        return Point(m, p.coords)
+    coords = math.cos(nv / rho) * p.coords + (rho * math.sin(nv / rho) / nv) * vec
+    return Point(m, coords * (rho / np.linalg.norm(coords)))
+
+
+def ref_log(p, q):
+    m = p.manifold
+    if m.kind == "euclidean":
+        return q.coords - p.coords
+    rho = m.radius
+    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
+    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
+    nw = float(np.linalg.norm(w))
+    theta = math.atan2(nw / rho, cos_t)
+    return np.zeros_like(p.coords) if nw == 0.0 else (rho * theta / nw) * w
+
+
+def ref_distance(p, q):
+    m = p.manifold
+    if m.kind == "euclidean":
+        return float(np.linalg.norm(q.coords - p.coords))
+    rho = m.radius
+    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
+    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
+    return rho * math.atan2(float(np.linalg.norm(w)) / rho, cos_t)
+
+
+def ref_sphere_sampler(p, n_points=16):
+    def sampler(r, rng):
+        u = ref_random_tangent(p, rng).vec
+        for _ in range(64):
+            w = ref_random_tangent(p, rng).vec
+            w = w - np.dot(w, u) * u
+            if float(np.linalg.norm(w)) > 1e-8:
+                w = w / float(np.linalg.norm(w))
+                break
+        angles = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+        angles = angles + rng.uniform(0.0, 2.0 * math.pi / n_points)
+        return [ref_exp(p, Tangent(p, r * (math.cos(a) * u + math.sin(a) * w)).vec)
+                for a in angles]
+
+    return sampler
+
+
+def ref_lemma_deviations(p, radii, samples, seed):
+    """Worst deviation per radius, one chart-ball draw, exp, log and set
+    distance per sample."""
+    sampler = ref_sphere_sampler(p)
+    d = p.manifold.intrinsic_dim
+    deviations = []
+    for r, ss in zip(radii, np.random.SeedSequence(seed).spawn(len(radii))):
+        rng = np.random.default_rng(ss)
+        omega = sampler(r, rng)
+        chart_set = [ref_log(p, s) for s in omega]
+        worst = 0.0
+        for _ in range(samples):
+            radius = r * float(rng.uniform()) ** (1.0 / max(d, 1))
+            u = ref_exp(p, ref_random_tangent(p, rng, norm=radius).vec) if radius else p
+            chart_u = ref_log(p, u)
+            chart_dist = min(float(np.linalg.norm(chart_u - w)) for w in chart_set)
+            if chart_dist < 1e-14:
+                continue
+            manifold_dist = min(ref_distance(u, s) for s in omega)
+            worst = max(worst, abs(manifold_dist / chart_dist - 1.0))
+        deviations.append(worst)
+    return deviations
+
+
+LEMMA_POINTS = [
+    Point(sphere(3, 1.0), np.array([0.0, 0.0, 1.0])),
+    Point(euclidean(3), np.zeros(3)),
+    Point(sphere(4, 2.0), np.array([0.0, 1.2, 0.0, -1.6])),
+    Point(euclidean(2), np.array([0.5, -1.0])),
+]
+
+
+class TestLemmaMatchesPerSampleReference:
+    """The lemma draws per sample and measures all distances of a radius as
+    one array; its deviations and the sampler's stacks must be bitwise those
+    of the one-Point-per-sample loop."""
+
+    @pytest.mark.parametrize("p", LEMMA_POINTS, ids=["sphere", "flat", "sphere-4d", "plane"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_deviations(self, p, seed):
+        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+                                          samples_per_radius=60, seed=seed)
+        want = ref_lemma_deviations(p, RADII, 60, seed)
+        assert np.array(rep.worst_ratio_deviation).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("p", LEMMA_POINTS, ids=["sphere", "flat", "sphere-4d", "plane"])
+    def test_sphere_sampler_stack(self, p):
+        for r, seed in ((0.4, 0), (0.05, 3)):
+            got = geodesic_sphere_sampler(p)(r, np.random.default_rng(seed))
+            want = ref_sphere_sampler(p)(r, np.random.default_rng(seed))
+            assert got.tobytes() == np.stack([u.coords for u in want]).tobytes()
+
+    def test_pairwise_distances_match_pairs(self):
+        for p in LEMMA_POINTS:
+            sampler = geodesic_sphere_sampler(p)
+            a = sampler(0.3, np.random.default_rng(1))
+            b = sampler(0.2, np.random.default_rng(2))[:5]
+            got = pairwise_distances(p.manifold, a, b)
+            want = [[ref_distance(Point(p.manifold, x), Point(p.manifold, y)) for y in b]
+                    for x in a]
+            assert got.tobytes() == np.array(want).tobytes()

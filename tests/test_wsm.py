@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
-from sharpmin.manifolds import Point, stiefel, tangent_project
-from sharpmin.cheeger import wsm_penalty_check
+from sharpmin.manifolds import Point, sphere, stiefel, tangent_project
+from sharpmin.cheeger import _stiefel_bracket, wsm_penalty_check
+from sharpmin.stiefel import random_stiefel, random_stiefel_plus
 from sharpmin.wsm import (
     INSIDE_TOL,
     WsmInstance,
@@ -23,13 +24,21 @@ from sharpmin.wsm import (
 )
 
 
+CIRCLE = sphere(2, 1.0)
+
+
+def circle_coords(thetas):
+    """Stack of the circle points at the given angles (the coordinates of
+    ``fx.circle_point``)."""
+    return np.array([fx.circle_point(t).coords for t in thetas]).reshape(len(thetas), 2)
+
+
 def circle_sampler(count, rng):
-    thetas = rng.uniform(-math.pi, math.pi, size=count)
-    return [fx.circle_point(t) for t in thetas]
+    return circle_coords(rng.uniform(-math.pi, math.pi, size=count))
 
 
 def arc_bracket(u):
-    theta = math.atan2(float(u.coords[1]), float(u.coords[0]))
+    theta = math.atan2(float(u[1]), float(u[0]))
     d = fx.arc_angular_distance(theta)
     return d, d
 
@@ -121,7 +130,7 @@ class TestVerifyWsm:
 
     def test_nonminimal_reference_refused(self):
         def arc_sampler(count, rng):
-            return [fx.circle_point(t) for t in rng.uniform(0.0, math.pi / 2, size=count)]
+            return circle_coords(rng.uniform(0.0, math.pi / 2, size=count))
 
         inst = WsmInstance(
             f=lambda u: -u[:, 0],  # minimized at theta = 0, not 0.9
@@ -139,42 +148,44 @@ class TestEstimateModulus:
     def test_scaled_distance(self):
         f = fx.arc_fixture().dist_fn
         est = estimate_modulus(lambda u: 2.0 * f(u), circle_sampler, arc_bracket,
-                               500, seed=0)
+                               500, seed=0, manifold=CIRCLE)
         assert est == pytest.approx(2.0, abs=1e-9)
 
     def test_square_penalty_vanishes(self):
         # near the arc ends the ratio d^2/d collapses; sample close to them
         def near_boundary_sampler(count, rng):
             thetas = -(10.0 ** rng.uniform(-4, -1, size=count))
-            return [fx.circle_point(t) for t in thetas]
+            return circle_coords(thetas)
 
         est = estimate_modulus(fx.circle_penalty(2.0), near_boundary_sampler,
-                               arc_bracket, 200, seed=0)
+                               arc_bracket, 200, seed=0, manifold=CIRCLE)
         assert est <= 5e-3
 
     def test_sqrt_penalty_bounded_below(self):
         # oracle: dense-grid minimum of sum(sqrt(neg)) / chordal distance
         def chordal_bracket(u):
-            theta = math.atan2(float(u.coords[1]), float(u.coords[0]))
+            theta = math.atan2(float(u[1]), float(u[0]))
             d = fx.arc_chordal_distance(theta)
             return d, d
 
         grid = fx.circle_grid(2000)
         f = fx.circle_penalty(0.5)
-        oracle = min(f(u.coords[None])[0] / chordal_bracket(u)[1]
-                     for u in grid if chordal_bracket(u)[1] > 0)
+        oracle = min(f(u.coords[None])[0] / chordal_bracket(u.coords)[1]
+                     for u in grid if chordal_bracket(u.coords)[1] > 0)
         assert oracle >= 0.70
 
-        est = estimate_modulus(f, circle_sampler, chordal_bracket, 1000, seed=0)
+        est = estimate_modulus(f, circle_sampler, chordal_bracket, 1000, seed=0,
+                               manifold=CIRCLE)
         assert est >= 0.70
         assert est >= oracle - 1e-9
 
     def test_all_inside_refused(self):
         def inside_sampler(count, rng):
-            return [fx.circle_point(0.3)] * count
+            return circle_coords([0.3] * count)
 
         with pytest.raises(GeometryError):
-            estimate_modulus(fx.circle_penalty(0.5), inside_sampler, arc_bracket, 5, seed=0)
+            estimate_modulus(fx.circle_penalty(0.5), inside_sampler, arc_bracket, 5, seed=0,
+                             manifold=CIRCLE)
 
     def test_rounding_level_distance_counts_as_inside(self):
         # a point on the set whose computed distance is an ulp above zero must
@@ -182,12 +193,13 @@ class TestEstimateModulus:
         inside, outside = fx.circle_point(0.3), fx.circle_point(-0.5)
 
         def two_point_sampler(count, rng):
-            return [inside, outside]
+            return np.stack([inside.coords, outside.coords])
 
         def bracket(u):
-            return (1e-16, 1e-16) if u is inside else (0.5, 0.5)
+            return (1e-16, 1e-16) if np.array_equal(u, inside.coords) else (0.5, 0.5)
 
-        est = estimate_modulus(fx.circle_penalty(1.0), two_point_sampler, bracket, 2)
+        est = estimate_modulus(fx.circle_penalty(1.0), two_point_sampler, bracket, 2,
+                               manifold=CIRCLE)
         assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
         assert 0.0 < INSIDE_TOL <= 1e-12
 
@@ -298,3 +310,139 @@ class TestDifferenceNc:
         off = np.array([[1.0], [0.0]])
         verdict_off = check_difference_nc(grad(off), [np.zeros((2, 1))], residual_at(off))
         assert not verdict_off.passed
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-Point-per-sample samplers and checks that the stack
+# contract replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_random_stiefel(n, k, rng):
+    g = rng.standard_normal((n, k))
+    q, r = np.linalg.qr(g)
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def ref_feasible_sampler(n, k):
+    def sampler(count, rng):
+        return [Point(stiefel(n, k), ref_random_stiefel(n, k, rng)) for _ in range(count)]
+
+    return sampler
+
+
+def ref_solution_sampler(n, k):
+    def sampler(count, rng):
+        return [Point(stiefel(n, k), random_stiefel_plus(n, k, rng)) for _ in range(count)]
+
+    return sampler
+
+
+def _ref_values(f, points):
+    return f(np.stack([u.coords for u in points])).tolist() if points else []
+
+
+def ref_verify(f, sampler, point, alpha, n_samples, seed, radius=math.inf,
+               solution_sampler=None, tol=1e-9):
+    """(status, witness, modulus, checked), one Point and one bracket per sample."""
+    f0 = _ref_values(f, [point])[0]
+    if solution_sampler is not None:
+        sols = solution_sampler(32, np.random.default_rng(seed))
+        assert not any(fs < f0 - 1e-9 for fs in _ref_values(f, sols))
+    rng = np.random.default_rng(seed)
+    samples = [u for u in sampler(n_samples, rng)
+               if not (radius < math.inf
+                       and float(np.linalg.norm(point.coords - u.coords)) > radius)]
+    strong, witness, modulus, checked = True, None, math.inf, 0
+    for u, fu in zip(samples, _ref_values(f, samples)):
+        lb, ub = _stiefel_bracket(u.coords)
+        checked += 1
+        gain = fu - f0
+        if ub > INSIDE_TOL and math.isfinite(ub):
+            modulus = min(modulus, gain / ub)
+        if witness is None and gain < alpha * lb - tol:
+            witness = (np.array(u.coords), fu, lb, ub)
+        if gain < alpha * ub - tol:
+            strong = False
+    status = "violated" if witness is not None else ("pass_strong" if strong else "pass_weak")
+    return status, witness, modulus, checked
+
+
+def ref_estimate(f, sampler, n_samples, seed):
+    outside, ubs = [], []
+    for u in sampler(n_samples, np.random.default_rng(seed)):
+        lb, ub = _stiefel_bracket(u.coords)
+        if ub <= INSIDE_TOL or not math.isfinite(ub):
+            continue
+        outside.append(u)
+        ubs.append(ub)
+    est = math.inf
+    for fu, ub in zip(_ref_values(f, outside), ubs):
+        est = min(est, fu / ub)
+    return est
+
+
+def _penalty(beta):
+    return lambda u: np.sum((np.maximum(-u, 0.0) ** beta).reshape(len(u), -1), axis=-1)
+
+
+def _same_wsm_verdict(got, want):
+    status, witness, modulus, checked = want
+    assert (got.status, got.n_samples) == (status, checked)
+    assert np.float64(got.estimated_modulus).tobytes() == np.float64(modulus).tobytes()
+    if witness is None:
+        assert got.witness is None
+    else:
+        assert np.array(got.witness[1:]).tobytes() == np.array(witness[1:]).tobytes()
+        assert got.witness[0].tobytes() == witness[0].tobytes()
+
+
+WSM_GRID = [(2, 1), (4, 2), (6, 2), (8, 3)]
+
+
+class TestStackSamplersMatchPerSampleReference:
+    """Frames come as one standard_normal draw and one batched QR, and the
+    checks call the bracket per row of the stack; verdicts, witnesses and
+    modulus estimates must be bitwise those of the one-Point-per-sample
+    code."""
+
+    @pytest.mark.parametrize("n,k", WSM_GRID)
+    def test_random_frames(self, n, k):
+        for count in (1, 7, 100):
+            got = random_stiefel(n, k, np.random.default_rng(count), count)
+            rng = np.random.default_rng(count)
+            want = np.stack([ref_random_stiefel(n, k, rng) for _ in range(count)])
+            assert got.tobytes() == want.tobytes()
+        one = random_stiefel(n, k, np.random.default_rng(5))
+        assert one.tobytes() == ref_random_stiefel(n, k, np.random.default_rng(5)).tobytes()
+
+    @pytest.mark.parametrize("n,k", WSM_GRID)
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_verify_and_modulus(self, n, k, beta):
+        m = stiefel(n, k)
+        point = Point(m, np.eye(n, k))
+        for radius, seed in ((math.inf, 3), (1.0, 4)):
+            inst = WsmInstance(f=_penalty(beta),
+                               feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
+                               bracket=_stiefel_bracket, point=point, alpha=1.0, radius=radius)
+            want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, seed,
+                              radius=radius)
+            _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=seed), want)
+        est = estimate_modulus(_penalty(beta), lambda c, rng: random_stiefel(n, k, rng, c),
+                               _stiefel_bracket, 60, seed=8, manifold=m)
+        want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
+        assert np.float64(est).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n,k", WSM_GRID)
+    def test_penalty_study_samplers(self, n, k):
+        beta, samples, seed = 0.5, 40, 2
+        study = wsm_penalty_check(n, k, beta, n_samples=samples, seed=seed)
+        point = Point(stiefel(n, k), np.eye(n, k))
+        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, samples, seed,
+                          solution_sampler=ref_solution_sampler(n, k))
+        _same_wsm_verdict(study.wsm, want)
+        counts = (samples // 4, samples // 2, samples)
+        assert [c for c, _ in study.modulus_trace] == list(counts)
+        for i, (count, est) in enumerate(study.modulus_trace):
+            want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), count, seed + 13 * i)
+            assert np.float64(est).tobytes() == np.float64(want).tobytes()
