@@ -18,8 +18,10 @@ The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
 solution set: the dual necessary condition fails for beta > 1 (the penalty is
 smooth, its subdifferential a single point) and holds sampled-consistent for
-beta < 1 with modulus 1.  Distances to the nonnegative slice come from
-``dist_upper_estimate``: exact at desk scale, a local-search bracket above it.
+beta < 1 with modulus 1.  Distances to the nonnegative slice are exact at
+desk scale, where ``stiefel.exact_slice_distances`` scores a whole stack of
+frames at once, and a local-search bracket above it; ``dist_upper_estimate``
+gives either for one matrix.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from numpy.random import Generator, SeedSequence, default_rng
 from .manifolds import GeometryError, Point, stiefel, tangent_project
 from .stiefel import (
     ENTRY_ZERO_TOL,
+    EXACT_ASSIGNMENTS,
     FrameError,
     StiefelPoint,
     as_matrix,
+    exact_slice_distances,
     frame_residual,
     qr_retract,
     random_stiefel,
@@ -372,9 +376,6 @@ def lipschitz_bound(graph: Graph, k: int) -> float:
     return math.sqrt(k * float(np.sum(deg.astype(float) ** 2)))
 
 
-EXACT_ASSIGNMENTS = 3**8  # largest k**n that dist_upper_estimate enumerates
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceEstimate:
     """Bracket [lb, ub] on the ambient distance from a matrix to St+(n, k), with
@@ -396,10 +397,28 @@ def dist_upper_estimate(u) -> DistanceEstimate:
     dist(U, St+)^2 = ||U||^2 + k - 2 max_S sum_j g_j(S_j), the max over
     assignments S of the rows to k nonempty groups, where g_j(S) is the norm
     of the positive part of column j on S, or the largest entry of column j
-    on S when that norm is 0.  When k**n <= EXACT_ASSIGNMENTS every
-    assignment is scored and lb == ub is the exact distance.  Above that,
-    single-row moves improve the argmax assignment to a feasible frame (ub),
-    and sum_j g_j <= sum_j ||(u_j)_+|| gives lb >= ||U_-||_F.
+    on S when that norm is 0.  When k**n <= EXACT_ASSIGNMENTS this is the
+    one-row case of ``exact_slice_distances`` and lb == ub is the exact
+    distance.  Above that, single-row moves improve the argmax assignment to
+    a feasible frame (ub), and sum_j g_j <= sum_j ||(u_j)_+|| gives
+    lb >= ||U_-||_F.
+
+    Lemma (which assignments can be optimal).  Call a row free if it has no
+    positive entry, and misplaced in column j if it is not free and
+    u_ij <= 0.  Every optimal assignment has, in each column j, either no
+    misplaced row, or exactly one misplaced row and no row positive in j.
+    Proof: otherwise column j holds a misplaced row and a second non-free
+    row.  Pick a misplaced row i of j that is not the only row of j holding
+    its largest entry (when j has no positive row, both rows are misplaced
+    and one of them qualifies).  Move i to a column l with u_il > 0.  g_j
+    does not drop: its positive norm is unchanged, or another row keeps its
+    maximum.  Column j stays nonempty.  g_l rises strictly, either from
+    sqrt(p) to sqrt(p + u_il^2) or from a value <= 0 to u_il > 0.  So an
+    assignment that puts a misplaced row into a column holding two or more
+    non-free rows is never optimal, and the exact scorer drops it unscored.
+    A row need not go to a column where it is positive: for
+    U = [[0.9, 0.1], [0.5, -0.3], [0.2, -0.05]] the optimum puts row 3,
+    positive only in column 1, alone in column 2.
     """
     mat = as_matrix(u)
     n, k = mat.shape
@@ -407,34 +426,15 @@ def dist_upper_estimate(u) -> DistanceEstimate:
         raise FrameError(f"St+({n}, {k}) is empty")
     if k**n > EXACT_ASSIGNMENTS:
         return _local_search_bracket(mat)
-    table = _assignment_table(n, k)
-    pos2 = np.maximum(mat, 0.0) ** 2
-    score = np.zeros(table.shape[1])
-    for j in range(k):
-        member = table == j
-        p2 = pos2[:, j] @ member.astype(float)
-        top = np.where(member, mat[:, j:j + 1], -np.inf).max(axis=0)
-        score += np.where(p2 > 0.0, np.sqrt(p2), top)
-    v = _slice_frame(mat, table[:, int(np.argmax(score))])
-    d = float(np.linalg.norm(mat - v))
-    return DistanceEstimate(lb=d, ub=d, feasible=StiefelPoint(v))
-
-
-@lru_cache(maxsize=None)
-def _assignment_table(n: int, k: int) -> np.ndarray:
-    """All maps of n rows onto k columns that leave no column empty, one per
-    column of an n-row int8 array (reductions then run over the short axis 0)."""
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int16)  # k**n <= EXACT_ASSIGNMENTS < 2**15
-    table = (np.arange(k**n, dtype=np.int16) // powers[:, None] % k).astype(np.int8)
-    covers = np.all(np.any(table == np.arange(k)[:, None, None], axis=1), axis=0)
-    table = np.ascontiguousarray(table[:, covers])
-    table.flags.writeable = False
-    return table
+    d, frames = exact_slice_distances(mat[None])
+    return DistanceEstimate(lb=float(d[0]), ub=float(d[0]), feasible=StiefelPoint(frames[0]))
 
 
 def _slice_frame(mat: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Closest St+ frame to mat whose column j is supported on the rows
-    with owner == j (every column must own a row)."""
+    with owner == j (every column must own a row).  The local search keeps
+    this one-frame form: its columns own up to n rows, and from 16 rows on a
+    dot over a zero-padded column rounds differently from the compact one."""
     v = np.zeros_like(mat)
     for j in range(mat.shape[1]):
         rows = np.flatnonzero(owner == j)
@@ -581,16 +581,21 @@ def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0, n_samples: int
     """Penalty weight C = 2 * L * c_hat, where c_hat regresses the feasible
     upper distance estimate on the l1 negative-part mass over seeded frames.
     The penalty must dominate the distance to the nonnegative slice; the
-    factor 2 is cushion, and c_hat is recomputed per instance and logged."""
+    factor 2 is cushion, and c_hat is recomputed per instance and logged.
+    The frames are one seeded stack; frames with mass below 1e-9 are
+    dropped, and the rest are scored by one ``exact_slice_distances`` call at
+    desk scale, else by ``dist_upper_estimate`` one at a time."""
     l = lipschitz_bound(graph, k)
-    rng = default_rng(seed)
+    frames = random_stiefel(graph.n, k, default_rng(seed), n_samples)
+    masses = np.sum(np.maximum(-frames, 0.0).reshape(n_samples, graph.n * k), axis=1)
+    frames, masses = frames[masses >= 1e-9], masses[masses >= 1e-9].tolist()
+    if k**graph.n <= EXACT_ASSIGNMENTS:
+        ubs = exact_slice_distances(frames)[0].tolist()
+    else:
+        ubs = [dist_upper_estimate(u).ub for u in frames]
     num = den = 0.0
-    for _ in range(n_samples):
-        u = random_stiefel(graph.n, k, rng)
-        mass = float(np.sum(np.maximum(-u, 0.0)))
-        if mass < 1e-9:
-            continue
-        num += dist_upper_estimate(u).ub * mass
+    for ub, mass in zip(ubs, masses):
+        num += ub * mass
         den += mass * mass
     c_hat = (num / den) if den > 0 else 1.0
     c = 2.0 * max(l, 1.0) * max(c_hat, 0.25)
@@ -754,15 +759,16 @@ class PenaltyStudy:
         return all(v.passed for v in self.dual)
 
 
-def _stiefel_bracket(mat: np.ndarray):
-    """Distance bracket from the frame ``mat`` to the nonnegative slice: the
-    closed form on the circle (height 2, width 1, exactly 0 on the arc), else
-    dist_upper_estimate."""
-    if mat.shape == (2, 1):
-        d = arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
+def _stiefel_bracket(stack: np.ndarray) -> tuple:
+    """Distance brackets (lb, ub) from a stack of desk-scale frames to the
+    nonnegative slice: the closed form per frame on the circle (height 2,
+    width 1, exactly 0 on the arc), else ``exact_slice_distances``."""
+    if stack.shape[1:] == (2, 1):
+        d = np.array([arc_chordal_distance(math.atan2(float(y), float(x)))
+                      for x, y in stack[:, :, 0].tolist()])
         return d, d
-    est = dist_upper_estimate(mat)
-    return est.lb, est.ub
+    d, _ = exact_slice_distances(stack)
+    return d, d
 
 
 def wsm_penalty_check(

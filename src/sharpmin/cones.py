@@ -463,16 +463,18 @@ def contingent_cone_distance(
     estimate is the least distance from v to the rays they span, restricted
     to the smallest ``tail_scales`` scales.  It decreases toward the true
     cone distance as the budget grows and is exactly 0 whenever a sampled
-    ray hits a contingent direction of v.  The sampler runs at every scale,
-    each from its own spawned stream; all its stacks are checked on the
-    manifold by one call and the tail ones scored as one block."""
+    ray hits a contingent direction of v.  Every scale has its own spawned
+    stream, but the sampler runs only at the tail scales; their stacks are
+    checked on the manifold by one call and scored as one block."""
+    if tail_scales < 1:
+        raise GeometryError(f"tail_scales must be at least 1, got {tail_scales}")
     scales = schedule.scales
+    tail = max(0, len(scales) - tail_scales)
     stacks = [np.asarray(sampler(t, default_rng(ss)), dtype=float)
-              for t, ss in zip(scales, SeedSequence(seed).spawn(len(scales)))]
-    point_stack(p.manifold, np.concatenate(stacks))
+              for t, ss in zip(scales[tail:], SeedSequence(seed).spawn(len(scales))[tail:])]
     if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
-    w, d = _chart_block(p, np.concatenate(stacks[max(0, len(scales) - tail_scales):]))
+    w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))
     keep = d > 0.0
     return min([math.inf, *_ray_distances(v.vec, w[keep], d[keep]).tolist()])
 
@@ -665,7 +667,9 @@ def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL
     Each move rotates by the angles theta, theta * u and -theta, with u from
     one ``rng.uniform(0.3, 0.95, size=moves)`` draw; the angles and their
     cosines and sines are scalar libm values, the rotations one block, and
-    the nonnegativity and distance filters masks, in move order.
+    the nonnegativity and distance filters masks, in move order.  theta and
+    the cosines and sines of +/-theta depend on t alone and are computed once
+    per scale; a call computes those of theta * u.
     """
     mat = as_matrix(p)
     if not is_nonnegative(mat, tol):
@@ -683,13 +687,20 @@ def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL
     block = np.arange(3 * len(moves))
     ri, rj = mat[rows_i], mat[rows_j]
 
+    rotations = {}  # t -> (thetas, cos and sin rows with the middle angles left to fill)
+
     def sampler(t: float, rng: Generator) -> np.ndarray:
-        # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
-        thetas = [min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4) for wj in weights]
-        fracs = rng.uniform(0.3, 0.95, size=len(moves)).tolist()
-        angles = [a for th, u in zip(thetas, fracs) for a in (th, th * u, -th)]
-        cos = np.array([math.cos(a) for a in angles])[:, None]
-        sin = np.array([math.sin(a) for a in angles])[:, None]
+        if t not in rotations:
+            # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
+            thetas = [min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4) for wj in weights]
+            ends = [a for th in thetas for a in (th, 0.0, -th)]
+            rotations[t] = (thetas, np.array([math.cos(a) for a in ends])[:, None],
+                            np.array([math.sin(a) for a in ends])[:, None])
+        thetas, cos, sin = rotations[t]
+        middle = [th * u for th, u in zip(thetas, rng.uniform(0.3, 0.95, size=len(moves)).tolist())]
+        cos, sin = cos.copy(), sin.copy()
+        cos[1::3, 0] = [math.cos(a) for a in middle]
+        sin[1::3, 0] = [math.sin(a) for a in middle]
         out = np.repeat(mat[None], len(block), axis=0)
         out[block, rows_i] = cos * ri + sin * rj
         out[block, rows_j] = -sin * ri + cos * rj

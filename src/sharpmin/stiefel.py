@@ -1,21 +1,26 @@
 """Frame numerics shared by the cone, sharpness, and clustering modules.
 
 Holds the orthonormal-frame type, the QR retraction with a deterministic
-sign convention, random frame generators, and structure helpers for the
-entrywise-nonnegative slice St+(n, k).  A basic fact drives the St+ helpers:
-orthogonal nonnegative columns have disjoint supports, so every row of a
-feasible frame carries at most one positive entry.
+sign convention, random frame generators, structure helpers for the
+entrywise-nonnegative slice St+(n, k), and the exact distance to St+ of a
+stack of small matrices.  A basic fact drives the St+ helpers: orthogonal
+nonnegative columns have disjoint supports, so every row of a feasible frame
+carries at most one positive entry, and the closest feasible frame comes
+from the best assignment of rows to columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator
 
 FRAME_TOL = 1e-10   # allowed ||U^T U - I||_F for a frame
 ENTRY_ZERO_TOL = 1e-12  # entry classification threshold on St+
+EXACT_ASSIGNMENTS = 3**8  # largest k**n whose assignments the exact St+ distance enumerates
+SLICE_TABLE_ENTRIES = 1 << 13  # cap on frames x k x 2**n subset-table entries per scorer block
 
 
 class FrameError(ValueError):
@@ -133,3 +138,133 @@ def random_stiefel_plus(n: int, k: int, rng: Generator, rows_used: int | None = 
         u[g, j] = vals / np.linalg.norm(vals)
     return u
 
+
+def exact_slice_distances(stack) -> tuple:
+    """Exact distances from a stack (s, n, k) of finite matrices to
+    St+(n, k), k**n <= EXACT_ASSIGNMENTS, with the closest frames:
+    (d, frames), of shapes (s,) and (s, n, k).
+
+    The frames go in blocks of at most 64, fewer when their tables over all
+    row subsets would pass SLICE_TABLE_ENTRIES.  In a block the lemma stated
+    in ``cheeger.dist_upper_estimate`` keeps the assignments that can be
+    optimal (``_lemma_survivors``), each survivor is scored from the frame's
+    table of g_j over all row subsets, and each frame takes its first best
+    survivor in table order.  Every optimum survives, so the result is that
+    of scoring every assignment.  The frames are checked by one
+    ``frame_residual`` call and for nonnegativity."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise FrameError(f"expected a stack of matrices, got shape {stack.shape}")
+    s, n, k = stack.shape
+    if not 0 < k <= n:
+        raise FrameError(f"St+({n}, {k}) is empty")
+    if k**n > EXACT_ASSIGNMENTS:
+        raise FrameError(f"St+({n}, {k}) has more than {EXACT_ASSIGNMENTS} assignments")
+    if not np.all(np.isfinite(stack)):
+        raise FrameError("matrix entries must be finite")
+    if k == 1:
+        member = np.ones((s, n, 1), dtype=bool)
+    else:
+        keys = _assignment_keys(n, k)
+        step = max(1, min(64, SLICE_TABLE_ENTRIES // (k << n)))
+        chosen = np.empty(s, dtype=np.intp)
+        for lo in range(0, s, step):
+            chosen[lo:lo + step] = _best_assignments(stack[lo:lo + step], keys)
+        member = (keys[:, chosen].T[:, None, :] >> np.arange(n)[:, None]) & 1 > 0
+    frames = _slice_frames(stack, member)
+    if not (np.all(frame_residual(frames) <= FRAME_TOL) and np.all(frames >= 0.0)):
+        raise FrameError("slice frame is not a nonnegative orthonormal frame")
+    diff = (stack - frames).reshape(s, n * k)
+    return np.sqrt(np.vecdot(diff, diff)), frames
+
+
+@lru_cache(maxsize=None)
+def _assignment_keys(n: int, k: int) -> np.ndarray:
+    """All maps of n rows onto k >= 2 columns that leave no column empty, in
+    lexicographic order (row 0 leads), as a read-only (k, maps) intp array.
+    Entry [j, a] is j * 2**n plus the bitmask (bit i for row i) of the rows
+    that map a sends to column j: the place of that row set in a (k, 2**n)
+    table of column values."""
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int16)  # k**n <= EXACT_ASSIGNMENTS < 2**15
+    digits = np.arange(k**n, dtype=np.int16) // powers[:, None] % k
+    bits = (1 << np.arange(n))[:, None]  # n <= 12 when k >= 2
+    rows = np.stack([np.sum((digits == j) * bits, axis=0) for j in range(k)])
+    keys = rows[:, np.all(rows > 0, axis=0)] + (np.arange(k) << n)[:, None]
+    keys = np.ascontiguousarray(keys, dtype=np.intp)
+    keys.flags.writeable = False
+    return keys
+
+
+def _lemma_survivors(block: np.ndarray, keys: np.ndarray) -> tuple:
+    """(frame, assignment) index arrays of the assignments that the lemma
+    stated in ``cheeger.dist_upper_estimate`` keeps for the frames of
+    ``block`` (c <= 64, n, k): those that put no misplaced row into a column
+    holding two or more non-free rows.  Frame-major, each frame's in table
+    order.
+
+    The test of column j is tabulated over all row subsets, with one bit per
+    frame in a 64-bit word, and each assignment ANDs the words of its k row
+    sets."""
+    c, n, k = block.shape
+    bits = 1 << np.arange(n)
+    subsets = np.arange(1 << n)
+    frame_bits = np.uint64(1) << np.arange(c, dtype=np.uint64)
+    pos = block > 0.0
+    nonfree = pos.any(axis=2)
+    held = subsets & (nonfree @ bits)[:, None]
+    crowded = (held & (held - 1)) != 0
+    misplaced = ((nonfree[:, :, None] & ~pos) * bits[:, None]).sum(axis=1)
+    good = ~(crowded[:, None, :] & ((subsets & misplaced[:, :, None]) != 0))  # (c, k, 2**n)
+    # bit f of table[j * 2**n + S]: frame f passes the test of column j on row set S
+    table = np.bitwise_or.reduce(good * frame_bits[:, None, None], axis=0).reshape(-1)
+    words = np.bitwise_and.reduce(table.take(keys), axis=0)
+    candidates = np.flatnonzero(words != 0)
+    frame, index = np.nonzero(words[candidates] & frame_bits[:, None] != 0)
+    return frame, candidates[index]
+
+
+def _best_assignments(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of the first best surviving assignment of each frame of
+    ``block`` (c <= 64, n, k); every frame has a survivor."""
+    c = len(block)
+    frame, assignment = _lemma_survivors(block, keys)
+    g = _subset_values(block).reshape(c, -1)
+    score = np.zeros(len(assignment))
+    for row_sets in keys:
+        score += g[frame, row_sets[assignment]]
+    starts = np.searchsorted(frame, np.arange(c))
+    hits = np.flatnonzero(score == np.maximum.reduceat(score, starts)[frame])
+    return assignment[hits[np.searchsorted(frame[hits], np.arange(c))]]
+
+
+def _subset_values(block: np.ndarray) -> np.ndarray:
+    """g_j(S) for each frame of ``block`` (c, n, k), column j and row subset S
+    (bit i for row i): shape (c, k, 2**n), built one row at a time."""
+    c, n, k = block.shape
+    cols = block.transpose(0, 2, 1)
+    pos2 = np.maximum(cols, 0.0) ** 2
+    p2 = np.zeros((c, k, 1 << n))
+    top = np.full((c, k, 1 << n), -np.inf)
+    for i in range(n):
+        h = 1 << i
+        p2[:, :, h:2 * h] = p2[:, :, :h] + pos2[:, :, i, None]
+        top[:, :, h:2 * h] = np.maximum(top[:, :, :h], cols[:, :, i, None])
+    return np.where(p2 > 0.0, np.sqrt(p2), top)
+
+
+def _slice_frames(stack: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Closest St+ frames to a stack (s, n, k) whose column j is supported
+    on the rows with member[:, :, j] (every column must own a row); the
+    stack form of ``_slice_frame``.  Each column's norm is one unit-stride
+    dot over all n rows, the non-member rows zero; that adds the member
+    terms in the order and with the bits of the one-column norm when n < 16
+    or a column owns every row (a single column, or n < 16 because
+    k**n <= EXACT_ASSIGNMENTS)."""
+    cols = np.where(member, np.maximum(stack, 0.0), 0.0).transpose(0, 2, 1).copy()
+    norms = np.sqrt(np.vecdot(cols, cols))[:, None, :]
+    positive = norms > 0.0
+    v = np.where(member & positive, cols.transpose(0, 2, 1) / np.where(positive, norms, 1.0), 0.0)
+    frame, col = np.nonzero(~positive[:, 0, :])
+    top = np.where(member, stack, -np.inf).argmax(axis=1)
+    v[frame, top[frame, col], col] = 1.0
+    return v

@@ -14,8 +14,10 @@ Objectives take the stack form of ``cones``: f maps a stack
 (s, *ambient_shape) of point coordinates to s values, and every check calls
 it once on all the points it scores.  Samplers follow the contract of
 ``manifolds``: ``sampler(count, rng)`` returns one stack of point
-coordinates, checked on the manifold by one call.  Brackets take the
-coordinates of one point and are called once per sample.
+coordinates, checked on the manifold by one call.  Brackets take the same
+stack form: ``bracket(coords)`` maps a stack of s points to (lb, ub), two
+arrays of s distance bounds, and every check calls it once on all the
+points it scores.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ class WsmInstance:
 
     ``f`` maps a stack of point coordinates to one value per row;
     ``feasible_sampler(count, rng)`` returns a stack of feasible points;
-    ``bracket(u)`` returns (lb, ub) enclosing dist(u; solution set) for the
-    coordinates u of one point; ``point`` is a reference solution where f
+    ``bracket(coords)`` maps a stack of s point coordinates to (lb, ub), two
+    arrays of shape (s,) whose rows enclose dist(u; solution set) for each
+    point u of the stack; ``point`` is a reference solution where f
     attains its minimum; ``radius`` restricts the check to a ball around it
     (math.inf for a global check).  When ``solution_sampler`` (a stack
     sampler as well) is given, the reference-minimality of ``point`` is
@@ -112,8 +115,8 @@ class WsmVerdict:
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
                        tol: float = VIOLATION_TOL) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set)
-    against the distance bracket: f on the stack of samples in one call, the
-    bracket once per sample."""
+    against the distance bracket: f and the bracket each in one call on the
+    stack of samples, the checks in sample order."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
@@ -128,10 +131,10 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
     if inst.radius < math.inf:
         samples = samples[~(pairwise_distances(m, samples, inst.point.coords[None])[:, 0]
                             > inst.radius)]
-    for u, fu in zip(samples, _values_at(inst.f, samples)):
+    for u, fu, lb, ub in zip(samples, _values_at(inst.f, samples),
+                             *_brackets_at(inst.bracket, samples)):
         if not math.isfinite(fu):
             raise GeometryError("objective not finite at a feasible sample")
-        lb, ub = inst.bracket(u)
         if lb > ub + 1e-12:
             raise GeometryError(f"bracket inverted: lb={lb} > ub={ub}")
         checked += 1
@@ -154,6 +157,19 @@ def _values_at(f, coords: np.ndarray) -> list:
     return objective_values(f, coords).tolist() if len(coords) else []
 
 
+def _brackets_at(bracket, coords: np.ndarray) -> tuple:
+    """(lbs, ubs) of a stack, as two lists of floats, from one bracket call
+    (no call for an empty stack).  Refuses a bracket that does not return
+    one pair of bounds per row."""
+    if not len(coords):
+        return [], []
+    lb, ub = (np.asarray(b, dtype=float) for b in bracket(coords))
+    if lb.shape != (len(coords),) or ub.shape != (len(coords),):
+        raise GeometryError(f"bracket gave shapes {lb.shape} and {ub.shape} "
+                            f"for a stack of {len(coords)} points")
+    return lb.tolist(), ub.tolist()
+
+
 def estimate_modulus(
     f: Callable[[np.ndarray], np.ndarray],
     feasible_sampler: Callable[[int, np.random.Generator], np.ndarray],
@@ -167,12 +183,11 @@ def estimate_modulus(
     """Infimum over samples of (f(u) - f_min) / ub(u), skipping points inside
     the set (ub <= INSIDE_TOL).  Using the upper bracket end makes this a
     conservative estimate of the best modulus valid on the sampled region.
-    The sampled stack is checked on ``manifold``; f is called once on the
-    samples outside the set."""
+    The sampled stack is checked on ``manifold``; the bracket is called once
+    on the stack and f once on the samples outside the set."""
     samples = point_stack(manifold, feasible_sampler(n_samples, default_rng(seed)))
     outside, ubs = [], []
-    for i, u in enumerate(samples):
-        lb, ub = bracket(u)
+    for i, ub in enumerate(_brackets_at(bracket, samples)[1]):
         if ub <= INSIDE_TOL or not math.isfinite(ub):
             continue  # inside the set, or unbracketed
         outside.append(i)

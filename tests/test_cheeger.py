@@ -1,6 +1,7 @@
 """Graph pipeline tests: parsing, enumeration oracle, relaxation objective,
 penalty, subgradient, solver, rounding, and the penalty exponent study."""
 
+import importlib
 import math
 from itertools import product
 
@@ -16,6 +17,8 @@ from sharpmin.cheeger import (
     SolverConfig,
     SubPartition,
     _local_search_bracket,
+    _stiefel_bracket,
+    calibrate_penalty_weight,
     cheeger_objective,
     cut_boundary,
     dist_upper_estimate,
@@ -31,7 +34,25 @@ from sharpmin.cheeger import (
     wsm_penalty_check,
 )
 from sharpmin.manifolds import GeometryError, stiefel, tangent_project
-from sharpmin.stiefel import qr_retract, random_stiefel, random_stiefel_plus
+from sharpmin.stiefel import (
+    EXACT_ASSIGNMENTS,
+    FrameError,
+    _assignment_keys,
+    _lemma_survivors,
+    exact_slice_distances,
+    qr_retract,
+    random_stiefel,
+    random_stiefel_plus,
+)
+from slice_reference import (
+    ref_assignment_table,
+    ref_slice_distance,
+    ref_stiefel_bracket,
+    ref_table_scores,
+)
+
+# the package exports the manifold constructor ``stiefel`` under the module's name
+stiefel_module = importlib.import_module("sharpmin.stiefel")
 
 K2 = "p 2 1\ne 1 2"
 P3 = "p 3 2\ne 1 2\ne 2 3"
@@ -332,6 +353,156 @@ class TestDistUpperEstimate:
             assert local.lb <= exact + 1e-12 and exact <= local.ub + 1e-12
             assert local.lb >= float(np.linalg.norm(np.minimum(u, 0.0))) - 1e-12
             assert np.all(local.feasible.matrix >= 0.0)
+
+
+SLICE_SIZES = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3), (11, 2), (12, 2)]
+# the rounded example of ROADMAP item 5: row 3 is positive only in column 1,
+# yet the optimum puts it alone in column 2
+COUNTEREXAMPLE = np.array([[0.9, 0.1], [0.5, -0.3], [0.2, -0.05]])
+
+
+def adversarial_frames(n, k, rng):
+    """Seeded frames with the structure random frames never have: zero rows,
+    all-nonpositive columns and frames, rounded ties, an all-zero matrix."""
+    out = []
+    for _ in range(6):
+        u = random_stiefel(n, k, rng)
+        zero_rows = u.copy()
+        zero_rows[rng.random(n) < 0.4] = 0.0
+        negative_column = u.copy()
+        negative_column[:, rng.integers(k)] = -np.abs(negative_column[:, rng.integers(k)])
+        rounded_zero_rows = np.round(u, 1)
+        rounded_zero_rows[rng.random(n) < 0.3] = 0.0
+        out += [zero_rows, negative_column, -np.abs(u), np.round(u, 1), rounded_zero_rows,
+                0.5 * np.round(rng.standard_normal((n, k)))]
+    out.append(np.zeros((n, k)))
+    return np.array(out)
+
+
+def assert_matches_full_table(frames):
+    d, got = exact_slice_distances(frames)
+    assert d.shape == (len(frames),) and got.shape == frames.shape
+    for u, du, v in zip(frames, d, got):
+        want_d, want_v = ref_slice_distance(u)
+        assert du.tobytes() == np.float64(want_d).tobytes()
+        assert v.tobytes() == want_v.tobytes()
+
+
+class TestExactSliceDistances:
+    """The stack scorer keeps the assignments the lemma of
+    dist_upper_estimate allows and scores them from subset tables; distances
+    and frames must be bitwise those of scoring the full table one frame at
+    a time (tests/slice_reference.py)."""
+
+    @pytest.mark.parametrize("n,k", SLICE_SIZES)
+    def test_seeded_frames_match_full_table(self, n, k):
+        frames = random_stiefel(n, k, np.random.default_rng(10 * n + k), 40)
+        assert_matches_full_table(frames)
+        for u in frames[:8]:
+            est = dist_upper_estimate(u)
+            want_d, want_v = ref_slice_distance(u)
+            assert np.float64(est.lb).tobytes() == np.float64(est.ub).tobytes() \
+                == np.float64(want_d).tobytes()
+            assert est.feasible.matrix.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("n,k", SLICE_SIZES + [(2, 2), (3, 3), (4, 4), (5, 5)])
+    def test_adversarial_frames_match_full_table(self, n, k):
+        assert_matches_full_table(adversarial_frames(n, k, np.random.default_rng(n + 7 * k)))
+
+    def test_counterexample_to_positive_columns(self):
+        d, frames = exact_slice_distances(COUNTEREXAMPLE[None])
+        assert d[0] == 1.1150668014978296
+        assert frames[0][2].tolist() == [0.0, 1.0]
+        assert dist_upper_estimate(COUNTEREXAMPLE).ub == d[0]
+        assert_matches_full_table(COUNTEREXAMPLE[None])
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 3), (11, 2), (5, 5)])
+    def test_lemma_keeps_every_full_table_optimum(self, n, k):
+        rng = np.random.default_rng(3 * n + k)
+        frames = np.concatenate([random_stiefel(n, k, rng, 20), adversarial_frames(n, k, rng)])
+        if (n, k) == (4, 2):
+            frames = np.concatenate([frames, np.pad(COUNTEREXAMPLE, ((0, 1), (0, 0)))[None]])
+        keys = _assignment_keys(n, k)
+        assert keys.shape == (k, ref_assignment_table(n, k).shape[1])
+        dropped = 0
+        for lo in range(0, len(frames), 64):
+            block = frames[lo:lo + 64]
+            frame, assignment = _lemma_survivors(block, keys)
+            assert np.all(np.diff(frame) >= 0)
+            for f, u in enumerate(block):
+                kept = assignment[frame == f]
+                assert np.all(np.diff(kept) > 0)  # table order
+                score = ref_table_scores(u)
+                assert set(np.flatnonzero(score == score.max())) <= set(kept.tolist())
+                dropped += keys.shape[1] - len(kept)
+        # with k == n every covering map is a permutation: one row per column
+        assert (dropped > 0) == (n > k)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        frames = np.concatenate([random_stiefel(8, 3, np.random.default_rng(4), 70),
+                                 adversarial_frames(8, 3, np.random.default_rng(5))])
+        d, got = exact_slice_distances(frames)
+        for cap in (1, 3 * 2**8 * 5, 1 << 20):
+            monkeypatch.setattr(stiefel_module, "SLICE_TABLE_ENTRIES", cap)
+            d_cap, got_cap = exact_slice_distances(frames)
+            assert d_cap.tobytes() == d.tobytes() and got_cap.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (8, 3), (3, 3)])
+    def test_empty_stack(self, n, k):
+        d, frames = exact_slice_distances(np.zeros((0, n, k)))
+        assert d.shape == (0,) and frames.shape == (0, n, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_square_frames(self, k):
+        rng = np.random.default_rng(k)
+        perm = np.eye(k)[rng.permutation(k)]
+        d, frames = exact_slice_distances(np.stack([perm, -perm, random_stiefel(k, k, rng)]))
+        assert d[0] == 0.0 and np.array_equal(frames[0], perm)
+        assert_matches_full_table(np.stack([perm, -perm, random_stiefel(k, k, rng)]))
+
+    def test_refusals(self):
+        with pytest.raises(FrameError, match="finite"):
+            exact_slice_distances(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+        with pytest.raises(FrameError, match="finite"):
+            dist_upper_estimate(np.array([[-np.inf], [1.0]]))
+        with pytest.raises(FrameError, match="assignments"):
+            exact_slice_distances(np.zeros((1, 9, 3)))
+        with pytest.raises(FrameError, match="empty"):
+            exact_slice_distances(np.zeros((1, 2, 3)))
+        with pytest.raises(FrameError, match="stack"):
+            exact_slice_distances(np.zeros((4, 2)))
+        assert 3**9 > EXACT_ASSIGNMENTS
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
+    def test_stiefel_bracket_matches_per_frame_reference(self, n, k):
+        frames = random_stiefel(n, k, np.random.default_rng(n * k), 30)
+        lb, ub = _stiefel_bracket(frames)
+        want = np.array([ref_stiefel_bracket(u) for u in frames])
+        assert lb.tobytes() == want[:, 0].tobytes() and ub.tobytes() == want[:, 1].tobytes()
+
+    @pytest.mark.parametrize("n,k", [(11, 2), (10, 3), (6, 1), (5, 5), (80, 3)])
+    def test_calibration_matches_frame_by_frame_loop(self, n, k):
+        rng = np.random.default_rng(n + k)
+        edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                      if rng.random() < 0.3)
+        graph = Graph(n=n, edges=edges)
+        # the loop the stacked calibration replaced, one seeded frame at a time
+        frame_rng = np.random.default_rng(9)
+        num = den = 0.0
+        for _ in range(12):
+            u = random_stiefel(n, k, frame_rng)
+            mass = float(np.sum(np.maximum(-u, 0.0)))
+            if mass < 1e-9:
+                continue
+            ub = ref_slice_distance(u)[0] if k**n <= EXACT_ASSIGNMENTS \
+                else dist_upper_estimate(u).ub
+            num += ub * mass
+            den += mass * mass
+        c, c_hat = calibrate_penalty_weight(graph, k, seed=9, n_samples=12)
+        assert np.float64(c_hat).tobytes() == np.float64(num / den).tobytes()
+        want_c = 2.0 * max(lipschitz_bound(graph, k), 1.0) * max(num / den, 0.25)
+        assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
+        assert calibrate_penalty_weight(graph, k, n_samples=0)[1] == 1.0  # no frames, no fit
 
 
 class TestSubgradient:

@@ -279,6 +279,23 @@ class TestContingentConeDistance:
         d = contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
         assert d <= 1e-3  # sampled rays tilt by O(t) at the smallest scales
 
+    def test_samples_only_the_tail_scales(self):
+        ax = fx.axis_fixture()
+        v = tangent(ax.point, 1.0, 1.0)
+        seen = []
+
+        def sampler(t, rng):
+            seen.append(t)
+            return ax.omega_sampler(t, rng)
+
+        got = contingent_cone_distance(sampler, ax.point, v, seed=5, tail_scales=3)
+        assert seen == list(DEFAULT_SCHEDULE.scales[-3:])
+        want = ref_contingent_cone_distance(ref_fixture_sampler(ax.name), ax.point, v, seed=5,
+                                            tail_scales=3)
+        assert _bits(got) == _bits(want)
+        with pytest.raises(GeometryError, match="tail_scales"):
+            contingent_cone_distance(sampler, ax.point, v, tail_scales=0)
+
     def test_empty_smallest_scale_refused(self):
         m = euclidean(2)
         p = Point(m, np.zeros(2))
@@ -918,11 +935,14 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     def test_stiefel_plus_sampler(self, n, k):
         for frame in _grid_frames(n, k):
-            for t in (0.1, 0.0125, 1e-4):
-                got = stiefel_plus_sampler(frame)(t, np.random.default_rng(3))
-                want = ref_stiefel_plus_sampler(frame)(t, np.random.default_rng(3))
-                assert got.shape == (len(want), n, k)
-                assert got.tobytes() == _stack_of(want, (n, k)).tobytes()
+            shared = stiefel_plus_sampler(frame)
+            # the repeated scales reuse the angles the shared sampler caches per scale
+            for seed, t in enumerate((0.1, 0.0125, 1e-4, 0.1, 1e-4, 0.0125)):
+                want = ref_stiefel_plus_sampler(frame)(t, np.random.default_rng(seed))
+                for got in (stiefel_plus_sampler(frame)(t, np.random.default_rng(seed)),
+                            shared(t, np.random.default_rng(seed))):
+                    assert got.shape == (len(want), n, k)
+                    assert got.tobytes() == _stack_of(want, (n, k)).tobytes()
 
     @pytest.mark.parametrize("cap", [1, 20_000, None], ids=["one-per-chunk", "split", "default"])
     @pytest.mark.parametrize("n,k", FRAME_GRID)

@@ -22,6 +22,7 @@ from sharpmin.wsm import (
     estimate_modulus,
     verify_wsm_sampled,
 )
+from slice_reference import ref_stiefel_bracket
 
 
 CIRCLE = sphere(2, 1.0)
@@ -37,9 +38,8 @@ def circle_sampler(count, rng):
     return circle_coords(rng.uniform(-math.pi, math.pi, size=count))
 
 
-def arc_bracket(u):
-    theta = math.atan2(float(u[1]), float(u[0]))
-    d = fx.arc_angular_distance(theta)
+def arc_bracket(coords):
+    d = np.array([fx.arc_angular_distance(math.atan2(y, x)) for x, y in coords.tolist()])
     return d, d
 
 
@@ -121,12 +121,31 @@ class TestVerifyWsm:
         inst = WsmInstance(
             f=fx.circle_penalty(0.5),
             feasible_sampler=circle_sampler,
-            bracket=lambda u: (2.0, 1.0),
+            bracket=lambda coords: (np.full(len(coords), 2.0), np.ones(len(coords))),
             point=fx.circle_point(0.3),
             alpha=1.0,
         )
         with pytest.raises(GeometryError):
             verify_wsm_sampled(inst, 10, seed=0)
+
+    def test_bracket_without_one_bound_per_point_refused(self):
+        for bracket in (lambda coords: (0.0, 1.0),
+                        lambda coords: (np.zeros(len(coords)), np.ones(len(coords) + 1))):
+            inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=circle_sampler,
+                               bracket=bracket, point=fx.circle_point(0.3), alpha=1.0)
+            with pytest.raises(GeometryError, match="bracket gave shapes"):
+                verify_wsm_sampled(inst, 10, seed=0)
+            with pytest.raises(GeometryError, match="bracket gave shapes"):
+                estimate_modulus(inst.f, circle_sampler, bracket, 10, manifold=CIRCLE)
+
+    def test_empty_ball_calls_no_bracket(self):
+        def bracket(coords):
+            raise AssertionError("bracket called on an empty stack")
+
+        inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=circle_sampler,
+                           bracket=bracket, point=fx.circle_point(0.3), alpha=1.0, radius=0.0)
+        verdict = verify_wsm_sampled(inst, 10, seed=0)
+        assert (verdict.status, verdict.n_samples) == ("pass_strong", 0)
 
     def test_nonminimal_reference_refused(self):
         def arc_sampler(count, rng):
@@ -163,15 +182,17 @@ class TestEstimateModulus:
 
     def test_sqrt_penalty_bounded_below(self):
         # oracle: dense-grid minimum of sum(sqrt(neg)) / chordal distance
-        def chordal_bracket(u):
-            theta = math.atan2(float(u[1]), float(u[0]))
-            d = fx.arc_chordal_distance(theta)
+        def chordal(u):
+            return fx.arc_chordal_distance(math.atan2(float(u[1]), float(u[0])))
+
+        def chordal_bracket(coords):
+            d = np.array([chordal(u) for u in coords])
             return d, d
 
         grid = fx.circle_grid(2000)
         f = fx.circle_penalty(0.5)
-        oracle = min(f(u.coords[None])[0] / chordal_bracket(u.coords)[1]
-                     for u in grid if chordal_bracket(u.coords)[1] > 0)
+        oracle = min(f(u.coords[None])[0] / chordal(u.coords)
+                     for u in grid if chordal(u.coords) > 0)
         assert oracle >= 0.70
 
         est = estimate_modulus(f, circle_sampler, chordal_bracket, 1000, seed=0,
@@ -195,8 +216,9 @@ class TestEstimateModulus:
         def two_point_sampler(count, rng):
             return np.stack([inside.coords, outside.coords])
 
-        def bracket(u):
-            return (1e-16, 1e-16) if np.array_equal(u, inside.coords) else (0.5, 0.5)
+        def bracket(coords):
+            d = np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
+            return d, d
 
         est = estimate_modulus(fx.circle_penalty(1.0), two_point_sampler, bracket, 2,
                                manifold=CIRCLE)
@@ -344,7 +366,8 @@ def _ref_values(f, points):
 
 def ref_verify(f, sampler, point, alpha, n_samples, seed, radius=math.inf,
                solution_sampler=None, tol=1e-9):
-    """(status, witness, modulus, checked), one Point and one bracket per sample."""
+    """(status, witness, modulus, checked), one Point and one full-table
+    bracket per sample."""
     f0 = _ref_values(f, [point])[0]
     if solution_sampler is not None:
         sols = solution_sampler(32, np.random.default_rng(seed))
@@ -355,7 +378,7 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, radius=math.inf,
                        and float(np.linalg.norm(point.coords - u.coords)) > radius)]
     strong, witness, modulus, checked = True, None, math.inf, 0
     for u, fu in zip(samples, _ref_values(f, samples)):
-        lb, ub = _stiefel_bracket(u.coords)
+        lb, ub = ref_stiefel_bracket(u.coords)
         checked += 1
         gain = fu - f0
         if ub > INSIDE_TOL and math.isfinite(ub):
@@ -371,7 +394,7 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, radius=math.inf,
 def ref_estimate(f, sampler, n_samples, seed):
     outside, ubs = [], []
     for u in sampler(n_samples, np.random.default_rng(seed)):
-        lb, ub = _stiefel_bracket(u.coords)
+        lb, ub = ref_stiefel_bracket(u.coords)
         if ub <= INSIDE_TOL or not math.isfinite(ub):
             continue
         outside.append(u)
@@ -402,7 +425,7 @@ WSM_GRID = [(2, 1), (4, 2), (6, 2), (8, 3)]
 
 class TestStackSamplersMatchPerSampleReference:
     """Frames come as one standard_normal draw and one batched QR, and the
-    checks call the bracket per row of the stack; verdicts, witnesses and
+    checks call the stack bracket once per stack; verdicts, witnesses and
     modulus estimates must be bitwise those of the one-Point-per-sample
     code."""
 
