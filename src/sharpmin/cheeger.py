@@ -9,10 +9,10 @@ The pipeline: parse a graph, optionally compute the exact constant by
 enumeration, run a multi-restart Riemannian subgradient descent on the
 penalized relaxation, round the best frame to a sub-partition with a
 threshold sweep, and compare against the enumeration oracle when affordable.
-The restarts advance together as one stack of frames, the objective and its
-subgradient go through index arrays of the signed incidence matrix B that
-each graph builds once, and the oracle scores assignments in numpy blocks;
-each gives the bits of the one-frame, one-assignment loop it replaced.
+The restarts advance as one stack of frames whose edge differences B U (B
+the signed incidence matrix) give each step's objective and, by a bincount
+scatter, B^T sign(B U); the oracle scores assignments in numpy blocks.  Each
+gives the bits of the one-frame, one-assignment loop it replaced.
 
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -86,11 +85,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return deg
+        return np.bincount(self.edge_array().ravel(), minlength=self.n)
 
     def edge_array(self) -> np.ndarray:
         """0-indexed m-by-2 array, shape (0, 2) for edgeless graphs."""
@@ -106,22 +101,6 @@ class Graph:
         tail, head = ends[:, 0].copy(), ends[:, 1].copy()
         tail.flags.writeable = head.flags.writeable = False
         return tail, head
-
-    @cached_property
-    def half_edges(self) -> tuple:
-        """Read-only (source, target, vertices, starts), built once: every
-        edge in both directions sorted by source, the distinct sources, and
-        where the run of each one starts.  Row v of B^T sign(B U) is the sum
-        of sign(U_v - U_target) over the run of v."""
-        tail, head = self.edge_ends
-        source, target = np.concatenate((tail, head)), np.concatenate((head, tail))
-        order = np.argsort(source, kind="stable")
-        source, target = source[order], target[order]
-        vertices = np.unique(source)
-        starts = np.searchsorted(source, vertices)
-        for a in (source, target, vertices, starts):
-            a.flags.writeable = False
-        return source, target, vertices, starts
 
     @cached_property
     def neighbours(self) -> tuple:
@@ -220,8 +199,6 @@ def cheeger_objective(graph: Graph, parts: SubPartition) -> float:
     """Sum over parts of |boundary| / sqrt(size)."""
     total = 0.0
     for p in parts.parts:
-        if not p:
-            raise GraphFormatError("empty part in objective")
         total += cut_boundary(graph, p) / math.sqrt(len(p))
     return total
 
@@ -231,8 +208,6 @@ def _canonical(assignment) -> bool:
     which picks one representative per label-permutation class."""
     top = 0
     for a in assignment:
-        if a == 0:
-            continue
         if a > top + 1:
             return False
         top = max(top, a)
@@ -350,10 +325,19 @@ def grad_norm_l1(graph: Graph, u):
     mat = as_matrix(u)
     if mat.shape[-2] != graph.n:
         raise GraphFormatError(f"frame has {mat.shape[-2]} rows, graph has {graph.n} vertices")
-    tail, head = graph.edge_ends
-    diffs = np.abs(np.take(mat, tail, axis=-2) - np.take(mat, head, axis=-2))
-    total = np.sum(diffs.reshape(*mat.shape[:-2], -1), axis=-1)
+    total = _slice_sums(np.abs(_edge_differences(graph, mat)))
     return float(total) if mat.ndim == 2 else total
+
+
+def _edge_differences(graph: Graph, mat: np.ndarray) -> np.ndarray:
+    """B U: the rows U[tail] - U[head] of each slice, shape (..., m, k)."""
+    tail, head = graph.edge_ends
+    return np.take(mat, tail, axis=-2) - np.take(mat, head, axis=-2)
+
+
+def _slice_sums(x: np.ndarray):
+    """Sum of each (n, k) or (m, k) slice of x."""
+    return np.sum(x.reshape(*x.shape[:-2], -1), axis=-1)
 
 
 def penalty_h(u, beta: float):
@@ -363,8 +347,7 @@ def penalty_h(u, beta: float):
     if not beta > 0:
         raise GeometryError(f"penalty exponent must be positive, got {beta}")
     mat = as_matrix(u)
-    neg = np.maximum(-mat, 0.0) ** beta
-    total = np.sum(neg.reshape(*mat.shape[:-2], -1), axis=-1)
+    total = _slice_sums(np.maximum(-mat, 0.0) ** beta)
     return float(total) if mat.ndim == 2 else total
 
 
@@ -496,15 +479,27 @@ def riemannian_subgradient(graph: Graph, u, beta: float, c: float) -> np.ndarray
             f"subgradient unsupported for beta={beta} < 1 (unbounded near the boundary)"
         )
     mat = as_matrix(u)
-    source, target, vertices, starts = graph.half_edges
-    grad = np.zeros_like(mat)
-    if vertices.size:
-        # the terms are -1, 0 or 1, so each vertex's sum is exact in any order
-        signs = np.sign(np.take(mat, source, axis=-2) - np.take(mat, target, axis=-2))
-        grad[..., vertices, :] = np.add.reduceat(signs, starts, axis=-2)
-    negative = mat < 0.0
-    if negative.any():
-        grad[negative] -= c * beta * np.maximum(-mat[negative], 0.0) ** (beta - 1.0)
+    return _subgradient(mat, _edge_differences(graph, mat), _incidence_plan(graph, mat.shape),
+                        beta, c)
+
+
+def _incidence_plan(graph: Graph, shape: tuple) -> tuple:
+    """Flat indices into a frame or stack of this shape where each entry
+    (e, j) of B U lands: (tail_e, j) with sign +, and (head_e, j) with -."""
+    n, k = shape[-2:]
+    tail, head = graph.edge_ends
+    base = np.arange(0, math.prod(shape), n * k)[:, None, None] + np.arange(k)
+    return (base + tail[:, None] * k).ravel(), (base + head[:, None] * k).ravel()
+
+
+def _subgradient(mat, diffs, plan: tuple, beta: float, c: float) -> np.ndarray:
+    """``riemannian_subgradient`` from B U and the plan of mat's shape."""
+    tail_at, head_at = plan
+    signs = np.sign(diffs).ravel()
+    # sums of -1, 0, 1 are exact in any order; no edges: int zeros, float below
+    edges = np.bincount(tail_at, signs, mat.size) - np.bincount(head_at, signs, mat.size)
+    grad = edges.reshape(mat.shape) - np.where(
+        mat < 0.0, c * beta * np.maximum(-mat, 0.0) ** (beta - 1.0), 0.0)
     return tangent_project(stiefel(*mat.shape[-2:]), mat, grad)
 
 
@@ -530,10 +525,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 2.0:
             raise GeometryError(f"beta must lie in (0, 2], got {self.beta}")
-        if self.penalty_c is not None and not self.penalty_c > 0:
-            raise GeometryError("penalty weight must be positive")
-        if self.step0 is not None and not self.step0 > 0:
-            raise GeometryError("step0 must be positive")
+        if self.penalty_c is not None and not 0 < self.penalty_c < math.inf:
+            raise GeometryError("penalty weight must be positive and finite")
+        if self.step0 is not None and not 0 < self.step0 < math.inf:
+            raise GeometryError("step0 must be positive and finite")
         if self.schedule not in ("sqrt", "linear"):
             raise GeometryError(f"unknown step schedule {self.schedule!r}")
         if self.restarts < 1:
@@ -675,17 +670,21 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     # comes from its own spawned generator, as a loop over restarts would draw it
     u = np.stack([random_stiefel(graph.n, k, default_rng(ss))
                   for ss in SeedSequence(cfg.seed).spawn(cfg.restarts)])
-    local_best = grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
+    # B U of each iterate gives its objective and the next subgradient
+    plan = _incidence_plan(graph, u.shape)
+    diffs = _edge_differences(graph, u)
+    local_best = _slice_sums(np.abs(diffs)) + c * penalty_h(u, 1.0)
     local_u = u.copy()
     values = np.empty((cfg.max_iters, cfg.restarts))
     penalties = np.empty_like(values)
     residuals = np.empty_like(values)
     for t in range(1, cfg.max_iters + 1):
-        g = riemannian_subgradient(graph, u, 1.0, c)
+        g = _subgradient(u, diffs, plan, 1.0, c)
         gamma = step0 / math.sqrt(t) if cfg.schedule == "sqrt" else step0 / t
         u = qr_retract(u, -gamma * g)
+        diffs = _edge_differences(graph, u)
         penalty = c * penalty_h(u, 1.0)
-        val = grad_norm_l1(graph, u) + penalty
+        val = _slice_sums(np.abs(diffs)) + penalty
         if not np.all(np.isfinite(val)):
             bad = int(np.argmin(np.isfinite(val)))
             raise GeometryError(f"non-finite objective at restart {bad}, iter {t}")

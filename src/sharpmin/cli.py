@@ -376,6 +376,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy seeding would raise a bare ValueError later
+            parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     except UsageError as exc:
         report = {"exit_code": EXIT_USAGE, "reason": str(exc)}
         sys.stdout.write(canonical_json(report))

@@ -627,6 +627,12 @@ class TestSolver:
         assert a.rounded_value == b.rounded_value
         assert a.trace == b.trace
 
+    @pytest.mark.parametrize("field", ["penalty_c", "step0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_weight_and_step_refused(self, field, value):
+        with pytest.raises(GeometryError, match=field.replace("_c", " weight")):
+            SolverConfig(**{field: value})
+
     def test_beta_not_one_refused(self):
         with pytest.raises(GeometryError):
             solve_relaxation(load_graph(K2), 2, SolverConfig(beta=2.0))

@@ -63,7 +63,7 @@ def ref_tangent_project(base, z):
     return z
 
 
-def ref_subgradient(graph, u, c):
+def ref_subgradient(graph, u, c, beta=1.0):
     grad = np.zeros_like(u)
     ea = graph.edge_array()
     if ea.shape[0]:
@@ -72,7 +72,7 @@ def ref_subgradient(graph, u, c):
         np.add.at(grad, ea[:, 1], -signs)
     negative = u < 0.0
     if negative.any():
-        grad[negative] -= c * 1.0 * np.maximum(-u[negative], 0.0) ** 0.0
+        grad[negative] -= c * beta * np.maximum(-u[negative], 0.0) ** (beta - 1.0)
     return ref_tangent_project(u, grad)
 
 
@@ -210,6 +210,13 @@ def matching(n):
     return Graph(n=n, edges=tuple((u, u + 1) for u in range(1, n, 2)))
 
 
+# vertices 4 and 7 touch no edge, so their rows of B^T sign(B U) stay 0
+ISOLATED = Graph(n=7, edges=((1, 2), (1, 3), (2, 3), (5, 6)))
+# edges run from the smaller vertex (tail) to the larger (head): vertex 1 is
+# only ever a tail, vertex 6 only ever a head, 2-4 are both
+ONE_SIDED = Graph(n=6, edges=((1, 2), (1, 3), (1, 4), (2, 6), (3, 6), (4, 6), (5, 6)))
+
+
 def _solver_cases():
     light = SolverConfig(restarts=6, max_iters=60, seed=0)
     full = SolverConfig(restarts=20, max_iters=300, seed=0)
@@ -234,6 +241,10 @@ def _solver_cases():
     for n, k in ((40, 3), (80, 3), (60, 4)):
         cases.append((f"planted-{n}-{k}", planted(n, k, 0.3, 0.02, rng), k,
                       SolverConfig(restarts=4, max_iters=40, seed=n)))
+    cases.append(("isolated-vertices", ISOLATED, 2, light))
+    cases.append(("tail-only-head-only", ONE_SIDED, 2, light))
+    cases.append(("k1-one-restart-linear", cycle(7), 1,
+                  SolverConfig(restarts=1, schedule="linear", max_iters=60, seed=5)))
     return cases
 
 
@@ -303,6 +314,23 @@ class TestBatchedPipelineMatchesLoopReference:
             assert _bits(grads[i]) == _bits(ref_subgradient(graph, u, c))
             assert _bits(riemannian_subgradient(graph, u, 1.0, c)) == _bits(grads[i])
             assert _bits(residuals[i]) == _bits(ref_frame_residual(u))
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("name", ["isolated", "one-sided", "edgeless", "gnp-9"])
+    def test_stacked_subgradient_matches_add_at(self, name, beta):
+        graph = {"isolated": ISOLATED, "one-sided": ONE_SIDED,
+                 "edgeless": Graph(n=5, edges=()),
+                 "gnp-9": gnp(9, 0.4, default_rng(9))}[name]
+        rng = default_rng(int(beta * 10) + graph.n)
+        for k in (1, 2, 3):
+            stack = np.stack([random_stiefel(graph.n, k, rng) for _ in range(4)])
+            stack[0, 0, 0] = stack[0, 1, 0]  # a tie on the edge 1-2, where present
+            stack[1, 2, :] = 0.0  # zero entries: neither negative nor penalized
+            grads = riemannian_subgradient(graph, stack, beta, 2.5)
+            assert grads.dtype == np.float64
+            for i, u in enumerate(stack):
+                assert _bits(grads[i]) == _bits(ref_subgradient(graph, u, 2.5, beta))
+                assert _bits(riemannian_subgradient(graph, u, beta, 2.5)) == _bits(grads[i])
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (8, 3), (30, 4)])
     def test_stacked_base_tangent_project(self, n, k):

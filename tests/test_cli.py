@@ -106,6 +106,27 @@ class TestUsageErrors:
         assert "finite" in json.loads(out)["reason"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["relax", "--k", "2"], ["verify-lemma"],
+                                      ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2"]])
+    def test_negative_seed_refused_at_parse(self, capsys, c4_file, tmp_path, argv):
+        if argv[0] == "relax":
+            argv = argv + ["--graph", c4_file]
+        out_dir = tmp_path / "out"
+        code, out, err = run_captured(capsys, argv + ["--seed", "-1", "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert "--seed" in json.loads(out)["reason"]
+        assert not out_dir.exists()  # refused before any work or report
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_relax_non_finite_penalty_weight(self, capsys, c4_file, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the weight
+            code, out, _ = run_captured(
+                capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", value])
+        assert code == EXIT_USAGE
+        assert "penalty weight must be positive and finite" in json.loads(out)["reason"]
+
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(
             capsys, ["relax", "--graph", c4_file, "--k", "2", "--max-iters", "-3"])
@@ -279,7 +300,7 @@ def cli_inputs(draw):
         if draw(_NEARLY_ALWAYS):
             argv += [flag, str(draw(values))]
     argv += ["--format", draw(st.sampled_from(["json", "csv"])), "--seed",
-             str(draw(st.integers(0, 3)))]
+             str(draw(_mostly(st.integers(0, 3), st.integers(-3, 3))))]
     graph = None
     if command in _TAKES_GRAPH and draw(_NEARLY_ALWAYS):
         graph = "\n".join(draw(st.lists(_GRAPH_LINES, max_size=8)))
