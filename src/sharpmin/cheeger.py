@@ -50,7 +50,7 @@ from .stiefel import (
     random_stiefel_plus,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
-from .wsm import NcVerdict, WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
+from .wsm import WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
 from .fixtures import arc_chordal_distance
 
 
@@ -155,6 +155,8 @@ def load_graph(source) -> Graph:
             raise GraphFormatError(f"line {lineno}: vertex index must be >= 1")
         raw_edges.append((min(u, v), max(u, v)))
     n = n_declared if n_declared is not None else max((v for e in raw_edges for v in e), default=1)
+    if n > np.iinfo(np.intp).max:
+        raise GraphFormatError(f"vertex count {n} exceeds the largest array index")
     unique = sorted(set(raw_edges))
     if len(unique) < len(raw_edges):
         warnings.warn(f"collapsed {len(raw_edges) - len(unique)} duplicate edge(s)", stacklevel=2)
@@ -229,7 +231,7 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     """
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
-    if (k + 1) ** graph.n > budget:
+    if _over_budget(graph.n, k, budget):
         # (k+1)^n itself can pass Python's digit limit for int-to-str conversion
         raise BudgetExceededError(
             f"enumeration needs {k + 1}^{graph.n} assignments, budget is {budget}"
@@ -248,6 +250,12 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
     parts = [frozenset(int(i) + 1 for i in np.flatnonzero(best_assignment == j))
              for j in range(1, k + 1)]
     return best_val, SubPartition(tuple(parts))
+
+
+def _over_budget(n: int, k: int, budget: int) -> bool:
+    """Whether (k+1)^n > budget, without building the power when n alone
+    decides it: (k+1)^n >= 2^n > budget once n passes budget's bit length."""
+    return n > budget.bit_length() or (k + 1) ** n > budget
 
 
 def _oracle_blocks(graph: Graph, k: int):
@@ -463,24 +471,16 @@ def _local_search_bracket(mat: np.ndarray) -> DistanceEstimate:
     return DistanceEstimate(lb=min(lb, ub), ub=ub, feasible=StiefelPoint(v))
 
 
-def riemannian_subgradient(graph: Graph, u, beta: float, c: float) -> np.ndarray:
-    """Tangent subgradient of the penalized objective at a frame, or at each
-    slice of a stack of frames (s, n, k).
+def riemannian_subgradient(graph: Graph, u, c: float) -> np.ndarray:
+    """Tangent subgradient of the penalized objective |B U|_1 + C h_1(U) at a
+    frame, or at each slice of a stack of frames (s, n, k).
 
     Edge terms contribute B^T sign(B U), the sign pattern of the column
     differences (0 on ties, a valid selection at the kink); the penalty
-    contributes -C * beta * (-u)^(beta-1) at strictly negative entries.
-    Exponents below 1 are refused: the penalty derivative blows up at the
-    boundary of the nonnegative slice, which breaks diminishing-step
-    subgradient descent.
+    contributes -C at strictly negative entries.
     """
-    if beta < 1.0:
-        raise GeometryError(
-            f"subgradient unsupported for beta={beta} < 1 (unbounded near the boundary)"
-        )
     mat = as_matrix(u)
-    return _subgradient(mat, _edge_differences(graph, mat), _incidence_plan(graph, mat.shape),
-                        beta, c)
+    return _subgradient(mat, _edge_differences(graph, mat), _incidence_plan(graph, mat.shape), c)
 
 
 def _incidence_plan(graph: Graph, shape: tuple) -> tuple:
@@ -492,14 +492,13 @@ def _incidence_plan(graph: Graph, shape: tuple) -> tuple:
     return (base + tail[:, None] * k).ravel(), (base + head[:, None] * k).ravel()
 
 
-def _subgradient(mat, diffs, plan: tuple, beta: float, c: float) -> np.ndarray:
+def _subgradient(mat, diffs, plan: tuple, c: float) -> np.ndarray:
     """``riemannian_subgradient`` from B U and the plan of mat's shape."""
     tail_at, head_at = plan
     signs = np.sign(diffs).ravel()
     # sums of -1, 0, 1 are exact in any order; no edges: int zeros, float below
     edges = np.bincount(tail_at, signs, mat.size) - np.bincount(head_at, signs, mat.size)
-    grad = edges.reshape(mat.shape) - np.where(
-        mat < 0.0, c * beta * np.maximum(-mat, 0.0) ** (beta - 1.0), 0.0)
+    grad = edges.reshape(mat.shape) - np.where(mat < 0.0, c, 0.0)
     return tangent_project(stiefel(*mat.shape[-2:]), mat, grad)
 
 
@@ -507,15 +506,12 @@ def _subgradient(mat, diffs, plan: tuple, beta: float, c: float) -> np.ndarray:
 class SolverConfig:
     """Hyperparameters of the penalized relaxation solver.
 
-    The solver itself runs with beta = 1 (Lipschitz penalty); other exponents
-    in (0, 2] are for evaluation-only studies.  step0 and penalty_c default
-    to 1/L and the calibrated weight respectively when left as None.
+    The penalty exponent is 1 (the Lipschitz exact penalty) and step t is
+    1/max(L, 1)/sqrt(t), L the ``lipschitz_bound``.  penalty_c defaults to
+    the calibrated weight when left as None.
     """
 
-    beta: float = 1.0
     penalty_c: float | None = None
-    step0: float | None = None
-    schedule: str = "sqrt"  # step0/sqrt(t) or step0/t
     max_iters: int = 300
     restarts: int = 20
     seed: int = 0
@@ -523,14 +519,8 @@ class SolverConfig:
     with_oracle: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 2.0:
-            raise GeometryError(f"beta must lie in (0, 2], got {self.beta}")
         if self.penalty_c is not None and not 0 < self.penalty_c < math.inf:
             raise GeometryError("penalty weight must be positive and finite")
-        if self.step0 is not None and not 0 < self.step0 < math.inf:
-            raise GeometryError("step0 must be positive and finite")
-        if self.schedule not in ("sqrt", "linear"):
-            raise GeometryError(f"unknown step schedule {self.schedule!r}")
         if self.restarts < 1:
             raise GeometryError("need at least one restart")
         if self.max_iters < 1:
@@ -544,7 +534,6 @@ class ClusterReport:
     graph_n: int
     graph_m: int
     k: int
-    beta: float
     penalty_c: float
     calibration_c_hat: float
     seed: int
@@ -572,7 +561,10 @@ class ClusterReport:
                 )
 
 
-def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0, n_samples: int = 32):
+CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
+
+
+def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
     """Penalty weight C = 2 * L * c_hat, where c_hat regresses the feasible
     upper distance estimate on the l1 negative-part mass over seeded frames.
     The penalty must dominate the distance to the nonnegative slice; the
@@ -581,8 +573,8 @@ def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0, n_samples: int
     dropped, and the rest are scored by one ``exact_slice_distances`` call at
     desk scale, else by ``dist_upper_estimate`` one at a time."""
     l = lipschitz_bound(graph, k)
-    frames = random_stiefel(graph.n, k, default_rng(seed), n_samples)
-    masses = np.sum(np.maximum(-frames, 0.0).reshape(n_samples, graph.n * k), axis=1)
+    frames = random_stiefel(graph.n, k, default_rng(seed), CALIBRATION_FRAMES)
+    masses = np.sum(np.maximum(-frames, 0.0).reshape(CALIBRATION_FRAMES, graph.n * k), axis=1)
     frames, masses = frames[masses >= 1e-9], masses[masses >= 1e-9].tolist()
     if k**graph.n <= EXACT_ASSIGNMENTS:
         ubs = exact_slice_distances(frames)[0].tolist()
@@ -655,16 +647,13 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     last-iterate, as usual for nonsmooth subgradient methods).  Global
     optimality is never claimed: the report states the best value found.
     """
-    if cfg.beta != 1.0:
-        raise GeometryError("solver mode requires beta = 1; other exponents are study-only")
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
     if cfg.penalty_c is None:
         c, c_hat = calibrate_penalty_weight(graph, k, seed=cfg.seed)
     else:
         c, c_hat = float(cfg.penalty_c), float("nan")
-    l = lipschitz_bound(graph, k)
-    step0 = cfg.step0 if cfg.step0 is not None else 1.0 / max(l, 1.0)
+    step0 = 1.0 / max(lipschitz_bound(graph, k), 1.0)
 
     # all restarts advance together as one (R, n, k) stack; each start frame
     # comes from its own spawned generator, as a loop over restarts would draw it
@@ -679,8 +668,8 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     penalties = np.empty_like(values)
     residuals = np.empty_like(values)
     for t in range(1, cfg.max_iters + 1):
-        g = _subgradient(u, diffs, plan, 1.0, c)
-        gamma = step0 / math.sqrt(t) if cfg.schedule == "sqrt" else step0 / t
+        g = _subgradient(u, diffs, plan, c)
+        gamma = step0 / math.sqrt(t)
         u = qr_retract(u, -gamma * g)
         diffs = _edge_differences(graph, u)
         penalty = c * penalty_h(u, 1.0)
@@ -706,7 +695,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     rounded = round_solution(graph, best_u)
     rounded_value = cheeger_objective(graph, rounded)
     oracle_value = oracle_parts = gap = oracle_assignments = None
-    if cfg.with_oracle and (k + 1) ** graph.n <= cfg.oracle_budget:
+    if cfg.with_oracle and not _over_budget(graph.n, k, cfg.oracle_budget):
         oracle_value, oracle_parts = exact_cheeger(graph, k, cfg.oracle_budget)
         gap = rounded_value - oracle_value
         oracle_assignments = _scored_assignments(graph.n, k)
@@ -714,7 +703,6 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         graph_n=graph.n,
         graph_m=graph.m,
         k=k,
-        beta=cfg.beta,
         penalty_c=c,
         calibration_c_hat=c_hat,
         seed=cfg.seed,
@@ -770,6 +758,11 @@ def _stiefel_bracket(stack: np.ndarray) -> tuple:
     return d, d
 
 
+# extreme rays plus the +/- covector probes carry the refutations; a light
+# random-direction budget suffices for the study's dual checks
+STUDY_SCHEDULE = Schedule.geometric(samples_per_scale=10)
+
+
 def wsm_penalty_check(
     n: int,
     k: int,
@@ -777,7 +770,6 @@ def wsm_penalty_check(
     n_samples: int = 400,
     seed: int = 0,
     alpha: float = 1.0,
-    schedule: Schedule | None = None,
 ) -> PenaltyStudy:
     """Probe the negative-part penalty h_beta as a sharp exact-penalty term.
 
@@ -815,10 +807,6 @@ def wsm_penalty_check(
     )
     wsm_verdict = verify_wsm_sampled(inst, n_samples, seed=seed)
 
-    if schedule is None:
-        # extreme rays plus the +/- covector probes carry the refutations;
-        # a light random-direction budget suffices here
-        schedule = Schedule.geometric(samples_per_scale=10)
     frames = [reference]
     rng = default_rng(seed + 1)
     for _ in range(2):
@@ -827,8 +815,8 @@ def wsm_penalty_check(
     for i, frame in enumerate(frames):
         cone = stiefel_plus_normal_cone(frame)
         base = Point(manifold, frame)
-        dual.append(check_dual_nc(f, cone, base, alpha=alpha, n_cone_samples=24,
-                                  seed=seed + 101 * i, schedule=schedule))
+        dual.append(check_dual_nc(f, cone, base, alpha=alpha, seed=seed + 101 * i,
+                                  schedule=STUDY_SCHEDULE))
 
     trace = []
     for i, count in enumerate((n_samples // 4, n_samples // 2, n_samples)):

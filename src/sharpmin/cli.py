@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cheeger as ch
-from . import cones, fixtures, manifolds, wsm
+from . import cones, fixtures, manifolds
+from .stiefel import FrameError
 from .reporting import canonical_json, csv_text, write_csv, write_report
 
 EXIT_OK = 0
@@ -96,7 +97,10 @@ def _load_graph_arg(path_str: str) -> ch.Graph:
     path = Path(path_str)
     if not path.exists():
         raise UsageError(f"graph file not found: {path_str}")
-    return ch.load_graph(path)
+    try:
+        return ch.load_graph(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read graph file {path_str}: {exc}") from None
 
 
 def _run_exact(args):
@@ -130,7 +134,7 @@ def _run_relax(args):
         "command": "relax",
         "graph": {"n": graph.n, "m": graph.m},
         "k": args.k,
-        "beta": result.beta,
+        "beta": 1.0,  # the solver's penalty exponent
         "C": result.penalty_c,
         "calibration_c_hat": result.calibration_c_hat,
         "seed": args.seed,
@@ -395,7 +399,7 @@ def run(argv=None) -> int:
         emit_report(report, {}, args)
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ch.GraphFormatError, manifolds.GeometryError) as exc:
+    except (ch.GraphFormatError, manifolds.GeometryError, FrameError) as exc:
         report = {"exit_code": EXIT_USAGE, "reason": str(exc)}
         emit_report(report, {}, args)
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -76,16 +76,19 @@ from .stiefel import (
 
 REFUTE_TOL = 1e-3      # quotient excess needed, at two consecutive scales
 MEMBER_TOL = 1e-10     # pattern membership tolerance
+TAIL_SCALES = 2        # smallest scales behind the contingent estimates
+MARGIN = 0.1           # cone distance of the covectors the checks must refute
+DIRDERIV_TOL = 5e-2    # estimator bias allowed in the directional-derivative identity
 REFUTE_BLOCK_BYTES = 1 << 18  # cap on the (rows, *ambient_shape) blocks of one refuter chunk
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric grid of approach scales for the sampled limit estimators."""
+    """Grid of approach scales for the sampled limit estimators; a verdict
+    needs an excess of REFUTE_TOL at two consecutive scales."""
 
     scales: tuple
     samples_per_scale: int = 32
-    tol: float = REFUTE_TOL
 
     def __post_init__(self):
         if len(self.scales) == 0:
@@ -98,10 +101,10 @@ class Schedule:
             raise GeometryError("samples_per_scale must be >= 1")
 
     @classmethod
-    def geometric(cls, t0: float = 0.1, eta: float = 0.5, n_scales: int = 11,
-                  samples_per_scale: int = 32, tol: float = REFUTE_TOL) -> "Schedule":
-        scales = tuple(t0 * eta**j for j in range(n_scales))
-        return cls(scales=scales, samples_per_scale=samples_per_scale, tol=tol)
+    def geometric(cls, n_scales: int = 11, samples_per_scale: int = 32) -> "Schedule":
+        """Scales 0.1 * 0.5**j for j < n_scales."""
+        scales = tuple(0.1 * 0.5**j for j in range(n_scales))
+        return cls(scales=scales, samples_per_scale=samples_per_scale)
 
 
 DEFAULT_SCHEDULE = Schedule.geometric()
@@ -192,23 +195,23 @@ def _row_inner(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.sum(x * vecs, axis=tuple(range(1, vecs.ndim)))
 
 
-def _two_consecutive(trace, tol: float, above: bool):
+def _two_consecutive(trace, above: bool):
     """Index of the second of two consecutive scales whose extremal quotient
-    passes the threshold, or None."""
+    passes +REFUTE_TOL (above) or -REFUTE_TOL, or None."""
     prev_hit = False
     for idx, (_, q) in enumerate(trace):
-        hit = (q > tol) if above else (q < -tol)
+        hit = (q > REFUTE_TOL) if above else (q < -REFUTE_TOL)
         if hit and prev_hit:
             return idx
         prev_hit = hit
     return None
 
 
-def _verdict(x: np.ndarray, trace: tuple, coords_at, tol: float, above: bool,
+def _verdict(x: np.ndarray, trace: tuple, coords_at, above: bool,
              skipped: int = 0) -> RefutationVerdict:
     """Verdict on one covector from its per-scale extremal trace;
     ``coords_at(idx)`` gives the extremal sample of scale idx."""
-    idx = _two_consecutive(trace, tol, above)
+    idx = _two_consecutive(trace, above)
     if idx is None:
         return RefutationVerdict("consistent", None, trace, skipped)
     witness = Witness(covector=np.array(x), point_coords=np.array(coords_at(idx)),
@@ -282,7 +285,7 @@ def _normal_block(p: Point, xs: np.ndarray, stacks: list, schedule: Schedule) ->
         trace = tuple(zip(scales, best[c].tolist()))
         base = c * len(scales)
         verdicts.append(_verdict(x, trace, lambda i: coords[starts[base + i] + first[base + i]],
-                                 schedule.tol, above=True))
+                                 above=True))
     return verdicts
 
 
@@ -399,7 +402,7 @@ def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
         verdicts.append(_verdict(
             x, tuple(zip(scales, least[c].tolist())),
             lambda i: coords[(base + i) * per_scale + first[base + i]],
-            schedule.tol, above=False, skipped=skipped[c]))
+            above=False, skipped=skipped[c]))
     return verdicts
 
 
@@ -408,11 +411,10 @@ def contingent_derivative(
     p: Point,
     v: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
-    tail_scales: int = 2,
 ) -> float:
     """Ray quotient estimate of the lower directional derivative of f at p
     along v: the least of (f(exp_p(t v)) - f(p)) / t over the smallest
-    ``tail_scales`` scales of the schedule (the QR retraction stands in for
+    TAIL_SCALES scales of the schedule (the QR retraction stands in for
     exp on frames), from one block and one call of f.  A NaN value counts as
     +inf.  No draw is made, so the estimate takes no seed.
 
@@ -425,7 +427,7 @@ def contingent_derivative(
     t^(2 beta - 1) while nearby directions that stay in the slice give 0.
     """
     f0 = _base_value(f, p)
-    t = np.asarray(schedule.scales[max(0, len(schedule.scales) - tail_scales):])
+    t = np.asarray(schedule.scales[-TAIL_SCALES:])
     fu = objective_values(f, _approach_block(p, _per_row(t, v.vec[None]) * v.vec))
     with np.errstate(over="ignore"):
         q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
@@ -455,23 +457,20 @@ def contingent_cone_distance(
     v: Tangent,
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
-    tail_scales: int = 2,
 ) -> float:
     """Sampled distance from v to the contingent cone of a set at p.
 
     Set points u at scale t are pulled back to normalized chart vectors; the
     estimate is the least distance from v to the rays they span, restricted
-    to the smallest ``tail_scales`` scales.  It decreases toward the true
+    to the smallest TAIL_SCALES scales.  It decreases toward the true
     cone distance as the budget grows and is exactly 0 whenever a sampled
     ray hits a contingent direction of v.  Every scale has its own spawned
     stream, but the sampler runs only at the tail scales; their stacks are
     checked on the manifold by one call and scored as one block."""
-    if tail_scales < 1:
-        raise GeometryError(f"tail_scales must be at least 1, got {tail_scales}")
     scales = schedule.scales
-    tail = max(0, len(scales) - tail_scales)
     stacks = [np.asarray(sampler(t, default_rng(ss)), dtype=float)
-              for t, ss in zip(scales[tail:], SeedSequence(seed).spawn(len(scales))[tail:])]
+              for t, ss in zip(scales[-TAIL_SCALES:],
+                               SeedSequence(seed).spawn(len(scales))[-TAIL_SCALES:])]
     if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
     w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))
@@ -524,16 +523,17 @@ class PatternCone:
         free[list(self.zero_rows)] = True
         return x[~free, :], x[free, :], free
 
-    def contains(self, x, tol: float = MEMBER_TOL) -> bool:
-        """Literal three-condition membership test, each to tolerance."""
+    def contains(self, x) -> bool:
+        """Literal three-condition membership test, each to MEMBER_TOL
+        relative to max(1, ||x||)."""
         x = self._coerce(x)
         p = self.base.matrix
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if float(np.linalg.norm(x.T @ p + p.T @ x)) > tol * scale:
+        tol = MEMBER_TOL * max(1.0, float(np.linalg.norm(x)))
+        if float(np.linalg.norm(x.T @ p + p.T @ x)) > tol:
             return False
-        if np.any(x[list(self.zero_rows), :] > tol * scale):
+        if np.any(x[list(self.zero_rows), :] > tol):
             return False
-        if np.any(np.abs(x[self.support_mask]) > tol * scale):
+        if np.any(np.abs(x[self.support_mask]) > tol):
             return False
         return True
 
@@ -598,20 +598,20 @@ class PatternCone:
         return x
 
 
-def stiefel_plus_normal_cone(p, tol: float = ENTRY_ZERO_TOL) -> PatternCone:
+def stiefel_plus_normal_cone(p) -> PatternCone:
     """Sign/support pattern of the Frechet normal cone to St+(n, k) at P.
 
-    P must be an entrywise-nonnegative frame.  Entries within ``tol`` of zero
-    are classified as zero; feasibility drift from retractions stays two
-    orders below that threshold by construction.
+    P must be an entrywise-nonnegative frame.  Entries within ENTRY_ZERO_TOL
+    of zero are classified as zero; feasibility drift from retractions stays
+    two orders below that threshold by construction.
     """
     mat = as_matrix(p)
-    if not is_nonnegative(mat, tol):
+    if not is_nonnegative(mat):
         raise GeometryError("base frame has a negative entry beyond tolerance")
     base = p if isinstance(p, StiefelPoint) else StiefelPoint(mat)
-    mat = np.where(np.abs(mat) <= tol, 0.0, mat)  # snap for classification
-    zrows = _zero_rows(mat, tol)
-    mask = mat > tol
+    mat = np.where(np.abs(mat) <= ENTRY_ZERO_TOL, 0.0, mat)  # snap for classification
+    zrows = _zero_rows(mat)
+    mask = mat > ENTRY_ZERO_TOL
     basis = _supported_block_basis(mat, zrows, mask)
     return PatternCone(base=base, zero_rows=zrows, support_mask=mask, subspace_basis=basis)
 
@@ -652,8 +652,7 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[int(np.sum(sv > tol)):].T
 
 
-def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL
-                         ) -> Callable[[float, Generator], np.ndarray]:
+def stiefel_plus_sampler(p) -> Callable[[float, Generator], np.ndarray]:
     """Constructive sampler of St+(n, k) near a feasible frame P.
 
     Returns the stack of frames obtained from single row rotations that stay
@@ -672,11 +671,11 @@ def stiefel_plus_sampler(p, tol: float = ENTRY_ZERO_TOL
     per scale; a call computes those of theta * u.
     """
     mat = as_matrix(p)
-    if not is_nonnegative(mat, tol):
+    if not is_nonnegative(mat):
         raise GeometryError("sampler base frame must be entrywise nonnegative")
-    zrows = list(_zero_rows(mat, tol))
+    zrows = list(_zero_rows(mat))
     moves = []  # (i, j, ||row j||): rotate rows i <- j, j supporting a column
-    for sup in column_supports(mat, tol):
+    for sup in column_supports(mat):
         for j in sup:
             wj = float(np.linalg.norm(mat[j, :]))
             if wj > 0:
@@ -725,47 +724,41 @@ class CrossValidationReport:
         return len(self.disagreements) == 0
 
 
-def cross_validate_pattern_cone(
-    n_frames: int = 100,
-    n_max: int = 6,
-    k_max: int = 3,
-    members_per_frame: int = 5,
-    violators_per_frame: int = 5,
-    margin: float = 0.1,
-    seed: int = 0,
-    schedule: Schedule | None = None,
-) -> CrossValidationReport:
+CROSS_VALIDATION_SCHEDULE = Schedule.geometric(n_scales=8, samples_per_scale=8)
+PER_FRAME = 5  # cone members, and pattern violators, drawn per cross-validated frame
+
+
+def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> CrossValidationReport:
     """Check the pattern description against the normal-cone refuter.
 
-    For seeded nonnegative frames, cone members sampled from the pattern must
-    never be refuted, and tangent covectors violating a sign or support
-    condition by at least ``margin`` (measured as distance to the pattern)
-    must always be refuted.
+    For seeded nonnegative frames of St+(n, k), 2 <= n <= 6 and
+    1 <= k <= min(3, n), PER_FRAME cone members sampled from the pattern
+    must never be refuted, and PER_FRAME tangent covectors violating a sign
+    or support condition by at least MARGIN (measured as distance to the
+    pattern) must always be refuted.
     """
-    if schedule is None:
-        schedule = Schedule.geometric(t0=0.1, eta=0.5, n_scales=8, samples_per_scale=8)
     rng = default_rng(seed)
     n_members = n_violators = 0
     disagreements = []
     for idx in range(n_frames):
-        n = int(rng.integers(2, n_max + 1))
-        k = int(rng.integers(1, min(k_max, n) + 1))
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, min(3, n) + 1))
         p = random_stiefel_plus(n, k, rng)
         cone = stiefel_plus_normal_cone(p)
         # draws in the order of one refuter call per covector: the members,
         # a seed per member in the pattern, the violators, a seed per
         # violator outside it; then the frame is scored as one block
-        members = cone.sample_members(rng, members_per_frame)
+        members = cone.sample_members(rng, PER_FRAME)
         member_seeds = [int(rng.integers(2**31)) if cone.contains(x) else None for x in members]
-        violators = _pattern_violators(cone, rng, violators_per_frame, margin)
+        violators = _pattern_violators(cone, rng)
         violator_seeds = [None if cone.contains(x) else int(rng.integers(2**31))
                           for x in violators]
         scored = [(x, sd) for x, sd in zip(members + violators, member_seeds + violator_seeds)
                   if sd is not None]
         verdicts = iter(frechet_normal_refute(
             stiefel_plus_sampler(p), Point(stiefel(n, k), p),
-            np.array([x for x, _ in scored]).reshape(len(scored), n, k), schedule,
-            seed=[sd for _, sd in scored]))
+            np.array([x for x, _ in scored]).reshape(len(scored), n, k),
+            CROSS_VALIDATION_SCHEDULE, seed=[sd for _, sd in scored]))
         for x, sd in zip(members, member_seeds):
             if sd is None:
                 disagreements.append((idx, "member-not-in-pattern", x))
@@ -781,9 +774,9 @@ def cross_validate_pattern_cone(
     return CrossValidationReport(n_frames, n_members, n_violators, tuple(disagreements))
 
 
-def _pattern_violators(cone: PatternCone, rng: Generator, count: int, margin: float) -> list:
-    """Tangent covectors violating one sign or support condition of the
-    pattern by at least ``margin`` in cone distance.  Frames admitting no such
+def _pattern_violators(cone: PatternCone, rng: Generator) -> list:
+    """PER_FRAME tangent covectors violating one sign or support condition
+    of the pattern by at least MARGIN in cone distance.  Frames admitting no such
     tangent violator (no zero rows and all columns singly supported) yield
     nothing: there the pattern is the whole tangent space."""
     p = cone.base.matrix
@@ -794,9 +787,9 @@ def _pattern_violators(cone: PatternCone, rng: Generator, count: int, margin: fl
                  for ai, a in enumerate(sup) for b in sup[ai + 1:]]
     if not sign_slots and not rot_slots:
         return out
-    base_members = cone.sample_members(rng, count)
+    base_members = cone.sample_members(rng, PER_FRAME)
     for m in base_members:
-        bump = margin * (1.0 + float(rng.uniform(0.0, 0.5)))
+        bump = MARGIN * (1.0 + float(rng.uniform(0.0, 0.5)))
         use_sign = bool(sign_slots) and (not rot_slots or rng.uniform() < 0.5)
         x = m.copy()
         if use_sign:
@@ -837,7 +830,6 @@ class IdentityCheckReport:
 def check_dist_subdiff_identity(
     fixture,
     n_covectors: int = 50,
-    margin: float = 0.1,
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
 ) -> IdentityCheckReport:
@@ -845,8 +837,8 @@ def check_dist_subdiff_identity(
 
     (a) covectors sampled from the analytic cone intersected with the unit
     ball must never be refuted against dist(.; set); (b) covectors outside
-    the cone by ``margin``, or cone directions rescaled past the unit sphere
-    by ``margin``, must be refuted.  ``fixture`` supplies the analytic
+    the cone by MARGIN, or cone directions rescaled past the unit sphere
+    by MARGIN, must be refuted.  ``fixture`` supplies the analytic
     distance function and the cone samplers (see fixtures module).
     """
     rng = default_rng(seed)
@@ -861,9 +853,9 @@ def check_dist_subdiff_identity(
     for i in range(n_covectors):
         if rays and i % 2 == 0:
             ray = rays[(i // 2) % len(rays)]
-            outside.append((1.0 + margin + float(rng.uniform(0.0, 0.5))) * ray)
+            outside.append((1.0 + MARGIN + float(rng.uniform(0.0, 0.5))) * ray)
         else:
-            outside.append(fixture.cone_sample_out(rng, margin))
+            outside.append(fixture.cone_sample_out(rng, MARGIN))
     seeds += [int(rng.integers(2**31)) for _ in outside]
     covectors = np.array(inside + outside, dtype=float).reshape(len(seeds),
                                                                 *p.manifold.ambient_shape)
@@ -885,7 +877,6 @@ class DirDerivReport:
 
     fixture: str
     rows: tuple  # (direction, lhs, rhs, residual)
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -893,27 +884,24 @@ class DirDerivReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= DIRDERIV_TOL
 
 
 def check_dirderiv_identity(
     fixture,
-    directions: Sequence[np.ndarray] | None = None,
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
-    tol: float = 5e-2,
 ) -> DirDerivReport:
-    """Finite-dimensional equality test: the lower directional derivative of
-    dist(.; set) matches the distance from the direction to the contingent
-    cone, up to estimator bias bounded by ``tol``."""
+    """Finite-dimensional equality test along each of the fixture's
+    directions: the lower directional derivative of dist(.; set) matches the
+    distance from the direction to the contingent cone, up to estimator bias
+    bounded by DIRDERIV_TOL."""
     p = fixture.point
-    if directions is None:
-        directions = fixture.directions
     rows = []
-    for i, vec in enumerate(directions):
+    for i, vec in enumerate(fixture.directions):
         v = Tangent(p, np.asarray(vec, dtype=float))
         lhs = contingent_derivative(fixture.dist_fn, p, v, schedule)
         rhs = contingent_cone_distance(fixture.omega_sampler, p, v, schedule,
                                        seed=seed + 7 * i + 3)
         rows.append((np.asarray(vec, dtype=float), lhs, rhs, abs(lhs - rhs)))
-    return DirDerivReport(fixture=fixture.name, rows=tuple(rows), tol=tol)
+    return DirDerivReport(fixture=fixture.name, rows=tuple(rows))

@@ -405,11 +405,10 @@ def curvature_norm(m: ManifoldDescriptor) -> float:
     raise GeometryError(f"unknown curvature bound for {m}")
 
 
-def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
-                    norm: float = 1.0) -> np.ndarray:
-    """Stack of seeded tangent directions at p, each of length ``norm`` and
-    uniform over directions: ``count`` rows from ``rng``, or ``count`` rows
-    from each generator of a sequence ``rng`` in turn, projected, checked and
+def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int) -> np.ndarray:
+    """Stack of seeded unit tangent directions at p, uniform over
+    directions: ``count`` rows from ``rng``, or ``count`` rows from each
+    generator of a sequence ``rng`` in turn, projected, checked and
     normalised as one block.
 
     Each generator makes one ``standard_normal`` draw, which it fills in
@@ -428,7 +427,7 @@ def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int,
                                for g, r in zip(owners.tolist(), counts.tolist())])
 
     z = np.concatenate([g.standard_normal((count, *shape)) for g in gens])
-    return _scaled_tangents(p, z, redraw, norm)
+    return _scaled_tangents(p, z, redraw, 1.0)
 
 
 def _scaled_tangents(p: Point, z: np.ndarray, redraw: Callable[[np.ndarray], np.ndarray],
@@ -456,10 +455,10 @@ def _scaled_tangents(p: Point, z: np.ndarray, redraw: Callable[[np.ndarray], np.
     return vecs
 
 
-def random_tangent(p: Point, rng: Generator, norm: float = 1.0) -> Tangent:
-    """Seeded tangent direction of prescribed norm, uniform over directions:
-    the one-row case of ``random_tangents``."""
-    return Tangent(p, random_tangents(p, rng, 1, norm)[0])
+def random_tangent(p: Point, rng: Generator) -> Tangent:
+    """Seeded unit tangent direction, uniform over directions: the one-row
+    case of ``random_tangents``."""
+    return Tangent(p, random_tangents(p, rng, 1)[0])
 
 
 def chart_ball_points(p: Point, r: float, rng: Generator, count: int) -> np.ndarray:
@@ -516,6 +515,8 @@ class LemmaReport:
 
 
 _FLAT_DEVIATION = 1e-12  # below this the chart is treated as exact (flat case)
+COEFFICIENT_SLACK = 0.25  # relative excess over curvature/6 the fitted coefficient may show
+SPHERE_SAMPLER_POINTS = 16  # points per radius of ``geodesic_sphere_sampler``
 
 
 def verify_local_distance_lemma(
@@ -524,7 +525,6 @@ def verify_local_distance_lemma(
     radii: Sequence[float],
     samples_per_radius: int = 200,
     seed: int = 0,
-    coefficient_slack: float = 0.25,
 ) -> LemmaReport:
     """Compare set distances against their exponential-chart images.
 
@@ -535,7 +535,7 @@ def verify_local_distance_lemma(
     The distances from all test points to all set points are one array per
     radius.  The worst deviations are regressed on r in log-log scale and the
     r^2 coefficient is compared with curvature/6 inflated by
-    ``coefficient_slack``.
+    COEFFICIENT_SLACK.
     """
     m = p.manifold
     if m.kind not in ("euclidean", "sphere"):
@@ -574,7 +574,7 @@ def verify_local_distance_lemma(
         logs_d = np.log(np.maximum(deviations, 1e-300))
         order = float(np.polyfit(logs_r, logs_d, 1)[0])
         coefficient = float(np.exp(np.mean(logs_d - 2.0 * logs_r)))
-        ok = coefficient <= (1.0 + coefficient_slack) * target + 1e-15
+        ok = coefficient <= (1.0 + COEFFICIENT_SLACK) * target + 1e-15
     return LemmaReport(
         radii=tuple(radii),
         worst_ratio_deviation=tuple(deviations),
@@ -585,17 +585,15 @@ def verify_local_distance_lemma(
     )
 
 
-def geodesic_sphere_sampler(
-    p: Point, n_points: int = 16
-) -> Callable[[float, Generator], np.ndarray]:
-    """Sampler of the stack of ``n_points`` points at geodesic distance
-    exactly r from p, at seeded angles in a fixed tangent 2-plane.  Standard
-    fixture for the local-distance verifier."""
+def geodesic_sphere_sampler(p: Point) -> Callable[[float, Generator], np.ndarray]:
+    """Sampler of the stack of SPHERE_SAMPLER_POINTS points at geodesic
+    distance exactly r from p, at seeded angles in a fixed tangent 2-plane.
+    Standard fixture for the local-distance verifier."""
 
     def sampler(r: float, rng: Generator) -> np.ndarray:
         u, w = _tangent_plane_basis(p, rng)
-        angles = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-        angles = (angles + rng.uniform(0.0, 2.0 * math.pi / n_points)).tolist()
+        angles = np.linspace(0.0, 2.0 * math.pi, SPHERE_SAMPLER_POINTS, endpoint=False)
+        angles = (angles + rng.uniform(0.0, 2.0 * math.pi / SPHERE_SAMPLER_POINTS)).tolist()
         cos = np.array([math.cos(a) for a in angles])
         sin = np.array([math.sin(a) for a in angles])
         steps = r * (cos[:, None] * u + sin[:, None] * w)

@@ -94,29 +94,30 @@ def random_stiefel(n: int, k: int, rng: Generator, count: int | None = None) -> 
     return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
 
 
-def zero_rows(p: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> tuple:
-    """Indices of rows whose entries are all within tol of zero."""
+def zero_rows(p: np.ndarray) -> tuple:
+    """Indices of rows whose entries are all within ENTRY_ZERO_TOL of zero."""
     p = as_matrix(p)
-    return tuple(int(i) for i in np.flatnonzero(np.all(np.abs(p) <= tol, axis=1)))
+    return tuple(int(i) for i in np.flatnonzero(np.all(np.abs(p) <= ENTRY_ZERO_TOL, axis=1)))
 
 
-def support_mask(p: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> np.ndarray:
-    """Boolean mask of entries strictly above tol (the positive support)."""
-    return as_matrix(p) > tol
+def support_mask(p: np.ndarray) -> np.ndarray:
+    """Boolean mask of entries strictly above ENTRY_ZERO_TOL (the positive
+    support)."""
+    return as_matrix(p) > ENTRY_ZERO_TOL
 
 
-def is_nonnegative(p: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> bool:
-    return bool(np.all(as_matrix(p) >= -tol))
+def is_nonnegative(p: np.ndarray) -> bool:
+    return bool(np.all(as_matrix(p) >= -ENTRY_ZERO_TOL))
 
 
-def column_supports(p: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> list:
+def column_supports(p: np.ndarray) -> list:
     """Row-index support of each column.  On a feasible St+ frame the supports
     are pairwise disjoint and nonempty."""
-    mask = support_mask(p, tol)
+    mask = support_mask(p)
     return [tuple(int(i) for i in np.flatnonzero(mask[:, j])) for j in range(mask.shape[1])]
 
 
-def random_stiefel_plus(n: int, k: int, rng: Generator, rows_used: int | None = None) -> np.ndarray:
+def random_stiefel_plus(n: int, k: int, rng: Generator) -> np.ndarray:
     """Seeded entrywise-nonnegative frame.
 
     Draws a random number of occupied rows (at least k, at most n), splits
@@ -125,9 +126,7 @@ def random_stiefel_plus(n: int, k: int, rng: Generator, rows_used: int | None = 
     """
     if not 0 < k <= n:
         raise FrameError(f"need 0 < k <= n, got n={n}, k={k}")
-    m = int(rng.integers(k, n + 1)) if rows_used is None else int(rows_used)
-    if not k <= m <= n:
-        raise FrameError(f"rows_used must lie in [k, n], got {m}")
+    m = int(rng.integers(k, n + 1))
     rows = rng.permutation(n)[:m]
     # random composition of m rows into k nonempty groups
     cuts = np.sort(rng.choice(np.arange(1, m), size=k - 1, replace=False)) if k > 1 else np.array([], dtype=int)

@@ -34,7 +34,6 @@ from .manifolds import (
     ManifoldDescriptor,
     Point,
     Tangent,
-    pairwise_distances,
     point_stack,
 )
 from .cones import (
@@ -50,6 +49,8 @@ VIOLATION_TOL = 1e-9
 # A sample whose upper distance bound is at most this lies in the solution set:
 # points on the set get rounding-level distances, not exact zeros.
 INSIDE_TOL = 1e-12
+REFERENCE_SAMPLES = 32  # solution-set points the reference-minimality spot check draws
+DUAL_CONE_SAMPLES = 24  # covectors each dual necessary-condition check refutes
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +62,10 @@ class WsmInstance:
     ``bracket(coords)`` maps a stack of s point coordinates to (lb, ub), two
     arrays of shape (s,) whose rows enclose dist(u; solution set) for each
     point u of the stack; ``point`` is a reference solution where f
-    attains its minimum; ``radius`` restricts the check to a ball around it
-    (math.inf for a global check).  When ``solution_sampler`` (a stack
-    sampler as well) is given, the reference-minimality of ``point`` is
-    spot-checked against sampled solution-set points before any verdict is
-    issued.
+    attains its minimum.  When ``solution_sampler`` (a stack sampler as
+    well) is given, the reference-minimality of ``point`` is spot-checked
+    against REFERENCE_SAMPLES sampled solution-set points before any verdict
+    is issued.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -73,20 +73,19 @@ class WsmInstance:
     bracket: Callable[[np.ndarray], tuple]
     point: Point
     alpha: float
-    radius: float = math.inf
     solution_sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise GeometryError(f"modulus must be positive, got {self.alpha}")
 
-    def check_reference(self, n_samples: int = 32, seed: int = 0, tol: float = 1e-9):
+    def check_reference(self, seed: int = 0):
         if self.solution_sampler is None:
             return
         rng = default_rng(seed)
         f0 = _values_at(self.f, self.point.coords[None])[0]
-        solutions = point_stack(self.point.manifold, self.solution_sampler(n_samples, rng))
-        if any(fs < f0 - tol for fs in _values_at(self.f, solutions)):
+        solutions = point_stack(self.point.manifold, self.solution_sampler(REFERENCE_SAMPLES, rng))
+        if any(fs < f0 - VIOLATION_TOL for fs in _values_at(self.f, solutions)):
             raise GeometryError("reference point is not minimal over sampled solution set")
 
 
@@ -112,11 +111,10 @@ class WsmVerdict:
             raise GeometryError("violated verdict requires a witness")
 
 
-def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
-                       tol: float = VIOLATION_TOL) -> WsmVerdict:
-    """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set)
-    against the distance bracket: f and the bracket each in one call on the
-    stack of samples, the checks in sample order."""
+def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
+    """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
+    to VIOLATION_TOL, against the distance bracket: f and the bracket each in
+    one call on the stack of samples, the checks in sample order."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
@@ -128,9 +126,6 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
     modulus = math.inf
     checked = 0
     samples = point_stack(m, inst.feasible_sampler(n_samples, rng))
-    if inst.radius < math.inf:
-        samples = samples[~(pairwise_distances(m, samples, inst.point.coords[None])[:, 0]
-                            > inst.radius)]
     for u, fu, lb, ub in zip(samples, _values_at(inst.f, samples),
                              *_brackets_at(inst.bracket, samples)):
         if not math.isfinite(fu):
@@ -141,9 +136,9 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0,
         gain = fu - f0
         if ub > INSIDE_TOL and math.isfinite(ub):
             modulus = min(modulus, gain / ub)
-        if witness is None and gain < inst.alpha * lb - tol:
+        if witness is None and gain < inst.alpha * lb - VIOLATION_TOL:
             witness = (np.array(u), fu, lb, ub)
-        if gain < inst.alpha * ub - tol:
+        if gain < inst.alpha * ub - VIOLATION_TOL:
             strong = False
     if witness is not None:
         return WsmVerdict("violated", witness, modulus, checked)
@@ -176,13 +171,13 @@ def estimate_modulus(
     bracket: Callable[[np.ndarray], tuple],
     n_samples: int,
     seed: int = 0,
-    f_min: float = 0.0,
     *,
     manifold: ManifoldDescriptor,
 ) -> float:
-    """Infimum over samples of (f(u) - f_min) / ub(u), skipping points inside
-    the set (ub <= INSIDE_TOL).  Using the upper bracket end makes this a
-    conservative estimate of the best modulus valid on the sampled region.
+    """Infimum over samples of f(u) / ub(u) for an f whose minimum is 0,
+    skipping points inside the set (ub <= INSIDE_TOL).  Using the upper
+    bracket end makes this a conservative estimate of the best modulus valid
+    on the sampled region.
     The sampled stack is checked on ``manifold``; the bracket is called once
     on the stack and f once on the samples outside the set."""
     samples = point_stack(manifold, feasible_sampler(n_samples, default_rng(seed)))
@@ -196,7 +191,7 @@ def estimate_modulus(
         raise GeometryError("all samples landed inside the solution set")
     est = math.inf
     for fu, ub in zip(_values_at(f, samples[outside]), ubs):
-        est = min(est, (fu - f_min) / ub)
+        est = min(est, fu / ub)
     return est
 
 
@@ -245,19 +240,18 @@ def check_dual_nc(
     cone,
     p: Point,
     alpha: float = 1.0,
-    n_cone_samples: int = 40,
     seed: int = 0,
     schedule: Schedule = DEFAULT_SCHEDULE,
 ) -> NcVerdict:
     """Dual necessary condition: every covector in the normal cone capped at
     norm alpha must survive the subdifferential refuter on f.  The sampler
     covers the extreme rays of the cone first (the places a sharpness claim
-    fails first) and fills up with random members scaled into the alpha-ball.
-    The candidates and their seeds are drawn first and then refuted as one
-    stack."""
+    fails first) and fills up to DUAL_CONE_SAMPLES with random members scaled
+    into the alpha-ball.  The candidates and their seeds are drawn first and
+    then refuted as one stack."""
     rng = default_rng(seed)
     candidates = [alpha * r for r in cone.extreme_rays()]
-    remaining = max(0, n_cone_samples - len(candidates))
+    remaining = max(0, DUAL_CONE_SAMPLES - len(candidates))
     candidates.extend(cone.sample_members(rng, remaining, radius=alpha))
     if not candidates:
         raise GeometryError("cone description produced no candidate covectors")

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpmin.cheeger import (
+    CALIBRATION_FRAMES,
     BudgetExceededError,
     Graph,
     GraphFormatError,
     SolverConfig,
     SubPartition,
     _local_search_bracket,
+    _over_budget,
     _stiefel_bracket,
     calibrate_penalty_weight,
     cheeger_objective,
@@ -101,6 +103,15 @@ class TestLoadGraph:
     def test_out_of_range(self):
         with pytest.raises(GraphFormatError):
             load_graph("p 2 1\ne 1 3")
+
+    def test_vertex_count_beyond_array_index(self):
+        # a graph with more vertices than an array can index would fail later
+        # in numpy, with an OverflowError
+        biggest = int(np.iinfo(np.intp).max)
+        for text in (f"p {biggest + 1} 0", "p 99999999999999999999 0", f"1 {biggest + 1}"):
+            with pytest.raises(GraphFormatError, match="largest array index"):
+                load_graph(text)
+        assert load_graph(f"p {biggest} 0").n == biggest
 
     def test_bare_lines_without_header(self):
         g = load_graph("1 2\n2 3")
@@ -190,6 +201,12 @@ class TestExactCheeger:
     def test_budget_refused(self):
         with pytest.raises(BudgetExceededError):
             exact_cheeger(load_graph(C4), 2, budget=10)
+        # the gate is exact at the boundary (k+1)^n == budget
+        assert exact_cheeger(load_graph(C4), 2, budget=3**4)[0] == pytest.approx(2 * math.sqrt(2))
+        with pytest.raises(BudgetExceededError):
+            exact_cheeger(load_graph(C4), 2, budget=3**4 - 1)
+        for n, k, budget in product(range(1, 9), range(1, 4), (-1, 0, 1, 2, 80, 81, 4096, 10**6)):
+            assert _over_budget(n, k, budget) == ((k + 1) ** n > budget)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(6)
@@ -489,7 +506,7 @@ class TestExactSliceDistances:
         # the loop the stacked calibration replaced, one seeded frame at a time
         frame_rng = np.random.default_rng(9)
         num = den = 0.0
-        for _ in range(12):
+        for _ in range(CALIBRATION_FRAMES):
             u = random_stiefel(n, k, frame_rng)
             mass = float(np.sum(np.maximum(-u, 0.0)))
             if mass < 1e-9:
@@ -498,18 +515,17 @@ class TestExactSliceDistances:
                 else dist_upper_estimate(u).ub
             num += ub * mass
             den += mass * mass
-        c, c_hat = calibrate_penalty_weight(graph, k, seed=9, n_samples=12)
+        c, c_hat = calibrate_penalty_weight(graph, k, seed=9)
         assert np.float64(c_hat).tobytes() == np.float64(num / den).tobytes()
         want_c = 2.0 * max(lipschitz_bound(graph, k), 1.0) * max(num / den, 0.25)
         assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
-        assert calibrate_penalty_weight(graph, k, n_samples=0)[1] == 1.0  # no frames, no fit
 
 
 class TestSubgradient:
     def test_edgeless_tie_is_zero(self):
         g = Graph(n=2, edges=())
         u = np.array([[1.0], [0.0]])
-        assert np.allclose(riemannian_subgradient(g, u, 1.0, 2.0), 0.0)
+        assert np.allclose(riemannian_subgradient(g, u, 2.0), 0.0)
 
     def test_hand_case(self):
         # K2, U = (0, -1): ambient gradient (1, -3) projects to (1, 0) on the
@@ -517,13 +533,8 @@ class TestSubgradient:
         # penalized value
         g = load_graph(K2)
         u = np.array([[0.0], [-1.0]])
-        got = riemannian_subgradient(g, u, 1.0, 2.0)
+        got = riemannian_subgradient(g, u, 2.0)
         assert np.allclose(got, [[1.0], [0.0]], atol=1e-12)
-
-    def test_beta_below_one_refused(self):
-        g = load_graph(K2)
-        with pytest.raises(GeometryError):
-            riemannian_subgradient(g, np.array([[1.0], [0.0]]), 0.5, 2.0)
 
     def test_matches_finite_differences_at_smooth_points(self):
         # oracle: central differences along retraction curves where no edge
@@ -540,7 +551,7 @@ class TestSubgradient:
             if np.min(np.abs(diffs)) < 1e-3 or np.min(np.abs(u)) < 1e-3:
                 continue
             checked += 1
-            grad = riemannian_subgradient(g, u, 1.0, c)
+            grad = riemannian_subgradient(g, u, c)
             w = tangent_project(stiefel(4, 2), u, rng.standard_normal((4, 2)))
             w /= np.linalg.norm(w)
             h = 1e-6
@@ -627,15 +638,10 @@ class TestSolver:
         assert a.rounded_value == b.rounded_value
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("field", ["penalty_c", "step0"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
-    def test_non_finite_or_nonpositive_weight_and_step_refused(self, field, value):
-        with pytest.raises(GeometryError, match=field.replace("_c", " weight")):
-            SolverConfig(**{field: value})
-
-    def test_beta_not_one_refused(self):
-        with pytest.raises(GeometryError):
-            solve_relaxation(load_graph(K2), 2, SolverConfig(beta=2.0))
+    def test_non_finite_or_nonpositive_weight_refused(self, value):
+        with pytest.raises(GeometryError, match="penalty weight"):
+            SolverConfig(penalty_c=value)
 
     def test_calibration_logged(self):
         rep = solve_relaxation(load_graph(C4), 2, self.CFG)

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -84,6 +86,44 @@ class TestUsageErrors:
         assert "2^20000" in json.loads(out)["reason"]
         assert "Traceback" not in err
 
+    def test_budget_gate_builds_no_power(self, tmp_path):
+        # 2^(10^12) has about 3 * 10^11 digits: the refusal must not build it.
+        # A subprocess under a 2 GiB address-space cap, so that a gate that
+        # does build it fails fast instead of taking the machine's memory.
+        f = tmp_path / "wide.txt"
+        f.write_text("p 1000000000000 0\n")
+        cap = 2 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(sharpmin.__file__).resolve().parent.parent),
+                   OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "sharpmin.cli", "exact", "--graph", str(f), "--k", "1"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert out.returncode == EXIT_BUDGET, out.stderr
+        assert "2^1000000000000 assignments" in json.loads(out.stdout)["reason"]
+
+    def test_vertex_count_beyond_array_index(self, capsys, tmp_path):
+        f = tmp_path / "huge.txt"
+        f.write_text("p 99999999999999999999 0\n")
+        code, out, err = run_captured(capsys, ["relax", "--graph", str(f), "--k", "1"])
+        assert code == EXIT_USAGE
+        assert "largest array index" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
+    def test_graph_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_captured(capsys, ["relax", "--graph", str(tmp_path), "--k", "2"])
+        assert code == EXIT_USAGE
+        assert "cannot read graph file" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
+    def test_graph_file_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "utf16.txt"
+        f.write_bytes(b"\xff\xfep 2 1\n")
+        code, out, err = run_captured(capsys, ["exact", "--graph", str(f), "--k", "1"])
+        assert code == EXIT_USAGE
+        assert "cannot read graph file" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
     def test_lemma_without_samples(self, capsys):
         code, out, _ = run_captured(capsys, ["verify-lemma", "--samples", "0"])
         assert code == EXIT_USAGE
@@ -126,6 +166,17 @@ class TestUsageErrors:
                 capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", value])
         assert code == EXIT_USAGE
         assert "penalty weight must be positive and finite" in json.loads(out)["reason"]
+
+    def test_relax_rank_deficient_step(self, capsys, c4_file):
+        # a weight of 1e200 overflows the step, and the QR retraction refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the overflow itself
+            code, out, err = run_captured(
+                capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", "1e200",
+                         "--restarts", "1", "--max-iters", "3"])
+        assert code == EXIT_USAGE
+        assert json.loads(out)["reason"] == "rank-deficient step: QR retraction undefined"
+        assert "Traceback" not in err
 
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(
@@ -255,7 +306,7 @@ _GRAPH_LINES = st.one_of(
     st.just("c comment"),
     st.text(alphabet="pec -.x1", max_size=4),  # vertex numbers stay below 10^4
 )
-_NUMBERS = st.sampled_from(["-1", "0", "0.5", "1", "2", "9.5", "nan", "inf", "x"])
+_NUMBERS = st.sampled_from(["-1", "0", "0.5", "1", "1e200", "2", "9.5", "nan", "inf", "x"])
 _K = _mostly(st.integers(1, 2), st.integers(-1, 5))
 # Work budgets are always drawn, small (or invalid), so every example stays
 # quick; other flags are drawn or left at their defaults.  ``report`` runs the

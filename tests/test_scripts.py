@@ -1,5 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``."""
 
+import json
+import os
 import re
 import subprocess
 import sys
@@ -9,14 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(r"^[0-9a-f]{64}  seed(\d+)/([\w-]+/\d+-[\w-]+)/([\w.]+)$")
 
 
+def _script(name, *args, cwd=None):
+    """Run scripts/<name> with ``sharpmin`` importable from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=300, env=env, cwd=cwd)
+
+
 def test_report_digests_smoke():
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "report_digests.py"), "--smoke",
-         "--seeds", "1", "2"],
-        capture_output=True, text=True, check=True, timeout=300)
+    # seed 1 runs again after seed 2 in the same process: no cached table or
+    # sampler state may carry from one job to the next
+    out = _script("report_digests.py", "--smoke", "--seeds", "1", "2", "1")
+    assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     parsed = [LINE.match(line) for line in lines]
     assert all(parsed), [line for line, m in zip(lines, parsed) if not m]
+    blocks = [[line for line, m in zip(lines, parsed) if m[1] == seed] for seed in ("1", "2")]
+    first, again = blocks[0][:len(blocks[0]) // 2], blocks[0][len(blocks[0]) // 2:]
+    assert first == again
+    lines = first + blocks[1]
+    parsed = [LINE.match(line) for line in lines]
     digest = {(m[1], m[2], m[3]): line[:64] for line, m in zip(lines, parsed)}
     jobs = sorted({(seed, job) for seed, job, _ in digest})
     # the smoke lists: one relax job per cluster workload, lemma, cones, two wsm
@@ -29,3 +43,20 @@ def test_report_digests_smoke():
             assert digest[seed, job, "stdout"] == digest[seed, job, "report.json"]
     assert digest["1", "verify/0-verify-lemma", "report.json"] != \
         digest["2", "verify/0-verify-lemma", "report.json"]
+
+
+def test_beta_study():
+    out = _script("beta_study.py", "2", "1", "20")
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header == "beta,wsm_status,dual_consistent,modulus_estimate"
+    assert [row.split(",")[0] for row in rows] == ["0.25", "0.5", "0.75", "1.0", "1.25", "1.5",
+                                                   "2.0"]
+    assert rows[-1].split(",")[2] == "False"  # the smooth penalty fails the dual condition
+
+
+def test_run_verification(tmp_path):
+    out = _script("run_verification.py", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    report = json.loads((tmp_path / "verification_out" / "report.json").read_text())
+    assert report["command"] == "report" and report["mismatches"] == []

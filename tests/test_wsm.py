@@ -138,12 +138,15 @@ class TestVerifyWsm:
             with pytest.raises(GeometryError, match="bracket gave shapes"):
                 estimate_modulus(inst.f, circle_sampler, bracket, 10, manifold=CIRCLE)
 
-    def test_empty_ball_calls_no_bracket(self):
+    def test_empty_stack_calls_no_bracket(self):
         def bracket(coords):
             raise AssertionError("bracket called on an empty stack")
 
-        inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=circle_sampler,
-                           bracket=bracket, point=fx.circle_point(0.3), alpha=1.0, radius=0.0)
+        def no_samples(count, rng):
+            return np.zeros((0, 2))
+
+        inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=no_samples,
+                           bracket=bracket, point=fx.circle_point(0.3), alpha=1.0)
         verdict = verify_wsm_sampled(inst, 10, seed=0)
         assert (verdict.status, verdict.n_samples) == ("pass_strong", 0)
 
@@ -274,20 +277,19 @@ class TestDualNc:
             return np.array([0.7 * fx.arc_angular_distance(math.atan2(y, x))
                              for x, y in u[:, :, 0].tolist()])
 
-        verdict = check_dual_nc(fdist, self.cone(), self.base(), alpha=0.7,
-                                n_cone_samples=16, seed=0)
+        verdict = check_dual_nc(fdist, self.cone(), self.base(), alpha=0.7, seed=0)
         assert verdict.passed
 
     def test_square_penalty_refuted_with_witness(self):
         verdict = check_dual_nc(self.as_point_fn(2.0), self.cone(), self.base(),
-                                alpha=1.0, n_cone_samples=16, seed=0)
+                                alpha=1.0, seed=0)
         assert not verdict.passed
         w = verdict.witness
         assert np.allclose(w.covector, [[0.0], [-1.0]], atol=1e-12)
 
     def test_sqrt_penalty_consistent(self):
         verdict = check_dual_nc(self.as_point_fn(0.5), self.cone(), self.base(),
-                                alpha=1.0, n_cone_samples=16, seed=0)
+                                alpha=1.0, seed=0)
         assert verdict.passed
 
 
@@ -364,18 +366,16 @@ def _ref_values(f, points):
     return f(np.stack([u.coords for u in points])).tolist() if points else []
 
 
-def ref_verify(f, sampler, point, alpha, n_samples, seed, radius=math.inf,
-               solution_sampler=None, tol=1e-9):
+def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None):
     """(status, witness, modulus, checked), one Point and one full-table
     bracket per sample."""
+    tol = 1e-9
     f0 = _ref_values(f, [point])[0]
     if solution_sampler is not None:
         sols = solution_sampler(32, np.random.default_rng(seed))
         assert not any(fs < f0 - 1e-9 for fs in _ref_values(f, sols))
     rng = np.random.default_rng(seed)
-    samples = [u for u in sampler(n_samples, rng)
-               if not (radius < math.inf
-                       and float(np.linalg.norm(point.coords - u.coords)) > radius)]
+    samples = sampler(n_samples, rng)
     strong, witness, modulus, checked = True, None, math.inf, 0
     for u, fu in zip(samples, _ref_values(f, samples)):
         lb, ub = ref_stiefel_bracket(u.coords)
@@ -444,13 +444,11 @@ class TestStackSamplersMatchPerSampleReference:
     def test_verify_and_modulus(self, n, k, beta):
         m = stiefel(n, k)
         point = Point(m, np.eye(n, k))
-        for radius, seed in ((math.inf, 3), (1.0, 4)):
-            inst = WsmInstance(f=_penalty(beta),
-                               feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
-                               bracket=_stiefel_bracket, point=point, alpha=1.0, radius=radius)
-            want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, seed,
-                              radius=radius)
-            _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=seed), want)
+        inst = WsmInstance(f=_penalty(beta),
+                           feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
+                           bracket=_stiefel_bracket, point=point, alpha=1.0)
+        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, 3)
+        _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=3), want)
         est = estimate_modulus(_penalty(beta), lambda c, rng: random_stiefel(n, k, rng, c),
                                _stiefel_bracket, 60, seed=8, manifold=m)
         want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
