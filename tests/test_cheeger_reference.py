@@ -314,8 +314,11 @@ class TestBatchedPipelineMatchesLoopReference:
             assert _bits(riemannian_subgradient(graph, u, c)) == _bits(grads[i])
             assert _bits(residuals[i]) == _bits(ref_frame_residual(u))
 
+    # penalty weights from a small one, where edge terms dominate, to one
+    # where the -C entries dominate the tangent projection
+    @pytest.mark.parametrize("c", [0.5, 2.5, 1e3])
     @pytest.mark.parametrize("name", ["isolated", "one-sided", "edgeless", "gnp-9"])
-    def test_stacked_subgradient_matches_add_at(self, name):
+    def test_stacked_subgradient_matches_add_at(self, name, c):
         graph = {"isolated": ISOLATED, "one-sided": ONE_SIDED,
                  "edgeless": Graph(n=5, edges=()),
                  "gnp-9": gnp(9, 0.4, default_rng(9))}[name]
@@ -324,11 +327,11 @@ class TestBatchedPipelineMatchesLoopReference:
             stack = np.stack([random_stiefel(graph.n, k, rng) for _ in range(4)])
             stack[0, 0, 0] = stack[0, 1, 0]  # a tie on the edge 1-2, where present
             stack[1, 2, :] = 0.0  # zero entries: neither negative nor penalized
-            grads = riemannian_subgradient(graph, stack, 2.5)
+            grads = riemannian_subgradient(graph, stack, c)
             assert grads.dtype == np.float64
             for i, u in enumerate(stack):
-                assert _bits(grads[i]) == _bits(ref_subgradient(graph, u, 2.5))
-                assert _bits(riemannian_subgradient(graph, u, 2.5)) == _bits(grads[i])
+                assert _bits(grads[i]) == _bits(ref_subgradient(graph, u, c))
+                assert _bits(riemannian_subgradient(graph, u, c)) == _bits(grads[i])
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (8, 3), (30, 4)])
     def test_stacked_base_tangent_project(self, n, k):
