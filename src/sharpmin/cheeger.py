@@ -34,9 +34,9 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import Generator, default_rng
 
-from .manifolds import GeometryError, Point, stiefel, tangent_project
+from .manifolds import GeometryError, Point, spawned_generators, stiefel, tangent_project
 from .stiefel import (
     ENTRY_ZERO_TOL,
     EXACT_ASSIGNMENTS,
@@ -59,8 +59,9 @@ class GraphFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The enumeration would exceed the assignment budget; refusing to
-    silently approximate."""
+    """The run would exceed a work or memory budget (the enumeration's
+    assignments, the solver's frame stacks); refusing to silently
+    approximate."""
 
 
 @dataclass(frozen=True)
@@ -562,6 +563,11 @@ class ClusterReport:
 
 
 CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
+# Cap on the bytes of the solver's largest frame stack, max(restarts,
+# CALIBRATION_FRAMES) x n x k float64.  A solve holds about ten arrays of that
+# size; the benchmark's largest jobs, (n, k) = (200, 4), need 200 KiB, 320
+# times below the cap, so only a graph far beyond desk scale meets it.
+RELAX_STACK_BYTES = 1 << 26
 
 
 def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
@@ -649,6 +655,10 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     """
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
+    stack_bytes = 8 * max(cfg.restarts, CALIBRATION_FRAMES) * graph.n * k
+    if stack_bytes > RELAX_STACK_BYTES:
+        raise BudgetExceededError(
+            f"the solver's frame stack needs {stack_bytes} bytes, cap is {RELAX_STACK_BYTES}")
     if cfg.penalty_c is None:
         c, c_hat = calibrate_penalty_weight(graph, k, seed=cfg.seed)
     else:
@@ -657,8 +667,8 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
 
     # all restarts advance together as one (R, n, k) stack; each start frame
     # comes from its own spawned generator, as a loop over restarts would draw it
-    u = np.stack([random_stiefel(graph.n, k, default_rng(ss))
-                  for ss in SeedSequence(cfg.seed).spawn(cfg.restarts)])
+    u = np.stack([random_stiefel(graph.n, k, rng)
+                  for rng in spawned_generators([cfg.seed], cfg.restarts)])
     # B U of each iterate gives its objective and the next subgradient
     plan = _incidence_plan(graph, u.shape)
     diffs = _edge_differences(graph, u)

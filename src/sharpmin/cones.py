@@ -21,12 +21,13 @@ by one call.
 Both refuters take one covector (a ``Tangent`` and its seed) or a stack of
 covectors with one seed each, and score the stack as numpy blocks of at most
 ``REFUTE_BLOCK_BYTES``; one covector is the one-row case.  Every scale of
-every covector draws from its own spawned generator, so a covector's verdict
-does not depend on the stack it is scored in.  ``frechet_subdiff_refute``
-lays out each covector's whole schedule as rows of the block: the random
-directions of each scale come from one seeded ``standard_normal`` draw, are
-projected, normalised and checked tangent together, stepped by the row's
-scale and mapped in one call (the exact exponential map on euclidean spaces
+every covector draws from its own stream: ``manifolds.spawned_generators``
+gives the states of ``SeedSequence(seed).spawn(n_scales)`` for all the
+covectors of a call at once, and a covector's verdict does not depend on the
+stack it is scored in.  ``frechet_subdiff_refute`` lays out each covector's
+whole schedule as rows of the block: the random directions of each scale
+come from one seeded ``standard_normal`` draw, are projected, normalised and
+checked tangent together, stepped by the row's scale and mapped in one call (the exact exponential map on euclidean spaces
 and spheres, the positive-diagonal QR retraction with its rank check on
 frames), checked on the manifold by the rule of ``Point`` and scored by one
 call of f.  ``frechet_normal_refute`` and ``contingent_cone_distance``
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import Generator, default_rng
 
 from .manifolds import (
     GeometryError,
@@ -61,6 +62,7 @@ from .manifolds import (
     require_on_manifold,
     require_tangent,
     row_norms,
+    spawned_generators,
     stiefel,
 )
 from .stiefel import (
@@ -167,12 +169,6 @@ def _covectors(p: Point, x, seed):
     return xs, seeds, False
 
 
-def _scale_generators(seeds, n_scales: int) -> list:
-    """One generator per (covector, scale), covector-major: each seed spawns
-    one stream per scale."""
-    return [default_rng(ss) for seed in seeds for ss in SeedSequence(seed).spawn(n_scales)]
-
-
 def _chart_block(p: Point, coords: np.ndarray):
     """Chart vectors of a stack of points at p and their lengths: the exact
     log map where one exists, the ambient chord on stiefel."""
@@ -246,7 +242,7 @@ def frechet_normal_refute(
     scales = schedule.scales
     shape = p.manifold.ambient_shape
     row_bytes = 8 * math.prod(shape)
-    rngs = iter(_scale_generators(seeds, len(scales)))
+    rngs = iter(spawned_generators(seeds, len(scales)))
     verdicts, chunk, stacks = [], [], []
     for c in range(len(xs)):
         for t in scales:
@@ -371,7 +367,7 @@ def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
     xnorm = row_norms(xs)
     unit = xs / _per_row(np.where(xnorm > 0, xnorm, 1.0), xs)
     probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None], (n_x, n_s, 2, *shape))
-    dirs = random_tangents(p, _scale_generators(seeds, n_s), samples)
+    dirs = random_tangents(p, spawned_generators(seeds, n_s), samples)
     dirs = np.concatenate([probes, dirs.reshape(n_x, n_s, samples, *shape)], axis=2)
     dirs = dirs.reshape(-1, *shape)
     padding = np.zeros((n_x, n_s, per_scale), dtype=bool)
@@ -468,9 +464,9 @@ def contingent_cone_distance(
     stream, but the sampler runs only at the tail scales; their stacks are
     checked on the manifold by one call and scored as one block."""
     scales = schedule.scales
-    stacks = [np.asarray(sampler(t, default_rng(ss)), dtype=float)
-              for t, ss in zip(scales[-TAIL_SCALES:],
-                               SeedSequence(seed).spawn(len(scales))[-TAIL_SCALES:])]
+    stacks = [np.asarray(sampler(t, rng), dtype=float)
+              for t, rng in zip(scales[-TAIL_SCALES:],
+                                spawned_generators([seed], len(scales))[-TAIL_SCALES:])]
     if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
     w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))

@@ -12,6 +12,8 @@ distance and is all the downstream clustering pipeline needs.
 All types are immutable values; every operation is pure.  Sampling helpers
 take an explicit seed or generator and never touch global RNG state, and the
 local-distance verifier derives an independent substream per radius.
+Substreams come from ``spawned_generators``, which builds the generators of
+``SeedSequence(seed).spawn(n)`` for many seeds in one numpy pass.
 
 The tangent projection, the tangency check, the on-manifold check, the
 exponential and logarithm maps, the distance and the seeded tangent draw
@@ -31,11 +33,14 @@ coordinates, and the code that takes it checks it with a single
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .stiefel import frame_residual
 
@@ -122,8 +127,8 @@ def stiefel(n: int, k: int) -> ManifoldDescriptor:
     return ManifoldDescriptor("stiefel", n, k=k)
 
 
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -405,6 +410,113 @@ def curvature_norm(m: ManifoldDescriptor) -> float:
     raise GeometryError(f"unknown curvature bound for {m}")
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); numpy keeps
+# the algorithm stream-stable, so the states below are those of any numpy >= 2.0
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_WORD = 0xFFFFFFFF
+
+
+def _hash_chain(start: int, mult: int, count: int) -> list:
+    """The hash constant before each of count successive hashmix calls, and
+    after the last."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _WORD)
+    return chain
+
+
+@lru_cache(maxsize=None)
+def _mixing_rounds(length: int) -> tuple:
+    """(xor, mult) uint32 tables of the hashmix calls SeedSequence makes on an
+    entropy of ``length`` >= 4 words, one row of 4 per round: the pool fill,
+    then for each source word the calls on the other three pool words (0 in
+    the source's own slot), then one row per entropy word beyond the pool."""
+    a = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, 16 + 4 * (length - 4))
+    xor, mult = [a[0:4]], [a[1:5]]
+    for src in range(4):  # three calls, in the order of the other pool words
+        c = a[4 + 3 * src:8 + 3 * src]
+        xor.append(c[:src] + [0] + c[src:3])
+        mult.append(c[1:src + 1] + [0] + c[src + 1:])
+    for calls in range(16, 16 + 4 * (length - 4), 4):
+        xor.append(a[calls:calls + 4])
+        mult.append(a[calls + 1:calls + 5])
+    return _readonly(xor, np.uint32), _readonly(mult, np.uint32)
+
+
+_STATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 8)  # the 8 uint32 words of 4 uint64
+_STATE_XOR = _readonly(_STATE_CHAIN[:8], np.uint32)
+_STATE_MULT = _readonly(_STATE_CHAIN[1:], np.uint32)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` of every row of a uint32
+    entropy array (rows, length >= 4), as (rows, 4) uint64: the pool-size-4
+    entropy mixing and the state words as column operations."""
+    xor, mult = _mixing_rounds(entropy.shape[1])
+    pool = _hashmix(entropy[:, :4], xor[0], mult[0])
+    for src in range(4):  # each pool word is mixed into the other three
+        mixed = _mix(pool, _hashmix(pool[:, src, None], xor[1 + src], mult[1 + src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(4, entropy.shape[1]):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], xor[1 + src], mult[1 + src]))
+    words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MULT)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SpawnedState(ISeedSequence):
+    """The seed sequence behind one generator of ``spawned_generators``:
+    ``generate_state`` gives PCG64 its four precomputed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seed_words(seed) -> list:
+    """The uint32 words of a non-negative integer seed, least significant
+    first, as SeedSequence reads them (0 is one word)."""
+    value = operator.index(seed)
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return [value >> shift & _WORD for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def spawned_generators(seeds: Sequence[int], n: int) -> list:
+    """Generators in the states of ``[default_rng(c) for s in seeds for c in
+    SeedSequence(s).spawn(n)]``, seed-major, derived in one numpy pass.
+
+    Child i of seed s has the entropy words of s, padded with zeros to 4,
+    followed by the spawn key i.  The rows of all (seed, child) pairs are
+    mixed and hashed together, one group per entropy length (only seeds of
+    2**128 or more have more than 4 words); each PCG64 is then built from its
+    four words."""
+    words = [_seed_words(s) for s in seeds]
+    states = np.empty((len(words) * n, 4), dtype=np.uint64)
+    for width in set(map(len, words)):
+        group = [i for i, w in enumerate(words) if len(w) == width]
+        seed_words = np.array([words[i] + [0] * (4 - width) for i in group], dtype=np.uint32)
+        entropy = np.column_stack([np.repeat(seed_words, n, axis=0),
+                                   np.tile(np.arange(n, dtype=np.uint32), len(group))])
+        states[(np.array(group)[:, None] * n + np.arange(n)).ravel()] = _pcg64_states(entropy)
+    return [Generator(PCG64(_SpawnedState(w))) for w in states]
+
+
 def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int) -> np.ndarray:
     """Stack of seeded unit tangent directions at p, uniform over
     directions: ``count`` rows from ``rng``, or ``count`` rows from each
@@ -549,8 +661,7 @@ def verify_local_distance_lemma(
         raise GeometryError("largest radius exceeds the injectivity guard")
 
     deviations = []
-    for r, ss in zip(radii, SeedSequence(seed).spawn(len(radii))):
-        rng = default_rng(ss)
+    for r, rng in zip(radii, spawned_generators([seed], len(radii))):
         omega = point_stack(m, set_sampler(r, rng))
         if not len(omega):
             raise GeometryError(f"set sampler returned no points at r={r}")

@@ -77,8 +77,10 @@ def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     a = np.asarray(p, dtype=float) + np.asarray(x, dtype=float)
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    flat = a.reshape(*a.shape[:-2], -1)
-    scale = np.maximum(1.0, np.sqrt(np.vecdot(flat, flat)))[..., None]  # ||A||_F per slice
+    # ||A||_F = ||R||_F per slice, as a chain of hypot calls: a sum of squares
+    # would overflow once entries pass about 1e154 and refuse every step
+    flat = r.reshape(*r.shape[:-2], -1)
+    scale = np.maximum(1.0, np.hypot.reduce(flat, axis=-1))[..., None]
     if np.any(np.abs(diag) < 1e-12 * scale):
         raise FrameError("rank-deficient step: QR retraction undefined")
     signs = np.where(diag < 0.0, -1.0, 1.0)

@@ -102,6 +102,30 @@ class TestUsageErrors:
         assert out.returncode == EXIT_BUDGET, out.stderr
         assert "2^1000000000000 assignments" in json.loads(out.stdout)["reason"]
 
+    def test_relax_refuses_oversized_frame_stack(self, tmp_path):
+        # 32 calibration frames of 10^12 x 1 need 256 TB: refused (exit 3)
+        # before any array is built.  A subprocess under a 2 GiB address-space
+        # cap, so that a regression fails fast with a MemoryError instead.
+        f = tmp_path / "wide.txt"
+        f.write_text("p 1000000000000 0\n")
+        cap = 2 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(sharpmin.__file__).resolve().parent.parent),
+                   OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "sharpmin.cli", "relax", "--graph", str(f), "--k", "1"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert out.returncode == EXIT_BUDGET, out.stderr
+        assert json.loads(out.stdout)["reason"] == (
+            "the solver's frame stack needs 256000000000000 bytes, cap is 67108864")
+
+    def test_relax_refuses_oversized_restart_stack(self, capsys, c4_file):
+        code, out, err = run_captured(
+            capsys, ["relax", "--graph", c4_file, "--k", "2", "--restarts", "10000000"])
+        assert code == EXIT_BUDGET
+        assert "640000000 bytes" in json.loads(out)["reason"]
+        assert "Traceback" not in err
+
     def test_vertex_count_beyond_array_index(self, capsys, tmp_path):
         f = tmp_path / "huge.txt"
         f.write_text("p 99999999999999999999 0\n")
@@ -167,16 +191,17 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "penalty weight must be positive and finite" in json.loads(out)["reason"]
 
-    def test_relax_rank_deficient_step(self, capsys, c4_file):
-        # a weight of 1e200 overflows the step, and the QR retraction refuses it
+    def test_relax_huge_penalty_weight(self, capsys, c4_file, tmp_path):
+        # a weight of 1e200 makes steps with entries past 1e154, whose squared
+        # norm overflows; the QR retraction takes them without a warning
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the overflow itself
-            code, out, err = run_captured(
+            warnings.simplefilter("error")
+            code, _, err = run_captured(
                 capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", "1e200",
-                         "--restarts", "1", "--max-iters", "3"])
-        assert code == EXIT_USAGE
-        assert json.loads(out)["reason"] == "rank-deficient step: QR retraction undefined"
-        assert "Traceback" not in err
+                         "--restarts", "1", "--max-iters", "3", "--out", str(tmp_path)])
+        assert code == EXIT_OK, err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["C"] == 1e200 and report["max_feasibility_residual"] < 1e-12
 
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(

@@ -22,12 +22,13 @@ from sharpmin.manifolds import (
     pairwise_distances,
     exp_coords,
     require_tangent,
+    spawned_generators,
     sphere,
     stiefel,
     tangent_project,
     verify_local_distance_lemma,
 )
-from sharpmin.stiefel import qr_retract
+from sharpmin.stiefel import FrameError, qr_retract
 
 
 def sphere_point(*coords):
@@ -232,6 +233,24 @@ class TestRetract:
         x = np.array([[0.0, 0.01], [-0.01, 0.0]])
         r = qr_retract(np.eye(2), x)
         assert np.linalg.norm(r.T @ r - np.eye(2)) <= 1e-12
+
+    def test_huge_full_rank_step(self):
+        # ||P + X||_F^2 overflows once entries pass 1e154; the rank test must
+        # still see a full-rank step
+        x = 1e160 * np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0], [2.0, 2.0]])
+        r = qr_retract(np.eye(4)[:, :2], x)
+        assert np.linalg.norm(r.T @ r - np.eye(2)) <= 1e-12
+        a = np.eye(4)[:, :2] + x
+        assert np.allclose(r @ (r.T @ a), a, rtol=1e-12, atol=0.0)  # same column space
+
+    @pytest.mark.parametrize("size", [1.0, 1e160])
+    def test_rank_deficient_step_refused(self, size):
+        p = np.eye(3)[:, :2]
+        x = size * np.array([[1.0, 2.0], [3.0, 6.0], [0.5, 1.0]]) - p  # P + X has rank 1
+        with pytest.raises(FrameError, match="rank-deficient"):
+            qr_retract(p, x)
+        with pytest.raises(FrameError, match="rank-deficient"):
+            qr_retract(np.stack([p, p]), np.stack([np.ones((3, 2)), x]))
 
     def test_post_retraction_feasibility_seeded(self):
         rng = np.random.default_rng(3)
@@ -459,3 +478,37 @@ class TestLemmaMatchesPerSampleReference:
             want = [[ref_distance(Point(p.manifold, x), Point(p.manifold, y)) for y in b]
                     for x in a]
             assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestSpawnedGenerators:
+    """``spawned_generators`` against numpy's own ``SeedSequence.spawn``."""
+
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**200 + 11, np.int64(7))
+
+    @staticmethod
+    def assert_same_streams(seeds, n):
+        ours = spawned_generators(seeds, n)
+        reference = [np.random.default_rng(c) for s in seeds
+                     for c in np.random.SeedSequence(s).spawn(n)]
+        assert len(ours) == len(reference) == len(seeds) * n
+        for a, b in zip(ours, reference):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
+
+    @pytest.mark.parametrize("n", [1, 11])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_seed(self, seed, n):
+        self.assert_same_streams([seed], n)
+
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_seeds_of_mixed_word_counts(self, n):
+        # 1, 2, 3, 5 and 7 entropy words in one call, in seed-major order
+        self.assert_same_streams([2**200 + 11, 3, 2**128, 2**64 + 5, 2**32, 9, 2**200], n)
+
+    def test_empty(self):
+        assert spawned_generators([], 11) == []
+        assert spawned_generators([3, 4], 0) == []
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spawned_generators([1, -1], 2)
