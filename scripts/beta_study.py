@@ -2,8 +2,9 @@
 """Sweep the penalty exponent and print the sharpness evidence as CSV.
 
 For each beta: the sampled sharpness verdict of the negative-part penalty
-against the distance bracket, whether the dual necessary condition survived
-at seeded nonnegative frames, and the final modulus estimate.  The expected
+against the exact distance, whether the dual necessary condition survived
+at seeded nonnegative frames, and the final modulus estimate (a sampled
+infimum, so an upper bound on the modulus).  The expected
 picture: consistent below 1, refuted above 1.
 
 Usage: python3 scripts/beta_study.py [n] [k] [samples]

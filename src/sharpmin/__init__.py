@@ -9,9 +9,6 @@ from .manifolds import (
     Tangent,
     curvature_norm,
     euclidean,
-    exp_map,
-    geodesic_distance,
-    log_map,
     sphere,
     stiefel,
     tangent_project,
@@ -36,7 +33,6 @@ from .wsm import (
     NcVerdict,
     WsmInstance,
     WsmVerdict,
-    check_difference_nc,
     check_dual_nc,
     check_primal_nc,
     estimate_modulus,
@@ -54,7 +50,6 @@ from .cheeger import (
     dist_upper_estimate,
     exact_cheeger,
     grad_norm_l1,
-    indicator_frame,
     lipschitz_bound,
     load_graph,
     penalty_h,

@@ -4,7 +4,7 @@ Stiefel manifold.
 The discrete objective sums |boundary(A_i)| / sqrt(|A_i|) over k disjoint
 nonempty vertex subsets.  Its continuous relaxation minimizes the columnwise
 edge-difference l1 seminorm over orthonormal frames with a nonnegativity
-requirement, handled here by an exact penalty on the entrywise negative part.
+requirement, handled here by a weighted penalty on the entrywise negative part.
 The pipeline: parse a graph, optionally compute the exact constant by
 enumeration, run a multi-restart Riemannian subgradient descent on the
 penalized relaxation, round the best frame to a sub-partition with a
@@ -507,7 +507,7 @@ def _subgradient(mat, diffs, plan: tuple, c: float) -> np.ndarray:
 class SolverConfig:
     """Hyperparameters of the penalized relaxation solver.
 
-    The penalty exponent is 1 (the Lipschitz exact penalty) and step t is
+    The penalty exponent is 1 (the l1 penalty h_1) and step t is
     1/max(L, 1)/sqrt(t), L the ``lipschitz_bound``.  penalty_c defaults to
     the calibrated weight when left as None.
     """
@@ -564,17 +564,20 @@ class ClusterReport:
 
 CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
 # Cap on the bytes of the solver's largest frame stack, max(restarts,
-# CALIBRATION_FRAMES) x n x k float64.  A solve holds about ten arrays of that
-# size; the benchmark's largest jobs, (n, k) = (200, 4), need 200 KiB, 320
-# times below the cap, so only a graph far beyond desk scale meets it.
+# CALIBRATION_FRAMES) x n x k float64, and of its three max_iters x restarts
+# float64 traces.  A solve holds about ten stack-sized arrays; the benchmark's
+# largest jobs, (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
 RELAX_STACK_BYTES = 1 << 26
 
 
 def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
     """Penalty weight C = 2 * L * c_hat, where c_hat regresses the feasible
-    upper distance estimate on the l1 negative-part mass over seeded frames.
-    The penalty must dominate the distance to the nonnegative slice; the
-    factor 2 is cushion, and c_hat is recomputed per instance and logged.
+    upper distance estimate on the l1 negative-part mass h_1 over seeded
+    frames; the factor 2 is cushion, and c_hat is recomputed per instance and
+    logged.  c_hat is a regression slope, not an error bound: no finite C
+    makes C * h_1 dominate the distance to St+, which is 0.6 t along R_P(tV)
+    (P = [I_k; 0], V zero but row k + 1 = (0.6, 0.8, 0, ...)) while h_1 is
+    0.48 t^2.
     The frames are one seeded stack; frames with mass below 1e-9 are
     dropped, and the rest are scored by one ``exact_slice_distances`` call at
     desk scale, else by ``dist_upper_estimate`` one at a time."""
@@ -634,16 +637,6 @@ def round_solution(graph: Graph, u) -> SubPartition:
     return SubPartition(tuple(parts))
 
 
-def indicator_frame(graph: Graph, parts: SubPartition) -> np.ndarray:
-    """Frame with columns 1_{A_i} / sqrt(|A_i|); lies on the nonnegative
-    slice and reproduces the discrete objective under the relaxation."""
-    u = np.zeros((graph.n, parts.k))
-    for j, p in enumerate(parts.parts):
-        for v in p:
-            u[v - 1, j] = 1.0 / math.sqrt(len(p))
-    return u
-
-
 def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -> ClusterReport:
     """Multi-restart diminishing-step subgradient descent on the penalized
     relaxation, followed by rounding and (optionally) oracle comparison.
@@ -659,6 +652,10 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     if stack_bytes > RELAX_STACK_BYTES:
         raise BudgetExceededError(
             f"the solver's frame stack needs {stack_bytes} bytes, cap is {RELAX_STACK_BYTES}")
+    trace_bytes = 3 * 8 * cfg.max_iters * cfg.restarts
+    if trace_bytes > RELAX_STACK_BYTES:
+        raise BudgetExceededError(
+            f"the solver's traces need {trace_bytes} bytes, cap is {RELAX_STACK_BYTES}")
     if cfg.penalty_c is None:
         c, c_hat = calibrate_penalty_weight(graph, k, seed=cfg.seed)
     else:
@@ -739,7 +736,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
 @dataclass(frozen=True, eq=False)
 class PenaltyStudy:
     """Bundle of sharpness evidence for the negative-part penalty at one
-    (n, k, beta): the sampled sharpness verdict against a distance bracket,
+    (n, k, beta): the sampled sharpness verdict against the exact distance,
     dual necessary-condition verdicts at seeded nonnegative frames, and a
     modulus-estimate trace over growing sample budgets."""
 
@@ -756,16 +753,14 @@ class PenaltyStudy:
         return all(v.passed for v in self.dual)
 
 
-def _stiefel_bracket(stack: np.ndarray) -> tuple:
-    """Distance brackets (lb, ub) from a stack of desk-scale frames to the
+def _stiefel_distance(stack: np.ndarray) -> np.ndarray:
+    """Distance from each frame of a stack of desk-scale frames to the
     nonnegative slice: the closed form per frame on the circle (height 2,
     width 1, exactly 0 on the arc), else ``exact_slice_distances``."""
     if stack.shape[1:] == (2, 1):
-        d = np.array([arc_chordal_distance(math.atan2(float(y), float(x)))
-                      for x, y in stack[:, :, 0].tolist()])
-        return d, d
-    d, _ = exact_slice_distances(stack)
-    return d, d
+        return np.array([arc_chordal_distance(math.atan2(float(y), float(x)))
+                         for x, y in stack[:, :, 0].tolist()])
+    return exact_slice_distances(stack)[0]
 
 
 # extreme rays plus the +/- covector probes carry the refutations; a light
@@ -783,7 +778,7 @@ def wsm_penalty_check(
 ) -> PenaltyStudy:
     """Probe the negative-part penalty h_beta as a sharp exact-penalty term.
 
-    Runs (a) a sampled sharpness check of h_beta against a distance bracket
+    Runs (a) a sampled sharpness check of h_beta against the exact distance
     over random frames, (b) dual necessary-condition checks at seeded
     nonnegative frames using the sign/support cone pattern, and (c) a modulus
     estimate trace.  Small dimensions only (dense sampling)."""
@@ -810,7 +805,7 @@ def wsm_penalty_check(
     inst = WsmInstance(
         f=f,
         feasible_sampler=feasible_sampler,
-        bracket=_stiefel_bracket,
+        distance=_stiefel_distance,
         point=ref_point,
         alpha=alpha,
         solution_sampler=solution_sampler,
@@ -832,7 +827,7 @@ def wsm_penalty_check(
     for i, count in enumerate((n_samples // 4, n_samples // 2, n_samples)):
         if count < 1:
             continue
-        est = estimate_modulus(f, feasible_sampler, _stiefel_bracket, count,
+        est = estimate_modulus(f, feasible_sampler, _stiefel_distance, count,
                                seed=seed + 13 * i, manifold=manifold)
         trace.append((count, est))
     return PenaltyStudy(n=n, k=k, beta=beta, alpha=alpha, wsm=wsm_verdict,

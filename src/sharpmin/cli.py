@@ -17,7 +17,6 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -258,6 +257,7 @@ def _run_verify_wsm(args):
                                  seed=args.seed, alpha=args.alpha)
     violations = []
     witness = None
+    w = study.wsm.witness
     if not study.dual_consistent:
         for v in study.dual:
             if not v.passed:
@@ -275,7 +275,8 @@ def _run_verify_wsm(args):
         "alpha": args.alpha,
         "seed": args.seed,
         "wsm_status": study.wsm.status,
-        "wsm_witness": None if study.wsm.witness is None else list(study.wsm.witness),
+        # the witness keeps its schema [coords, f, lb, ub]: lb == ub == dist
+        "wsm_witness": None if w is None else [*w, w[-1]],
         "estimated_modulus": study.wsm.estimated_modulus,
         "dual_consistent": study.dual_consistent,
         "dual_witness": None if witness is None else {

@@ -438,15 +438,6 @@ def _ray_distances(v: np.ndarray, ws: np.ndarray, lengths: np.ndarray) -> np.nda
     return row_norms(v - _per_row(s, wh) * wh)
 
 
-def ray_distance(v: np.ndarray, w: np.ndarray) -> float:
-    """Distance from v to the closed ray {s * w : s >= 0} (w nonzero)."""
-    w = np.asarray(w, dtype=float)[None]
-    nw = row_norms(w)
-    if nw[0] <= 0.0:
-        raise GeometryError("ray direction must be nonzero")
-    return float(_ray_distances(v, w, nw)[0])
-
-
 def contingent_cone_distance(
     sampler: Callable[[float, Generator], np.ndarray],
     p: Point,

@@ -231,27 +231,3 @@ def identity_fixtures() -> list:
 def dirderiv_fixtures() -> list:
     """Fixtures with directions for the directional-derivative identity."""
     return [axis_fixture(), halfplane_fixture(), arc_fixture()]
-
-
-# ---------------------------------------------------------------------------
-# Circle penalty functions (height-2, width-1 frames are the unit circle)
-# ---------------------------------------------------------------------------
-
-
-def circle_point(theta: float) -> Point:
-    return Point(sphere(2, 1.0), np.array([math.cos(theta), math.sin(theta)]))
-
-
-def circle_penalty(beta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Entrywise negative-part penalty sum(max(-u_i, 0)^beta) restricted to
-    the unit circle, on a stack (s, 2) of circle points."""
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.sum(np.maximum(-u, 0.0) ** beta, axis=-1)
-
-    return f
-
-
-def circle_grid(n: int = 720) -> list:
-    """Uniform angular grid over the circle (endpoint excluded)."""
-    return [circle_point(t) for t in np.linspace(-math.pi, math.pi, n, endpoint=False)]

@@ -262,30 +262,12 @@ class Tangent:
         return float(np.linalg.norm(self.vec))
 
 
-def _same_manifold(p: Point, q: Point):
-    if p.manifold != q.manifold:
-        raise GeometryError(f"mismatched manifolds: {p.manifold} vs {q.manifold}")
-
-
-def _same_base(p: Point, v: Tangent):
-    if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
-        raise GeometryError("tangent vector is based at a different point")
-
-
-def exp_map(p: Point, v: Tangent) -> Point:
-    """Exact exponential map.  Euclidean: p + v.  Sphere: great-circle arc.
-
-    St(n, k) is refused here (no closed form is implemented); use
-    ``stiefel.qr_retract``.
-    """
-    _same_base(p, v)
-    return Point(p.manifold, exp_coords(p, v.vec[None])[0])
-
-
 def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
     """Ambient coordinates of exp_p(v) for each row v of a stack
     (s, *ambient_shape) of tangent vectors at p; the rows are not validated
-    as points.  The same closed forms as ``exp_map``."""
+    as points.  Exact: p + v on euclidean, the great-circle arc on the
+    sphere.  St(n, k) is refused (no closed form is implemented); use
+    ``stiefel.qr_retract``."""
     m = p.manifold
     if m.kind == "euclidean":
         return p.coords + vecs
@@ -305,12 +287,6 @@ def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
     # renormalize to kill the O(eps) drift of the closed form
     coords *= _per_row(rho / row_norms(coords), vecs)
     return coords
-
-
-def log_map(p: Point, q: Point) -> Tangent:
-    """Inverse exponential chart.  Requires q inside the injectivity radius."""
-    _same_manifold(p, q)
-    return Tangent(p, log_coords(p, q.coords[None])[0])
 
 
 def log_coords(p: Point, coords: np.ndarray) -> np.ndarray:
@@ -348,17 +324,11 @@ def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
                     ).reshape(y.shape)
 
 
-def geodesic_distance(p: Point, q: Point) -> float:
-    """Geodesic distance on euclidean/sphere; ambient chordal distance
-    ||P - Q||_F on stiefel (a surrogate that lower-bounds the geodesic one)."""
-    _same_manifold(p, q)
-    return float(pairwise_distances(p.manifold, p.coords[None], q.coords[None])[0, 0])
-
-
 def pairwise_distances(m: ManifoldDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each row of the stack ``a`` to each row of the stack
     ``b`` of points of m, shape (len(a), len(b)): geodesic on euclidean and
-    sphere, chordal on stiefel, as ``geodesic_distance``."""
+    sphere, the ambient chordal distance ||P - Q||_F on stiefel (a surrogate
+    that lower-bounds the geodesic one)."""
     size = math.prod(m.ambient_shape)
     a, b = a.reshape(len(a), 1, size), b.reshape(1, len(b), size)
     if m.kind != "sphere":

@@ -186,8 +186,9 @@ def _assignment_keys(n: int, k: int) -> np.ndarray:
     Entry [j, a] is j * 2**n plus the bitmask (bit i for row i) of the rows
     that map a sends to column j: the place of that row set in a (k, 2**n)
     table of column values."""
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int16)  # k**n <= EXACT_ASSIGNMENTS < 2**15
-    digits = np.arange(k**n, dtype=np.int16) // powers[:, None] % k
+    dtype = np.min_scalar_type(k**n - 1)  # holds every map's index, whatever EXACT_ASSIGNMENTS
+    powers = k ** np.arange(n - 1, -1, -1, dtype=dtype)
+    digits = np.arange(k**n, dtype=dtype) // powers[:, None] % k
     bits = (1 << np.arange(n))[:, None]  # n <= 12 when k >= 2
     rows = np.stack([np.sum((digits == j) * bits, axis=0) for j in range(k)])
     keys = rows[:, np.all(rows > 0, axis=0)] + (np.arange(k) << n)[:, None]

@@ -1,23 +1,21 @@
 """Weak-sharp-minima verification: sampled sharpness checks, modulus
 estimation, and primal/dual necessary-condition checkers.
 
-A solution set is weakly sharp for a problem when the objective grows at
-least linearly in the distance to the set, with some modulus alpha > 0.
-Exact set distances are often unavailable, so every check here runs against a
-distance *bracket* [lb, ub] and verdicts are three-valued (pass_strong /
-pass_weak / violated) to stay honest about the bracket width.  The
-necessary-condition checkers are refutation-oriented: they can certify
-failure of sharpness through a concrete witness, but only ever report
-consistency otherwise; sufficiency is never claimed.
+A solution set S is weakly sharp when the objective grows at least linearly
+in the distance to it, f(u) >= f(p) + alpha * dist(u; S) with a modulus
+alpha > 0.  The sampled check scores this against the exact distance: it
+passes (pass_strong) or is violated, with the first breaking sample as the
+witness.  The necessary-condition checkers are refutation-oriented: they can
+certify failure of sharpness through a concrete witness, but only ever
+report consistency otherwise; sufficiency is never claimed.
 
 Objectives take the stack form of ``cones``: f maps a stack
 (s, *ambient_shape) of point coordinates to s values, and every check calls
 it once on all the points it scores.  Samplers follow the contract of
 ``manifolds``: ``sampler(count, rng)`` returns one stack of point
-coordinates, checked on the manifold by one call.  Brackets take the same
-stack form: ``bracket(coords)`` maps a stack of s points to (lb, ub), two
-arrays of s distance bounds, and every check calls it once on all the
-points it scores.
+coordinates, checked on the manifold by one call.  ``distance(coords)``
+maps a stack of s points to their s distances to the solution set, and every
+check calls it once on all the points it scores.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from .cones import (
 )
 
 VIOLATION_TOL = 1e-9
-# A sample whose upper distance bound is at most this lies in the solution set:
-# points on the set get rounding-level distances, not exact zeros.
+# A sample whose distance is at most this lies in the solution set: points
+# on the set get rounding-level distances, not exact zeros.
 INSIDE_TOL = 1e-12
 REFERENCE_SAMPLES = 32  # solution-set points the reference-minimality spot check draws
 DUAL_CONE_SAMPLES = 24  # covectors each dual necessary-condition check refutes
@@ -59,9 +57,8 @@ class WsmInstance:
 
     ``f`` maps a stack of point coordinates to one value per row;
     ``feasible_sampler(count, rng)`` returns a stack of feasible points;
-    ``bracket(coords)`` maps a stack of s point coordinates to (lb, ub), two
-    arrays of shape (s,) whose rows enclose dist(u; solution set) for each
-    point u of the stack; ``point`` is a reference solution where f
+    ``distance(coords)`` maps a stack of s point coordinates to their s
+    distances to the solution set; ``point`` is a reference solution where f
     attains its minimum.  When ``solution_sampler`` (a stack sampler as
     well) is given, the reference-minimality of ``point`` is spot-checked
     against REFERENCE_SAMPLES sampled solution-set points before any verdict
@@ -70,7 +67,7 @@ class WsmInstance:
 
     f: Callable[[np.ndarray], np.ndarray]
     feasible_sampler: Callable[[int, np.random.Generator], np.ndarray]
-    bracket: Callable[[np.ndarray], tuple]
+    distance: Callable[[np.ndarray], np.ndarray]
     point: Point
     alpha: float
     solution_sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
@@ -93,19 +90,18 @@ class WsmInstance:
 class WsmVerdict:
     """Outcome of a sampled sharpness check.
 
-    ``pass_strong``: the inequality held against the upper bracket end at
-    every sample.  ``pass_weak``: it held against the lower end everywhere
-    but only against the lower end somewhere.  ``violated``: a witness sample
-    broke the inequality even against the lower end (a sound violation, since
-    the true distance is at least lb)."""
+    ``pass_strong``: the inequality held at every sample.  ``violated``: the
+    witness is the first sample that broke it.  ``estimated_modulus`` is the
+    least f(u) - f(p) over dist(u; set) among the samples outside the set, a
+    sampled infimum and so an upper bound on the modulus."""
 
-    status: str  # pass_strong | pass_weak | violated
-    witness: tuple | None  # (coords, f(u), lb, ub)
+    status: str  # pass_strong | violated
+    witness: tuple | None  # (coords, f(u), dist(u; set))
     estimated_modulus: float
     n_samples: int
 
     def __post_init__(self):
-        if self.status not in ("pass_strong", "pass_weak", "violated"):
+        if self.status not in ("pass_strong", "violated"):
             raise GeometryError(f"bad status {self.status!r}")
         if self.status == "violated" and self.witness is None:
             raise GeometryError("violated verdict requires a witness")
@@ -113,37 +109,28 @@ class WsmVerdict:
 
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
-    to VIOLATION_TOL, against the distance bracket: f and the bracket each in
-    one call on the stack of samples, the checks in sample order."""
+    to VIOLATION_TOL: f and the distance each in one call on the stack of
+    samples, the checks in sample order."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
     rng = default_rng(seed)
     m = inst.point.manifold
     f0 = _values_at(inst.f, inst.point.coords[None])[0]
-    strong = True
     witness = None
     modulus = math.inf
-    checked = 0
     samples = point_stack(m, inst.feasible_sampler(n_samples, rng))
-    for u, fu, lb, ub in zip(samples, _values_at(inst.f, samples),
-                             *_brackets_at(inst.bracket, samples)):
+    for u, fu, d in zip(samples, _values_at(inst.f, samples),
+                        _distances_at(inst.distance, samples)):
         if not math.isfinite(fu):
             raise GeometryError("objective not finite at a feasible sample")
-        if lb > ub + 1e-12:
-            raise GeometryError(f"bracket inverted: lb={lb} > ub={ub}")
-        checked += 1
         gain = fu - f0
-        if ub > INSIDE_TOL and math.isfinite(ub):
-            modulus = min(modulus, gain / ub)
-        if witness is None and gain < inst.alpha * lb - VIOLATION_TOL:
-            witness = (np.array(u), fu, lb, ub)
-        if gain < inst.alpha * ub - VIOLATION_TOL:
-            strong = False
-    if witness is not None:
-        return WsmVerdict("violated", witness, modulus, checked)
-    status = "pass_strong" if strong else "pass_weak"
-    return WsmVerdict(status, None, modulus, checked)
+        if d > INSIDE_TOL and math.isfinite(d):
+            modulus = min(modulus, gain / d)
+        if witness is None and gain < inst.alpha * d - VIOLATION_TOL:
+            witness = (np.array(u), fu, d)
+    status = "pass_strong" if witness is None else "violated"
+    return WsmVerdict(status, witness, modulus, len(samples))
 
 
 def _values_at(f, coords: np.ndarray) -> list:
@@ -152,54 +139,53 @@ def _values_at(f, coords: np.ndarray) -> list:
     return objective_values(f, coords).tolist() if len(coords) else []
 
 
-def _brackets_at(bracket, coords: np.ndarray) -> tuple:
-    """(lbs, ubs) of a stack, as two lists of floats, from one bracket call
-    (no call for an empty stack).  Refuses a bracket that does not return
-    one pair of bounds per row."""
+def _distances_at(distance, coords: np.ndarray) -> list:
+    """The distance of each point of a stack, as floats, from one distance
+    call (no call for an empty stack).  Refuses a distance that does not
+    return one value per row."""
     if not len(coords):
-        return [], []
-    lb, ub = (np.asarray(b, dtype=float) for b in bracket(coords))
-    if lb.shape != (len(coords),) or ub.shape != (len(coords),):
-        raise GeometryError(f"bracket gave shapes {lb.shape} and {ub.shape} "
-                            f"for a stack of {len(coords)} points")
-    return lb.tolist(), ub.tolist()
+        return []
+    d = np.asarray(distance(coords), dtype=float)
+    if d.shape != (len(coords),):
+        raise GeometryError(f"distance gave shape {d.shape} for a stack of {len(coords)} points")
+    return d.tolist()
 
 
 def estimate_modulus(
     f: Callable[[np.ndarray], np.ndarray],
     feasible_sampler: Callable[[int, np.random.Generator], np.ndarray],
-    bracket: Callable[[np.ndarray], tuple],
+    distance: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     seed: int = 0,
     *,
     manifold: ManifoldDescriptor,
 ) -> float:
-    """Infimum over samples of f(u) / ub(u) for an f whose minimum is 0,
-    skipping points inside the set (ub <= INSIDE_TOL).  Using the upper
-    bracket end makes this a conservative estimate of the best modulus valid
-    on the sampled region.
-    The sampled stack is checked on ``manifold``; the bracket is called once
-    on the stack and f once on the samples outside the set."""
+    """Infimum over samples of f(u) / dist(u; set) for an f whose minimum
+    is 0, skipping points inside the set (dist <= INSIDE_TOL).  The infimum
+    runs over the samples only, so it is an upper bound on the best modulus
+    of the sampled region, not a certified modulus.
+    The sampled stack is checked on ``manifold``; the distance is called
+    once on the stack and f once on the samples outside the set."""
     samples = point_stack(manifold, feasible_sampler(n_samples, default_rng(seed)))
-    outside, ubs = [], []
-    for i, ub in enumerate(_brackets_at(bracket, samples)[1]):
-        if ub <= INSIDE_TOL or not math.isfinite(ub):
-            continue  # inside the set, or unbracketed
+    outside, ds = [], []
+    for i, d in enumerate(_distances_at(distance, samples)):
+        if d <= INSIDE_TOL or not math.isfinite(d):
+            continue  # inside the set, or no finite distance
         outside.append(i)
-        ubs.append(ub)
+        ds.append(d)
     if not outside:
         raise GeometryError("all samples landed inside the solution set")
     est = math.inf
-    for fu, ub in zip(_values_at(f, samples[outside]), ubs):
-        est = min(est, fu / ub)
+    for fu, d in zip(_values_at(f, samples[outside]), ds):
+        est = min(est, fu / d)
     return est
 
 
 @dataclass(frozen=True, eq=False)
 class NcVerdict:
-    """Outcome of a necessary-condition check ('primal', 'dual', or
-    'difference').  ``passed`` means no violation was found; a failure
-    always carries the witnessing item."""
+    """Outcome of a necessary-condition check ('primal' or 'dual').
+    ``passed`` means no violation was found; a failure always carries the
+    witnessing item."""
 
     kind: str
     passed: bool
@@ -260,23 +246,3 @@ def check_dual_nc(
     failures = [v.witness for v in verdicts if v.refuted]
     return NcVerdict("dual", not failures, len(candidates), tuple(failures))
 
-
-def check_difference_nc(
-    grad_f1_at_p: np.ndarray,
-    f2_subdiff_candidates: Sequence[np.ndarray],
-    cone_residual: Callable[[np.ndarray], float],
-    tol: float = 1e-8,
-) -> NcVerdict:
-    """Stationarity filter for difference-form objectives under a geometric
-    constraint: each candidate covector x of the subtracted part must satisfy
-    x in grad(f1)(p) + normal cone, i.e. the cone residual of x - grad must
-    vanish.  A failing candidate certifies that p is not a local solution."""
-    grad = np.asarray(grad_f1_at_p, dtype=float)
-    failures = []
-    checked = 0
-    for x in f2_subdiff_candidates:
-        checked += 1
-        res = float(cone_residual(np.asarray(x, dtype=float) - grad))
-        if res > tol:
-            failures.append((np.asarray(x, dtype=float), res))
-    return NcVerdict("difference", not failures, checked, tuple(failures))

@@ -61,11 +61,9 @@ def ref_slice_distance(mat):
     return float(np.linalg.norm(mat - v)), v
 
 
-def ref_stiefel_bracket(mat):
-    """The penalty study's bracket on one frame: the closed form on the
+def ref_stiefel_distance(mat):
+    """The penalty study's distance of one frame: the closed form on the
     circle, else the full-table distance."""
     if mat.shape == (2, 1):
-        d = arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
-        return d, d
-    d, _ = ref_slice_distance(mat)
-    return d, d
+        return arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
+    return ref_slice_distance(mat)[0]

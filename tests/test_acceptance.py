@@ -16,6 +16,7 @@ import sharpmin as sm
 import sharpmin.fixtures as fx
 from sharpmin.cli import EXIT_OK, run
 from sharpmin.manifolds import Point, euclidean, geodesic_sphere_sampler, sphere, stiefel
+from helpers import circle_penalty, indicator_frame
 
 
 def _report(line):
@@ -86,9 +87,9 @@ def test_criterion_4_wsm_necessary_condition_split():
 
     arc = fx.arc_fixture()
     directions = [np.array([0.0, -1.0]), np.array([0.0, 1.0])]
-    primal_smooth = sm.check_primal_nc(fx.circle_penalty(2.0), arc.omega_sampler,
+    primal_smooth = sm.check_primal_nc(circle_penalty(2.0), arc.omega_sampler,
                                        arc.point, 1.0, directions)
-    primal_sharp = sm.check_primal_nc(fx.circle_penalty(0.5), arc.omega_sampler,
+    primal_sharp = sm.check_primal_nc(circle_penalty(0.5), arc.omega_sampler,
                                       arc.point, 1.0, directions)
     assert not primal_smooth.passed
     assert primal_sharp.passed
@@ -162,7 +163,7 @@ def test_criterion_7_indicator_identity():
         if not groups:
             continue
         parts = sm.SubPartition(tuple(groups))
-        u = sm.indicator_frame(graph, parts)
+        u = indicator_frame(graph, parts)
         assert abs(sm.grad_norm_l1(graph, u) - sm.cheeger_objective(graph, parts)) <= 1e-12
         checked += 1
     _report("ACCEPTANCE 7 indicator-identity: PASS (200 sub-partitions, tol 1e-12)")

@@ -19,14 +19,13 @@ from sharpmin.cheeger import (
     SubPartition,
     _local_search_bracket,
     _over_budget,
-    _stiefel_bracket,
+    _stiefel_distance,
     calibrate_penalty_weight,
     cheeger_objective,
     cut_boundary,
     dist_upper_estimate,
     exact_cheeger,
     grad_norm_l1,
-    indicator_frame,
     lipschitz_bound,
     load_graph,
     penalty_h,
@@ -46,10 +45,11 @@ from sharpmin.stiefel import (
     random_stiefel,
     random_stiefel_plus,
 )
+from helpers import indicator_frame
 from slice_reference import (
     ref_assignment_table,
     ref_slice_distance,
-    ref_stiefel_bracket,
+    ref_stiefel_distance,
     ref_table_scores,
 )
 
@@ -455,6 +455,17 @@ class TestExactSliceDistances:
         # with k == n every covering map is a permutation: one row per column
         assert (dropped > 0) == (n > k)
 
+    def test_assignment_keys_past_the_enumeration_cap(self):
+        # 3^11 map indices overflow int16: the table must not depend on the cap
+        n, k = 11, 3
+        maps = np.array(list(product(range(k), repeat=n)))
+        maps = maps[np.all(np.any(maps[:, :, None] == np.arange(k), axis=1), axis=1)]
+        want = (maps[None] == np.arange(k)[:, None, None]) @ (1 << np.arange(n))
+        want += np.arange(k)[:, None] << n
+        got = _assignment_keys.__wrapped__(n, k)
+        assert got.shape == (k, 171006)
+        assert np.array_equal(got, want)
+
     def test_block_size_does_not_change_results(self, monkeypatch):
         frames = np.concatenate([random_stiefel(8, 3, np.random.default_rng(4), 70),
                                  adversarial_frames(8, 3, np.random.default_rng(5))])
@@ -491,11 +502,10 @@ class TestExactSliceDistances:
         assert 3**9 > EXACT_ASSIGNMENTS
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
-    def test_stiefel_bracket_matches_per_frame_reference(self, n, k):
+    def test_stiefel_distance_matches_per_frame_reference(self, n, k):
         frames = random_stiefel(n, k, np.random.default_rng(n * k), 30)
-        lb, ub = _stiefel_bracket(frames)
-        want = np.array([ref_stiefel_bracket(u) for u in frames])
-        assert lb.tobytes() == want[:, 0].tobytes() and ub.tobytes() == want[:, 1].tobytes()
+        want = np.array([ref_stiefel_distance(u) for u in frames])
+        assert _stiefel_distance(frames).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n,k", [(11, 2), (10, 3), (6, 1), (5, 5), (80, 3)])
     def test_calibration_matches_frame_by_frame_loop(self, n, k):
@@ -519,6 +529,19 @@ class TestExactSliceDistances:
         assert np.float64(c_hat).tobytes() == np.float64(num / den).tobytes()
         want_c = 2.0 * max(lipschitz_bound(graph, k), 1.0) * max(num / den, 0.25)
         assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 3)])
+    def test_no_penalty_weight_dominates_the_distance(self, n, k):
+        # U(t) = R_P(tV), P = [I_k; 0], V zero but row k + 1 = (0.6, 0.8, 0, ...):
+        # dist(U, St+) = 0.6 t and h_1(U) = 0.48 t^2, so h_1 / dist = 0.8 t and no
+        # finite C makes C h_1 dominate the distance as t -> 0
+        v = np.zeros((n, k))
+        v[k, :2] = 0.6, 0.8
+        t = 1e-4
+        u = qr_retract(np.eye(n, k), t * v)
+        d = exact_slice_distances(u[None])[0][0]
+        assert d / t == pytest.approx(0.6000000011, rel=1e-10)
+        assert penalty_h(u, 1.0) / d == pytest.approx(0.8 * t, rel=1e-7)
 
 
 class TestSubgradient:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import sharpmin
 from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, run
+from sharpmin.fixtures import arc_chordal_distance
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 
@@ -118,6 +120,30 @@ class TestUsageErrors:
         assert out.returncode == EXIT_BUDGET, out.stderr
         assert json.loads(out.stdout)["reason"] == (
             "the solver's frame stack needs 256000000000000 bytes, cap is 67108864")
+
+    def test_relax_refuses_oversized_traces(self, c4_file):
+        # three traces of 10^12 iterations x 20 restarts need 480 TB: refused
+        # (exit 3) before calibration, in a subprocess under a 2 GiB
+        # address-space cap as above
+        cap = 2 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(sharpmin.__file__).resolve().parent.parent),
+                   OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "sharpmin.cli", "relax", "--graph", c4_file, "--k", "2",
+             "--max-iters", "1000000000000"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert out.returncode == EXIT_BUDGET, out.stderr
+        assert json.loads(out.stdout)["reason"] == (
+            "the solver's traces need 480000000000000 bytes, cap is 67108864")
+
+    def test_relax_frame_stack_refusal_comes_first(self, capsys, c4_file):
+        code, out, _ = run_captured(
+            capsys, ["relax", "--graph", c4_file, "--k", "2", "--restarts", "10000000",
+                     "--max-iters", "1000000000000"])
+        assert code == EXIT_BUDGET
+        assert json.loads(out)["reason"] == (
+            "the solver's frame stack needs 640000000 bytes, cap is 67108864")
 
     def test_relax_refuses_oversized_restart_stack(self, capsys, c4_file):
         code, out, err = run_captured(
@@ -278,6 +304,21 @@ class TestVerifyWsm:
         assert report["exit_code"] == EXIT_VIOLATION
         assert report["reason"]
         assert report["dual_witness"]["covector"] == [[0.0], [-1.0]]
+
+    def test_violated_witness_schema(self, capsys):
+        # the growth check is global: at (2, 1) it finds the frame
+        # (-0.83, 0.56), far from St+, where h_0.5 = 0.910 < dist = 0.939
+        code, out, _ = run_captured(
+            capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5",
+                     "--samples", "100", "--seed", "0"])
+        assert code == EXIT_VIOLATION
+        report = json.loads(out)
+        assert report["wsm_status"] == "violated"
+        coords, fu, lb, ub = report["wsm_witness"]  # [coords, f, lb, ub]
+        (x,), (y,) = coords
+        assert (x, y, fu) == pytest.approx((-0.8288, 0.5595, 0.9104), abs=1e-4)
+        assert lb == ub == arc_chordal_distance(math.atan2(y, x))
+        assert ub == pytest.approx(0.9386, abs=1e-4)
 
     def test_sqrt_with_matching_alpha_passes(self, capsys):
         code, out, _ = run_captured(

@@ -18,6 +18,7 @@ from sharpmin.cones import (
     RefutationVerdict,
     Schedule,
     Witness,
+    _ray_distances,
     _two_consecutive,
     check_dirderiv_identity,
     check_dist_subdiff_identity,
@@ -26,7 +27,6 @@ from sharpmin.cones import (
     cross_validate_pattern_cone,
     frechet_normal_refute,
     frechet_subdiff_refute,
-    ray_distance,
     stiefel_plus_normal_cone,
     stiefel_plus_sampler,
 )
@@ -42,6 +42,7 @@ from sharpmin.manifolds import (
 )
 from sharpmin.stiefel import random_stiefel_plus
 from sharpmin.wsm import check_dual_nc
+from helpers import circle_penalty, circle_point
 
 
 def plane_point(*coords):
@@ -194,16 +195,16 @@ class TestSubdiffRefuter:
     def test_smooth_penalty_refuted(self):
         # squared negative part is flat at the boundary: the downhill
         # covector cannot be a subgradient
-        p = fx.circle_point(0.0)
-        v = frechet_subdiff_refute(fx.circle_penalty(2.0), p,
+        p = circle_point(0.0)
+        v = frechet_subdiff_refute(circle_penalty(2.0), p,
                                    tangent(p, 0.0, -1.0), seed=0)
         assert v.refuted
         assert v.witness.quotient == pytest.approx(-1.0, abs=0.1)
 
     def test_sqrt_penalty_consistent(self):
         # oracle: quotient sqrt(|sin t|) + t over t stays nonnegative near 0
-        p = fx.circle_point(0.0)
-        v = frechet_subdiff_refute(fx.circle_penalty(0.5), p,
+        p = circle_point(0.0)
+        v = frechet_subdiff_refute(circle_penalty(0.5), p,
                                    tangent(p, 0.0, -1.0), seed=0)
         assert v.status == "consistent"
 
@@ -304,10 +305,13 @@ class TestContingentConeDistance:
             contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
 
     def test_ray_distance_helper(self):
-        assert ray_distance(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 1.0
-        assert ray_distance(np.array([2.0, 0.0]), np.array([0.5, 0.0])) == 0.0
+        def ray_distance(v, w):
+            return _ray_distances(np.array(v), np.array([w]), np.array([np.hypot(*w)]))[0]
+
+        assert ray_distance([0.0, 1.0], [1.0, 0.0]) == 1.0
+        assert ray_distance([2.0, 0.0], [0.5, 0.0]) == 0.0
         # behind the ray: distance to the apex
-        assert ray_distance(np.array([-1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
+        assert ray_distance([-1.0, 0.0], [1.0, 0.0]) == 1.0
 
 
 class TestDistSubdiffIdentity:
@@ -547,7 +551,7 @@ def _refuter_cases():
          DEFAULT_SCHEDULE),
         ("sphere-arc", arc.dist_fn, arc.point, [[0.0, -0.5], [0.0, -1.1], [0.0, 0.4]],
          DEFAULT_SCHEDULE),
-        ("sphere-square-penalty", _penalty(2.0), fx.circle_point(0.0), [[0.0, -1.0]],
+        ("sphere-square-penalty", _penalty(2.0), circle_point(0.0), [[0.0, -1.0]],
          DEFAULT_SCHEDULE),
         ("sphere-radius-two", lambda u: np.abs(u[:, 0]), ball,
          [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], DEFAULT_SCHEDULE),
@@ -646,7 +650,7 @@ class TestBlockKernelMatchesPerSampleReference:
 
     @pytest.mark.parametrize("p", [
         Point(euclidean(3), np.array([1.0, -2.0, 0.5])),
-        fx.circle_point(0.7),
+        circle_point(0.7),
         Point(sphere(4, 3.0), np.array([0.0, 3.0, 0.0, 0.0])),
         _frame_point(5, 2, 1),
         _frame_point(8, 3, 2),
@@ -661,7 +665,7 @@ class TestBlockKernelMatchesPerSampleReference:
         assert one.vec.tobytes() == ref_random_tangent(p, np.random.default_rng(9)).vec.tobytes()
 
     def test_block_redraws_from_each_rows_own_generator(self):
-        p = fx.circle_point(0.0)  # tangent space: the y-axis, so (x, 0) draws are degenerate
+        p = circle_point(0.0)  # tangent space: the y-axis, so (x, 0) draws are degenerate
 
         def gens():
             return [_Scripted([[0.3, 0.5], [2.0, 0.0]], [[7.0, 0.0]], [[1.0, -0.2]]),

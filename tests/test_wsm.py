@@ -1,5 +1,5 @@
 """Sharpness verification tests: sampled inequality checks, modulus
-estimation, and the primal/dual/difference necessary conditions."""
+estimation, and the primal/dual necessary conditions."""
 
 import math
 
@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 
 import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
-from sharpmin.manifolds import Point, sphere, stiefel, tangent_project
-from sharpmin.cheeger import _stiefel_bracket, wsm_penalty_check
+from sharpmin.manifolds import Point, sphere, stiefel
+from sharpmin.cheeger import _stiefel_distance, wsm_penalty_check
 from sharpmin.stiefel import random_stiefel, random_stiefel_plus
 from sharpmin.wsm import (
     INSIDE_TOL,
     WsmInstance,
-    check_difference_nc,
     check_dual_nc,
     check_primal_nc,
     estimate_modulus,
     verify_wsm_sampled,
 )
-from slice_reference import ref_stiefel_bracket
+from helpers import circle_penalty, circle_point
+from slice_reference import ref_stiefel_distance
 
 
 CIRCLE = sphere(2, 1.0)
@@ -30,25 +30,24 @@ CIRCLE = sphere(2, 1.0)
 
 def circle_coords(thetas):
     """Stack of the circle points at the given angles (the coordinates of
-    ``fx.circle_point``)."""
-    return np.array([fx.circle_point(t).coords for t in thetas]).reshape(len(thetas), 2)
+    ``circle_point``)."""
+    return np.array([circle_point(t).coords for t in thetas]).reshape(len(thetas), 2)
 
 
 def circle_sampler(count, rng):
     return circle_coords(rng.uniform(-math.pi, math.pi, size=count))
 
 
-def arc_bracket(coords):
-    d = np.array([fx.arc_angular_distance(math.atan2(y, x)) for x, y in coords.tolist()])
-    return d, d
+def arc_distance(coords):
+    return np.array([fx.arc_angular_distance(math.atan2(y, x)) for x, y in coords.tolist()])
 
 
 def circle_instance(beta, alpha):
     return WsmInstance(
-        f=fx.circle_penalty(beta),
+        f=circle_penalty(beta),
         feasible_sampler=circle_sampler,
-        bracket=arc_bracket,
-        point=fx.circle_point(0.3),
+        distance=arc_distance,
+        point=circle_point(0.3),
         alpha=alpha,
     )
 
@@ -58,8 +57,8 @@ class TestVerifyWsm:
         inst = WsmInstance(
             f=fx.arc_fixture().dist_fn,
             feasible_sampler=circle_sampler,
-            bracket=arc_bracket,
-            point=fx.circle_point(0.3),
+            distance=arc_distance,
+            point=circle_point(0.3),
             alpha=1.0,
         )
         verdict = verify_wsm_sampled(inst, 400, seed=0)
@@ -77,15 +76,16 @@ class TestVerifyWsm:
         for alpha in (1.0, 0.1):
             verdict = verify_wsm_sampled(circle_instance(2.0, alpha), 720, seed=0)
             assert verdict.status == "violated"
-            coords, fval, lb, ub = verdict.witness
-            assert fval < alpha * lb  # the witness re-evaluates as a violation
+            coords, fval, d = verdict.witness
+            assert fval < alpha * d  # the witness re-evaluates as a violation
+            assert d == arc_distance(coords[None])[0]
 
     def test_translation_invariance(self):
         base = circle_instance(0.5, 0.5)
         shifted = WsmInstance(
             f=lambda u: base.f(u) + 17.25,
             feasible_sampler=base.feasible_sampler,
-            bracket=base.bracket,
+            distance=base.distance,
             point=base.point,
             alpha=base.alpha,
         )
@@ -101,7 +101,7 @@ class TestVerifyWsm:
         scaled = WsmInstance(
             f=lambda u: lam * base.f(u),
             feasible_sampler=base.feasible_sampler,
-            bracket=base.bracket,
+            distance=base.distance,
             point=base.point,
             alpha=base.alpha,
         )
@@ -117,36 +117,26 @@ class TestVerifyWsm:
             v2 = verify_wsm_sampled(circle_instance(0.5, smaller), 300, seed=1)
             assert v2.status == "pass_strong"
 
-    def test_inverted_bracket_refused(self):
-        inst = WsmInstance(
-            f=fx.circle_penalty(0.5),
-            feasible_sampler=circle_sampler,
-            bracket=lambda coords: (np.full(len(coords), 2.0), np.ones(len(coords))),
-            point=fx.circle_point(0.3),
-            alpha=1.0,
-        )
-        with pytest.raises(GeometryError):
-            verify_wsm_sampled(inst, 10, seed=0)
-
-    def test_bracket_without_one_bound_per_point_refused(self):
-        for bracket in (lambda coords: (0.0, 1.0),
-                        lambda coords: (np.zeros(len(coords)), np.ones(len(coords) + 1))):
-            inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=circle_sampler,
-                               bracket=bracket, point=fx.circle_point(0.3), alpha=1.0)
-            with pytest.raises(GeometryError, match="bracket gave shapes"):
+    def test_distance_without_one_value_per_point_refused(self):
+        for distance in (lambda coords: 1.0,
+                         lambda coords: np.ones(len(coords) + 1),
+                         lambda coords: (np.zeros(len(coords)), np.ones(len(coords)))):
+            inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=circle_sampler,
+                               distance=distance, point=circle_point(0.3), alpha=1.0)
+            with pytest.raises(GeometryError, match="distance gave shape"):
                 verify_wsm_sampled(inst, 10, seed=0)
-            with pytest.raises(GeometryError, match="bracket gave shapes"):
-                estimate_modulus(inst.f, circle_sampler, bracket, 10, manifold=CIRCLE)
+            with pytest.raises(GeometryError, match="distance gave shape"):
+                estimate_modulus(inst.f, circle_sampler, distance, 10, manifold=CIRCLE)
 
-    def test_empty_stack_calls_no_bracket(self):
-        def bracket(coords):
-            raise AssertionError("bracket called on an empty stack")
+    def test_empty_stack_calls_no_distance(self):
+        def distance(coords):
+            raise AssertionError("distance called on an empty stack")
 
         def no_samples(count, rng):
             return np.zeros((0, 2))
 
-        inst = WsmInstance(f=fx.circle_penalty(0.5), feasible_sampler=no_samples,
-                           bracket=bracket, point=fx.circle_point(0.3), alpha=1.0)
+        inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=no_samples,
+                           distance=distance, point=circle_point(0.3), alpha=1.0)
         verdict = verify_wsm_sampled(inst, 10, seed=0)
         assert (verdict.status, verdict.n_samples) == ("pass_strong", 0)
 
@@ -157,8 +147,8 @@ class TestVerifyWsm:
         inst = WsmInstance(
             f=lambda u: -u[:, 0],  # minimized at theta = 0, not 0.9
             feasible_sampler=circle_sampler,
-            bracket=arc_bracket,
-            point=fx.circle_point(0.9),
+            distance=arc_distance,
+            point=circle_point(0.9),
             alpha=1.0,
             solution_sampler=arc_sampler,
         )
@@ -169,7 +159,7 @@ class TestVerifyWsm:
 class TestEstimateModulus:
     def test_scaled_distance(self):
         f = fx.arc_fixture().dist_fn
-        est = estimate_modulus(lambda u: 2.0 * f(u), circle_sampler, arc_bracket,
+        est = estimate_modulus(lambda u: 2.0 * f(u), circle_sampler, arc_distance,
                                500, seed=0, manifold=CIRCLE)
         assert est == pytest.approx(2.0, abs=1e-9)
 
@@ -179,8 +169,8 @@ class TestEstimateModulus:
             thetas = -(10.0 ** rng.uniform(-4, -1, size=count))
             return circle_coords(thetas)
 
-        est = estimate_modulus(fx.circle_penalty(2.0), near_boundary_sampler,
-                               arc_bracket, 200, seed=0, manifold=CIRCLE)
+        est = estimate_modulus(circle_penalty(2.0), near_boundary_sampler,
+                               arc_distance, 200, seed=0, manifold=CIRCLE)
         assert est <= 5e-3
 
     def test_sqrt_penalty_bounded_below(self):
@@ -188,17 +178,15 @@ class TestEstimateModulus:
         def chordal(u):
             return fx.arc_chordal_distance(math.atan2(float(u[1]), float(u[0])))
 
-        def chordal_bracket(coords):
-            d = np.array([chordal(u) for u in coords])
-            return d, d
+        def chordal_distance(coords):
+            return np.array([chordal(u) for u in coords])
 
-        grid = fx.circle_grid(2000)
-        f = fx.circle_penalty(0.5)
-        oracle = min(f(u.coords[None])[0] / chordal(u.coords)
-                     for u in grid if chordal(u.coords) > 0)
+        grid = circle_coords(np.linspace(-math.pi, math.pi, 2000, endpoint=False))
+        f = circle_penalty(0.5)
+        oracle = min(f(u[None])[0] / chordal(u) for u in grid if chordal(u) > 0)
         assert oracle >= 0.70
 
-        est = estimate_modulus(f, circle_sampler, chordal_bracket, 1000, seed=0,
+        est = estimate_modulus(f, circle_sampler, chordal_distance, 1000, seed=0,
                                manifold=CIRCLE)
         assert est >= 0.70
         assert est >= oracle - 1e-9
@@ -208,22 +196,21 @@ class TestEstimateModulus:
             return circle_coords([0.3] * count)
 
         with pytest.raises(GeometryError):
-            estimate_modulus(fx.circle_penalty(0.5), inside_sampler, arc_bracket, 5, seed=0,
+            estimate_modulus(circle_penalty(0.5), inside_sampler, arc_distance, 5, seed=0,
                              manifold=CIRCLE)
 
     def test_rounding_level_distance_counts_as_inside(self):
         # a point on the set whose computed distance is an ulp above zero must
         # be skipped, not read as a zero modulus
-        inside, outside = fx.circle_point(0.3), fx.circle_point(-0.5)
+        inside, outside = circle_point(0.3), circle_point(-0.5)
 
         def two_point_sampler(count, rng):
             return np.stack([inside.coords, outside.coords])
 
-        def bracket(coords):
-            d = np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
-            return d, d
+        def distance(coords):
+            return np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
 
-        est = estimate_modulus(fx.circle_penalty(1.0), two_point_sampler, bracket, 2,
+        est = estimate_modulus(circle_penalty(1.0), two_point_sampler, distance, 2,
                                manifold=CIRCLE)
         assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
         assert 0.0 < INSIDE_TOL <= 1e-12
@@ -246,9 +233,9 @@ class TestPrimalNc:
     def test_beta_split(self):
         arc = fx.arc_fixture()
         dirs = [np.array([0.0, -1.0])]
-        sharp = check_primal_nc(fx.circle_penalty(0.5), arc.omega_sampler, arc.point,
+        sharp = check_primal_nc(circle_penalty(0.5), arc.omega_sampler, arc.point,
                                 1.0, dirs)
-        smooth = check_primal_nc(fx.circle_penalty(2.0), arc.omega_sampler, arc.point,
+        smooth = check_primal_nc(circle_penalty(2.0), arc.omega_sampler, arc.point,
                                  1.0, dirs)
         assert sharp.passed
         assert not smooth.passed
@@ -293,49 +280,6 @@ class TestDualNc:
         assert verdict.passed
 
 
-class TestDifferenceNc:
-    def test_classical_stationarity(self):
-        # whole-space constraint: the check reduces to grad f1 = 0
-        residual = lambda x: float(np.linalg.norm(x))
-        ok = check_difference_nc(np.zeros(2), [np.zeros(2)], residual)
-        assert ok.passed
-        bad = check_difference_nc(np.array([1.0, 0.0]), [np.zeros(2)], residual)
-        assert not bad.passed
-
-    def test_halfspace_linear_program(self):
-        # S = {y <= 0} with outward normal (0, 1): 0 in {c} + cone(n) iff
-        # -c lies on the outward ray
-        def residual(x):
-            return float(np.linalg.norm(x - max(x[1], 0.0) * np.array([0.0, 1.0])))
-
-        c = np.array([0.0, -2.0])
-        ok = check_difference_nc(c, [np.zeros(2)], residual)
-        assert ok.passed
-        c_bad = np.array([1.0, 0.0])
-        assert not check_difference_nc(c_bad, [np.zeros(2)], residual).passed
-
-    def test_smoothed_relaxation_stationarity(self):
-        # smoothed two-vertex objective sqrt((u1-u2)^2 + eps^2) on the circle:
-        # analytic optimum at u1 = u2 has zero tangent gradient, a rotated
-        # point does not
-        eps = 1e-3
-
-        def grad(u):
-            d = float(u[0, 0] - u[1, 0])
-            g = d / math.sqrt(d * d + eps * eps)
-            return np.array([[g], [-g]])
-
-        def residual_at(p):
-            return lambda x: float(np.linalg.norm(tangent_project(stiefel(2, 1), p, -x)))
-
-        star = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
-        verdict = check_difference_nc(grad(star), [np.zeros((2, 1))], residual_at(star))
-        assert verdict.passed
-        off = np.array([[1.0], [0.0]])
-        verdict_off = check_difference_nc(grad(off), [np.zeros((2, 1))], residual_at(off))
-        assert not verdict_off.passed
-
-
 # ---------------------------------------------------------------------------
 # Reference: the one-Point-per-sample samplers and checks that the stack
 # contract replaced
@@ -368,7 +312,7 @@ def _ref_values(f, points):
 
 def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None):
     """(status, witness, modulus, checked), one Point and one full-table
-    bracket per sample."""
+    distance per sample."""
     tol = 1e-9
     f0 = _ref_values(f, [point])[0]
     if solution_sampler is not None:
@@ -376,32 +320,30 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None)
         assert not any(fs < f0 - 1e-9 for fs in _ref_values(f, sols))
     rng = np.random.default_rng(seed)
     samples = sampler(n_samples, rng)
-    strong, witness, modulus, checked = True, None, math.inf, 0
+    witness, modulus, checked = None, math.inf, 0
     for u, fu in zip(samples, _ref_values(f, samples)):
-        lb, ub = ref_stiefel_bracket(u.coords)
+        d = ref_stiefel_distance(u.coords)
         checked += 1
         gain = fu - f0
-        if ub > INSIDE_TOL and math.isfinite(ub):
-            modulus = min(modulus, gain / ub)
-        if witness is None and gain < alpha * lb - tol:
-            witness = (np.array(u.coords), fu, lb, ub)
-        if gain < alpha * ub - tol:
-            strong = False
-    status = "violated" if witness is not None else ("pass_strong" if strong else "pass_weak")
+        if d > INSIDE_TOL and math.isfinite(d):
+            modulus = min(modulus, gain / d)
+        if witness is None and gain < alpha * d - tol:
+            witness = (np.array(u.coords), fu, d)
+    status = "violated" if witness is not None else "pass_strong"
     return status, witness, modulus, checked
 
 
 def ref_estimate(f, sampler, n_samples, seed):
-    outside, ubs = [], []
+    outside, ds = [], []
     for u in sampler(n_samples, np.random.default_rng(seed)):
-        lb, ub = ref_stiefel_bracket(u.coords)
-        if ub <= INSIDE_TOL or not math.isfinite(ub):
+        d = ref_stiefel_distance(u.coords)
+        if d <= INSIDE_TOL or not math.isfinite(d):
             continue
         outside.append(u)
-        ubs.append(ub)
+        ds.append(d)
     est = math.inf
-    for fu, ub in zip(_ref_values(f, outside), ubs):
-        est = min(est, fu / ub)
+    for fu, d in zip(_ref_values(f, outside), ds):
+        est = min(est, fu / d)
     return est
 
 
@@ -425,7 +367,7 @@ WSM_GRID = [(2, 1), (4, 2), (6, 2), (8, 3)]
 
 class TestStackSamplersMatchPerSampleReference:
     """Frames come as one standard_normal draw and one batched QR, and the
-    checks call the stack bracket once per stack; verdicts, witnesses and
+    checks call the stack distance once per stack; verdicts, witnesses and
     modulus estimates must be bitwise those of the one-Point-per-sample
     code."""
 
@@ -446,11 +388,11 @@ class TestStackSamplersMatchPerSampleReference:
         point = Point(m, np.eye(n, k))
         inst = WsmInstance(f=_penalty(beta),
                            feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
-                           bracket=_stiefel_bracket, point=point, alpha=1.0)
+                           distance=_stiefel_distance, point=point, alpha=1.0)
         want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, 3)
         _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=3), want)
         est = estimate_modulus(_penalty(beta), lambda c, rng: random_stiefel(n, k, rng, c),
-                               _stiefel_bracket, 60, seed=8, manifold=m)
+                               _stiefel_distance, 60, seed=8, manifold=m)
         want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
         assert np.float64(est).tobytes() == np.float64(want).tobytes()
 
