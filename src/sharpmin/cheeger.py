@@ -11,8 +11,10 @@ penalized relaxation, round the best frame to a sub-partition with a
 threshold sweep, and compare against the enumeration oracle when affordable.
 The restarts advance as one stack of frames whose edge differences B U (B
 the signed incidence matrix) give each step's objective and, by a bincount
-scatter, B^T sign(B U); the oracle scores assignments in numpy blocks.  Each
-gives the bits of the one-frame, one-assignment loop it replaced.
+scatter, B^T sign(B U); the penalty, the checks and the best iterates are
+taken once per block of iterates, and the oracle scores assignments in numpy
+blocks.  Each gives the bits of the one-frame, one-assignment loop it
+replaced.
 
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
@@ -42,10 +44,11 @@ from .stiefel import (
     EXACT_ASSIGNMENTS,
     FrameError,
     StiefelPoint,
+    _rank_deficient,
+    _sign_fixed_qr,
     as_matrix,
     exact_slice_distances,
     frame_residual,
-    qr_retract,
     random_stiefel,
     random_stiefel_plus,
 )
@@ -510,6 +513,14 @@ class SolverConfig:
     The penalty exponent is 1 (the l1 penalty h_1) and step t is
     1/max(L, 1)/sqrt(t), L the ``lipschitz_bound``.  penalty_c defaults to
     the calibrated weight when left as None.
+
+    A frame has entries |u_ij| <= 1, so with d_i the degree of vertex i the
+    penalized value is at most k (sum_i d_i + C n) and the subgradient
+    before projection has entries at most d_i + C, both within
+    n k (max_i d_i + C).  ``solve_relaxation`` refuses a weight C, given or
+    calibrated, with n k (max_i d_i + C) > 2**-10 * (the largest float): the
+    tangent projection and the QR factorization of a step then stay within
+    a few times that bound, far from overflow.
     """
 
     penalty_c: float | None = None
@@ -565,9 +576,12 @@ class ClusterReport:
 CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
 # Cap on the bytes of the solver's largest frame stack, max(restarts,
 # CALIBRATION_FRAMES) x n x k float64, and of its three max_iters x restarts
-# float64 traces.  A solve holds about ten stack-sized arrays; the benchmark's
-# largest jobs, (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
+# float64 traces.  A solve holds about ten stack-sized arrays, plus the block
+# buffers: at most SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is
+# larger) and their k x k R factors.  The benchmark's largest jobs,
+# (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
 RELAX_STACK_BYTES = 1 << 26
+SOLVER_BLOCK_BYTES = 1 << 16  # cap on the iterates kept for one block's bookkeeping
 
 
 def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
@@ -637,6 +651,26 @@ def round_solution(graph: Graph, u) -> SubPartition:
     return SubPartition(tuple(parts))
 
 
+def _largest_penalty_weight(graph: Graph, k: int) -> float:
+    """The largest weight C with n k (max degree + C) <= 2**-10 * (the
+    largest float); see ``SolverConfig``."""
+    return 2.0**-10 * float(np.finfo(float).max) / (graph.n * k) - float(graph.degrees().max())
+
+
+def _check_block(deficient: np.ndarray, finite: np.ndarray, t0: int) -> None:
+    """Raise for the first iterate of a block (rows from iteration t0 + 1,
+    one column per restart) that a step-by-step loop would refuse: a
+    rank-deficient retraction before a non-finite value, as within a step."""
+    failed = np.any(deficient, axis=1) | ~np.all(finite, axis=1)
+    if not np.any(failed):
+        return
+    i = int(np.argmax(failed))
+    if np.any(deficient[i]):
+        raise FrameError("rank-deficient step: QR retraction undefined")
+    raise GeometryError(
+        f"non-finite objective at restart {int(np.argmin(finite[i]))}, iter {t0 + i + 1}")
+
+
 def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -> ClusterReport:
     """Multi-restart diminishing-step subgradient descent on the penalized
     relaxation, followed by rounding and (optionally) oracle comparison.
@@ -660,12 +694,16 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         c, c_hat = calibrate_penalty_weight(graph, k, seed=cfg.seed)
     else:
         c, c_hat = float(cfg.penalty_c), float("nan")
+    c_max = _largest_penalty_weight(graph, k)
+    if c > c_max:
+        raise GeometryError(f"penalty weight {c} can overflow the solver's steps; "
+                            f"the largest at n={graph.n}, k={k} is {c_max}")
     step0 = 1.0 / max(lipschitz_bound(graph, k), 1.0)
 
     # all restarts advance together as one (R, n, k) stack; each start frame
     # comes from its own spawned generator, as a loop over restarts would draw it
     u = np.stack([random_stiefel(graph.n, k, rng)
-                  for rng in spawned_generators([cfg.seed], cfg.restarts)])
+                  for rng in spawned_generators([cfg.seed], range(cfg.restarts))])
     # B U of each iterate gives its objective and the next subgradient
     plan = _incidence_plan(graph, u.shape)
     diffs = _edge_differences(graph, u)
@@ -674,20 +712,31 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     values = np.empty((cfg.max_iters, cfg.restarts))
     penalties = np.empty_like(values)
     residuals = np.empty_like(values)
-    for t in range(1, cfg.max_iters + 1):
-        g = _subgradient(u, diffs, plan, c)
-        gamma = step0 / math.sqrt(t)
-        u = qr_retract(u, -gamma * g)
-        diffs = _edge_differences(graph, u)
-        penalty = c * penalty_h(u, 1.0)
-        val = _slice_sums(np.abs(diffs)) + penalty
-        if not np.all(np.isfinite(val)):
-            bad = int(np.argmin(np.isfinite(val)))
-            raise GeometryError(f"non-finite objective at restart {bad}, iter {t}")
-        values[t - 1], penalties[t - 1], residuals[t - 1] = val, penalty, frame_residual(u)
-        better = val < local_best
-        local_best[better] = val[better]
-        local_u[better] = u[better]
+    # a step keeps only what the next step reads; the penalty, the checks, the
+    # residuals and the best iterates are taken once per block of iterates
+    block = max(1, min(cfg.max_iters, SOLVER_BLOCK_BYTES // u.nbytes))
+    frames = np.empty((block, *u.shape))
+    factors = np.empty((block, cfg.restarts, k, k))
+    restarts = np.arange(cfg.restarts)
+    for t0 in range(0, cfg.max_iters, block):
+        size = min(block, cfg.max_iters - t0)
+        for i, t in enumerate(range(t0 + 1, t0 + size + 1)):
+            g = _subgradient(u, diffs, plan, c)
+            u, factors[i] = _sign_fixed_qr(u - step0 / math.sqrt(t) * g)
+            frames[i] = u
+            diffs = _edge_differences(graph, u)
+            values[t - 1] = _slice_sums(np.abs(diffs))
+        stack, val = frames[:size], values[t0:t0 + size]
+        penalties[t0:t0 + size] = penalty = c * penalty_h(stack, 1.0)
+        val += penalty
+        _check_block(_rank_deficient(factors[:size]), np.isfinite(val), t0)
+        residuals[t0:t0 + size] = frame_residual(stack)
+        # each restart's first lowest iterate, as a strict < over the steps keeps
+        first = np.argmin(val, axis=0)
+        lowest = val[first, restarts]
+        better = lowest < local_best
+        local_best[better] = lowest[better]
+        local_u[better] = stack[first[better], restarts[better]]
     best_val = math.inf
     best_restart = -1
     for r, value in enumerate(local_best.tolist()):

@@ -242,7 +242,7 @@ def frechet_normal_refute(
     scales = schedule.scales
     shape = p.manifold.ambient_shape
     row_bytes = 8 * math.prod(shape)
-    rngs = iter(spawned_generators(seeds, len(scales)))
+    rngs = iter(spawned_generators(seeds, range(len(scales))))
     verdicts, chunk, stacks = [], [], []
     for c in range(len(xs)):
         for t in scales:
@@ -367,7 +367,7 @@ def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
     xnorm = row_norms(xs)
     unit = xs / _per_row(np.where(xnorm > 0, xnorm, 1.0), xs)
     probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None], (n_x, n_s, 2, *shape))
-    dirs = random_tangents(p, spawned_generators(seeds, n_s), samples)
+    dirs = random_tangents(p, spawned_generators(seeds, range(n_s)), samples)
     dirs = np.concatenate([probes, dirs.reshape(n_x, n_s, samples, *shape)], axis=2)
     dirs = dirs.reshape(-1, *shape)
     padding = np.zeros((n_x, n_s, per_scale), dtype=bool)
@@ -455,9 +455,9 @@ def contingent_cone_distance(
     stream, but the sampler runs only at the tail scales; their stacks are
     checked on the manifold by one call and scored as one block."""
     scales = schedule.scales
-    stacks = [np.asarray(sampler(t, rng), dtype=float)
-              for t, rng in zip(scales[-TAIL_SCALES:],
-                                spawned_generators([seed], len(scales))[-TAIL_SCALES:])]
+    tail = range(len(scales))[-TAIL_SCALES:]
+    stacks = [np.asarray(sampler(scales[i], rng), dtype=float)
+              for i, rng in zip(tail, spawned_generators([seed], tail))]
     if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
     w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))

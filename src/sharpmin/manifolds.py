@@ -467,22 +467,26 @@ def _seed_words(seed) -> list:
     return [value >> shift & _WORD for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def spawned_generators(seeds: Sequence[int], n: int) -> list:
-    """Generators in the states of ``[default_rng(c) for s in seeds for c in
-    SeedSequence(s).spawn(n)]``, seed-major, derived in one numpy pass.
+def spawned_generators(seeds: Sequence[int], keys: Sequence[int]) -> list:
+    """Generators in the states of ``[default_rng(SeedSequence(s,
+    spawn_key=(i,))) for s in seeds for i in keys]``, seed-major, derived in
+    one numpy pass; ``keys = range(n)`` gives the children of
+    ``SeedSequence(s).spawn(n)``.
 
     Child i of seed s has the entropy words of s, padded with zeros to 4,
-    followed by the spawn key i.  The rows of all (seed, child) pairs are
-    mixed and hashed together, one group per entropy length (only seeds of
-    2**128 or more have more than 4 words); each PCG64 is then built from its
-    four words."""
+    followed by the spawn key i (below 2**32).  The rows of all (seed, key)
+    pairs are mixed and hashed together, one group per entropy length (only
+    seeds of 2**128 or more have more than 4 words); each PCG64 is then
+    built from its four words."""
     words = [_seed_words(s) for s in seeds]
+    keys = np.asarray(keys, dtype=np.uint32)
+    n = len(keys)
     states = np.empty((len(words) * n, 4), dtype=np.uint64)
     for width in set(map(len, words)):
         group = [i for i, w in enumerate(words) if len(w) == width]
         seed_words = np.array([words[i] + [0] * (4 - width) for i in group], dtype=np.uint32)
         entropy = np.column_stack([np.repeat(seed_words, n, axis=0),
-                                   np.tile(np.arange(n, dtype=np.uint32), len(group))])
+                                   np.tile(keys, len(group))])
         states[(np.array(group)[:, None] * n + np.arange(n)).ravel()] = _pcg64_states(entropy)
     return [Generator(PCG64(_SpawnedState(w))) for w in states]
 
@@ -631,7 +635,7 @@ def verify_local_distance_lemma(
         raise GeometryError("largest radius exceeds the injectivity guard")
 
     deviations = []
-    for r, rng in zip(radii, spawned_generators([seed], len(radii))):
+    for r, rng in zip(radii, spawned_generators([seed], range(len(radii)))):
         omega = point_stack(m, set_sampler(r, rng))
         if not len(omega):
             raise GeometryError(f"set sampler returned no points at r={r}")

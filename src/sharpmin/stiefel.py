@@ -28,12 +28,12 @@ class FrameError(ValueError):
 
 
 def frame_residual(u: np.ndarray):
-    """||U^T U - I||_F; a stack of frames (s, n, k) gives one residual per
-    slice, each with the bits of the one-frame call."""
+    """||U^T U - I||_F; a stack of frames (..., n, k) gives one residual per
+    frame, each with the bits of the one-frame call."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
         return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
-    flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(len(u), u.shape[-1] ** 2)
+    flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(*u.shape[:-2], u.shape[-1] ** 2)
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -74,17 +74,37 @@ def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``x`` may be one step (n, k) or a stack of steps (s, n, k); a stack is
     factored in one batched QR, slice by slice the same as one at a time."""
-    a = np.asarray(p, dtype=float) + np.asarray(x, dtype=float)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    # ||A||_F = ||R||_F per slice, as a chain of hypot calls: a sum of squares
-    # would overflow once entries pass about 1e154 and refuse every step
-    flat = r.reshape(*r.shape[:-2], -1)
-    scale = np.maximum(1.0, np.hypot.reduce(flat, axis=-1))[..., None]
-    if np.any(np.abs(diag) < 1e-12 * scale):
+    q, r = _sign_fixed_qr(np.asarray(p, dtype=float) + np.asarray(x, dtype=float))
+    if np.any(_rank_deficient(r)):
         raise FrameError("rank-deficient step: QR retraction undefined")
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs[..., None, :]
+    return q
+
+
+def _sign_fixed_qr(a: np.ndarray) -> tuple:
+    """(Q, R) of a matrix or a stack of them, Q's columns flipped so that
+    the factor pairing with it has a positive diagonal.  R is returned as
+    LAPACK gives it: ``_rank_deficient`` reads only its diagonal magnitudes
+    and norm, which the flip does not change."""
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], r
+
+
+def _rank_deficient(r: np.ndarray) -> np.ndarray:
+    """Whether each R factor of a stack (..., k, k) has a diagonal entry
+    below 1e-12 max(1, ||R||_F), one bool per factor.  ||R||_F = ||A||_F
+    comes from one ``vecdot``; a sum of squares overflows once entries pass
+    about 1e154, and only those factors take the slower chain of hypot
+    calls."""
+    flat = r.reshape(-1, r.shape[-2] * r.shape[-1])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(flat, flat))
+    big = ~np.isfinite(norms)
+    if np.any(big):
+        norms[big] = np.hypot.reduce(flat[big], axis=-1)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    small = np.abs(diag).reshape(len(flat), -1) < 1e-12 * np.maximum(1.0, norms)[:, None]
+    return np.any(small, axis=-1).reshape(diag.shape[:-1])
 
 
 def random_stiefel(n: int, k: int, rng: Generator, count: int | None = None) -> np.ndarray:

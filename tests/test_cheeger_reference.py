@@ -32,8 +32,8 @@ from sharpmin.cheeger import (
     round_solution,
     solve_relaxation,
 )
-from sharpmin.manifolds import stiefel, tangent_project
-from sharpmin.stiefel import ENTRY_ZERO_TOL, frame_residual, qr_retract, random_stiefel
+from sharpmin.manifolds import GeometryError, stiefel, tangent_project
+from sharpmin.stiefel import ENTRY_ZERO_TOL, FrameError, frame_residual, qr_retract, random_stiefel
 
 K2 = "p 2 1\ne 1 2"
 P3 = "p 3 2\ne 1 2\ne 2 3"
@@ -274,20 +274,24 @@ def _oracle_graphs():
 ORACLE_GRAPHS = _oracle_graphs()
 
 
+def assert_solver_matches_reference(graph, k, cfg):
+    best_val, best_restart, trace, max_residual, best_u, restart_bests = \
+        ref_solve(graph, k, cfg)
+    rep = solve_relaxation(graph, k, cfg)
+    assert _bits(rep.best_penalty_value) == _bits(best_val)
+    assert rep.best_restart == best_restart
+    assert [row[0] for row in rep.trace] == [row[0] for row in trace]
+    assert _bits(rep.trace) == _bits(trace)
+    assert _bits(rep.max_feasibility_residual) == _bits(max_residual)
+    assert _bits(rep.restart_best_values) == _bits(restart_bests)
+    assert _bits(rep.best_continuous_value) == _bits(ref_grad_norm_l1(graph, best_u))
+    assert rep.rounded.parts == ref_round_solution(graph, best_u).parts
+
+
 class TestBatchedPipelineMatchesLoopReference:
     @pytest.mark.parametrize("name,graph,k,cfg", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
     def test_solver(self, name, graph, k, cfg):
-        best_val, best_restart, trace, max_residual, best_u, restart_bests = \
-            ref_solve(graph, k, cfg)
-        rep = solve_relaxation(graph, k, cfg)
-        assert _bits(rep.best_penalty_value) == _bits(best_val)
-        assert rep.best_restart == best_restart
-        assert [row[0] for row in rep.trace] == [row[0] for row in trace]
-        assert _bits(rep.trace) == _bits(trace)
-        assert _bits(rep.max_feasibility_residual) == _bits(max_residual)
-        assert _bits(rep.restart_best_values) == _bits(restart_bests)
-        assert _bits(rep.best_continuous_value) == _bits(ref_grad_norm_l1(graph, best_u))
-        assert rep.rounded.parts == ref_round_solution(graph, best_u).parts
+        assert_solver_matches_reference(graph, k, cfg)
 
     def test_solver_cases_cover_restart_choice(self):
         # the choice across restarts is exercised by a best restart other than
@@ -394,3 +398,111 @@ class TestBatchedPipelineMatchesLoopReference:
             assert round_solution(graph, u).parts == ref_round_solution(graph, u).parts
             checked += 1
         assert checked >= 250 and ties >= 100
+
+
+# ---------------------------------------------------------------------------
+# Block bookkeeping: boundaries and the order of refusals
+# ---------------------------------------------------------------------------
+
+BLOCK_CASES = [case for case in SOLVER_CASES
+               if case[0] in ("named-1", "explicit-c", "single-vertex", "criterion6-0",
+                              "gnp-11-2", "planted-40-3", "isolated-vertices", "k1-one-restart")]
+
+
+def _block_bytes(graph, k, cfg, iterates):
+    """A SOLVER_BLOCK_BYTES that gives blocks of this many iterates."""
+    return iterates * 8 * cfg.restarts * graph.n * k
+
+
+class TestSolverBlocks:
+    @pytest.mark.parametrize("iterates", [1, 3, None])  # None: one block past max_iters
+    @pytest.mark.parametrize("name,graph,k,cfg", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+    def test_block_length_keeps_the_bits(self, monkeypatch, name, graph, k, cfg, iterates):
+        span = cfg.max_iters + 7 if iterates is None else iterates
+        monkeypatch.setattr(cheeger, "SOLVER_BLOCK_BYTES", _block_bytes(graph, k, cfg, span))
+        assert_solver_matches_reference(graph, k, cfg)
+
+    def test_best_iterate_in_a_later_block(self):
+        # the cases above include a best restart whose best iterate lies past
+        # the first block of three, so a later block's update is what keeps it
+        late = 0
+        for _, graph, k, cfg in BLOCK_CASES:
+            best_val, _, trace, *_ = ref_solve(graph, k, cfg)
+            values = [row[1] for row in trace]
+            if best_val in values and values.index(best_val) >= 3:
+                late += 1
+        assert late >= 3
+
+
+POISON_GRAPH = load_graph(C4)
+POISON_CFG = SolverConfig(penalty_c=5.0, restarts=5, max_iters=12, seed=4)
+
+
+def _poison_values(monkeypatch, at):
+    """Make the solver's penalty inf at each (iteration, restart) of ``at``,
+    however its blocks are cut."""
+    real = cheeger.penalty_h
+    done = [0]  # iterations whose penalties the solver has taken
+
+    def poisoned(u, beta):
+        out = real(u, beta)
+        if np.ndim(out) == 2:  # a block: one row per iteration
+            for t, r in at:
+                if done[0] < t <= done[0] + len(out):
+                    out[t - done[0] - 1, r] = np.inf
+            done[0] += len(out)
+        return out
+
+    monkeypatch.setattr(cheeger, "penalty_h", poisoned)
+
+
+def _lose_rank(monkeypatch, t, r):
+    """Zero the first R diagonal entry of restart r at iteration t."""
+    real = cheeger._sign_fixed_qr
+    calls = [0]
+
+    def deficient(a):
+        q, f = real(a)
+        calls[0] += 1
+        if calls[0] == t:
+            f = f.copy()
+            f[r, 0, 0] = 0.0
+        return q, f
+
+    monkeypatch.setattr(cheeger, "_sign_fixed_qr", deficient)
+
+
+class TestSolverRefusalOrder:
+    """The block raises what the step-by-step loop raised first: at the
+    first failing iteration, a rank loss before a non-finite value, and the
+    first non-finite restart."""
+
+    @pytest.fixture(params=[1, 3, None], ids=["block-1", "block-3", "one-block"])
+    def blocks(self, request, monkeypatch):
+        span = POISON_CFG.max_iters + 7 if request.param is None else request.param
+        monkeypatch.setattr(cheeger, "SOLVER_BLOCK_BYTES",
+                            _block_bytes(POISON_GRAPH, 2, POISON_CFG, span))
+
+    def test_non_finite_mid_block(self, monkeypatch, blocks):
+        # iteration 5 is the middle of the second block of three
+        _poison_values(monkeypatch, [(8, 0), (5, 3), (5, 1)])
+        with pytest.raises(GeometryError, match=r"^non-finite objective at restart 1, iter 5$"):
+            solve_relaxation(POISON_GRAPH, 2, POISON_CFG)
+
+    def test_earlier_rank_loss_wins(self, monkeypatch, blocks):
+        _lose_rank(monkeypatch, 4, 2)
+        _poison_values(monkeypatch, [(5, 0)])
+        with pytest.raises(FrameError, match="rank-deficient step: QR retraction undefined"):
+            solve_relaxation(POISON_GRAPH, 2, POISON_CFG)
+
+    def test_rank_loss_wins_within_an_iteration(self, monkeypatch, blocks):
+        _lose_rank(monkeypatch, 5, 4)
+        _poison_values(monkeypatch, [(5, 1)])
+        with pytest.raises(FrameError, match="rank-deficient"):
+            solve_relaxation(POISON_GRAPH, 2, POISON_CFG)
+
+    def test_earlier_non_finite_wins(self, monkeypatch, blocks):
+        _lose_rank(monkeypatch, 6, 1)
+        _poison_values(monkeypatch, [(4, 0)])
+        with pytest.raises(GeometryError, match=r"^non-finite objective at restart 0, iter 4$"):
+            solve_relaxation(POISON_GRAPH, 2, POISON_CFG)

@@ -229,6 +229,34 @@ class TestUsageErrors:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["C"] == 1e200 and report["max_feasibility_residual"] < 1e-12
 
+    def test_relax_overflowing_penalty_weight_refused(self, capsys, c4_file, tmp_path):
+        # C n k = 1.7e308 * 8 passes the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the weight
+            code, out, err = run_captured(
+                capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", "1.7e308",
+                         "--restarts", "2", "--max-iters", "5", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE, err
+        reason = json.loads(out)["reason"]
+        assert "penalty weight 1.7e+308 can overflow" in reason
+        assert not (tmp_path / "relax_trace.csv").exists()
+
+    def test_relax_largest_penalty_weight(self, capsys, c4_file, tmp_path):
+        # n k (max degree + C) <= 2**-10 * max float, with n = 4, k = 2 and degree 2
+        largest = 2.0**-10 * sys.float_info.max / 8 - 2.0
+        argv = ["relax", "--graph", c4_file, "--k", "2", "--restarts", "3",
+                "--max-iters", "40", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_captured(capsys, argv + ["--penalty-c", repr(largest)])
+            assert code == EXIT_OK, err
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["C"] == largest and report["max_feasibility_residual"] < 1e-12
+            above = repr(math.nextafter(largest, math.inf))
+            code, out, _ = run_captured(capsys, argv + ["--penalty-c", above])
+        assert code == EXIT_USAGE
+        assert "can overflow" in json.loads(out)["reason"]
+
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(
             capsys, ["relax", "--graph", c4_file, "--k", "2", "--max-iters", "-3"])

@@ -491,7 +491,7 @@ class TestSpawnedGenerators:
 
     @staticmethod
     def assert_same_streams(seeds, n):
-        ours = spawned_generators(seeds, n)
+        ours = spawned_generators(seeds, range(n))
         reference = [np.random.default_rng(c) for s in seeds
                      for c in np.random.SeedSequence(s).spawn(n)]
         assert len(ours) == len(reference) == len(seeds) * n
@@ -509,10 +509,19 @@ class TestSpawnedGenerators:
         # 1, 2, 3, 5 and 7 entropy words in one call, in seed-major order
         self.assert_same_streams([2**200 + 11, 3, 2**128, 2**64 + 5, 2**32, 9, 2**200], n)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tail_keys(self, seed):
+        # the last two of eleven children, as the contingent cone distance draws them
+        ours = spawned_generators([seed], (9, 10))
+        reference = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(11)[9:]]
+        assert len(ours) == 2
+        for a, b in zip(ours, reference):
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_empty(self):
-        assert spawned_generators([], 11) == []
-        assert spawned_generators([3, 4], 0) == []
+        assert spawned_generators([], range(11)) == []
+        assert spawned_generators([3, 4], range(0)) == []
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            spawned_generators([1, -1], 2)
+            spawned_generators([1, -1], range(2))
