@@ -47,13 +47,11 @@ from .cheeger import (
     SubPartition,
     cheeger_objective,
     cut_boundary,
-    dist_upper_estimate,
     exact_cheeger,
     grad_norm_l1,
     lipschitz_bound,
     load_graph,
     penalty_h,
-    riemannian_subgradient,
     round_solution,
     solve_relaxation,
     wsm_penalty_check,

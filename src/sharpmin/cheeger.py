@@ -20,10 +20,10 @@ The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
 solution set: the dual necessary condition fails for beta > 1 (the penalty is
 smooth, its subdifferential a single point) and holds sampled-consistent for
-beta < 1 with modulus 1.  Distances to the nonnegative slice are exact at
-desk scale, where ``stiefel.exact_slice_distances`` scores a whole stack of
-frames at once, and a local-search bracket above it; ``dist_upper_estimate``
-gives either for one matrix.
+beta < 1 with modulus 1.  Distances to the nonnegative slice come from
+``stiefel.slice_distances``, one call per stack of frames: exact at desk
+scale, where the study runs, and an upper bound from a local search above
+it, where the penalty calibration of large graphs runs.
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ from numpy.random import Generator, default_rng
 from .manifolds import GeometryError, Point, spawned_generators, stiefel, tangent_project
 from .stiefel import (
     ENTRY_ZERO_TOL,
-    EXACT_ASSIGNMENTS,
     FrameError,
-    StiefelPoint,
     _rank_deficient,
     _sign_fixed_qr,
     as_matrix,
-    exact_slice_distances,
     frame_residual,
     random_stiefel,
     random_stiefel_plus,
+    slice_distances,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
 from .wsm import WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
@@ -187,9 +185,6 @@ class SubPartition:
     @property
     def k(self) -> int:
         return len(self.parts)
-
-    def sorted_lists(self) -> list:
-        return sorted((sorted(p) for p in self.parts))
 
 
 def cut_boundary(graph: Graph, vertices) -> int:
@@ -371,122 +366,6 @@ def lipschitz_bound(graph: Graph, k: int) -> float:
     return math.sqrt(k * float(np.sum(deg.astype(float) ** 2)))
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceEstimate:
-    """Bracket [lb, ub] on the ambient distance from a matrix to St+(n, k), with
-    a feasible frame at distance ub; exact (lb == ub) if k**n <= EXACT_ASSIGNMENTS."""
-
-    lb: float
-    ub: float
-    feasible: StiefelPoint
-
-    def __post_init__(self):
-        if self.lb > self.ub + 1e-9:
-            raise GeometryError(f"bracket inverted: lb={self.lb} > ub={self.ub}")
-
-
-def dist_upper_estimate(u) -> DistanceEstimate:
-    """Ambient distance from an n-by-k matrix U to the nonnegative slice.
-
-    Nonnegative orthonormal columns have disjoint supports, so
-    dist(U, St+)^2 = ||U||^2 + k - 2 max_S sum_j g_j(S_j), the max over
-    assignments S of the rows to k nonempty groups, where g_j(S) is the norm
-    of the positive part of column j on S, or the largest entry of column j
-    on S when that norm is 0.  When k**n <= EXACT_ASSIGNMENTS this is the
-    one-row case of ``exact_slice_distances`` and lb == ub is the exact
-    distance.  Above that, single-row moves improve the argmax assignment to
-    a feasible frame (ub), and sum_j g_j <= sum_j ||(u_j)_+|| gives
-    lb >= ||U_-||_F.
-
-    Lemma (which assignments can be optimal).  Call a row free if it has no
-    positive entry, and misplaced in column j if it is not free and
-    u_ij <= 0.  Every optimal assignment has, in each column j, either no
-    misplaced row, or exactly one misplaced row and no row positive in j.
-    Proof: otherwise column j holds a misplaced row and a second non-free
-    row.  Pick a misplaced row i of j that is not the only row of j holding
-    its largest entry (when j has no positive row, both rows are misplaced
-    and one of them qualifies).  Move i to a column l with u_il > 0.  g_j
-    does not drop: its positive norm is unchanged, or another row keeps its
-    maximum.  Column j stays nonempty.  g_l rises strictly, either from
-    sqrt(p) to sqrt(p + u_il^2) or from a value <= 0 to u_il > 0.  So an
-    assignment that puts a misplaced row into a column holding two or more
-    non-free rows is never optimal, and the exact scorer drops it unscored.
-    A row need not go to a column where it is positive: for
-    U = [[0.9, 0.1], [0.5, -0.3], [0.2, -0.05]] the optimum puts row 3,
-    positive only in column 1, alone in column 2.
-    """
-    mat = as_matrix(u)
-    n, k = mat.shape
-    if not 0 < k <= n:
-        raise FrameError(f"St+({n}, {k}) is empty")
-    if k**n > EXACT_ASSIGNMENTS:
-        return _local_search_bracket(mat)
-    d, frames = exact_slice_distances(mat[None])
-    return DistanceEstimate(lb=float(d[0]), ub=float(d[0]), feasible=StiefelPoint(frames[0]))
-
-
-def _slice_frame(mat: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Closest St+ frame to mat whose column j is supported on the rows
-    with owner == j (every column must own a row).  The local search keeps
-    this one-frame form: its columns own up to n rows, and from 16 rows on a
-    dot over a zero-padded column rounds differently from the compact one."""
-    v = np.zeros_like(mat)
-    for j in range(mat.shape[1]):
-        rows = np.flatnonzero(owner == j)
-        col = np.maximum(mat[rows, j], 0.0)
-        norm = np.linalg.norm(col)
-        if norm > 0.0:
-            v[rows, j] = col / norm
-        else:
-            v[rows[np.argmax(mat[rows, j])], j] = 1.0
-    return v
-
-
-def _local_search_bracket(mat: np.ndarray) -> DistanceEstimate:
-    """Distance bracket from a best-improvement search over single-row
-    moves, started from each row's argmax column; see dist_upper_estimate.
-    Moves are scored by sum_j ||(u_j)_+ on S_j||, from column sums of
-    (U_+)^2; any assignment yields a feasible frame, hence a valid ub."""
-    n, k = mat.shape
-    rows = np.arange(n)
-    pos2 = np.maximum(mat, 0.0) ** 2
-    owner = np.argmax(mat, axis=1)
-    for j in range(k):
-        counts = np.bincount(owner, minlength=k)
-        if counts[j] == 0:
-            # fill an empty column with the cheapest row of a shared column
-            loss = np.where(counts[owner] > 1, mat[rows, owner] - mat[:, j], np.inf)
-            owner[np.argmin(loss)] = j
-    for _ in range(n * k):
-        counts = np.bincount(owner, minlength=k)
-        p2 = np.bincount(owner, weights=pos2[rows, owner], minlength=k)
-        rest2 = np.maximum(p2[owner] - pos2[rows, owner], 0.0)
-        gain = (np.sqrt(rest2) - np.sqrt(p2[owner]))[:, None] + np.sqrt(p2 + pos2) - np.sqrt(p2)
-        gain[rows, owner] = -np.inf
-        gain[counts[owner] < 2] = -np.inf
-        i, j = divmod(int(np.argmax(gain)), k)
-        if not gain[i, j] > 1e-12:
-            break
-        owner[i] = j
-    v = _slice_frame(mat, owner)
-    ub = float(np.linalg.norm(mat - v))
-    pos_norms = float(np.sum(np.sqrt(np.sum(pos2, axis=0))))
-    lb = math.sqrt(max(0.0, float(np.sum(mat * mat)) + k - 2.0 * pos_norms))
-    return DistanceEstimate(lb=min(lb, ub), ub=ub, feasible=StiefelPoint(v))
-
-
-def riemannian_subgradient(graph: Graph, u, c: float) -> np.ndarray:
-    """Tangent subgradient of the penalized objective |B U|_1 + C h_1(U) at a
-    frame, or at each slice of a stack of frames (s, n, k).
-
-    Edge terms contribute B^T sign(B U), the sign pattern of the column
-    differences (0 on ties, a valid selection at the kink); the penalty
-    contributes -C at strictly negative entries.
-    """
-    mat = as_matrix(u)
-    return _subgradient(mat, _edge_differences(graph, mat), _incidence_plan(graph, mat.shape), c)
-
-
 def _incidence_plan(graph: Graph, shape: tuple) -> tuple:
     """Flat indices into a frame or stack of this shape where each entry
     (e, j) of B U lands: (tail_e, j) with sign +, and (head_e, j) with -."""
@@ -496,14 +375,21 @@ def _incidence_plan(graph: Graph, shape: tuple) -> tuple:
     return (base + tail[:, None] * k).ravel(), (base + head[:, None] * k).ravel()
 
 
-def _subgradient(mat, diffs, plan: tuple, c: float) -> np.ndarray:
-    """``riemannian_subgradient`` from B U and the plan of mat's shape."""
+def _subgradient(manifold, mat, diffs, plan: tuple, c: float) -> np.ndarray:
+    """Tangent subgradient of the penalized objective |B U|_1 + C h_1(U) at
+    each slice of a stack of frames on ``manifold``, from B U and the plan
+    of mat's shape.
+
+    Edge terms contribute B^T sign(B U), the sign pattern of the column
+    differences (0 on ties, a valid selection at the kink); the penalty
+    contributes -C at strictly negative entries.
+    """
     tail_at, head_at = plan
     signs = np.sign(diffs).ravel()
     # sums of -1, 0, 1 are exact in any order; no edges: int zeros, float below
     edges = np.bincount(tail_at, signs, mat.size) - np.bincount(head_at, signs, mat.size)
     grad = edges.reshape(mat.shape) - np.where(mat < 0.0, c, 0.0)
-    return tangent_project(stiefel(*mat.shape[-2:]), mat, grad)
+    return tangent_project(manifold, mat, grad)
 
 
 @dataclass(frozen=True)
@@ -593,16 +479,13 @@ def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
     (P = [I_k; 0], V zero but row k + 1 = (0.6, 0.8, 0, ...)) while h_1 is
     0.48 t^2.
     The frames are one seeded stack; frames with mass below 1e-9 are
-    dropped, and the rest are scored by one ``exact_slice_distances`` call at
-    desk scale, else by ``dist_upper_estimate`` one at a time."""
+    dropped, and the rest are scored by one ``slice_distances`` call: exact
+    distances at desk scale, local-search upper bounds above it."""
     l = lipschitz_bound(graph, k)
     frames = random_stiefel(graph.n, k, default_rng(seed), CALIBRATION_FRAMES)
     masses = np.sum(np.maximum(-frames, 0.0).reshape(CALIBRATION_FRAMES, graph.n * k), axis=1)
     frames, masses = frames[masses >= 1e-9], masses[masses >= 1e-9].tolist()
-    if k**graph.n <= EXACT_ASSIGNMENTS:
-        ubs = exact_slice_distances(frames)[0].tolist()
-    else:
-        ubs = [dist_upper_estimate(u).ub for u in frames]
+    ubs = slice_distances(frames)[0].tolist()
     num = den = 0.0
     for ub, mass in zip(ubs, masses):
         num += ub * mass
@@ -705,6 +588,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     u = np.stack([random_stiefel(graph.n, k, rng)
                   for rng in spawned_generators([cfg.seed], range(cfg.restarts))])
     # B U of each iterate gives its objective and the next subgradient
+    manifold = stiefel(graph.n, k)
     plan = _incidence_plan(graph, u.shape)
     diffs = _edge_differences(graph, u)
     local_best = _slice_sums(np.abs(diffs)) + c * penalty_h(u, 1.0)
@@ -721,7 +605,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     for t0 in range(0, cfg.max_iters, block):
         size = min(block, cfg.max_iters - t0)
         for i, t in enumerate(range(t0 + 1, t0 + size + 1)):
-            g = _subgradient(u, diffs, plan, c)
+            g = _subgradient(manifold, u, diffs, plan, c)
             u, factors[i] = _sign_fixed_qr(u - step0 / math.sqrt(t) * g)
             frames[i] = u
             diffs = _edge_differences(graph, u)
@@ -805,11 +689,11 @@ class PenaltyStudy:
 def _stiefel_distance(stack: np.ndarray) -> np.ndarray:
     """Distance from each frame of a stack of desk-scale frames to the
     nonnegative slice: the closed form per frame on the circle (height 2,
-    width 1, exactly 0 on the arc), else ``exact_slice_distances``."""
+    width 1, exactly 0 on the arc), else ``slice_distances``."""
     if stack.shape[1:] == (2, 1):
         return np.array([arc_chordal_distance(math.atan2(float(y), float(x)))
                          for x, y in stack[:, :, 0].tolist()])
-    return exact_slice_distances(stack)[0]
+    return slice_distances(stack)[0]
 
 
 # extreme rays plus the +/- covector probes carry the refutations; a light
@@ -876,8 +760,6 @@ def wsm_penalty_check(
     for i, count in enumerate((n_samples // 4, n_samples // 2, n_samples)):
         if count < 1:
             continue
-        est = estimate_modulus(f, feasible_sampler, _stiefel_distance, count,
-                               seed=seed + 13 * i, manifold=manifold)
-        trace.append((count, est))
+        trace.append((count, estimate_modulus(inst, count, seed=seed + 13 * i)))
     return PenaltyStudy(n=n, k=k, beta=beta, alpha=alpha, wsm=wsm_verdict,
                         dual=tuple(dual), modulus_trace=tuple(trace))

@@ -55,6 +55,7 @@ from .manifolds import (
     GeometryError,
     Point,
     Tangent,
+    _per_row,
     exp_coords,
     log_coords,
     point_stack,
@@ -177,11 +178,6 @@ def _chart_block(p: Point, coords: np.ndarray):
     else:
         vecs = coords - p.coords
     return vecs, row_norms(vecs)
-
-
-def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Per-row scalars shaped to broadcast against the stack ``like``."""
-    return values.reshape(-1, *(1,) * (like.ndim - 1))
 
 
 def _row_inner(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -84,10 +84,6 @@ class ManifoldDescriptor:
             raise GeometryError(f"unknown manifold kind {self.kind!r}")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.n * self.k if self.kind == "stiefel" else self.n
-
-    @property
     def intrinsic_dim(self) -> int:
         if self.kind == "euclidean":
             return self.n
@@ -177,9 +173,6 @@ class Point:
             )
         object.__setattr__(self, "coords", coords)
         require_on_manifold(self.manifold, coords[None])
-
-    def feasibility_residual(self) -> float:
-        return float(feasibility_residuals(self.manifold, self.coords[None])[0])
 
 
 def point_stack(m: ManifoldDescriptor, coords) -> np.ndarray:

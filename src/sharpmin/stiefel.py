@@ -2,11 +2,11 @@
 
 Holds the orthonormal-frame type, the QR retraction with a deterministic
 sign convention, random frame generators, structure helpers for the
-entrywise-nonnegative slice St+(n, k), and the exact distance to St+ of a
-stack of small matrices.  A basic fact drives the St+ helpers: orthogonal
-nonnegative columns have disjoint supports, so every row of a feasible frame
-carries at most one positive entry, and the closest feasible frame comes
-from the best assignment of rows to columns.
+entrywise-nonnegative slice St+(n, k), and the distance to St+ of a stack
+of matrices, exact at desk scale.  A basic fact drives the St+ helpers:
+orthogonal nonnegative columns have disjoint supports, so every row of a
+feasible frame carries at most one positive entry, and the closest feasible
+frame comes from the best assignment of rows to columns.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ def random_stiefel(n: int, k: int, rng: Generator, count: int | None = None) -> 
     stack (count, n, k) of them from one ``standard_normal`` draw and one
     batched QR; slice i equals the i-th of ``count`` one-frame calls."""
     g = rng.standard_normal((n, k) if count is None else (count, n, k))
-    q, r = np.linalg.qr(g)
-    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+    return _sign_fixed_qr(g)[0]
 
 
 def zero_rows(p: np.ndarray) -> tuple:
@@ -160,31 +159,58 @@ def random_stiefel_plus(n: int, k: int, rng: Generator) -> np.ndarray:
     return u
 
 
-def exact_slice_distances(stack) -> tuple:
-    """Exact distances from a stack (s, n, k) of finite matrices to
-    St+(n, k), k**n <= EXACT_ASSIGNMENTS, with the closest frames:
-    (d, frames), of shapes (s,) and (s, n, k).
+def slice_distances(stack) -> tuple:
+    """Distances from a stack (s, n, k) of finite matrices to St+(n, k),
+    with the frames that attain them: (d, frames), of shapes (s,) and
+    (s, n, k).
 
-    The frames go in blocks of at most 64, fewer when their tables over all
-    row subsets would pass SLICE_TABLE_ENTRIES.  In a block the lemma stated
-    in ``cheeger.dist_upper_estimate`` keeps the assignments that can be
-    optimal (``_lemma_survivors``), each survivor is scored from the frame's
-    table of g_j over all row subsets, and each frame takes its first best
-    survivor in table order.  Every optimum survives, so the result is that
-    of scoring every assignment.  The frames are checked by one
-    ``frame_residual`` call and for nonnegativity."""
+    Nonnegative orthonormal columns have disjoint supports, so
+    dist(U, St+)^2 = ||U||^2 + k - 2 max_S sum_j g_j(S_j), the max over
+    assignments S of the rows to k nonempty groups, where g_j(S) is the norm
+    of the positive part of column j on S, or the largest entry of column j
+    on S when that norm is 0.
+
+    When k**n <= EXACT_ASSIGNMENTS the distances are exact.  The frames go
+    in blocks of at most 64, fewer when their tables over all row subsets
+    would pass SLICE_TABLE_ENTRIES.  In a block the lemma below keeps the
+    assignments that can be optimal (``_lemma_survivors``), each survivor is
+    scored from the frame's table of g_j over all row subsets, and each
+    frame takes its first best survivor in table order.  Every optimum
+    survives, so the result is that of scoring every assignment.  Above
+    that, each matrix takes the frame of a local search (``_local_search``),
+    and its distance is an upper bound.  The frames are checked by one
+    ``frame_residual`` call and for nonnegativity.
+
+    Lemma (which assignments can be optimal).  Call a row free if it has no
+    positive entry, and misplaced in column j if it is not free and
+    u_ij <= 0.  Every optimal assignment has, in each column j, either no
+    misplaced row, or exactly one misplaced row and no row positive in j.
+    Proof: otherwise column j holds a misplaced row and a second non-free
+    row.  Pick a misplaced row i of j that is not the only row of j holding
+    its largest entry (when j has no positive row, both rows are misplaced
+    and one of them qualifies).  Move i to a column l with u_il > 0.  g_j
+    does not drop: its positive norm is unchanged, or another row keeps its
+    maximum.  Column j stays nonempty.  g_l rises strictly, either from
+    sqrt(p) to sqrt(p + u_il^2) or from a value <= 0 to u_il > 0.  So an
+    assignment that puts a misplaced row into a column holding two or more
+    non-free rows is never optimal, and the exact scorer drops it unscored.
+    A row need not go to a column where it is positive: for
+    U = [[0.9, 0.1], [0.5, -0.3], [0.2, -0.05]] the optimum puts row 3,
+    positive only in column 1, alone in column 2."""
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3:
         raise FrameError(f"expected a stack of matrices, got shape {stack.shape}")
     s, n, k = stack.shape
     if not 0 < k <= n:
         raise FrameError(f"St+({n}, {k}) is empty")
-    if k**n > EXACT_ASSIGNMENTS:
-        raise FrameError(f"St+({n}, {k}) has more than {EXACT_ASSIGNMENTS} assignments")
     if not np.all(np.isfinite(stack)):
         raise FrameError("matrix entries must be finite")
-    if k == 1:
-        member = np.ones((s, n, 1), dtype=bool)
+    if k**n > EXACT_ASSIGNMENTS:
+        frames = np.empty_like(stack)
+        for i, mat in enumerate(stack):
+            frames[i] = _local_search(mat)
+    elif k == 1:
+        frames = _slice_frames(stack, np.ones((s, n, 1), dtype=bool))
     else:
         keys = _assignment_keys(n, k)
         step = max(1, min(64, SLICE_TABLE_ENTRIES // (k << n)))
@@ -192,11 +218,57 @@ def exact_slice_distances(stack) -> tuple:
         for lo in range(0, s, step):
             chosen[lo:lo + step] = _best_assignments(stack[lo:lo + step], keys)
         member = (keys[:, chosen].T[:, None, :] >> np.arange(n)[:, None]) & 1 > 0
-    frames = _slice_frames(stack, member)
+        frames = _slice_frames(stack, member)
     if not (np.all(frame_residual(frames) <= FRAME_TOL) and np.all(frames >= 0.0)):
         raise FrameError("slice frame is not a nonnegative orthonormal frame")
     diff = (stack - frames).reshape(s, n * k)
     return np.sqrt(np.vecdot(diff, diff)), frames
+
+
+def _local_search(mat: np.ndarray) -> np.ndarray:
+    """St+ frame from a best-improvement search over single-row moves,
+    started from each row's argmax column; see ``slice_distances``.  Moves
+    are scored by sum_j ||(u_j)_+ on S_j||, from column sums of (U_+)^2;
+    any assignment yields a feasible frame, hence an upper bound."""
+    n, k = mat.shape
+    rows = np.arange(n)
+    pos2 = np.maximum(mat, 0.0) ** 2
+    owner = np.argmax(mat, axis=1)
+    for j in range(k):
+        counts = np.bincount(owner, minlength=k)
+        if counts[j] == 0:
+            # fill an empty column with the cheapest row of a shared column
+            loss = np.where(counts[owner] > 1, mat[rows, owner] - mat[:, j], np.inf)
+            owner[np.argmin(loss)] = j
+    for _ in range(n * k):
+        counts = np.bincount(owner, minlength=k)
+        p2 = np.bincount(owner, weights=pos2[rows, owner], minlength=k)
+        rest2 = np.maximum(p2[owner] - pos2[rows, owner], 0.0)
+        gain = (np.sqrt(rest2) - np.sqrt(p2[owner]))[:, None] + np.sqrt(p2 + pos2) - np.sqrt(p2)
+        gain[rows, owner] = -np.inf
+        gain[counts[owner] < 2] = -np.inf
+        i, j = divmod(int(np.argmax(gain)), k)
+        if not gain[i, j] > 1e-12:
+            break
+        owner[i] = j
+    return _slice_frame(mat, owner)
+
+
+def _slice_frame(mat: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Closest St+ frame to mat whose column j is supported on the rows
+    with owner == j (every column must own a row).  The local search keeps
+    this one-frame form: its columns own up to n rows, and from 16 rows on a
+    dot over a zero-padded column rounds differently from the compact one."""
+    v = np.zeros_like(mat)
+    for j in range(mat.shape[1]):
+        rows = np.flatnonzero(owner == j)
+        col = np.maximum(mat[rows, j], 0.0)
+        norm = np.linalg.norm(col)
+        if norm > 0.0:
+            v[rows, j] = col / norm
+        else:
+            v[rows[np.argmax(mat[rows, j])], j] = 1.0
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +291,7 @@ def _assignment_keys(n: int, k: int) -> np.ndarray:
 
 def _lemma_survivors(block: np.ndarray, keys: np.ndarray) -> tuple:
     """(frame, assignment) index arrays of the assignments that the lemma
-    stated in ``cheeger.dist_upper_estimate`` keeps for the frames of
+    stated in ``slice_distances`` keeps for the frames of
     ``block`` (c <= 64, n, k): those that put no misplaced row into a column
     holding two or more non-free rows.  Frame-major, each frame's in table
     order.

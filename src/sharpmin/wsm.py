@@ -29,7 +29,6 @@ from numpy.random import default_rng
 
 from .manifolds import (
     GeometryError,
-    ManifoldDescriptor,
     Point,
     Tangent,
     point_stack,
@@ -109,11 +108,26 @@ class WsmVerdict:
 
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
-    to VIOLATION_TOL: f and the distance each in one call on the stack of
-    samples, the checks in sample order."""
+    to VIOLATION_TOL, after the reference check of ``inst``: f and the
+    distance each in one call on the stack of samples, the checks in sample
+    order."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
+    return _scan(inst, n_samples, seed)
+
+
+def estimate_modulus(inst: WsmInstance, n_samples: int, seed: int = 0) -> float:
+    """The sampled modulus of ``verify_wsm_sampled`` without the reference
+    check: the least f(u) - f(p) over dist(u; set) among the samples outside
+    the set (dist > INSIDE_TOL).  It runs over the samples only, so it is an
+    upper bound on the best modulus of the sampled region, not a certified
+    modulus; inf when no sample lies outside the set."""
+    return _scan(inst, n_samples, seed).estimated_modulus
+
+
+def _scan(inst: WsmInstance, n_samples: int, seed: int) -> WsmVerdict:
+    """The sample scan behind ``verify_wsm_sampled`` and ``estimate_modulus``."""
     rng = default_rng(seed)
     m = inst.point.manifold
     f0 = _values_at(inst.f, inst.point.coords[None])[0]
@@ -149,36 +163,6 @@ def _distances_at(distance, coords: np.ndarray) -> list:
     if d.shape != (len(coords),):
         raise GeometryError(f"distance gave shape {d.shape} for a stack of {len(coords)} points")
     return d.tolist()
-
-
-def estimate_modulus(
-    f: Callable[[np.ndarray], np.ndarray],
-    feasible_sampler: Callable[[int, np.random.Generator], np.ndarray],
-    distance: Callable[[np.ndarray], np.ndarray],
-    n_samples: int,
-    seed: int = 0,
-    *,
-    manifold: ManifoldDescriptor,
-) -> float:
-    """Infimum over samples of f(u) / dist(u; set) for an f whose minimum
-    is 0, skipping points inside the set (dist <= INSIDE_TOL).  The infimum
-    runs over the samples only, so it is an upper bound on the best modulus
-    of the sampled region, not a certified modulus.
-    The sampled stack is checked on ``manifold``; the distance is called
-    once on the stack and f once on the samples outside the set."""
-    samples = point_stack(manifold, feasible_sampler(n_samples, default_rng(seed)))
-    outside, ds = [], []
-    for i, d in enumerate(_distances_at(distance, samples)):
-        if d <= INSIDE_TOL or not math.isfinite(d):
-            continue  # inside the set, or no finite distance
-        outside.append(i)
-        ds.append(d)
-    if not outside:
-        raise GeometryError("all samples landed inside the solution set")
-    est = math.inf
-    for fu, d in zip(_values_at(f, samples[outside]), ds):
-        est = min(est, fu / d)
-    return est
 
 
 @dataclass(frozen=True, eq=False)

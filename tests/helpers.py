@@ -1,12 +1,13 @@
 """Small constructors the tests share: points and the negative-part penalty
-on the unit circle (height-2, width-1 frames are the unit circle), and the
-indicator frame of a sub-partition."""
+on the unit circle (height-2, width-1 frames are the unit circle), the
+indicator frame of a sub-partition, and the solver's subgradient."""
 
 import math
 
 import numpy as np
 
-from sharpmin.manifolds import Point, sphere
+from sharpmin.cheeger import _edge_differences, _incidence_plan, _subgradient
+from sharpmin.manifolds import Point, sphere, stiefel
 
 
 def circle_point(theta):
@@ -31,3 +32,11 @@ def indicator_frame(graph, parts):
         for v in p:
             u[v - 1, j] = 1.0 / math.sqrt(len(p))
     return u
+
+
+def subgradient(graph, u, c):
+    """The solver's tangent subgradient of |B U|_1 + C h_1(U) at a frame or
+    at each slice of a stack of frames."""
+    u = np.asarray(u, dtype=float)
+    plan = _incidence_plan(graph, u.shape)
+    return _subgradient(stiefel(*u.shape[-2:]), u, _edge_differences(graph, u), plan, c)

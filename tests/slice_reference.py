@@ -1,7 +1,8 @@
 """Reference for the exact distance to St+: every covering row-to-column
-assignment of one frame scored from one (n, assignments) table, the way
-``cheeger.dist_upper_estimate`` computed it one frame at a time before the
-stack scorer with the assignment filter replaced it."""
+assignment of one frame scored from one (n, assignments) table, the way the
+distance was computed one frame at a time before the desk-scale stack
+scorer of ``stiefel.slice_distances``, with its assignment filter, replaced
+it."""
 
 import math
 from functools import lru_cache

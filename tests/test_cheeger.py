@@ -17,19 +17,16 @@ from sharpmin.cheeger import (
     GraphFormatError,
     SolverConfig,
     SubPartition,
-    _local_search_bracket,
     _over_budget,
     _stiefel_distance,
     calibrate_penalty_weight,
     cheeger_objective,
     cut_boundary,
-    dist_upper_estimate,
     exact_cheeger,
     grad_norm_l1,
     lipschitz_bound,
     load_graph,
     penalty_h,
-    riemannian_subgradient,
     round_solution,
     solve_relaxation,
     wsm_penalty_check,
@@ -40,12 +37,14 @@ from sharpmin.stiefel import (
     FrameError,
     _assignment_keys,
     _lemma_survivors,
-    exact_slice_distances,
+    _local_search,
+    frame_residual,
     qr_retract,
     random_stiefel,
     random_stiefel_plus,
+    slice_distances,
 )
-from helpers import indicator_frame
+from helpers import indicator_frame, subgradient
 from slice_reference import (
     ref_assignment_table,
     ref_slice_distance,
@@ -187,12 +186,12 @@ class TestExactCheeger:
     def test_k2_value(self):
         value, argmin = exact_cheeger(load_graph(K2), 2)
         assert value == 2.0
-        assert argmin.sorted_lists() == [[1], [2]]
+        assert sorted(map(sorted, argmin.parts)) == [[1], [2]]
 
     def test_c4_value(self):
         value, argmin = exact_cheeger(load_graph(C4), 2)
         assert value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-        assert argmin.sorted_lists() in ([[1, 2], [3, 4]], [[1, 4], [2, 3]])
+        assert sorted(map(sorted, argmin.parts)) in ([[1, 2], [3, 4]], [[1, 4], [2, 3]])
 
     def test_two_edges(self):
         value, argmin = exact_cheeger(load_graph(TWO_EDGES), 2)
@@ -305,12 +304,18 @@ class TestLipschitz:
                 assert lhs <= bound * np.linalg.norm(u - v) + 1e-12
 
 
-class TestDistUpperEstimate:
+def one_slice_distance(u):
+    """(distance, frame) of one matrix from a one-row ``slice_distances``."""
+    d, frames = slice_distances(u[None])
+    return float(d[0]), frames[0]
+
+
+class TestSliceDistance:
     def test_already_feasible(self):
         u = np.eye(3)[:, :2]
-        est = dist_upper_estimate(u)
-        assert est.ub == 0.0
-        assert np.array_equal(est.feasible.matrix, u)
+        d, v = one_slice_distance(u)
+        assert d == 0.0
+        assert np.array_equal(v, u)
 
     def test_hard_case_all_negative_column(self):
         # oracle: 1-d grid over the feasible arc gives exact distance sqrt(2)
@@ -319,57 +324,54 @@ class TestDistUpperEstimate:
         exact = min(float(np.linalg.norm(u.ravel() - np.array([math.cos(t), math.sin(t)])))
                     for t in grid)
         assert exact == pytest.approx(math.sqrt(2), abs=1e-6)
-        est = dist_upper_estimate(u)
-        assert est.lb == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert est.ub == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert np.all(est.feasible.matrix >= 0.0)
+        d, v = one_slice_distance(u)
+        assert d == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert np.all(v >= 0.0)
 
     def test_nonpositive_column_takes_its_largest_entry(self):
         # column 2 has no positive entry: it must take row 2 (entry 0), not row 3
         u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
-        est = dist_upper_estimate(u)
-        assert est.lb == est.ub == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert est.ub == pytest.approx(slice_distance_by_loop(u), abs=1e-12)
-        assert np.array_equal(est.feasible.matrix, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        d, v = one_slice_distance(u)
+        assert d == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert d == pytest.approx(slice_distance_by_loop(u), abs=1e-12)
+        assert np.array_equal(v, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
     def test_perturbation_sweep(self):
         rng = np.random.default_rng(9)
         base = np.abs(random_stiefel(5, 2, rng))
-        base = dist_upper_estimate(base).feasible.matrix
+        base = one_slice_distance(base)[1]
         for eps in (1e-3, 1e-2):
             u = qr_retract(base, eps * rng.standard_normal((5, 2)))
-            est = dist_upper_estimate(u)
-            assert est.lb <= est.ub
-            assert est.ub <= 3.0 * max(est.lb, eps)
+            d, _ = one_slice_distance(u)
+            # base lies on the slice, so it bounds the distance of u
+            assert d <= float(np.linalg.norm(u - base)) + 1e-12
 
-    def test_bracket_sandwich_random(self):
+    def test_frames_nonnegative_random(self):
         rng = np.random.default_rng(10)
         for _ in range(25):
             u = random_stiefel(4, 2, rng)
-            est = dist_upper_estimate(u)
-            assert est.lb <= est.ub + 1e-12
-            assert np.all(est.feasible.matrix >= 0.0)
+            d, v = one_slice_distance(u)
+            assert np.all(v >= 0.0)
+            assert d == float(np.linalg.norm(u - v))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3)])
     def test_exact_against_seeded_slice_frames(self, n, k):
         rng = np.random.default_rng(100 * n + k)
         for _ in range(5):
             u = random_stiefel(n, k, rng)
-            est = dist_upper_estimate(u)
-            exact = est.ub
-            assert est.lb == exact
+            exact, v = one_slice_distance(u)
             assert exact == pytest.approx(slice_distance_by_loop(u), abs=1e-9)
-            v = est.feasible.matrix
             assert np.all(v >= 0.0)
             assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
             assert exact == pytest.approx(float(np.linalg.norm(u - v)), abs=1e-12)
             for _ in range(200):
                 w = random_stiefel_plus(n, k, rng)
                 assert exact <= float(np.linalg.norm(u - w)) + 1e-12
-            local = _local_search_bracket(u)
-            assert local.lb <= exact + 1e-12 and exact <= local.ub + 1e-12
-            assert local.lb >= float(np.linalg.norm(np.minimum(u, 0.0))) - 1e-12
-            assert np.all(local.feasible.matrix >= 0.0)
+            # the local search of larger sizes: a feasible frame, no closer
+            # than the exact distance
+            local = _local_search(u)
+            assert np.all(local >= 0.0) and frame_residual(local) <= 1e-10
+            assert exact <= float(np.linalg.norm(u - local)) + 1e-12
 
 
 SLICE_SIZES = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3), (11, 2), (12, 2)]
@@ -397,7 +399,7 @@ def adversarial_frames(n, k, rng):
 
 
 def assert_matches_full_table(frames):
-    d, got = exact_slice_distances(frames)
+    d, got = slice_distances(frames)
     assert d.shape == (len(frames),) and got.shape == frames.shape
     for u, du, v in zip(frames, d, got):
         want_d, want_v = ref_slice_distance(u)
@@ -406,8 +408,8 @@ def assert_matches_full_table(frames):
 
 
 class TestExactSliceDistances:
-    """The stack scorer keeps the assignments the lemma of
-    dist_upper_estimate allows and scores them from subset tables; distances
+    """At desk scale the stack scorer keeps the assignments the lemma of
+    slice_distances allows and scores them from subset tables; distances
     and frames must be bitwise those of scoring the full table one frame at
     a time (tests/slice_reference.py)."""
 
@@ -416,21 +418,19 @@ class TestExactSliceDistances:
         frames = random_stiefel(n, k, np.random.default_rng(10 * n + k), 40)
         assert_matches_full_table(frames)
         for u in frames[:8]:
-            est = dist_upper_estimate(u)
+            d, v = one_slice_distance(u)
             want_d, want_v = ref_slice_distance(u)
-            assert np.float64(est.lb).tobytes() == np.float64(est.ub).tobytes() \
-                == np.float64(want_d).tobytes()
-            assert est.feasible.matrix.tobytes() == want_v.tobytes()
+            assert np.float64(d).tobytes() == np.float64(want_d).tobytes()
+            assert v.tobytes() == want_v.tobytes()
 
     @pytest.mark.parametrize("n,k", SLICE_SIZES + [(2, 2), (3, 3), (4, 4), (5, 5)])
     def test_adversarial_frames_match_full_table(self, n, k):
         assert_matches_full_table(adversarial_frames(n, k, np.random.default_rng(n + 7 * k)))
 
     def test_counterexample_to_positive_columns(self):
-        d, frames = exact_slice_distances(COUNTEREXAMPLE[None])
+        d, frames = slice_distances(COUNTEREXAMPLE[None])
         assert d[0] == 1.1150668014978296
         assert frames[0][2].tolist() == [0.0, 1.0]
-        assert dist_upper_estimate(COUNTEREXAMPLE).ub == d[0]
         assert_matches_full_table(COUNTEREXAMPLE[None])
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 3), (11, 2), (5, 5)])
@@ -469,37 +469,55 @@ class TestExactSliceDistances:
     def test_block_size_does_not_change_results(self, monkeypatch):
         frames = np.concatenate([random_stiefel(8, 3, np.random.default_rng(4), 70),
                                  adversarial_frames(8, 3, np.random.default_rng(5))])
-        d, got = exact_slice_distances(frames)
+        d, got = slice_distances(frames)
         for cap in (1, 3 * 2**8 * 5, 1 << 20):
             monkeypatch.setattr(stiefel_module, "SLICE_TABLE_ENTRIES", cap)
-            d_cap, got_cap = exact_slice_distances(frames)
+            d_cap, got_cap = slice_distances(frames)
             assert d_cap.tobytes() == d.tobytes() and got_cap.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (8, 3), (3, 3)])
     def test_empty_stack(self, n, k):
-        d, frames = exact_slice_distances(np.zeros((0, n, k)))
+        d, frames = slice_distances(np.zeros((0, n, k)))
         assert d.shape == (0,) and frames.shape == (0, n, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_square_frames(self, k):
         rng = np.random.default_rng(k)
         perm = np.eye(k)[rng.permutation(k)]
-        d, frames = exact_slice_distances(np.stack([perm, -perm, random_stiefel(k, k, rng)]))
+        d, frames = slice_distances(np.stack([perm, -perm, random_stiefel(k, k, rng)]))
         assert d[0] == 0.0 and np.array_equal(frames[0], perm)
         assert_matches_full_table(np.stack([perm, -perm, random_stiefel(k, k, rng)]))
 
     def test_refusals(self):
         with pytest.raises(FrameError, match="finite"):
-            exact_slice_distances(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+            slice_distances(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
         with pytest.raises(FrameError, match="finite"):
-            dist_upper_estimate(np.array([[-np.inf], [1.0]]))
-        with pytest.raises(FrameError, match="assignments"):
-            exact_slice_distances(np.zeros((1, 9, 3)))
+            slice_distances(np.array([[[-np.inf], [1.0]]]))
         with pytest.raises(FrameError, match="empty"):
-            exact_slice_distances(np.zeros((1, 2, 3)))
+            slice_distances(np.zeros((1, 2, 3)))
         with pytest.raises(FrameError, match="stack"):
-            exact_slice_distances(np.zeros((4, 2)))
+            slice_distances(np.zeros((4, 2)))
+        # past the enumeration cap a matrix takes the local search's frame
         assert 3**9 > EXACT_ASSIGNMENTS
+        d, frames = slice_distances(np.zeros((1, 9, 3)))
+        assert np.array_equal(frames[0], _local_search(np.zeros((9, 3))))
+        assert d[0] == float(np.linalg.norm(frames[0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_past_the_enumeration_cap(self, value):
+        u = random_stiefel(10, 3, np.random.default_rng(1))
+        u[4, 1] = value
+        with pytest.raises(FrameError, match="finite"):
+            slice_distances(u[None])
+
+    @pytest.mark.parametrize("n,k", [(9, 3), (10, 3), (17, 2), (40, 4)])
+    def test_local_search_stack_matches_one_matrix_at_a_time(self, n, k):
+        frames = random_stiefel(n, k, np.random.default_rng(n + k), 6)
+        d, got = slice_distances(frames)
+        for u, du, v in zip(frames, d, got):
+            want = _local_search(u)
+            assert v.tobytes() == want.tobytes()
+            assert du.tobytes() == np.float64(np.linalg.norm(u - want)).tobytes()
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
     def test_stiefel_distance_matches_per_frame_reference(self, n, k):
@@ -522,13 +540,27 @@ class TestExactSliceDistances:
             if mass < 1e-9:
                 continue
             ub = ref_slice_distance(u)[0] if k**n <= EXACT_ASSIGNMENTS \
-                else dist_upper_estimate(u).ub
+                else float(np.linalg.norm(u - _local_search(u)))
             num += ub * mass
             den += mass * mass
         c, c_hat = calibrate_penalty_weight(graph, k, seed=9)
         assert np.float64(c_hat).tobytes() == np.float64(num / den).tobytes()
         want_c = 2.0 * max(lipschitz_bound(graph, k), 1.0) * max(num / den, 0.25)
         assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
+
+    @pytest.mark.parametrize("n,k,want", [
+        (10, 3, (11.897773939208285, 0.3747446547429814)),
+        (80, 3, (188.403821617291, 0.13488414090995252)),
+    ])
+    def test_calibration_bits_past_the_enumeration_cap(self, n, k, want):
+        # (C, c_hat) with the bits of the per-matrix local search, scored one
+        # frame at a time; scoring the frames as one stack must keep them
+        rng = np.random.default_rng(n + k)
+        edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                      if rng.random() < 0.3)
+        assert k**n > EXACT_ASSIGNMENTS
+        got = calibrate_penalty_weight(Graph(n=n, edges=edges), k, seed=9)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("n,k", [(4, 2), (8, 3)])
     def test_no_penalty_weight_dominates_the_distance(self, n, k):
@@ -539,7 +571,7 @@ class TestExactSliceDistances:
         v[k, :2] = 0.6, 0.8
         t = 1e-4
         u = qr_retract(np.eye(n, k), t * v)
-        d = exact_slice_distances(u[None])[0][0]
+        d = slice_distances(u[None])[0][0]
         assert d / t == pytest.approx(0.6000000011, rel=1e-10)
         assert penalty_h(u, 1.0) / d == pytest.approx(0.8 * t, rel=1e-7)
 
@@ -548,7 +580,7 @@ class TestSubgradient:
     def test_edgeless_tie_is_zero(self):
         g = Graph(n=2, edges=())
         u = np.array([[1.0], [0.0]])
-        assert np.allclose(riemannian_subgradient(g, u, 2.0), 0.0)
+        assert np.allclose(subgradient(g, u, 2.0), 0.0)
 
     def test_hand_case(self):
         # K2, U = (0, -1): ambient gradient (1, -3) projects to (1, 0) on the
@@ -556,7 +588,7 @@ class TestSubgradient:
         # penalized value
         g = load_graph(K2)
         u = np.array([[0.0], [-1.0]])
-        got = riemannian_subgradient(g, u, 2.0)
+        got = subgradient(g, u, 2.0)
         assert np.allclose(got, [[1.0], [0.0]], atol=1e-12)
 
     def test_matches_finite_differences_at_smooth_points(self):
@@ -574,7 +606,7 @@ class TestSubgradient:
             if np.min(np.abs(diffs)) < 1e-3 or np.min(np.abs(u)) < 1e-3:
                 continue
             checked += 1
-            grad = riemannian_subgradient(g, u, c)
+            grad = subgradient(g, u, c)
             w = tangent_project(stiefel(4, 2), u, rng.standard_normal((4, 2)))
             w /= np.linalg.norm(w)
             h = 1e-6
@@ -592,20 +624,20 @@ class TestRounding:
         g = load_graph(TWO_EDGES)
         sp = parts({1, 2}, {3, 4})
         got = round_solution(g, indicator_frame(g, sp))
-        assert got.sorted_lists() == sp.sorted_lists()
+        assert sorted(map(sorted, got.parts)) == sorted(map(sorted, sp.parts))
 
     def test_c4_near_indicator(self):
         g = load_graph(C4)
         sp = parts({1, 2}, {3, 4})
         u = indicator_frame(g, sp) + 0.05 * np.random.default_rng(13).standard_normal((4, 2))
         got = round_solution(g, u)
-        assert got.sorted_lists() == sp.sorted_lists()
+        assert sorted(map(sorted, got.parts)) == sorted(map(sorted, sp.parts))
 
     def test_k1_uniform_column_gives_full_set(self):
         g = load_graph(P3)
         u = np.full((3, 1), 1.0 / math.sqrt(3))
         got = round_solution(g, u)
-        assert got.sorted_lists() == [[1, 2, 3]]
+        assert sorted(map(sorted, got.parts)) == [[1, 2, 3]]
 
     def test_all_zero_refused(self):
         g = load_graph(K2)
@@ -704,3 +736,21 @@ class TestPenaltyStudy:
     def test_desk_scale_guard(self):
         with pytest.raises(GeometryError):
             wsm_penalty_check(20, 2, 0.5)
+        for n, k in ((9, 1), (8, 4)):
+            with pytest.raises(GeometryError, match="desk-scale"):
+                wsm_penalty_check(n, k, 0.5)
+
+    def test_admitted_sizes_have_exact_distances(self, monkeypatch):
+        # every (n, k) the study admits (n <= 8, 1 <= k <= min(n, 3)) is
+        # within the enumeration cap, so its distance to St+ is exact
+        for n in range(1, 9):
+            for k in range(1, min(n, 3) + 1):
+                assert k**n <= EXACT_ASSIGNMENTS
+        assert 3**8 == EXACT_ASSIGNMENTS
+
+        def no_local_search(mat):
+            raise AssertionError("the study took a local-search distance")
+
+        monkeypatch.setattr(stiefel_module, "_local_search", no_local_search)
+        study = wsm_penalty_check(8, 3, 0.5, n_samples=8, seed=1)
+        assert study.wsm.n_samples == 8

@@ -356,6 +356,29 @@ class TestVerifyWsm:
         report = json.loads(out)
         assert report["dual_consistent"] is True
 
+    def test_small_budget_with_every_sample_inside_keeps_its_verdict(self, capsys):
+        # seed 1 draws its one quarter-budget sample inside St+(2, 1): that
+        # estimate is inf, and the dual refutation and the sharpness violation
+        # are still reported
+        code, out, _ = run_captured(
+            capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2",
+                     "--samples", "4", "--seed", "1"])
+        assert code == EXIT_VIOLATION
+        report = json.loads(out)
+        assert report["violations"] == [
+            "dual necessary condition refuted for beta=2.0 with alpha=1.0",
+            "sampled sharpness check violated for beta=2.0"]
+        assert report["modulus_trace"][0] == [1, "inf"]
+
+    def test_single_sample_inside_gives_inf_modulus(self, capsys):
+        code, out, _ = run_captured(
+            capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5",
+                     "--samples", "1", "--seed", "1"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["modulus_trace"] == [[1, "inf"]]
+        assert report["violations"] == []
+
 
 class TestReportCommand:
     def test_expectations_all_match(self, capsys):

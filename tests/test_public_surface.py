@@ -1,0 +1,75 @@
+"""Every public function and every public method of a public class in
+``src/sharpmin`` is reached by the package or its scripts: some module or
+script names it outside its own definition and the ``__init__`` re-export.
+Tests do not count.  References are matched by name, so a member whose name
+another one shares can slip through; a member that nothing names cannot."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sharpmin"
+
+# members kept with no caller, each for the open work that will call it
+KEEP = {
+    "wsm.check_primal_nc": "the paper's primal necessary condition; "
+                           "wsm_penalty_check is to run it (ROADMAP item 1(c))",
+    "cones.PatternCone.project": "dist(V, T(P)) = ||project(V)|| for V in T_P St "
+                                 "gives the exact contingent-cone distance (ROADMAP item 1(a))",
+}
+
+
+def _sources():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in files]
+
+
+def _public_members(path, tree):
+    """(qualified name, bare name, definition node) of each public
+    module-level function and public method of a public class."""
+    module = path.stem
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _references(tree):
+    """(name, line) of every Name and Attribute in a module; imports are not
+    references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _unreferenced():
+    sources = _sources()
+    refs = {path: list(_references(tree)) for path, tree in sources}
+    unused = set()
+    for path, tree in sources:
+        if path.name == "__init__.py":
+            continue
+        for qualified, name, node in _public_members(path, tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(ref == name and (other != path or line not in own)
+                       for other, found in refs.items() for ref, line in found):
+                unused.add(qualified)
+    return unused
+
+
+def test_every_public_member_is_reached():
+    unused = _unreferenced() - set(KEEP)
+    assert not unused, f"public members no command or script reaches: {sorted(unused)}"
+
+
+def test_keep_list_names_only_unreached_members():
+    stale = set(KEEP) - _unreferenced()
+    assert not stale, f"KEEP entries that are reached or gone: {sorted(stale)}"
+    assert all(reason.strip() for reason in KEEP.values())

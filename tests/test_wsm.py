@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
-from sharpmin.manifolds import Point, sphere, stiefel
+from sharpmin.manifolds import Point, stiefel
 from sharpmin.cheeger import _stiefel_distance, wsm_penalty_check
 from sharpmin.stiefel import random_stiefel, random_stiefel_plus
 from sharpmin.wsm import (
@@ -23,9 +23,6 @@ from sharpmin.wsm import (
 )
 from helpers import circle_penalty, circle_point
 from slice_reference import ref_stiefel_distance
-
-
-CIRCLE = sphere(2, 1.0)
 
 
 def circle_coords(thetas):
@@ -50,6 +47,13 @@ def circle_instance(beta, alpha):
         point=circle_point(0.3),
         alpha=alpha,
     )
+
+
+def arc_instance(f, sampler, distance):
+    """An instance for a modulus estimate: f is 0 on the arc, where the
+    reference point lies."""
+    return WsmInstance(f=f, feasible_sampler=sampler, distance=distance,
+                       point=circle_point(0.3), alpha=1.0)
 
 
 class TestVerifyWsm:
@@ -126,7 +130,7 @@ class TestVerifyWsm:
             with pytest.raises(GeometryError, match="distance gave shape"):
                 verify_wsm_sampled(inst, 10, seed=0)
             with pytest.raises(GeometryError, match="distance gave shape"):
-                estimate_modulus(inst.f, circle_sampler, distance, 10, manifold=CIRCLE)
+                estimate_modulus(inst, 10)
 
     def test_empty_stack_calls_no_distance(self):
         def distance(coords):
@@ -159,8 +163,8 @@ class TestVerifyWsm:
 class TestEstimateModulus:
     def test_scaled_distance(self):
         f = fx.arc_fixture().dist_fn
-        est = estimate_modulus(lambda u: 2.0 * f(u), circle_sampler, arc_distance,
-                               500, seed=0, manifold=CIRCLE)
+        est = estimate_modulus(arc_instance(lambda u: 2.0 * f(u), circle_sampler, arc_distance),
+                               500, seed=0)
         assert est == pytest.approx(2.0, abs=1e-9)
 
     def test_square_penalty_vanishes(self):
@@ -169,8 +173,8 @@ class TestEstimateModulus:
             thetas = -(10.0 ** rng.uniform(-4, -1, size=count))
             return circle_coords(thetas)
 
-        est = estimate_modulus(circle_penalty(2.0), near_boundary_sampler,
-                               arc_distance, 200, seed=0, manifold=CIRCLE)
+        inst = arc_instance(circle_penalty(2.0), near_boundary_sampler, arc_distance)
+        est = estimate_modulus(inst, 200, seed=0)
         assert est <= 5e-3
 
     def test_sqrt_penalty_bounded_below(self):
@@ -186,18 +190,19 @@ class TestEstimateModulus:
         oracle = min(f(u[None])[0] / chordal(u) for u in grid if chordal(u) > 0)
         assert oracle >= 0.70
 
-        est = estimate_modulus(f, circle_sampler, chordal_distance, 1000, seed=0,
-                               manifold=CIRCLE)
+        est = estimate_modulus(arc_instance(f, circle_sampler, chordal_distance), 1000, seed=0)
         assert est >= 0.70
         assert est >= oracle - 1e-9
 
-    def test_all_inside_refused(self):
+    def test_all_inside_is_inf(self):
+        # no sample outside the set bounds the modulus: the estimate is inf,
+        # as in the sampled sharpness check
         def inside_sampler(count, rng):
             return circle_coords([0.3] * count)
 
-        with pytest.raises(GeometryError):
-            estimate_modulus(circle_penalty(0.5), inside_sampler, arc_distance, 5, seed=0,
-                             manifold=CIRCLE)
+        inst = arc_instance(circle_penalty(0.5), inside_sampler, arc_distance)
+        assert estimate_modulus(inst, 5, seed=0) == math.inf
+        assert verify_wsm_sampled(inst, 5, seed=0).estimated_modulus == math.inf
 
     def test_rounding_level_distance_counts_as_inside(self):
         # a point on the set whose computed distance is an ulp above zero must
@@ -210,8 +215,7 @@ class TestEstimateModulus:
         def distance(coords):
             return np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
 
-        est = estimate_modulus(circle_penalty(1.0), two_point_sampler, distance, 2,
-                               manifold=CIRCLE)
+        est = estimate_modulus(arc_instance(circle_penalty(1.0), two_point_sampler, distance), 2)
         assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
         assert 0.0 < INSIDE_TOL <= 1e-12
 
@@ -384,15 +388,13 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", WSM_GRID)
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_verify_and_modulus(self, n, k, beta):
-        m = stiefel(n, k)
-        point = Point(m, np.eye(n, k))
+        point = Point(stiefel(n, k), np.eye(n, k))
         inst = WsmInstance(f=_penalty(beta),
                            feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
                            distance=_stiefel_distance, point=point, alpha=1.0)
         want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, 3)
         _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=3), want)
-        est = estimate_modulus(_penalty(beta), lambda c, rng: random_stiefel(n, k, rng, c),
-                               _stiefel_distance, 60, seed=8, manifold=m)
+        est = estimate_modulus(inst, 60, seed=8)
         want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
         assert np.float64(est).tobytes() == np.float64(want).tobytes()
 
