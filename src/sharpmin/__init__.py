@@ -14,7 +14,6 @@ from .manifolds import (
     tangent_project,
     verify_local_distance_lemma,
 )
-from .stiefel import StiefelPoint
 from .cones import (
     PatternCone,
     RefutationVerdict,

@@ -44,7 +44,6 @@ from .stiefel import (
     FrameError,
     _rank_deficient,
     _sign_fixed_qr,
-    as_matrix,
     frame_residual,
     random_stiefel,
     random_stiefel_plus,
@@ -61,8 +60,8 @@ class GraphFormatError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """The run would exceed a work or memory budget (the enumeration's
-    assignments, the solver's frame stacks); refusing to silently
-    approximate."""
+    assignments, the solver's frame stacks, a sample budget's largest
+    array); refusing to silently approximate."""
 
 
 @dataclass(frozen=True)
@@ -329,7 +328,7 @@ def grad_norm_l1(graph: Graph, u):
     signed incidence matrix B (the relaxation objective; equals the discrete
     objective on indicator frames).  A stack of frames (s, n, k) gives one
     value per slice, each summed with the bits of the one-frame call."""
-    mat = as_matrix(u)
+    mat = np.asarray(u, dtype=float)
     if mat.shape[-2] != graph.n:
         raise GraphFormatError(f"frame has {mat.shape[-2]} rows, graph has {graph.n} vertices")
     total = _slice_sums(np.abs(_edge_differences(graph, mat)))
@@ -353,7 +352,7 @@ def penalty_h(u, beta: float):
     value per slice, each summed with the bits of the one-frame call."""
     if not beta > 0:
         raise GeometryError(f"penalty exponent must be positive, got {beta}")
-    mat = as_matrix(u)
+    mat = np.asarray(u, dtype=float)
     total = _slice_sums(np.maximum(-mat, 0.0) ** beta)
     return float(total) if mat.ndim == 2 else total
 
@@ -460,14 +459,25 @@ class ClusterReport:
 
 
 CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
-# Cap on the bytes of the solver's largest frame stack, max(restarts,
-# CALIBRATION_FRAMES) x n x k float64, and of its three max_iters x restarts
-# float64 traces.  A solve holds about ten stack-sized arrays, plus the block
-# buffers: at most SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is
-# larger) and their k x k R factors.  The benchmark's largest jobs,
-# (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
-RELAX_STACK_BYTES = 1 << 26
+# Cap on the bytes of every sample budget's largest array, checked before
+# any draw (``require_within_stack_cap``): the solver's largest frame stack,
+# max(restarts, CALIBRATION_FRAMES) x n x k float64, and its three max_iters
+# x restarts float64 traces; the penalty study's sample stack; and the
+# largest arrays of ``verify-lemma`` and ``verify-cones`` (see ``cli``).  A
+# solve holds about ten stack-sized arrays, plus the block buffers: at most
+# SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is larger) and
+# their k x k R factors.  The benchmark's largest jobs, (n, k) = (200, 4),
+# need 200 KiB, 320 times below the cap.
+STACK_BYTES = 1 << 26
 SOLVER_BLOCK_BYTES = 1 << 16  # cap on the iterates kept for one block's bookkeeping
+
+
+def require_within_stack_cap(needs: str, nbytes: int) -> None:
+    """Refuse (``BudgetExceededError``) a budget that needs more than
+    STACK_BYTES, with the reason "<needs> <nbytes> bytes, cap is ...", where
+    ``needs`` names the array and its verb ("the solver's traces need")."""
+    if nbytes > STACK_BYTES:
+        raise BudgetExceededError(f"{needs} {nbytes} bytes, cap is {STACK_BYTES}")
 
 
 def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):
@@ -506,7 +516,7 @@ def round_solution(graph: Graph, u) -> SubPartition:
     is updated as each vertex joins.  Columns with empty pools are dropped;
     an entirely empty result is an error.
     """
-    mat = as_matrix(u)
+    mat = np.asarray(u, dtype=float)
     if mat.shape[0] != graph.n:
         raise GraphFormatError(f"frame has {mat.shape[0]} rows, graph has {graph.n} vertices")
     magnitudes = np.abs(mat)
@@ -540,6 +550,12 @@ def _largest_penalty_weight(graph: Graph, k: int) -> float:
     return 2.0**-10 * float(np.finfo(float).max) / (graph.n * k) - float(graph.degrees().max())
 
 
+def _largest_modulus(n: int, k: int) -> float:
+    """The largest modulus alpha with n k alpha**2 <= 2**-10 * (the largest
+    float); see ``wsm_penalty_check``."""
+    return math.sqrt(2.0**-10 * float(np.finfo(float).max) / (n * k))
+
+
 def _check_block(deficient: np.ndarray, finite: np.ndarray, t0: int) -> None:
     """Raise for the first iterate of a block (rows from iteration t0 + 1,
     one column per restart) that a step-by-step loop would refuse: a
@@ -565,14 +581,9 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     """
     if not 1 <= k <= graph.n:
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
-    stack_bytes = 8 * max(cfg.restarts, CALIBRATION_FRAMES) * graph.n * k
-    if stack_bytes > RELAX_STACK_BYTES:
-        raise BudgetExceededError(
-            f"the solver's frame stack needs {stack_bytes} bytes, cap is {RELAX_STACK_BYTES}")
-    trace_bytes = 3 * 8 * cfg.max_iters * cfg.restarts
-    if trace_bytes > RELAX_STACK_BYTES:
-        raise BudgetExceededError(
-            f"the solver's traces need {trace_bytes} bytes, cap is {RELAX_STACK_BYTES}")
+    require_within_stack_cap("the solver's frame stack needs",
+                             8 * max(cfg.restarts, CALIBRATION_FRAMES) * graph.n * k)
+    require_within_stack_cap("the solver's traces need", 3 * 8 * cfg.max_iters * cfg.restarts)
     if cfg.penalty_c is None:
         c, c_hat = calibrate_penalty_weight(graph, k, seed=cfg.seed)
     else:
@@ -714,12 +725,25 @@ def wsm_penalty_check(
     Runs (a) a sampled sharpness check of h_beta against the exact distance
     over random frames, (b) dual necessary-condition checks at seeded
     nonnegative frames using the sign/support cone pattern, and (c) a modulus
-    estimate trace.  Small dimensions only (dense sampling)."""
+    estimate trace.  Small dimensions only (dense sampling).
+
+    Two budgets are refused before any draw.  The stack of n_samples frames
+    must fit in STACK_BYTES (``BudgetExceededError``).  alpha must satisfy
+    n k alpha**2 <= 2**-10 * (the largest float) (``GeometryError``, with the
+    largest admitted alpha in the message): the dual candidates have norm at
+    most alpha, so their squared norms, their tangency residuals (at most
+    4 alpha**2) and their inner products with chords stay finite, and so do
+    the sharpness products alpha * dist, with dist <= 2 sqrt(k)."""
     if n > 8 or k > 3:
         raise GeometryError("penalty study is desk-scale only (n <= 8, k <= 3)")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise GeometryError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     manifold = stiefel(n, k)
+    require_within_stack_cap("the study's sample stack needs", 8 * n_samples * n * k)
+    alpha_max = _largest_modulus(n, k)
+    if alpha > alpha_max:
+        raise GeometryError(f"modulus {alpha} can overflow the dual check; "
+                            f"the largest at n={n}, k={k} is {alpha_max}")
 
     def f(u: np.ndarray) -> np.ndarray:
         return penalty_h(u, beta)
@@ -749,12 +773,8 @@ def wsm_penalty_check(
     rng = default_rng(seed + 1)
     for _ in range(2):
         frames.append(random_stiefel_plus(n, k, rng))
-    dual = []
-    for i, frame in enumerate(frames):
-        cone = stiefel_plus_normal_cone(frame)
-        base = Point(manifold, frame)
-        dual.append(check_dual_nc(f, cone, base, alpha=alpha, seed=seed + 101 * i,
-                                  schedule=STUDY_SCHEDULE))
+    dual = [check_dual_nc(f, stiefel_plus_normal_cone(frame), alpha=alpha, seed=seed + 101 * i,
+                          schedule=STUDY_SCHEDULE) for i, frame in enumerate(frames)]
 
     trace = []
     for i, count in enumerate((n_samples // 4, n_samples // 2, n_samples)):

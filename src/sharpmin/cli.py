@@ -17,6 +17,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -162,6 +163,10 @@ def _run_verify_lemma(args):
     if args.samples < 1:  # a zero budget would pass vacuously
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     sphere_point = manifolds.Point(manifolds.sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
+    # the differences of every test point to every set point of one radius
+    ch.require_within_stack_cap(
+        "the lemma's test-to-set distance table needs",
+        8 * args.samples * manifolds.SPHERE_SAMPLER_POINTS * sphere_point.coords.size)
     sphere_sampler = manifolds.geodesic_sphere_sampler(sphere_point)
     sphere_report = manifolds.verify_local_distance_lemma(
         sphere_point, sphere_sampler, _LEMMA_RADII,
@@ -206,9 +211,16 @@ def _run_verify_cones(args):
     if min(args.covectors, args.frames) < 1:  # a zero budget would pass vacuously
         raise UsageError("--covectors and --frames must be at least 1")
     schedule = cones.DEFAULT_SCHEDULE
+    identity = fixtures.identity_fixtures()
+    # each of the 2 x covectors covectors of a check is scored on the rows of
+    # its whole schedule, two probes and samples_per_scale directions per scale
+    rows = 2 * args.covectors * len(schedule.scales) * (2 + schedule.samples_per_scale)
+    ch.require_within_stack_cap(
+        "scoring one identity check needs",
+        8 * rows * max(math.prod(fx.manifold.ambient_shape) for fx in identity))
     identity_reports = []
     violations = []
-    for fx in fixtures.identity_fixtures():
+    for fx in identity:
         rep = cones.check_dist_subdiff_identity(fx, n_covectors=args.covectors,
                                                 schedule=schedule, seed=args.seed)
         identity_reports.append({
@@ -293,14 +305,20 @@ def _run_verify_wsm(args):
     return code, report, traces
 
 
+def _sub_args(args, command: str, *flags: str) -> argparse.Namespace:
+    """The arguments of ``command`` with its parser's defaults, the given
+    flags and the report's own --seed, --format and --out."""
+    argv = [command, *flags, f"--seed={args.seed}", f"--format={args.format}"]
+    if args.out is not None:
+        argv.append(f"--out={args.out}")
+    return build_parser().parse_args(argv)
+
+
 def _run_report(args):
     """Reproduction bundle: each claim is checked against its expected
     verdict (the beta > 1 refutation is expected, so observing it passes)."""
-    code_lemma, lemma_report, lemma_traces = _run_verify_lemma(
-        argparse.Namespace(samples=300, seed=args.seed, out=args.out, format=args.format))
-    code_cones, cones_report, cones_traces = _run_verify_cones(
-        argparse.Namespace(covectors=50, frames=40, seed=args.seed, out=args.out,
-                           format=args.format))
+    code_lemma, lemma_report, lemma_traces = _run_verify_lemma(_sub_args(args, "verify-lemma"))
+    code_cones, cones_report, cones_traces = _run_verify_cones(_sub_args(args, "verify-cones"))
     mismatches = []
     if code_lemma != EXIT_OK:
         mismatches.append("local distance comparison failed")
@@ -324,10 +342,8 @@ def _run_report(args):
     traces = dict(lemma_traces)
     traces.update(cones_traces)
     if args.graph is not None:
-        rcode, relax_report, relax_traces = _run_relax(argparse.Namespace(
-            graph=args.graph, k=args.k, penalty_c=None, restarts=20,
-            max_iters=300, budget=args.budget, no_oracle=False, seed=args.seed,
-            out=args.out, format=args.format))
+        rcode, relax_report, relax_traces = _run_relax(_sub_args(
+            args, "relax", f"--graph={args.graph}", f"--k={args.k}", f"--budget={args.budget}"))
         graph_section = relax_report
         traces.update(relax_traces)
         if relax_report.get("gap") is not None and relax_report["gap"] < -1e-9:

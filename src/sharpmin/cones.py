@@ -66,16 +66,7 @@ from .manifolds import (
     spawned_generators,
     stiefel,
 )
-from .stiefel import (
-    ENTRY_ZERO_TOL,
-    StiefelPoint,
-    as_matrix,
-    column_supports,
-    is_nonnegative,
-    qr_retract,
-    random_stiefel_plus,
-    zero_rows as _zero_rows,
-)
+from .stiefel import ENTRY_ZERO_TOL, qr_retract, random_stiefel_plus
 
 REFUTE_TOL = 1e-3      # quotient excess needed, at two consecutive scales
 MEMBER_TOL = 1e-10     # pattern membership tolerance
@@ -469,7 +460,8 @@ def contingent_cone_distance(
 @dataclass(frozen=True, eq=False)
 class PatternCone:
     """Finite description of the Frechet normal cone to St+(n, k) at a
-    nonnegative frame P.
+    nonnegative frame P, with P's sign pattern: its zero rows, the mask of
+    its positive entries and the rows where each column is positive.
 
     A tangent matrix X belongs to the cone iff (a) X^T P + P^T X = 0,
     (b) rows of X indexed by the zero rows of P are entrywise nonpositive,
@@ -480,37 +472,29 @@ class PatternCone:
     never see them.
     """
 
-    base: StiefelPoint
+    base: Point  # P on stiefel(n, k)
     zero_rows: tuple
     support_mask: np.ndarray
+    supports: tuple  # rows where each column is positive; disjoint on St+
     subspace_basis: np.ndarray  # columns: orthonormal basis of the supported-row block
-
-    def __post_init__(self):
-        mask = np.array(self.support_mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "support_mask", mask)
-        basis = np.array(self.subspace_basis, dtype=float)
-        basis.flags.writeable = False
-        object.__setattr__(self, "subspace_basis", basis)
 
     @property
     def n(self) -> int:
-        return self.base.n
+        return self.base.manifold.n
 
     @property
     def k(self) -> int:
-        return self.base.k
+        return self.base.manifold.k
 
     def _split(self, x: np.ndarray):
-        free = np.zeros(self.n, dtype=bool)
-        free[list(self.zero_rows)] = True
+        free = ~self.support_mask.any(axis=1)  # the zero rows
         return x[~free, :], x[free, :], free
 
     def contains(self, x) -> bool:
         """Literal three-condition membership test, each to MEMBER_TOL
         relative to max(1, ||x||)."""
         x = self._coerce(x)
-        p = self.base.matrix
+        p = self.base.coords
         tol = MEMBER_TOL * max(1.0, float(np.linalg.norm(x)))
         if float(np.linalg.norm(x.T @ p + p.T @ x)) > tol:
             return False
@@ -571,7 +555,7 @@ class PatternCone:
 
     def _coerce(self, x) -> np.ndarray:
         if isinstance(x, Tangent):
-            if not np.array_equal(x.base.coords, self.base.matrix):
+            if not np.array_equal(x.base.coords, self.base.coords):
                 raise GeometryError("covector is based at a different frame")
             x = x.vec
         x = np.asarray(x, dtype=float)
@@ -581,38 +565,45 @@ class PatternCone:
         return x
 
 
-def stiefel_plus_normal_cone(p) -> PatternCone:
+def stiefel_plus_normal_cone(frame) -> PatternCone:
     """Sign/support pattern of the Frechet normal cone to St+(n, k) at P.
 
-    P must be an entrywise-nonnegative frame.  Entries within ENTRY_ZERO_TOL
-    of zero are classified as zero; feasibility drift from retractions stays
-    two orders below that threshold by construction.
+    P must be entrywise nonnegative to ENTRY_ZERO_TOL and a point of
+    stiefel(n, k) by the rule of ``Point``; the cone keeps that ``Point`` as
+    its base.  Entries within ENTRY_ZERO_TOL of zero are classified as zero;
+    feasibility drift from retractions stays two orders below that threshold
+    by construction.  This is the one place the sign pattern of a St+ frame
+    is classified.
     """
-    mat = as_matrix(p)
-    if not is_nonnegative(mat):
+    mat = np.asarray(frame, dtype=float)
+    if mat.ndim != 2:
+        raise GeometryError(f"expected a frame matrix, got shape {mat.shape}")
+    if not np.all(mat >= -ENTRY_ZERO_TOL):
         raise GeometryError("base frame has a negative entry beyond tolerance")
-    base = p if isinstance(p, StiefelPoint) else StiefelPoint(mat)
-    mat = np.where(np.abs(mat) <= ENTRY_ZERO_TOL, 0.0, mat)  # snap for classification
-    zrows = _zero_rows(mat)
-    mask = mat > ENTRY_ZERO_TOL
-    basis = _supported_block_basis(mat, zrows, mask)
-    return PatternCone(base=base, zero_rows=zrows, support_mask=mask, subspace_basis=basis)
+    base = Point(stiefel(*mat.shape), mat)
+    mask = base.coords > ENTRY_ZERO_TOL
+    # the basis is built from the frame with its near-zero entries snapped to 0
+    basis = _supported_block_basis(np.where(mask, base.coords, 0.0), mask)
+    for a in (mask, basis):
+        a.flags.writeable = False
+    return PatternCone(base=base, zero_rows=tuple(np.flatnonzero(~mask.any(axis=1)).tolist()),
+                       support_mask=mask,
+                       supports=tuple(tuple(np.flatnonzero(col).tolist()) for col in mask.T),
+                       subspace_basis=basis)
 
 
-def _supported_block_basis(mat: np.ndarray, zrows: tuple, mask: np.ndarray) -> np.ndarray:
+def _supported_block_basis(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {V on the supported rows : V^T P + P^T V = 0 and
     V = 0 on the support of P}, flattened row-major."""
-    n, k = mat.shape
-    free = np.zeros(n, dtype=bool)
-    free[list(zrows)] = True
-    top = mat[~free, :]
+    k = mat.shape[1]
+    supported = mask.any(axis=1)
+    top = mat[supported, :]
     t_rows = top.shape[0]
     dim = t_rows * k
     if dim == 0:
         return np.zeros((0, 0))
     rows = []
-    top_mask = mask[~free, :]
-    for idx in np.flatnonzero(top_mask.ravel()):
+    for idx in np.flatnonzero(mask[supported, :].ravel()):
         r = np.zeros(dim)
         r[idx] = 1.0
         rows.append(r)
@@ -635,8 +626,8 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[int(np.sum(sv > tol)):].T
 
 
-def stiefel_plus_sampler(p) -> Callable[[float, Generator], np.ndarray]:
-    """Constructive sampler of St+(n, k) near a feasible frame P.
+def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.ndarray]:
+    """Constructive sampler of St+(n, k) near the base frame P of a cone.
 
     Returns the stack of frames obtained from single row rotations that stay
     exactly feasible: mass moved into a zero row from a supported row, and
@@ -653,16 +644,12 @@ def stiefel_plus_sampler(p) -> Callable[[float, Generator], np.ndarray]:
     the cosines and sines of +/-theta depend on t alone and are computed once
     per scale; a call computes those of theta * u.
     """
-    mat = as_matrix(p)
-    if not is_nonnegative(mat):
-        raise GeometryError("sampler base frame must be entrywise nonnegative")
-    zrows = list(_zero_rows(mat))
+    mat = cone.base.coords
     moves = []  # (i, j, ||row j||): rotate rows i <- j, j supporting a column
-    for sup in column_supports(mat):
+    for sup in cone.supports:
         for j in sup:
             wj = float(np.linalg.norm(mat[j, :]))
-            if wj > 0:
-                moves += [(i, j, wj) for i in zrows] + [(i, j, wj) for i in sup if i != j]
+            moves += [(i, j, wj) for i in cone.zero_rows] + [(i, j, wj) for i in sup if i != j]
     rows_i = np.repeat(np.array([i for i, _, _ in moves], dtype=int), 3)
     rows_j = np.repeat(np.array([j for _, j, _ in moves], dtype=int), 3)
     weights = [wj for _, _, wj in moves]
@@ -739,7 +726,7 @@ def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> CrossVali
         scored = [(x, sd) for x, sd in zip(members + violators, member_seeds + violator_seeds)
                   if sd is not None]
         verdicts = iter(frechet_normal_refute(
-            stiefel_plus_sampler(p), Point(stiefel(n, k), p),
+            stiefel_plus_sampler(cone), cone.base,
             np.array([x for x, _ in scored]).reshape(len(scored), n, k),
             CROSS_VALIDATION_SCHEDULE, seed=[sd for _, sd in scored]))
         for x, sd in zip(members, member_seeds):
@@ -762,11 +749,10 @@ def _pattern_violators(cone: PatternCone, rng: Generator) -> list:
     of the pattern by at least MARGIN in cone distance.  Frames admitting no such
     tangent violator (no zero rows and all columns singly supported) yield
     nothing: there the pattern is the whole tangent space."""
-    p = cone.base.matrix
-    supports = column_supports(p)
+    p = cone.base.coords
     out = []
     sign_slots = [(i, j) for i in cone.zero_rows for j in range(cone.k)]
-    rot_slots = [(col, a, b) for col, sup in enumerate(supports)
+    rot_slots = [(col, a, b) for col, sup in enumerate(cone.supports)
                  for ai, a in enumerate(sup) for b in sup[ai + 1:]]
     if not sign_slots and not rot_slots:
         return out

@@ -1,17 +1,16 @@
 """Frame numerics shared by the cone, sharpness, and clustering modules.
 
-Holds the orthonormal-frame type, the QR retraction with a deterministic
-sign convention, random frame generators, structure helpers for the
-entrywise-nonnegative slice St+(n, k), and the distance to St+ of a stack
-of matrices, exact at desk scale.  A basic fact drives the St+ helpers:
-orthogonal nonnegative columns have disjoint supports, so every row of a
-feasible frame carries at most one positive entry, and the closest feasible
-frame comes from the best assignment of rows to columns.
+Holds the QR retraction with a deterministic sign convention, random frame
+generators, and the distance to the entrywise-nonnegative slice St+(n, k)
+of a stack of matrices, exact at desk scale.  A basic fact drives the St+
+distance: orthogonal nonnegative columns have disjoint supports, so every
+row of a feasible frame carries at most one positive entry, and the closest
+feasible frame comes from the best assignment of rows to columns.  The sign
+pattern of one St+ frame is classified by ``cones.stiefel_plus_normal_cone``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,37 +34,6 @@ def frame_residual(u: np.ndarray):
         return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
     flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(*u.shape[:-2], u.shape[-1] ** 2)
     return np.sqrt(np.vecdot(flat, flat))
-
-
-@dataclass(frozen=True, eq=False)
-class StiefelPoint:
-    """An n-by-k matrix with orthonormal columns."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise FrameError(f"expected a matrix, got shape {m.shape}")
-        res = frame_residual(m)
-        if res > FRAME_TOL:
-            raise FrameError(f"columns not orthonormal: residual {res:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
-
-
-def as_matrix(u) -> np.ndarray:
-    if isinstance(u, StiefelPoint):
-        return u.matrix
-    return np.asarray(u, dtype=float)
 
 
 def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,29 +81,6 @@ def random_stiefel(n: int, k: int, rng: Generator, count: int | None = None) -> 
     batched QR; slice i equals the i-th of ``count`` one-frame calls."""
     g = rng.standard_normal((n, k) if count is None else (count, n, k))
     return _sign_fixed_qr(g)[0]
-
-
-def zero_rows(p: np.ndarray) -> tuple:
-    """Indices of rows whose entries are all within ENTRY_ZERO_TOL of zero."""
-    p = as_matrix(p)
-    return tuple(int(i) for i in np.flatnonzero(np.all(np.abs(p) <= ENTRY_ZERO_TOL, axis=1)))
-
-
-def support_mask(p: np.ndarray) -> np.ndarray:
-    """Boolean mask of entries strictly above ENTRY_ZERO_TOL (the positive
-    support)."""
-    return as_matrix(p) > ENTRY_ZERO_TOL
-
-
-def is_nonnegative(p: np.ndarray) -> bool:
-    return bool(np.all(as_matrix(p) >= -ENTRY_ZERO_TOL))
-
-
-def column_supports(p: np.ndarray) -> list:
-    """Row-index support of each column.  On a feasible St+ frame the supports
-    are pairwise disjoint and nonempty."""
-    mask = support_mask(p)
-    return [tuple(int(i) for i in np.flatnonzero(mask[:, j])) for j in range(mask.shape[1])]
 
 
 def random_stiefel_plus(n: int, k: int, rng: Generator) -> np.ndarray:

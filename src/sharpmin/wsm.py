@@ -208,17 +208,17 @@ def check_primal_nc(
 def check_dual_nc(
     f: Callable[[np.ndarray], np.ndarray],
     cone,
-    p: Point,
     alpha: float = 1.0,
     seed: int = 0,
     schedule: Schedule = DEFAULT_SCHEDULE,
 ) -> NcVerdict:
     """Dual necessary condition: every covector in the normal cone capped at
-    norm alpha must survive the subdifferential refuter on f.  The sampler
-    covers the extreme rays of the cone first (the places a sharpness claim
-    fails first) and fills up to DUAL_CONE_SAMPLES with random members scaled
-    into the alpha-ball.  The candidates and their seeds are drawn first and
-    then refuted as one stack."""
+    norm alpha must survive the subdifferential refuter on f at the cone's
+    base point ``cone.base``.  The sampler covers the extreme rays of the
+    cone first (the places a sharpness claim fails first) and fills up to
+    DUAL_CONE_SAMPLES with random members scaled into the alpha-ball.  The
+    candidates and their seeds are drawn first and then refuted as one
+    stack."""
     rng = default_rng(seed)
     candidates = [alpha * r for r in cone.extreme_rays()]
     remaining = max(0, DUAL_CONE_SAMPLES - len(candidates))
@@ -226,7 +226,7 @@ def check_dual_nc(
     if not candidates:
         raise GeometryError("cone description produced no candidate covectors")
     seeds = [int(rng.integers(2**31)) for _ in candidates]
-    verdicts = frechet_subdiff_refute(f, p, np.array(candidates), schedule, seed=seeds)
+    verdicts = frechet_subdiff_refute(f, cone.base, np.array(candidates), schedule, seed=seeds)
     failures = [v.witness for v in verdicts if v.refuted]
     return NcVerdict("dual", not failures, len(candidates), tuple(failures))
 

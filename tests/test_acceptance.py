@@ -78,11 +78,11 @@ def test_criterion_4_wsm_necessary_condition_split():
 
         return f
 
-    smooth = sm.check_dual_nc(penalty(2.0), cone, base, alpha=1.0, seed=0)
+    smooth = sm.check_dual_nc(penalty(2.0), cone, alpha=1.0, seed=0)
     assert not smooth.passed
     assert np.allclose(smooth.witness.covector, [[0.0], [-1.0]], atol=1e-12)
 
-    sharp = sm.check_dual_nc(penalty(0.5), cone, base, alpha=1.0, seed=0)
+    sharp = sm.check_dual_nc(penalty(0.5), cone, alpha=1.0, seed=0)
     assert sharp.passed, sharp.failures
 
     arc = fx.arc_fixture()

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sharpmin
-from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, run
+import sharpmin.cli as cli
+from sharpmin.cheeger import STACK_BYTES
+from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, run
 from sharpmin.fixtures import arc_chordal_distance
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
@@ -257,6 +259,39 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "can overflow" in json.loads(out)["reason"]
 
+    @pytest.mark.parametrize("n,k", [(2, 1), (8, 3)])
+    def test_verify_wsm_largest_modulus(self, capsys, n, k):
+        # n k alpha**2 <= 2**-10 * max float: the dual candidates' squared
+        # norms and the sharpness products stay finite
+        largest = math.sqrt(2.0**-10 * sys.float_info.max / (n * k))
+        argv = ["verify-wsm", "--n", str(n), "--k", str(k), "--beta", "0.5", "--samples", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_captured(capsys, argv + ["--alpha", repr(largest)])
+            assert code in (EXIT_OK, EXIT_VIOLATION), err
+            assert json.loads(out)["alpha"] == largest
+            above = math.nextafter(largest, math.inf)
+            code, out, _ = run_captured(capsys, argv + ["--alpha", repr(above)])
+        assert code == EXIT_USAGE
+        assert json.loads(out)["reason"] == (
+            f"modulus {above} can overflow the dual check; "
+            f"the largest at n={n}, k={k} is {largest}")
+
+    @pytest.mark.parametrize("argv,needs,unit", [
+        # unit: the bytes of one sample, test point or covector; a covector of
+        # verify-cones is scored on 11 scales x (2 probes + 32 directions),
+        # and each identity check scores 2 x covectors of them in the plane
+        (["verify-wsm", "--n", "8", "--k", "3", "--beta", "0.5", "--samples"],
+         "the study's sample stack needs", 8 * 8 * 3),
+        (["verify-lemma", "--samples"], "the lemma's test-to-set distance table needs", 8 * 16 * 3),
+        (["verify-cones", "--covectors"], "scoring one identity check needs", 8 * 2 * 11 * 34 * 2),
+    ], ids=["verify-wsm", "verify-lemma", "verify-cones"])
+    def test_sample_budget_past_the_cap_refused(self, capsys, argv, needs, unit):
+        count = STACK_BYTES // unit + 1  # one past the cap; refused before any draw
+        code, out, err = run_captured(capsys, argv + [str(count)])
+        assert code == EXIT_BUDGET, err
+        assert json.loads(out)["reason"] == f"{needs} {unit * count} bytes, cap is {STACK_BYTES}"
+
     def test_relax_negative_iterations(self, capsys, c4_file):
         code, out, _ = run_captured(
             capsys, ["relax", "--graph", c4_file, "--k", "2", "--max-iters", "-3"])
@@ -391,6 +426,27 @@ class TestReportCommand:
         by_beta = report["penalty_threshold"]
         assert by_beta["0.5"]["observed_dual_consistent"] is True
         assert by_beta["2.0"]["observed_dual_consistent"] is False
+
+    def test_subcommands_run_with_their_parser_defaults(self, capsys, c4_file, tmp_path,
+                                                        monkeypatch):
+        seen = {}
+
+        def recorder(command):
+            def handler(args):
+                seen[command] = vars(args)
+                return EXIT_OK, {}, {}
+            return handler
+
+        for command in ("verify-lemma", "verify-cones", "relax"):
+            monkeypatch.setattr(cli, "_run_" + command.replace("-", "_"), recorder(command))
+        common = ["--seed", "4", "--format", "csv", "--out", str(tmp_path)]
+        graph = ["--graph", c4_file, "--k", "3", "--budget", "1234"]
+        run_captured(capsys, ["report", *graph, *common])
+        assert seen == {
+            "verify-lemma": vars(build_parser().parse_args(["verify-lemma", *common])),
+            "verify-cones": vars(build_parser().parse_args(["verify-cones", *common])),
+            "relax": vars(build_parser().parse_args(["relax", *graph, *common])),
+        }
 
 
 class TestDeterminism:

@@ -40,7 +40,7 @@ from sharpmin.manifolds import (
     stiefel,
     tangent_project,
 )
-from sharpmin.stiefel import random_stiefel_plus
+from sharpmin.stiefel import ENTRY_ZERO_TOL, random_stiefel_plus
 from sharpmin.wsm import check_dual_nc
 from helpers import circle_penalty, circle_point
 
@@ -109,6 +109,30 @@ class TestPatternCone:
         with pytest.raises(GeometryError):
             stiefel_plus_normal_cone(np.array([[0.6], [-0.8]]))
 
+    @pytest.mark.parametrize("frame", [[[1.0], [1.0]], [[1.0, 0.0], [0.0, 1.0 + 1e-9]]])
+    def test_nonnegative_non_orthonormal_base_refused(self, frame):
+        # refused by the rule of Point, with its error class
+        with pytest.raises(GeometryError, match="point off stiefel"):
+            stiefel_plus_normal_cone(np.array(frame))
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (8, 3)])
+    def test_pattern_thresholds_the_frame(self, n, k):
+        # zero entries nudged to within ENTRY_ZERO_TOL of zero (either sign)
+        # stay zero, and one nudged just past it joins the support
+        rng = np.random.default_rng(n * 10 + k)
+        for _ in range(10):
+            frame = random_stiefel_plus(n, k, rng)
+            zeros = np.flatnonzero(frame.ravel() == 0.0)
+            frame.flat[zeros] = rng.uniform(-1.0, 1.0, len(zeros)) * ENTRY_ZERO_TOL
+            if len(zeros):
+                frame.flat[rng.choice(zeros)] = 2.0 * ENTRY_ZERO_TOL
+            cone = stiefel_plus_normal_cone(frame)
+            assert cone.supports == tuple(tuple(np.flatnonzero(frame[:, j] > ENTRY_ZERO_TOL))
+                                          for j in range(k))
+            assert cone.zero_rows == tuple(
+                np.flatnonzero(np.all(np.abs(frame) <= ENTRY_ZERO_TOL, axis=1)))
+            assert np.array_equal(cone.base.coords, frame)
+
     def test_interior_point_trivial_cone(self):
         # both rows supported: tangency plus the support condition leave {0}
         s = 1.0 / np.sqrt(2.0)
@@ -146,7 +170,7 @@ class TestPatternCone:
         p = random_stiefel_plus(4, 2, rng)
         cone = stiefel_plus_normal_cone(p)
         base = Point(stiefel(4, 2), p)
-        sampler = stiefel_plus_sampler(p)
+        sampler = stiefel_plus_sampler(cone)
         for x in cone.sample_members(rng, 5):
             verdict = frechet_normal_refute(sampler, base, Tangent(base, x), seed=1)
             assert not verdict.refuted
@@ -359,7 +383,7 @@ class TestCrossValidation:
     def test_sampler_stays_feasible(self):
         rng = np.random.default_rng(11)
         p = random_stiefel_plus(5, 2, rng)
-        sampler = stiefel_plus_sampler(p)
+        sampler = stiefel_plus_sampler(stiefel_plus_normal_cone(p))
         pts = sampler(0.05, rng)
         assert len(pts)
         for u in pts:
@@ -373,7 +397,7 @@ class TestChordalPath:
 
     def setup_method(self):
         self.p = Point(stiefel(2, 1), np.array([[1.0], [0.0]]))
-        self.sampler = stiefel_plus_sampler(self.p.coords)
+        self.sampler = stiefel_plus_sampler(stiefel_plus_normal_cone(self.p.coords))
 
     def penalty(self, beta):
         def f(u):
@@ -614,7 +638,7 @@ class TestBlockKernelMatchesPerSampleReference:
         p = Point(stiefel(n, k), frames[frame])
         cone = stiefel_plus_normal_cone(p.coords)
         f, seed, schedule = _penalty(beta), 101 * frame, Schedule.geometric(samples_per_scale=10)
-        got = check_dual_nc(f, cone, p, alpha=1.0, seed=seed, schedule=schedule)
+        got = check_dual_nc(f, cone, alpha=1.0, seed=seed, schedule=schedule)
         rng = np.random.default_rng(seed)
         candidates = list(cone.extreme_rays())
         candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
@@ -940,11 +964,12 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     def test_stiefel_plus_sampler(self, n, k):
         for frame in _grid_frames(n, k):
-            shared = stiefel_plus_sampler(frame)
+            shared = stiefel_plus_sampler(stiefel_plus_normal_cone(frame))
             # the repeated scales reuse the angles the shared sampler caches per scale
             for seed, t in enumerate((0.1, 0.0125, 1e-4, 0.1, 1e-4, 0.0125)):
                 want = ref_stiefel_plus_sampler(frame)(t, np.random.default_rng(seed))
-                for got in (stiefel_plus_sampler(frame)(t, np.random.default_rng(seed)),
+                for got in (stiefel_plus_sampler(stiefel_plus_normal_cone(frame))(
+                                t, np.random.default_rng(seed)),
                             shared(t, np.random.default_rng(seed))):
                     assert got.shape == (len(want), n, k)
                     assert got.tobytes() == _stack_of(want, (n, k)).tobytes()
@@ -961,7 +986,7 @@ class TestStackSamplersMatchPerSampleReference:
             base = Point(stiefel(n, k), frame)
             xs = _grid_covectors(cone, np.random.default_rng(f_idx))
             seeds = [17 * i + f_idx for i in range(len(xs))]
-            got = frechet_normal_refute(stiefel_plus_sampler(frame), base, np.array(xs),
+            got = frechet_normal_refute(stiefel_plus_sampler(cone), base, np.array(xs),
                                         schedule, seed=seeds)
             assert len(got) == len(xs)
             for x, sd, v in zip(xs, seeds, got):
@@ -969,7 +994,7 @@ class TestStackSamplersMatchPerSampleReference:
                                          Tangent(base, x), schedule, seed=sd)
                 assert_same_verdict(v, want)
                 refuted += want.refuted
-            one = frechet_normal_refute(stiefel_plus_sampler(frame), base,
+            one = frechet_normal_refute(stiefel_plus_sampler(cone), base,
                                         Tangent(base, xs[0]), schedule, seed=seeds[0])
             assert_same_verdict(one, got[0])
             assert got.refuted == sum(v.refuted for v in got)
@@ -983,7 +1008,8 @@ class TestStackSamplersMatchPerSampleReference:
             rng = np.random.default_rng(f_idx)
             for seed in (0, 9):
                 v = Tangent(p, tangent_project(p.manifold, frame, rng.standard_normal((n, k))))
-                got = contingent_cone_distance(stiefel_plus_sampler(frame), p, v, seed=seed)
+                got = contingent_cone_distance(stiefel_plus_sampler(stiefel_plus_normal_cone(frame)),
+                                               p, v, seed=seed)
                 want = ref_contingent_cone_distance(ref_stiefel_plus_sampler(frame), p, v,
                                                     seed=seed)
                 assert _bits(got) == _bits(want)
@@ -1042,7 +1068,7 @@ class TestStackSamplersMatchPerSampleReference:
         p = Point(stiefel(n, k), frame)
         cone = stiefel_plus_normal_cone(frame)
         schedule = Schedule.geometric(samples_per_scale=10)
-        got = check_dual_nc(_penalty(beta), cone, p, alpha=1.0, seed=7, schedule=schedule)
+        got = check_dual_nc(_penalty(beta), cone, alpha=1.0, seed=7, schedule=schedule)
         rng = np.random.default_rng(7)
         candidates = list(cone.extreme_rays())
         candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)

@@ -248,9 +248,6 @@ class TestPrimalNc:
 
 
 class TestDualNc:
-    def base(self):
-        return Point(stiefel(2, 1), np.array([[1.0], [0.0]]))
-
     def cone(self):
         return stiefel_plus_normal_cone(np.array([[1.0], [0.0]]))
 
@@ -268,19 +265,17 @@ class TestDualNc:
             return np.array([0.7 * fx.arc_angular_distance(math.atan2(y, x))
                              for x, y in u[:, :, 0].tolist()])
 
-        verdict = check_dual_nc(fdist, self.cone(), self.base(), alpha=0.7, seed=0)
+        verdict = check_dual_nc(fdist, self.cone(), alpha=0.7, seed=0)
         assert verdict.passed
 
     def test_square_penalty_refuted_with_witness(self):
-        verdict = check_dual_nc(self.as_point_fn(2.0), self.cone(), self.base(),
-                                alpha=1.0, seed=0)
+        verdict = check_dual_nc(self.as_point_fn(2.0), self.cone(), alpha=1.0, seed=0)
         assert not verdict.passed
         w = verdict.witness
         assert np.allclose(w.covector, [[0.0], [-1.0]], atol=1e-12)
 
     def test_sqrt_penalty_consistent(self):
-        verdict = check_dual_nc(self.as_point_fn(0.5), self.cone(), self.base(),
-                                alpha=1.0, seed=0)
+        verdict = check_dual_nc(self.as_point_fn(0.5), self.cone(), alpha=1.0, seed=0)
         assert verdict.passed
 
 
