@@ -4,8 +4,10 @@
 For each beta: the sampled sharpness verdict of the negative-part penalty
 against the exact distance, whether the dual necessary condition survived
 at seeded nonnegative frames, and the final modulus estimate (a sampled
-infimum, so an upper bound on the modulus).  The expected
-picture: consistent below 1, refuted above 1.
+infimum, so an upper bound on the modulus).  The dual condition is refuted
+above 1.  Below 1 nothing is refuted, which does not make the penalty sharp:
+for 1/2 < beta < 1 and n > k >= 2 the local modulus is 0, along curves that
+the sampled frames almost surely miss (see the README's honesty notes).
 
 Usage: python3 scripts/beta_study.py [n] [k] [samples]
 """

@@ -3,7 +3,8 @@
 
 For each seed, builds the job lists of the three benchmark workloads with
 ``perfbench/jobs.build`` (the 14 jobs the benchmark runs), adds
-``report --graph C4 --k 2``, runs every job in-process through
+``report --graph C4 --k 2`` and the ``REFUSALS`` jobs (refusals and a
+violation, in JSON and CSV), runs every job in-process through
 ``sharpmin.cli.run`` with ``--out`` set to a scratch directory, and prints
 one line per output file and per captured stdout:
 
@@ -16,7 +17,7 @@ equal, so comparing them is a ``diff`` of two runs:
 
 ``sharpmin`` is imported from the ``src/`` directory next to this script.
 ``--smoke`` builds the benchmark's self-test job lists instead and leaves out
-the ``report`` job.
+the ``report`` and ``REFUSALS`` jobs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,30 @@ import jobs  # noqa: E402
 from sharpmin.cli import run  # noqa: E402
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
+OUT_OF_RANGE = "p 2 1\ne 1 3\n"
+
+# Jobs that end in a nonzero exit code, each run in JSON and in CSV: every
+# row of the command line's refusal table that a flag reaches (no flag
+# reaches a FrameError), each sample budget past the stack cap, and a
+# refuted dual condition.  No reason holds a temporary path.  "c4.txt" and
+# "out_of_range.txt" name the graph files written next to the jobs.
+REFUSALS = (
+    ["verify-wsm", "--n", "2", "--k", "1"],  # parse: --beta is required
+    ["verify-lemma", "--seed", "-1"],  # parse: negative seed
+    ["verify-lemma", "--samples", "0"],  # usage: an empty budget
+    ["exact", "--graph", "missing.txt", "--k", "2"],  # usage: no graph file
+    ["exact", "--graph", "c4.txt", "--k", "2", "--budget", "10"],
+    ["relax", "--graph", "c4.txt", "--k", "2", "--restarts", "100000000"],
+    ["relax", "--graph", "c4.txt", "--k", "2", "--max-iters", "100000000"],
+    ["verify-lemma", "--samples", "1000000"],
+    ["verify-cones", "--covectors", "100000"],
+    ["verify-wsm", "--n", "8", "--k", "3", "--beta", "0.5", "--samples", "10000000"],
+    ["exact", "--graph", "out_of_range.txt", "--k", "1"],  # graph format
+    ["relax", "--graph", "c4.txt", "--k", "0"],  # graph format: k out of range
+    ["verify-wsm", "--n", "9", "--k", "1", "--beta", "0.5"],  # geometry: not desk-scale
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", "--alpha", "1e300"],  # geometry
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--samples", "20"],  # violation
+)
 
 
 def job_lists(seed: int, scratch: Path, smoke: bool) -> list:
@@ -45,10 +70,23 @@ def job_lists(seed: int, scratch: Path, smoke: bool) -> list:
         for i, job in enumerate(jobs.build(name, seed, scratch / "graphs", smoke=smoke)):
             out.append((f"{name}/{i}-{job.argv[0]}", job.argv))
     if not smoke:
-        c4 = scratch / "graphs" / "c4.txt"
-        c4.write_text(C4)
-        out.append(("report-c4", ["report", "--graph", str(c4), "--k", "2",
+        graphs = scratch / "graphs"
+        (graphs / "c4.txt").write_text(C4)
+        (graphs / "out_of_range.txt").write_text(OUT_OF_RANGE)
+        out.append(("report-c4", ["report", "--graph", str(graphs / "c4.txt"), "--k", "2",
                                   "--seed", str(seed)]))
+        out += refusal_jobs(seed, graphs)
+    return out
+
+
+def refusal_jobs(seed: int, graphs: Path) -> list:
+    """(label, argv) for each of the REFUSALS jobs of one seed in JSON, then
+    in CSV, reading its graph files from ``graphs``."""
+    out = []
+    for i, (job, fmt) in enumerate((j, f) for j in REFUSALS for f in ("json", "csv")):
+        argv = [job[0], "--seed", str(seed), "--format", fmt, *job[1:]]
+        argv = [str(graphs / a) if a in ("c4.txt", "out_of_range.txt") else a for a in argv]
+        out.append((f"refusal/{i}-{job[0]}", argv))
     return out
 
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run the full verification bundle and print a one-line summary per check.
+"""Run the full verification bundle into ``verification_out/``.
 
-Equivalent to ``sharpmin report`` plus a compact console table.  Pass a graph
-file as the first argument to append a clustering run, e.g.::
+Runs ``sharpmin report --out verification_out``: the report JSON goes to
+stdout, then the exit code and the output directory as two lines to stderr,
+and the script exits with the report's code.  Pass a graph file as the first
+argument to append a clustering run, e.g.::
 
     python3 scripts/run_verification.py graphs/c4.txt 2
 """

@@ -19,11 +19,12 @@ replaced.
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
 solution set: the dual necessary condition fails for beta > 1 (the penalty is
-smooth, its subdifferential a single point) and holds sampled-consistent for
-beta < 1 with modulus 1.  Distances to the nonnegative slice come from
-``stiefel.slice_distances``, one call per stack of frames: exact at desk
-scale, where the study runs, and an upper bound from a local search above
-it, where the penalty calibration of large graphs runs.
+smooth, its subdifferential a single point).  Below 1 it finds no refutation,
+which is not sharpness: for 1/2 < beta < 1 and n > k >= 2 the local modulus is
+0, on curves its global sample almost surely misses (README, honesty notes).
+Distances to the nonnegative slice come from ``stiefel.slice_distances``, one
+call per stack of frames: exact at desk scale, where the study runs, and an
+upper bound from a local search above it, where large graphs are calibrated.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .manifolds import GeometryError, Point, spawned_generators, stiefel, tangent_project
+from .manifolds import (BudgetExceededError, GeometryError, Point, require_within_stack_cap,
+                        spawned_generators, stiefel, tangent_project)
 from .stiefel import (
     ENTRY_ZERO_TOL,
     FrameError,
@@ -56,12 +58,6 @@ from .fixtures import arc_chordal_distance
 
 class GraphFormatError(ValueError):
     """Malformed graph text: bad line, out-of-range vertex, or self-loop."""
-
-
-class BudgetExceededError(RuntimeError):
-    """The run would exceed a work or memory budget (the enumeration's
-    assignments, the solver's frame stacks, a sample budget's largest
-    array); refusing to silently approximate."""
 
 
 @dataclass(frozen=True)
@@ -459,25 +455,7 @@ class ClusterReport:
 
 
 CALIBRATION_FRAMES = 32  # seeded frames behind each calibrated penalty weight
-# Cap on the bytes of every sample budget's largest array, checked before
-# any draw (``require_within_stack_cap``): the solver's largest frame stack,
-# max(restarts, CALIBRATION_FRAMES) x n x k float64, and its three max_iters
-# x restarts float64 traces; the penalty study's sample stack; and the
-# largest arrays of ``verify-lemma`` and ``verify-cones`` (see ``cli``).  A
-# solve holds about ten stack-sized arrays, plus the block buffers: at most
-# SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is larger) and
-# their k x k R factors.  The benchmark's largest jobs, (n, k) = (200, 4),
-# need 200 KiB, 320 times below the cap.
-STACK_BYTES = 1 << 26
 SOLVER_BLOCK_BYTES = 1 << 16  # cap on the iterates kept for one block's bookkeeping
-
-
-def require_within_stack_cap(needs: str, nbytes: int) -> None:
-    """Refuse (``BudgetExceededError``) a budget that needs more than
-    STACK_BYTES, with the reason "<needs> <nbytes> bytes, cap is ...", where
-    ``needs`` names the array and its verb ("the solver's traces need")."""
-    if nbytes > STACK_BYTES:
-        raise BudgetExceededError(f"{needs} {nbytes} bytes, cap is {STACK_BYTES}")
 
 
 def calibrate_penalty_weight(graph: Graph, k: int, seed: int = 0):

@@ -17,7 +17,6 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -115,7 +114,7 @@ def _run_exact(args):
         "parts": [sorted(p) for p in parts.parts],
     }
     print(value)
-    return EXIT_OK, report, {}
+    return report, {}
 
 
 def _run_relax(args):
@@ -153,7 +152,7 @@ def _run_relax(args):
     print(result.rounded_value)
     traces = {"relax_trace.csv": (("iter", "objective", "penalty", "feasibility_residual"),
                                   trace_rows)}
-    return EXIT_OK, report, traces
+    return report, traces
 
 
 _LEMMA_RADII = (0.4, 0.2, 0.1, 0.05)
@@ -163,10 +162,6 @@ def _run_verify_lemma(args):
     if args.samples < 1:  # a zero budget would pass vacuously
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     sphere_point = manifolds.Point(manifolds.sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
-    # the differences of every test point to every set point of one radius
-    ch.require_within_stack_cap(
-        "the lemma's test-to-set distance table needs",
-        8 * args.samples * manifolds.SPHERE_SAMPLER_POINTS * sphere_point.coords.size)
     sphere_sampler = manifolds.geodesic_sphere_sampler(sphere_point)
     sphere_report = manifolds.verify_local_distance_lemma(
         sphere_point, sphere_sampler, _LEMMA_RADII,
@@ -191,38 +186,23 @@ def _run_verify_lemma(args):
     report = {
         "command": "verify-lemma",
         "seed": args.seed,
-        "sphere": vars(sphere_report) | {},
-        "euclidean_control": vars(flat_report) | {},
+        "sphere": vars(sphere_report),
+        "euclidean_control": vars(flat_report),
         "violations": violations,
     }
-    rows = [(r, d) for r, d in zip(sphere_report.radii, sphere_report.worst_ratio_deviation)]
-    traces = {
-        "lemma_sphere.csv": (("r", "worst_deviation"), rows),
-        "lemma_euclidean.csv": (
-            ("r", "worst_deviation"),
-            [(r, d) for r, d in zip(flat_report.radii, flat_report.worst_ratio_deviation)],
-        ),
-    }
-    code = EXIT_OK if not violations else EXIT_VIOLATION
-    return code, report, traces
+    traces = {name: (("r", "worst_deviation"), list(zip(rep.radii, rep.worst_ratio_deviation)))
+              for name, rep in (("lemma_sphere.csv", sphere_report),
+                                ("lemma_euclidean.csv", flat_report))}
+    return report, traces
 
 
 def _run_verify_cones(args):
     if min(args.covectors, args.frames) < 1:  # a zero budget would pass vacuously
         raise UsageError("--covectors and --frames must be at least 1")
-    schedule = cones.DEFAULT_SCHEDULE
-    identity = fixtures.identity_fixtures()
-    # each of the 2 x covectors covectors of a check is scored on the rows of
-    # its whole schedule, two probes and samples_per_scale directions per scale
-    rows = 2 * args.covectors * len(schedule.scales) * (2 + schedule.samples_per_scale)
-    ch.require_within_stack_cap(
-        "scoring one identity check needs",
-        8 * rows * max(math.prod(fx.manifold.ambient_shape) for fx in identity))
     identity_reports = []
     violations = []
-    for fx in identity:
-        rep = cones.check_dist_subdiff_identity(fx, n_covectors=args.covectors,
-                                                schedule=schedule, seed=args.seed)
+    for fx in fixtures.identity_fixtures():
+        rep = cones.check_dist_subdiff_identity(fx, n_covectors=args.covectors, seed=args.seed)
         identity_reports.append({
             "fixture": rep.fixture,
             "inside_checked": rep.inside_checked,
@@ -233,7 +213,7 @@ def _run_verify_cones(args):
             violations.append(f"distance-subdifferential identity failed on {rep.fixture}")
     dirderiv_reports = []
     for fx in fixtures.dirderiv_fixtures():
-        rep = cones.check_dirderiv_identity(fx, schedule=schedule, seed=args.seed)
+        rep = cones.check_dirderiv_identity(fx, seed=args.seed)
         dirderiv_reports.append({
             "fixture": rep.fixture,
             "max_residual": rep.max_residual,
@@ -260,21 +240,16 @@ def _run_verify_cones(args):
     }
     rows = [(r["fixture"], r["max_residual"]) for r in dirderiv_reports]
     traces = {"dirderiv_residuals.csv": (("fixture", "max_residual"), rows)}
-    code = EXIT_OK if not violations else EXIT_VIOLATION
-    return code, report, traces
+    return report, traces
 
 
 def _run_verify_wsm(args):
     study = ch.wsm_penalty_check(args.n, args.k, args.beta, n_samples=args.samples,
                                  seed=args.seed, alpha=args.alpha)
     violations = []
-    witness = None
+    witness = next((v.witness for v in study.dual if not v.passed), None)
     w = study.wsm.witness
     if not study.dual_consistent:
-        for v in study.dual:
-            if not v.passed:
-                witness = v.witness
-                break
         violations.append(
             f"dual necessary condition refuted for beta={args.beta} with alpha={args.alpha}")
     if study.wsm.status == "violated":
@@ -301,8 +276,7 @@ def _run_verify_wsm(args):
     }
     rows = list(study.modulus_trace)
     traces = {"modulus_trace.csv": (("n_samples", "estimate"), rows)}
-    code = EXIT_OK if not violations else EXIT_VIOLATION
-    return code, report, traces
+    return report, traces
 
 
 def _sub_args(args, command: str, *flags: str) -> argparse.Namespace:
@@ -317,23 +291,24 @@ def _sub_args(args, command: str, *flags: str) -> argparse.Namespace:
 def _run_report(args):
     """Reproduction bundle: each claim is checked against its expected
     verdict (the beta > 1 refutation is expected, so observing it passes)."""
-    code_lemma, lemma_report, lemma_traces = _run_verify_lemma(_sub_args(args, "verify-lemma"))
-    code_cones, cones_report, cones_traces = _run_verify_cones(_sub_args(args, "verify-cones"))
+    lemma_report, lemma_traces = _run_verify_lemma(_sub_args(args, "verify-lemma"))
+    cones_report, cones_traces = _run_verify_cones(_sub_args(args, "verify-cones"))
     mismatches = []
-    if code_lemma != EXIT_OK:
+    if lemma_report["violations"]:
         mismatches.append("local distance comparison failed")
-    if code_cones != EXIT_OK:
+    if cones_report["violations"]:
         mismatches.append("cone identity checks failed")
     expectations = {0.5: True, 2.0: False}  # beta -> expected dual consistency
     wsm_summaries = {}
     for beta, expected in expectations.items():
-        study = ch.wsm_penalty_check(2, 1, beta, n_samples=300, seed=args.seed)
-        observed = study.dual_consistent
+        wsm_report, _ = _run_verify_wsm(_sub_args(
+            args, "verify-wsm", "--n=2", "--k=1", f"--beta={beta}", "--samples=300"))
+        observed = wsm_report["dual_consistent"]
         wsm_summaries[str(beta)] = {
             "expected_dual_consistent": expected,
             "observed_dual_consistent": observed,
-            "wsm_status": study.wsm.status,
-            "modulus_trace": list(study.modulus_trace),
+            "wsm_status": wsm_report["wsm_status"],
+            "modulus_trace": wsm_report["modulus_trace"],
         }
         if observed != expected:
             mismatches.append(
@@ -342,7 +317,7 @@ def _run_report(args):
     traces = dict(lemma_traces)
     traces.update(cones_traces)
     if args.graph is not None:
-        rcode, relax_report, relax_traces = _run_relax(_sub_args(
+        relax_report, relax_traces = _run_relax(_sub_args(
             args, "relax", f"--graph={args.graph}", f"--k={args.k}", f"--budget={args.budget}"))
         graph_section = relax_report
         traces.update(relax_traces)
@@ -357,8 +332,7 @@ def _run_report(args):
         "relaxation": graph_section,
         "mismatches": mismatches,
     }
-    code = EXIT_OK if not mismatches else EXIT_VIOLATION
-    return code, report, traces
+    return report, traces
 
 
 _HANDLERS = {
@@ -387,46 +361,42 @@ def emit_report(report: dict, traces: dict, args) -> None:
     else:
         for name, (header, rows) in traces.items():
             sys.stdout.write(csv_text(header, rows))
-        if report.get("exit_code", EXIT_OK) != EXIT_OK:
+        if report["exit_code"] != EXIT_OK:
             sys.stdout.write(csv_text(("exit_code", "reason"),
                                       [(report["exit_code"], report["reason"])]))
 
 
+_REFUSALS = {  # exception class -> (exit code, stderr label)
+    UsageError: (EXIT_USAGE, "usage error"),
+    ch.BudgetExceededError: (EXIT_BUDGET, "budget refusal"),
+    ch.GraphFormatError: (EXIT_USAGE, "error"),
+    manifolds.GeometryError: (EXIT_USAGE, "error"),
+    FrameError: (EXIT_USAGE, "error"),
+}
+
+
 def run(argv=None) -> int:
-    """Parse flags, run the command, emit the report; returns the exit code."""
+    """Parse flags, run the command, emit the report; returns the exit code.
+    The code is 1 exactly when the report lists violations or mismatches,
+    and the reason is that list joined by "; "."""
     parser = build_parser()
+    args = None  # a parse refusal writes no --out files
     try:
-        args = parser.parse_args(argv)
-        if args.seed < 0:  # numpy seeding would raise a bare ValueError later
-            parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
-    except UsageError as exc:
-        report = {"exit_code": EXIT_USAGE, "reason": str(exc)}
-        sys.stdout.write(canonical_json(report))
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code, report, traces = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        report = {"exit_code": EXIT_USAGE, "reason": str(exc)}
-        emit_report(report, {}, args)
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ch.BudgetExceededError as exc:
-        report = {"exit_code": EXIT_BUDGET, "reason": str(exc)}
-        emit_report(report, {}, args)
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ch.GraphFormatError, manifolds.GeometryError, FrameError) as exc:
-        report = {"exit_code": EXIT_USAGE, "reason": str(exc)}
-        emit_report(report, {}, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report["exit_code"] = code
-    report["reason"] = None if code == EXIT_OK else "; ".join(
-        report.get("violations", []) or report.get("mismatches", []) or ["violation"])
+        parsed = parser.parse_args(argv)
+        if parsed.seed < 0:  # numpy seeding would raise a bare ValueError later
+            parser.error(f"argument --seed: must be a non-negative integer, got {parsed.seed}")
+        args = parsed
+        report, traces = _HANDLERS[args.command](args)
+        failed = report.get("violations") or report.get("mismatches")
+        code, label = (EXIT_VIOLATION, "violation") if failed else (EXIT_OK, None)
+        reason = "; ".join(failed) if failed else None
+    except tuple(_REFUSALS) as exc:
+        code, label = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
+        report, traces, reason = {}, {}, str(exc)
+    report |= {"exit_code": code, "reason": reason}
     emit_report(report, traces, args)
     if code != EXIT_OK:
-        print(f"violation: {report['reason']}", file=sys.stderr)
+        print(f"{label}: {reason}", file=sys.stderr)
     return code
 
 

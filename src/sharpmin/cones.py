@@ -61,6 +61,7 @@ from .manifolds import (
     point_stack,
     random_tangents,
     require_on_manifold,
+    require_within_stack_cap,
     require_tangent,
     row_norms,
     spawned_generators,
@@ -808,10 +809,15 @@ def check_dist_subdiff_identity(
     ball must never be refuted against dist(.; set); (b) covectors outside
     the cone by MARGIN, or cone directions rescaled past the unit sphere
     by MARGIN, must be refuted.  ``fixture`` supplies the analytic
-    distance function and the cone samplers (see fixtures module).
+    distance function and the cone samplers (see fixtures module).  A
+    check whose 2 x n_covectors covectors, scored on the refuter's rows of
+    the whole schedule, need more than STACK_BYTES is refused before any
+    draw (``BudgetExceededError``).
     """
-    rng = default_rng(seed)
     p = fixture.point
+    rows = 2 * n_covectors * len(schedule.scales) * (2 + schedule.samples_per_scale)
+    require_within_stack_cap("scoring one identity check needs", 8 * rows * p.coords.size)
+    rng = default_rng(seed)
     # draws in the order of one refuter call per covector, then one block
     inside, seeds = [], []
     for _ in range(n_covectors):

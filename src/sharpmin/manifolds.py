@@ -54,6 +54,33 @@ class GeometryError(ValueError):
     """A geometric precondition failed (wrong manifold, chart domain, rank)."""
 
 
+class BudgetExceededError(RuntimeError):
+    """The run would exceed a work or memory budget (the enumeration's
+    assignments, the solver's frame stacks, a sample budget's largest
+    array); refusing to silently approximate."""
+
+
+# Cap on the bytes of every sample budget's largest array, checked by the
+# function that sizes it before its draws (``require_within_stack_cap``):
+# the solver's largest frame stack, max(restarts, cheeger.CALIBRATION_FRAMES)
+# x n x k float64, and its three max_iters x restarts float64 traces; the
+# penalty study's sample stack; the local-distance lemma's test-to-set
+# distance table; and the covector rows of one distance-subdifferential
+# identity check.  A solve holds about ten stack-sized arrays, plus the block
+# buffers: at most cheeger.SOLVER_BLOCK_BYTES of iterates (one iterate when a
+# stack is larger) and their k x k R factors.  The benchmark's largest jobs,
+# (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
+STACK_BYTES = 1 << 26
+
+
+def require_within_stack_cap(needs: str, nbytes: int) -> None:
+    """Refuse (``BudgetExceededError``) a budget that needs more than
+    STACK_BYTES, with the reason "<needs> <nbytes> bytes, cap is ...", where
+    ``needs`` names the array and its verb ("the solver's traces need")."""
+    if nbytes > STACK_BYTES:
+        raise BudgetExceededError(f"{needs} {nbytes} bytes, cap is {STACK_BYTES}")
+
+
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Identity of one of the supported manifolds.
@@ -611,10 +638,10 @@ def verify_local_distance_lemma(
     of a finite subset of the target set intersected with B(p, r).  Test
     points are drawn uniformly from the chart ball of radius r; for each, the
     ratio of the manifold set distance to the chart set distance is measured.
-    The distances from all test points to all set points are one array per
-    radius.  The worst deviations are regressed on r in log-log scale and the
-    r^2 coefficient is compared with curvature/6 inflated by
-    COEFFICIENT_SLACK.
+    The distances from all test points to all set points are one table per
+    radius, refused past STACK_BYTES before the test points are drawn.  The
+    worst deviations are regressed on r in log-log scale and the r^2
+    coefficient is compared with curvature/6 inflated by COEFFICIENT_SLACK.
     """
     m = p.manifold
     if m.kind not in ("euclidean", "sphere"):
@@ -634,6 +661,8 @@ def verify_local_distance_lemma(
             raise GeometryError(f"set sampler returned no points at r={r}")
         if np.any(pairwise_distances(m, p.coords[None], omega) > r * (1.0 + 1e-9)):
             raise GeometryError(f"sampler produced a point outside B(p, {r})")
+        require_within_stack_cap("the lemma's test-to-set distance table needs",
+                                 8 * samples_per_radius * len(omega) * p.coords.size)
         chart_set = log_coords(p, omega)
         u = point_stack(m, chart_ball_points(p, r, rng, samples_per_radius))
         chart_u = log_coords(p, u)

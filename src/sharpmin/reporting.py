@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses, arrays, and sets to JSON-safe data.
+    """Recursively convert a report's dicts, lists, tuples and arrays to
+    JSON-safe data.
 
     Non-finite floats become strings ("inf", "-inf", "nan") so the output
-    stays strict JSON.  Frozensets are emitted sorted for determinism.
+    stays strict JSON.  Any other type raises ``TypeError`` rather than
+    being written as its ``str``, which could hold a memory address.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -28,21 +29,13 @@ def to_jsonable(obj):
         if math.isfinite(obj):
             return obj
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(to_jsonable(x) for x in obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in vars(obj).items()}
+    if isinstance(obj, np.ndarray):
+        return to_jsonable(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    return str(obj)
+    raise TypeError(f"a report cannot hold {type(obj).__name__}")
 
 
 def canonical_json(report: dict) -> str:

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 import sharpmin
 import sharpmin.cli as cli
-from sharpmin.cheeger import STACK_BYTES
+from sharpmin.manifolds import STACK_BYTES
 from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, run
 from sharpmin.fixtures import arc_chordal_distance
+from sharpmin.stiefel import FrameError
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 
@@ -430,22 +431,28 @@ class TestReportCommand:
     def test_subcommands_run_with_their_parser_defaults(self, capsys, c4_file, tmp_path,
                                                         monkeypatch):
         seen = {}
+        # every field report reads off a sub-report
+        stub = {"violations": [], "dual_consistent": True, "wsm_status": "pass",
+                "modulus_trace": []}
 
         def recorder(command):
             def handler(args):
-                seen[command] = vars(args)
-                return EXIT_OK, {}, {}
+                seen.setdefault(command, []).append(vars(args))
+                return dict(stub), {}
             return handler
 
-        for command in ("verify-lemma", "verify-cones", "relax"):
+        for command in ("verify-lemma", "verify-cones", "verify-wsm", "relax"):
             monkeypatch.setattr(cli, "_run_" + command.replace("-", "_"), recorder(command))
         common = ["--seed", "4", "--format", "csv", "--out", str(tmp_path)]
         graph = ["--graph", c4_file, "--k", "3", "--budget", "1234"]
         run_captured(capsys, ["report", *graph, *common])
         assert seen == {
-            "verify-lemma": vars(build_parser().parse_args(["verify-lemma", *common])),
-            "verify-cones": vars(build_parser().parse_args(["verify-cones", *common])),
-            "relax": vars(build_parser().parse_args(["relax", *graph, *common])),
+            "verify-lemma": [vars(build_parser().parse_args(["verify-lemma", *common]))],
+            "verify-cones": [vars(build_parser().parse_args(["verify-cones", *common]))],
+            "verify-wsm": [vars(build_parser().parse_args(
+                ["verify-wsm", "--n", "2", "--k", "1", "--beta", beta, "--samples", "300",
+                 *common])) for beta in ("0.5", "2.0")],
+            "relax": [vars(build_parser().parse_args(["relax", *graph, *common]))],
         }
 
 
@@ -597,6 +604,45 @@ class TestCsvReason:
             ["exact", "--graph", str(f), "--k", "1", "--format", "csv"])
         assert code == EXIT_USAGE
         assert reason == "edge (1, 3) out of range for n=2 (need 1 <= u < v <= n)"
+
+
+class TestExitCodeRule:
+    """``run`` alone turns a handler's report or exception into the exit code."""
+
+    @pytest.mark.parametrize("error,code,label", [
+        (cli.UsageError, EXIT_USAGE, "usage error"),
+        (sharpmin.BudgetExceededError, EXIT_BUDGET, "budget refusal"),
+        (sharpmin.GraphFormatError, EXIT_USAGE, "error"),
+        (sharpmin.GeometryError, EXIT_USAGE, "error"),
+        (FrameError, EXIT_USAGE, "error"),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_refusal_table(self, capsys, monkeypatch, tmp_path, error, code, label):
+        def handler(args):
+            raise error("the reason, with a comma")
+        monkeypatch.setitem(cli._HANDLERS, "verify-lemma", handler)
+        out_dir = tmp_path / "out"
+        got, out, err = run_captured(capsys, ["verify-lemma", "--out", str(out_dir)])
+        assert got == code
+        report = {"exit_code": code, "reason": "the reason, with a comma"}
+        assert json.loads(out) == report
+        assert json.loads((out_dir / "report.json").read_text()) == report
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
+        assert err == f"{label}: the reason, with a comma\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("report,code,reason", [
+        ({"violations": ["a", "b"]}, EXIT_VIOLATION, "a; b"),
+        ({"mismatches": ["c"]}, EXIT_VIOLATION, "c"),
+        ({"violations": []}, EXIT_OK, None),
+        ({"mismatches": []}, EXIT_OK, None),
+        ({}, EXIT_OK, None),
+    ])
+    def test_code_follows_the_report_lists(self, capsys, monkeypatch, report, code, reason):
+        monkeypatch.setitem(cli._HANDLERS, "verify-lemma", lambda args: (dict(report), {}))
+        got, out, err = run_captured(capsys, ["verify-lemma"])
+        assert got == code
+        assert json.loads(out) == report | {"exit_code": code, "reason": reason}
+        assert err == ("" if reason is None else f"violation: {reason}\n")
 
 
 def test_cli_import_loads_no_scipy():

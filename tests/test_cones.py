@@ -31,6 +31,8 @@ from sharpmin.cones import (
     stiefel_plus_sampler,
 )
 from sharpmin.manifolds import (
+    STACK_BYTES,
+    BudgetExceededError,
     Point,
     Tangent,
     euclidean,
@@ -344,6 +346,21 @@ class TestDistSubdiffIdentity:
     def test_both_directions(self, fixture_builder):
         rep = check_dist_subdiff_identity(fixture_builder(), n_covectors=20, seed=0)
         assert rep.passed, (rep.inside_failures, rep.outside_failures)
+
+    def test_rows_past_the_cap_refused_before_any_draw(self):
+        # 2 x covectors covectors, each on 2 scales of 2 probes and 1 direction
+        def draw(rng):
+            raise AssertionError("drawn")
+        fixture = dataclasses.replace(fx.halfplane_fixture(), cone_sample_in=draw)
+        schedule = Schedule(scales=(0.1, 0.05), samples_per_scale=1)
+        unit = 8 * 2 * 2 * 3 * 2
+        count = STACK_BYTES // unit + 1
+        with pytest.raises(BudgetExceededError) as info:
+            check_dist_subdiff_identity(fixture, n_covectors=count, schedule=schedule)
+        assert str(info.value) == (f"scoring one identity check needs {unit * count} bytes, "
+                                   f"cap is {STACK_BYTES}")
+        with pytest.raises(AssertionError, match="drawn"):
+            check_dist_subdiff_identity(fixture, n_covectors=count - 1, schedule=schedule)
 
     def test_scaled_ray_margin(self):
         # covectors just past the unit sphere must be refuted with the

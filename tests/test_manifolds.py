@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sharpmin.manifolds as manifolds_module
 from sharpmin.manifolds import (
     INVERSION_TOL,
+    STACK_BYTES,
+    BudgetExceededError,
     GeometryError,
     Point,
     Tangent,
@@ -334,6 +337,27 @@ class TestLocalDistanceLemma:
             assert d <= (1 - math.sin(r) / r) * (1 + 1e-9)
         devs = rep.worst_ratio_deviation
         assert all(b < a for a, b in zip(devs, devs[1:]))
+
+    def test_table_past_the_cap_refused_before_the_test_points(self, monkeypatch):
+        # the table holds the differences of each test point to each of the 16
+        # set points in the plane; at the cap the test points are drawn
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+        monkeypatch.setattr(manifolds_module, "chart_ball_points", draw)
+        p = Point(euclidean(2), np.zeros(2))
+        unit = 8 * 16 * 2
+        with pytest.raises(Drawn):
+            verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+                                        samples_per_radius=STACK_BYTES // unit, seed=0)
+        count = STACK_BYTES // unit + 1
+        with pytest.raises(BudgetExceededError) as info:
+            verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+                                        samples_per_radius=count, seed=0)
+        assert str(info.value) == (f"the lemma's test-to-set distance table needs "
+                                   f"{unit * count} bytes, cap is {STACK_BYTES}")
 
     def test_few_radii_refused(self):
         p = Point(euclidean(2), np.zeros(2))

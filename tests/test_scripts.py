@@ -60,3 +60,36 @@ def test_run_verification(tmp_path):
     assert out.returncode == 0, out.stderr
     report = json.loads((tmp_path / "verification_out" / "report.json").read_text())
     assert report["command"] == "report" and report["mismatches"] == []
+
+
+def test_report_digests_refusal_jobs(tmp_path):
+    # each refusal job of the digest check ends as listed, and no reason holds
+    # the scratch directory's path
+    probe = (
+        "import contextlib, io, json, runpy, sys\n"
+        "from pathlib import Path\n"
+        "script = runpy.run_path(sys.argv[1])\n"
+        "graphs = Path(sys.argv[2])\n"
+        "(graphs / 'c4.txt').write_text(script['C4'])\n"
+        "(graphs / 'out_of_range.txt').write_text(script['OUT_OF_RANGE'])\n"
+        "for label, argv in script['refusal_jobs'](1, graphs):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = script['run'](argv)\n"
+        "    print(json.dumps([label, code, out.getvalue()]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe, str(ROOT / "scripts" / "report_digests.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=300,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    # parse x 2, usage x 2, budget x 6, graph format x 2, geometry x 2, violation
+    codes = [2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 1]
+    assert [code for _, code, _ in rows] == [c for c in codes for _ in ("json", "csv")]
+    for i, (label, code, stdout) in enumerate(rows):
+        assert label.startswith(f"refusal/{i}-")
+        assert str(tmp_path) not in stdout
+        if i % 2 == 0 or i < 4:  # JSON, and every parse refusal: the report itself
+            assert json.loads(stdout)["exit_code"] == code
+        else:  # CSV: the reason table closes stdout
+            assert stdout.splitlines()[-2] == "exit_code,reason"
