@@ -3,8 +3,9 @@
 
 For each seed, builds the job lists of the three benchmark workloads with
 ``perfbench/jobs.build`` (the 14 jobs the benchmark runs), adds
-``report --graph C4 --k 2`` and the ``REFUSALS`` jobs (refusals and a
-violation, in JSON and CSV), runs every job in-process through
+``report --graph C4 --k 2``, ``exact`` on each ``cluster-small`` graph and
+on a seeded G(13, 0.4) at k = 2 (``exact_jobs``), and the ``REFUSALS`` jobs
+(refusals and a violation, in JSON and CSV), runs every job in-process through
 ``sharpmin.cli.run`` with ``--out`` set to a scratch directory, and prints
 one line per output file and per captured stdout:
 
@@ -17,7 +18,7 @@ equal, so comparing them is a ``diff`` of two runs:
 
 ``sharpmin`` is imported from the ``src/`` directory next to this script.
 ``--smoke`` builds the benchmark's self-test job lists instead and leaves out
-the ``report`` and ``REFUSALS`` jobs.
+the ``report``, ``exact`` and ``REFUSALS`` jobs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402
+import numpy as np  # noqa: E402
 from sharpmin.cli import run  # noqa: E402
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
@@ -66,17 +68,33 @@ REFUSALS = (
 def job_lists(seed: int, scratch: Path, smoke: bool) -> list:
     """(label, argv) for every job of one seed."""
     out = []
+    graphs = scratch / "graphs"
     for name in jobs.WORKLOADS:
-        for i, job in enumerate(jobs.build(name, seed, scratch / "graphs", smoke=smoke)):
+        for i, job in enumerate(jobs.build(name, seed, graphs, smoke=smoke)):
             out.append((f"{name}/{i}-{job.argv[0]}", job.argv))
     if not smoke:
-        graphs = scratch / "graphs"
         (graphs / "c4.txt").write_text(C4)
         (graphs / "out_of_range.txt").write_text(OUT_OF_RANGE)
         out.append(("report-c4", ["report", "--graph", str(graphs / "c4.txt"), "--k", "2",
                                   "--seed", str(seed)]))
+        out += exact_jobs(seed, graphs)
         out += refusal_jobs(seed, graphs)
     return out
+
+
+def exact_jobs(seed: int, graphs: Path) -> list:
+    """(label, argv) running ``exact`` on each ``cluster-small`` graph of the
+    seed and on a seeded G(13, 0.4) at k = 2: enumerations split into several
+    oracle blocks, the last with a five-vertex prefix, so that its edges are
+    prefix-prefix, prefix-suffix and suffix-suffix."""
+    cases = [(f"{i}-cluster-small", *(job.argv[job.argv.index(flag) + 1]
+                                     for flag in ("--graph", "--k")))
+             for i, job in enumerate(jobs.build("cluster-small", seed, graphs))]
+    path = graphs / "exact-n13-k2.txt"
+    path.write_text(jobs.graph_text(jobs.erdos_renyi(13, 0.4, np.random.default_rng(seed))))
+    cases.append((f"{len(cases)}-n13-k2", str(path), "2"))
+    return [(f"exact/{name}", ["exact", "--graph", graph, "--k", k, "--seed", str(seed)])
+            for name, graph, k in cases]
 
 
 def refusal_jobs(seed: int, graphs: Path) -> list:

@@ -12,9 +12,9 @@ threshold sweep, and compare against the enumeration oracle when affordable.
 The restarts advance as one stack of frames whose edge differences B U (B
 the signed incidence matrix) give each step's objective and, by a bincount
 scatter, B^T sign(B U); the penalty, the checks and the best iterates are
-taken once per block of iterates, and the oracle scores assignments in numpy
-blocks.  Each gives the bits of the one-frame, one-assignment loop it
-replaced.
+taken once per block of iterates, and the oracle scores each assignment
+with k lookups in per-block tables over suffix subsets.  Each gives the
+bits of the one-frame, one-assignment loop it replaced.
 
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
@@ -210,7 +210,7 @@ def _canonical(assignment) -> bool:
     return True
 
 
-ORACLE_BLOCK_BYTES = 1 << 18  # cap on one (edges, assignments) mask of an oracle block
+ORACLE_BLOCK_BYTES = 1 << 18  # cap on one oracle block's tables (see _block_bytes)
 
 
 def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
@@ -232,14 +232,15 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
         )
     best_val = math.inf
     best_assignment = None
-    for digits, values in _oracle_blocks(graph, k):
+    for prefix, rows, values in _oracle_blocks(graph, k):
         start = 0
         while True:  # a scan keeps each value below its best by more than 1e-15
             below = np.flatnonzero(values[start:] < best_val - 1e-15)
             if not below.size:
                 break
             start += int(below[0])
-            best_val, best_assignment = float(values[start]), digits[:, start]
+            best_val = float(values[start])
+            best_assignment = np.concatenate([prefix, rows[:, start]])
             start += 1
     parts = [frozenset(int(i) + 1 for i in np.flatnonzero(best_assignment == j))
              for j in range(1, k + 1)]
@@ -253,49 +254,96 @@ def _over_budget(n: int, k: int, budget: int) -> bool:
 
 
 def _oracle_blocks(graph: Graph, k: int):
-    """Yield (digits, values) blocks over the canonical assignments that
-    leave no part empty, in product order.  ``digits[v, a]`` is the part of
-    vertex v + 1 (0 for none) in assignment a, and ``values[a]`` is
+    """Yield (prefix, rows, values) blocks over the canonical assignments
+    that leave no part empty, in product order.  A block fixes the first
+    hi = n - low vertices to ``prefix`` (int8) and runs the last ``low``
+    vertices through the suffixes that complete it: ``rows[:, a]`` is the
+    suffix of assignment a, and ``values[a]`` is
     0 + b_1/sqrt(s_1) + ... + b_k/sqrt(s_k), summed in that order.
 
-    A block fixes the first vertices to one canonical prefix and runs the
-    remaining ``low`` vertices through the suffixes that complete it; ``low``
-    is the largest length whose (edges, assignments) masks fit in
-    ORACLE_BLOCK_BYTES."""
+    Every edge has tail < head, so it is prefix-prefix, prefix-suffix (tail
+    in the prefix) or suffix-suffix.  Let S and T be the prefix and suffix
+    vertices of part j, c_HH(S) and c_LL(T) the prefix-prefix and
+    suffix-suffix edges they cut, d(b) the prefix-suffix edges at suffix
+    vertex b and w(b) those of them with tail in S.  Then
+
+        b_j = c_HH(S) + sum_b w(b) + sum_{b in T} (d(b) - 2 w(b)) + c_LL(T).
+
+    Proof: a prefix-suffix edge (a, b) is cut exactly when one of a in S,
+    b in T holds.  For b not in T it is cut when a in S, by w(b) edges.  For
+    b in T it is cut when a not in S, by d(b) - w(b) edges, which adds
+    d(b) - 2 w(b) to the w(b) already counted in sum_b w(b).
+
+    So each block builds, for each part j, the table
+    V_j[T] = b_j / sqrt(|S| + |T|) over all 2^low suffix subsets T, and
+    scores assignment a as 0 + V_1[mask_1[a]] + ... + V_k[mask_k[a]], where
+    mask_j[a] is the bitmask of the suffix vertices with label j.  Each cut
+    and size is an exact small integer (the matrix products sum integers),
+    so each entry is the same division by the same correctly rounded sqrt
+    as counting the part's boundary directly.  Entries with |S| + |T| = 0
+    are NaN and never gathered: every scored assignment uses all k labels.
+
+    ``low`` is the largest length whose block fits in ORACLE_BLOCK_BYTES."""
     n = graph.n
-    tail, head = graph.edge_ends
-    width = max(n, graph.m)
     low = 0
-    while low < n and (k + 1) ** (low + 1) * width <= ORACLE_BLOCK_BYTES:
+    while low < n and _block_bytes(low + 1, k) <= ORACLE_BLOCK_BYTES:
         low += 1
+    hi = n - low
+    tail, head = graph.edge_ends
+    in_prefix, in_suffix = head < hi, tail >= hi
+    cross = ~in_prefix & ~in_suffix
+    prefix_tail, prefix_head = tail[in_prefix], head[in_prefix]
+    in_subset = np.arange(1 << low)[:, None] >> np.arange(low) & 1  # [T, b]: bit b of T
+    sizes = in_subset.sum(axis=1)
+    cut_suffix = np.count_nonzero(in_subset[:, tail[in_suffix] - hi]
+                                  != in_subset[:, head[in_suffix] - hi], axis=1)
+    subset_rows = in_subset.T.astype(float)
+    degree = np.bincount(head[cross] - hi, minlength=low)
+    adjacency = np.zeros((hi, low))
+    adjacency[tail[cross], head[cross] - hi] = 1.0
+    labels = np.arange(1, k + 1, dtype=np.int8)[:, None]
     suffixes = _canonical_suffixes(low, k)
-    for prefix in product(range(k + 1), repeat=n - low):
+    for prefix in product(range(k + 1), repeat=hi):
         if not _canonical(prefix):
             continue
-        rows = suffixes[max(prefix, default=0)]
+        rows, masks = suffixes[max(prefix, default=0)]
         if not rows.shape[1]:
             continue
-        digits = np.empty((n, rows.shape[1]), dtype=np.int8)
-        digits[:n - low] = np.array(prefix, dtype=np.int8)[:, None]
-        digits[n - low:] = rows
+        prefix = np.array(prefix, dtype=np.int8)
+        in_part = prefix == labels  # S of each part
+        w = in_part @ adjacency
+        cut = (in_part[:, prefix_tail] != in_part[:, prefix_head]).sum(axis=1) + w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tables = ((cut[:, None] + (degree - 2.0 * w) @ subset_rows + cut_suffix)
+                      / np.sqrt(in_part.sum(axis=1)[:, None] + sizes))
         values = np.zeros(rows.shape[1])
-        for j in range(1, k + 1):
-            member = digits == j
-            cut = np.count_nonzero(member[tail] != member[head], axis=0)
-            values = values + cut / np.sqrt(np.count_nonzero(member, axis=0))
-        yield digits, values
+        for table, mask in zip(tables, masks):
+            np.add(values, np.take(table, mask), out=values)
+        yield prefix, rows, values
+
+
+def _block_bytes(low: int, k: int) -> int:
+    """Bytes one oracle block holds at suffix length ``low``: per suffix, its
+    int8 digits, its k label masks, its value and one gather temporary; per
+    suffix subset, the k tables and a float row per suffix vertex."""
+    mask = np.min_scalar_type((1 << low) - 1).itemsize
+    return (k + 1) ** low * (low + k * mask + 16) + (1 << low) * (k + low) * 8
 
 
 @lru_cache(maxsize=None)
 def _canonical_suffixes(length: int, k: int) -> tuple:
-    """Suffix digits in product order, as read-only (length, count) int8
-    arrays, by the largest label t of the prefix: entry t holds the suffixes
-    that keep labels in first-occurrence order after t and end with largest
-    label k."""
-    index = np.arange((k + 1) ** length, dtype=np.int32)  # at most ORACLE_BLOCK_BYTES rows
+    """Read-only (digits, masks) of the suffixes in product order, by the
+    largest label t of the prefix: entry t holds the suffixes that keep
+    labels in first-occurrence order after t and end with largest label k.
+    ``digits`` is (length, count) int8; ``masks[j - 1]`` is, per suffix, the
+    bitmask of its positions with label j, in the smallest unsigned dtype."""
+    index = np.arange((k + 1) ** length, dtype=np.int32)  # under ORACLE_BLOCK_BYTES / 16 entries
     digits = np.empty((length, index.size), dtype=np.int8)
     for v in range(length):
         digits[v] = index // (k + 1) ** (length - 1 - v) % (k + 1)
+    dtype = np.min_scalar_type((1 << length) - 1)
+    weights = (1 << np.arange(length)).astype(dtype)[:, None]
+    labels = np.arange(1, k + 1, dtype=np.int8)[:, None, None]
     tables = []
     for t in range(k + 1):
         top = np.full(index.size, t, dtype=np.int8)
@@ -304,8 +352,9 @@ def _canonical_suffixes(length: int, k: int) -> tuple:
             keep &= row <= top + 1
             top = np.maximum(top, row)
         table = digits[:, keep & (top == k)]
-        table.flags.writeable = False
-        tables.append(table)
+        masks = ((table == labels) * weights).sum(axis=1, dtype=dtype)
+        table.flags.writeable = masks.flags.writeable = False
+        tables.append((table, masks))
     return tuple(tables)
 
 

@@ -37,6 +37,10 @@ class UsageError(Exception):
     pass
 
 
+class _Unwritable(Exception):
+    """An --out path the report writers could not write."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep control
         raise UsageError(message)
@@ -348,13 +352,18 @@ _HANDLERS = {
 def emit_report(report: dict, traces: dict, args) -> None:
     """Write report.json and CSV traces under --out (byte-stable for equal
     flags) and print the requested format to stdout.  In CSV a nonzero exit
-    ends with an ``exit_code,reason`` table, so the reason is on stdout too."""
+    ends with an ``exit_code,reason`` table, so the reason is on stdout too.
+    An --out that cannot be written raises ``_Unwritable`` before anything is
+    printed; report.json is written after the traces."""
     out = getattr(args, "out", None)
     if out is not None:
         out_dir = Path(out)
-        write_report(report, out_dir / "report.json")
-        for name, (header, rows) in traces.items():
-            write_csv(header, rows, out_dir / name)
+        try:
+            for name, (header, rows) in traces.items():
+                write_csv(header, rows, out_dir / name)
+            write_report(report, out_dir / "report.json")
+        except OSError as exc:
+            raise _Unwritable(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         sys.stdout.write(canonical_json(report))
@@ -394,7 +403,12 @@ def run(argv=None) -> int:
         code, label = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
         report, traces, reason = {}, {}, str(exc)
     report |= {"exit_code": code, "reason": reason}
-    emit_report(report, traces, args)
+    try:
+        emit_report(report, traces, args)
+    except _Unwritable as exc:  # a usage refusal, reported on stdout alone
+        code, label, reason = EXIT_USAGE, "error", str(exc)
+        report |= {"exit_code": code, "reason": reason}
+        emit_report(report, traces, argparse.Namespace(format=args.format))
     if code != EXIT_OK:
         print(f"{label}: {reason}", file=sys.stderr)
     return code

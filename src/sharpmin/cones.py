@@ -708,6 +708,9 @@ def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> CrossVali
     or support condition by at least MARGIN (measured as distance to the
     pattern) must always be refuted.
     """
+    # every frame may record its 2 PER_FRAME covectors, each up to 6 x 3
+    require_within_stack_cap("the cross-validation's disagreement record needs",
+                             8 * n_frames * 2 * PER_FRAME * 6 * 3)
     rng = default_rng(seed)
     n_members = n_violators = 0
     disagreements = []

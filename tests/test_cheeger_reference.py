@@ -17,6 +17,7 @@ from numpy.random import SeedSequence, default_rng
 from sharpmin import cheeger
 from sharpmin.cheeger import (
     Graph,
+    ORACLE_BLOCK_BYTES,
     SolverConfig,
     SubPartition,
     _oracle_blocks,
@@ -356,25 +357,51 @@ class TestBatchedPipelineMatchesLoopReference:
             assert _bits(value) == _bits(ref_value), name
             assert parts.parts == ref_parts.parts, name
 
-    @pytest.mark.parametrize("block_bytes", [1, 40, 1 << 18])
+    @pytest.mark.parametrize("block_bytes", [1, 40, 2000, 1 << 18])
     def test_oracle_blocks_score_the_scan_in_order(self, monkeypatch, block_bytes):
         # small caps split the enumeration into many prefix blocks
         monkeypatch.setattr(cheeger, "ORACLE_BLOCK_BYTES", block_bytes)
         rng = default_rng(block_bytes)
         graphs = [(gnp(9, 0.4, rng), 2), (gnp(7, 0.5, rng), 3), (cycle(8), 2),
-                  (complete(6), 3), (Graph(n=6, edges=()), 2), (matching(8), 1)]
+                  (complete(6), 3), (Graph(n=6, edges=()), 2), (matching(8), 1),
+                  (cycle(10), 2)]
+        kinds = set()
         for graph, k in graphs:
             ref = list(ref_scored(graph, k))
             blocks = list(_oracle_blocks(graph, k))
-            digits = np.concatenate([d for d, _ in blocks], axis=1)
-            values = np.concatenate([v for _, v in blocks])
-            assert [tuple(row) for row in digits.T.tolist()] == [a for a, _ in ref]
+            assignments = [tuple(prefix.tolist()) + tuple(row)
+                           for prefix, rows, _ in blocks for row in rows.T.tolist()]
+            values = np.concatenate([v for _, _, v in blocks])
+            assert assignments == [a for a, _ in ref]
             assert _bits(values) == _bits([v for _, v in ref])
+            assert not np.isnan(values).any()
             assert len(ref) == _scored_assignments(graph.n, k)
             value, parts = exact_cheeger(graph, k)
             ref_value, ref_parts = ref_exact_cheeger(graph, k)
             assert _bits(value) == _bits(ref_value)
             assert parts.parts == ref_parts.parts
+            if len(blocks) > 1:
+                hi = blocks[0][0].size  # edges are prefix-prefix, prefix-suffix or suffix-suffix
+                kinds |= {(u <= hi) + (v <= hi) for u, v in graph.edges}
+        # from 2000 bytes on, cycle(10) splits into blocks with every edge kind
+        assert kinds == ({0, 1, 2} if block_bytes >= 2000 else {2})
+
+    @pytest.mark.parametrize("n,k,low", [(11, 2, 8), (10, 3, 6), (20, 1, 11), (13, 2, 8),
+                                         (11, 3, 6), (3, 2, 3)])
+    def test_oracle_block_tables_fit_the_cap(self, n, k, low):
+        graph = gnp(n, 0.4, default_rng(n))
+        blocks = 0
+        for prefix, rows, values in _oracle_blocks(graph, k):
+            assert rows.shape[0] == low
+            digits, masks = cheeger._canonical_suffixes(low, k)[max(prefix.tolist(), default=0)]
+            assert digits is rows and masks.shape == (k, values.size)
+            assert masks.itemsize == (1 if low <= 8 else 2)
+            # digits, masks, values and one gather temporary; k subset tables
+            # and one float row per suffix vertex
+            held = digits.nbytes + masks.nbytes + 2 * values.nbytes + ((k + low) * 8 << low)
+            assert held <= ORACLE_BLOCK_BYTES
+            blocks += 1
+        assert blocks >= 1
 
     @pytest.mark.parametrize("n,k,count", [(1, 1, 1), (4, 2, 25), (10, 3, 145750),
                                            (11, 2, 86526)])

@@ -644,6 +644,25 @@ class TestExitCodeRule:
         assert json.loads(out) == report | {"exit_code": code, "reason": reason}
         assert err == ("" if reason is None else f"violation: {reason}\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_is_a_usage_refusal(self, capsys, tmp_path, fmt):
+        # the work is done, then --out names a path under a regular file
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+        got, out, err = run_captured(capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta",
+                                              "0.5", "--samples", "20", "--format", fmt,
+                                              "--out", str(out_dir)])
+        reason = f"cannot write --out {out_dir}: Not a directory"
+        assert got == EXIT_USAGE
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["command"] == "verify-wsm"
+            assert (report["exit_code"], report["reason"]) == (EXIT_USAGE, reason)
+        else:
+            assert out.endswith(f"exit_code,reason\n{EXIT_USAGE},{reason}\n")
+        assert err == f"error: {reason}\n"
+        assert "Traceback" not in err
+
 
 def test_cli_import_loads_no_scipy():
     # scipy is a dev-only dependency: the command line must start without it

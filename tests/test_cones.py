@@ -397,6 +397,20 @@ class TestCrossValidation:
         assert rep.members_checked > 0
         assert rep.violators_checked > 0
 
+    def test_frames_past_the_cap_refused_before_any_draw(self, monkeypatch):
+        # each frame may record 2 x PER_FRAME covectors of up to 6 x 3 entries
+        def draw(*args):
+            raise AssertionError("drawn")
+        monkeypatch.setattr(cones_module, "random_stiefel_plus", draw)
+        unit = 8 * 2 * cones_module.PER_FRAME * 6 * 3
+        count = STACK_BYTES // unit + 1
+        with pytest.raises(BudgetExceededError) as info:
+            cross_validate_pattern_cone(n_frames=count, seed=0)
+        assert str(info.value) == (f"the cross-validation's disagreement record needs "
+                                   f"{unit * count} bytes, cap is {STACK_BYTES}")
+        with pytest.raises(AssertionError, match="drawn"):
+            cross_validate_pattern_cone(n_frames=count - 1, seed=0)
+
     def test_sampler_stays_feasible(self):
         rng = np.random.default_rng(11)
         p = random_stiefel_plus(5, 2, rng)

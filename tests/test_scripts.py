@@ -93,3 +93,33 @@ def test_report_digests_refusal_jobs(tmp_path):
             assert json.loads(stdout)["exit_code"] == code
         else:  # CSV: the reason table closes stdout
             assert stdout.splitlines()[-2] == "exit_code,reason"
+
+
+def test_report_digests_exact_jobs(tmp_path):
+    # the exact jobs of the digest check succeed, each enumeration splits into
+    # several oracle blocks, and at n = 13 the edges are of all three kinds
+    probe = (
+        "import contextlib, io, json, runpy, sys\n"
+        "from pathlib import Path\n"
+        "from sharpmin.cheeger import _oracle_blocks, load_graph\n"
+        "script = runpy.run_path(sys.argv[1])\n"
+        "for label, argv in script['exact_jobs'](1, Path(sys.argv[2])):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = script['run'](argv)\n"
+        "    graph = load_graph(Path(argv[argv.index('--graph') + 1]).read_text())\n"
+        "    k = int(argv[argv.index('--k') + 1])\n"
+        "    hi = next(_oracle_blocks(graph, k))[0].size\n"
+        "    kinds = sorted({(u <= hi) + (v <= hi) for u, v in graph.edges})\n"
+        "    print(json.dumps([label, code, graph.n, k, hi, kinds]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe, str(ROOT / "scripts" / "report_digests.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=300,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row[:4] for row in rows] == [["exact/0-cluster-small", 0, 11, 2],
+                                         ["exact/1-cluster-small", 0, 10, 3],
+                                         ["exact/2-n13-k2", 0, 13, 2]]
+    assert [row[4] for row in rows] == [3, 4, 5]
+    assert rows[2][5] == [0, 1, 2]
