@@ -10,13 +10,15 @@ bundle with expected-versus-observed bookkeeping).
 Exit codes: 0 success / all checks pass; 1 a mathematical check was violated
 or refuted (the report carries the witness); 2 usage error; 3 enumeration
 budget refusal.  Every nonzero exit still emits a report with a
-machine-readable ``reason`` field.  Identical flags (including --seed)
-produce byte-identical reports.
+machine-readable ``reason`` field, except when stdout itself cannot be
+written: that exits 2 with the reason on stderr alone.  Identical flags
+(including --seed) produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -354,7 +356,9 @@ def emit_report(report: dict, traces: dict, args) -> None:
     flags) and print the requested format to stdout.  In CSV a nonzero exit
     ends with an ``exit_code,reason`` table, so the reason is on stdout too.
     An --out that cannot be written raises ``_Unwritable`` before anything is
-    printed; report.json is written after the traces."""
+    printed; report.json is written after the traces.  stdout is written
+    and flushed here, so a stdout that cannot take the report raises its
+    ``OSError`` from this call."""
     out = getattr(args, "out", None)
     if out is not None:
         out_dir = Path(out)
@@ -373,6 +377,7 @@ def emit_report(report: dict, traces: dict, args) -> None:
         if report["exit_code"] != EXIT_OK:
             sys.stdout.write(csv_text(("exit_code", "reason"),
                                       [(report["exit_code"], report["reason"])]))
+    sys.stdout.flush()
 
 
 _REFUSALS = {  # exception class -> (exit code, stderr label)
@@ -404,18 +409,28 @@ def run(argv=None) -> int:
         report, traces, reason = {}, {}, str(exc)
     report |= {"exit_code": code, "reason": reason}
     try:
-        emit_report(report, traces, args)
-    except _Unwritable as exc:  # a usage refusal, reported on stdout alone
-        code, label, reason = EXIT_USAGE, "error", str(exc)
-        report |= {"exit_code": code, "reason": reason}
-        emit_report(report, traces, argparse.Namespace(format=args.format))
+        try:
+            emit_report(report, traces, args)
+        except _Unwritable as exc:  # a usage refusal, reported on stdout alone
+            code, label, reason = EXIT_USAGE, "error", str(exc)
+            report |= {"exit_code": code, "reason": reason}
+            emit_report(report, traces, argparse.Namespace(format=args.format))
+    except OSError as exc:  # stdout cannot take the report: the reason goes to stderr alone
+        code, label, reason = EXIT_USAGE, "error", f"cannot write stdout: {exc.strerror or exc}"
     if code != EXIT_OK:
         print(f"{label}: {reason}", file=sys.stderr)
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the failure; the report still buffered goes nowhere,
+        # or the interpreter's last flush would fail again and exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,17 +24,23 @@ covectors with one seed each, and score the stack as numpy blocks of at most
 every covector draws from its own stream: ``manifolds.spawned_generators``
 gives the states of ``SeedSequence(seed).spawn(n_scales)`` for all the
 covectors of a call at once, and a covector's verdict does not depend on the
-stack it is scored in.  ``frechet_subdiff_refute`` lays out each covector's
-whole schedule as rows of the block: the random directions of each scale
-come from one seeded ``standard_normal`` draw, are projected, normalised and
-checked tangent together, stepped by the row's scale and mapped in one call (the exact exponential map on euclidean spaces
-and spheres, the positive-diagonal QR retraction with its rank check on
-frames), checked on the manifold by the rule of ``Point`` and scored by one
-call of f.  ``frechet_normal_refute`` and ``contingent_cone_distance``
-concatenate the sampled stacks and pull them back to chart vectors as one
-block.  Every reduction keeps the order the one-sample-at-a-time loop used
-(the first extremal sample of a scale is its witness), so the traces,
-witnesses and skip counts are bitwise those of that loop.
+stack it is scored in.  The stack is scored in two waves: the first
+FIRST_WAVE scales of every covector, the earliest that can refute one, then
+the rest of the schedule for the covectors still unrefuted, so no scale is
+scored once its covector is refuted.  ``frechet_subdiff_refute`` lays out
+each covector's scales of a wave as rows of the block: the random directions
+of each scale come from one seeded ``standard_normal`` draw, are projected,
+normalised and checked tangent together, stepped by the row's scale and
+mapped in one call (the exact exponential map on euclidean spaces and
+spheres, the positive-diagonal QR retraction with its rank check on frames),
+checked on the manifold by the rule of ``Point`` and scored by one call of
+f.  ``frechet_normal_refute`` and ``contingent_cone_distance`` concatenate
+the sampled stacks and pull them back to chart vectors as one block.  Every
+reduction keeps the order the one-sample-at-a-time loop used (the first
+extremal sample of a scale is its witness), so the traces, witnesses and
+skip counts are bitwise those of that loop stopped at the refuting scale: a
+refuted covector's trace and skip count end at the scale that refutes it,
+and a consistent covector's cover the whole schedule.
 
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
@@ -75,6 +81,7 @@ TAIL_SCALES = 2        # smallest scales behind the contingent estimates
 MARGIN = 0.1           # cone distance of the covectors the checks must refute
 DIRDERIV_TOL = 5e-2    # estimator bias allowed in the directional-derivative identity
 REFUTE_BLOCK_BYTES = 1 << 18  # cap on the (rows, *ambient_shape) blocks of one refuter chunk
+FIRST_WAVE = 2         # scales scored for every covector: two consecutive hits refute
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,10 @@ class Witness:
 class RefutationVerdict:
     status: str  # "consistent" | "refuted"
     witness: Witness | None
-    quotient_trace: tuple  # ((scale, extremal quotient), ...)
-    skipped_samples: int = 0
+    # ((scale, extremal quotient), ...) over the schedule; when refuted, it
+    # and the skip count end at the refuting scale
+    quotient_trace: tuple
+    skipped_samples: int = 0  # NaN samples skipped
 
     def __post_init__(self):
         if self.status not in ("consistent", "refuted"):
@@ -191,16 +200,45 @@ def _two_consecutive(trace, above: bool):
     return None
 
 
-def _verdict(x: np.ndarray, trace: tuple, coords_at, above: bool,
-             skipped: int = 0) -> RefutationVerdict:
-    """Verdict on one covector from its per-scale extremal trace;
-    ``coords_at(idx)`` gives the extremal sample of scale idx."""
-    idx = _two_consecutive(trace, above)
-    if idx is None:
-        return RefutationVerdict("consistent", None, trace, skipped)
-    witness = Witness(covector=np.array(x), point_coords=np.array(coords_at(idx)),
-                      scale=trace[idx][0], quotient=trace[idx][1])
-    return RefutationVerdict("refuted", witness, trace, skipped)
+def _in_waves(xs: np.ndarray, scales: tuple, score, above: bool) -> list:
+    """Verdicts on the covectors xs, scored in two waves.
+
+    ``score(cs, ks)`` scores the covectors of the index list cs at the scale
+    indices ks (a range) and gives blocks of their extremal quotients and
+    NaN skips, (rows, len(ks)), and extremal samples, (rows, len(ks),
+    *ambient_shape), covector-major over cs.  The first wave scores the
+    first FIRST_WAVE scales of every covector, the earliest that can refute
+    one; the second scores the rest of the schedule, only for the covectors
+    the first left unrefuted.  Every (covector, scale) pair draws from its
+    own stream, so the split changes no draw; a refuted covector's trace
+    and skip count end at its refuting scale in either wave, so no verdict
+    depends on the split."""
+    verdicts = [None] * len(xs)
+    quotients, skips = [[] for _ in xs], [[] for _ in xs]
+    unrefuted = list(range(len(xs)))
+    every = range(len(scales))
+    for ks in (every[:FIRST_WAVE], every[FIRST_WAVE:]):
+        if not unrefuted:  # every verdict was final after the first wave
+            break
+        best, skipped, samples = (np.concatenate(a) for a in zip(*score(unrefuted, ks)))
+        last, still = ks.stop == len(scales), []
+        for j, c in enumerate(unrefuted):
+            quotients[c] += best[j].tolist()
+            skips[c] += skipped[j].tolist()
+            trace = tuple(zip(scales, quotients[c]))
+            idx = _two_consecutive(trace, above)
+            if idx is not None:  # the trace and skips end at the refuting scale
+                witness = Witness(covector=np.array(xs[c]),
+                                  point_coords=np.array(samples[j, idx - ks.start]),
+                                  scale=trace[idx][0], quotient=trace[idx][1])
+                verdicts[c] = RefutationVerdict("refuted", witness, trace[:idx + 1],
+                                                sum(skips[c][:idx + 1]))
+            elif last:
+                verdicts[c] = RefutationVerdict("consistent", None, trace, sum(skips[c]))
+            else:
+                still.append(c)
+        unrefuted = still
+    return verdicts
 
 
 def frechet_normal_refute(
@@ -221,34 +259,41 @@ def frechet_normal_refute(
 
     ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
     ``RefutationVerdict``, or a stack of covectors at p with a sequence of
-    seeds, one each, which gives a ``RefutationBlock``.  The sampler is
-    called once per covector and scale; the samples of a chunk of covectors
-    are checked on the manifold, pulled back and scored as one block, and
-    each scale keeps its first largest quotient.
+    seeds, one each, which gives a ``RefutationBlock``.  The covectors are
+    scored in two waves (see ``_in_waves``): the first FIRST_WAVE scales of
+    every covector, then the rest for the unrefuted ones.  The sampler is
+    called once per covector and scale scored; the samples of a chunk of
+    covectors are checked on the manifold, pulled back and scored as one
+    block, and each scale keeps its first largest quotient.
     """
     xs, seeds, single = _covectors(p, x, seed)
     scales = schedule.scales
     shape = p.manifold.ambient_shape
     row_bytes = 8 * math.prod(shape)
-    rngs = iter(spawned_generators(seeds, range(len(scales))))
-    verdicts, chunk, stacks = [], [], []
-    for c in range(len(xs)):
-        for t in scales:
-            pts = np.asarray(sampler(t, next(rngs)), dtype=float)
-            if pts.shape[1:] != shape:
-                raise GeometryError(f"sampler gave shape {pts.shape} for points of {p.manifold}")
-            stacks.append(pts)
-        chunk.append(c)
-        if sum(map(len, stacks)) * row_bytes >= REFUTE_BLOCK_BYTES or c == len(xs) - 1:
-            verdicts += _normal_block(p, xs[chunk], stacks, schedule)
-            chunk, stacks = [], []
+
+    def score(cs, ks):
+        rngs = iter(spawned_generators([seeds[c] for c in cs], ks))
+        chunk, stacks = [], []
+        for c in cs:
+            for i in ks:
+                pts = np.asarray(sampler(scales[i], next(rngs)), dtype=float)
+                if pts.shape[1:] != shape:
+                    raise GeometryError(
+                        f"sampler gave shape {pts.shape} for points of {p.manifold}")
+                stacks.append(pts)
+            chunk.append(c)
+            if sum(map(len, stacks)) * row_bytes >= REFUTE_BLOCK_BYTES or c == cs[-1]:
+                yield _normal_block(p, xs[chunk], stacks, scales[ks.start:ks.stop])
+                chunk, stacks = [], []
+
+    verdicts = _in_waves(xs, scales, score, above=True)
     return verdicts[0] if single else RefutationBlock(verdicts)
 
 
-def _normal_block(p: Point, xs: np.ndarray, stacks: list, schedule: Schedule) -> list:
-    """Verdicts on the covectors xs from their sampled stacks, one per
+def _normal_block(p: Point, xs: np.ndarray, stacks: list, scales: tuple):
+    """Extremal quotients, skips (none) and extremal samples of the
+    covectors xs at the given scales, from their sampled stacks, one per
     (covector, scale), covector-major."""
-    scales = schedule.scales
     counts = np.array([len(a) for a in stacks])
     coords = point_stack(p.manifold, np.concatenate(stacks))
     segment = np.repeat(np.arange(len(stacks)), counts)  # (covector, scale) of each row
@@ -264,13 +309,11 @@ def _normal_block(p: Point, xs: np.ndarray, stacks: list, schedule: Schedule) ->
     table[segment, np.arange(len(q)) - starts[segment]] = q
     first = np.argmax(table, axis=1)
     best = table[np.arange(len(stacks)), first].reshape(len(xs), len(scales))
-    verdicts = []
-    for c, x in enumerate(xs):
-        trace = tuple(zip(scales, best[c].tolist()))
-        base = c * len(scales)
-        verdicts.append(_verdict(x, trace, lambda i: coords[starts[base + i] + first[base + i]],
-                                 above=True))
-    return verdicts
+    # a scale without samples keeps -inf and is never a witness; its row is clipped
+    samples = (coords[np.minimum(starts + first, len(coords) - 1)] if len(coords)
+               else np.zeros((len(stacks), *p.manifold.ambient_shape)))
+    return (best, np.zeros(best.shape, dtype=int),
+            samples.reshape(len(xs), len(scales), *p.manifold.ambient_shape))
 
 
 def objective_values(f: Callable[[np.ndarray], np.ndarray], coords: np.ndarray) -> np.ndarray:
@@ -326,8 +369,10 @@ def frechet_subdiff_refute(
     ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
     ``RefutationVerdict``, or a stack of covectors at p with a sequence of
     seeds, one each, which gives a ``RefutationBlock``.  f maps a stack of
-    point coordinates to one value per row.  A chunk of covectors is one
-    block: for each covector and scale the two probes and
+    point coordinates to one value per row.  The covectors are scored in two
+    waves (see ``_in_waves``): the first FIRST_WAVE scales of every
+    covector, then the rest for the unrefuted ones.  In each wave a chunk of
+    covectors is one block: for each covector and scale the two probes and
     ``samples_per_scale`` random tangent directions, all stepped, mapped and
     scored together, with one call of f.  A zero covector has no probes; its
     probe rows are padding, never scored.  A sample where f is NaN is
@@ -336,26 +381,37 @@ def frechet_subdiff_refute(
     """
     xs, seeds, single = _covectors(p, x, seed)
     f0 = _base_value(f, p)
-    rows = len(schedule.scales) * (2 + schedule.samples_per_scale)
-    per_chunk = max(1, REFUTE_BLOCK_BYTES // (rows * 8 * math.prod(p.manifold.ambient_shape)))
-    verdicts = []
-    for start in range(0, len(xs), per_chunk):
-        verdicts += _subdiff_block(f, f0, p, xs[start:start + per_chunk],
-                                   seeds[start:start + per_chunk], schedule)
+    row_bytes = 8 * math.prod(p.manifold.ambient_shape)
+
+    def score(cs, ks):
+        per_chunk = max(1, REFUTE_BLOCK_BYTES // (_subdiff_rows(schedule, len(ks)) * row_bytes))
+        for start in range(0, len(cs), per_chunk):
+            chunk = cs[start:start + per_chunk]
+            yield _subdiff_block(f, f0, p, xs[chunk], [seeds[c] for c in chunk], schedule, ks)
+
+    verdicts = _in_waves(xs, schedule.scales, score, above=False)
     return verdicts[0] if single else RefutationBlock(verdicts)
 
 
+def _subdiff_rows(schedule: Schedule, n_scales: int) -> int:
+    """Rows the subdifferential refuter scores per covector over n_scales
+    scales of the schedule: two probes and ``samples_per_scale`` directions
+    at each."""
+    return n_scales * (2 + schedule.samples_per_scale)
+
+
 def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
-                   schedule: Schedule) -> list:
-    """Verdicts on the covectors xs, laid out as (covector, scale, row) with
-    the two probe rows leading each scale."""
-    scales, samples = schedule.scales, schedule.samples_per_scale
+                   schedule: Schedule, ks: range):
+    """Least quotients, NaN skips and extremal samples of the covectors xs at
+    the scale indices ks, laid out as (covector, scale, row) with the two
+    probe rows leading each scale."""
+    scales, samples = schedule.scales[ks.start:ks.stop], schedule.samples_per_scale
     shape = p.manifold.ambient_shape
     n_x, n_s, per_scale = len(xs), len(scales), 2 + samples
     xnorm = row_norms(xs)
     unit = xs / _per_row(np.where(xnorm > 0, xnorm, 1.0), xs)
     probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None], (n_x, n_s, 2, *shape))
-    dirs = random_tangents(p, spawned_generators(seeds, range(n_s)), samples)
+    dirs = random_tangents(p, spawned_generators(seeds, ks), samples)
     dirs = np.concatenate([probes, dirs.reshape(n_x, n_s, samples, *shape)], axis=2)
     dirs = dirs.reshape(-1, *shape)
     padding = np.zeros((n_x, n_s, per_scale), dtype=bool)
@@ -379,15 +435,8 @@ def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
     q = q.reshape(n_x * n_s, per_scale)
     first = np.argmin(q, axis=1)  # the first least quotient, as a strict-< scan finds it
     least = q[np.arange(len(q)), first].reshape(n_x, n_s)
-    skipped = nan.reshape(n_x, -1).sum(axis=1).tolist()
-    verdicts = []
-    for c, x in enumerate(xs):
-        base = c * n_s
-        verdicts.append(_verdict(
-            x, tuple(zip(scales, least[c].tolist())),
-            lambda i: coords[(base + i) * per_scale + first[base + i]],
-            above=False, skipped=skipped[c]))
-    return verdicts
+    samples_at = coords[np.arange(len(q)) * per_scale + first].reshape(n_x, n_s, *shape)
+    return least, nan.reshape(n_x, n_s, per_scale).sum(axis=2), samples_at
 
 
 def contingent_derivative(
@@ -818,7 +867,7 @@ def check_dist_subdiff_identity(
     draw (``BudgetExceededError``).
     """
     p = fixture.point
-    rows = 2 * n_covectors * len(schedule.scales) * (2 + schedule.samples_per_scale)
+    rows = 2 * n_covectors * _subdiff_rows(schedule, len(schedule.scales))
     require_within_stack_cap("scoring one identity check needs", 8 * rows * p.coords.size)
     rng = default_rng(seed)
     # draws in the order of one refuter call per covector, then one block

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -663,8 +664,40 @@ class TestExitCodeRule:
         assert err == f"error: {reason}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_stdout_is_a_usage_refusal(self, capsys, monkeypatch, failing, fmt):
+        # a full disk refuses the report on write, or on flush when stdout buffers it
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
 
-def test_cli_import_loads_no_scipy():
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        got = run(["verify-lemma", "--samples", "20", "--format", fmt])
+        captured = capsys.readouterr()
+        assert got == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_full_device_on_stdout_exits_2(self, unbuffered):
+        # the console entry point: a buffered stdout keeps the report after the
+        # failed flush, and the interpreter's last flush must not change the code
+        env = dict(os.environ, PYTHONPATH=str(Path(sharpmin.__file__).resolve().parent.parent),
+                   PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(
+                [sys.executable, "-m", "sharpmin.cli", "verify-lemma", "--samples", "20"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        assert out.returncode == EXIT_USAGE
+        assert out.stderr == "error: cannot write stdout: No space left on device\n"
     # scipy is a dev-only dependency: the command line must start without it
     src = Path(sharpmin.__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sharpmin.cli; "

@@ -532,6 +532,8 @@ def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
                 q_min, arg = q, u
         trace.append((t, q_min))
         best.append(arg)
+        if _two_consecutive(trace, above=False) is not None:
+            break
     idx = _two_consecutive(trace, above=False)
     if idx is None:
         return RefutationVerdict("consistent", None, tuple(trace), skipped)
@@ -832,6 +834,8 @@ def ref_normal_refute(sampler, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
                 q_max, arg = q, u
         trace.append((t, q_max))
         best.append(arg)
+        if _two_consecutive(trace, above=True) is not None:
+            break
     idx = _two_consecutive(trace, above=True)
     if idx is None:
         return RefutationVerdict("consistent", None, tuple(trace))
@@ -1091,7 +1095,8 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_check_dual_nc_in_chunks(self, n, k, beta, monkeypatch):
-        # chunks of two or three covectors, so each frame's 24 are split
+        # chunks of 16 covectors in the first wave (2 scales) and 3 in the
+        # second (9 scales), so both waves split each frame's 24
         per_covector = 11 * 12 * 8 * n * k
         monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 3 * per_covector - 1)
         rng = np.random.default_rng(1)
@@ -1148,3 +1153,92 @@ class TestStackSamplersMatchPerSampleReference:
         with pytest.raises(GeometryError, match="shape"):
             frechet_normal_refute(fx.axis_fixture().omega_sampler, p, np.zeros((2, 3)),
                                   seed=[1, 2])
+
+
+def _growing_cone_value(u):
+    """||u|| (1 + 20 ||u||), NaN on the directions within about 26 degrees
+    of +y: along a probe of x = (a, 0) the quotient is 1 + 20 t - a."""
+    r = np.linalg.norm(u, axis=1)
+    return np.where(u[:, 1] > 0.9 * r, np.nan, r * (1.0 + 20.0 * r))
+
+
+def _narrowing_set(t, rng):
+    """Points of a plane set at distance up to t from 0: in the third
+    quadrant at scales above 0.02, in the lower half-plane below it."""
+    top = 1.5 * math.pi if t > 0.02 else 2.0 * math.pi
+    phi = rng.uniform(math.pi, top, size=8)
+    r = t * rng.uniform(0.05, 1.0, size=8)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+class TestTwoWaves:
+    """The refuters score the first two scales of every covector, then the
+    rest of the schedule for the unrefuted ones.  A mixed stack must give,
+    covector by covector, what one-covector calls and the per-sample
+    references give, however it is chunked; a refuted covector's trace and
+    skip count end at its refuting scale."""
+
+    ORIGIN = Point(euclidean(2), np.zeros(2))
+    # refuted at the second scale, refuted at the fifth, consistent, zero
+    SUBDIFF_XS = np.array([[5.0, 0.0], [1.5, 0.0], [0.5, 0.0], [0.0, 0.0]])
+    NORMAL_XS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    TRACE_LENGTHS = [2, 5, 11, 11]
+
+    @staticmethod
+    def _check(got, one_by_one, refs, lengths):
+        assert [len(v.quotient_trace) for v in got] == lengths
+        assert [v.refuted for v in got] == [True, True, False, False]
+        for v, one, ref in zip(got, one_by_one, refs):
+            assert_same_verdict(v, ref)
+            assert_same_verdict(one, ref)
+            if v.refuted:
+                assert v.witness.scale == v.quotient_trace[-1][0]
+
+    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
+    def test_subdiff_refute(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+        p, seeds = self.ORIGIN, [3, 1, 4, 1]
+        got = frechet_subdiff_refute(_growing_cone_value, p, self.SUBDIFF_XS, seed=seeds)
+        one_by_one = [frechet_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=sd)
+                      for x, sd in zip(self.SUBDIFF_XS, seeds)]
+        refs = [ref_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=sd)
+                for x, sd in zip(self.SUBDIFF_XS, seeds)]
+        self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
+        # the skips of the refuted covectors stop at their refuting scale
+        assert all(v.skipped_samples > 0 for v in got)
+        assert got[0].skipped_samples < got[1].skipped_samples < got[2].skipped_samples
+
+    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
+    def test_normal_refute(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+        p, seeds = self.ORIGIN, [2, 7, 1, 8]
+
+        def ref_sampler(t, rng):
+            return [Point(p.manifold, u) for u in _narrowing_set(t, rng)]
+
+        got = frechet_normal_refute(_narrowing_set, p, self.NORMAL_XS, seed=seeds)
+        one_by_one = [frechet_normal_refute(_narrowing_set, p, Tangent(p, x), seed=sd)
+                      for x, sd in zip(self.NORMAL_XS, seeds)]
+        refs = [ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd)
+                for x, sd in zip(self.NORMAL_XS, seeds)]
+        self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
+
+    @pytest.mark.parametrize("cutoff", [0.01, 1.0], ids=["late-scales-empty", "all-empty"])
+    def test_normal_refute_scales_without_samples(self, cutoff):
+        # a scale without samples keeps the quotient -inf and is never a witness
+        p = self.ORIGIN
+
+        def sampler(t, rng):
+            return np.zeros((0, 2)) if t < cutoff else np.array([[t, 0.0]])
+
+        def ref_sampler(t, rng):
+            return [Point(p.manifold, u) for u in sampler(t, rng)]
+
+        xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        got = frechet_normal_refute(sampler, p, xs, seed=[1, 2])
+        for x, sd, v in zip(xs, [1, 2], got):
+            assert_same_verdict(v, ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd))
+        assert got[0].refuted == (cutoff < 0.1)
+        assert got[1].quotient_trace[-1][1] == -math.inf
