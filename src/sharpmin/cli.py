@@ -11,8 +11,10 @@ Exit codes: 0 success / all checks pass; 1 a mathematical check was violated
 or refuted (the report carries the witness); 2 usage error; 3 enumeration
 budget refusal.  Every nonzero exit still emits a report with a
 machine-readable ``reason`` field, except when stdout itself cannot be
-written: that exits 2 with the reason on stderr alone.  Identical flags
-(including --seed) produce byte-identical reports.
+written: that exits 2 with the reason on stderr alone, followed there by
+the check's own reason if it had one.  A report.json already written under
+--out keeps the check's exit code and reason.  Identical flags (including
+--seed) produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -391,8 +393,8 @@ _REFUSALS = {  # exception class -> (exit code, stderr label)
 
 def run(argv=None) -> int:
     """Parse flags, run the command, emit the report; returns the exit code.
-    The code is 1 exactly when the report lists violations or mismatches,
-    and the reason is that list joined by "; "."""
+    The code is 1 exactly when the report lists violations or mismatches
+    and stdout takes the report, and the reason is that list joined by "; "."""
     parser = build_parser()
     args = None  # a parse refusal writes no --out files
     try:
@@ -408,6 +410,7 @@ def run(argv=None) -> int:
         code, label = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
         report, traces, reason = {}, {}, str(exc)
     report |= {"exit_code": code, "reason": reason}
+    stdout_failed = False
     try:
         try:
             emit_report(report, traces, args)
@@ -416,10 +419,11 @@ def run(argv=None) -> int:
             report |= {"exit_code": code, "reason": reason}
             emit_report(report, traces, argparse.Namespace(format=args.format))
     except OSError as exc:  # stdout cannot take the report: the reason goes to stderr alone
-        code, label, reason = EXIT_USAGE, "error", f"cannot write stdout: {exc.strerror or exc}"
-    if code != EXIT_OK:
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        stdout_failed = True
+    if code != EXIT_OK:  # after a stdout failure, the check's own reason follows
         print(f"{label}: {reason}", file=sys.stderr)
-    return code
+    return EXIT_USAGE if stdout_failed else code
 
 
 def main() -> None:

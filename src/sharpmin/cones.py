@@ -40,7 +40,10 @@ reduction keeps the order the one-sample-at-a-time loop used (the first
 extremal sample of a scale is its witness), so the traces, witnesses and
 skip counts are bitwise those of that loop stopped at the refuting scale: a
 refuted covector's trace and skip count end at the scale that refutes it,
-and a consistent covector's cover the whole schedule.
+and a consistent covector's cover the whole schedule.  The checks of a block
+(the sampler's shapes, tangency, the retraction's rank, the manifold rule,
+the shape of f's values) run only on the scales that are scored, so a fault
+at a scale that a first-wave refutation leaves unscored is not raised.
 
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
@@ -212,7 +215,9 @@ def _in_waves(xs: np.ndarray, scales: tuple, score, above: bool) -> list:
     the first left unrefuted.  Every (covector, scale) pair draws from its
     own stream, so the split changes no draw; a refuted covector's trace
     and skip count end at its refuting scale in either wave, so no verdict
-    depends on the split."""
+    depends on the split.  The checks inside ``score`` run only on the
+    scales it scores: a covector refuted in the first wave is not checked
+    at the later scales."""
     verdicts = [None] * len(xs)
     quotients, skips = [[] for _ in xs], [[] for _ in xs]
     unrefuted = list(range(len(xs)))

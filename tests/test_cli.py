@@ -685,6 +685,23 @@ class TestExitCodeRule:
         assert captured.out == ""
         assert captured.err == "error: cannot write stdout: No space left on device\n"
 
+    def test_unwritable_stdout_keeps_the_checks_reason(self, capsys, monkeypatch, tmp_path):
+        # the stdout failure sets the code; the check's reason follows it on
+        # stderr, and the report already under --out keeps the check's code
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setitem(cli._HANDLERS, "verify-lemma",
+                            lambda args: ({"violations": ["a", "b"]}, {}))
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        got = run(["verify-lemma", "--out", str(tmp_path)])
+        assert got == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: cannot write stdout: No space left on device\n"
+                                           "violation: a; b\n")
+        assert json.loads((tmp_path / "report.json").read_text()) == {
+            "violations": ["a", "b"], "exit_code": EXIT_VIOLATION, "reason": "a; b"}
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_full_device_on_stdout_exits_2(self, unbuffered):
@@ -698,6 +715,9 @@ class TestExitCodeRule:
                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
         assert out.returncode == EXIT_USAGE
         assert out.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_cli_import_loads_no_scipy():
     # scipy is a dev-only dependency: the command line must start without it
     src = Path(sharpmin.__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sharpmin.cli; "

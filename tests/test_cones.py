@@ -1242,3 +1242,37 @@ class TestTwoWaves:
             assert_same_verdict(v, ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd))
         assert got[0].refuted == (cutoff < 0.1)
         assert got[1].quotient_trace[-1][1] == -math.inf
+
+    # the schedule's fifth scale and later are below this; the first wave is not
+    LATE = 0.01
+
+    def test_normal_refute_checks_only_scored_scales(self):
+        # a sampler with a bad shape past the first wave: a covector refuted at
+        # the second scale never reaches it, a consistent one must raise
+        p = self.ORIGIN
+
+        def sampler(t, rng):
+            return np.zeros((1, 3)) if t < self.LATE else np.array([[t, 0.0]])
+
+        refuted = frechet_normal_refute(sampler, p, tangent(p, 1.0, 0.0), seed=0)
+        assert refuted.refuted and len(refuted.quotient_trace) == 2
+        with pytest.raises(GeometryError, match="sampler gave shape"):
+            frechet_normal_refute(sampler, p, tangent(p, 0.0, 1.0), seed=0)
+        with pytest.raises(GeometryError, match="sampler gave shape"):
+            frechet_normal_refute(sampler, p, np.array([[1.0, 0.0], [0.0, 1.0]]), seed=[0, 0])
+
+    def test_subdiff_refute_checks_only_scored_scales(self):
+        # an objective that gives one value too few on a block holding rows past
+        # the first wave: the same split as for the sampler above
+        p = self.ORIGIN
+
+        def f(u):
+            values = np.linalg.norm(u, axis=1)
+            return values[:-1] if ((values > 0) & (values < self.LATE)).any() else values
+
+        refuted = frechet_subdiff_refute(f, p, tangent(p, 5.0, 0.0), seed=0)
+        assert refuted.refuted and len(refuted.quotient_trace) == 2
+        with pytest.raises(GeometryError, match="objective gave shape"):
+            frechet_subdiff_refute(f, p, tangent(p, 0.5, 0.0), seed=0)
+        with pytest.raises(GeometryError, match="objective gave shape"):
+            frechet_subdiff_refute(f, p, np.array([[5.0, 0.0], [0.5, 0.0]]), seed=[0, 0])
