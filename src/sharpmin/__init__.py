@@ -29,7 +29,6 @@ from .cones import (
     stiefel_plus_sampler,
 )
 from .wsm import (
-    NcVerdict,
     WsmInstance,
     WsmVerdict,
     check_dual_nc,

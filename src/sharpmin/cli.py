@@ -132,8 +132,7 @@ def _run_relax(args):
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
-        oracle_budget=args.budget,
-        with_oracle=not args.no_oracle,
+        oracle_budget=0 if args.no_oracle else args.budget,  # a zero budget skips the oracle
     )
     result = ch.solve_relaxation(graph, args.k, cfg)
     trace_rows = list(result.trace)
@@ -207,48 +206,34 @@ def _run_verify_lemma(args):
 def _run_verify_cones(args):
     if min(args.covectors, args.frames) < 1:  # a zero budget would pass vacuously
         raise UsageError("--covectors and --frames must be at least 1")
-    identity_reports = []
-    violations = []
-    for fx in fixtures.identity_fixtures():
-        rep = cones.check_dist_subdiff_identity(fx, n_covectors=args.covectors, seed=args.seed)
-        identity_reports.append({
-            "fixture": rep.fixture,
-            "inside_checked": rep.inside_checked,
-            "outside_checked": rep.outside_checked,
-            "passed": rep.passed,
-        })
-        if not rep.passed:
-            violations.append(f"distance-subdifferential identity failed on {rep.fixture}")
-    dirderiv_reports = []
-    for fx in fixtures.dirderiv_fixtures():
-        rep = cones.check_dirderiv_identity(fx, seed=args.seed)
-        dirderiv_reports.append({
-            "fixture": rep.fixture,
-            "max_residual": rep.max_residual,
-            "passed": rep.passed,
-        })
-        if not rep.passed:
-            violations.append(
-                f"directional-derivative identity residual {rep.max_residual:.3g} on {rep.fixture}")
+    identity = [cones.check_dist_subdiff_identity(fx, n_covectors=args.covectors, seed=args.seed)
+                for fx in fixtures.identity_fixtures()]
+    dirderiv = [cones.check_dirderiv_identity(fx, seed=args.seed)
+                for fx in fixtures.dirderiv_fixtures()]
     xval = cones.cross_validate_pattern_cone(n_frames=args.frames, seed=args.seed)
+    violations = [f"distance-subdifferential identity failed on {c.name}"
+                  for c in identity if not c.passed]
+    violations += [f"directional-derivative identity residual "
+                   f"{c.counters['max_residual']:.3g} on {c.name}"
+                   for c in dirderiv if not c.passed]
     if not xval.passed:
-        violations.append(f"{len(xval.disagreements)} cone-pattern disagreement(s)")
+        violations.append(f"{len(xval.failures)} cone-pattern disagreement(s)")
     report = {
         "command": "verify-cones",
         "seed": args.seed,
-        "identity_checks": identity_reports,
-        "dirderiv_checks": dirderiv_reports,
-        "pattern_cross_validation": {
-            "frames_checked": xval.frames_checked,
-            "members_checked": xval.members_checked,
-            "violators_checked": xval.violators_checked,
-            "disagreements": len(xval.disagreements),
-        },
+        "identity_checks": [_check_section(c) for c in identity],
+        "dirderiv_checks": [_check_section(c) for c in dirderiv],
+        "pattern_cross_validation": {**xval.counters, "disagreements": len(xval.failures)},
         "violations": violations,
     }
-    rows = [(r["fixture"], r["max_residual"]) for r in dirderiv_reports]
+    rows = [(c.name, c.counters["max_residual"]) for c in dirderiv]
     traces = {"dirderiv_residuals.csv": (("fixture", "max_residual"), rows)}
     return report, traces
+
+
+def _check_section(c) -> dict:
+    """A fixture check's report section: its name, counters and verdict."""
+    return {"fixture": c.name, **c.counters, "passed": c.passed}
 
 
 def _run_verify_wsm(args):

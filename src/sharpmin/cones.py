@@ -76,6 +76,7 @@ from .manifolds import (
     spawned_generators,
     stiefel,
 )
+from .reporting import Check
 from .stiefel import ENTRY_ZERO_TOL, qr_retract, random_stiefel_plus
 
 REFUTE_TOL = 1e-3      # quotient excess needed, at two consecutive scales
@@ -735,32 +736,19 @@ def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.n
     return sampler
 
 
-@dataclass(frozen=True, eq=False)
-class CrossValidationReport:
-    """Agreement record between pattern membership and the sampling refuter."""
-
-    frames_checked: int
-    members_checked: int
-    violators_checked: int
-    disagreements: tuple  # (frame index, kind, covector)
-
-    @property
-    def passed(self) -> bool:
-        return len(self.disagreements) == 0
-
-
 CROSS_VALIDATION_SCHEDULE = Schedule.geometric(n_scales=8, samples_per_scale=8)
 PER_FRAME = 5  # cone members, and pattern violators, drawn per cross-validated frame
 
 
-def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> CrossValidationReport:
+def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> Check:
     """Check the pattern description against the normal-cone refuter.
 
     For seeded nonnegative frames of St+(n, k), 2 <= n <= 6 and
     1 <= k <= min(3, n), PER_FRAME cone members sampled from the pattern
     must never be refuted, and PER_FRAME tangent covectors violating a sign
     or support condition by at least MARGIN (measured as distance to the
-    pattern) must always be refuted.
+    pattern) must always be refuted.  Each disagreement is a failure
+    (frame index, kind, covector).
     """
     # every frame may record its 2 PER_FRAME covectors, each up to 6 x 3
     require_within_stack_cap("the cross-validation's disagreement record needs",
@@ -799,7 +787,9 @@ def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> CrossVali
                 disagreements.append((idx, "violator-not-refuted", x))
         n_members += len(members)
         n_violators += len(violators)
-    return CrossValidationReport(n_frames, n_members, n_violators, tuple(disagreements))
+    return Check("pattern_cross_validation", n_members + n_violators, tuple(disagreements),
+                 {"frames_checked": n_frames, "members_checked": n_members,
+                  "violators_checked": n_violators})
 
 
 def _pattern_violators(cone: PatternCone, rng: Generator) -> list:
@@ -838,35 +828,21 @@ def _pattern_violators(cone: PatternCone, rng: Generator) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityCheckReport:
-    """Two-sided sampled check that the subdifferential of the distance
-    function is the normal cone intersected with the unit ball."""
-
-    fixture: str
-    inside_checked: int
-    outside_checked: int
-    inside_failures: tuple   # cone-ball covectors that got refuted
-    outside_failures: tuple  # outside covectors that escaped refutation
-
-    @property
-    def passed(self) -> bool:
-        return not self.inside_failures and not self.outside_failures
-
-
 def check_dist_subdiff_identity(
     fixture,
     n_covectors: int = 50,
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
-) -> IdentityCheckReport:
+) -> Check:
     """Sampled two-sided test of the distance-function subdifferential.
 
     (a) covectors sampled from the analytic cone intersected with the unit
-    ball must never be refuted against dist(.; set); (b) covectors outside
-    the cone by MARGIN, or cone directions rescaled past the unit sphere
-    by MARGIN, must be refuted.  ``fixture`` supplies the analytic
-    distance function and the cone samplers (see fixtures module).  A
+    ball must never be refuted against dist(.; set), and each that is fails
+    as ("inside", witness); (b) covectors outside the cone by MARGIN, or
+    cone directions rescaled past the unit sphere by MARGIN, must be
+    refuted, and each that is not fails as ("outside", covector).
+    ``fixture`` supplies the analytic distance function and the cone
+    samplers (see fixtures module).  A
     check whose 2 x n_covectors covectors, scored on the refuter's rows of
     the whole schedule, need more than STACK_BYTES is refused before any
     draw (``BudgetExceededError``).
@@ -892,48 +868,39 @@ def check_dist_subdiff_identity(
     covectors = np.array(inside + outside, dtype=float).reshape(len(seeds),
                                                                 *p.manifold.ambient_shape)
     verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors, schedule, seed=seeds)
-    return IdentityCheckReport(
-        fixture=fixture.name,
-        inside_checked=len(inside),
-        outside_checked=len(outside),
-        inside_failures=tuple(v.witness for v in verdicts[:len(inside)] if v.refuted),
-        outside_failures=tuple(x for x, v in zip(outside, verdicts[len(inside):])
-                               if not v.refuted),
-    )
+    failures = [("inside", v.witness) for v in verdicts[:len(inside)] if v.refuted]
+    failures += [("outside", x) for x, v in zip(outside, verdicts[len(inside):]) if not v.refuted]
+    return Check(fixture.name, len(seeds), tuple(failures),
+                 {"inside_checked": len(inside), "outside_checked": len(outside)})
 
 
-@dataclass(frozen=True, eq=False)
-class DirDerivReport:
-    """Per-direction residuals between the lower directional derivative of
-    the distance function and the distance to the contingent cone."""
-
-    fixture: str
-    rows: tuple  # (direction, lhs, rhs, residual)
-
-    @property
-    def max_residual(self) -> float:
-        return max((r[3] for r in self.rows), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= DIRDERIV_TOL
+def _directional_rows(f, sampler, p: Point, directions, schedule: Schedule, seeds) -> list:
+    """(direction, lhs, rhs) along each direction at p, with one seed each:
+    lhs the contingent derivative of f, rhs the sampled distance from the
+    direction to the contingent cone of the sampler's set."""
+    rows = []
+    for vec, sd in zip(directions, seeds):
+        v = Tangent(p, vec)
+        rows.append((v.vec, contingent_derivative(f, p, v, schedule),
+                     contingent_cone_distance(sampler, p, v, schedule, seed=sd)))
+    return rows
 
 
 def check_dirderiv_identity(
     fixture,
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
-) -> DirDerivReport:
+) -> Check:
     """Finite-dimensional equality test along each of the fixture's
     directions: the lower directional derivative of dist(.; set) matches the
     distance from the direction to the contingent cone, up to estimator bias
-    bounded by DIRDERIV_TOL."""
-    p = fixture.point
-    rows = []
-    for i, vec in enumerate(fixture.directions):
-        v = Tangent(p, np.asarray(vec, dtype=float))
-        lhs = contingent_derivative(fixture.dist_fn, p, v, schedule)
-        rhs = contingent_cone_distance(fixture.omega_sampler, p, v, schedule,
-                                       seed=seed + 7 * i + 3)
-        rows.append((np.asarray(vec, dtype=float), lhs, rhs, abs(lhs - rhs)))
-    return DirDerivReport(fixture=fixture.name, rows=tuple(rows))
+    bounded by DIRDERIV_TOL.  A row (direction, lhs, rhs, residual) fails
+    unless its residual is at most DIRDERIV_TOL, so a NaN residual (lhs and
+    rhs both inf) fails, and the ``max_residual`` counter carries it."""
+    seeds = [seed + 7 * i + 3 for i in range(len(fixture.directions))]
+    rows = _directional_rows(fixture.dist_fn, fixture.omega_sampler, fixture.point,
+                             fixture.directions, schedule, seeds)
+    residuals = [abs(lhs - rhs) for _, lhs, rhs in rows]
+    failures = tuple((*row, r) for row, r in zip(rows, residuals) if not r <= DIRDERIV_TOL)
+    return Check(fixture.name, len(rows), failures,
+                 {"max_residual": float(np.max(residuals, initial=0.0))})

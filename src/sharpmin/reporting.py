@@ -10,9 +10,30 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class Check:
+    """Outcome of one sampled check: its name, how many items it scored, the
+    failing items with their witnesses, and the check's own counters for the
+    report.  ``passed`` means no failure was found; it certifies nothing."""
+
+    name: str
+    checked: int
+    failures: tuple
+    counters: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def witness(self):
+        return self.failures[0] if self.failures else None
 
 
 def to_jsonable(obj):

@@ -30,17 +30,16 @@ from numpy.random import default_rng
 from .manifolds import (
     GeometryError,
     Point,
-    Tangent,
     point_stack,
 )
 from .cones import (
     DEFAULT_SCHEDULE,
     Schedule,
-    contingent_cone_distance,
-    contingent_derivative,
+    _directional_rows,
     frechet_subdiff_refute,
     objective_values,
 )
+from .reporting import Check
 
 VIOLATION_TOL = 1e-9
 # A sample whose distance is at most this lies in the solution set: points
@@ -165,22 +164,6 @@ def _distances_at(distance, coords: np.ndarray) -> list:
     return d.tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class NcVerdict:
-    """Outcome of a necessary-condition check ('primal' or 'dual').
-    ``passed`` means no violation was found; a failure always carries the
-    witnessing item."""
-
-    kind: str
-    passed: bool
-    checked: int
-    failures: tuple
-
-    @property
-    def witness(self):
-        return self.failures[0] if self.failures else None
-
-
 def check_primal_nc(
     f: Callable[[np.ndarray], np.ndarray],
     omega_sampler,
@@ -190,19 +173,15 @@ def check_primal_nc(
     schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
     tol: float = 5e-2,
-) -> NcVerdict:
+) -> Check:
     """Directional necessary condition for a sharp solution set: along every
     tangent direction the lower directional derivative of f must dominate
-    alpha times the distance to the contingent cone of the set."""
-    directions = [np.asarray(vec, dtype=float) for vec in directions]
-    failures = []
-    for i, vec in enumerate(directions):
-        v = Tangent(p, vec)
-        lhs = contingent_derivative(f, p, v, schedule)
-        rhs = contingent_cone_distance(omega_sampler, p, v, schedule, seed=seed + 11 * i + 5)
-        if lhs < alpha * rhs - tol:
-            failures.append((vec, lhs, rhs))
-    return NcVerdict("primal", not failures, len(directions), tuple(failures))
+    alpha times the distance to the contingent cone of the set.  Each
+    direction where it does not fails as (direction, lhs, rhs)."""
+    seeds = [seed + 11 * i + 5 for i in range(len(directions))]
+    rows = _directional_rows(f, omega_sampler, p, directions, schedule, seeds)
+    return Check("primal", len(rows),
+                 tuple(row for row in rows if row[1] < alpha * row[2] - tol))
 
 
 def check_dual_nc(
@@ -211,14 +190,14 @@ def check_dual_nc(
     alpha: float = 1.0,
     seed: int = 0,
     schedule: Schedule = DEFAULT_SCHEDULE,
-) -> NcVerdict:
+) -> Check:
     """Dual necessary condition: every covector in the normal cone capped at
     norm alpha must survive the subdifferential refuter on f at the cone's
     base point ``cone.base``.  The sampler covers the extreme rays of the
     cone first (the places a sharpness claim fails first) and fills up to
     DUAL_CONE_SAMPLES with random members scaled into the alpha-ball.  The
     candidates and their seeds are drawn first and then refuted as one
-    stack."""
+    stack; each refuted candidate fails with its refuter witness."""
     rng = default_rng(seed)
     candidates = [alpha * r for r in cone.extreme_rays()]
     remaining = max(0, DUAL_CONE_SAMPLES - len(candidates))
@@ -228,5 +207,5 @@ def check_dual_nc(
     seeds = [int(rng.integers(2**31)) for _ in candidates]
     verdicts = frechet_subdiff_refute(f, cone.base, np.array(candidates), schedule, seed=seeds)
     failures = [v.witness for v in verdicts if v.refuted]
-    return NcVerdict("dual", not failures, len(candidates), tuple(failures))
+    return Check("dual", len(candidates), tuple(failures))
 

@@ -50,8 +50,8 @@ def test_criterion_2_dist_subdiff_identity():
     start = time.monotonic()
     for fixture in fx.identity_fixtures():
         rep = sm.check_dist_subdiff_identity(fixture, n_covectors=50, seed=0)
-        assert rep.inside_checked >= 50 and rep.outside_checked >= 50
-        assert rep.passed, (fixture.name, rep.inside_failures, rep.outside_failures)
+        assert rep.counters["inside_checked"] >= 50 and rep.counters["outside_checked"] >= 50
+        assert rep.passed, (fixture.name, rep.failures)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"criterion 2 took {elapsed:.1f}s"
     _report(f"ACCEPTANCE 2 dist-subdifferential-identity: PASS (3 fixtures, {elapsed:.1f}s)")
@@ -63,8 +63,8 @@ def test_criterion_3_dirderiv_identity():
     worst = 0.0
     for fixture in fx.dirderiv_fixtures():
         rep = sm.check_dirderiv_identity(fixture, schedule=schedule, seed=0)
-        assert rep.passed and rep.max_residual <= 5e-2, (fixture.name, rep.rows)
-        worst = max(worst, rep.max_residual)
+        assert rep.passed and rep.counters["max_residual"] <= 5e-2, (fixture.name, rep.failures)
+        worst = max(worst, rep.counters["max_residual"])
     _report(f"ACCEPTANCE 3 directional-derivative-identity: PASS (max residual {worst:.2e})")
 
 
@@ -100,10 +100,11 @@ def test_criterion_4_wsm_necessary_condition_split():
 
 def test_criterion_5_pattern_cross_validation():
     rep = sm.cross_validate_pattern_cone(n_frames=100, seed=0)
-    assert rep.frames_checked == 100
-    assert rep.passed, rep.disagreements
+    assert rep.counters["frames_checked"] == 100
+    assert rep.passed, rep.failures
     _report(f"ACCEPTANCE 5 cone-pattern-cross-validation: PASS "
-            f"({rep.members_checked} members, {rep.violators_checked} violators, "
+            f"({rep.counters['members_checked']} members, "
+            f"{rep.counters['violators_checked']} violators, "
             f"0 disagreements)")
 
 

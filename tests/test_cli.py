@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -14,12 +15,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sharpmin
 import sharpmin.cli as cli
+import sharpmin.cones as cones
+import sharpmin.fixtures as fixtures
 from sharpmin.manifolds import STACK_BYTES
 from sharpmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, run
 from sharpmin.fixtures import arc_chordal_distance
@@ -337,6 +341,20 @@ class TestRelax:
         lines = out.splitlines()
         assert lines[1] == "iter,objective,penalty,feasibility_residual"
 
+    def test_no_oracle_is_a_zero_budget(self, capsys, c4_file, tmp_path):
+        outputs = []
+        for flags in (["--no-oracle"], ["--budget", "0"]):
+            out_dir = tmp_path / flags[-1]
+            code, _, _ = run_captured(
+                capsys, ["relax", "--graph", c4_file, "--k", "2", "--restarts", "3",
+                         "--max-iters", "40", "--out", str(out_dir), *flags])
+            assert code == EXIT_OK
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("report.json", "relax_trace.csv")])
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0][0])
+        assert report["oracle_value"] is None and report["oracle_assignments"] is None
+
     def test_explicit_penalty_weight_serializes(self, capsys, c4_file):
         code, out, _ = run_captured(
             capsys, ["relax", "--graph", c4_file, "--k", "2", "--penalty-c", "9.5",
@@ -415,6 +433,52 @@ class TestVerifyWsm:
         report = json.loads(out)
         assert report["modulus_trace"] == [[1, "inf"]]
         assert report["violations"] == []
+
+
+class TestVerifyConesFailures:
+    def test_every_check_fails(self, capsys, monkeypatch, tmp_path):
+        # each check made to fail through its tolerance, schedule or fixture:
+        # every residual exceeds a negative tolerance, one scale refutes
+        # nothing, and a zero covector lies in every distance subdifferential
+        standard = fixtures.identity_fixtures
+        zero_out = [dataclasses.replace(f, cone_sample_out=lambda rng, margin,
+                                        c=f.point.coords: np.zeros_like(c))
+                    for f in standard()]
+        monkeypatch.setattr(cones, "DIRDERIV_TOL", -1.0)
+        monkeypatch.setattr(cones, "CROSS_VALIDATION_SCHEDULE",
+                            cones.Schedule(scales=(0.1,), samples_per_scale=8))
+        monkeypatch.setattr(fixtures, "identity_fixtures", lambda: zero_out)
+        out_dir = tmp_path / "cones"
+        code, out, _ = run_captured(
+            capsys, ["verify-cones", "--covectors", "2", "--frames", "2", "--format", "csv",
+                     "--out", str(out_dir)])
+        assert code == EXIT_VIOLATION
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["identity_checks"] == [
+            {"fixture": name, "inside_checked": 2, "outside_checked": 2, "passed": False}
+            for name in ("halfplane", "nonnegative-arc", "fullspace")]
+        residuals = [(c["fixture"], c["max_residual"]) for c in report["dirderiv_checks"]]
+        assert [name for name, _ in residuals] == ["axis-in-plane", "halfplane",
+                                                   "nonnegative-arc"]
+        assert all(0.0 <= r <= 5e-2 for _, r in residuals)
+        assert [c["passed"] for c in report["dirderiv_checks"]] == [False] * 3
+        assert report["pattern_cross_validation"] == {
+            "frames_checked": 2, "members_checked": 10, "violators_checked": 10,
+            "disagreements": 10}
+        violations = [f"distance-subdifferential identity failed on {name}"
+                      for name in ("halfplane", "nonnegative-arc", "fullspace")]
+        violations += [f"directional-derivative identity residual {r:.3g} on {name}"
+                       for name, r in residuals]
+        violations.append("10 cone-pattern disagreement(s)")
+        assert report["violations"] == violations
+        assert (report["exit_code"], report["reason"]) == (EXIT_VIOLATION, "; ".join(violations))
+        table = csv_text_rows(("fixture", "max_residual"), residuals)
+        assert (out_dir / "dirderiv_residuals.csv").read_text() == table
+        assert out == table + f"exit_code,reason\n1,{'; '.join(violations)}\n"
+
+
+def csv_text_rows(header, rows):
+    return "\n".join([",".join(header)] + [f"{a},{b!r}" for a, b in rows]) + "\n"
 
 
 class TestReportCommand:

@@ -345,7 +345,7 @@ class TestDistSubdiffIdentity:
                                                  fx.fullspace_fixture])
     def test_both_directions(self, fixture_builder):
         rep = check_dist_subdiff_identity(fixture_builder(), n_covectors=20, seed=0)
-        assert rep.passed, (rep.inside_failures, rep.outside_failures)
+        assert rep.passed, rep.failures
 
     def test_rows_past_the_cap_refused_before_any_draw(self):
         # 2 x covectors covectors, each on 2 scales of 2 probes and 1 direction
@@ -377,25 +377,44 @@ class TestDirDerivIdentity:
                                                  fx.arc_fixture])
     def test_residuals(self, fixture_builder):
         rep = check_dirderiv_identity(fixture_builder(), seed=0)
-        assert rep.passed, rep.rows
-        assert rep.max_residual <= 5e-2
+        assert rep.passed, rep.failures
+        assert rep.counters["max_residual"] <= 5e-2
 
     def test_arc_leaving_direction(self):
         arc = fx.arc_fixture()
-        rep = check_dirderiv_identity(arc, seed=0)
-        direction, lhs, rhs, _ = rep.rows[0]
+        assert check_dirderiv_identity(arc, seed=0).passed
+        direction = arc.directions[0]
+        v = Tangent(arc.point, direction)
+        lhs = contingent_derivative(arc.dist_fn, arc.point, v)
+        rhs = contingent_cone_distance(arc.omega_sampler, arc.point, v, seed=3)  # the check's seed
         assert direction.tolist() == [0.0, -1.0]
         assert lhs == pytest.approx(1.0, abs=1e-2)
         assert rhs == pytest.approx(1.0, abs=1e-9)
+
+    def test_nan_residual_fails(self, monkeypatch):
+        # the second of the four halfplane directions gives lhs = rhs = inf,
+        # so its residual is NaN; it must not hide behind the finite ones
+        fixture = fx.halfplane_fixture()
+        values = [0.0, math.inf, 0.0, 0.0]
+        lhs, rhs = iter(values), iter(values)
+        monkeypatch.setattr(cones_module, "contingent_derivative", lambda *a, **kw: next(lhs))
+        monkeypatch.setattr(cones_module, "contingent_cone_distance",
+                            lambda *a, **kw: next(rhs))
+        rep = check_dirderiv_identity(fixture, seed=0)
+        assert not rep.passed
+        assert math.isnan(rep.counters["max_residual"])
+        (direction, got_lhs, got_rhs, residual), = rep.failures
+        assert direction.tolist() == fixture.directions[1].tolist()
+        assert (got_lhs, got_rhs) == (math.inf, math.inf) and math.isnan(residual)
 
 
 class TestCrossValidation:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_frames_agree(self, seed):
         rep = cross_validate_pattern_cone(n_frames=25, seed=seed)
-        assert rep.passed, rep.disagreements
-        assert rep.members_checked > 0
-        assert rep.violators_checked > 0
+        assert rep.passed, rep.failures
+        assert rep.counters["members_checked"] > 0
+        assert rep.counters["violators_checked"] > 0
 
     def test_frames_past_the_cap_refused_before_any_draw(self, monkeypatch):
         # each frame may record 2 x PER_FRAME covectors of up to 6 x 3 entries
@@ -1070,8 +1089,9 @@ class TestStackSamplersMatchPerSampleReference:
             monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
         got = cross_validate_pattern_cone(n_frames=12, seed=4)
         members, violators, disagreements = ref_cross_validate(12, 4)
-        assert (got.members_checked, got.violators_checked) == (members, violators)
-        assert [(i, kind) for i, kind, _ in got.disagreements] == \
+        assert (got.counters["members_checked"], got.counters["violators_checked"]) == \
+            (members, violators)
+        assert [(i, kind) for i, kind, _ in got.failures] == \
             [(i, kind) for i, kind, _ in disagreements]
 
     @pytest.mark.parametrize("builder", [fx.halfplane_fixture, fx.arc_fixture,
@@ -1086,11 +1106,12 @@ class TestStackSamplersMatchPerSampleReference:
         got = check_dist_subdiff_identity(fixture, n_covectors=6, seed=3)
         inside, outside = ref_dist_subdiff_identity(fixture, 6, 3)
         assert inside and outside
-        assert len(got.inside_failures) == len(inside)
-        for w_got, w_ref in zip(got.inside_failures, inside):
+        inside_got = [w for tag, w in got.failures if tag == "inside"]
+        assert len(inside_got) == len(inside)
+        for w_got, w_ref in zip(inside_got, inside):
             for field in ("covector", "point_coords", "scale", "quotient"):
                 assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
-        assert _bits(got.outside_failures) == _bits(outside)
+        assert _bits([x for tag, x in got.failures if tag == "outside"]) == _bits(outside)
 
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     @pytest.mark.parametrize("beta", [0.5, 2.0])
