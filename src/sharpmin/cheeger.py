@@ -177,10 +177,6 @@ class SubPartition:
                 raise GraphFormatError("sub-partition parts must be disjoint")
             seen |= p
 
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
 
 def cut_boundary(graph: Graph, vertices) -> int:
     """Number of edges with exactly one endpoint in the vertex set."""
@@ -752,7 +748,8 @@ def wsm_penalty_check(
     Runs (a) a sampled sharpness check of h_beta against the exact distance
     over random frames, (b) dual necessary-condition checks at seeded
     nonnegative frames using the sign/support cone pattern, and (c) a modulus
-    estimate trace.  Small dimensions only (dense sampling).
+    estimate trace.  Small dimensions only (dense sampling), and not St(1, 1),
+    which is zero-dimensional: it has no tangent direction (``GeometryError``).
 
     Two budgets are refused before any draw.  The stack of n_samples frames
     must fit in STACK_BYTES (``BudgetExceededError``).  alpha must satisfy
@@ -766,6 +763,8 @@ def wsm_penalty_check(
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise GeometryError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     manifold = stiefel(n, k)
+    if manifold.intrinsic_dim == 0:
+        raise GeometryError(f"{manifold} is zero-dimensional: no tangent direction to sample")
     require_within_stack_cap("the study's sample stack needs", 8 * n_samples * n * k)
     alpha_max = _largest_modulus(n, k)
     if alpha > alpha_max:

@@ -272,20 +272,21 @@ def _run_verify_wsm(args):
     return report, traces
 
 
-def _sub_args(args, command: str, *flags: str) -> argparse.Namespace:
-    """The arguments of ``command`` with its parser's defaults, the given
+def _sub_args(parser, args, command: str, *flags: str) -> argparse.Namespace:
+    """The arguments of ``command`` with the parser's defaults, the given
     flags and the report's own --seed, --format and --out."""
     argv = [command, *flags, f"--seed={args.seed}", f"--format={args.format}"]
     if args.out is not None:
         argv.append(f"--out={args.out}")
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _run_report(args):
     """Reproduction bundle: each claim is checked against its expected
     verdict (the beta > 1 refutation is expected, so observing it passes)."""
-    lemma_report, lemma_traces = _run_verify_lemma(_sub_args(args, "verify-lemma"))
-    cones_report, cones_traces = _run_verify_cones(_sub_args(args, "verify-cones"))
+    parser = build_parser()
+    lemma_report, lemma_traces = _run_verify_lemma(_sub_args(parser, args, "verify-lemma"))
+    cones_report, cones_traces = _run_verify_cones(_sub_args(parser, args, "verify-cones"))
     mismatches = []
     if lemma_report["violations"]:
         mismatches.append("local distance comparison failed")
@@ -295,7 +296,7 @@ def _run_report(args):
     wsm_summaries = {}
     for beta, expected in expectations.items():
         wsm_report, _ = _run_verify_wsm(_sub_args(
-            args, "verify-wsm", "--n=2", "--k=1", f"--beta={beta}", "--samples=300"))
+            parser, args, "verify-wsm", "--n=2", "--k=1", f"--beta={beta}", "--samples=300"))
         observed = wsm_report["dual_consistent"]
         wsm_summaries[str(beta)] = {
             "expected_dual_consistent": expected,
@@ -311,7 +312,8 @@ def _run_report(args):
     traces.update(cones_traces)
     if args.graph is not None:
         relax_report, relax_traces = _run_relax(_sub_args(
-            args, "relax", f"--graph={args.graph}", f"--k={args.k}", f"--budget={args.budget}"))
+            parser, args, "relax", f"--graph={args.graph}", f"--k={args.k}",
+            f"--budget={args.budget}"))
         graph_section = relax_report
         traces.update(relax_traces)
         if relax_report.get("gap") is not None and relax_report["gap"] < -1e-9:

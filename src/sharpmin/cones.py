@@ -18,13 +18,12 @@ f on that row alone.  Set samplers follow the contract of ``manifolds``:
 ``sampler(t, rng)`` returns one stack of set points, checked on the manifold
 by one call.
 
-Both refuters take one covector (a ``Tangent`` and its seed) or a stack of
-covectors with one seed each, and score the stack as numpy blocks of at most
-``REFUTE_BLOCK_BYTES``; one covector is the one-row case.  Every scale of
-every covector draws from its own stream: ``manifolds.spawned_generators``
-gives the states of ``SeedSequence(seed).spawn(n_scales)`` for all the
-covectors of a call at once, and a covector's verdict does not depend on the
-stack it is scored in.  The stack is scored in two waves: the first
+Both refuters take a stack of covectors with one seed each (one covector is
+a one-row stack), and score the stack as numpy blocks of at most
+``REFUTE_BLOCK_BYTES``.  Every scale of every covector draws from its own
+stream: ``manifolds.spawned_generators`` gives the states of
+``SeedSequence(seed).spawn(n_scales)`` for all the covectors of a call at
+once, and a covector's verdict does not depend on the stack it is scored in.  The stack is scored in two waves: the first
 FIRST_WAVE scales of every covector, the earliest that can refute one, then
 the rest of the schedule for the covectors still unrefuted, so no scale is
 scored once its covector is refuted.  ``frechet_subdiff_refute`` lays out
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, default_rng
@@ -97,8 +96,8 @@ class Schedule:
     samples_per_scale: int = 32
 
     def __post_init__(self):
-        if len(self.scales) == 0:
-            raise GeometryError("schedule needs at least one scale")
+        if len(self.scales) < 2:
+            raise GeometryError("schedule needs at least two scales to refute anything")
         if any(t <= 0 for t in self.scales):
             raise GeometryError("scales must be positive")
         if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
@@ -160,11 +159,8 @@ class RefutationBlock(tuple):
 
 
 def _covectors(p: Point, x, seed):
-    """(stack of covectors, their seeds, whether x was one ``Tangent``) from
-    one Tangent and its seed or from a stack of covectors at p, checked
-    tangent, and one seed each."""
-    if isinstance(x, Tangent):
-        return x.vec[None], [seed], True
+    """(stack of covectors, their seeds) from a stack of covectors at p,
+    checked tangent, and one seed each."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.shape[1:] != p.manifold.ambient_shape or xs.ndim != len(p.manifold.ambient_shape) + 1:
         raise GeometryError(f"covector stack shape {xs.shape} does not match {p.manifold}")
@@ -172,7 +168,7 @@ def _covectors(p: Point, x, seed):
     seeds = list(seed)
     if len(seeds) != len(xs):
         raise GeometryError(f"{len(xs)} covectors need as many seeds, got {len(seeds)}")
-    return xs, seeds, False
+    return xs, seeds
 
 
 def _chart_block(p: Point, coords: np.ndarray):
@@ -252,8 +248,9 @@ def frechet_normal_refute(
     p: Point,
     x,
     schedule: Schedule = DEFAULT_SCHEDULE,
-    seed=0,
-):
+    *,
+    seed: Sequence[int],
+) -> RefutationBlock:
     """One-sided test of covectors against the Frechet normal cone of a set
     at p.
 
@@ -263,16 +260,15 @@ def frechet_normal_refute(
     refuter estimates the limiting sup of <x, chart(u)> / d(u, p) and reports
     ``refuted`` when the quotient exceeds +tol at two consecutive scales.
 
-    ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
-    ``RefutationVerdict``, or a stack of covectors at p with a sequence of
-    seeds, one each, which gives a ``RefutationBlock``.  The covectors are
+    ``x`` is a stack of covectors at p and ``seed`` a sequence of seeds, one
+    each; the verdicts come as a ``RefutationBlock``.  The covectors are
     scored in two waves (see ``_in_waves``): the first FIRST_WAVE scales of
     every covector, then the rest for the unrefuted ones.  The sampler is
     called once per covector and scale scored; the samples of a chunk of
     covectors are checked on the manifold, pulled back and scored as one
     block, and each scale keeps its first largest quotient.
     """
-    xs, seeds, single = _covectors(p, x, seed)
+    xs, seeds = _covectors(p, x, seed)
     scales = schedule.scales
     shape = p.manifold.ambient_shape
     row_bytes = 8 * math.prod(shape)
@@ -292,8 +288,7 @@ def frechet_normal_refute(
                 yield _normal_block(p, xs[chunk], stacks, scales[ks.start:ks.stop])
                 chunk, stacks = [], []
 
-    verdicts = _in_waves(xs, scales, score, above=True)
-    return verdicts[0] if single else RefutationBlock(verdicts)
+    return RefutationBlock(_in_waves(xs, scales, score, above=True))
 
 
 def _normal_block(p: Point, xs: np.ndarray, stacks: list, scales: tuple):
@@ -361,8 +356,9 @@ def frechet_subdiff_refute(
     p: Point,
     x,
     schedule: Schedule = DEFAULT_SCHEDULE,
-    seed=0,
-):
+    *,
+    seed: Sequence[int],
+) -> RefutationBlock:
     """One-sided test of covectors against the Frechet subdifferential of f
     at p.
 
@@ -372,9 +368,8 @@ def frechet_subdiff_refute(
     fell below -tol at two consecutive scales, so x cannot belong to the
     subdifferential; ``consistent`` certifies nothing.
 
-    ``x`` is one ``Tangent`` (with an int ``seed``), which gives one
-    ``RefutationVerdict``, or a stack of covectors at p with a sequence of
-    seeds, one each, which gives a ``RefutationBlock``.  f maps a stack of
+    ``x`` is a stack of covectors at p and ``seed`` a sequence of seeds, one
+    each; the verdicts come as a ``RefutationBlock``.  f maps a stack of
     point coordinates to one value per row.  The covectors are scored in two
     waves (see ``_in_waves``): the first FIRST_WAVE scales of every
     covector, then the rest for the unrefuted ones.  In each wave a chunk of
@@ -385,7 +380,7 @@ def frechet_subdiff_refute(
     skipped and counted; the first sample attaining a scale's least quotient
     is that scale's witness.
     """
-    xs, seeds, single = _covectors(p, x, seed)
+    xs, seeds = _covectors(p, x, seed)
     f0 = _base_value(f, p)
     row_bytes = 8 * math.prod(p.manifold.ambient_shape)
 
@@ -395,8 +390,7 @@ def frechet_subdiff_refute(
             chunk = cs[start:start + per_chunk]
             yield _subdiff_block(f, f0, p, xs[chunk], [seeds[c] for c in chunk], schedule, ks)
 
-    verdicts = _in_waves(xs, schedule.scales, score, above=False)
-    return verdicts[0] if single else RefutationBlock(verdicts)
+    return RefutationBlock(_in_waves(xs, schedule.scales, score, above=False))
 
 
 def _subdiff_rows(schedule: Schedule, n_scales: int) -> int:
@@ -610,10 +604,6 @@ class PatternCone:
         return rays
 
     def _coerce(self, x) -> np.ndarray:
-        if isinstance(x, Tangent):
-            if not np.array_equal(x.base.coords, self.base.coords):
-                raise GeometryError("covector is based at a different frame")
-            x = x.vec
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.k):
             raise GeometryError(f"covector shape {x.shape} does not match frame "

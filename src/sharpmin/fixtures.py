@@ -36,10 +36,6 @@ class SetFixture:
     directions: tuple = ()
     tangent_cone_dist: Callable[[np.ndarray], float] | None = None
 
-    @property
-    def manifold(self):
-        return self.point.manifold
-
 
 def axis_fixture() -> SetFixture:
     """The x-axis in R^2 at the origin.  Normal cone: the y-axis (a line);

@@ -277,10 +277,6 @@ class Tangent:
         object.__setattr__(self, "vec", vec)
         require_tangent(self.base, vec[None])
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
 
 def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
     """Ambient coordinates of exp_p(v) for each row v of a stack
@@ -511,21 +507,19 @@ def spawned_generators(seeds: Sequence[int], keys: Sequence[int]) -> list:
     return [Generator(PCG64(_SpawnedState(w))) for w in states]
 
 
-def random_tangents(p: Point, rng: Generator | Sequence[Generator], count: int) -> np.ndarray:
+def random_tangents(p: Point, gens: Sequence[Generator], count: int) -> np.ndarray:
     """Stack of seeded unit tangent directions at p, uniform over
-    directions: ``count`` rows from ``rng``, or ``count`` rows from each
-    generator of a sequence ``rng`` in turn, projected, checked and
-    normalised as one block.
+    directions: ``count`` rows from each generator of the sequence ``gens``
+    in turn, projected, checked and normalised as one block.
 
-    Each generator makes one ``standard_normal`` draw, which it fills in
-    order, so its row i equals the i-th of ``count`` calls of
-    ``random_tangent`` on it.  A projection of length <= 1e-12 (a
-    measure-zero event) is redrawn from the generator it came from, at most
-    64 draws per row; only then does the stream part from the one-at-a-time
-    order.
+    Each generator makes one ``standard_normal((count, *ambient_shape))``
+    draw, which it fills in order, so its row i is the direction the i-th of
+    ``count`` one-row draws from it would give.  A projection of length
+    <= 1e-12 (a measure-zero event) is redrawn from the generator it came
+    from, at most 64 draws per row; only then does the stream part from the
+    one-at-a-time order.
     """
     shape = p.manifold.ambient_shape
-    gens = [rng] if isinstance(rng, Generator) else list(rng)
 
     def redraw(rows: np.ndarray) -> np.ndarray:
         owners, counts = np.unique(rows // count, return_counts=True)
@@ -559,12 +553,6 @@ def _scaled_tangents(p: Point, z: np.ndarray, redraw: Callable[[np.ndarray], np.
     vecs = _per_row(norm / lengths, vecs) * vecs
     require_tangent(p, vecs)
     return vecs
-
-
-def random_tangent(p: Point, rng: Generator) -> Tangent:
-    """Seeded unit tangent direction, uniform over directions: the one-row
-    case of ``random_tangents``."""
-    return Tangent(p, random_tangents(p, rng, 1)[0])
 
 
 def chart_ball_points(p: Point, r: float, rng: Generator, count: int) -> np.ndarray:
@@ -711,9 +699,9 @@ def geodesic_sphere_sampler(p: Point) -> Callable[[float, Generator], np.ndarray
 
 
 def _tangent_plane_basis(p: Point, rng: Generator):
-    u = random_tangent(p, rng).vec
+    u = random_tangents(p, [rng], 1)[0]
     for _ in range(64):
-        w = random_tangent(p, rng).vec
+        w = random_tangents(p, [rng], 1)[0]
         w = w - np.dot(w, u) * u
         nw = float(np.linalg.norm(w))
         if nw > 1e-8:

@@ -26,12 +26,10 @@ class FrameError(ValueError):
     """Raised for rank-deficient retractions or infeasible frames."""
 
 
-def frame_residual(u: np.ndarray):
-    """||U^T U - I||_F; a stack of frames (..., n, k) gives one residual per
-    frame, each with the bits of the one-frame call."""
+def frame_residual(u: np.ndarray) -> np.ndarray:
+    """||U^T U - I||_F of each frame of a stack (..., n, k), with the bits of
+    ``np.linalg.norm`` of that frame's U^T U - I."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
     flat = (u.mT @ u - np.eye(u.shape[-1])).reshape(*u.shape[:-2], u.shape[-1] ** 2)
     return np.sqrt(np.vecdot(flat, flat))
 

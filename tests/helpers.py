@@ -1,12 +1,14 @@
 """Small constructors the tests share: points and the negative-part penalty
-on the unit circle (height-2, width-1 frames are the unit circle), the
-indicator frame of a sub-partition, and the solver's subgradient."""
+on the unit circle (height-2, width-1 frames are the unit circle), one
+covector's refuter verdict, the indicator frame of a sub-partition, and the
+solver's subgradient."""
 
 import math
 
 import numpy as np
 
 from sharpmin.cheeger import _edge_differences, _incidence_plan, _subgradient
+from sharpmin.cones import DEFAULT_SCHEDULE
 from sharpmin.manifolds import Point, sphere, stiefel
 
 
@@ -24,10 +26,17 @@ def circle_penalty(beta):
     return f
 
 
+def refute_one(refute, g, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+    """The verdict of a refuter (``frechet_normal_refute`` with a sampler g
+    or ``frechet_subdiff_refute`` with an objective g) on one ``Tangent`` x
+    at p, scored as a one-row stack with its one seed."""
+    return refute(g, p, x.vec[None], schedule, seed=[seed])[0]
+
+
 def indicator_frame(graph, parts):
     """Frame with columns 1_{A_i} / sqrt(|A_i|); lies on the nonnegative
     slice and reproduces the discrete objective under the relaxation."""
-    u = np.zeros((graph.n, parts.k))
+    u = np.zeros((graph.n, len(parts.parts)))
     for j, p in enumerate(parts.parts):
         for v in p:
             u[v - 1, j] = 1.0 / math.sqrt(len(p))

@@ -655,7 +655,7 @@ class TestRounding:
         g = Graph(n=n, edges=edges)
         u = random_stiefel(n, k, rng)
         got = round_solution(g, u)  # SubPartition enforces disjoint nonempty
-        assert 1 <= got.k <= k
+        assert 1 <= len(got.parts) <= k
         magnitudes = np.abs(u)
         for j, part in enumerate(got.parts):
             for v in part:

@@ -283,6 +283,18 @@ class TestUsageErrors:
             f"modulus {above} can overflow the dual check; "
             f"the largest at n={n}, k={k} is {largest}")
 
+    def test_verify_wsm_refuses_zero_dimensional_stiefel(self, capsys, monkeypatch):
+        # St(1, 1) = {1, -1} has no tangent direction: refused before any draw
+        def study(*args, **kwargs):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(cli.ch, "verify_wsm_sampled", study)
+        code, out, err = run_captured(capsys, ["verify-wsm", "--n", "1", "--k", "1",
+                                               "--beta", "2"])
+        assert code == EXIT_USAGE
+        reason = "stiefel(1, 1) is zero-dimensional: no tangent direction to sample"
+        assert json.loads(out)["reason"] == reason
+        assert err == f"error: {reason}\n"
+
     @pytest.mark.parametrize("argv,needs,unit", [
         # unit: the bytes of one sample, test point or covector; a covector of
         # verify-cones is scored on 11 scales x (2 probes + 32 directions),
@@ -437,16 +449,16 @@ class TestVerifyWsm:
 
 class TestVerifyConesFailures:
     def test_every_check_fails(self, capsys, monkeypatch, tmp_path):
-        # each check made to fail through its tolerance, schedule or fixture:
-        # every residual exceeds a negative tolerance, one scale refutes
-        # nothing, and a zero covector lies in every distance subdifferential
+        # each check made to fail through a tolerance or its fixtures:
+        # every residual exceeds a negative tolerance, an infinite refutation
+        # tolerance refutes nothing, and a zero covector lies in every distance
+        # subdifferential
         standard = fixtures.identity_fixtures
         zero_out = [dataclasses.replace(f, cone_sample_out=lambda rng, margin,
                                         c=f.point.coords: np.zeros_like(c))
                     for f in standard()]
         monkeypatch.setattr(cones, "DIRDERIV_TOL", -1.0)
-        monkeypatch.setattr(cones, "CROSS_VALIDATION_SCHEDULE",
-                            cones.Schedule(scales=(0.1,), samples_per_scale=8))
+        monkeypatch.setattr(cones, "REFUTE_TOL", math.inf)
         monkeypatch.setattr(fixtures, "identity_fixtures", lambda: zero_out)
         out_dir = tmp_path / "cones"
         code, out, _ = run_captured(

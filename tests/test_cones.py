@@ -36,7 +36,6 @@ from sharpmin.manifolds import (
     Point,
     Tangent,
     euclidean,
-    random_tangent,
     random_tangents,
     sphere,
     stiefel,
@@ -44,7 +43,7 @@ from sharpmin.manifolds import (
 )
 from sharpmin.stiefel import ENTRY_ZERO_TOL, random_stiefel_plus
 from sharpmin.wsm import check_dual_nc
-from helpers import circle_penalty, circle_point
+from helpers import circle_penalty, circle_point, refute_one
 
 
 def plane_point(*coords):
@@ -65,6 +64,8 @@ class TestSchedule:
             Schedule(scales=(0.1, 0.2))
         with pytest.raises(GeometryError):
             Schedule(scales=())
+        with pytest.raises(GeometryError, match="two scales"):
+            Schedule(scales=(0.1,))
 
 
 class TestPatternCone:
@@ -174,7 +175,7 @@ class TestPatternCone:
         base = Point(stiefel(4, 2), p)
         sampler = stiefel_plus_sampler(cone)
         for x in cone.sample_members(rng, 5):
-            verdict = frechet_normal_refute(sampler, base, Tangent(base, x), seed=1)
+            verdict = refute_one(frechet_normal_refute, sampler, base, Tangent(base, x), seed=1)
             assert not verdict.refuted
 
 
@@ -182,7 +183,7 @@ class TestNormalRefuter:
     def test_axis_orthogonal_consistent(self):
         ax = fx.axis_fixture()
         x = tangent(ax.point, 0.0, 1.0)
-        v = frechet_normal_refute(ax.omega_sampler, ax.point, x, seed=0)
+        v = refute_one(frechet_normal_refute, ax.omega_sampler, ax.point, x, seed=0)
         assert v.status == "consistent"
         # quotients are identically zero for the orthogonal covector
         assert all(abs(q) <= 1e-12 for _, q in v.quotient_trace)
@@ -190,16 +191,16 @@ class TestNormalRefuter:
     def test_axis_parallel_refuted(self):
         ax = fx.axis_fixture()
         x = tangent(ax.point, 1.0, 0.0)
-        v = frechet_normal_refute(ax.omega_sampler, ax.point, x, seed=0)
+        v = refute_one(frechet_normal_refute, ax.omega_sampler, ax.point, x, seed=0)
         assert v.refuted
         assert v.witness.quotient >= 0.9
 
     def test_arc_split(self):
         arc = fx.arc_fixture()
-        up = frechet_normal_refute(arc.omega_sampler, arc.point,
-                                   tangent(arc.point, 0.0, 1.0), seed=0)
-        down = frechet_normal_refute(arc.omega_sampler, arc.point,
-                                     tangent(arc.point, 0.0, -1.0), seed=0)
+        up = refute_one(frechet_normal_refute, arc.omega_sampler, arc.point,
+                        tangent(arc.point, 0.0, 1.0), seed=0)
+        down = refute_one(frechet_normal_refute, arc.omega_sampler, arc.point,
+                          tangent(arc.point, 0.0, -1.0), seed=0)
         assert up.refuted
         assert down.status == "consistent"
 
@@ -213,25 +214,26 @@ class TestSubdiffRefuter:
         def f(u):
             return u @ c
 
-        ok = frechet_subdiff_refute(f, p, Tangent(p, c), seed=0)
+        ok = refute_one(frechet_subdiff_refute, f, p, Tangent(p, c), seed=0)
         assert ok.status == "consistent"
-        bad = frechet_subdiff_refute(f, p, Tangent(p, c + np.array([1.0, 0, 0])), seed=0)
+        bad = refute_one(frechet_subdiff_refute, f, p, Tangent(p, c + np.array([1.0, 0, 0])),
+                         seed=0)
         assert bad.refuted
 
     def test_smooth_penalty_refuted(self):
         # squared negative part is flat at the boundary: the downhill
         # covector cannot be a subgradient
         p = circle_point(0.0)
-        v = frechet_subdiff_refute(circle_penalty(2.0), p,
-                                   tangent(p, 0.0, -1.0), seed=0)
+        v = refute_one(frechet_subdiff_refute, circle_penalty(2.0), p,
+                       tangent(p, 0.0, -1.0), seed=0)
         assert v.refuted
         assert v.witness.quotient == pytest.approx(-1.0, abs=0.1)
 
     def test_sqrt_penalty_consistent(self):
         # oracle: quotient sqrt(|sin t|) + t over t stays nonnegative near 0
         p = circle_point(0.0)
-        v = frechet_subdiff_refute(circle_penalty(0.5), p,
-                                   tangent(p, 0.0, -1.0), seed=0)
+        v = refute_one(frechet_subdiff_refute, circle_penalty(0.5), p,
+                       tangent(p, 0.0, -1.0), seed=0)
         assert v.status == "consistent"
 
     def test_nan_samples_skipped(self):
@@ -241,14 +243,15 @@ class TestSubdiffRefuter:
         def f(u):
             return np.where(u[:, 0] > 0, np.nan, 0.0)
 
-        v = frechet_subdiff_refute(f, p, Tangent(p, np.zeros(2)), seed=0)
+        v = refute_one(frechet_subdiff_refute, f, p, Tangent(p, np.zeros(2)), seed=0)
         assert v.skipped_samples > 0
 
     def test_infinite_base_refused(self):
         m = euclidean(2)
         p = Point(m, np.zeros(2))
         with pytest.raises(GeometryError):
-            frechet_subdiff_refute(lambda u: np.full(len(u), np.inf), p, Tangent(p, np.zeros(2)))
+            refute_one(frechet_subdiff_refute, lambda u: np.full(len(u), np.inf), p,
+                       Tangent(p, np.zeros(2)))
 
 
 class TestContingentDerivative:
@@ -367,7 +370,7 @@ class TestDistSubdiffIdentity:
         # quotient dropping by about the scaling excess
         arc = fx.arc_fixture()
         x = tangent(arc.point, 0.0, -1.1)
-        v = frechet_subdiff_refute(arc.dist_fn, arc.point, x, seed=0)
+        v = refute_one(frechet_subdiff_refute, arc.dist_fn, arc.point, x, seed=0)
         assert v.refuted
         assert v.witness.quotient <= -0.05
 
@@ -468,8 +471,9 @@ class TestChordalPath:
 
     def test_subdiff_split(self):
         x = Tangent(self.p, np.array([[0.0], [-1.0]]))
-        assert frechet_subdiff_refute(self.penalty(2.0), self.p, x, seed=0).refuted
-        assert not frechet_subdiff_refute(self.penalty(0.5), self.p, x, seed=0).refuted
+        assert refute_one(frechet_subdiff_refute, self.penalty(2.0), self.p, x, seed=0).refuted
+        assert not refute_one(frechet_subdiff_refute, self.penalty(0.5), self.p, x,
+                              seed=0).refuted
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +495,8 @@ def ref_random_tangent(p, rng):
     for _ in range(64):
         z = rng.standard_normal(p.manifold.ambient_shape)
         t = Tangent(p, _ref_project(p, _ref_project(p, z)))
-        if t.norm > 1e-12:
-            return Tangent(p, (1.0 / t.norm) * t.vec)
+        if float(np.linalg.norm(t.vec)) > 1e-12:
+            return Tangent(p, (1.0 / float(np.linalg.norm(t.vec))) * t.vec)
     raise GeometryError("failed to sample a nondegenerate tangent direction")
 
 
@@ -502,7 +506,7 @@ def _ref_step(p, step):
     if m.kind == "euclidean":
         return Point(m, p.coords + step.vec)
     if m.kind == "sphere":
-        rho, nv = m.radius, step.norm
+        rho, nv = m.radius, float(np.linalg.norm(step.vec))
         if nv == 0.0:
             return Point(m, p.coords)
         theta = nv / rho
@@ -568,7 +572,7 @@ def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
     streams = SeedSequence(seed).spawn(len(scales))
     tail_start = max(0, len(scales) - tail_scales)
     estimate = math.inf
-    vnorm = max(v.norm, 1.0)
+    vnorm = max(float(np.linalg.norm(v.vec)), 1.0)
     for j, (t, ss) in enumerate(zip(scales, streams)):
         rng = default_rng(ss)
         delta = 0.0 if j >= tail_start else perturb_frac * vnorm * (t / scales[0])
@@ -664,7 +668,7 @@ class TestBlockKernelMatchesPerSampleReference:
         _, f, p, covectors, schedule = case
         for x in covectors:
             x = Tangent(p, np.asarray(x, dtype=float))
-            assert_same_verdict(frechet_subdiff_refute(f, p, x, schedule, seed=seed),
+            assert_same_verdict(refute_one(frechet_subdiff_refute, f, p, x, schedule, seed=seed),
                                 ref_subdiff_refute(f, p, x, schedule, seed=seed))
 
     def test_cases_cover_refutations_and_skips(self):
@@ -709,7 +713,8 @@ class TestBlockKernelMatchesPerSampleReference:
     def test_objective_must_give_one_value_per_row(self):
         p = Point(euclidean(2), np.zeros(2))
         with pytest.raises(GeometryError, match="shape"):
-            frechet_subdiff_refute(lambda u: float(np.sum(u)), p, tangent(p, 1.0, 0.0))
+            refute_one(frechet_subdiff_refute, lambda u: float(np.sum(u)), p,
+                       tangent(p, 1.0, 0.0))
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_contingent_derivative(self, seed):
@@ -733,12 +738,10 @@ class TestBlockKernelMatchesPerSampleReference:
     ], ids=["euclidean", "circle", "sphere", "stiefel-5x2", "stiefel-8x3"])
     def test_block_draw_equals_sequential_draws(self, p):
         for seed, count in ((0, 1), (1, 17), (2, 32)):
-            block = random_tangents(p, np.random.default_rng(seed), count)
+            block = random_tangents(p, [np.random.default_rng(seed)], count)
             rng = np.random.default_rng(seed)
             sequential = [ref_random_tangent(p, rng).vec for _ in range(count)]
             assert block.tobytes() == np.stack(sequential).tobytes()
-        one = random_tangent(p, np.random.default_rng(9))
-        assert one.vec.tobytes() == ref_random_tangent(p, np.random.default_rng(9)).vec.tobytes()
 
     def test_block_redraws_from_each_rows_own_generator(self):
         p = circle_point(0.0)  # tangent space: the y-axis, so (x, 0) draws are degenerate
@@ -1048,8 +1051,8 @@ class TestStackSamplersMatchPerSampleReference:
                                          Tangent(base, x), schedule, seed=sd)
                 assert_same_verdict(v, want)
                 refuted += want.refuted
-            one = frechet_normal_refute(stiefel_plus_sampler(cone), base,
-                                        Tangent(base, xs[0]), schedule, seed=seeds[0])
+            one = refute_one(frechet_normal_refute, stiefel_plus_sampler(cone), base,
+                             Tangent(base, xs[0]), schedule, seed=seeds[0])
             assert_same_verdict(one, got[0])
             assert got.refuted == sum(v.refuted for v in got)
         if n > k:
@@ -1076,7 +1079,7 @@ class TestStackSamplersMatchPerSampleReference:
         for t, seed in ((0.1, 0), (1e-3, 4)):
             got = fixture.omega_sampler(t, np.random.default_rng(seed))
             want = ref(t, np.random.default_rng(seed))
-            assert got.tobytes() == _stack_of(want, fixture.manifold.ambient_shape).tobytes()
+            assert got.tobytes() == _stack_of(want, fixture.point.manifold.ambient_shape).tobytes()
         for i, vec in enumerate(fixture.directions):
             v = Tangent(fixture.point, vec)
             assert _bits(contingent_cone_distance(fixture.omega_sampler, fixture.point, v,
@@ -1221,7 +1224,8 @@ class TestTwoWaves:
             monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
         p, seeds = self.ORIGIN, [3, 1, 4, 1]
         got = frechet_subdiff_refute(_growing_cone_value, p, self.SUBDIFF_XS, seed=seeds)
-        one_by_one = [frechet_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=sd)
+        one_by_one = [refute_one(frechet_subdiff_refute, _growing_cone_value, p, Tangent(p, x),
+                                 seed=sd)
                       for x, sd in zip(self.SUBDIFF_XS, seeds)]
         refs = [ref_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=sd)
                 for x, sd in zip(self.SUBDIFF_XS, seeds)]
@@ -1240,7 +1244,8 @@ class TestTwoWaves:
             return [Point(p.manifold, u) for u in _narrowing_set(t, rng)]
 
         got = frechet_normal_refute(_narrowing_set, p, self.NORMAL_XS, seed=seeds)
-        one_by_one = [frechet_normal_refute(_narrowing_set, p, Tangent(p, x), seed=sd)
+        one_by_one = [refute_one(frechet_normal_refute, _narrowing_set, p, Tangent(p, x),
+                                 seed=sd)
                       for x, sd in zip(self.NORMAL_XS, seeds)]
         refs = [ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd)
                 for x, sd in zip(self.NORMAL_XS, seeds)]
@@ -1275,10 +1280,10 @@ class TestTwoWaves:
         def sampler(t, rng):
             return np.zeros((1, 3)) if t < self.LATE else np.array([[t, 0.0]])
 
-        refuted = frechet_normal_refute(sampler, p, tangent(p, 1.0, 0.0), seed=0)
+        refuted = refute_one(frechet_normal_refute, sampler, p, tangent(p, 1.0, 0.0), seed=0)
         assert refuted.refuted and len(refuted.quotient_trace) == 2
         with pytest.raises(GeometryError, match="sampler gave shape"):
-            frechet_normal_refute(sampler, p, tangent(p, 0.0, 1.0), seed=0)
+            refute_one(frechet_normal_refute, sampler, p, tangent(p, 0.0, 1.0), seed=0)
         with pytest.raises(GeometryError, match="sampler gave shape"):
             frechet_normal_refute(sampler, p, np.array([[1.0, 0.0], [0.0, 1.0]]), seed=[0, 0])
 
@@ -1291,9 +1296,9 @@ class TestTwoWaves:
             values = np.linalg.norm(u, axis=1)
             return values[:-1] if ((values > 0) & (values < self.LATE)).any() else values
 
-        refuted = frechet_subdiff_refute(f, p, tangent(p, 5.0, 0.0), seed=0)
+        refuted = refute_one(frechet_subdiff_refute, f, p, tangent(p, 5.0, 0.0), seed=0)
         assert refuted.refuted and len(refuted.quotient_trace) == 2
         with pytest.raises(GeometryError, match="objective gave shape"):
-            frechet_subdiff_refute(f, p, tangent(p, 0.5, 0.0), seed=0)
+            refute_one(frechet_subdiff_refute, f, p, tangent(p, 0.5, 0.0), seed=0)
         with pytest.raises(GeometryError, match="objective gave shape"):
             frechet_subdiff_refute(f, p, np.array([[5.0, 0.0], [0.5, 0.0]]), seed=[0, 0])

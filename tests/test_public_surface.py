@@ -2,7 +2,9 @@
 ``src/sharpmin`` is reached by the package or its scripts: some module or
 script names it outside its own definition and the ``__init__`` re-export.
 Tests do not count.  References are matched by name, so a member whose name
-another one shares can slip through; a member that nothing names cannot."""
+another one shares can slip through; a member that nothing names cannot.
+An attribute reached through numpy or math (``np.linalg.norm``) names a
+library member, not one of ours, and is not a reference."""
 
 import ast
 from pathlib import Path
@@ -39,13 +41,24 @@ def _public_members(path, tree):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
+# names the package imports numpy and math as
+LIBRARIES = {"np", "numpy", "math"}
+
+
+def _library_attribute(node):
+    """Whether an Attribute's chain is rooted at a numpy or math name."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in LIBRARIES
+
+
 def _references(tree):
-    """(name, line) of every Name and Attribute in a module; imports are not
-    references."""
+    """(name, line) of every Name and Attribute in a module, except the
+    attributes of numpy and math; imports are not references."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not _library_attribute(node):
             yield node.attr, node.lineno
 
 
@@ -73,3 +86,10 @@ def test_keep_list_names_only_unreached_members():
     stale = set(KEEP) - _unreferenced()
     assert not stale, f"KEEP entries that are reached or gone: {sorted(stale)}"
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_library_attributes_are_not_references():
+    tree = ast.parse("np.linalg.norm(x)\nnumpy.random.default_rng\nmath.pi\nt.norm\n"
+                     "f(a).k\n")
+    assert sorted(name for name, _ in _references(tree)) == [
+        "a", "f", "k", "math", "norm", "np", "numpy", "t", "x"]
