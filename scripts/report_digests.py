@@ -4,8 +4,9 @@
 For each seed, builds the job lists of the three benchmark workloads with
 ``perfbench/jobs.build`` (the 14 jobs the benchmark runs), adds
 ``report --graph C4 --k 2``, ``exact`` on each ``cluster-small`` graph and
-on a seeded G(13, 0.4) at k = 2 (``exact_jobs``), and the ``REFUSALS`` jobs
-(refusals and a violation, in JSON and CSV), runs every job in-process through
+on a seeded G(13, 0.4) at k = 2 (``exact_jobs``), the ``REFUSALS`` jobs
+(refusals and a violation, in JSON and CSV) and the ``WIDE_SEED_JOBS`` at the
+five-word seed 2**128 + seed, runs every job in-process through
 ``sharpmin.cli.run`` with ``--out`` set to a scratch directory, and prints
 one line per output file and per captured stdout:
 
@@ -18,7 +19,7 @@ equal, so comparing them is a ``diff`` of two runs:
 
 ``sharpmin`` is imported from the ``src/`` directory next to this script.
 ``--smoke`` builds the benchmark's self-test job lists instead and leaves out
-the ``report``, ``exact`` and ``REFUSALS`` jobs.
+the ``report``, ``exact``, ``REFUSALS`` and ``WIDE_SEED_JOBS`` jobs.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ REFUSALS = (
     ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--samples", "20"],  # violation
 )
 
+# Jobs run at the seed 2**128 + seed, five uint32 words where every other
+# job's seed has one: a seed wider than SeedSequence's pool of four words
+# shifts the hash constants of the spawn key in every substream.  "c4.txt"
+# names the graph file written next to the jobs.
+WIDE_SEED_JOBS = (
+    ["verify-wsm", "--n", "4", "--k", "2", "--beta", "0.5", "--samples", "20"],
+    ["verify-lemma", "--samples", "20"],
+    ["relax", "--graph", "c4.txt", "--k", "2"],
+)
+
 
 def job_lists(seed: int, scratch: Path, smoke: bool) -> list:
     """(label, argv) for every job of one seed."""
@@ -79,6 +90,9 @@ def job_lists(seed: int, scratch: Path, smoke: bool) -> list:
                                   "--seed", str(seed)]))
         out += exact_jobs(seed, graphs)
         out += refusal_jobs(seed, graphs)
+        wide = str(2**128 + seed)
+        out += [(f"wide-seed/{i}-{job[0]}", [*_in_graphs(job, graphs), "--seed", wide])
+                for i, job in enumerate(WIDE_SEED_JOBS)]
     return out
 
 
@@ -103,9 +117,14 @@ def refusal_jobs(seed: int, graphs: Path) -> list:
     out = []
     for i, (job, fmt) in enumerate((j, f) for j in REFUSALS for f in ("json", "csv")):
         argv = [job[0], "--seed", str(seed), "--format", fmt, *job[1:]]
-        argv = [str(graphs / a) if a in ("c4.txt", "out_of_range.txt") else a for a in argv]
-        out.append((f"refusal/{i}-{job[0]}", argv))
+        out.append((f"refusal/{i}-{job[0]}", _in_graphs(argv, graphs)))
     return out
+
+
+def _in_graphs(argv: list, graphs: Path) -> list:
+    """argv with the graph file names "c4.txt" and "out_of_range.txt" made
+    paths in ``graphs``."""
+    return [str(graphs / a) if a in ("c4.txt", "out_of_range.txt") else a for a in argv]
 
 
 def digests(seed: int, scratch: Path, smoke: bool = False) -> list:

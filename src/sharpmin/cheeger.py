@@ -468,8 +468,6 @@ class SolverConfig:
 class ClusterReport:
     """Full provenance of one clustering run."""
 
-    graph_n: int
-    graph_m: int
     k: int
     penalty_c: float
     calibration_c_hat: float
@@ -479,7 +477,6 @@ class ClusterReport:
     rounded: SubPartition
     rounded_value: float
     oracle_value: float | None
-    oracle_parts: SubPartition | None
     gap: float | None
     best_restart: int
     max_feasibility_residual: float
@@ -668,14 +665,12 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
 
     rounded = round_solution(graph, best_u)
     rounded_value = cheeger_objective(graph, rounded)
-    oracle_value = oracle_parts = gap = oracle_assignments = None
+    oracle_value = gap = oracle_assignments = None
     if not _over_budget(graph.n, k, cfg.oracle_budget):
-        oracle_value, oracle_parts = exact_cheeger(graph, k, cfg.oracle_budget)
+        oracle_value = exact_cheeger(graph, k, cfg.oracle_budget)[0]
         gap = rounded_value - oracle_value
         oracle_assignments = _scored_assignments(graph.n, k)
     return ClusterReport(
-        graph_n=graph.n,
-        graph_m=graph.m,
         k=k,
         penalty_c=c,
         calibration_c_hat=c_hat,
@@ -685,7 +680,6 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         rounded=rounded,
         rounded_value=rounded_value,
         oracle_value=oracle_value,
-        oracle_parts=oracle_parts,
         gap=gap,
         best_restart=best_restart,
         max_feasibility_residual=float(residuals.max()),
@@ -707,10 +701,6 @@ class PenaltyStudy:
     dual necessary-condition verdicts at seeded nonnegative frames, and a
     modulus-estimate trace over growing sample budgets."""
 
-    n: int
-    k: int
-    beta: float
-    alpha: float
     wsm: WsmVerdict
     dual: tuple  # reporting.Check of the dual condition per probed frame
     modulus_trace: tuple  # (n_samples, estimate)
@@ -807,5 +797,4 @@ def wsm_penalty_check(
         if count < 1:
             continue
         trace.append((count, estimate_modulus(inst, count, seed=seed + 13 * i)))
-    return PenaltyStudy(n=n, k=k, beta=beta, alpha=alpha, wsm=wsm_verdict,
-                        dual=tuple(dual), modulus_trace=tuple(trace))
+    return PenaltyStudy(wsm=wsm_verdict, dual=tuple(dual), modulus_trace=tuple(trace))

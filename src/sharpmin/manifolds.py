@@ -13,7 +13,8 @@ All types are immutable values; every operation is pure.  Sampling helpers
 take an explicit seed or generator and never touch global RNG state, and the
 local-distance verifier derives an independent substream per radius.
 Substreams come from ``spawned_generators``, which builds the generators of
-``SeedSequence(seed).spawn(n)`` for many seeds in one numpy pass.
+``SeedSequence(seed).spawn(n)`` for many seeds: numpy mixes each seed once,
+and the spawn keys and the state words take one numpy pass.
 
 The tangent projection, the tangency check, the on-manifold check, the
 exponential and logarithm maps, the distance and the seeded tangent draw
@@ -33,20 +34,18 @@ coordinates, and the code that takes it checks it with a single
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator
+from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 from .stiefel import frame_residual
 
 FEASIBILITY_TOL = 1e-10   # on-manifold residual allowed for Point
 TANGENCY_TOL = 1e-10      # relative tangency residual allowed for Tangent
-INVERSION_TOL = 1e-8      # exp/log round-trip allowance
 INJECTIVITY_GUARD = 0.99  # sphere log refuses beyond this fraction of pi*rho
 
 
@@ -415,21 +414,12 @@ def _hash_chain(start: int, mult: int, count: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _mixing_rounds(length: int) -> tuple:
-    """(xor, mult) uint32 tables of the hashmix calls SeedSequence makes on an
-    entropy of ``length`` >= 4 words, one row of 4 per round: the pool fill,
-    then for each source word the calls on the other three pool words (0 in
-    the source's own slot), then one row per entropy word beyond the pool."""
-    a = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, 16 + 4 * (length - 4))
-    xor, mult = [a[0:4]], [a[1:5]]
-    for src in range(4):  # three calls, in the order of the other pool words
-        c = a[4 + 3 * src:8 + 3 * src]
-        xor.append(c[:src] + [0] + c[src:3])
-        mult.append(c[1:src + 1] + [0] + c[src + 1:])
-    for calls in range(16, 16 + 4 * (length - 4), 4):
-        xor.append(a[calls:calls + 4])
-        mult.append(a[calls + 1:calls + 5])
-    return _readonly(xor, np.uint32), _readonly(mult, np.uint32)
+def _key_constants(calls: int) -> tuple:
+    """The xor and then the mult constants of the four hashmix calls that
+    SeedSequence makes on a spawn key after ``calls`` earlier ones: 16 for
+    the pool fill and the cross-mix, plus 4 per seed word past the fourth."""
+    a = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, calls + 4)
+    return (*a[calls:calls + 4], *a[calls + 1:])
 
 
 _STATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 8)  # the 8 uint32 words of 4 uint64
@@ -447,22 +437,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence.generate_state(4, uint64)`` of every row of a uint32
-    entropy array (rows, length >= 4), as (rows, 4) uint64: the pool-size-4
-    entropy mixing and the state words as column operations."""
-    xor, mult = _mixing_rounds(entropy.shape[1])
-    pool = _hashmix(entropy[:, :4], xor[0], mult[0])
-    for src in range(4):  # each pool word is mixed into the other three
-        mixed = _mix(pool, _hashmix(pool[:, src, None], xor[1 + src], mult[1 + src]))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    for src in range(4, entropy.shape[1]):
-        pool = _mix(pool, _hashmix(entropy[:, src, None], xor[1 + src], mult[1 + src]))
-    words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MULT)
-    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
-
-
 class _SpawnedState(ISeedSequence):
     """The seed sequence behind one generator of ``spawned_generators``:
     ``generate_state`` gives PCG64 its four precomputed words."""
@@ -474,36 +448,27 @@ class _SpawnedState(ISeedSequence):
         return self.words
 
 
-def _seed_words(seed) -> list:
-    """The uint32 words of a non-negative integer seed, least significant
-    first, as SeedSequence reads them (0 is one word)."""
-    value = operator.index(seed)
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value}")
-    return [value >> shift & _WORD for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 def spawned_generators(seeds: Sequence[int], keys: Sequence[int]) -> list:
     """Generators in the states of ``[default_rng(SeedSequence(s,
-    spawn_key=(i,))) for s in seeds for i in keys]``, seed-major, derived in
-    one numpy pass; ``keys = range(n)`` gives the children of
-    ``SeedSequence(s).spawn(n)``.
+    spawn_key=(i,))) for s in seeds for i in keys]``, seed-major; ``keys =
+    range(n)`` gives the children of ``SeedSequence(seed).spawn(n)``.
 
     Child i of seed s has the entropy words of s, padded with zeros to 4,
-    followed by the spawn key i (below 2**32).  The rows of all (seed, key)
-    pairs are mixed and hashed together, one group per entropy length (only
-    seeds of 2**128 or more have more than 4 words); each PCG64 is then
-    built from its four words."""
-    words = [_seed_words(s) for s in seeds]
+    followed by the spawn key i (below 2**32).  numpy's ``SeedSequence(s)``
+    mixes the words of s into its pool, once per seed; the mixing of each
+    key into its seed's pool and the hashing of the four PCG64 state words
+    then take one numpy pass over every (seed, key) row."""
     keys = np.asarray(keys, dtype=np.uint32)
-    n = len(keys)
-    states = np.empty((len(words) * n, 4), dtype=np.uint64)
-    for width in set(map(len, words)):
-        group = [i for i, w in enumerate(words) if len(w) == width]
-        seed_words = np.array([words[i] + [0] * (4 - width) for i in group], dtype=np.uint32)
-        entropy = np.column_stack([np.repeat(seed_words, n, axis=0),
-                                   np.tile(keys, len(group))])
-        states[(np.array(group)[:, None] * n + np.arange(n)).ravel()] = _pcg64_states(entropy)
+    rows = []
+    for seed in seeds:
+        seq = SeedSequence(seed)
+        width = -(-int(seq.entropy).bit_length() // 32)  # words of the seed
+        rows.append([*seq.pool.tolist(), *_key_constants(16 + 4 * max(width - 4, 0))])
+    table = np.repeat(np.array(rows, dtype=np.uint32).reshape(-1, 12), len(keys), axis=0)
+    key = np.tile(keys, len(rows))[:, None]
+    pool = _mix(table[:, :4], _hashmix(key, table[:, 4:8], table[:, 8:]))
+    words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MULT)
+    states = np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
     return [Generator(PCG64(_SpawnedState(w))) for w in states]
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import sharpmin.manifolds as manifolds_module
 from sharpmin.manifolds import (
-    INVERSION_TOL,
     STACK_BYTES,
     BudgetExceededError,
     GeometryError,
@@ -30,6 +29,8 @@ from sharpmin.manifolds import (
     verify_local_distance_lemma,
 )
 from sharpmin.stiefel import FrameError, frame_residual, qr_retract
+
+INVERSION_TOL = 1e-8  # exp/log round-trip allowance
 
 
 def sphere_point(*coords):
@@ -512,7 +513,10 @@ class TestLemmaMatchesPerSampleReference:
 class TestSpawnedGenerators:
     """``spawned_generators`` against numpy's own ``SeedSequence.spawn``."""
 
-    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**200 + 11, np.int64(7))
+    # the key step's constants depend on the seed's word count: 1, 2, 3, 4
+    # (2**128 - 1, the largest), 5, 6 (2**160) and 7 words
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**160, 2**200 + 11,
+             np.int64(7))
 
     @staticmethod
     def assert_same_streams(seeds, n):
@@ -542,6 +546,13 @@ class TestSpawnedGenerators:
         assert len(ours) == 2
         for a, b in zip(ours, reference):
             assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_largest_key(self, seed):
+        ours = spawned_generators([seed], (2**32 - 1,))
+        reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32 - 1,)))
+        assert len(ours) == 1
+        assert ours[0].bit_generator.state == reference.bit_generator.state
 
     def test_empty(self):
         assert spawned_generators([], range(11)) == []
