@@ -6,10 +6,10 @@ contingent directional derivatives, all defined through exponential charts
 chart quantities in the small-scale limit and match the ambient-intersection
 characterization of normal cones on embedded submanifolds).
 
-Refuters are strictly one-sided.  A ``refuted`` verdict always carries a
-concrete witness sample whose quotient violates the defining inequality
-beyond tolerance at two consecutive scales; ``consistent`` only means no
-violation was found and is never a membership certificate.
+Refuters are strictly one-sided.  A verdict is ``refuted`` exactly when it
+carries a concrete witness sample whose quotient violates the defining
+inequality beyond tolerance at two consecutive scales; ``consistent`` only
+means no violation was found and is never a membership certificate.
 
 Objectives follow one convention here and in ``wsm`` and ``fixtures``: f
 maps a stack (s, *ambient_shape) of ambient coordinates of manifold points to
@@ -127,22 +127,17 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class RefutationVerdict:
-    status: str  # "consistent" | "refuted"
+    """A refuter's verdict on one covector: refuted exactly when it holds a witness."""
+
     witness: Witness | None
     # ((scale, extremal quotient), ...) over the schedule; when refuted, it
     # and the skip count end at the refuting scale
     quotient_trace: tuple
     skipped_samples: int = 0  # NaN samples skipped
 
-    def __post_init__(self):
-        if self.status not in ("consistent", "refuted"):
-            raise GeometryError(f"bad status {self.status!r}")
-        if self.status == "refuted" and self.witness is None:
-            raise GeometryError("refuted verdict requires a witness")
-
     @property
     def refuted(self) -> bool:
-        return self.status == "refuted"
+        return self.witness is not None
 
 
 class RefutationBlock(tuple):
@@ -233,10 +228,9 @@ def _in_waves(xs: np.ndarray, scales: tuple, score, above: bool) -> list:
                 witness = Witness(covector=np.array(xs[c]),
                                   point_coords=np.array(samples[j, idx - ks.start]),
                                   scale=trace[idx][0], quotient=trace[idx][1])
-                verdicts[c] = RefutationVerdict("refuted", witness, trace[:idx + 1],
-                                                sum(skips[c][:idx + 1]))
+                verdicts[c] = RefutationVerdict(witness, trace[:idx + 1], sum(skips[c][:idx + 1]))
             elif last:
-                verdicts[c] = RefutationVerdict("consistent", None, trace, sum(skips[c]))
+                verdicts[c] = RefutationVerdict(None, trace, sum(skips[c]))
             else:
                 still.append(c)
         unrefuted = still

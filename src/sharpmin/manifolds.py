@@ -566,12 +566,6 @@ class LemmaReport:
     target_coefficient: float
     coefficient_ok: bool
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.worst_ratio_deviation):
-            raise GeometryError("deviations must be nonnegative")
-        if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
-            raise GeometryError("radii must be strictly decreasing")
-
 
 _FLAT_DEVIATION = 1e-12  # below this the chart is treated as exact (flat case)
 COEFFICIENT_SLACK = 0.25  # relative excess over curvature/6 the fitted coefficient may show

@@ -76,8 +76,8 @@ def csv_text(header, rows) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # a numpy float's own repr is np.float64(...)
+        return float.__repr__(x)
     text = str(x)
     if any(c in text for c in ',"\r\n'):  # quote as RFC 4180 does
         return '"' + text.replace('"', '""') + '"'

@@ -119,9 +119,12 @@ def slice_distances(stack) -> tuple:
     assignments that can be optimal (``_lemma_survivors``), each survivor is
     scored from the frame's table of g_j over all row subsets, and each
     frame takes its first best survivor in table order.  Every optimum
-    survives, so the result is that of scoring every assignment.  Above
-    that, each matrix takes the frame of a local search (``_local_search``),
-    and its distance is an upper bound.  The frames are checked by one
+    survives, so in exact arithmetic the result is that of scoring every
+    assignment; the scores are floats, and near St+, where rounding ties or
+    misorders assignments, the frame can differ from the full table's first
+    float-best, and neither need be an exact optimum.  Above that, each
+    matrix takes the frame of a local search (``_local_search``), and its
+    distance is an upper bound.  The frames are checked by one
     ``frame_residual`` call and for nonnegativity.
 
     Lemma (which assignments can be optimal).  Call a row free if it has no

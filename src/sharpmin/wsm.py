@@ -4,10 +4,10 @@ estimation, and primal/dual necessary-condition checkers.
 A solution set S is weakly sharp when the objective grows at least linearly
 in the distance to it, f(u) >= f(p) + alpha * dist(u; S) with a modulus
 alpha > 0.  The sampled check scores this against the exact distance: it
-passes (pass_strong) or is violated, with the first breaking sample as the
-witness.  The necessary-condition checkers are refutation-oriented: they can
-certify failure of sharpness through a concrete witness, but only ever
-report consistency otherwise; sufficiency is never claimed.
+is violated exactly when it holds a witness, the first breaking sample.  The
+necessary-condition checkers are refutation-oriented: they can certify
+failure of sharpness through a concrete witness, but only ever report
+consistency otherwise; sufficiency is never claimed.
 
 Objectives take the stack form of ``cones``: f maps a stack
 (s, *ambient_shape) of point coordinates to s values, and every check calls
@@ -15,7 +15,7 @@ it once on all the points it scores.  Samplers follow the contract of
 ``manifolds``: ``sampler(count, rng)`` returns one stack of point
 coordinates, checked on the manifold by one call.  ``distance(coords)``
 maps a stack of s points to their s distances to the solution set, and every
-check calls it once on all the points it scores.
+check calls it once on all the points it scores, in one numpy pass.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .manifolds import (
 from .cones import (
     DEFAULT_SCHEDULE,
     Schedule,
+    _base_value,
     _directional_rows,
     frechet_subdiff_refute,
     objective_values,
@@ -78,38 +79,33 @@ class WsmInstance:
         if self.solution_sampler is None:
             return
         rng = default_rng(seed)
-        f0 = _values_at(self.f, self.point.coords[None])[0]
+        f0 = objective_values(self.f, self.point.coords[None])[0]
         solutions = point_stack(self.point.manifold, self.solution_sampler(REFERENCE_SAMPLES, rng))
-        if any(fs < f0 - VIOLATION_TOL for fs in _values_at(self.f, solutions)):
+        if len(solutions) and np.any(objective_values(self.f, solutions) < f0 - VIOLATION_TOL):
             raise GeometryError("reference point is not minimal over sampled solution set")
 
 
 @dataclass(frozen=True, eq=False)
 class WsmVerdict:
-    """Outcome of a sampled sharpness check.
+    """Outcome of a sampled sharpness check: ``violated`` exactly when the
+    witness, the first sample that broke the inequality, exists, else
+    ``pass_strong``.  ``estimated_modulus`` is the least f(u) - f(p) over
+    dist(u; set) among the samples outside the set, a sampled infimum and so
+    an upper bound on the modulus."""
 
-    ``pass_strong``: the inequality held at every sample.  ``violated``: the
-    witness is the first sample that broke it.  ``estimated_modulus`` is the
-    least f(u) - f(p) over dist(u; set) among the samples outside the set, a
-    sampled infimum and so an upper bound on the modulus."""
-
-    status: str  # pass_strong | violated
     witness: tuple | None  # (coords, f(u), dist(u; set))
     estimated_modulus: float
-    n_samples: int
 
-    def __post_init__(self):
-        if self.status not in ("pass_strong", "violated"):
-            raise GeometryError(f"bad status {self.status!r}")
-        if self.status == "violated" and self.witness is None:
-            raise GeometryError("violated verdict requires a witness")
+    @property
+    def status(self) -> str:
+        return "pass_strong" if self.witness is None else "violated"
 
 
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
     to VIOLATION_TOL, after the reference check of ``inst``: f and the
-    distance each in one call on the stack of samples, the checks in sample
-    order."""
+    distance each in one call on the stack of samples, which must not be
+    empty."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
     inst.check_reference(seed=seed)
@@ -126,42 +122,27 @@ def estimate_modulus(inst: WsmInstance, n_samples: int, seed: int = 0) -> float:
 
 
 def _scan(inst: WsmInstance, n_samples: int, seed: int) -> WsmVerdict:
-    """The sample scan behind ``verify_wsm_sampled`` and ``estimate_modulus``."""
-    rng = default_rng(seed)
-    m = inst.point.manifold
-    f0 = _values_at(inst.f, inst.point.coords[None])[0]
-    witness = None
-    modulus = math.inf
-    samples = point_stack(m, inst.feasible_sampler(n_samples, rng))
-    for u, fu, d in zip(samples, _values_at(inst.f, samples),
-                        _distances_at(inst.distance, samples)):
-        if not math.isfinite(fu):
-            raise GeometryError("objective not finite at a feasible sample")
-        gain = fu - f0
-        if d > INSIDE_TOL and math.isfinite(d):
-            modulus = min(modulus, gain / d)
-        if witness is None and gain < inst.alpha * d - VIOLATION_TOL:
-            witness = (np.array(u), fu, d)
-    status = "pass_strong" if witness is None else "violated"
-    return WsmVerdict(status, witness, modulus, len(samples))
-
-
-def _values_at(f, coords: np.ndarray) -> list:
-    """f at each point of a stack, as floats, from one call (no call for an
-    empty stack)."""
-    return objective_values(f, coords).tolist() if len(coords) else []
-
-
-def _distances_at(distance, coords: np.ndarray) -> list:
-    """The distance of each point of a stack, as floats, from one distance
-    call (no call for an empty stack).  Refuses a distance that does not
-    return one value per row."""
-    if not len(coords):
-        return []
-    d = np.asarray(distance(coords), dtype=float)
-    if d.shape != (len(coords),):
-        raise GeometryError(f"distance gave shape {d.shape} for a stack of {len(coords)} points")
-    return d.tolist()
+    """The sample scan behind ``verify_wsm_sampled`` and ``estimate_modulus``:
+    f on the stack and at the base point, and the distance on the stack, one
+    call each, then every sample scored at once."""
+    samples = point_stack(inst.point.manifold, inst.feasible_sampler(n_samples, default_rng(seed)))
+    if not len(samples):
+        raise GeometryError("feasible sampler returned no samples")
+    f0 = _base_value(inst.f, inst.point)
+    values = objective_values(inst.f, samples)
+    d = np.asarray(inst.distance(samples), dtype=float)
+    if d.shape != (len(samples),):
+        raise GeometryError(f"distance gave shape {d.shape} for a stack of {len(samples)} points")
+    if not np.all(np.isfinite(values)):
+        raise GeometryError("objective not finite at a feasible sample")
+    gain = values - f0
+    outside = (d > INSIDE_TOL) & (d < math.inf)
+    modulus = float(np.min(gain[outside] / d[outside], initial=math.inf))
+    broken = np.flatnonzero(gain < inst.alpha * d - VIOLATION_TOL)
+    if not len(broken):
+        return WsmVerdict(None, modulus)
+    i = broken[0]
+    return WsmVerdict((np.array(samples[i]), float(values[i]), float(d[i])), modulus)
 
 
 def check_primal_nc(

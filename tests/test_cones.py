@@ -184,7 +184,7 @@ class TestNormalRefuter:
         ax = fx.axis_fixture()
         x = tangent(ax.point, 0.0, 1.0)
         v = refute_one(frechet_normal_refute, ax.omega_sampler, ax.point, x, seed=0)
-        assert v.status == "consistent"
+        assert not v.refuted
         # quotients are identically zero for the orthogonal covector
         assert all(abs(q) <= 1e-12 for _, q in v.quotient_trace)
 
@@ -202,7 +202,7 @@ class TestNormalRefuter:
         down = refute_one(frechet_normal_refute, arc.omega_sampler, arc.point,
                           tangent(arc.point, 0.0, -1.0), seed=0)
         assert up.refuted
-        assert down.status == "consistent"
+        assert not down.refuted
 
 
 class TestSubdiffRefuter:
@@ -215,7 +215,7 @@ class TestSubdiffRefuter:
             return u @ c
 
         ok = refute_one(frechet_subdiff_refute, f, p, Tangent(p, c), seed=0)
-        assert ok.status == "consistent"
+        assert not ok.refuted
         bad = refute_one(frechet_subdiff_refute, f, p, Tangent(p, c + np.array([1.0, 0, 0])),
                          seed=0)
         assert bad.refuted
@@ -234,7 +234,7 @@ class TestSubdiffRefuter:
         p = circle_point(0.0)
         v = refute_one(frechet_subdiff_refute, circle_penalty(0.5), p,
                        tangent(p, 0.0, -1.0), seed=0)
-        assert v.status == "consistent"
+        assert not v.refuted
 
     def test_nan_samples_skipped(self):
         m = euclidean(2)
@@ -559,10 +559,10 @@ def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
             break
     idx = _two_consecutive(trace, above=False)
     if idx is None:
-        return RefutationVerdict("consistent", None, tuple(trace), skipped)
+        return RefutationVerdict(None, tuple(trace), skipped)
     witness = Witness(covector=np.array(x.vec), point_coords=np.array(best[idx].coords),
                       scale=trace[idx][0], quotient=trace[idx][1])
-    return RefutationVerdict("refuted", witness, tuple(trace), skipped)
+    return RefutationVerdict(witness, tuple(trace), skipped)
 
 
 def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
@@ -596,7 +596,7 @@ def _bits(values):
 
 
 def assert_same_verdict(got, ref):
-    assert got.status == ref.status
+    assert got.refuted == ref.refuted
     assert got.skipped_samples == ref.skipped_samples
     assert _bits(got.quotient_trace) == _bits(ref.quotient_trace)
     if ref.witness is None:
@@ -860,10 +860,10 @@ def ref_normal_refute(sampler, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
             break
     idx = _two_consecutive(trace, above=True)
     if idx is None:
-        return RefutationVerdict("consistent", None, tuple(trace))
+        return RefutationVerdict(None, tuple(trace))
     witness = Witness(covector=np.array(x.vec), point_coords=np.array(best[idx].coords),
                       scale=trace[idx][0], quotient=trace[idx][1])
-    return RefutationVerdict("refuted", witness, tuple(trace))
+    return RefutationVerdict(witness, tuple(trace))
 
 
 def ref_ray_distance(v, w):

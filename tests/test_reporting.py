@@ -46,6 +46,12 @@ def test_csv_cells_quoted_as_rfc_4180():
     assert csv_text(("r",), [(1 / 3,)]) == f"r\n{1 / 3!r}\n"  # floats keep every digit
 
 
+def test_csv_numpy_floats_written_as_python_floats():
+    assert csv_text(("a", "b"), [(np.float64(0.1), np.float64(1 / 3))]) == \
+        f"a,b\n0.1,{1 / 3!r}\n"
+    assert csv_text(("a",), [(np.float64("inf"),)]) == "a\ninf\n"
+
+
 def test_writers_create_the_directory(tmp_path):
     write_report({"x": float("nan")}, tmp_path / "a" / "report.json")
     write_csv(("r",), [(1.0,)], tmp_path / "b" / "trace.csv")

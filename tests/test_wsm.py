@@ -15,6 +15,7 @@ from sharpmin.cheeger import _stiefel_distance, wsm_penalty_check
 from sharpmin.stiefel import random_stiefel, random_stiefel_plus
 from sharpmin.wsm import (
     INSIDE_TOL,
+    VIOLATION_TOL,
     WsmInstance,
     check_dual_nc,
     check_primal_nc,
@@ -132,17 +133,58 @@ class TestVerifyWsm:
             with pytest.raises(GeometryError, match="distance gave shape"):
                 estimate_modulus(inst, 10)
 
-    def test_empty_stack_calls_no_distance(self):
+    def test_empty_stack_refused_before_any_call(self):
+        # an empty stack checks nothing, so it is refused rather than passed
         def distance(coords):
             raise AssertionError("distance called on an empty stack")
+
+        def f(coords):
+            raise AssertionError("objective called on an empty stack")
 
         def no_samples(count, rng):
             return np.zeros((0, 2))
 
-        inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=no_samples,
+        inst = WsmInstance(f=f, feasible_sampler=no_samples,
                            distance=distance, point=circle_point(0.3), alpha=1.0)
-        verdict = verify_wsm_sampled(inst, 10, seed=0)
-        assert (verdict.status, verdict.n_samples) == ("pass_strong", 0)
+        with pytest.raises(GeometryError, match="feasible sampler returned no samples"):
+            verify_wsm_sampled(inst, 10, seed=0)
+        with pytest.raises(GeometryError, match="feasible sampler returned no samples"):
+            estimate_modulus(inst, 10)
+
+    def test_refusal_order(self):
+        # the scan refuses f's shape, then the distance's, then a non-finite f
+        base = circle_point(0.3)
+
+        def infinite_off_base(coords):
+            return np.where(np.all(coords == base.coords, axis=1), 0.0, np.inf)
+
+        def short_off_base(coords):
+            return infinite_off_base(coords)[:1]
+
+        def inst(f, distance):
+            return WsmInstance(f=f, feasible_sampler=circle_sampler, distance=distance,
+                               point=base, alpha=1.0)
+
+        def long_distance(coords):
+            return np.ones(len(coords) + 1)
+
+        for f, distance, reason in ((short_off_base, long_distance, "objective gave shape"),
+                                    (infinite_off_base, long_distance, "distance gave shape"),
+                                    (infinite_off_base, arc_distance, "objective not finite")):
+            with pytest.raises(GeometryError, match=reason):
+                verify_wsm_sampled(inst(f, distance), 10, seed=0)
+
+    def test_non_finite_base_value_refused(self):
+        # at a NaN f(p) every comparison is false, so nothing would be checked
+        base = circle_point(0.3)
+        for value in (math.nan, math.inf):
+            def f(coords, value=value):
+                return np.where(np.all(coords == base.coords, axis=1), value, 1.0)
+
+            inst = WsmInstance(f=f, feasible_sampler=circle_sampler, distance=arc_distance,
+                               point=base, alpha=1.0)
+            with pytest.raises(GeometryError, match="f must be finite at the base point"):
+                estimate_modulus(inst, 10)
 
     def test_nonminimal_reference_refused(self):
         def arc_sampler(count, rng):
@@ -225,6 +267,51 @@ class TestEstimateModulus:
         study = wsm_penalty_check(3, 1, 0.5, n_samples=20)
         assert study.modulus_trace
         assert all(est > 0 for _, est in study.modulus_trace)
+
+
+def ref_wsm_scan(f, coords, f0, distances, alpha):
+    """(witness, modulus) of a sample scan, one sample at a time."""
+    witness, modulus = None, math.inf
+    for u, fu, d in zip(coords, f(coords).tolist(), distances.tolist()):
+        gain = fu - f0
+        if d > INSIDE_TOL and math.isfinite(d):
+            modulus = min(modulus, gain / d)
+        if witness is None and gain < alpha * d - VIOLATION_TOL:
+            witness = (np.array(u), fu, d)
+    return witness, modulus
+
+
+class TestScanEdgeRows:
+    """Distances that are NaN, infinite or rounding-level give the scan's
+    modulus bits and first witness of a one-sample-at-a-time loop, in every
+    order of the rows."""
+
+    THETAS = [-0.5, -1.0, 2.0, 0.3, -2.5, -0.1, 1.0, -3.0]
+    # NaN, inf and two inside values (1e-16, 1e-13, both at f = 0, which
+    # would give a zero modulus); the rows at 0.9, inf, 0.4 and 2.0 break
+    # the inequality at alpha = 0.8, the row at 1.5 does not
+    DISTANCES = [0.9, math.nan, math.inf, 1e-16, 1.5, 0.4, 1e-13, 2.0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_sample_loop(self, seed):
+        order = np.random.default_rng(seed).permutation(len(self.THETAS))
+        coords = circle_coords(np.array(self.THETAS)[order])
+        distances = np.array(self.DISTANCES)[order]
+
+        def distance(stack):
+            assert stack.tobytes() == coords.tobytes()
+            return distances
+
+        f, base, alpha = circle_penalty(1.0), circle_point(0.3), 0.8
+        inst = WsmInstance(f=f, feasible_sampler=lambda count, rng: coords,
+                           distance=distance, point=base, alpha=alpha)
+        witness, modulus = ref_wsm_scan(f, coords, f(base.coords[None])[0], distances, alpha)
+        got = verify_wsm_sampled(inst, len(coords), seed=seed)
+        assert got.status == "violated" and witness is not None
+        assert np.float64(got.estimated_modulus).tobytes() == np.float64(modulus).tobytes()
+        assert got.witness[0].tobytes() == witness[0].tobytes()
+        assert np.array(got.witness[1:]).tobytes() == np.array(witness[1:]).tobytes()
+        assert all(type(x) is float for x in (got.estimated_modulus, *got.witness[1:]))
 
 
 class TestPrimalNc:
@@ -310,8 +397,8 @@ def _ref_values(f, points):
 
 
 def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None):
-    """(status, witness, modulus, checked), one Point and one full-table
-    distance per sample."""
+    """(status, witness, modulus), one Point and one full-table distance per
+    sample."""
     tol = 1e-9
     f0 = _ref_values(f, [point])[0]
     if solution_sampler is not None:
@@ -319,17 +406,16 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None)
         assert not any(fs < f0 - 1e-9 for fs in _ref_values(f, sols))
     rng = np.random.default_rng(seed)
     samples = sampler(n_samples, rng)
-    witness, modulus, checked = None, math.inf, 0
+    witness, modulus = None, math.inf
     for u, fu in zip(samples, _ref_values(f, samples)):
         d = ref_stiefel_distance(u.coords)
-        checked += 1
         gain = fu - f0
         if d > INSIDE_TOL and math.isfinite(d):
             modulus = min(modulus, gain / d)
         if witness is None and gain < alpha * d - tol:
             witness = (np.array(u.coords), fu, d)
     status = "violated" if witness is not None else "pass_strong"
-    return status, witness, modulus, checked
+    return status, witness, modulus
 
 
 def ref_estimate(f, sampler, n_samples, seed):
@@ -351,8 +437,8 @@ def _penalty(beta):
 
 
 def _same_wsm_verdict(got, want):
-    status, witness, modulus, checked = want
-    assert (got.status, got.n_samples) == (status, checked)
+    status, witness, modulus = want
+    assert got.status == status
     assert np.float64(got.estimated_modulus).tobytes() == np.float64(modulus).tobytes()
     if witness is None:
         assert got.witness is None
