@@ -142,7 +142,6 @@ def _run_relax(args):
         "k": args.k,
         "beta": 1.0,  # the solver's penalty exponent
         "C": result.penalty_c,
-        "calibration_c_hat": result.calibration_c_hat,
         "seed": args.seed,
         "continuous_value": result.best_continuous_value,
         "penalized_value": result.best_penalty_value,

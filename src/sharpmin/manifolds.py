@@ -61,14 +61,15 @@ class BudgetExceededError(RuntimeError):
 
 # Cap on the bytes of every sample budget's largest array, checked by the
 # function that sizes it before its draws (``require_within_stack_cap``):
-# the solver's largest frame stack, max(restarts, cheeger.CALIBRATION_FRAMES)
-# x n x k float64, and its three max_iters x restarts float64 traces; the
-# penalty study's sample stack; the local-distance lemma's test-to-set
-# distance table; and the covector rows of one distance-subdifferential
-# identity check.  A solve holds about ten stack-sized arrays, plus the block
-# buffers: at most cheeger.SOLVER_BLOCK_BYTES of iterates (one iterate when a
-# stack is larger) and their k x k R factors.  The benchmark's largest jobs,
-# (n, k) = (200, 4), need 200 KiB, 320 times below the cap.
+# the solver's frame stack, restarts x n x k float64, and its three
+# max_iters x restarts float64 traces; the penalty study's sample stack; the
+# local-distance lemma's test-to-set distance table; and the covector rows of
+# one distance-subdifferential identity check.  A solve holds about ten
+# stack-sized arrays, plus the block buffers: at most
+# cheeger.SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is larger)
+# and their k x k R factors.  At the default 20 restarts the benchmark's
+# largest graphs, (n, k) = (200, 4), need 125 KiB, over 500 times below the
+# cap.
 STACK_BYTES = 1 << 26
 
 

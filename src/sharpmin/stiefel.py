@@ -2,11 +2,12 @@
 
 Holds the QR retraction with a deterministic sign convention, random frame
 generators, and the distance to the entrywise-nonnegative slice St+(n, k)
-of a stack of matrices, exact at desk scale.  A basic fact drives the St+
-distance: orthogonal nonnegative columns have disjoint supports, so every
-row of a feasible frame carries at most one positive entry, and the closest
-feasible frame comes from the best assignment of rows to columns.  The sign
-pattern of one St+ frame is classified by ``cones.stiefel_plus_normal_cone``.
+of a stack of matrices, exact at desk scale and refused above it.  A basic
+fact drives the St+ distance: orthogonal nonnegative columns have disjoint
+supports, so every row of a feasible frame carries at most one positive
+entry, and the closest feasible frame comes from the best assignment of
+rows to columns.  The sign pattern of one St+ frame is classified by
+``cones.stiefel_plus_normal_cone``.
 """
 
 from __future__ import annotations
@@ -113,19 +114,18 @@ def slice_distances(stack) -> tuple:
     of the positive part of column j on S, or the largest entry of column j
     on S when that norm is 0.
 
-    When k**n <= EXACT_ASSIGNMENTS the distances are exact.  The frames go
-    in blocks of at most 64, fewer when their tables over all row subsets
-    would pass SLICE_TABLE_ENTRIES.  In a block the lemma below keeps the
-    assignments that can be optimal (``_lemma_survivors``), each survivor is
-    scored from the frame's table of g_j over all row subsets, and each
-    frame takes its first best survivor in table order.  Every optimum
-    survives, so in exact arithmetic the result is that of scoring every
-    assignment; the scores are floats, and near St+, where rounding ties or
-    misorders assignments, the frame can differ from the full table's first
-    float-best, and neither need be an exact optimum.  Above that, each
-    matrix takes the frame of a local search (``_local_search``), and its
-    distance is an upper bound.  The frames are checked by one
-    ``frame_residual`` call and for nonnegativity.
+    The distances are exact, and a stack with k**n > EXACT_ASSIGNMENTS is
+    refused (``FrameError``).  The frames go in blocks of at most 64, fewer
+    when their tables over all row subsets would pass SLICE_TABLE_ENTRIES.
+    In a block the lemma below keeps the assignments that can be optimal
+    (``_lemma_survivors``), each survivor is scored from the frame's table
+    of g_j over all row subsets, and each frame takes its first best
+    survivor in table order.  Every optimum survives, so in exact arithmetic
+    the result is that of scoring every assignment; the scores are floats,
+    and near St+, where rounding ties or misorders assignments, the frame
+    can differ from the full table's first float-best, and neither need be
+    an exact optimum.  The frames are checked by one ``frame_residual`` call
+    and for nonnegativity.
 
     Lemma (which assignments can be optimal).  Call a row free if it has no
     positive entry, and misplaced in column j if it is not free and
@@ -152,10 +152,9 @@ def slice_distances(stack) -> tuple:
     if not np.all(np.isfinite(stack)):
         raise FrameError("matrix entries must be finite")
     if k**n > EXACT_ASSIGNMENTS:
-        frames = np.empty_like(stack)
-        for i, mat in enumerate(stack):
-            frames[i] = _local_search(mat)
-    elif k == 1:
+        raise FrameError(f"the exact St+ distance needs {k}^{n} assignments, "
+                         f"cap is EXACT_ASSIGNMENTS = {EXACT_ASSIGNMENTS}")
+    if k == 1:
         frames = _slice_frames(stack, np.ones((s, n, 1), dtype=bool))
     else:
         keys = _assignment_keys(n, k)
@@ -169,52 +168,6 @@ def slice_distances(stack) -> tuple:
         raise FrameError("slice frame is not a nonnegative orthonormal frame")
     diff = (stack - frames).reshape(s, n * k)
     return np.sqrt(np.vecdot(diff, diff)), frames
-
-
-def _local_search(mat: np.ndarray) -> np.ndarray:
-    """St+ frame from a best-improvement search over single-row moves,
-    started from each row's argmax column; see ``slice_distances``.  Moves
-    are scored by sum_j ||(u_j)_+ on S_j||, from column sums of (U_+)^2;
-    any assignment yields a feasible frame, hence an upper bound."""
-    n, k = mat.shape
-    rows = np.arange(n)
-    pos2 = np.maximum(mat, 0.0) ** 2
-    owner = np.argmax(mat, axis=1)
-    for j in range(k):
-        counts = np.bincount(owner, minlength=k)
-        if counts[j] == 0:
-            # fill an empty column with the cheapest row of a shared column
-            loss = np.where(counts[owner] > 1, mat[rows, owner] - mat[:, j], np.inf)
-            owner[np.argmin(loss)] = j
-    for _ in range(n * k):
-        counts = np.bincount(owner, minlength=k)
-        p2 = np.bincount(owner, weights=pos2[rows, owner], minlength=k)
-        rest2 = np.maximum(p2[owner] - pos2[rows, owner], 0.0)
-        gain = (np.sqrt(rest2) - np.sqrt(p2[owner]))[:, None] + np.sqrt(p2 + pos2) - np.sqrt(p2)
-        gain[rows, owner] = -np.inf
-        gain[counts[owner] < 2] = -np.inf
-        i, j = divmod(int(np.argmax(gain)), k)
-        if not gain[i, j] > 1e-12:
-            break
-        owner[i] = j
-    return _slice_frame(mat, owner)
-
-
-def _slice_frame(mat: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Closest St+ frame to mat whose column j is supported on the rows
-    with owner == j (every column must own a row).  The local search keeps
-    this one-frame form: its columns own up to n rows, and from 16 rows on a
-    dot over a zero-padded column rounds differently from the compact one."""
-    v = np.zeros_like(mat)
-    for j in range(mat.shape[1]):
-        rows = np.flatnonzero(owner == j)
-        col = np.maximum(mat[rows, j], 0.0)
-        norm = np.linalg.norm(col)
-        if norm > 0.0:
-            v[rows, j] = col / norm
-        else:
-            v[rows[np.argmax(mat[rows, j])], j] = 1.0
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +247,13 @@ def _subset_values(block: np.ndarray) -> np.ndarray:
 
 def _slice_frames(stack: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Closest St+ frames to a stack (s, n, k) whose column j is supported
-    on the rows with member[:, :, j] (every column must own a row); the
-    stack form of ``_slice_frame``.  Each column's norm is one unit-stride
-    dot over all n rows, the non-member rows zero; that adds the member
-    terms in the order and with the bits of the one-column norm when n < 16
-    or a column owns every row (a single column, or n < 16 because
+    on the rows with member[:, :, j] (every column must own a row): column
+    j is the normalized positive part of U's column on those rows, or, when
+    that part is zero, the unit vector at its largest entry there.  Each
+    column's norm is one unit-stride dot over all n rows, the non-member
+    rows zero; that adds the member terms in the order and with the bits of
+    ``np.linalg.norm`` of the member entries alone when n < 16 or a column
+    owns every row (a single column, or n < 16 because
     k**n <= EXACT_ASSIGNMENTS)."""
     cols = np.where(member, np.maximum(stack, 0.0), 0.0).transpose(0, 2, 1).copy()
     norms = np.sqrt(np.vecdot(cols, cols))[:, None, :]

@@ -75,13 +75,18 @@ class WsmInstance:
         if not self.alpha > 0:
             raise GeometryError(f"modulus must be positive, got {self.alpha}")
 
-    def check_reference(self, seed: int = 0):
+    def check_reference(self, f0: float, seed: int = 0):
+        """Refuse a reference point, with f0 = f(point), that one of
+        REFERENCE_SAMPLES solution-set points drawn from ``default_rng(seed)``
+        undercuts by more than VIOLATION_TOL.  A sampler that returns no
+        points is refused too: an empty sample checks nothing."""
         if self.solution_sampler is None:
             return
-        rng = default_rng(seed)
-        f0 = objective_values(self.f, self.point.coords[None])[0]
-        solutions = point_stack(self.point.manifold, self.solution_sampler(REFERENCE_SAMPLES, rng))
-        if len(solutions) and np.any(objective_values(self.f, solutions) < f0 - VIOLATION_TOL):
+        solutions = point_stack(self.point.manifold,
+                                self.solution_sampler(REFERENCE_SAMPLES, default_rng(seed)))
+        if not len(solutions):
+            raise GeometryError("solution sampler returned no samples")
+        if np.any(objective_values(self.f, solutions) < f0 - VIOLATION_TOL):
             raise GeometryError("reference point is not minimal over sampled solution set")
 
 
@@ -103,13 +108,12 @@ class WsmVerdict:
 
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
-    to VIOLATION_TOL, after the reference check of ``inst``: f and the
-    distance each in one call on the stack of samples, which must not be
-    empty."""
+    to VIOLATION_TOL, after the reference check of ``inst``, which reuses the
+    scan's f(p): f and the distance each in one call on the stack of
+    samples, which must not be empty."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
-    inst.check_reference(seed=seed)
-    return _scan(inst, n_samples, seed)
+    return _scan(inst, n_samples, seed, check_reference=True)
 
 
 def estimate_modulus(inst: WsmInstance, n_samples: int, seed: int = 0) -> float:
@@ -121,14 +125,19 @@ def estimate_modulus(inst: WsmInstance, n_samples: int, seed: int = 0) -> float:
     return _scan(inst, n_samples, seed).estimated_modulus
 
 
-def _scan(inst: WsmInstance, n_samples: int, seed: int) -> WsmVerdict:
+def _scan(inst: WsmInstance, n_samples: int, seed: int,
+          check_reference: bool = False) -> WsmVerdict:
     """The sample scan behind ``verify_wsm_sampled`` and ``estimate_modulus``:
     f on the stack and at the base point, and the distance on the stack, one
-    call each, then every sample scored at once."""
+    call each, then every sample scored at once.  With ``check_reference``
+    the instance's reference check runs on that f(p) before the stack is
+    scored."""
     samples = point_stack(inst.point.manifold, inst.feasible_sampler(n_samples, default_rng(seed)))
     if not len(samples):
         raise GeometryError("feasible sampler returned no samples")
     f0 = _base_value(inst.f, inst.point)
+    if check_reference:
+        inst.check_reference(f0, seed)
     values = objective_values(inst.f, samples)
     d = np.asarray(inst.distance(samples), dtype=float)
     if d.shape != (len(samples),):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpmin.cheeger import (
-    CALIBRATION_FRAMES,
+    PENALTY_C0,
     BudgetExceededError,
     Graph,
     GraphFormatError,
@@ -20,7 +20,6 @@ from sharpmin.cheeger import (
     SubPartition,
     _over_budget,
     _stiefel_distance,
-    calibrate_penalty_weight,
     cheeger_objective,
     cut_boundary,
     exact_cheeger,
@@ -38,8 +37,6 @@ from sharpmin.stiefel import (
     FrameError,
     _assignment_keys,
     _lemma_survivors,
-    _local_search,
-    frame_residual,
     qr_retract,
     random_stiefel,
     random_stiefel_plus,
@@ -368,11 +365,6 @@ class TestSliceDistance:
             for _ in range(200):
                 w = random_stiefel_plus(n, k, rng)
                 assert exact <= float(np.linalg.norm(u - w)) + 1e-12
-            # the local search of larger sizes: a feasible frame, no closer
-            # than the exact distance
-            local = _local_search(u)
-            assert np.all(local >= 0.0) and frame_residual(local) <= 1e-10
-            assert exact <= float(np.linalg.norm(u - local)) + 1e-12
 
 
 SLICE_SIZES = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3), (11, 2), (12, 2)]
@@ -516,11 +508,10 @@ class TestExactSliceDistances:
             slice_distances(np.zeros((1, 2, 3)))
         with pytest.raises(FrameError, match="stack"):
             slice_distances(np.zeros((4, 2)))
-        # past the enumeration cap a matrix takes the local search's frame
+        # past the enumeration cap there is no exact distance: refused
         assert 3**9 > EXACT_ASSIGNMENTS
-        d, frames = slice_distances(np.zeros((1, 9, 3)))
-        assert np.array_equal(frames[0], _local_search(np.zeros((9, 3))))
-        assert d[0] == float(np.linalg.norm(frames[0]))
+        with pytest.raises(FrameError, match=r"3\^9 assignments, cap is EXACT_ASSIGNMENTS = 6561"):
+            slice_distances(np.zeros((1, 9, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_past_the_enumeration_cap(self, value):
@@ -529,57 +520,11 @@ class TestExactSliceDistances:
         with pytest.raises(FrameError, match="finite"):
             slice_distances(u[None])
 
-    @pytest.mark.parametrize("n,k", [(9, 3), (10, 3), (17, 2), (40, 4)])
-    def test_local_search_stack_matches_one_matrix_at_a_time(self, n, k):
-        frames = random_stiefel(n, k, np.random.default_rng(n + k), 6)
-        d, got = slice_distances(frames)
-        for u, du, v in zip(frames, d, got):
-            want = _local_search(u)
-            assert v.tobytes() == want.tobytes()
-            assert du.tobytes() == np.float64(np.linalg.norm(u - want)).tobytes()
-
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
     def test_stiefel_distance_matches_per_frame_reference(self, n, k):
         frames = random_stiefel(n, k, np.random.default_rng(n * k), 30)
         want = np.array([ref_stiefel_distance(u) for u in frames])
         assert _stiefel_distance(frames).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n,k", [(11, 2), (10, 3), (6, 1), (5, 5), (80, 3)])
-    def test_calibration_matches_frame_by_frame_loop(self, n, k):
-        rng = np.random.default_rng(n + k)
-        edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                      if rng.random() < 0.3)
-        graph = Graph(n=n, edges=edges)
-        # the loop the stacked calibration replaced, one seeded frame at a time
-        frame_rng = np.random.default_rng(9)
-        num = den = 0.0
-        for _ in range(CALIBRATION_FRAMES):
-            u = random_stiefel(n, k, frame_rng)
-            mass = float(np.sum(np.maximum(-u, 0.0)))
-            if mass < 1e-9:
-                continue
-            ub = ref_slice_distance(u)[0] if k**n <= EXACT_ASSIGNMENTS \
-                else float(np.linalg.norm(u - _local_search(u)))
-            num += ub * mass
-            den += mass * mass
-        c, c_hat = calibrate_penalty_weight(graph, k, seed=9)
-        assert np.float64(c_hat).tobytes() == np.float64(num / den).tobytes()
-        want_c = 2.0 * max(lipschitz_bound(graph, k), 1.0) * max(num / den, 0.25)
-        assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
-
-    @pytest.mark.parametrize("n,k,want", [
-        (10, 3, (11.897773939208285, 0.3747446547429814)),
-        (80, 3, (188.403821617291, 0.13488414090995252)),
-    ])
-    def test_calibration_bits_past_the_enumeration_cap(self, n, k, want):
-        # (C, c_hat) with the bits of the per-matrix local search, scored one
-        # frame at a time; scoring the frames as one stack must keep them
-        rng = np.random.default_rng(n + k)
-        edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                      if rng.random() < 0.3)
-        assert k**n > EXACT_ASSIGNMENTS
-        got = calibrate_penalty_weight(Graph(n=n, edges=edges), k, seed=9)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("n,k", [(4, 2), (8, 3)])
     def test_no_penalty_weight_dominates_the_distance(self, n, k):
@@ -680,6 +625,21 @@ class TestRounding:
             for v in part:
                 assert magnitudes[v - 1].max() > 1e-12  # support restriction
 
+    def test_st_plus_frame_rounds_to_k_parts_within_its_relaxed_value(self):
+        # the coarea bound of round_solution: an St+ frame rounds to exactly k
+        # parts, and the rounded value is at most |B U|_1
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            n = int(rng.integers(4, 14))
+            k = int(rng.integers(1, min(4, n) + 1))
+            edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                          if rng.uniform() < 0.4)
+            g = Graph(n=n, edges=edges)
+            u = random_stiefel_plus(n, k, rng)
+            got = round_solution(g, u)
+            assert len(got.parts) == k
+            assert cheeger_objective(g, got) <= grad_norm_l1(g, u) + 1e-12
+
 
 class TestSolver:
     CFG = SolverConfig(restarts=20, max_iters=300, seed=0)
@@ -717,10 +677,9 @@ class TestSolver:
         with pytest.raises(GeometryError, match="penalty weight"):
             SolverConfig(penalty_c=value)
 
-    def test_calibration_logged(self):
+    def test_default_penalty_weight(self):
         rep = solve_relaxation(load_graph(C4), 2, self.CFG)
-        assert rep.penalty_c > lipschitz_bound(load_graph(C4), 2)
-        assert math.isfinite(rep.calibration_c_hat)
+        assert rep.penalty_c == PENALTY_C0 * max(lipschitz_bound(load_graph(C4), 2), 1.0)
 
     def test_k1_connected_graph_rounds_to_zero(self):
         rep = solve_relaxation(load_graph(C4), 1, SolverConfig(restarts=5, max_iters=80, seed=0))
@@ -732,7 +691,6 @@ class TestSolver:
         cfg = SolverConfig(penalty_c=5.0, restarts=5, max_iters=80, seed=0)
         rep = solve_relaxation(g, 2, cfg)
         assert rep.penalty_c == 5.0
-        assert math.isnan(rep.calibration_c_hat)  # no calibration ran
         assert rep.rounded_value == rep.oracle_value == 2.0
 
 
@@ -759,16 +717,12 @@ class TestPenaltyStudy:
             with pytest.raises(GeometryError, match="desk-scale"):
                 wsm_penalty_check(n, k, 0.5)
 
-    def test_admitted_sizes_have_exact_distances(self, monkeypatch):
+    def test_admitted_sizes_have_exact_distances(self):
         # every (n, k) the study admits (n <= 8, 1 <= k <= min(n, 3)) is
-        # within the enumeration cap, so its distance to St+ is exact
+        # within the enumeration cap, so its distance to St+ is exact and
+        # never refused
         for n in range(1, 9):
             for k in range(1, min(n, 3) + 1):
                 assert k**n <= EXACT_ASSIGNMENTS
         assert 3**8 == EXACT_ASSIGNMENTS
-
-        def no_local_search(mat):
-            raise AssertionError("the study took a local-search distance")
-
-        monkeypatch.setattr(stiefel_module, "_local_search", no_local_search)
         wsm_penalty_check(8, 3, 0.5, n_samples=8, seed=1)

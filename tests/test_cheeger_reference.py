@@ -22,7 +22,6 @@ from sharpmin.cheeger import (
     SubPartition,
     _oracle_blocks,
     _scored_assignments,
-    calibrate_penalty_weight,
     cut_boundary,
     exact_cheeger,
     grad_norm_l1,
@@ -85,11 +84,9 @@ def ref_frame_residual(u):
 def ref_solve(graph, k, cfg):
     """(best value, best restart, trace, max residual, best frame, per-restart
     best values) from the restart-by-restart loop."""
-    if cfg.penalty_c is None:
-        c, _ = calibrate_penalty_weight(graph, k, seed=cfg.seed)
-    else:
-        c = float(cfg.penalty_c)
-    step0 = 1.0 / max(lipschitz_bound(graph, k), 1.0)
+    scale = max(lipschitz_bound(graph, k), 1.0)
+    c = cheeger.PENALTY_C0 * scale if cfg.penalty_c is None else float(cfg.penalty_c)
+    step0 = 1.0 / scale
     best_val, best_u, best_restart, best_trace = math.inf, None, -1, ()
     max_residual = 0.0
     restart_bests = []

@@ -113,7 +113,7 @@ class TestUsageErrors:
         assert "2^1000000000000 assignments" in json.loads(out.stdout)["reason"]
 
     def test_relax_refuses_oversized_frame_stack(self, tmp_path):
-        # 32 calibration frames of 10^12 x 1 need 256 TB: refused (exit 3)
+        # 20 restart frames of 10^12 x 1 need 160 TB: refused (exit 3)
         # before any array is built.  A subprocess under a 2 GiB address-space
         # cap, so that a regression fails fast with a MemoryError instead.
         f = tmp_path / "wide.txt"
@@ -127,11 +127,11 @@ class TestUsageErrors:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
         assert out.returncode == EXIT_BUDGET, out.stderr
         assert json.loads(out.stdout)["reason"] == (
-            "the solver's frame stack needs 256000000000000 bytes, cap is 67108864")
+            "the solver's frame stack needs 160000000000000 bytes, cap is 67108864")
 
     def test_relax_refuses_oversized_traces(self, c4_file):
         # three traces of 10^12 iterations x 20 restarts need 480 TB: refused
-        # (exit 3) before calibration, in a subprocess under a 2 GiB
+        # (exit 3) before the solver runs, in a subprocess under a 2 GiB
         # address-space cap as above
         cap = 2 << 30
         env = dict(os.environ, PYTHONPATH=str(Path(sharpmin.__file__).resolve().parent.parent),
@@ -374,7 +374,6 @@ class TestRelax:
         assert code == EXIT_OK
         report = json.loads(out.split("\n", 1)[1])  # after the value line
         assert report["C"] == 9.5
-        assert report["calibration_c_hat"] == "nan"  # no calibration ran
 
 
 class TestVerifyLemma:

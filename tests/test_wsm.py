@@ -15,6 +15,7 @@ from sharpmin.cheeger import _stiefel_distance, wsm_penalty_check
 from sharpmin.stiefel import random_stiefel, random_stiefel_plus
 from sharpmin.wsm import (
     INSIDE_TOL,
+    REFERENCE_SAMPLES,
     VIOLATION_TOL,
     WsmInstance,
     check_dual_nc,
@@ -200,6 +201,34 @@ class TestVerifyWsm:
         )
         with pytest.raises(GeometryError):
             verify_wsm_sampled(inst, 10, seed=0)
+
+    def test_empty_solution_sample_refused(self):
+        # an empty solution sample checks nothing, so it is refused rather than passed
+        inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=circle_sampler,
+                           distance=arc_distance, point=circle_point(0.3), alpha=0.5,
+                           solution_sampler=lambda count, rng: np.zeros((0, 2)))
+        with pytest.raises(GeometryError, match="solution sampler returned no samples"):
+            verify_wsm_sampled(inst, 10, seed=0)
+
+    def test_base_value_taken_once(self):
+        # f(p) is one 1-row call, shared by the reference check and the scan
+        penalty = circle_penalty(0.5)
+        rows = []
+
+        def f(coords):
+            rows.append(len(coords))
+            return penalty(coords)
+
+        def arc_sampler(count, rng):
+            return circle_coords(rng.uniform(0.0, math.pi / 2, size=count))
+
+        inst = WsmInstance(f=f, feasible_sampler=circle_sampler, distance=arc_distance,
+                           point=circle_point(0.3), alpha=0.5, solution_sampler=arc_sampler)
+        verdict = verify_wsm_sampled(inst, 3, seed=0)
+        assert rows == [1, REFERENCE_SAMPLES, 3]
+        plain = verify_wsm_sampled(circle_instance(0.5, 0.5), 3, seed=0)
+        assert verdict.status == plain.status
+        assert verdict.estimated_modulus == plain.estimated_modulus
 
 
 class TestEstimateModulus:
