@@ -520,6 +520,16 @@ class TestExactSliceDistances:
         with pytest.raises(FrameError, match="finite"):
             slice_distances(u[None])
 
+    @pytest.mark.parametrize("n,k", [(9, 3), (10, 3), (13, 2), (17, 2), (7, 4), (40, 4)])
+    def test_refused_past_the_enumeration_cap(self, n, k):
+        # the sizes just past the cap and far past it: no exact distance, so
+        # the whole stack is refused, naming the assignment count and the cap
+        assert k**n > EXACT_ASSIGNMENTS
+        frames = random_stiefel(n, k, np.random.default_rng(n + k), 6)
+        with pytest.raises(FrameError, match=(
+                rf"needs {k}\^{n} assignments, cap is EXACT_ASSIGNMENTS = {EXACT_ASSIGNMENTS}")):
+            slice_distances(frames)
+
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
     def test_stiefel_distance_matches_per_frame_reference(self, n, k):
         frames = random_stiefel(n, k, np.random.default_rng(n * k), 30)
@@ -680,6 +690,24 @@ class TestSolver:
     def test_default_penalty_weight(self):
         rep = solve_relaxation(load_graph(C4), 2, self.CFG)
         assert rep.penalty_c == PENALTY_C0 * max(lipschitz_bound(load_graph(C4), 2), 1.0)
+
+    @pytest.mark.parametrize("n,k", [(11, 2), (10, 3), (6, 1), (5, 5), (80, 3)])
+    def test_default_penalty_weight_on_random_graphs(self, n, k):
+        # C = PENALTY_C0 max(L, 1) bit for bit, whatever k**n is: no frame is
+        # scored against St+ to choose it
+        rng = np.random.default_rng(n + k)
+        edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                      if rng.random() < 0.3)
+        graph = Graph(n=n, edges=edges)
+        cfg = SolverConfig(restarts=2, max_iters=5, seed=9, oracle_budget=0)
+        rep = solve_relaxation(graph, k, cfg)
+        want = PENALTY_C0 * max(lipschitz_bound(graph, k), 1.0)
+        assert np.float64(rep.penalty_c).tobytes() == np.float64(want).tobytes()
+        # the default run is the run given that weight explicitly
+        given = solve_relaxation(graph, k, SolverConfig(
+            penalty_c=want, restarts=2, max_iters=5, seed=9, oracle_budget=0))
+        assert given.restart_best_values == rep.restart_best_values
+        assert given.rounded == rep.rounded
 
     def test_k1_connected_graph_rounds_to_zero(self):
         rep = solve_relaxation(load_graph(C4), 1, SolverConfig(restarts=5, max_iters=80, seed=0))
