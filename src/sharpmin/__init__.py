@@ -33,7 +33,6 @@ from .wsm import (
     WsmVerdict,
     check_dual_nc,
     check_primal_nc,
-    estimate_modulus,
     verify_wsm_sampled,
 )
 from .cheeger import (

@@ -19,11 +19,16 @@ bits of the one-frame, one-assignment loop it replaced.
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
 solution set: the dual necessary condition fails for beta > 1 (the penalty is
-smooth, its subdifferential a single point).  Below 1 it finds no refutation,
-which is not sharpness: for 1/2 < beta < 1 and n > k >= 2 the local modulus is
-0, on curves its global sample almost surely misses (README, honesty notes).
-Distances to the nonnegative slice come from ``stiefel.slice_distances``, one
-call per stack of frames, exact at the desk scale where the study runs.
+smooth, its subdifferential a single point).  Below 1 it finds no refutation at
+moderate alpha; at large alpha its sampled quotients can refute falsely
+(``--n 4 --k 2 --beta 0.75 --alpha 2`` at scale 0.05, quotient -0.369), since
+h_beta is not locally Lipschitz there.  No refutation is not sharpness either:
+for 1/2 < beta < 1 and n > k >= 2 the local modulus is 0, on curves its global
+sample almost surely misses (README, honesty notes).  Distances to the
+nonnegative slice come from ``stiefel.slice_distances``, one call per stack of
+frames, exact at the desk scale where the study runs, the circle included.
+The modulus trace is the running infimum over nested prefixes of the
+sharpness check's one sample.
 
 The solver's penalty weight is a fixed setting, C = PENALTY_C0 max(L, 1)
 with L the ``lipschitz_bound``, not a certified constant: no finite C makes
@@ -55,8 +60,7 @@ from .stiefel import (
     slice_distances,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
-from .wsm import WsmInstance, WsmVerdict, check_dual_nc, estimate_modulus, verify_wsm_sampled
-from .fixtures import arc_chordal_distance
+from .wsm import WsmInstance, WsmVerdict, check_dual_nc, verify_wsm_sampled
 
 
 class GraphFormatError(ValueError):
@@ -695,26 +699,15 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
 class PenaltyStudy:
     """Bundle of sharpness evidence for the negative-part penalty at one
     (n, k, beta): the sampled sharpness verdict against the exact distance,
-    dual necessary-condition verdicts at seeded nonnegative frames, and a
-    modulus-estimate trace over growing sample budgets."""
+    with its modulus trace, and dual necessary-condition verdicts at seeded
+    nonnegative frames."""
 
     wsm: WsmVerdict
     dual: tuple  # reporting.Check of the dual condition per probed frame
-    modulus_trace: tuple  # (n_samples, estimate)
 
     @property
     def dual_consistent(self) -> bool:
         return all(v.passed for v in self.dual)
-
-
-def _stiefel_distance(stack: np.ndarray) -> np.ndarray:
-    """Distance from each frame of a stack of desk-scale frames to the
-    nonnegative slice: the closed form per frame on the circle (height 2,
-    width 1, exactly 0 on the arc), else ``slice_distances``."""
-    if stack.shape[1:] == (2, 1):
-        return np.array([arc_chordal_distance(math.atan2(float(y), float(x)))
-                         for x, y in stack[:, :, 0].tolist()])
-    return slice_distances(stack)[0]
 
 
 # extreme rays plus the +/- covector probes carry the refutations; a light
@@ -733,10 +726,11 @@ def wsm_penalty_check(
     """Probe the negative-part penalty h_beta as a sharp exact-penalty term.
 
     Runs (a) a sampled sharpness check of h_beta against the exact distance
-    over random frames, (b) dual necessary-condition checks at seeded
-    nonnegative frames using the sign/support cone pattern, and (c) a modulus
-    estimate trace.  Small dimensions only (dense sampling), and not St(1, 1),
-    which is zero-dimensional: it has no tangent direction (``GeometryError``).
+    over random frames, whose verdict carries the modulus trace over
+    prefixes of its sample, and (b) dual necessary-condition checks at
+    seeded nonnegative frames using the sign/support cone pattern.  Small
+    dimensions only (dense sampling), and not St(1, 1), which is
+    zero-dimensional: it has no tangent direction (``GeometryError``).
 
     Two budgets are refused before any draw.  The stack of n_samples frames
     must fit in STACK_BYTES (``BudgetExceededError``).  alpha must satisfy
@@ -775,7 +769,7 @@ def wsm_penalty_check(
     inst = WsmInstance(
         f=f,
         feasible_sampler=feasible_sampler,
-        distance=_stiefel_distance,
+        distance=lambda stack: slice_distances(stack)[0],
         point=ref_point,
         alpha=alpha,
         solution_sampler=solution_sampler,
@@ -788,10 +782,4 @@ def wsm_penalty_check(
         frames.append(random_stiefel_plus(n, k, rng))
     dual = [check_dual_nc(f, stiefel_plus_normal_cone(frame), alpha=alpha, seed=seed + 101 * i,
                           schedule=STUDY_SCHEDULE) for i, frame in enumerate(frames)]
-
-    trace = []
-    for i, count in enumerate((n_samples // 4, n_samples // 2, n_samples)):
-        if count < 1:
-            continue
-        trace.append((count, estimate_modulus(inst, count, seed=seed + 13 * i)))
-    return PenaltyStudy(wsm=wsm_verdict, dual=tuple(dual), modulus_trace=tuple(trace))
+    return PenaltyStudy(wsm=wsm_verdict, dual=tuple(dual))

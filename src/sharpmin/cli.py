@@ -263,11 +263,10 @@ def _run_verify_wsm(args):
             "scale": witness.scale,
             "quotient": witness.quotient,
         },
-        "modulus_trace": list(study.modulus_trace),
+        "modulus_trace": list(study.wsm.modulus_trace),
         "violations": violations,
     }
-    rows = list(study.modulus_trace)
-    traces = {"modulus_trace.csv": (("n_samples", "estimate"), rows)}
+    traces = {"modulus_trace.csv": (("n_samples", "estimate"), list(study.wsm.modulus_trace))}
     return report, traces
 
 

@@ -120,7 +120,7 @@ class Witness:
     """The sample achieving a violation: where, at what scale, what quotient."""
 
     covector: np.ndarray
-    point_coords: np.ndarray | None
+    point_coords: np.ndarray
     scale: float
     quotient: float
 

@@ -136,11 +136,6 @@ def arc_angular_distance(theta: float) -> float:
     return min(to_lo, to_hi)
 
 
-def arc_chordal_distance(theta: float) -> float:
-    """Ambient chordal distance from angle theta to the arc [0, pi/2]."""
-    return 2.0 * math.sin(arc_angular_distance(theta) / 2.0)
-
-
 def arc_fixture() -> SetFixture:
     """The nonnegative quarter of the unit circle (entrywise-nonnegative
     frames of height 2, width 1) at the point (1, 0).  Normal cone: the ray

@@ -1,5 +1,5 @@
-"""Weak-sharp-minima verification: sampled sharpness checks, modulus
-estimation, and primal/dual necessary-condition checkers.
+"""Weak-sharp-minima verification: sampled sharpness checks with their
+modulus trace, and primal/dual necessary-condition checkers.
 
 A solution set S is weakly sharp when the objective grows at least linearly
 in the distance to it, f(u) >= f(p) + alpha * dist(u; S) with a modulus
@@ -94,50 +94,41 @@ class WsmInstance:
 class WsmVerdict:
     """Outcome of a sampled sharpness check: ``violated`` exactly when the
     witness, the first sample that broke the inequality, exists, else
-    ``pass_strong``.  ``estimated_modulus`` is the least f(u) - f(p) over
-    dist(u; set) among the samples outside the set, a sampled infimum and so
-    an upper bound on the modulus."""
+    ``pass_strong``.  ``modulus_trace`` holds (c, least f(u) - f(p) over
+    dist(u; set) among the first c samples outside the set) for c in
+    (s // 4, s // 2, s), s the number of samples, skipping c < 1; inf when
+    none of the c lies outside.  Each entry is a sampled infimum over a
+    prefix of the one sample, so an upper bound on the modulus, and the
+    entries never increase.  ``estimated_modulus`` is the last entry, the
+    infimum over the whole sample."""
 
     witness: tuple | None  # (coords, f(u), dist(u; set))
-    estimated_modulus: float
+    modulus_trace: tuple  # ((n_samples, estimate), ...)
 
     @property
     def status(self) -> str:
         return "pass_strong" if self.witness is None else "violated"
 
+    @property
+    def estimated_modulus(self) -> float:
+        return self.modulus_trace[-1][1]
+
 
 def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
     """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
     to VIOLATION_TOL, after the reference check of ``inst``, which reuses the
-    scan's f(p): f and the distance each in one call on the stack of
-    samples, which must not be empty."""
+    scan's f(p): f at the base point, f on the stack of samples, which must
+    not be empty, and the distance on the stack, one call each, then every
+    sample scored at once.  The modulus trace reads the running minimum of
+    the quotients, where a sample inside the set (dist <= INSIDE_TOL) or at
+    a non-finite distance counts as inf."""
     if n_samples < 1:
         raise GeometryError("need at least one sample")
-    return _scan(inst, n_samples, seed, check_reference=True)
-
-
-def estimate_modulus(inst: WsmInstance, n_samples: int, seed: int = 0) -> float:
-    """The sampled modulus of ``verify_wsm_sampled`` without the reference
-    check: the least f(u) - f(p) over dist(u; set) among the samples outside
-    the set (dist > INSIDE_TOL).  It runs over the samples only, so it is an
-    upper bound on the best modulus of the sampled region, not a certified
-    modulus; inf when no sample lies outside the set."""
-    return _scan(inst, n_samples, seed).estimated_modulus
-
-
-def _scan(inst: WsmInstance, n_samples: int, seed: int,
-          check_reference: bool = False) -> WsmVerdict:
-    """The sample scan behind ``verify_wsm_sampled`` and ``estimate_modulus``:
-    f on the stack and at the base point, and the distance on the stack, one
-    call each, then every sample scored at once.  With ``check_reference``
-    the instance's reference check runs on that f(p) before the stack is
-    scored."""
     samples = point_stack(inst.point.manifold, inst.feasible_sampler(n_samples, default_rng(seed)))
     if not len(samples):
         raise GeometryError("feasible sampler returned no samples")
     f0 = _base_value(inst.f, inst.point)
-    if check_reference:
-        inst.check_reference(f0, seed)
+    inst.check_reference(f0, seed)
     values = objective_values(inst.f, samples)
     d = np.asarray(inst.distance(samples), dtype=float)
     if d.shape != (len(samples),):
@@ -146,12 +137,15 @@ def _scan(inst: WsmInstance, n_samples: int, seed: int,
         raise GeometryError("objective not finite at a feasible sample")
     gain = values - f0
     outside = (d > INSIDE_TOL) & (d < math.inf)
-    modulus = float(np.min(gain[outside] / d[outside], initial=math.inf))
+    s = len(samples)
+    quotients = np.full(s, math.inf)
+    running = np.minimum.accumulate(np.divide(gain, d, out=quotients, where=outside))
+    trace = tuple((c, float(running[c - 1])) for c in (s // 4, s // 2, s) if c >= 1)
     broken = np.flatnonzero(gain < inst.alpha * d - VIOLATION_TOL)
     if not len(broken):
-        return WsmVerdict(None, modulus)
+        return WsmVerdict(None, trace)
     i = broken[0]
-    return WsmVerdict((np.array(samples[i]), float(values[i]), float(d[i])), modulus)
+    return WsmVerdict((np.array(samples[i]), float(values[i]), float(d[i])), trace)
 
 
 def check_primal_nc(

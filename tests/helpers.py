@@ -1,5 +1,6 @@
-"""Small constructors the tests share: points and the negative-part penalty
-on the unit circle (height-2, width-1 frames are the unit circle), one
+"""Small constructors the tests share: points, the negative-part penalty and
+the closed-form chordal distance to the nonnegative arc on the unit circle
+(height-2, width-1 frames are the unit circle), one
 covector's refuter verdict, the indicator frame of a sub-partition, and the
 solver's subgradient."""
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from sharpmin.cheeger import _edge_differences, _incidence_plan, _subgradient
 from sharpmin.cones import DEFAULT_SCHEDULE
+from sharpmin.fixtures import arc_angular_distance
 from sharpmin.manifolds import Point, sphere, stiefel
 
 
@@ -24,6 +26,12 @@ def circle_penalty(beta):
         return np.sum(np.maximum(-u, 0.0) ** beta, axis=-1)
 
     return f
+
+
+def arc_chordal_distance(theta):
+    """Ambient chordal distance from angle theta to the arc [0, pi/2], the
+    distance of the circle point at theta to St+(2, 1)."""
+    return 2.0 * math.sin(arc_angular_distance(theta) / 2.0)
 
 
 def refute_one(refute, g, p, x, schedule=DEFAULT_SCHEDULE, seed=0):

@@ -4,12 +4,9 @@ distance was computed one frame at a time before the desk-scale stack
 scorer of ``stiefel.slice_distances``, with its assignment filter, replaced
 it."""
 
-import math
 from functools import lru_cache
 
 import numpy as np
-
-from sharpmin.fixtures import arc_chordal_distance
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +57,3 @@ def ref_slice_distance(mat):
     table = ref_assignment_table(*mat.shape)
     v = ref_slice_frame(mat, table[:, int(np.argmax(ref_table_scores(mat)))])
     return float(np.linalg.norm(mat - v)), v
-
-
-def ref_stiefel_distance(mat):
-    """The penalty study's distance of one frame: the closed form on the
-    circle, else the full-table distance."""
-    if mat.shape == (2, 1):
-        return arc_chordal_distance(math.atan2(float(mat[1, 0]), float(mat[0, 0])))
-    return ref_slice_distance(mat)[0]

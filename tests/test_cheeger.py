@@ -19,7 +19,6 @@ from sharpmin.cheeger import (
     SolverConfig,
     SubPartition,
     _over_budget,
-    _stiefel_distance,
     cheeger_objective,
     cut_boundary,
     exact_cheeger,
@@ -42,11 +41,11 @@ from sharpmin.stiefel import (
     random_stiefel_plus,
     slice_distances,
 )
-from helpers import indicator_frame, subgradient
+from sharpmin.wsm import INSIDE_TOL
+from helpers import arc_chordal_distance, indicator_frame, subgradient
 from slice_reference import (
     ref_assignment_table,
     ref_slice_distance,
-    ref_stiefel_distance,
     ref_table_scores,
 )
 
@@ -367,7 +366,7 @@ class TestSliceDistance:
                 assert exact <= float(np.linalg.norm(u - w)) + 1e-12
 
 
-SLICE_SIZES = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 3), (11, 2), (12, 2)]
+SLICE_SIZES = [(2, 1), (3, 1), (4, 2), (6, 2), (6, 3), (8, 3), (11, 2), (12, 2)]
 # the rounded example of ROADMAP item 5: row 3 is positive only in column 1,
 # yet the optimum puts it alone in column 2
 COUNTEREXAMPLE = np.array([[0.9, 0.1], [0.5, -0.3], [0.2, -0.05]])
@@ -530,11 +529,27 @@ class TestExactSliceDistances:
                 rf"needs {k}\^{n} assignments, cap is EXACT_ASSIGNMENTS = {EXACT_ASSIGNMENTS}")):
             slice_distances(frames)
 
-    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (8, 3)])
-    def test_stiefel_distance_matches_per_frame_reference(self, n, k):
-        frames = random_stiefel(n, k, np.random.default_rng(n * k), 30)
-        want = np.array([ref_stiefel_distance(u) for u in frames])
-        assert _stiefel_distance(frames).tobytes() == want.tobytes()
+    def test_circle_frames_on_the_arc_are_inside(self):
+        # St+(2, 1) is the arc [0, pi/2] of the circle: the penalty study's
+        # (2, 1) frames there, the arc's ends included, are inside St+ to the
+        # sharpness check, at a rounding-level distance if not an exact 0
+        frames = random_stiefel(2, 1, np.random.default_rng(21), 20000)
+        on_arc = frames[np.all(frames >= 0.0, axis=(1, 2))]
+        ends = [[[1.0], [0.0]], [[0.0], [1.0]], [[math.cos(math.pi / 2)], [1.0]]]
+        angles = np.linspace(0.0, math.pi / 2, 201)
+        grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
+        for stack in (on_arc, np.array(ends), grid):
+            assert np.all(slice_distances(stack)[0] <= INSIDE_TOL)
+        assert len(on_arc) > 4000
+
+    def test_circle_frames_off_the_arc_match_the_closed_form(self):
+        # off the arc the distance is the chord to its nearer end,
+        # 2 sin(angle / 2), to within rounding
+        frames = random_stiefel(2, 1, np.random.default_rng(22), 20000)
+        off_arc = frames[np.any(frames < 0.0, axis=(1, 2))]
+        want = [arc_chordal_distance(math.atan2(y, x)) for x, y in off_arc[:, :, 0].tolist()]
+        assert np.abs(slice_distances(off_arc)[0] - want).max() <= 1e-15
+        assert len(off_arc) > 14000
 
     @pytest.mark.parametrize("n,k", [(4, 2), (8, 3)])
     def test_no_penalty_weight_dominates_the_distance(self, n, k):
@@ -735,8 +750,7 @@ class TestPenaltyStudy:
 
     def test_sqrt_modulus_bounded_below(self):
         study = wsm_penalty_check(2, 1, 0.5, n_samples=400, seed=0)
-        count, estimate = study.modulus_trace[-1]
-        assert estimate >= 0.70
+        assert study.wsm.estimated_modulus >= 0.70
 
     def test_desk_scale_guard(self):
         with pytest.raises(GeometryError):

@@ -1,5 +1,5 @@
-"""Sharpness verification tests: sampled inequality checks, modulus
-estimation, and the primal/dual necessary conditions."""
+"""Sharpness verification tests: sampled inequality checks, their modulus
+trace, and the primal/dual necessary conditions."""
 
 import math
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
 from sharpmin.manifolds import Point, stiefel
-from sharpmin.cheeger import _stiefel_distance, wsm_penalty_check
-from sharpmin.stiefel import random_stiefel, random_stiefel_plus
+from sharpmin.cheeger import wsm_penalty_check
+from sharpmin.stiefel import random_stiefel, random_stiefel_plus, slice_distances
 from sharpmin.wsm import (
     INSIDE_TOL,
     REFERENCE_SAMPLES,
@@ -20,11 +20,10 @@ from sharpmin.wsm import (
     WsmInstance,
     check_dual_nc,
     check_primal_nc,
-    estimate_modulus,
     verify_wsm_sampled,
 )
-from helpers import circle_penalty, circle_point
-from slice_reference import ref_stiefel_distance
+from helpers import arc_chordal_distance, circle_penalty, circle_point
+from slice_reference import ref_slice_distance
 
 
 def circle_coords(thetas):
@@ -131,8 +130,6 @@ class TestVerifyWsm:
                                distance=distance, point=circle_point(0.3), alpha=1.0)
             with pytest.raises(GeometryError, match="distance gave shape"):
                 verify_wsm_sampled(inst, 10, seed=0)
-            with pytest.raises(GeometryError, match="distance gave shape"):
-                estimate_modulus(inst, 10)
 
     def test_empty_stack_refused_before_any_call(self):
         # an empty stack checks nothing, so it is refused rather than passed
@@ -149,8 +146,6 @@ class TestVerifyWsm:
                            distance=distance, point=circle_point(0.3), alpha=1.0)
         with pytest.raises(GeometryError, match="feasible sampler returned no samples"):
             verify_wsm_sampled(inst, 10, seed=0)
-        with pytest.raises(GeometryError, match="feasible sampler returned no samples"):
-            estimate_modulus(inst, 10)
 
     def test_refusal_order(self):
         # the scan refuses f's shape, then the distance's, then a non-finite f
@@ -185,7 +180,7 @@ class TestVerifyWsm:
             inst = WsmInstance(f=f, feasible_sampler=circle_sampler, distance=arc_distance,
                                point=base, alpha=1.0)
             with pytest.raises(GeometryError, match="f must be finite at the base point"):
-                estimate_modulus(inst, 10)
+                verify_wsm_sampled(inst, 10)
 
     def test_nonminimal_reference_refused(self):
         def arc_sampler(count, rng):
@@ -231,11 +226,15 @@ class TestVerifyWsm:
         assert verdict.estimated_modulus == plain.estimated_modulus
 
 
-class TestEstimateModulus:
+def estimated_modulus(inst, n_samples, seed=0):
+    return verify_wsm_sampled(inst, n_samples, seed=seed).estimated_modulus
+
+
+class TestEstimatedModulus:
     def test_scaled_distance(self):
         f = fx.arc_fixture().dist_fn
-        est = estimate_modulus(arc_instance(lambda u: 2.0 * f(u), circle_sampler, arc_distance),
-                               500, seed=0)
+        est = estimated_modulus(arc_instance(lambda u: 2.0 * f(u), circle_sampler, arc_distance),
+                                500, seed=0)
         assert est == pytest.approx(2.0, abs=1e-9)
 
     def test_square_penalty_vanishes(self):
@@ -245,13 +244,13 @@ class TestEstimateModulus:
             return circle_coords(thetas)
 
         inst = arc_instance(circle_penalty(2.0), near_boundary_sampler, arc_distance)
-        est = estimate_modulus(inst, 200, seed=0)
+        est = estimated_modulus(inst, 200, seed=0)
         assert est <= 5e-3
 
     def test_sqrt_penalty_bounded_below(self):
         # oracle: dense-grid minimum of sum(sqrt(neg)) / chordal distance
         def chordal(u):
-            return fx.arc_chordal_distance(math.atan2(float(u[1]), float(u[0])))
+            return arc_chordal_distance(math.atan2(float(u[1]), float(u[0])))
 
         def chordal_distance(coords):
             return np.array([chordal(u) for u in coords])
@@ -261,19 +260,19 @@ class TestEstimateModulus:
         oracle = min(f(u[None])[0] / chordal(u) for u in grid if chordal(u) > 0)
         assert oracle >= 0.70
 
-        est = estimate_modulus(arc_instance(f, circle_sampler, chordal_distance), 1000, seed=0)
+        est = estimated_modulus(arc_instance(f, circle_sampler, chordal_distance), 1000, seed=0)
         assert est >= 0.70
         assert est >= oracle - 1e-9
 
     def test_all_inside_is_inf(self):
-        # no sample outside the set bounds the modulus: the estimate is inf,
-        # as in the sampled sharpness check
+        # no sample outside the set bounds the modulus: every entry of the
+        # trace is inf
         def inside_sampler(count, rng):
             return circle_coords([0.3] * count)
 
         inst = arc_instance(circle_penalty(0.5), inside_sampler, arc_distance)
-        assert estimate_modulus(inst, 5, seed=0) == math.inf
-        assert verify_wsm_sampled(inst, 5, seed=0).estimated_modulus == math.inf
+        assert verify_wsm_sampled(inst, 5, seed=0).modulus_trace == ((1, math.inf), (2, math.inf),
+                                                                      (5, math.inf))
 
     def test_rounding_level_distance_counts_as_inside(self):
         # a point on the set whose computed distance is an ulp above zero must
@@ -286,7 +285,7 @@ class TestEstimateModulus:
         def distance(coords):
             return np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
 
-        est = estimate_modulus(arc_instance(circle_penalty(1.0), two_point_sampler, distance), 2)
+        est = estimated_modulus(arc_instance(circle_penalty(1.0), two_point_sampler, distance), 2)
         assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
         assert 0.0 < INSIDE_TOL <= 1e-12
 
@@ -294,8 +293,8 @@ class TestEstimateModulus:
         # random unit vectors in R^3 land on St+(3, 1) with probability 1/8,
         # where the exact distance is rounding-level, not 0
         study = wsm_penalty_check(3, 1, 0.5, n_samples=20)
-        assert study.modulus_trace
-        assert all(est > 0 for _, est in study.modulus_trace)
+        assert [c for c, _ in study.wsm.modulus_trace] == [5, 10, 20]
+        assert all(est > 0 for _, est in study.wsm.modulus_trace)
 
 
 def ref_wsm_scan(f, coords, f0, distances, alpha):
@@ -437,7 +436,7 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None)
     samples = sampler(n_samples, rng)
     witness, modulus = None, math.inf
     for u, fu in zip(samples, _ref_values(f, samples)):
-        d = ref_stiefel_distance(u.coords)
+        d = ref_slice_distance(u.coords)[0]
         gain = fu - f0
         if d > INSIDE_TOL and math.isfinite(d):
             modulus = min(modulus, gain / d)
@@ -450,7 +449,7 @@ def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None)
 def ref_estimate(f, sampler, n_samples, seed):
     outside, ds = [], []
     for u in sampler(n_samples, np.random.default_rng(seed)):
-        d = ref_stiefel_distance(u.coords)
+        d = ref_slice_distance(u.coords)[0]
         if d <= INSIDE_TOL or not math.isfinite(d):
             continue
         outside.append(u)
@@ -498,13 +497,10 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", WSM_GRID)
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_verify_and_modulus(self, n, k, beta):
-        point = Point(stiefel(n, k), np.eye(n, k))
-        inst = WsmInstance(f=_penalty(beta),
-                           feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
-                           distance=_stiefel_distance, point=point, alpha=1.0)
-        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, 3)
+        inst = penalty_instance(n, k, beta)
+        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), inst.point, 1.0, 60, 3)
         _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=3), want)
-        est = estimate_modulus(inst, 60, seed=8)
+        est = estimated_modulus(inst, 60, seed=8)
         want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
         assert np.float64(est).tobytes() == np.float64(want).tobytes()
 
@@ -517,7 +513,59 @@ class TestStackSamplersMatchPerSampleReference:
                           solution_sampler=ref_solution_sampler(n, k))
         _same_wsm_verdict(study.wsm, want)
         counts = (samples // 4, samples // 2, samples)
-        assert [c for c, _ in study.modulus_trace] == list(counts)
-        for i, (count, est) in enumerate(study.modulus_trace):
-            want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), count, seed + 13 * i)
+        assert [c for c, _ in study.wsm.modulus_trace] == list(counts)
+        for count, est in study.wsm.modulus_trace:
+            # each entry is the scan of a prefix: a draw of that many frames
+            want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), count, seed)
             assert np.float64(est).tobytes() == np.float64(want).tobytes()
+
+
+def penalty_instance(n, k, beta):
+    """The penalty study's sharpness instance without its solution sampler."""
+    return WsmInstance(f=_penalty(beta),
+                       feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
+                       distance=lambda stack: slice_distances(stack)[0],
+                       point=Point(stiefel(n, k), np.eye(n, k)), alpha=1.0)
+
+
+class TestModulusTrace:
+    """The trace is the running infimum over nested prefixes of the check's
+    one sample: it never increases, it ends at ``estimated_modulus``, and
+    each entry is bitwise the estimate of a check that draws only that many
+    samples at the same seed, since the frames of a draw are prefix-stable."""
+
+    @pytest.mark.parametrize("n,k", WSM_GRID)
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("samples,seed", [(100, 0), (100, 9), (7, 3)])
+    def test_prefix_estimates(self, n, k, beta, samples, seed):
+        study = wsm_penalty_check(n, k, beta, n_samples=samples, seed=seed)
+        trace = study.wsm.modulus_trace
+        estimates = [est for _, est in trace]
+        assert [c for c, _ in trace] == [samples // 4, samples // 2, samples]
+        assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+        assert np.float64(estimates[-1]).tobytes() == \
+            np.float64(study.wsm.estimated_modulus).tobytes()
+        first = wsm_penalty_check(n, k, beta, n_samples=samples // 4, seed=seed)
+        assert np.float64(estimates[0]).tobytes() == \
+            np.float64(first.wsm.estimated_modulus).tobytes()
+        inst = penalty_instance(n, k, beta)
+        for count, est in trace:
+            alone = verify_wsm_sampled(inst, count, seed=seed).estimated_modulus
+            assert np.float64(est).tobytes() == np.float64(alone).tobytes()
+
+    @pytest.mark.parametrize("samples,counts", [(1, [1]), (2, [1, 2]), (3, [1, 3]),
+                                                (4, [1, 2, 4]), (9, [2, 4, 9])])
+    def test_budgets_below_one_are_skipped(self, samples, counts):
+        verdict = verify_wsm_sampled(penalty_instance(2, 1, 0.5), samples, seed=1)
+        assert [c for c, _ in verdict.modulus_trace] == counts
+        assert all(type(c) is int and type(est) is float for c, est in verdict.modulus_trace)
+
+    def test_counts_the_samples_the_sampler_returned(self):
+        # a sampler that returns more rows than asked: the trace and the
+        # estimate cover every row the check scored
+        rows = circle_coords([0.2, -0.5, 1.0, -2.0, 0.4, -1.0, 2.5, -0.1])
+        inst = arc_instance(circle_penalty(1.0), lambda count, rng: rows, arc_distance)
+        trace = verify_wsm_sampled(inst, 1, seed=0).modulus_trace
+        _, want = ref_wsm_scan(circle_penalty(1.0), rows, 0.0, arc_distance(rows), 1.0)
+        assert [c for c, _ in trace] == [2, 4, 8]
+        assert trace[-1][1] == want
