@@ -62,6 +62,12 @@ REFUSALS = (
     ["relax", "--graph", "c4.txt", "--k", "0"],  # graph format: k out of range
     ["verify-wsm", "--n", "9", "--k", "1", "--beta", "0.5"],  # geometry: not desk-scale
     ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", "--alpha", "1e300"],  # geometry
+    # geometry, in the order the study checks them: alpha, the sample count, beta
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", "--alpha", "0"],
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", "--samples", "0"],
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", "--alpha", "0", "--samples", "0"],
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0", "--samples", "0"],
+    ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0"],
     ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--samples", "20"],  # violation
 )
 

@@ -29,7 +29,6 @@ from .cones import (
     stiefel_plus_sampler,
 )
 from .wsm import (
-    WsmInstance,
     WsmVerdict,
     check_dual_nc,
     check_primal_nc,

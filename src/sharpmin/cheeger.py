@@ -45,7 +45,7 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, default_rng
+from numpy.random import default_rng
 
 from .manifolds import (BudgetExceededError, GeometryError, Point, require_within_stack_cap,
                         spawned_generators, stiefel, tangent_project)
@@ -60,7 +60,7 @@ from .stiefel import (
     slice_distances,
 )
 from .cones import Schedule, stiefel_plus_normal_cone
-from .wsm import WsmInstance, WsmVerdict, check_dual_nc, verify_wsm_sampled
+from .wsm import WsmVerdict, check_dual_nc, verify_wsm_sampled
 
 
 class GraphFormatError(ValueError):
@@ -726,11 +726,14 @@ def wsm_penalty_check(
     """Probe the negative-part penalty h_beta as a sharp exact-penalty term.
 
     Runs (a) a sampled sharpness check of h_beta against the exact distance
-    over random frames, whose verdict carries the modulus trace over
+    over n_samples random frames drawn from ``default_rng(seed)``, at the
+    reference P = [I_k; 0], whose verdict carries the modulus trace over
     prefixes of its sample, and (b) dual necessary-condition checks at
     seeded nonnegative frames using the sign/support cone pattern.  Small
     dimensions only (dense sampling), and not St(1, 1), which is
     zero-dimensional: it has no tangent direction (``GeometryError``).
+    P minimizes h_beta, since h_beta >= 0 everywhere and P has no negative
+    entry, so h_beta(P) = 0.
 
     Two budgets are refused before any draw.  The stack of n_samples frames
     must fit in STACK_BYTES (``BudgetExceededError``).  alpha must satisfy
@@ -738,7 +741,8 @@ def wsm_penalty_check(
     largest admitted alpha in the message): the dual candidates have norm at
     most alpha, so their squared norms, their tangency residuals (at most
     4 alpha**2) and their inner products with chords stay finite, and so do
-    the sharpness products alpha * dist, with dist <= 2 sqrt(k)."""
+    the sharpness products alpha * dist, with dist <= 2 sqrt(k).  Then a
+    non-positive alpha and an empty sample are refused (``GeometryError``)."""
     if n > 8 or k > 3:
         raise GeometryError("penalty study is desk-scale only (n <= 8, k <= 3)")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -751,30 +755,19 @@ def wsm_penalty_check(
     if alpha > alpha_max:
         raise GeometryError(f"modulus {alpha} can overflow the dual check; "
                             f"the largest at n={n}, k={k} is {alpha_max}")
+    if not alpha > 0:
+        raise GeometryError(f"modulus must be positive, got {alpha}")
+    if n_samples < 1:
+        raise GeometryError("need at least one sample")
 
     def f(u: np.ndarray) -> np.ndarray:
         return penalty_h(u, beta)
 
-    def feasible_sampler(count: int, rng: Generator) -> np.ndarray:
-        return random_stiefel(n, k, rng, count)
-
-    def solution_sampler(count: int, rng: Generator) -> np.ndarray:
-        frames = [random_stiefel_plus(n, k, rng) for _ in range(count)]
-        return np.array(frames, dtype=float).reshape(count, n, k)
-
     reference = np.zeros((n, k))
     reference[:k, :k] = np.eye(k)
-    ref_point = Point(manifold, reference)
-
-    inst = WsmInstance(
-        f=f,
-        feasible_sampler=feasible_sampler,
-        distance=lambda stack: slice_distances(stack)[0],
-        point=ref_point,
-        alpha=alpha,
-        solution_sampler=solution_sampler,
-    )
-    wsm_verdict = verify_wsm_sampled(inst, n_samples, seed=seed)
+    samples = random_stiefel(n, k, default_rng(seed), n_samples)
+    wsm_verdict = verify_wsm_sampled(f, lambda stack: slice_distances(stack)[0],
+                                     Point(manifold, reference), samples, alpha)
 
     frames = [reference]
     rng = default_rng(seed + 1)

@@ -24,11 +24,10 @@ comes out bitwise as if it were handled alone.  ``Point`` and ``Tangent``
 are validated by the same stack rules on a one-row stack, and both refuse
 non-finite coordinates.
 
-Set samplers follow one contract here and in ``cones``, ``fixtures`` and
-``wsm``: a sampler returns one stack (s, *ambient_shape) of point
-coordinates, and the code that takes it checks it with a single
-``require_on_manifold`` call (``point_stack``) instead of building a
-``Point`` per row.
+Set samplers follow one contract here and in ``cones`` and ``fixtures``: a
+sampler returns one stack (s, *ambient_shape) of point coordinates, and the
+code that takes it checks it with a single ``require_on_manifold`` call
+(``point_stack``) instead of building a ``Point`` per row.
 """
 
 from __future__ import annotations

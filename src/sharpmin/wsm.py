@@ -11,11 +11,11 @@ consistency otherwise; sufficiency is never claimed.
 
 Objectives take the stack form of ``cones``: f maps a stack
 (s, *ambient_shape) of point coordinates to s values, and every check calls
-it once on all the points it scores.  Samplers follow the contract of
-``manifolds``: ``sampler(count, rng)`` returns one stack of point
-coordinates, checked on the manifold by one call.  ``distance(coords)``
-maps a stack of s points to their s distances to the solution set, and every
-check calls it once on all the points it scores, in one numpy pass.
+it once on all the points it scores.  The sampled check scores the stack
+of points it is given, checked on the manifold by one call.
+``distance(coords)`` maps a stack of s points to their s distances to the
+solution set, and every check calls it once on all the points it scores, in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -46,48 +46,7 @@ VIOLATION_TOL = 1e-9
 # A sample whose distance is at most this lies in the solution set: points
 # on the set get rounding-level distances, not exact zeros.
 INSIDE_TOL = 1e-12
-REFERENCE_SAMPLES = 32  # solution-set points the reference-minimality spot check draws
 DUAL_CONE_SAMPLES = 24  # covectors each dual necessary-condition check refutes
-
-
-@dataclass(frozen=True, eq=False)
-class WsmInstance:
-    """One sharpness-verification problem.
-
-    ``f`` maps a stack of point coordinates to one value per row;
-    ``feasible_sampler(count, rng)`` returns a stack of feasible points;
-    ``distance(coords)`` maps a stack of s point coordinates to their s
-    distances to the solution set; ``point`` is a reference solution where f
-    attains its minimum.  When ``solution_sampler`` (a stack sampler as
-    well) is given, the reference-minimality of ``point`` is spot-checked
-    against REFERENCE_SAMPLES sampled solution-set points before any verdict
-    is issued.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    feasible_sampler: Callable[[int, np.random.Generator], np.ndarray]
-    distance: Callable[[np.ndarray], np.ndarray]
-    point: Point
-    alpha: float
-    solution_sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise GeometryError(f"modulus must be positive, got {self.alpha}")
-
-    def check_reference(self, f0: float, seed: int = 0):
-        """Refuse a reference point, with f0 = f(point), that one of
-        REFERENCE_SAMPLES solution-set points drawn from ``default_rng(seed)``
-        undercuts by more than VIOLATION_TOL.  A sampler that returns no
-        points is refused too: an empty sample checks nothing."""
-        if self.solution_sampler is None:
-            return
-        solutions = point_stack(self.point.manifold,
-                                self.solution_sampler(REFERENCE_SAMPLES, default_rng(seed)))
-        if not len(solutions):
-            raise GeometryError("solution sampler returned no samples")
-        if np.any(objective_values(self.f, solutions) < f0 - VIOLATION_TOL):
-            raise GeometryError("reference point is not minimal over sampled solution set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,23 +73,25 @@ class WsmVerdict:
         return self.modulus_trace[-1][1]
 
 
-def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmVerdict:
-    """Sample feasible points and check f(u) >= f(p) + alpha * dist(u; set),
-    to VIOLATION_TOL, after the reference check of ``inst``, which reuses the
-    scan's f(p): f at the base point, f on the stack of samples, which must
-    not be empty, and the distance on the stack, one call each, then every
-    sample scored at once.  The modulus trace reads the running minimum of
-    the quotients, where a sample inside the set (dist <= INSIDE_TOL) or at
-    a non-finite distance counts as inf."""
-    if n_samples < 1:
-        raise GeometryError("need at least one sample")
-    samples = point_stack(inst.point.manifold, inst.feasible_sampler(n_samples, default_rng(seed)))
+def verify_wsm_sampled(
+    f: Callable[[np.ndarray], np.ndarray],
+    distance: Callable[[np.ndarray], np.ndarray],
+    point: Point,
+    samples: np.ndarray,
+    alpha: float,
+) -> WsmVerdict:
+    """Check f(u) >= f(p) + alpha * dist(u; set), to VIOLATION_TOL, on a
+    stack of samples of ``point``'s manifold, which must not be empty: f at
+    the base point p, f on the stack and the distance on the stack, one call
+    each, then every sample scored at once.  The modulus trace reads the
+    running minimum of the quotients, where a sample inside the set
+    (dist <= INSIDE_TOL) or at a non-finite distance counts as inf."""
+    samples = point_stack(point.manifold, samples)
     if not len(samples):
-        raise GeometryError("feasible sampler returned no samples")
-    f0 = _base_value(inst.f, inst.point)
-    inst.check_reference(f0, seed)
-    values = objective_values(inst.f, samples)
-    d = np.asarray(inst.distance(samples), dtype=float)
+        raise GeometryError("need at least one sample")
+    f0 = _base_value(f, point)
+    values = objective_values(f, samples)
+    d = np.asarray(distance(samples), dtype=float)
     if d.shape != (len(samples),):
         raise GeometryError(f"distance gave shape {d.shape} for a stack of {len(samples)} points")
     if not np.all(np.isfinite(values)):
@@ -141,7 +102,7 @@ def verify_wsm_sampled(inst: WsmInstance, n_samples: int, seed: int = 0) -> WsmV
     quotients = np.full(s, math.inf)
     running = np.minimum.accumulate(np.divide(gain, d, out=quotients, where=outside))
     trace = tuple((c, float(running[c - 1])) for c in (s // 4, s // 2, s) if c >= 1)
-    broken = np.flatnonzero(gain < inst.alpha * d - VIOLATION_TOL)
+    broken = np.flatnonzero(gain < alpha * d - VIOLATION_TOL)
     if not len(broken):
         return WsmVerdict(None, trace)
     i = broken[0]

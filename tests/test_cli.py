@@ -204,6 +204,21 @@ class TestUsageErrors:
         assert "finite" in json.loads(out)["reason"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--alpha", "0"], "modulus must be positive, got 0.0"),
+        (["--samples", "0"], "need at least one sample"),
+        (["--alpha", "0", "--samples", "0"], "modulus must be positive, got 0.0"),
+        (["--beta", "0", "--samples", "0"], "need at least one sample"),
+        (["--beta", "0"], "penalty exponent must be positive, got 0.0"),
+    ], ids=["alpha", "samples", "alpha-before-samples", "samples-before-beta", "beta"])
+    def test_verify_wsm_refusal_order(self, capsys, flags, reason):
+        # alpha is refused first, then an empty sample, then beta
+        code, out, err = run_captured(
+            capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5", *flags])
+        assert code == EXIT_USAGE
+        assert json.loads(out)["reason"] == reason
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["relax", "--k", "2"], ["verify-lemma"],
                                       ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2"]])
     def test_negative_seed_refused_at_parse(self, capsys, c4_file, tmp_path, argv):

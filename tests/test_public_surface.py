@@ -11,6 +11,8 @@ reached by either.  An attribute reached through numpy or math
 reference."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +25,24 @@ KEEP = {
                            "wsm_penalty_check is to run it (ROADMAP item 1(c))",
     "cones.PatternCone.project": "dist(V, T(P)) = ||project(V)|| for V in T_P St "
                                  "gives the exact contingent-cone distance (ROADMAP item 1(a))",
+}
+
+
+# per-layer metrics of the benchmark whose function is gone from the package,
+# each with the change that removed it; they read 0 on every traced run
+DEAD_METRICS = {
+    "cheeger.calibrate_penalty_weight": "the penalty weight is the fixed "
+                                        "PENALTY_C0 max(L, 1), not a calibration",
+    "cheeger.dist_upper_estimate": "distances to St+ come from the exact "
+                                   "stiefel.slice_distances",
+    "cheeger.riemannian_subgradient": "the solver's stacked _subgradient had no "
+                                      "other caller",
+    "manifolds.exp_map": "the stack form manifolds.exp_coords replaced it",
+    "manifolds.retract": "stiefel.qr_retract and manifolds.exp_coords replaced it",
+    "stiefel.polar_factor": "no program path called it once the alternating "
+                            "projection was gone",
+    "wsm.estimate_modulus": "the modulus trace of verify_wsm_sampled's own "
+                            "sample replaced it",
 }
 
 
@@ -115,3 +135,24 @@ def test_class_members_count_only_attribute_reads():
     assert _unreferenced([defs, shadowed]) == {"vec.Vec.norm"}
     read = (Path("reader.py"), ast.parse("norm_of(v.norm())\n"))
     assert _unreferenced([defs], [read]) == set()
+
+
+def _metric_owners():
+    """The function or class each per-layer metric of the benchmark reads,
+    as "module.name", except the tracer's own overhead ratio."""
+    names = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["PER_LAYER_NAMES"]
+    return {name.rsplit(".", 1)[0] for name in names if name != "trace.overhead_ratio"}
+
+
+def _defined(owner):
+    module, name = owner.split(".", 1)
+    obj = getattr(importlib.import_module(f"sharpmin.{module}"), name, None)
+    return obj is not None and obj.__module__ == f"sharpmin.{module}"
+
+
+def test_benchmark_metrics_name_live_members():
+    dead = {owner for owner in _metric_owners() if not _defined(owner)}
+    assert dead == set(DEAD_METRICS), (
+        f"metrics of missing members: {sorted(dead - set(DEAD_METRICS))}; "
+        f"stale DEAD_METRICS entries: {sorted(set(DEAD_METRICS) - dead)}")
+    assert all(reason.strip() for reason in DEAD_METRICS.values())

@@ -82,8 +82,8 @@ def test_report_digests_refusal_jobs(tmp_path):
                           env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    # parse x 2, usage x 2, budget x 6, graph format x 2, geometry x 2, violation
-    codes = [2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 1]
+    # parse x 2, usage x 2, budget x 6, graph format x 2, geometry x 7, violation
+    codes = [2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 2, 2, *[2] * 7, 1]
     assert [code for _, code, _ in rows] == [c for c in codes for _ in ("json", "csv")]
     for i, (label, code, stdout) in enumerate(rows):
         assert label.startswith(f"refusal/{i}-")

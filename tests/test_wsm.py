@@ -12,12 +12,10 @@ import sharpmin.fixtures as fx
 from sharpmin.cones import GeometryError, stiefel_plus_normal_cone
 from sharpmin.manifolds import Point, stiefel
 from sharpmin.cheeger import wsm_penalty_check
-from sharpmin.stiefel import random_stiefel, random_stiefel_plus, slice_distances
+from sharpmin.stiefel import random_stiefel, slice_distances
 from sharpmin.wsm import (
     INSIDE_TOL,
-    REFERENCE_SAMPLES,
     VIOLATION_TOL,
-    WsmInstance,
     check_dual_nc,
     check_primal_nc,
     verify_wsm_sampled,
@@ -32,104 +30,69 @@ def circle_coords(thetas):
     return np.array([circle_point(t).coords for t in thetas]).reshape(len(thetas), 2)
 
 
-def circle_sampler(count, rng):
-    return circle_coords(rng.uniform(-math.pi, math.pi, size=count))
+def circle_samples(count, seed=0):
+    """count circle points at uniform angles drawn from ``default_rng(seed)``."""
+    return circle_coords(np.random.default_rng(seed).uniform(-math.pi, math.pi, size=count))
 
 
 def arc_distance(coords):
     return np.array([fx.arc_angular_distance(math.atan2(y, x)) for x, y in coords.tolist()])
 
 
-def circle_instance(beta, alpha):
-    return WsmInstance(
-        f=circle_penalty(beta),
-        feasible_sampler=circle_sampler,
-        distance=arc_distance,
-        point=circle_point(0.3),
-        alpha=alpha,
-    )
-
-
-def arc_instance(f, sampler, distance):
-    """An instance for a modulus estimate: f is 0 on the arc, where the
-    reference point lies."""
-    return WsmInstance(f=f, feasible_sampler=sampler, distance=distance,
-                       point=circle_point(0.3), alpha=1.0)
+def circle_check(f, samples, alpha=1.0, distance=arc_distance):
+    """The sampled check of f on the circle at the reference point of angle
+    0.3, on the nonnegative arc, where the circle's penalties vanish."""
+    return verify_wsm_sampled(f, distance, circle_point(0.3), samples, alpha)
 
 
 class TestVerifyWsm:
     def test_distance_itself_is_strongly_sharp(self):
-        inst = WsmInstance(
-            f=fx.arc_fixture().dist_fn,
-            feasible_sampler=circle_sampler,
-            distance=arc_distance,
-            point=circle_point(0.3),
-            alpha=1.0,
-        )
-        verdict = verify_wsm_sampled(inst, 400, seed=0)
+        verdict = circle_check(fx.arc_fixture().dist_fn, circle_samples(400))
         assert verdict.status == "pass_strong"
         assert verdict.estimated_modulus == pytest.approx(1.0, abs=1e-9)
 
     def test_sqrt_penalty_passes_at_half(self):
         # oracle: min over the circle of sum(sqrt(neg)) / arc distance is
         # 2/pi ~ 0.6366, so alpha = 0.5 passes strongly on a dense grid
-        verdict = verify_wsm_sampled(circle_instance(0.5, 0.5), 720, seed=0)
+        verdict = circle_check(circle_penalty(0.5), circle_samples(720), alpha=0.5)
         assert verdict.status == "pass_strong"
         assert verdict.estimated_modulus >= 0.6
 
     def test_square_penalty_violated_at_any_alpha(self):
         for alpha in (1.0, 0.1):
-            verdict = verify_wsm_sampled(circle_instance(2.0, alpha), 720, seed=0)
+            verdict = circle_check(circle_penalty(2.0), circle_samples(720), alpha=alpha)
             assert verdict.status == "violated"
             coords, fval, d = verdict.witness
             assert fval < alpha * d  # the witness re-evaluates as a violation
             assert d == arc_distance(coords[None])[0]
 
     def test_translation_invariance(self):
-        base = circle_instance(0.5, 0.5)
-        shifted = WsmInstance(
-            f=lambda u: base.f(u) + 17.25,
-            feasible_sampler=base.feasible_sampler,
-            distance=base.distance,
-            point=base.point,
-            alpha=base.alpha,
-        )
-        v1 = verify_wsm_sampled(base, 300, seed=5)
-        v2 = verify_wsm_sampled(shifted, 300, seed=5)
+        f, samples = circle_penalty(0.5), circle_samples(300, seed=5)
+        v1 = circle_check(f, samples, alpha=0.5)
+        v2 = circle_check(lambda u: f(u) + 17.25, samples, alpha=0.5)
         assert v1.status == v2.status
         assert v1.estimated_modulus == pytest.approx(v2.estimated_modulus, abs=1e-9)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=10, deadline=None)
     def test_scaling_scales_modulus(self, lam):
-        base = circle_instance(0.5, 0.25)
-        scaled = WsmInstance(
-            f=lambda u: lam * base.f(u),
-            feasible_sampler=base.feasible_sampler,
-            distance=base.distance,
-            point=base.point,
-            alpha=base.alpha,
-        )
-        v1 = verify_wsm_sampled(base, 100, seed=7)
-        v2 = verify_wsm_sampled(scaled, 100, seed=7)
+        f, samples = circle_penalty(0.5), circle_samples(100, seed=7)
+        v1 = circle_check(f, samples, alpha=0.25)
+        v2 = circle_check(lambda u: lam * f(u), samples, alpha=0.25)
         assert v2.estimated_modulus == pytest.approx(lam * v1.estimated_modulus, rel=1e-9)
 
     def test_pass_strong_monotone_in_alpha(self):
-        strong_alpha = 0.5
-        v = verify_wsm_sampled(circle_instance(0.5, strong_alpha), 300, seed=1)
-        assert v.status == "pass_strong"
+        f, samples = circle_penalty(0.5), circle_samples(300, seed=1)
+        assert circle_check(f, samples, alpha=0.5).status == "pass_strong"
         for smaller in (0.25, 0.05):
-            v2 = verify_wsm_sampled(circle_instance(0.5, smaller), 300, seed=1)
-            assert v2.status == "pass_strong"
+            assert circle_check(f, samples, alpha=smaller).status == "pass_strong"
 
     def test_distance_without_one_value_per_point_refused(self):
         for distance in (lambda coords: 1.0,
                          lambda coords: np.ones(len(coords) + 1),
                          lambda coords: (np.zeros(len(coords)), np.ones(len(coords)))):
-            inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=circle_sampler,
-                               distance=distance, point=circle_point(0.3), alpha=1.0)
             with pytest.raises(GeometryError, match="distance gave shape"):
-                verify_wsm_sampled(inst, 10, seed=0)
+                circle_check(circle_penalty(0.5), circle_samples(10), distance=distance)
 
     def test_empty_stack_refused_before_any_call(self):
         # an empty stack checks nothing, so it is refused rather than passed
@@ -139,13 +102,14 @@ class TestVerifyWsm:
         def f(coords):
             raise AssertionError("objective called on an empty stack")
 
-        def no_samples(count, rng):
-            return np.zeros((0, 2))
+        with pytest.raises(GeometryError, match="need at least one sample"):
+            circle_check(f, np.zeros((0, 2)), distance=distance)
 
-        inst = WsmInstance(f=f, feasible_sampler=no_samples,
-                           distance=distance, point=circle_point(0.3), alpha=1.0)
-        with pytest.raises(GeometryError, match="feasible sampler returned no samples"):
-            verify_wsm_sampled(inst, 10, seed=0)
+    def test_stack_off_the_manifold_refused(self):
+        for samples, reason in ((np.array([[0.6, 0.8], [2.0, 0.0]]), "point off"),
+                                (np.zeros((3, 3)), "expected a stack of points")):
+            with pytest.raises(GeometryError, match=reason):
+                circle_check(circle_penalty(0.5), samples)
 
     def test_refusal_order(self):
         # the scan refuses f's shape, then the distance's, then a non-finite f
@@ -157,10 +121,6 @@ class TestVerifyWsm:
         def short_off_base(coords):
             return infinite_off_base(coords)[:1]
 
-        def inst(f, distance):
-            return WsmInstance(f=f, feasible_sampler=circle_sampler, distance=distance,
-                               point=base, alpha=1.0)
-
         def long_distance(coords):
             return np.ones(len(coords) + 1)
 
@@ -168,7 +128,7 @@ class TestVerifyWsm:
                                     (infinite_off_base, long_distance, "distance gave shape"),
                                     (infinite_off_base, arc_distance, "objective not finite")):
             with pytest.raises(GeometryError, match=reason):
-                verify_wsm_sampled(inst(f, distance), 10, seed=0)
+                circle_check(f, circle_samples(10), distance=distance)
 
     def test_non_finite_base_value_refused(self):
         # at a NaN f(p) every comparison is false, so nothing would be checked
@@ -177,74 +137,38 @@ class TestVerifyWsm:
             def f(coords, value=value):
                 return np.where(np.all(coords == base.coords, axis=1), value, 1.0)
 
-            inst = WsmInstance(f=f, feasible_sampler=circle_sampler, distance=arc_distance,
-                               point=base, alpha=1.0)
             with pytest.raises(GeometryError, match="f must be finite at the base point"):
-                verify_wsm_sampled(inst, 10)
-
-    def test_nonminimal_reference_refused(self):
-        def arc_sampler(count, rng):
-            return circle_coords(rng.uniform(0.0, math.pi / 2, size=count))
-
-        inst = WsmInstance(
-            f=lambda u: -u[:, 0],  # minimized at theta = 0, not 0.9
-            feasible_sampler=circle_sampler,
-            distance=arc_distance,
-            point=circle_point(0.9),
-            alpha=1.0,
-            solution_sampler=arc_sampler,
-        )
-        with pytest.raises(GeometryError):
-            verify_wsm_sampled(inst, 10, seed=0)
-
-    def test_empty_solution_sample_refused(self):
-        # an empty solution sample checks nothing, so it is refused rather than passed
-        inst = WsmInstance(f=circle_penalty(0.5), feasible_sampler=circle_sampler,
-                           distance=arc_distance, point=circle_point(0.3), alpha=0.5,
-                           solution_sampler=lambda count, rng: np.zeros((0, 2)))
-        with pytest.raises(GeometryError, match="solution sampler returned no samples"):
-            verify_wsm_sampled(inst, 10, seed=0)
+                circle_check(f, circle_samples(10))
 
     def test_base_value_taken_once(self):
-        # f(p) is one 1-row call, shared by the reference check and the scan
-        penalty = circle_penalty(0.5)
-        rows = []
+        # f(p) is one 1-row call, then f scores the whole stack in one call
+        penalty, samples = circle_penalty(0.5), circle_samples(3)
+        calls = []
 
         def f(coords):
-            rows.append(len(coords))
+            calls.append(coords.copy())
             return penalty(coords)
 
-        def arc_sampler(count, rng):
-            return circle_coords(rng.uniform(0.0, math.pi / 2, size=count))
-
-        inst = WsmInstance(f=f, feasible_sampler=circle_sampler, distance=arc_distance,
-                           point=circle_point(0.3), alpha=0.5, solution_sampler=arc_sampler)
-        verdict = verify_wsm_sampled(inst, 3, seed=0)
-        assert rows == [1, REFERENCE_SAMPLES, 3]
-        plain = verify_wsm_sampled(circle_instance(0.5, 0.5), 3, seed=0)
-        assert verdict.status == plain.status
-        assert verdict.estimated_modulus == plain.estimated_modulus
+        circle_check(f, samples, alpha=0.5)
+        assert [len(c) for c in calls] == [1, 3]
+        assert calls[0].tobytes() == circle_point(0.3).coords.tobytes()
+        assert calls[1].tobytes() == samples.tobytes()
 
 
-def estimated_modulus(inst, n_samples, seed=0):
-    return verify_wsm_sampled(inst, n_samples, seed=seed).estimated_modulus
+def estimated_modulus(f, samples, distance=arc_distance):
+    return circle_check(f, samples, distance=distance).estimated_modulus
 
 
 class TestEstimatedModulus:
     def test_scaled_distance(self):
         f = fx.arc_fixture().dist_fn
-        est = estimated_modulus(arc_instance(lambda u: 2.0 * f(u), circle_sampler, arc_distance),
-                                500, seed=0)
+        est = estimated_modulus(lambda u: 2.0 * f(u), circle_samples(500))
         assert est == pytest.approx(2.0, abs=1e-9)
 
     def test_square_penalty_vanishes(self):
         # near the arc ends the ratio d^2/d collapses; sample close to them
-        def near_boundary_sampler(count, rng):
-            thetas = -(10.0 ** rng.uniform(-4, -1, size=count))
-            return circle_coords(thetas)
-
-        inst = arc_instance(circle_penalty(2.0), near_boundary_sampler, arc_distance)
-        est = estimated_modulus(inst, 200, seed=0)
+        thetas = -(10.0 ** np.random.default_rng(0).uniform(-4, -1, size=200))
+        est = estimated_modulus(circle_penalty(2.0), circle_coords(thetas))
         assert est <= 5e-3
 
     def test_sqrt_penalty_bounded_below(self):
@@ -260,32 +184,26 @@ class TestEstimatedModulus:
         oracle = min(f(u[None])[0] / chordal(u) for u in grid if chordal(u) > 0)
         assert oracle >= 0.70
 
-        est = estimated_modulus(arc_instance(f, circle_sampler, chordal_distance), 1000, seed=0)
+        est = estimated_modulus(f, circle_samples(1000), distance=chordal_distance)
         assert est >= 0.70
         assert est >= oracle - 1e-9
 
     def test_all_inside_is_inf(self):
         # no sample outside the set bounds the modulus: every entry of the
         # trace is inf
-        def inside_sampler(count, rng):
-            return circle_coords([0.3] * count)
-
-        inst = arc_instance(circle_penalty(0.5), inside_sampler, arc_distance)
-        assert verify_wsm_sampled(inst, 5, seed=0).modulus_trace == ((1, math.inf), (2, math.inf),
-                                                                      (5, math.inf))
+        verdict = circle_check(circle_penalty(0.5), circle_coords([0.3] * 5))
+        assert verdict.modulus_trace == ((1, math.inf), (2, math.inf), (5, math.inf))
 
     def test_rounding_level_distance_counts_as_inside(self):
         # a point on the set whose computed distance is an ulp above zero must
         # be skipped, not read as a zero modulus
         inside, outside = circle_point(0.3), circle_point(-0.5)
 
-        def two_point_sampler(count, rng):
-            return np.stack([inside.coords, outside.coords])
-
         def distance(coords):
             return np.where(np.all(coords == inside.coords, axis=1), 1e-16, 0.5)
 
-        est = estimated_modulus(arc_instance(circle_penalty(1.0), two_point_sampler, distance), 2)
+        est = estimated_modulus(circle_penalty(1.0), np.stack([inside.coords, outside.coords]),
+                                distance=distance)
         assert est == pytest.approx(2.0 * math.sin(0.5), abs=1e-15)
         assert 0.0 < INSIDE_TOL <= 1e-12
 
@@ -331,10 +249,8 @@ class TestScanEdgeRows:
             return distances
 
         f, base, alpha = circle_penalty(1.0), circle_point(0.3), 0.8
-        inst = WsmInstance(f=f, feasible_sampler=lambda count, rng: coords,
-                           distance=distance, point=base, alpha=alpha)
         witness, modulus = ref_wsm_scan(f, coords, f(base.coords[None])[0], distances, alpha)
-        got = verify_wsm_sampled(inst, len(coords), seed=seed)
+        got = circle_check(f, coords, alpha=alpha, distance=distance)
         assert got.status == "violated" and witness is not None
         assert np.float64(got.estimated_modulus).tobytes() == np.float64(modulus).tobytes()
         assert got.witness[0].tobytes() == witness[0].tobytes()
@@ -413,25 +329,15 @@ def ref_feasible_sampler(n, k):
     return sampler
 
 
-def ref_solution_sampler(n, k):
-    def sampler(count, rng):
-        return [Point(stiefel(n, k), random_stiefel_plus(n, k, rng)) for _ in range(count)]
-
-    return sampler
-
-
 def _ref_values(f, points):
     return f(np.stack([u.coords for u in points])).tolist() if points else []
 
 
-def ref_verify(f, sampler, point, alpha, n_samples, seed, solution_sampler=None):
+def ref_verify(f, sampler, point, alpha, n_samples, seed):
     """(status, witness, modulus), one Point and one full-table distance per
     sample."""
     tol = 1e-9
     f0 = _ref_values(f, [point])[0]
-    if solution_sampler is not None:
-        sols = solution_sampler(32, np.random.default_rng(seed))
-        assert not any(fs < f0 - 1e-9 for fs in _ref_values(f, sols))
     rng = np.random.default_rng(seed)
     samples = sampler(n_samples, rng)
     witness, modulus = None, math.inf
@@ -497,10 +403,10 @@ class TestStackSamplersMatchPerSampleReference:
     @pytest.mark.parametrize("n,k", WSM_GRID)
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_verify_and_modulus(self, n, k, beta):
-        inst = penalty_instance(n, k, beta)
-        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), inst.point, 1.0, 60, 3)
-        _same_wsm_verdict(verify_wsm_sampled(inst, 60, seed=3), want)
-        est = estimated_modulus(inst, 60, seed=8)
+        point = Point(stiefel(n, k), np.eye(n, k))
+        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, 60, 3)
+        _same_wsm_verdict(penalty_check(n, k, beta, 60, seed=3), want)
+        est = penalty_check(n, k, beta, 60, seed=8).estimated_modulus
         want = ref_estimate(_penalty(beta), ref_feasible_sampler(n, k), 60, 8)
         assert np.float64(est).tobytes() == np.float64(want).tobytes()
 
@@ -509,8 +415,7 @@ class TestStackSamplersMatchPerSampleReference:
         beta, samples, seed = 0.5, 40, 2
         study = wsm_penalty_check(n, k, beta, n_samples=samples, seed=seed)
         point = Point(stiefel(n, k), np.eye(n, k))
-        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, samples, seed,
-                          solution_sampler=ref_solution_sampler(n, k))
+        want = ref_verify(_penalty(beta), ref_feasible_sampler(n, k), point, 1.0, samples, seed)
         _same_wsm_verdict(study.wsm, want)
         counts = (samples // 4, samples // 2, samples)
         assert [c for c, _ in study.wsm.modulus_trace] == list(counts)
@@ -520,12 +425,12 @@ class TestStackSamplersMatchPerSampleReference:
             assert np.float64(est).tobytes() == np.float64(want).tobytes()
 
 
-def penalty_instance(n, k, beta):
-    """The penalty study's sharpness instance without its solution sampler."""
-    return WsmInstance(f=_penalty(beta),
-                       feasible_sampler=lambda c, rng: random_stiefel(n, k, rng, c),
-                       distance=lambda stack: slice_distances(stack)[0],
-                       point=Point(stiefel(n, k), np.eye(n, k)), alpha=1.0)
+def penalty_check(n, k, beta, count, seed):
+    """The penalty study's sampled check at alpha = 1 on count frames drawn
+    from ``default_rng(seed)``."""
+    return verify_wsm_sampled(_penalty(beta), lambda stack: slice_distances(stack)[0],
+                              Point(stiefel(n, k), np.eye(n, k)),
+                              random_stiefel(n, k, np.random.default_rng(seed), count), 1.0)
 
 
 class TestModulusTrace:
@@ -548,24 +453,21 @@ class TestModulusTrace:
         first = wsm_penalty_check(n, k, beta, n_samples=samples // 4, seed=seed)
         assert np.float64(estimates[0]).tobytes() == \
             np.float64(first.wsm.estimated_modulus).tobytes()
-        inst = penalty_instance(n, k, beta)
         for count, est in trace:
-            alone = verify_wsm_sampled(inst, count, seed=seed).estimated_modulus
+            alone = penalty_check(n, k, beta, count, seed).estimated_modulus
             assert np.float64(est).tobytes() == np.float64(alone).tobytes()
 
     @pytest.mark.parametrize("samples,counts", [(1, [1]), (2, [1, 2]), (3, [1, 3]),
                                                 (4, [1, 2, 4]), (9, [2, 4, 9])])
     def test_budgets_below_one_are_skipped(self, samples, counts):
-        verdict = verify_wsm_sampled(penalty_instance(2, 1, 0.5), samples, seed=1)
+        verdict = penalty_check(2, 1, 0.5, samples, seed=1)
         assert [c for c, _ in verdict.modulus_trace] == counts
         assert all(type(c) is int and type(est) is float for c, est in verdict.modulus_trace)
 
-    def test_counts_the_samples_the_sampler_returned(self):
-        # a sampler that returns more rows than asked: the trace and the
-        # estimate cover every row the check scored
+    def test_counts_the_rows_of_the_given_stack(self):
+        # the trace and the estimate cover every row of the stack
         rows = circle_coords([0.2, -0.5, 1.0, -2.0, 0.4, -1.0, 2.5, -0.1])
-        inst = arc_instance(circle_penalty(1.0), lambda count, rng: rows, arc_distance)
-        trace = verify_wsm_sampled(inst, 1, seed=0).modulus_trace
+        trace = circle_check(circle_penalty(1.0), rows).modulus_trace
         _, want = ref_wsm_scan(circle_penalty(1.0), rows, 0.0, arc_distance(rows), 1.0)
         assert [c for c, _ in trace] == [2, 4, 8]
         assert trace[-1][1] == want
