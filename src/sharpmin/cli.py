@@ -161,25 +161,20 @@ def _run_relax(args):
     return report, traces
 
 
-_LEMMA_RADII = (0.4, 0.2, 0.1, 0.05)
-
-
 def _run_verify_lemma(args):
     if args.samples < 1:  # a zero budget would pass vacuously
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    sphere_point = manifolds.Point(manifolds.sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
+    sphere_point = manifolds.Point(manifolds.sphere(3), np.array([0.0, 0.0, 1.0]))
     sphere_sampler = manifolds.geodesic_sphere_sampler(sphere_point)
     sphere_report = manifolds.verify_local_distance_lemma(
-        sphere_point, sphere_sampler, _LEMMA_RADII,
-        samples_per_radius=args.samples, seed=args.seed)
+        sphere_point, sphere_sampler, samples_per_radius=args.samples, seed=args.seed)
     flat_point = manifolds.Point(manifolds.euclidean(3), np.zeros(3))
     flat_sampler = manifolds.geodesic_sphere_sampler(flat_point)
     flat_report = manifolds.verify_local_distance_lemma(
-        flat_point, flat_sampler, _LEMMA_RADII,
-        samples_per_radius=args.samples, seed=args.seed)
+        flat_point, flat_sampler, samples_per_radius=args.samples, seed=args.seed)
 
     order_ok = abs(sphere_report.fitted_order - 2.0) <= 0.3
-    flat_ok = max(flat_report.worst_ratio_deviation) <= 1e-12
+    flat_ok = max(flat_report.worst_ratio_deviation) <= manifolds.FLAT_DEVIATION
     violations = []
     if not order_ok:
         violations.append(f"sphere deviation order {sphere_report.fitted_order:.3f} not 2 +/- 0.3")
@@ -386,6 +381,8 @@ def run(argv=None) -> int:
         parsed = parser.parse_args(argv)
         if parsed.seed < 0:  # numpy seeding would raise a bare ValueError later
             parser.error(f"argument --seed: must be a non-negative integer, got {parsed.seed}")
+        if getattr(parsed, "budget", 0) < 0:  # exact, relax and report take a budget
+            parser.error(f"argument --budget: must be a non-negative integer, got {parsed.budget}")
         args = parsed
         report, traces = _HANDLERS[args.command](args)
         failed = report.get("violations") or report.get("mismatches")

@@ -437,11 +437,10 @@ def contingent_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     p: Point,
     v: Tangent,
-    schedule: Schedule = DEFAULT_SCHEDULE,
 ) -> float:
     """Ray quotient estimate of the lower directional derivative of f at p
     along v: the least of (f(exp_p(t v)) - f(p)) / t over the smallest
-    TAIL_SCALES scales of the schedule (the QR retraction stands in for
+    TAIL_SCALES scales of DEFAULT_SCHEDULE (the QR retraction stands in for
     exp on frames), from one block and one call of f.  A NaN value counts as
     +inf.  No draw is made, so the estimate takes no seed.
 
@@ -454,7 +453,7 @@ def contingent_derivative(
     t^(2 beta - 1) while nearby directions that stay in the slice give 0.
     """
     f0 = _base_value(f, p)
-    t = np.asarray(schedule.scales[-TAIL_SCALES:])
+    t = np.asarray(DEFAULT_SCHEDULE.scales[-TAIL_SCALES:])
     fu = objective_values(f, _approach_block(p, _per_row(t, v.vec[None]) * v.vec))
     with np.errstate(over="ignore"):
         q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
@@ -473,19 +472,19 @@ def contingent_cone_distance(
     sampler: Callable[[float, Generator], np.ndarray],
     p: Point,
     v: Tangent,
-    schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
 ) -> float:
     """Sampled distance from v to the contingent cone of a set at p.
 
     Set points u at scale t are pulled back to normalized chart vectors; the
     estimate is the least distance from v to the rays they span, restricted
-    to the smallest TAIL_SCALES scales.  It decreases toward the true
-    cone distance as the budget grows and is exactly 0 whenever a sampled
-    ray hits a contingent direction of v.  Every scale has its own spawned
-    stream, but the sampler runs only at the tail scales; their stacks are
-    checked on the manifold by one call and scored as one block."""
-    scales = schedule.scales
+    to the smallest TAIL_SCALES scales of DEFAULT_SCHEDULE.  It decreases
+    toward the true cone distance as the budget grows and is exactly 0
+    whenever a sampled ray hits a contingent direction of v.  The sampler
+    runs only at the tail scales, each from the stream its index spawns
+    from ``seed`` (keys 9 and 10); their stacks are checked on the manifold
+    by one call and scored as one block."""
+    scales = DEFAULT_SCHEDULE.scales
     tail = range(len(scales))[-TAIL_SCALES:]
     stacks = [np.asarray(sampler(scales[i], rng), dtype=float)
               for i, rng in zip(tail, spawned_generators([seed], tail))]
@@ -720,7 +719,7 @@ def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.n
     return sampler
 
 
-CROSS_VALIDATION_SCHEDULE = Schedule.geometric(n_scales=8, samples_per_scale=8)
+CROSS_VALIDATION_SCHEDULE = Schedule.geometric(n_scales=8)
 PER_FRAME = 5  # cone members, and pattern violators, drawn per cross-validated frame
 
 
@@ -815,7 +814,6 @@ def _pattern_violators(cone: PatternCone, rng: Generator) -> list:
 def check_dist_subdiff_identity(
     fixture,
     n_covectors: int = 50,
-    schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
 ) -> Check:
     """Sampled two-sided test of the distance-function subdifferential.
@@ -826,13 +824,13 @@ def check_dist_subdiff_identity(
     cone directions rescaled past the unit sphere by MARGIN, must be
     refuted, and each that is not fails as ("outside", covector).
     ``fixture`` supplies the analytic distance function and the cone
-    samplers (see fixtures module).  A
-    check whose 2 x n_covectors covectors, scored on the refuter's rows of
+    samplers (see fixtures module).  The refuter runs on DEFAULT_SCHEDULE.
+    A check whose 2 x n_covectors covectors, scored on the refuter's rows of
     the whole schedule, need more than STACK_BYTES is refused before any
     draw (``BudgetExceededError``).
     """
     p = fixture.point
-    rows = 2 * n_covectors * _subdiff_rows(schedule, len(schedule.scales))
+    rows = 2 * n_covectors * _subdiff_rows(DEFAULT_SCHEDULE, len(DEFAULT_SCHEDULE.scales))
     require_within_stack_cap("scoring one identity check needs", 8 * rows * p.coords.size)
     rng = default_rng(seed)
     # draws in the order of one refuter call per covector, then one block
@@ -851,30 +849,26 @@ def check_dist_subdiff_identity(
     seeds += [int(rng.integers(2**31)) for _ in outside]
     covectors = np.array(inside + outside, dtype=float).reshape(len(seeds),
                                                                 *p.manifold.ambient_shape)
-    verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors, schedule, seed=seeds)
+    verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors, seed=seeds)
     failures = [("inside", v.witness) for v in verdicts[:len(inside)] if v.refuted]
     failures += [("outside", x) for x, v in zip(outside, verdicts[len(inside):]) if not v.refuted]
     return Check(fixture.name, len(seeds), tuple(failures),
                  {"inside_checked": len(inside), "outside_checked": len(outside)})
 
 
-def _directional_rows(f, sampler, p: Point, directions, schedule: Schedule, seeds) -> list:
+def _directional_rows(f, sampler, p: Point, directions, seeds) -> list:
     """(direction, lhs, rhs) along each direction at p, with one seed each:
     lhs the contingent derivative of f, rhs the sampled distance from the
     direction to the contingent cone of the sampler's set."""
     rows = []
     for vec, sd in zip(directions, seeds):
         v = Tangent(p, vec)
-        rows.append((v.vec, contingent_derivative(f, p, v, schedule),
-                     contingent_cone_distance(sampler, p, v, schedule, seed=sd)))
+        rows.append((v.vec, contingent_derivative(f, p, v),
+                     contingent_cone_distance(sampler, p, v, seed=sd)))
     return rows
 
 
-def check_dirderiv_identity(
-    fixture,
-    schedule: Schedule = DEFAULT_SCHEDULE,
-    seed: int = 0,
-) -> Check:
+def check_dirderiv_identity(fixture, seed: int = 0) -> Check:
     """Finite-dimensional equality test along each of the fixture's
     directions: the lower directional derivative of dist(.; set) matches the
     distance from the direction to the contingent cone, up to estimator bias
@@ -883,7 +877,7 @@ def check_dirderiv_identity(
     rhs both inf) fails, and the ``max_residual`` counter carries it."""
     seeds = [seed + 7 * i + 3 for i in range(len(fixture.directions))]
     rows = _directional_rows(fixture.dist_fn, fixture.omega_sampler, fixture.point,
-                             fixture.directions, schedule, seeds)
+                             fixture.directions, seeds)
     residuals = [abs(lhs - rhs) for _, lhs, rhs in rows]
     failures = tuple((*row, r) for row, r in zip(rows, residuals) if not r <= DIRDERIV_TOL)
     return Check(fixture.name, len(rows), failures,

@@ -140,7 +140,7 @@ def arc_fixture() -> SetFixture:
     """The nonnegative quarter of the unit circle (entrywise-nonnegative
     frames of height 2, width 1) at the point (1, 0).  Normal cone: the ray
     {(0, -s) : s >= 0}; contingent cone: the ray {(0, s) : s >= 0}."""
-    m = sphere(2, 1.0)
+    m = sphere(2)
     p = Point(m, np.array([1.0, 0.0]))
 
     def dist_fn(u: np.ndarray) -> np.ndarray:
@@ -173,11 +173,11 @@ def arc_fixture() -> SetFixture:
     )
 
 
-def fullspace_fixture(dim: int = 2) -> SetFixture:
-    """The whole space as the set.  Distance is identically zero, the normal
-    cone is {0}, and every nonzero covector must be refuted."""
-    m = euclidean(dim)
-    p = Point(m, np.zeros(dim))
+def fullspace_fixture() -> SetFixture:
+    """The whole plane R^2 as the set.  Distance is identically zero, the
+    normal cone is {0}, and every nonzero covector must be refuted."""
+    m = euclidean(2)
+    p = Point(m, np.zeros(2))
 
     def dist_fn(u: np.ndarray) -> np.ndarray:
         return np.zeros(len(u))
@@ -185,16 +185,16 @@ def fullspace_fixture(dim: int = 2) -> SetFixture:
     def omega_sampler(t: float, rng: Generator) -> np.ndarray:
         out = []
         for _ in range(8):
-            d = rng.standard_normal(dim)
+            d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
             out.append(t * float(rng.uniform(0.05, 1.0)) * d)
         return np.array(out)
 
     def cone_in(rng: Generator) -> np.ndarray:
-        return np.zeros(dim)
+        return np.zeros(2)
 
     def cone_out(rng: Generator, margin: float) -> np.ndarray:
-        d = rng.standard_normal(dim)
+        d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
         return (margin + float(rng.uniform(0.0, 1.0))) * d
 
@@ -209,7 +209,7 @@ def fullspace_fixture(dim: int = 2) -> SetFixture:
         cone_sample_in=cone_in,
         cone_sample_out=cone_out,
         cone_rays=(),
-        directions=(np.array([1.0] + [0.0] * (dim - 1)),),
+        directions=(np.array([1.0, 0.0]),),
         tangent_cone_dist=tangent_dist,
     )
 

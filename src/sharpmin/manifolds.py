@@ -1,8 +1,8 @@
 """Concrete finite-dimensional Riemannian manifolds with exact chart maps.
 
-Three embedded manifolds are supported: Euclidean space R^n, the round sphere
-of radius rho embedded in R^n, and the Stiefel manifold St(n, k) of n-by-k
-matrices with orthonormal columns.  Euclidean spaces and spheres come with
+Three embedded manifolds are supported: Euclidean space R^n, the unit sphere
+embedded in R^n, and the Stiefel manifold St(n, k) of n-by-k matrices with
+orthonormal columns.  Euclidean spaces and spheres come with
 closed-form exponential/logarithm maps, geodesic distances, and a known
 curvature bound, which makes them usable as exact oracles.  St(n, k) has no
 closed-form geodesic distance; here it carries a QR retraction and the ambient
@@ -45,7 +45,7 @@ from .stiefel import frame_residual
 
 FEASIBILITY_TOL = 1e-10   # on-manifold residual allowed for Point
 TANGENCY_TOL = 1e-10      # relative tangency residual allowed for Tangent
-INJECTIVITY_GUARD = 0.99  # sphere log refuses beyond this fraction of pi*rho
+INJECTIVITY_GUARD = 0.99  # sphere log refuses beyond this fraction of pi
 
 
 class GeometryError(ValueError):
@@ -86,13 +86,12 @@ class ManifoldDescriptor:
 
     kind is one of ``euclidean``, ``sphere``, ``stiefel``.  ``n`` is the
     ambient vector dimension (euclidean/sphere) or the frame height (stiefel);
-    ``k`` is the frame width for stiefel; ``radius`` is the sphere radius.
+    ``k`` is the frame width for stiefel.  Spheres have radius 1.
     """
 
     kind: str
     n: int
     k: int = 0
-    radius: float = 0.0
 
     def __post_init__(self):
         if self.kind == "euclidean":
@@ -101,8 +100,6 @@ class ManifoldDescriptor:
         elif self.kind == "sphere":
             if self.n < 2:
                 raise GeometryError(f"sphere ambient dimension must be >= 2, got {self.n}")
-            if not self.radius > 0:
-                raise GeometryError(f"sphere radius must be positive, got {self.radius}")
         elif self.kind == "stiefel":
             if not 0 < self.k <= self.n:
                 raise GeometryError(f"stiefel needs 0 < k <= n, got n={self.n}, k={self.k}")
@@ -121,17 +118,9 @@ class ManifoldDescriptor:
     def ambient_shape(self) -> tuple:
         return (self.n, self.k) if self.kind == "stiefel" else (self.n,)
 
-    @property
-    def injectivity_radius(self) -> float:
-        if self.kind == "euclidean":
-            return math.inf
-        if self.kind == "sphere":
-            return math.pi * self.radius
-        raise GeometryError("stiefel has no exact exponential chart here; use qr_retract")
-
     def __str__(self):
         if self.kind == "sphere":
-            return f"sphere({self.n}, radius={self.radius})"
+            return f"sphere({self.n}, radius=1.0)"
         if self.kind == "stiefel":
             return f"stiefel({self.n}, {self.k})"
         return f"euclidean({self.n})"
@@ -141,8 +130,9 @@ def euclidean(n: int) -> ManifoldDescriptor:
     return ManifoldDescriptor("euclidean", n)
 
 
-def sphere(n: int, radius: float = 1.0) -> ManifoldDescriptor:
-    return ManifoldDescriptor("sphere", n, radius=float(radius))
+def sphere(n: int) -> ManifoldDescriptor:
+    """The unit sphere in R^n."""
+    return ManifoldDescriptor("sphere", n)
 
 
 def stiefel(n: int, k: int) -> ManifoldDescriptor:
@@ -157,12 +147,12 @@ def _readonly(a, dtype=float) -> np.ndarray:
 
 def feasibility_residuals(m: ManifoldDescriptor, coords: np.ndarray) -> np.ndarray:
     """On-manifold residual of each row of a stack (s, *ambient_shape) of
-    coordinates: 0 for euclidean, |norm - rho| for spheres, ||U^T U - I||_F
+    coordinates: 0 for euclidean, |norm - 1| for spheres, ||U^T U - I||_F
     for stiefel."""
     if m.kind == "euclidean":
         return np.zeros(len(coords))
     if m.kind == "sphere":
-        return np.abs(row_norms(coords) - m.radius)
+        return np.abs(row_norms(coords) - 1.0)
     return frame_residual(coords)
 
 
@@ -239,7 +229,7 @@ def require_tangent(p: Point, vecs: np.ndarray) -> None:
     """Raise unless every row of the stack ``vecs`` is a finite tangent vector
     at p.
 
-    A row's residual (|<v, p>| / rho on spheres, ||V^T P + P^T V||_F on
+    A row's residual (|<v, p>| on spheres, ||V^T P + P^T V||_F on
     stiefel, identically 0 on euclidean) may be at most TANGENCY_TOL times
     its norm; the first offending row is reported.  This is the rule every
     ``Tangent`` is validated by."""
@@ -249,7 +239,7 @@ def require_tangent(p: Point, vecs: np.ndarray) -> None:
     if m.kind == "euclidean":
         return
     if m.kind == "sphere":
-        residuals = np.abs(_row_dots(vecs, p.coords)) / m.radius
+        residuals = np.abs(_row_dots(vecs, p.coords))
     else:
         residuals = row_norms(np.swapaxes(vecs, -1, -2) @ p.coords + p.coords.T @ vecs)
     norms = row_norms(vecs)
@@ -294,13 +284,12 @@ def exp_coords(p: Point, vecs: np.ndarray) -> np.ndarray:
         coords = np.repeat(p.coords[None], len(vecs), axis=0)
         coords[moving] = exp_coords(p, vecs[moving])
         return coords
-    rho = m.radius
     # scalar libm cos/sin row by row (np.cos/np.sin may round differently)
-    cos_t = np.array([math.cos(n / rho) for n in nv])
-    coef = np.array([rho * math.sin(n / rho) / n for n in nv])
+    cos_t = np.array([math.cos(n) for n in nv])
+    coef = np.array([math.sin(n) / n for n in nv])
     coords = _per_row(cos_t, vecs) * p.coords + _per_row(coef, vecs) * vecs
     # renormalize to kill the O(eps) drift of the closed form
-    coords *= _per_row(rho / row_norms(coords), vecs)
+    coords *= _per_row(1.0 / row_norms(coords), vecs)
     return coords
 
 
@@ -312,11 +301,10 @@ def log_coords(p: Point, coords: np.ndarray) -> np.ndarray:
     if m.kind == "euclidean":
         vecs = coords - p.coords
     elif m.kind == "sphere":
-        rho = m.radius
         dots = _row_dots(coords, p.coords)
-        w = coords - _per_row(dots / rho**2, coords) * p.coords
+        w = coords - _per_row(dots, coords) * p.coords
         nw = row_norms(w)
-        theta = _atan2(nw / rho, dots / rho**2)
+        theta = _atan2(nw, dots)
         far = theta > INJECTIVITY_GUARD * math.pi
         if far.any():
             raise GeometryError(
@@ -324,7 +312,7 @@ def log_coords(p: Point, coords: np.ndarray) -> np.ndarray:
                 f"beyond the {INJECTIVITY_GUARD}*pi guard"
             )
         with np.errstate(divide="ignore", invalid="ignore"):
-            vecs = _per_row(rho * theta / nw, w) * w
+            vecs = _per_row(theta / nw, w) * w
         vecs[nw == 0.0] = 0.0
     else:
         raise GeometryError(f"no exact logarithm map for {m}")
@@ -348,10 +336,9 @@ def pairwise_distances(m: ManifoldDescriptor, a: np.ndarray, b: np.ndarray) -> n
     a, b = a.reshape(len(a), 1, size), b.reshape(1, len(b), size)
     if m.kind != "sphere":
         return _pair_norms(b - a)
-    rho = m.radius
     dots = np.vecdot(a, b)
-    w = b - (dots / rho**2)[..., None] * a
-    return rho * _atan2(_pair_norms(w) / rho, dots / rho**2)
+    w = b - dots[..., None] * a
+    return _atan2(_pair_norms(w), dots)
 
 
 def _pair_norms(diffs: np.ndarray) -> np.ndarray:
@@ -378,7 +365,7 @@ def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> n
         return z
     for _ in range(2):
         if m.kind == "sphere":
-            z = z - (np.vecdot(z, base) / m.radius**2)[..., None] * base
+            z = z - np.vecdot(z, base)[..., None] * base
         else:
             s = base.mT @ z
             z = z - base @ ((s + np.swapaxes(s, -1, -2)) / 2.0)
@@ -387,11 +374,11 @@ def tangent_project(m: ManifoldDescriptor, base: np.ndarray, z: np.ndarray) -> n
 
 def curvature_norm(m: ManifoldDescriptor) -> float:
     """Largest curvature value over orthonormal frames: 0 for euclidean,
-    1/rho^2 for the sphere of radius rho.  Unknown for stiefel (refused)."""
+    1 for the unit sphere.  Unknown for stiefel (refused)."""
     if m.kind == "euclidean":
         return 0.0
     if m.kind == "sphere":
-        return 1.0 / m.radius**2
+        return 1.0
     raise GeometryError(f"unknown curvature bound for {m}")
 
 
@@ -567,7 +554,10 @@ class LemmaReport:
     coefficient_ok: bool
 
 
-_FLAT_DEVIATION = 1e-12  # below this the chart is treated as exact (flat case)
+FLAT_DEVIATION = 1e-12  # below this the chart is treated as exact (flat case)
+# radii of the local-distance comparison: at least 3 for the order fit,
+# strictly decreasing, and below the injectivity guard of the unit sphere
+LEMMA_RADII = (0.4, 0.2, 0.1, 0.05)
 COEFFICIENT_SLACK = 0.25  # relative excess over curvature/6 the fitted coefficient may show
 SPHERE_SAMPLER_POINTS = 16  # points per radius of ``geodesic_sphere_sampler``
 
@@ -575,34 +565,27 @@ SPHERE_SAMPLER_POINTS = 16  # points per radius of ``geodesic_sphere_sampler``
 def verify_local_distance_lemma(
     p: Point,
     set_sampler: Callable[[float, Generator], np.ndarray],
-    radii: Sequence[float],
     samples_per_radius: int = 200,
     seed: int = 0,
 ) -> LemmaReport:
     """Compare set distances against their exponential-chart images.
 
-    For each radius r, ``set_sampler(r, rng)`` must return a stack of points
-    of a finite subset of the target set intersected with B(p, r).  Test
-    points are drawn uniformly from the chart ball of radius r; for each, the
-    ratio of the manifold set distance to the chart set distance is measured.
-    The distances from all test points to all set points are one table per
-    radius, refused past STACK_BYTES before the test points are drawn.  The
-    worst deviations are regressed on r in log-log scale and the r^2
-    coefficient is compared with curvature/6 inflated by COEFFICIENT_SLACK.
+    For each radius r of LEMMA_RADII, ``set_sampler(r, rng)`` must return a
+    stack of points of a finite subset of the target set intersected with
+    B(p, r).  Test points are drawn uniformly from the chart ball of radius
+    r; for each, the ratio of the manifold set distance to the chart set
+    distance is measured.  The distances from all test points to all set
+    points are one table per radius, refused past STACK_BYTES before the
+    test points are drawn.  The worst deviations are regressed on r in
+    log-log scale and the r^2 coefficient is compared with curvature/6
+    inflated by COEFFICIENT_SLACK.
     """
     m = p.manifold
     if m.kind not in ("euclidean", "sphere"):
         raise GeometryError(f"exact distance oracle unavailable on {m}")
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise GeometryError("need at least 3 radii for the order fit")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise GeometryError("radii must be strictly decreasing")
-    if radii[0] >= INJECTIVITY_GUARD * m.injectivity_radius:
-        raise GeometryError("largest radius exceeds the injectivity guard")
 
     deviations = []
-    for r, rng in zip(radii, spawned_generators([seed], range(len(radii)))):
+    for r, rng in zip(LEMMA_RADII, spawned_generators([seed], range(len(LEMMA_RADII)))):
         omega = point_stack(m, set_sampler(r, rng))
         if not len(omega):
             raise GeometryError(f"set sampler returned no points at r={r}")
@@ -620,17 +603,17 @@ def verify_local_distance_lemma(
                                        initial=0.0)))
 
     target = curvature_norm(m) / 6.0
-    if all(d <= _FLAT_DEVIATION for d in deviations):
+    if all(d <= FLAT_DEVIATION for d in deviations):
         order, coefficient = float("nan"), float("nan")
         ok = True
     else:
-        logs_r = np.log(radii)
+        logs_r = np.log(LEMMA_RADII)
         logs_d = np.log(np.maximum(deviations, 1e-300))
         order = float(np.polyfit(logs_r, logs_d, 1)[0])
         coefficient = float(np.exp(np.mean(logs_d - 2.0 * logs_r)))
         ok = coefficient <= (1.0 + COEFFICIENT_SLACK) * target + 1e-15
     return LemmaReport(
-        radii=tuple(radii),
+        radii=LEMMA_RADII,
         worst_ratio_deviation=tuple(deviations),
         fitted_order=order,
         fitted_coefficient=coefficient,

@@ -34,6 +34,7 @@ from .manifolds import (
 )
 from .cones import (
     DEFAULT_SCHEDULE,
+    DIRDERIV_TOL,
     Schedule,
     _base_value,
     _directional_rows,
@@ -115,18 +116,17 @@ def check_primal_nc(
     p: Point,
     alpha: float,
     directions: Sequence[np.ndarray],
-    schedule: Schedule = DEFAULT_SCHEDULE,
     seed: int = 0,
-    tol: float = 5e-2,
 ) -> Check:
     """Directional necessary condition for a sharp solution set: along every
     tangent direction the lower directional derivative of f must dominate
-    alpha times the distance to the contingent cone of the set.  Each
-    direction where it does not fails as (direction, lhs, rhs)."""
+    alpha times the distance to the contingent cone of the set, up to
+    DIRDERIV_TOL.  Each direction where it does not fails as (direction,
+    lhs, rhs)."""
     seeds = [seed + 11 * i + 5 for i in range(len(directions))]
-    rows = _directional_rows(f, omega_sampler, p, directions, schedule, seeds)
+    rows = _directional_rows(f, omega_sampler, p, directions, seeds)
     return Check("primal", len(rows),
-                 tuple(row for row in rows if row[1] < alpha * row[2] - tol))
+                 tuple(row for row in rows if row[1] < alpha * row[2] - DIRDERIV_TOL))
 
 
 def check_dual_nc(

@@ -15,7 +15,7 @@ from sharpmin.manifolds import Point, sphere, stiefel
 
 
 def circle_point(theta):
-    return Point(sphere(2, 1.0), np.array([math.cos(theta), math.sin(theta)]))
+    return Point(sphere(2), np.array([math.cos(theta), math.sin(theta)]))
 
 
 def circle_penalty(beta):

@@ -15,6 +15,7 @@ import pytest
 import sharpmin as sm
 import sharpmin.fixtures as fx
 from sharpmin.cli import EXIT_OK, run
+from sharpmin.cones import DEFAULT_SCHEDULE
 from sharpmin.manifolds import Point, euclidean, geodesic_sphere_sampler, sphere, stiefel
 from helpers import circle_penalty, indicator_frame
 
@@ -23,20 +24,17 @@ def _report(line):
     print(line)
 
 
-LEMMA_RADII = (0.4, 0.2, 0.1, 0.05)
-
-
 def test_criterion_1_local_distance_lemma():
     start = time.monotonic()
-    p = Point(sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
-    rep = sm.verify_local_distance_lemma(p, geodesic_sphere_sampler(p), LEMMA_RADII,
+    p = Point(sphere(3), np.array([0.0, 0.0, 1.0]))
+    rep = sm.verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                          samples_per_radius=300, seed=0)
     assert abs(rep.fitted_order - 2.0) <= 0.3, rep
     assert rep.fitted_coefficient <= (1.0 / 6.0) * 1.25, rep
 
     flat = Point(euclidean(3), np.zeros(3))
     control = sm.verify_local_distance_lemma(flat, geodesic_sphere_sampler(flat),
-                                             LEMMA_RADII, samples_per_radius=300, seed=0)
+                                             samples_per_radius=300, seed=0)
     assert max(control.worst_ratio_deviation) <= 1e-12, control
 
     elapsed = time.monotonic() - start
@@ -58,11 +56,10 @@ def test_criterion_2_dist_subdiff_identity():
 
 
 def test_criterion_3_dirderiv_identity():
-    schedule = sm.Schedule.geometric()  # floor 0.1 * 0.5^10 < 1e-4
-    assert schedule.scales[-1] <= 1e-4
+    assert DEFAULT_SCHEDULE.scales[-1] <= 1e-4  # floor 0.1 * 0.5^10
     worst = 0.0
     for fixture in fx.dirderiv_fixtures():
-        rep = sm.check_dirderiv_identity(fixture, schedule=schedule, seed=0)
+        rep = sm.check_dirderiv_identity(fixture, seed=0)
         assert rep.passed and rep.counters["max_residual"] <= 5e-2, (fixture.name, rep.failures)
         worst = max(worst, rep.counters["max_residual"])
     _report(f"ACCEPTANCE 3 directional-derivative-identity: PASS (max residual {worst:.2e})")

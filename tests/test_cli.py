@@ -231,6 +231,20 @@ class TestUsageErrors:
         assert not out_dir.exists()  # refused before any work or report
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,budget", [("exact", "-1"), ("relax", "-5"),
+                                                ("report", "-5")])
+    def test_negative_budget_refused_at_parse(self, capsys, c4_file, tmp_path, command, budget):
+        # a negative budget is a usage error, not a skipped oracle (relax,
+        # report) or an enumeration refusal (exact)
+        out_dir = tmp_path / "out"
+        code, out, err = run_captured(capsys, [command, "--graph", c4_file, "--k", "2",
+                                               "--budget", budget, "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert json.loads(out)["reason"] == (
+            f"argument --budget: must be a non-negative integer, got {budget}")
+        assert not out_dir.exists()  # refused before any work or report
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_relax_non_finite_penalty_weight(self, capsys, c4_file, value):
         with warnings.catch_warnings():

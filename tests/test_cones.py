@@ -351,19 +351,21 @@ class TestDistSubdiffIdentity:
         assert rep.passed, rep.failures
 
     def test_rows_past_the_cap_refused_before_any_draw(self):
-        # 2 x covectors covectors, each on 2 scales of 2 probes and 1 direction
+        # 2 x covectors covectors in the plane, each on the 11 scales of the
+        # default schedule with 2 probes and 32 directions a scale: 11,968
+        # bytes a covector, so the refusal starts at 5,608 covectors
         def draw(rng):
             raise AssertionError("drawn")
         fixture = dataclasses.replace(fx.halfplane_fixture(), cone_sample_in=draw)
-        schedule = Schedule(scales=(0.1, 0.05), samples_per_scale=1)
-        unit = 8 * 2 * 2 * 3 * 2
+        unit = 8 * 2 * 11 * 34 * 2
         count = STACK_BYTES // unit + 1
+        assert (unit, count) == (11_968, 5_608)
         with pytest.raises(BudgetExceededError) as info:
-            check_dist_subdiff_identity(fixture, n_covectors=count, schedule=schedule)
+            check_dist_subdiff_identity(fixture, n_covectors=count)
         assert str(info.value) == (f"scoring one identity check needs {unit * count} bytes, "
                                    f"cap is {STACK_BYTES}")
         with pytest.raises(AssertionError, match="drawn"):
-            check_dist_subdiff_identity(fixture, n_covectors=count - 1, schedule=schedule)
+            check_dist_subdiff_identity(fixture, n_covectors=count - 1)
 
     def test_scaled_ray_margin(self):
         # covectors just past the unit sphere must be refuted with the
@@ -486,7 +488,7 @@ def _ref_project(p, w):
     if m.kind == "euclidean":
         return w
     if m.kind == "sphere":
-        return w - (np.dot(w, p.coords) / m.radius**2) * p.coords
+        return w - np.dot(w, p.coords) * p.coords
     s = p.coords.T @ w
     return w - p.coords @ ((s + s.T) / 2.0)
 
@@ -506,12 +508,11 @@ def _ref_step(p, step):
     if m.kind == "euclidean":
         return Point(m, p.coords + step.vec)
     if m.kind == "sphere":
-        rho, nv = m.radius, float(np.linalg.norm(step.vec))
+        nv = float(np.linalg.norm(step.vec))
         if nv == 0.0:
             return Point(m, p.coords)
-        theta = nv / rho
-        coords = math.cos(theta) * p.coords + (rho * math.sin(theta) / nv) * step.vec
-        return Point(m, coords * (rho / np.linalg.norm(coords)))
+        coords = math.cos(nv) * p.coords + (math.sin(nv) / nv) * step.vec
+        return Point(m, coords * (1.0 / np.linalg.norm(coords)))
     a = p.coords + step.vec
     q, r = np.linalg.qr(a)
     diag = np.diag(r)
@@ -622,7 +623,7 @@ def _refuter_cases():
     """(name, f, base point, covectors, schedule) over all three manifold kinds."""
     half, arc = fx.halfplane_fixture(), fx.arc_fixture()
     origin = Point(euclidean(2), np.zeros(2))
-    ball = Point(sphere(3, 2.0), np.array([0.0, 0.0, 2.0]))
+    ball = Point(sphere(3), np.array([0.0, 0.0, 1.0]))
     light = Schedule.geometric(samples_per_scale=10)
     cases = [
         ("euclidean-halfplane", half.dist_fn, half.point,
@@ -633,7 +634,7 @@ def _refuter_cases():
          DEFAULT_SCHEDULE),
         ("sphere-square-penalty", _penalty(2.0), circle_point(0.0), [[0.0, -1.0]],
          DEFAULT_SCHEDULE),
-        ("sphere-radius-two", lambda u: np.abs(u[:, 0]), ball,
+        ("sphere-3d", lambda u: np.abs(u[:, 0]), ball,
          [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], DEFAULT_SCHEDULE),
     ]
     for n, k, seed in ((4, 2, 3), (6, 3, 8)):
@@ -732,7 +733,7 @@ class TestBlockKernelMatchesPerSampleReference:
     @pytest.mark.parametrize("p", [
         Point(euclidean(3), np.array([1.0, -2.0, 0.5])),
         circle_point(0.7),
-        Point(sphere(4, 3.0), np.array([0.0, 3.0, 0.0, 0.0])),
+        Point(sphere(4), np.array([0.0, 1.0, 0.0, 0.0])),
         _frame_point(5, 2, 1),
         _frame_point(8, 3, 2),
     ], ids=["euclidean", "circle", "sphere", "stiefel-5x2", "stiefel-8x3"])
@@ -823,14 +824,13 @@ def ref_log(p, q):
     m = p.manifold
     if m.kind == "euclidean":
         return q.coords - p.coords
-    rho = m.radius
-    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
-    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
+    cos_t = float(np.dot(p.coords, q.coords))
+    w = q.coords - float(np.dot(q.coords, p.coords)) * p.coords
     nw = float(np.linalg.norm(w))
-    theta = math.atan2(nw / rho, cos_t)
+    theta = math.atan2(nw, cos_t)
     if nw == 0.0:
         return np.zeros_like(p.coords)
-    return (rho * theta / nw) * w
+    return (theta / nw) * w
 
 
 def _ref_chart_vector(p, u):
@@ -893,7 +893,7 @@ def ref_cross_validate(n_frames, seed):
     6 x 3, five members and five violators per frame."""
     from sharpmin.cones import _pattern_violators
 
-    schedule = Schedule(scales=tuple(0.1 * 0.5**j for j in range(8)), samples_per_scale=8)
+    schedule = Schedule(scales=tuple(0.1 * 0.5**j for j in range(8)))
     rng = np.random.default_rng(seed)
     members = violators = 0
     disagreements = []
@@ -969,7 +969,7 @@ def ref_fixture_sampler(name):
     elif name == "nonnegative-arc":
         def sampler(t, rng):
             angs = np.minimum(t, math.pi / 2.0) * rng.uniform(0.05, 1.0, size=8)
-            return [Point(sphere(2, 1.0), np.array([math.cos(a), math.sin(a)])) for a in angs]
+            return [Point(sphere(2), np.array([math.cos(a), math.sin(a)])) for a in angs]
     else:
         def sampler(t, rng):
             out = []

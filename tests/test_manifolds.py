@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import sharpmin.manifolds as manifolds_module
 from sharpmin.manifolds import (
+    INJECTIVITY_GUARD,
+    LEMMA_RADII,
     STACK_BYTES,
     BudgetExceededError,
     GeometryError,
@@ -35,25 +37,25 @@ INVERSION_TOL = 1e-8  # exp/log round-trip allowance
 
 def sphere_point(*coords):
     c = np.array(coords, dtype=float)
-    return Point(sphere(len(c), float(np.linalg.norm(c))), c)
+    return Point(sphere(len(c)), c)
 
 
 class TestDescriptors:
     def test_dimensions(self):
         assert euclidean(5).intrinsic_dim == 5
-        assert sphere(3, 1.0).intrinsic_dim == 2
+        assert sphere(3).intrinsic_dim == 2
         assert stiefel(5, 2).intrinsic_dim == 5 * 2 - 3
         assert math.prod(stiefel(5, 2).ambient_shape) == 10
 
     def test_invalid(self):
         with pytest.raises(GeometryError):
-            sphere(3, -1.0)
+            sphere(1)
         with pytest.raises(GeometryError):
             stiefel(2, 3)
 
     def test_point_feasibility_enforced(self):
         with pytest.raises(GeometryError):
-            Point(sphere(2, 1.0), np.array([1.0, 1.0]))
+            Point(sphere(2), np.array([1.0, 1.0]))
         with pytest.raises(GeometryError):
             Point(stiefel(2, 2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -66,7 +68,7 @@ class TestDescriptors:
         (stiefel(2, 1), [[np.nan], [np.nan]]),
         (euclidean(2), [np.inf, 0.0]),
         (euclidean(2), [0.0, np.nan]),
-        (sphere(2, 1.0), [np.nan, 0.0]),
+        (sphere(2), [np.nan, 0.0]),
     ])
     def test_point_refuses_non_finite(self, m, coords):
         with pytest.raises(GeometryError, match="non-finite"):
@@ -83,7 +85,7 @@ class TestDescriptors:
             Tangent(p, np.array(vec))
 
     def test_tangency_check_reports_first_bad_row(self):
-        p = sphere_point(2.0, 0.0)
+        p = sphere_point(1.0, 0.0)
         stack = np.array([[0.0, 1.0], [0.5, 1.0], [3.0, 1.0]])
         with pytest.raises(GeometryError, match=r"residual 5\.000e-01 vs norm 1\.118e\+00"):
             require_tangent(p, stack)
@@ -137,14 +139,14 @@ class TestExpLog:
     def test_exp_log_inversion_1000_seeded(self):
         # ||log(exp(v)) - v|| <= 1e-8 (1 + ||v||) below 0.9 * injectivity
         rng = np.random.default_rng(0)
-        m = sphere(4, 2.0)
+        m = sphere(4)
         for _ in range(1000):
             z = rng.standard_normal(4)
-            p = Point(m, 2.0 * z / np.linalg.norm(z))
+            p = Point(m, z / np.linalg.norm(z))
             w = Tangent(p, tangent_project(m, p.coords, rng.standard_normal(4)))
             if float(np.linalg.norm(w.vec)) < 1e-9:
                 continue
-            scale = rng.uniform(1e-3, 0.9) * m.injectivity_radius
+            scale = rng.uniform(1e-3, 0.9) * math.pi
             v = Tangent(p, scale * w.vec / float(np.linalg.norm(w.vec)))
             back = log_vec(p, exp_point(p, v.vec))
             assert np.linalg.norm(back - v.vec) <= \
@@ -167,15 +169,15 @@ class TestDistance:
         q = Point(euclidean(2), np.array([4.0, 6.0]))
         assert set_distance(p, [q]) == 5.0
 
-    def test_radius_two_antipodal(self):
-        m = sphere(3, 2.0)
-        p = Point(m, np.array([2.0, 0.0, 0.0]))
-        q = Point(m, np.array([-2.0, 0.0, 0.0]))
-        assert set_distance(p, [q]) == pytest.approx(2 * math.pi, abs=1e-12)
+    def test_antipodal_distance_is_pi(self):
+        m = sphere(3)
+        p = Point(m, np.array([1.0, 0.0, 0.0]))
+        q = Point(m, np.array([-1.0, 0.0, 0.0]))
+        assert set_distance(p, [q]) == pytest.approx(math.pi, abs=1e-12)
 
     def test_axioms_on_samples(self):
         rng = np.random.default_rng(1)
-        m = sphere(3, 1.0)
+        m = sphere(3)
         pts = []
         for _ in range(30):
             z = rng.standard_normal(3)
@@ -276,9 +278,8 @@ class TestRetract:
 class TestCurvature:
     def test_values(self):
         assert curvature_norm(euclidean(5)) == 0.0
-        # constant-curvature identity: max of R over unit frames is 1/rho^2
-        assert curvature_norm(sphere(3, 1.0)) == 1.0
-        assert curvature_norm(sphere(3, 2.0)) == 0.25
+        # constant-curvature identity: max of R over unit frames is 1 on the unit sphere
+        assert curvature_norm(sphere(3)) == 1.0
 
     def test_stiefel_refused(self):
         with pytest.raises(GeometryError):
@@ -312,23 +313,27 @@ class TestPairwiseDistances:
         p = Point(euclidean(2), np.zeros(2))
         assert pairwise_distances(p.manifold, p.coords[None], np.zeros((0, 2))).shape == (1, 0)
         with pytest.raises(GeometryError, match="no points"):
-            verify_local_distance_lemma(p, lambda r, rng: np.zeros((0, 2)), RADII, seed=0)
-
-
-RADII = (0.4, 0.2, 0.1, 0.05)
+            verify_local_distance_lemma(p, lambda r, rng: np.zeros((0, 2)), seed=0)
 
 
 class TestLocalDistanceLemma:
+    def test_radii_fit_an_order_inside_the_guard(self):
+        # three radii at least for the log-log fit, strictly decreasing, the
+        # largest inside the log map's guard on the unit sphere
+        assert len(LEMMA_RADII) >= 3
+        assert all(b < a for a, b in zip(LEMMA_RADII, LEMMA_RADII[1:]))
+        assert LEMMA_RADII[0] < INJECTIVITY_GUARD * math.pi
+
     def test_euclidean_control_exact(self):
         p = Point(euclidean(3), np.zeros(3))
-        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                           samples_per_radius=100, seed=0)
         assert max(rep.worst_ratio_deviation) <= 1e-12
         assert rep.coefficient_ok
 
     def test_sphere_order_two(self):
-        p = Point(sphere(3, 1.0), np.array([0.0, 0.0, 1.0]))
-        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+        p = Point(sphere(3), np.array([0.0, 0.0, 1.0]))
+        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                           samples_per_radius=200, seed=0)
         assert abs(rep.fitted_order - 2.0) <= 0.3
         assert rep.fitted_coefficient <= (1.0 / 6.0) * 1.25
@@ -352,19 +357,14 @@ class TestLocalDistanceLemma:
         p = Point(euclidean(2), np.zeros(2))
         unit = 8 * 16 * 2
         with pytest.raises(Drawn):
-            verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+            verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                         samples_per_radius=STACK_BYTES // unit, seed=0)
         count = STACK_BYTES // unit + 1
         with pytest.raises(BudgetExceededError) as info:
-            verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+            verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                         samples_per_radius=count, seed=0)
         assert str(info.value) == (f"the lemma's test-to-set distance table needs "
                                    f"{unit * count} bytes, cap is {STACK_BYTES}")
-
-    def test_few_radii_refused(self):
-        p = Point(euclidean(2), np.zeros(2))
-        with pytest.raises(GeometryError):
-            verify_local_distance_lemma(p, geodesic_sphere_sampler(p), (0.2, 0.1), seed=0)
 
     def test_sampler_outside_ball_refused(self):
         p = Point(euclidean(2), np.zeros(2))
@@ -373,7 +373,7 @@ class TestLocalDistanceLemma:
             return np.array([[2 * r, 0.0]])
 
         with pytest.raises(GeometryError):
-            verify_local_distance_lemma(p, bad_sampler, RADII, seed=0)
+            verify_local_distance_lemma(p, bad_sampler, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ class TestLocalDistanceLemma:
 def _ref_project(p, w):
     if p.manifold.kind == "euclidean":
         return w
-    return w - (np.dot(w, p.coords) / p.manifold.radius**2) * p.coords
+    return w - np.dot(w, p.coords) * p.coords
 
 
 def ref_random_tangent(p, rng, norm=1.0):
@@ -401,33 +401,31 @@ def ref_exp(p, vec):
     m = p.manifold
     if m.kind == "euclidean":
         return Point(m, p.coords + vec)
-    rho, nv = m.radius, float(np.linalg.norm(vec))
+    nv = float(np.linalg.norm(vec))
     if nv == 0.0:
         return Point(m, p.coords)
-    coords = math.cos(nv / rho) * p.coords + (rho * math.sin(nv / rho) / nv) * vec
-    return Point(m, coords * (rho / np.linalg.norm(coords)))
+    coords = math.cos(nv) * p.coords + (math.sin(nv) / nv) * vec
+    return Point(m, coords * (1.0 / np.linalg.norm(coords)))
 
 
 def ref_log(p, q):
     m = p.manifold
     if m.kind == "euclidean":
         return q.coords - p.coords
-    rho = m.radius
-    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
-    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
+    cos_t = float(np.dot(p.coords, q.coords))
+    w = q.coords - float(np.dot(q.coords, p.coords)) * p.coords
     nw = float(np.linalg.norm(w))
-    theta = math.atan2(nw / rho, cos_t)
-    return np.zeros_like(p.coords) if nw == 0.0 else (rho * theta / nw) * w
+    theta = math.atan2(nw, cos_t)
+    return np.zeros_like(p.coords) if nw == 0.0 else (theta / nw) * w
 
 
 def ref_distance(p, q):
     m = p.manifold
     if m.kind == "euclidean":
         return float(np.linalg.norm(q.coords - p.coords))
-    rho = m.radius
-    cos_t = float(np.dot(p.coords, q.coords)) / rho**2
-    w = q.coords - (float(np.dot(q.coords, p.coords)) / rho**2) * p.coords
-    return rho * math.atan2(float(np.linalg.norm(w)) / rho, cos_t)
+    cos_t = float(np.dot(p.coords, q.coords))
+    w = q.coords - float(np.dot(q.coords, p.coords)) * p.coords
+    return math.atan2(float(np.linalg.norm(w)), cos_t)
 
 
 def ref_sphere_sampler(p, n_points=16):
@@ -472,9 +470,9 @@ def ref_lemma_deviations(p, radii, samples, seed):
 
 
 LEMMA_POINTS = [
-    Point(sphere(3, 1.0), np.array([0.0, 0.0, 1.0])),
+    Point(sphere(3), np.array([0.0, 0.0, 1.0])),
     Point(euclidean(3), np.zeros(3)),
-    Point(sphere(4, 2.0), np.array([0.0, 1.2, 0.0, -1.6])),
+    Point(sphere(4), np.array([0.0, 0.6, 0.0, -0.8])),
     Point(euclidean(2), np.array([0.5, -1.0])),
 ]
 
@@ -487,9 +485,9 @@ class TestLemmaMatchesPerSampleReference:
     @pytest.mark.parametrize("p", LEMMA_POINTS, ids=["sphere", "flat", "sphere-4d", "plane"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_deviations(self, p, seed):
-        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p), RADII,
+        rep = verify_local_distance_lemma(p, geodesic_sphere_sampler(p),
                                           samples_per_radius=60, seed=seed)
-        want = ref_lemma_deviations(p, RADII, 60, seed)
+        want = ref_lemma_deviations(p, LEMMA_RADII, 60, seed)
         assert np.array(rep.worst_ratio_deviation).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("p", LEMMA_POINTS, ids=["sphere", "flat", "sphere-4d", "plane"])
