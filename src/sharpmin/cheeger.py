@@ -608,6 +608,7 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
         raise GraphFormatError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
     require_within_stack_cap("the solver's frame stack needs", 8 * cfg.restarts * graph.n * k)
     require_within_stack_cap("the solver's traces need", 3 * 8 * cfg.max_iters * cfg.restarts)
+    require_within_stack_cap("the solver's edge differences need", 8 * cfg.restarts * graph.m * k)
     scale = max(lipschitz_bound(graph, k), 1.0)
     c = PENALTY_C0 * scale if cfg.penalty_c is None else float(cfg.penalty_c)
     c_max = _largest_penalty_weight(graph, k)
@@ -629,24 +630,25 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     values = np.empty((cfg.max_iters, cfg.restarts))
     penalties = np.empty_like(values)
     residuals = np.empty_like(values)
-    # a step keeps only what the next step reads; the penalty, the checks, the
-    # residuals and the best iterates are taken once per block of iterates
+    # a step keeps only what the next step reads; the penalty, the checks (the
+    # rank check reads R's triangle out of the raw heads), the residuals and
+    # the best iterates are taken once per block of iterates
     block = max(1, min(cfg.max_iters, SOLVER_BLOCK_BYTES // u.nbytes))
     frames = np.empty((block, *u.shape))
-    factors = np.empty((block, cfg.restarts, k, k))
+    heads = np.empty((block, cfg.restarts, k, k))  # raw QR heads, R on and above the diagonal
     restarts = np.arange(cfg.restarts)
     for t0 in range(0, cfg.max_iters, block):
         size = min(block, cfg.max_iters - t0)
         for i, t in enumerate(range(t0 + 1, t0 + size + 1)):
             g = _subgradient(manifold, u, diffs, plan, c)
-            u, factors[i] = _sign_fixed_qr(u - step0 / math.sqrt(t) * g)
+            u, heads[i] = _sign_fixed_qr(u - step0 / math.sqrt(t) * g)
             frames[i] = u
             diffs = _edge_differences(graph, u)
             values[t - 1] = _slice_sums(np.abs(diffs))
         stack, val = frames[:size], values[t0:t0 + size]
         penalties[t0:t0 + size] = penalty = c * penalty_h(stack, 1.0)
         val += penalty
-        _check_block(_rank_deficient(factors[:size]), np.isfinite(val), t0)
+        _check_block(_rank_deficient(heads[:size]), np.isfinite(val), t0)
         residuals[t0:t0 + size] = frame_residual(stack)
         # each restart's first lowest iterate, as a strict < over the steps keeps
         first = np.argmin(val, axis=0)

@@ -60,15 +60,17 @@ class BudgetExceededError(RuntimeError):
 
 # Cap on the bytes of every sample budget's largest array, checked by the
 # function that sizes it before its draws (``require_within_stack_cap``):
-# the solver's frame stack, restarts x n x k float64, and its three
-# max_iters x restarts float64 traces; the penalty study's sample stack; the
-# local-distance lemma's test-to-set distance table; and the covector rows of
-# one distance-subdifferential identity check.  A solve holds about ten
-# stack-sized arrays, plus the block buffers: at most
-# cheeger.SOLVER_BLOCK_BYTES of iterates (one iterate when a stack is larger)
-# and their k x k R factors.  At the default 20 restarts the benchmark's
-# largest graphs, (n, k) = (200, 4), need 125 KiB, over 500 times below the
-# cap.
+# the solver's frame stack, restarts x n x k float64, its three max_iters x
+# restarts float64 traces, and its edge differences B U, restarts x m x k
+# float64 for a graph of m edges, checked in that order; the penalty study's
+# sample stack; the local-distance lemma's test-to-set distance table; and
+# the covector rows of one distance-subdifferential identity check.  A solve
+# holds about ten frame-stack-sized arrays, a few B U-sized ones (B U, its
+# signs, and the two int64 scatter indices of cheeger._incidence_plan), plus
+# the block buffers: at most cheeger.SOLVER_BLOCK_BYTES of iterates (one
+# iterate when a stack is larger) and their k x k QR heads.  At the default
+# 20 restarts the benchmark's largest graphs, (n, k) = (200, 4), need a
+# 125 KiB frame stack, over 500 times below the cap.
 STACK_BYTES = 1 << 26
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.random import Generator
 
 FRAME_TOL = 1e-10   # allowed ||U^T U - I||_F for a frame
@@ -40,29 +41,61 @@ def qr_retract(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     which makes the result deterministic.  Raises on numerical rank loss.
 
     ``x`` may be one step (n, k) or a stack of steps (s, n, k); a stack is
-    factored in one batched QR, slice by slice the same as one at a time."""
-    q, r = _sign_fixed_qr(np.asarray(p, dtype=float) + np.asarray(x, dtype=float))
-    if np.any(_rank_deficient(r)):
+    factored in one batched QR, slice by slice the same as one at a time.
+    The Q factor comes from ``_sign_fixed_qr`` and the rank check reads R's
+    triangle out of the raw head it returns (``_rank_deficient``)."""
+    q, head = _sign_fixed_qr(np.asarray(p, dtype=float) + np.asarray(x, dtype=float))
+    if np.any(_rank_deficient(head)):
         raise FrameError("rank-deficient step: QR retraction undefined")
     return q
 
 
+def _qr_failed(err, flag):
+    """Error-state callback of the QR gufuncs, which flag LAPACK's refusal
+    of an argument as an invalid operation, as ``np.linalg.qr`` has it."""
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _sign_fixed_qr(a: np.ndarray) -> tuple:
-    """(Q, R) of a matrix or a stack of them, Q's columns flipped so that
-    the factor pairing with it has a positive diagonal.  R is returned as
-    LAPACK gives it: ``_rank_deficient`` reads only its diagonal magnitudes
-    and norm, which the flip does not change."""
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
-    return q * signs[..., None, :], r
+    """(Q, head) of a matrix or a stack of them, Q's columns flipped so that
+    the R factor pairing with it has a positive diagonal.
+
+    Runs the two LAPACK gufuncs behind ``np.linalg.qr(a)``, with its error
+    state: ``qr_r_raw`` (geqrf) overwrites a float64 copy of ``a`` with R on
+    and above the diagonal and the Householder vectors below it, and
+    ``qr_reduced`` (orgqr) forms Q from them, so Q has the bits of
+    ``np.linalg.qr``.  The wrapper's dispatch, dtype checks and ``triu``
+    are skipped.  ``head`` is the raw (..., min(n, k), k) top of that copy,
+    R before the flip and below-diagonal entries not yet zeroed: the flip
+    changes no magnitude, and ``_rank_deficient`` reads the triangle."""
+    a = np.array(a, dtype=float)  # LAPACK overwrites it
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    head = a[..., :min(a.shape[-2:]), :]
+    q *= np.where(np.diagonal(head, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+    return q, head
 
 
-def _rank_deficient(r: np.ndarray) -> np.ndarray:
-    """Whether each R factor of a stack (..., k, k) has a diagonal entry
-    below 1e-12 max(1, ||R||_F), one bool per factor.  ||R||_F = ||A||_F
-    comes from one ``vecdot``; a sum of squares overflows once entries pass
-    about 1e154, and only those factors take the slower chain of hypot
-    calls."""
+@lru_cache(maxsize=None)
+def _upper_mask(rows: int, cols: int) -> np.ndarray:
+    """Read-only bool mask of the entries on and above the diagonal, the
+    mask ``np.triu`` builds on each call."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def _rank_deficient(head: np.ndarray) -> np.ndarray:
+    """Whether each R factor of a stack of raw heads (..., k, k) from
+    ``_sign_fixed_qr`` has a diagonal entry below 1e-12 max(1, ||R||_F),
+    one bool per factor.  R is the head's triangle, the bits of
+    ``np.triu(head)``, taken here by one cached mask for the whole stack.
+    ||R||_F = ||A||_F comes from one ``vecdot``; a sum of squares overflows
+    once entries pass about 1e154, and only those factors take the slower
+    chain of hypot calls."""
+    r = np.where(_upper_mask(*head.shape[-2:]), head, 0.0)
     flat = r.reshape(-1, r.shape[-2] * r.shape[-1])
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.vecdot(flat, flat))

@@ -2,7 +2,9 @@
 against the one-frame loops they replaced.
 
 Each reference below is the earlier loop, copied: the solver advanced one
-restart at a time with per-frame objective and subgradient calls, the oracle
+restart at a time with per-frame objective and subgradient calls (its frames
+drawn and retracted through its own ``np.linalg.qr``, sign fix and rank
+check, not the ``stiefel`` helpers under test), the oracle
 scored one ``itertools.product`` assignment at a time, and the rounding sweep
 called ``cut_boundary`` once per prefix.  Values are compared bit for bit.
 """
@@ -32,7 +34,7 @@ from sharpmin.cheeger import (
     solve_relaxation,
 )
 from sharpmin.manifolds import GeometryError, stiefel, tangent_project
-from sharpmin.stiefel import ENTRY_ZERO_TOL, FrameError, frame_residual, qr_retract, random_stiefel
+from sharpmin.stiefel import ENTRY_ZERO_TOL, FrameError, frame_residual, random_stiefel
 from helpers import subgradient
 
 K2 = "p 2 1\ne 1 2"
@@ -81,6 +83,20 @@ def ref_frame_residual(u):
     return float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
 
 
+def ref_sign_fixed_qr(a):
+    """(Q, R) of ``np.linalg.qr(a)``, Q's columns flipped so that R's
+    diagonal is positive."""
+    q, r = np.linalg.qr(a)
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0), r
+
+
+def ref_qr_retract(u, step):
+    q, r = ref_sign_fixed_qr(u + step)
+    if np.any(np.abs(np.diag(r)) < 1e-12 * max(1.0, float(np.linalg.norm(r)))):
+        raise FrameError("rank-deficient step: QR retraction undefined")
+    return q
+
+
 def ref_solve(graph, k, cfg):
     """(best value, best restart, trace, max residual, best frame, per-restart
     best values) from the restart-by-restart loop."""
@@ -91,14 +107,14 @@ def ref_solve(graph, k, cfg):
     max_residual = 0.0
     restart_bests = []
     for r, ss in enumerate(SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        u = random_stiefel(graph.n, k, default_rng(ss))
+        u = ref_sign_fixed_qr(default_rng(ss).standard_normal((graph.n, k)))[0]
         trace = []
         local_best = ref_grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
         local_u = u
         for t in range(1, cfg.max_iters + 1):
             g = ref_subgradient(graph, u, c)
             gamma = step0 / math.sqrt(t)
-            u = qr_retract(u, -gamma * g)
+            u = ref_qr_retract(u, -gamma * g)
             val = ref_grad_norm_l1(graph, u) + c * penalty_h(u, 1.0)
             assert math.isfinite(val)
             res = ref_frame_residual(u)

@@ -160,6 +160,19 @@ class TestUsageErrors:
         assert "640000000 bytes" in json.loads(out)["reason"]
         assert "Traceback" not in err
 
+    def test_relax_refuses_oversized_edge_differences(self, capsys, tmp_path):
+        # K_50 has 1225 edges: B U of 4000 restarts at k = 2 needs 78,400,000
+        # bytes, over the cap, while the frames (3.2 MB) and the traces
+        # (28.8 MB) are under it; refused (exit 3) before any array is built
+        f = tmp_path / "k50.txt"
+        f.write_text("p 50 1225\n" + "".join(f"e {u} {v}\n" for u in range(1, 51)
+                                             for v in range(u + 1, 51)))
+        code, out, err = run_captured(capsys, ["relax", "--graph", str(f), "--k", "2",
+                                               "--restarts", "4000", "--no-oracle"])
+        assert code == EXIT_BUDGET, err
+        assert json.loads(out)["reason"] == (
+            "the solver's edge differences need 78400000 bytes, cap is 67108864")
+
     def test_vertex_count_beyond_array_index(self, capsys, tmp_path):
         f = tmp_path / "huge.txt"
         f.write_text("p 99999999999999999999 0\n")

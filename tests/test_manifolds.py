@@ -30,7 +30,8 @@ from sharpmin.manifolds import (
     tangent_project,
     verify_local_distance_lemma,
 )
-from sharpmin.stiefel import FrameError, frame_residual, qr_retract
+from sharpmin.stiefel import (FrameError, _rank_deficient, _sign_fixed_qr, frame_residual,
+                              qr_retract)
 
 INVERSION_TOL = 1e-8  # exp/log round-trip allowance
 
@@ -273,6 +274,53 @@ class TestRetract:
             t = Tangent(p, tangent_project(m, p.coords, rng.standard_normal((5, 3))))
             r = Point(m, qr_retract(p.coords, 0.3 * t.vec))
             assert frame_residual(r.coords) <= 1e-10
+
+
+
+def _numpy_sign_fixed_qr(a):
+    """(Q, R) from ``np.linalg.qr`` with Q's columns flipped to give R a
+    positive diagonal, R left as numpy returns it."""
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], r
+
+
+class TestSignFixedQr:
+    """``_sign_fixed_qr`` calls the private LAPACK gufuncs behind
+    ``np.linalg.qr``; these pins hold it to the public function's bits on
+    every numpy the test matrix installs, the numpy 2.0 floor included."""
+
+    @pytest.mark.parametrize("shape", [
+        (20, 11, 2), (20, 10, 3), (4, 80, 3), (4, 200, 4),  # the solver's stacks
+        (6, 5, 1), (4, 4), (7, 3), (2, 3, 6, 2),
+    ], ids=["solver-11x2", "solver-10x3", "solver-80x3", "solver-200x4",
+            "k1", "square", "single", "4d-stack"])
+    def test_bits_of_numpy_qr(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        before = a.tobytes()
+        q, head = _sign_fixed_qr(a)
+        want_q, want_r = _numpy_sign_fixed_qr(a)
+        assert a.tobytes() == before  # LAPACK overwrote a copy
+        assert q.tobytes() == want_q.tobytes()
+        assert head.shape == want_r.shape
+        assert np.triu(head).tobytes() == want_r.tobytes()
+
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["full-rank", "zero-column"])
+    def test_rank_check_reads_only_the_triangle(self, zero_column):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((30, 6, 3))
+        if zero_column:
+            a[::3, :, 1] = 0.0
+        _, head = _sign_fixed_qr(a)
+        want = _rank_deficient(np.triu(head))
+        assert np.array_equal(want, zero_column & (np.arange(30) % 3 == 0))
+        assert np.array_equal(_rank_deficient(head), want)
+        # entries near 1e300 below the diagonal would make every norm huge
+        # and every factor deficient if the check read them
+        planted = head.copy()
+        below = np.tril(np.ones((3, 3), dtype=bool), -1)
+        planted[:, below] = 1e300 * rng.choice([-1.0, 1.0], size=(30, int(below.sum())))
+        assert np.array_equal(_rank_deficient(planted), want)
 
 
 class TestCurvature:
