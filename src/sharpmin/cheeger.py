@@ -22,7 +22,10 @@ solution set: the dual necessary condition fails for beta > 1 (the penalty is
 smooth, its subdifferential a single point).  Below 1 it finds no refutation at
 moderate alpha; at large alpha its sampled quotients can refute falsely
 (``--n 4 --k 2 --beta 0.75 --alpha 2`` at scale 0.05, quotient -0.369), since
-h_beta is not locally Lipschitz there.  No refutation is not sharpness either:
+h_beta is not locally Lipschitz there.  The growth check also scores the
+frames P = [I_k; 0] with one column negated, whose quotient 1/sqrt(2) (1/2
+when n = k) bounds the global modulus at every beta.  No refutation is not
+sharpness either:
 for 1/2 < beta < 1 and n > k >= 2 the local modulus is 0, on curves its global
 sample almost surely misses (README, honesty notes).  Distances to the
 nonnegative slice come from ``stiefel.slice_distances``, one call per stack of
@@ -45,10 +48,10 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import SeedSequence, default_rng
 
 from .manifolds import (BudgetExceededError, GeometryError, Point, require_within_stack_cap,
-                        spawned_generators, stiefel, tangent_project)
+                        stiefel, tangent_project)
 from .stiefel import (
     ENTRY_ZERO_TOL,
     FrameError,
@@ -618,9 +621,9 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
     step0 = 1.0 / scale
 
     # all restarts advance together as one (R, n, k) stack; each start frame
-    # comes from its own spawned generator, as a loop over restarts would draw it
-    u = np.stack([random_stiefel(graph.n, k, rng)
-                  for rng in spawned_generators([cfg.seed], range(cfg.restarts))])
+    # comes from its own child of SeedSequence(seed), as a loop over restarts would draw it
+    u = np.stack([random_stiefel(graph.n, k, default_rng(child))
+                  for child in SeedSequence(cfg.seed).spawn(cfg.restarts)])
     # B U of each iterate gives its objective and the next subgradient
     manifold = stiefel(graph.n, k)
     plan = _incidence_plan(graph, u.shape)
@@ -701,11 +704,17 @@ def solve_relaxation(graph: Graph, k: int, cfg: SolverConfig = SolverConfig()) -
 class PenaltyStudy:
     """Bundle of sharpness evidence for the negative-part penalty at one
     (n, k, beta): the sampled sharpness verdict against the exact distance,
-    with its modulus trace, and dual necessary-condition verdicts at seeded
-    nonnegative frames."""
+    with its modulus trace, the same check on the probe frames, and dual
+    necessary-condition verdicts at seeded nonnegative frames."""
 
     wsm: WsmVerdict
+    probes: WsmVerdict  # the sharpness check on P's k single-column negations
     dual: tuple  # reporting.Check of the dual condition per probed frame
+
+    @property
+    def sharpness_violated(self) -> bool:
+        """Whether the sample or the probes hold a witness."""
+        return "violated" in (self.wsm.status, self.probes.status)
 
     @property
     def dual_consistent(self) -> bool:
@@ -730,12 +739,17 @@ def wsm_penalty_check(
     Runs (a) a sampled sharpness check of h_beta against the exact distance
     over n_samples random frames drawn from ``default_rng(seed)``, at the
     reference P = [I_k; 0], whose verdict carries the modulus trace over
-    prefixes of its sample, and (b) dual necessary-condition checks at
-    seeded nonnegative frames using the sign/support cone pattern.  Small
+    prefixes of its sample, (a') the same check on the k probe frames Q_j,
+    P with column j negated, scored as their own stack, and (b) dual
+    necessary-condition checks at seeded nonnegative frames using the
+    sign/support cone pattern.  Small
     dimensions only (dense sampling), and not St(1, 1), which is
     zero-dimensional: it has no tangent direction (``GeometryError``).
     P minimizes h_beta, since h_beta >= 0 everywhere and P has no negative
-    entry, so h_beta(P) = 0.
+    entry, so h_beta(P) = 0.  Every Q_j has h_beta(Q_j) = 1 for every beta,
+    and dist(Q_j, St+) = sqrt(2) when n > k (|-e_j - v|^2 = 2 + 2 v_j >= 2
+    for a unit v >= 0, with equality at v = e_(k+1)) and 2 when n = k, so the
+    modulus is at most 1/sqrt(2), or 1/2, at every beta.
 
     Two budgets are refused before any draw.  The stack of n_samples frames
     must fit in STACK_BYTES (``BudgetExceededError``).  alpha must satisfy
@@ -765,11 +779,17 @@ def wsm_penalty_check(
     def f(u: np.ndarray) -> np.ndarray:
         return penalty_h(u, beta)
 
+    def distance(stack: np.ndarray) -> np.ndarray:
+        return slice_distances(stack)[0]
+
     reference = np.zeros((n, k))
     reference[:k, :k] = np.eye(k)
+    point = Point(manifold, reference)
     samples = random_stiefel(n, k, default_rng(seed), n_samples)
-    wsm_verdict = verify_wsm_sampled(f, lambda stack: slice_distances(stack)[0],
-                                     Point(manifold, reference), samples, alpha)
+    wsm_verdict = verify_wsm_sampled(f, distance, point, samples, alpha)
+    probes = np.repeat(reference[None], k, axis=0)
+    probes[np.arange(k), np.arange(k), np.arange(k)] = -1.0
+    probe_verdict = verify_wsm_sampled(f, distance, point, probes, alpha)
 
     frames = [reference]
     rng = default_rng(seed + 1)
@@ -777,4 +797,4 @@ def wsm_penalty_check(
         frames.append(random_stiefel_plus(n, k, rng))
     dual = [check_dual_nc(f, stiefel_plus_normal_cone(frame), alpha=alpha, seed=seed + 101 * i,
                           schedule=STUDY_SCHEDULE) for i, frame in enumerate(frames)]
-    return PenaltyStudy(wsm=wsm_verdict, dual=tuple(dual))
+    return PenaltyStudy(wsm=wsm_verdict, probes=probe_verdict, dual=tuple(dual))

@@ -235,12 +235,13 @@ def _run_verify_wsm(args):
                                  seed=args.seed, alpha=args.alpha)
     violations = []
     witness = next((v.witness for v in study.dual if not v.passed), None)
-    w = study.wsm.witness
     if not study.dual_consistent:
         violations.append(
             f"dual necessary condition refuted for beta={args.beta} with alpha={args.alpha}")
     if study.wsm.status == "violated":
         violations.append(f"sampled sharpness check violated for beta={args.beta}")
+    if study.probes.status == "violated":
+        violations.append(f"probed sharpness check violated for beta={args.beta}")
     report = {
         "command": "verify-wsm",
         "n": args.n,
@@ -248,10 +249,12 @@ def _run_verify_wsm(args):
         "beta": args.beta,
         "alpha": args.alpha,
         "seed": args.seed,
-        "wsm_status": study.wsm.status,
-        # the witness keeps its schema [coords, f, lb, ub]: lb == ub == dist
-        "wsm_witness": None if w is None else [*w, w[-1]],
+        "wsm_status": "violated" if study.sharpness_violated else "pass_strong",
+        # each witness keeps the schema [coords, f, lb, ub]: lb == ub == dist
+        "wsm_witness": _wsm_witness(study.wsm),
         "estimated_modulus": study.wsm.estimated_modulus,
+        "probe_witness": _wsm_witness(study.probes),
+        "probe_modulus": study.probes.estimated_modulus,
         "dual_consistent": study.dual_consistent,
         "dual_witness": None if witness is None else {
             "covector": witness.covector,
@@ -263,6 +266,11 @@ def _run_verify_wsm(args):
     }
     traces = {"modulus_trace.csv": (("n_samples", "estimate"), list(study.wsm.modulus_trace))}
     return report, traces
+
+
+def _wsm_witness(verdict):
+    w = verdict.witness
+    return None if w is None else [*w, w[-1]]
 
 
 def _sub_args(parser, args, command: str, *flags: str) -> argparse.Namespace:

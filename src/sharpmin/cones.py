@@ -18,31 +18,28 @@ f on that row alone.  Set samplers follow the contract of ``manifolds``:
 ``sampler(t, rng)`` returns one stack of set points, checked on the manifold
 by one call.
 
-Both refuters take a stack of covectors with one seed each (one covector is
-a one-row stack), and score the stack as numpy blocks of at most
-``REFUTE_BLOCK_BYTES``.  Every scale of every covector draws from its own
-stream: ``manifolds.spawned_generators`` gives the states of
-``SeedSequence(seed).spawn(n_scales)`` for all the covectors of a call at
-once, and a covector's verdict does not depend on the stack it is scored in.  The stack is scored in two waves: the first
-FIRST_WAVE scales of every covector, the earliest that can refute one, then
-the rest of the schedule for the covectors still unrefuted, so no scale is
-scored once its covector is refuted.  ``frechet_subdiff_refute`` lays out
-each covector's scales of a wave as rows of the block: the random directions
-of each scale come from one seeded ``standard_normal`` draw, are projected,
-normalised and checked tangent together, stepped by the row's scale and
-mapped in one call (the exact exponential map on euclidean spaces and
-spheres, the positive-diagonal QR retraction with its rank check on frames),
-checked on the manifold by the rule of ``Point`` and scored by one call of
-f.  ``frechet_normal_refute`` and ``contingent_cone_distance`` concatenate
-the sampled stacks and pull them back to chart vectors as one block.  Every
-reduction keeps the order the one-sample-at-a-time loop used (the first
-extremal sample of a scale is its witness), so the traces, witnesses and
-skip counts are bitwise those of that loop stopped at the refuting scale: a
-refuted covector's trace and skip count end at the scale that refutes it,
-and a consistent covector's cover the whole schedule.  The checks of a block
-(the sampler's shapes, tangency, the retraction's rank, the manifold rule,
-the shape of f's values) run only on the scales that are scored, so a fault
-at a scale that a first-wave refutation leaves unscored is not raised.
+Both refuters take a stack of covectors (one covector is a one-row stack)
+and one integer seed.  The random part of a scale does not depend on the
+covector, so scale i draws it once per call, from child i of
+``SeedSequence(seed)``, and the whole stack shares it; a covector's verdict
+does not depend on the stack it is scored in.  ``frechet_subdiff_refute``
+draws the scale's tangent directions in one seeded ``standard_normal`` draw
+each, adds the two probes of each nonzero covector, steps every row by its
+scale and maps the block in one call (the exact exponential map on euclidean
+spaces and spheres, the positive-diagonal QR retraction with its rank check
+on frames), checks it on the manifold by the rule of ``Point`` and scores it
+by one call of f.  ``frechet_normal_refute`` calls the set sampler once per
+scale.  Each refuter then scores every (covector, scale) pair from one
+quotient table, refused past STACK_BYTES, and every reduction keeps the
+order the one-sample-at-a-time loop used (the first extremal sample of a
+scale is its witness).  So the traces, witnesses and skip counts are bitwise
+those of that loop stopped at the refuting scale: a refuted covector's trace
+and skip count end at the scale that refutes it, and a consistent
+covector's cover the whole schedule.  Every scale is drawn and checked (the
+sampler's shapes, tangency, the retraction's rank, the manifold rule, the
+shape of f's values), whatever the verdicts.  ``contingent_cone_distance``
+concatenates its sampled stacks and pulls them back to chart vectors as one
+block.
 
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
@@ -54,10 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from numpy.random import Generator, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .manifolds import (
     GeometryError,
@@ -72,7 +69,6 @@ from .manifolds import (
     require_within_stack_cap,
     require_tangent,
     row_norms,
-    spawned_generators,
     stiefel,
 )
 from .reporting import Check
@@ -83,8 +79,6 @@ MEMBER_TOL = 1e-10     # pattern membership tolerance
 TAIL_SCALES = 2        # smallest scales behind the contingent estimates
 MARGIN = 0.1           # cone distance of the covectors the checks must refute
 DIRDERIV_TOL = 5e-2    # estimator bias allowed in the directional-derivative identity
-REFUTE_BLOCK_BYTES = 1 << 18  # cap on the (rows, *ambient_shape) blocks of one refuter chunk
-FIRST_WAVE = 2         # scales scored for every covector: two consecutive hits refute
 
 
 @dataclass(frozen=True)
@@ -153,17 +147,13 @@ class RefutationBlock(tuple):
         return sum(v.skipped_samples for v in self)
 
 
-def _covectors(p: Point, x, seed):
-    """(stack of covectors, their seeds) from a stack of covectors at p,
-    checked tangent, and one seed each."""
+def _covectors(p: Point, x) -> np.ndarray:
+    """A stack of covectors at p, checked tangent."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.shape[1:] != p.manifold.ambient_shape or xs.ndim != len(p.manifold.ambient_shape) + 1:
         raise GeometryError(f"covector stack shape {xs.shape} does not match {p.manifold}")
     require_tangent(p, xs)
-    seeds = list(seed)
-    if len(seeds) != len(xs):
-        raise GeometryError(f"{len(xs)} covectors need as many seeds, got {len(seeds)}")
-    return xs, seeds
+    return xs
 
 
 def _chart_block(p: Point, coords: np.ndarray):
@@ -183,6 +173,14 @@ def _row_inner(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.sum(x * vecs, axis=tuple(range(1, vecs.ndim)))
 
 
+def _table_inner(xs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<x_c, v> for each covector x_c of a stack and each flattened vector v
+    of vecs[c], a table (len(xs), ..., size), or of vecs[0] when the table's
+    leading axis is 1; each a single sum of the elementwise products, as
+    ``np.sum`` of one pair gives it."""
+    return np.sum(xs.reshape(len(xs), *(1,) * (vecs.ndim - 2), vecs.shape[-1]) * vecs, axis=-1)
+
+
 def _two_consecutive(trace, above: bool):
     """Index of the second of two consecutive scales whose extremal quotient
     passes +REFUTE_TOL (above) or -REFUTE_TOL, or None."""
@@ -195,46 +193,25 @@ def _two_consecutive(trace, above: bool):
     return None
 
 
-def _in_waves(xs: np.ndarray, scales: tuple, score, above: bool) -> list:
-    """Verdicts on the covectors xs, scored in two waves.
-
-    ``score(cs, ks)`` scores the covectors of the index list cs at the scale
-    indices ks (a range) and gives blocks of their extremal quotients and
-    NaN skips, (rows, len(ks)), and extremal samples, (rows, len(ks),
-    *ambient_shape), covector-major over cs.  The first wave scores the
-    first FIRST_WAVE scales of every covector, the earliest that can refute
-    one; the second scores the rest of the schedule, only for the covectors
-    the first left unrefuted.  Every (covector, scale) pair draws from its
-    own stream, so the split changes no draw; a refuted covector's trace
-    and skip count end at its refuting scale in either wave, so no verdict
-    depends on the split.  The checks inside ``score`` run only on the
-    scales it scores: a covector refuted in the first wave is not checked
-    at the later scales."""
-    verdicts = [None] * len(xs)
-    quotients, skips = [[] for _ in xs], [[] for _ in xs]
-    unrefuted = list(range(len(xs)))
-    every = range(len(scales))
-    for ks in (every[:FIRST_WAVE], every[FIRST_WAVE:]):
-        if not unrefuted:  # every verdict was final after the first wave
-            break
-        best, skipped, samples = (np.concatenate(a) for a in zip(*score(unrefuted, ks)))
-        last, still = ks.stop == len(scales), []
-        for j, c in enumerate(unrefuted):
-            quotients[c] += best[j].tolist()
-            skips[c] += skipped[j].tolist()
-            trace = tuple(zip(scales, quotients[c]))
-            idx = _two_consecutive(trace, above)
-            if idx is not None:  # the trace and skips end at the refuting scale
-                witness = Witness(covector=np.array(xs[c]),
-                                  point_coords=np.array(samples[j, idx - ks.start]),
-                                  scale=trace[idx][0], quotient=trace[idx][1])
-                verdicts[c] = RefutationVerdict(witness, trace[:idx + 1], sum(skips[c][:idx + 1]))
-            elif last:
-                verdicts[c] = RefutationVerdict(None, trace, sum(skips[c]))
-            else:
-                still.append(c)
-        unrefuted = still
-    return verdicts
+def _verdicts(xs: np.ndarray, scales: tuple, best: np.ndarray, skipped: np.ndarray,
+              extremal, above: bool) -> RefutationBlock:
+    """The verdicts on the covectors xs from their extremal quotients and
+    NaN skips, each (covectors, scales), and ``extremal(c, i)``, the
+    coordinates of covector c's extremal sample at scale i.  A refuted
+    covector's trace and skip count end at its refuting scale, whose
+    extremal sample is its witness."""
+    verdicts = []
+    for c, x in enumerate(xs):
+        trace = tuple(zip(scales, best[c].tolist()))
+        idx = _two_consecutive(trace, above)
+        if idx is None:
+            verdicts.append(RefutationVerdict(None, trace, sum(skipped[c].tolist())))
+            continue
+        witness = Witness(covector=np.array(x), point_coords=np.array(extremal(c, idx)),
+                          scale=trace[idx][0], quotient=trace[idx][1])
+        verdicts.append(RefutationVerdict(witness, trace[:idx + 1],
+                                          sum(skipped[c, :idx + 1].tolist())))
+    return RefutationBlock(verdicts)
 
 
 def frechet_normal_refute(
@@ -243,7 +220,7 @@ def frechet_normal_refute(
     x,
     schedule: Schedule = DEFAULT_SCHEDULE,
     *,
-    seed: Sequence[int],
+    seed: int,
 ) -> RefutationBlock:
     """One-sided test of covectors against the Frechet normal cone of a set
     at p.
@@ -254,61 +231,42 @@ def frechet_normal_refute(
     refuter estimates the limiting sup of <x, chart(u)> / d(u, p) and reports
     ``refuted`` when the quotient exceeds +tol at two consecutive scales.
 
-    ``x`` is a stack of covectors at p and ``seed`` a sequence of seeds, one
-    each; the verdicts come as a ``RefutationBlock``.  The covectors are
-    scored in two waves (see ``_in_waves``): the first FIRST_WAVE scales of
-    every covector, then the rest for the unrefuted ones.  The sampler is
-    called once per covector and scale scored; the samples of a chunk of
-    covectors are checked on the manifold, pulled back and scored as one
-    block, and each scale keeps its first largest quotient.
+    ``x`` is a stack of covectors at p, and the verdicts come as a
+    ``RefutationBlock``.  The sampler is called once per scale, at scale i
+    with child i of ``SeedSequence(seed)``, and every covector is scored
+    against the same samples: the stacks are checked on the manifold, pulled
+    back and scored as one (covectors, samples) table, refused past
+    STACK_BYTES once the sampler has given its stacks, and each scale keeps
+    its first largest quotient.
     """
-    xs, seeds = _covectors(p, x, seed)
-    scales = schedule.scales
-    shape = p.manifold.ambient_shape
-    row_bytes = 8 * math.prod(shape)
-
-    def score(cs, ks):
-        rngs = iter(spawned_generators([seeds[c] for c in cs], ks))
-        chunk, stacks = [], []
-        for c in cs:
-            for i in ks:
-                pts = np.asarray(sampler(scales[i], next(rngs)), dtype=float)
-                if pts.shape[1:] != shape:
-                    raise GeometryError(
-                        f"sampler gave shape {pts.shape} for points of {p.manifold}")
-                stacks.append(pts)
-            chunk.append(c)
-            if sum(map(len, stacks)) * row_bytes >= REFUTE_BLOCK_BYTES or c == cs[-1]:
-                yield _normal_block(p, xs[chunk], stacks, scales[ks.start:ks.stop])
-                chunk, stacks = [], []
-
-    return RefutationBlock(_in_waves(xs, scales, score, above=True))
-
-
-def _normal_block(p: Point, xs: np.ndarray, stacks: list, scales: tuple):
-    """Extremal quotients, skips (none) and extremal samples of the
-    covectors xs at the given scales, from their sampled stacks, one per
-    (covector, scale), covector-major."""
-    counts = np.array([len(a) for a in stacks])
+    xs = _covectors(p, x)
+    scales, shape = schedule.scales, p.manifold.ambient_shape
+    stacks = []
+    for t, child in zip(scales, SeedSequence(seed).spawn(len(scales))):
+        pts = np.asarray(sampler(t, default_rng(child)), dtype=float)
+        if pts.shape[1:] != shape:
+            raise GeometryError(f"sampler gave shape {pts.shape} for points of {p.manifold}")
+        stacks.append(pts)
     coords = point_stack(p.manifold, np.concatenate(stacks))
-    segment = np.repeat(np.arange(len(stacks)), counts)  # (covector, scale) of each row
-    t = np.asarray(scales)[segment % len(scales)]
+    require_within_stack_cap("the normal refuter's quotient table needs",
+                             8 * len(xs) * coords.size)
+    counts = [len(a) for a in stacks]
     w, d = _chart_block(p, coords)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = _row_inner(xs[segment // len(scales)], w) / d
-    q[(d <= 0.0) | (d > 2.0 * t) | np.isnan(q)] = -math.inf
-    # one row per (covector, scale), padded with -inf: the first argmax of a
-    # row is the first largest quotient of the scale, as a strict-> scan finds it
-    table = np.full((len(stacks), max(counts.max(initial=0), 1)), -math.inf)
-    starts = np.cumsum(counts) - counts
-    table[segment, np.arange(len(q)) - starts[segment]] = q
-    first = np.argmax(table, axis=1)
-    best = table[np.arange(len(stacks)), first].reshape(len(xs), len(scales))
-    # a scale without samples keeps -inf and is never a witness; its row is clipped
-    samples = (coords[np.minimum(starts + first, len(coords) - 1)] if len(coords)
-               else np.zeros((len(stacks), *p.manifold.ambient_shape)))
-    return (best, np.zeros(best.shape, dtype=int),
-            samples.reshape(len(xs), len(scales), *p.manifold.ambient_shape))
+        q = _table_inner(xs, w.reshape(1, len(w), math.prod(shape))) / d
+    q[:, (d <= 0.0) | (d > 2.0 * np.repeat(scales, counts))] = -math.inf
+    q[np.isnan(q)] = -math.inf
+    # each scale keeps the first largest quotient of its samples, as a
+    # strict-> scan finds it; a scale without samples keeps -inf, never a witness
+    best = np.full((len(xs), len(scales)), -math.inf)
+    first = np.zeros(best.shape, dtype=int)
+    ends = np.cumsum(counts)
+    for i, (a, b) in enumerate(zip(ends - counts, ends)):
+        if b > a:
+            first[:, i] = a + np.argmax(q[:, a:b], axis=1)
+            best[:, i] = q[np.arange(len(xs)), first[:, i]]
+    return _verdicts(xs, scales, best, np.zeros(best.shape, dtype=int),
+                     lambda c, i: coords[first[c, i]], above=True)
 
 
 def objective_values(f: Callable[[np.ndarray], np.ndarray], coords: np.ndarray) -> np.ndarray:
@@ -351,7 +309,7 @@ def frechet_subdiff_refute(
     x,
     schedule: Schedule = DEFAULT_SCHEDULE,
     *,
-    seed: Sequence[int],
+    seed: int,
 ) -> RefutationBlock:
     """One-sided test of covectors against the Frechet subdifferential of f
     at p.
@@ -362,75 +320,67 @@ def frechet_subdiff_refute(
     fell below -tol at two consecutive scales, so x cannot belong to the
     subdifferential; ``consistent`` certifies nothing.
 
-    ``x`` is a stack of covectors at p and ``seed`` a sequence of seeds, one
-    each; the verdicts come as a ``RefutationBlock``.  f maps a stack of
-    point coordinates to one value per row.  The covectors are scored in two
-    waves (see ``_in_waves``): the first FIRST_WAVE scales of every
-    covector, then the rest for the unrefuted ones.  In each wave a chunk of
-    covectors is one block: for each covector and scale the two probes and
-    ``samples_per_scale`` random tangent directions, all stepped, mapped and
-    scored together, with one call of f.  A zero covector has no probes; its
-    probe rows are padding, never scored.  A sample where f is NaN is
-    skipped and counted; the first sample attaining a scale's least quotient
-    is that scale's witness.
+    ``x`` is a stack of covectors at p, and the verdicts come as a
+    ``RefutationBlock``.  f maps a stack of point coordinates to one value
+    per row.  Scale i draws ``samples_per_scale`` random tangent directions
+    from child i of ``SeedSequence(seed)``, shared by every covector, and
+    each nonzero covector adds its two probes at each scale.  All steps are
+    mapped in one block, f is called once, and every (covector, scale) pair
+    is scored from one (covectors, scales, 2 + samples_per_scale) quotient
+    table with the two probes leading each scale; a zero covector has no
+    probes, and its probe columns are never scored.  The table is refused
+    past STACK_BYTES before any draw.  A sample where f is NaN is skipped and
+    counted; the first sample attaining a scale's least quotient is that
+    scale's witness.
     """
-    xs, seeds = _covectors(p, x, seed)
-    f0 = _base_value(f, p)
-    row_bytes = 8 * math.prod(p.manifold.ambient_shape)
-
-    def score(cs, ks):
-        per_chunk = max(1, REFUTE_BLOCK_BYTES // (_subdiff_rows(schedule, len(ks)) * row_bytes))
-        for start in range(0, len(cs), per_chunk):
-            chunk = cs[start:start + per_chunk]
-            yield _subdiff_block(f, f0, p, xs[chunk], [seeds[c] for c in chunk], schedule, ks)
-
-    return RefutationBlock(_in_waves(xs, schedule.scales, score, above=False))
-
-
-def _subdiff_rows(schedule: Schedule, n_scales: int) -> int:
-    """Rows the subdifferential refuter scores per covector over n_scales
-    scales of the schedule: two probes and ``samples_per_scale`` directions
-    at each."""
-    return n_scales * (2 + schedule.samples_per_scale)
-
-
-def _subdiff_block(f, f0: float, p: Point, xs: np.ndarray, seeds: list,
-                   schedule: Schedule, ks: range):
-    """Least quotients, NaN skips and extremal samples of the covectors xs at
-    the scale indices ks, laid out as (covector, scale, row) with the two
-    probe rows leading each scale."""
-    scales, samples = schedule.scales[ks.start:ks.stop], schedule.samples_per_scale
+    xs = _covectors(p, x)
     shape = p.manifold.ambient_shape
-    n_x, n_s, per_scale = len(xs), len(scales), 2 + samples
+    require_within_stack_cap("the subdifferential refuter's quotient table needs",
+                             8 * len(xs) * _subdiff_rows(schedule) * math.prod(shape))
+    f0 = _base_value(f, p)
+    scales, samples = np.asarray(schedule.scales), schedule.samples_per_scale
+    n_s = len(scales)
     xnorm = row_norms(xs)
-    unit = xs / _per_row(np.where(xnorm > 0, xnorm, 1.0), xs)
-    probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None], (n_x, n_s, 2, *shape))
-    dirs = random_tangents(p, spawned_generators(seeds, ks), samples)
-    dirs = np.concatenate([probes, dirs.reshape(n_x, n_s, samples, *shape)], axis=2)
-    dirs = dirs.reshape(-1, *shape)
-    padding = np.zeros((n_x, n_s, per_scale), dtype=bool)
-    padding[xnorm == 0, :, :2] = True
-    padding = padding.ravel()
-    t = np.tile(np.repeat(scales, per_scale), n_x)  # each row's scale
+    nonzero = np.flatnonzero(xnorm > 0)
+    unit = xs[nonzero] / _per_row(xnorm[nonzero], xs[nonzero])
+    probes = np.broadcast_to(np.stack([unit, -unit], axis=1)[:, None],
+                             (len(nonzero), n_s, 2, *shape))
+    rngs = [default_rng(child) for child in SeedSequence(seed).spawn(n_s)]
+    dirs = np.concatenate([random_tangents(p, rngs, samples), probes.reshape(-1, *shape)])
+    t = np.concatenate([np.repeat(scales, samples), np.tile(np.repeat(scales, 2), len(nonzero))])
     coords = _approach_block(p, _per_row(t, dirs) * dirs)
     fu = objective_values(f, coords)
-    nan = np.isnan(fu) & ~padding
+    # the block row behind each (covector, scale, column): the covector's two
+    # probes, then the scale's shared directions; a zero covector's probe
+    # columns read row 0 and are padding
+    rows = np.zeros((len(xs), n_s, 2 + samples), dtype=int)
+    rows[:, :, 2:] = np.arange(n_s * samples).reshape(n_s, samples)
+    rows[nonzero, :, :2] = n_s * samples + np.arange(2 * n_s * len(nonzero)).reshape(-1, n_s, 2)
+    padding = np.zeros(rows.shape, dtype=bool)
+    padding[xnorm == 0, :, :2] = True
+    nan = np.isnan(fu)[rows] & ~padding
     excluded = nan | padding
-    x_rows = np.repeat(xs, n_s * per_scale, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.manifold.kind in ("euclidean", "sphere"):  # exact chart: d = t
-            q = (fu - f0 - t * _row_inner(x_rows, dirs)) / t
+            ts = scales[:, None]
+            q = (fu[rows] - f0 - ts * _table_inner(xs, dirs.reshape(len(dirs), -1)[rows])) / ts
         else:
             chords = coords - p.coords
-            d = row_norms(chords)
+            d = row_norms(chords)[rows]
             excluded |= d <= 0.0
-            q = (fu - f0 - _row_inner(x_rows, chords)) / d
+            q = (fu[rows] - f0 - _table_inner(xs, chords.reshape(len(chords), -1)[rows])) / d
     q[excluded | np.isnan(q)] = math.inf
-    q = q.reshape(n_x * n_s, per_scale)
-    first = np.argmin(q, axis=1)  # the first least quotient, as a strict-< scan finds it
-    least = q[np.arange(len(q)), first].reshape(n_x, n_s)
-    samples_at = coords[np.arange(len(q)) * per_scale + first].reshape(n_x, n_s, *shape)
-    return least, nan.reshape(n_x, n_s, per_scale).sum(axis=2), samples_at
+    first = np.argmin(q, axis=2)  # the first least quotient, as a strict-< scan finds it
+    best = np.take_along_axis(q, first[..., None], axis=2)[..., 0]
+    return _verdicts(xs, schedule.scales, best, nan.sum(axis=2),
+                     lambda c, i: coords[rows[c, i, first[c, i]]], above=False)
+
+
+def _subdiff_rows(schedule: Schedule) -> int:
+    """Rows of the subdifferential refuter's quotient table per covector:
+    two probes and ``samples_per_scale`` directions at each scale of the
+    schedule."""
+    return len(schedule.scales) * (2 + schedule.samples_per_scale)
 
 
 def contingent_derivative(
@@ -481,13 +431,13 @@ def contingent_cone_distance(
     to the smallest TAIL_SCALES scales of DEFAULT_SCHEDULE.  It decreases
     toward the true cone distance as the budget grows and is exactly 0
     whenever a sampled ray hits a contingent direction of v.  The sampler
-    runs only at the tail scales, each from the stream its index spawns
-    from ``seed`` (keys 9 and 10); their stacks are checked on the manifold
-    by one call and scored as one block."""
+    runs only at the tail scales, scale i with ``SeedSequence(seed,
+    spawn_key=(i,))`` (keys 9 and 10), as in the refuters; their stacks are
+    checked on the manifold by one call and scored as one block."""
     scales = DEFAULT_SCHEDULE.scales
     tail = range(len(scales))[-TAIL_SCALES:]
-    stacks = [np.asarray(sampler(scales[i], rng), dtype=float)
-              for i, rng in zip(tail, spawned_generators([seed], tail))]
+    stacks = [np.asarray(sampler(scales[i], default_rng(SeedSequence(seed, spawn_key=(i,)))),
+                         dtype=float) for i in tail]
     if not len(stacks[-1]):
         raise GeometryError("no set samples at the smallest scale")
     w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))
@@ -744,27 +694,25 @@ def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> Check:
         k = int(rng.integers(1, min(3, n) + 1))
         p = random_stiefel_plus(n, k, rng)
         cone = stiefel_plus_normal_cone(p)
-        # draws in the order of one refuter call per covector: the members,
-        # a seed per member in the pattern, the violators, a seed per
-        # violator outside it; then the frame is scored as one block
+        # the members, the violators and one refuter seed; the members in the
+        # pattern and the violators outside it are scored as one stack
         members = cone.sample_members(rng, PER_FRAME)
-        member_seeds = [int(rng.integers(2**31)) if cone.contains(x) else None for x in members]
         violators = _pattern_violators(cone, rng)
-        violator_seeds = [None if cone.contains(x) else int(rng.integers(2**31))
-                          for x in violators]
-        scored = [(x, sd) for x, sd in zip(members + violators, member_seeds + violator_seeds)
-                  if sd is not None]
+        refute_seed = int(rng.integers(2**31))
+        member_in = [cone.contains(x) for x in members]
+        violator_in = [cone.contains(x) for x in violators]
+        scored = ([x for x, inside in zip(members, member_in) if inside]
+                  + [x for x, inside in zip(violators, violator_in) if not inside])
         verdicts = iter(frechet_normal_refute(
-            stiefel_plus_sampler(cone), cone.base,
-            np.array([x for x, _ in scored]).reshape(len(scored), n, k),
-            CROSS_VALIDATION_SCHEDULE, seed=[sd for _, sd in scored]))
-        for x, sd in zip(members, member_seeds):
-            if sd is None:
+            stiefel_plus_sampler(cone), cone.base, np.array(scored).reshape(len(scored), n, k),
+            CROSS_VALIDATION_SCHEDULE, seed=refute_seed))
+        for x, inside in zip(members, member_in):
+            if not inside:
                 disagreements.append((idx, "member-not-in-pattern", x))
             elif next(verdicts).refuted:
                 disagreements.append((idx, "member-refuted", x))
-        for x, sd in zip(violators, violator_seeds):
-            if sd is None:
+        for x, inside in zip(violators, violator_in):
+            if inside:
                 disagreements.append((idx, "violator-in-pattern", x))
             elif not next(verdicts).refuted:
                 disagreements.append((idx, "violator-not-refuted", x))
@@ -824,20 +772,17 @@ def check_dist_subdiff_identity(
     cone directions rescaled past the unit sphere by MARGIN, must be
     refuted, and each that is not fails as ("outside", covector).
     ``fixture`` supplies the analytic distance function and the cone
-    samplers (see fixtures module).  The refuter runs on DEFAULT_SCHEDULE.
-    A check whose 2 x n_covectors covectors, scored on the refuter's rows of
-    the whole schedule, need more than STACK_BYTES is refused before any
-    draw (``BudgetExceededError``).
+    samplers (see fixtures module).  The covectors are drawn first, then
+    one refuter seed, and all 2 x n_covectors are refuted as one stack on
+    DEFAULT_SCHEDULE.  A check whose refuter table, 2 x n_covectors rows of
+    ``_subdiff_rows`` each, needs more than STACK_BYTES is refused before
+    any draw (``BudgetExceededError``).
     """
     p = fixture.point
-    rows = 2 * n_covectors * _subdiff_rows(DEFAULT_SCHEDULE, len(DEFAULT_SCHEDULE.scales))
+    rows = 2 * n_covectors * _subdiff_rows(DEFAULT_SCHEDULE)
     require_within_stack_cap("scoring one identity check needs", 8 * rows * p.coords.size)
     rng = default_rng(seed)
-    # draws in the order of one refuter call per covector, then one block
-    inside, seeds = [], []
-    for _ in range(n_covectors):
-        inside.append(fixture.cone_sample_in(rng))
-        seeds.append(int(rng.integers(2**31)))
+    inside = [fixture.cone_sample_in(rng) for _ in range(n_covectors)]
     outside = []
     rays = list(fixture.cone_rays)
     for i in range(n_covectors):
@@ -846,13 +791,13 @@ def check_dist_subdiff_identity(
             outside.append((1.0 + MARGIN + float(rng.uniform(0.0, 0.5))) * ray)
         else:
             outside.append(fixture.cone_sample_out(rng, MARGIN))
-    seeds += [int(rng.integers(2**31)) for _ in outside]
-    covectors = np.array(inside + outside, dtype=float).reshape(len(seeds),
+    covectors = np.array(inside + outside, dtype=float).reshape(2 * n_covectors,
                                                                 *p.manifold.ambient_shape)
-    verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors, seed=seeds)
+    verdicts = frechet_subdiff_refute(fixture.dist_fn, p, covectors,
+                                      seed=int(rng.integers(2**31)))
     failures = [("inside", v.witness) for v in verdicts[:len(inside)] if v.refuted]
     failures += [("outside", x) for x, v in zip(outside, verdicts[len(inside):]) if not v.refuted]
-    return Check(fixture.name, len(seeds), tuple(failures),
+    return Check(fixture.name, len(covectors), tuple(failures),
                  {"inside_checked": len(inside), "outside_checked": len(outside)})
 
 

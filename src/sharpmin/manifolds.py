@@ -10,11 +10,10 @@ closed-form geodesic distance; here it carries a QR retraction and the ambient
 distance and is all the downstream clustering pipeline needs.
 
 All types are immutable values; every operation is pure.  Sampling helpers
-take an explicit seed or generator and never touch global RNG state, and the
-local-distance verifier derives an independent substream per radius.
-Substreams come from ``spawned_generators``, which builds the generators of
-``SeedSequence(seed).spawn(n)`` for many seeds: numpy mixes each seed once,
-and the spawn keys and the state words take one numpy pass.
+take an explicit seed or generator and never touch global RNG state.  The
+local-distance verifier draws radius i from child i of ``SeedSequence(seed)``,
+numpy's own spawning, as every seeded component does: the solver's restarts
+and each scale of the refuters and of the contingent cone distance.
 
 The tangent projection, the tangency check, the on-manifold check, the
 exponential and logarithm maps, the distance and the seeded tangent draw
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .stiefel import frame_residual
 
@@ -141,8 +138,8 @@ def stiefel(n: int, k: int) -> ManifoldDescriptor:
     return ManifoldDescriptor("stiefel", n, k=k)
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    arr = np.array(a, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -384,83 +381,6 @@ def curvature_norm(m: ManifoldDescriptor) -> float:
     raise GeometryError(f"unknown curvature bound for {m}")
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); numpy keeps
-# the algorithm stream-stable, so the states below are those of any numpy >= 2.0
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_WORD = 0xFFFFFFFF
-
-
-def _hash_chain(start: int, mult: int, count: int) -> list:
-    """The hash constant before each of count successive hashmix calls, and
-    after the last."""
-    chain = [start]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & _WORD)
-    return chain
-
-
-@lru_cache(maxsize=None)
-def _key_constants(calls: int) -> tuple:
-    """The xor and then the mult constants of the four hashmix calls that
-    SeedSequence makes on a spawn key after ``calls`` earlier ones: 16 for
-    the pool fill and the cross-mix, plus 4 per seed word past the fourth."""
-    a = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, calls + 4)
-    return (*a[calls:calls + 4], *a[calls + 1:])
-
-
-_STATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 8)  # the 8 uint32 words of 4 uint64
-_STATE_XOR = _readonly(_STATE_CHAIN[:8], np.uint32)
-_STATE_MULT = _readonly(_STATE_CHAIN[1:], np.uint32)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return value ^ (value >> _XSHIFT)
-
-
-class _SpawnedState(ISeedSequence):
-    """The seed sequence behind one generator of ``spawned_generators``:
-    ``generate_state`` gives PCG64 its four precomputed words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def spawned_generators(seeds: Sequence[int], keys: Sequence[int]) -> list:
-    """Generators in the states of ``[default_rng(SeedSequence(s,
-    spawn_key=(i,))) for s in seeds for i in keys]``, seed-major; ``keys =
-    range(n)`` gives the children of ``SeedSequence(seed).spawn(n)``.
-
-    Child i of seed s has the entropy words of s, padded with zeros to 4,
-    followed by the spawn key i (below 2**32).  numpy's ``SeedSequence(s)``
-    mixes the words of s into its pool, once per seed; the mixing of each
-    key into its seed's pool and the hashing of the four PCG64 state words
-    then take one numpy pass over every (seed, key) row."""
-    keys = np.asarray(keys, dtype=np.uint32)
-    rows = []
-    for seed in seeds:
-        seq = SeedSequence(seed)
-        width = -(-int(seq.entropy).bit_length() // 32)  # words of the seed
-        rows.append([*seq.pool.tolist(), *_key_constants(16 + 4 * max(width - 4, 0))])
-    table = np.repeat(np.array(rows, dtype=np.uint32).reshape(-1, 12), len(keys), axis=0)
-    key = np.tile(keys, len(rows))[:, None]
-    pool = _mix(table[:, :4], _hashmix(key, table[:, 4:8], table[:, 8:]))
-    words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MULT)
-    states = np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
-    return [Generator(PCG64(_SpawnedState(w))) for w in states]
-
-
 def random_tangents(p: Point, gens: Sequence[Generator], count: int) -> np.ndarray:
     """Stack of seeded unit tangent directions at p, uniform over
     directions: ``count`` rows from each generator of the sequence ``gens``
@@ -587,7 +507,8 @@ def verify_local_distance_lemma(
         raise GeometryError(f"exact distance oracle unavailable on {m}")
 
     deviations = []
-    for r, rng in zip(LEMMA_RADII, spawned_generators([seed], range(len(LEMMA_RADII)))):
+    for r, child in zip(LEMMA_RADII, SeedSequence(seed).spawn(len(LEMMA_RADII))):
+        rng = default_rng(child)
         omega = point_stack(m, set_sampler(r, rng))
         if not len(omega):
             raise GeometryError(f"set sampler returned no points at r={r}")

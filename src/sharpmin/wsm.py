@@ -141,16 +141,17 @@ def check_dual_nc(
     base point ``cone.base``.  The sampler covers the extreme rays of the
     cone first (the places a sharpness claim fails first) and fills up to
     DUAL_CONE_SAMPLES with random members scaled into the alpha-ball.  The
-    candidates and their seeds are drawn first and then refuted as one
-    stack; each refuted candidate fails with its refuter witness."""
+    candidates are drawn first, then one refuter seed, and the candidates
+    are refuted as one stack; each refuted candidate fails with its refuter
+    witness."""
     rng = default_rng(seed)
     candidates = [alpha * r for r in cone.extreme_rays()]
     remaining = max(0, DUAL_CONE_SAMPLES - len(candidates))
     candidates.extend(cone.sample_members(rng, remaining, radius=alpha))
     if not candidates:
         raise GeometryError("cone description produced no candidate covectors")
-    seeds = [int(rng.integers(2**31)) for _ in candidates]
-    verdicts = frechet_subdiff_refute(f, cone.base, np.array(candidates), schedule, seed=seeds)
+    verdicts = frechet_subdiff_refute(f, cone.base, np.array(candidates), schedule,
+                                      seed=int(rng.integers(2**31)))
     failures = [v.witness for v in verdicts if v.refuted]
     return Check("dual", len(candidates), tuple(failures))
 

@@ -37,8 +37,8 @@ def arc_chordal_distance(theta):
 def refute_one(refute, g, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
     """The verdict of a refuter (``frechet_normal_refute`` with a sampler g
     or ``frechet_subdiff_refute`` with an objective g) on one ``Tangent`` x
-    at p, scored as a one-row stack with its one seed."""
-    return refute(g, p, x.vec[None], schedule, seed=[seed])[0]
+    at p, scored as a one-row stack."""
+    return refute(g, p, x.vec[None], schedule, seed=seed)[0]
 
 
 def indicator_frame(graph, parts):

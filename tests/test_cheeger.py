@@ -30,7 +30,7 @@ from sharpmin.cheeger import (
     solve_relaxation,
     wsm_penalty_check,
 )
-from sharpmin.manifolds import GeometryError, stiefel, tangent_project
+from sharpmin.manifolds import GeometryError, Point, stiefel, tangent_project
 from sharpmin.stiefel import (
     EXACT_ASSIGNMENTS,
     FrameError,
@@ -41,7 +41,7 @@ from sharpmin.stiefel import (
     random_stiefel_plus,
     slice_distances,
 )
-from sharpmin.wsm import INSIDE_TOL
+from sharpmin.wsm import INSIDE_TOL, verify_wsm_sampled
 from helpers import arc_chordal_distance, indicator_frame, subgradient
 from slice_reference import (
     ref_assignment_table,
@@ -737,6 +737,10 @@ class TestSolver:
         assert rep.rounded_value == rep.oracle_value == 2.0
 
 
+# every (n, k) the penalty study admits: n <= 8, 1 <= k <= min(n, 3), not St(1, 1)
+DESK_SIZES = [(n, k) for n in range(2, 9) for k in range(1, min(n, 3) + 1)]
+
+
 class TestPenaltyStudy:
     def test_square_penalty_fails_with_witness(self):
         study = wsm_penalty_check(2, 1, 2.0, n_samples=200, seed=0)
@@ -751,6 +755,38 @@ class TestPenaltyStudy:
     def test_sqrt_modulus_bounded_below(self):
         study = wsm_penalty_check(2, 1, 0.5, n_samples=400, seed=0)
         assert study.wsm.estimated_modulus >= 0.70
+
+    @pytest.mark.parametrize("n,k", DESK_SIZES)
+    def test_probe_frames_in_closed_form(self, n, k):
+        # Q_j, P = [I_k; 0] with column j negated: h_beta(Q_j) = 1 at every
+        # beta, and dist(Q_j, St+) = sqrt(2) for n > k, 2 for n = k
+        reference = np.eye(n, k)
+        probes = np.repeat(reference[None], k, axis=0)
+        probes[np.arange(k), np.arange(k), np.arange(k)] = -1.0
+        dist = math.sqrt(2.0) if n > k else 2.0
+        assert slice_distances(probes)[0] == pytest.approx([dist] * k, abs=1e-12)
+        for beta in (0.5, 2.0):
+            assert penalty_h(probes, beta) == pytest.approx([1.0] * k, abs=1e-15)
+        study = wsm_penalty_check(n, k, 0.5, n_samples=4, seed=0, alpha=0.4)
+        assert study.probes.estimated_modulus == pytest.approx(1.0 / dist, abs=1e-12)
+        assert study.probes.status == "pass_strong"  # 0.4 is below 1/2
+        study = wsm_penalty_check(n, k, 2.0, n_samples=4, seed=0, alpha=0.75)
+        assert study.probes.status == "violated" and study.sharpness_violated
+        coords, fu, d = study.probes.witness
+        assert coords.tolist() == probes[0].tolist()
+        assert (fu, d) == pytest.approx((1.0, dist), abs=1e-12)
+
+    def test_probes_leave_the_sample_verdict(self):
+        # the probes are their own stack: the sample's witness, trace and
+        # modulus are those of the sample scored alone
+        study = wsm_penalty_check(6, 2, 0.5, n_samples=40, seed=3)
+        alone = verify_wsm_sampled(lambda u: penalty_h(u, 0.5),
+                                   lambda stack: slice_distances(stack)[0],
+                                   Point(stiefel(6, 2), np.eye(6, 2)),
+                                   random_stiefel(6, 2, np.random.default_rng(3), 40), 1.0)
+        assert study.wsm.modulus_trace == alone.modulus_trace
+        assert study.wsm.status == alone.status
+        assert study.probes.modulus_trace == ((1, 1.0 / math.sqrt(2.0)), (2, 1.0 / math.sqrt(2.0)))
 
     def test_desk_scale_guard(self):
         with pytest.raises(GeometryError):

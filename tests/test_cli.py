@@ -441,16 +441,6 @@ class TestVerifyWsm:
         assert report["reason"]
         assert report["dual_witness"]["covector"] == [[0.0], [-1.0]]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: for beta > 1 the Frechet subdifferential of h_beta at St+ is {0}, "
-        "so every nonzero normal is a witness, but the sampled refuter needs a quotient "
-        "below -REFUTE_TOL = -1e-3 and misses covectors of norm about 1e-3"))
-    def test_smooth_penalty_refuted_at_small_alpha(self, capsys):
-        code, out, _ = run_captured(
-            capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--alpha", "1e-3"])
-        assert json.loads(out)["dual_consistent"] is False
-        assert code == EXIT_VIOLATION
-
     def test_smooth_penalty_refuted_just_past_the_refuter_tolerance(self, capsys):
         code, out, _ = run_captured(
             capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2", "--alpha", "2e-3"])
@@ -472,6 +462,23 @@ class TestVerifyWsm:
         assert lb == ub == pytest.approx(arc_chordal_distance(math.atan2(y, x)), abs=1e-15)
         assert ub == pytest.approx(0.9386, abs=1e-4)
 
+    @pytest.mark.parametrize("n,k,alpha,violated", [
+        (3, 2, 0.70, False), (3, 2, 0.71, True), (3, 3, 0.49, False), (3, 3, 0.51, True)])
+    def test_probe_verdict_flips_at_its_closed_form(self, capsys, n, k, alpha, violated):
+        # the probes give h / dist = 1/sqrt(2) = 0.7071 when n > k and 1/2
+        # when n = k; a large beta keeps every sample's quotient small, so the
+        # probes decide whether their own violation is listed
+        code, out, _ = run_captured(
+            capsys, ["verify-wsm", "--n", str(n), "--k", str(k), "--beta", "2",
+                     "--alpha", str(alpha), "--samples", "20"])
+        report = json.loads(out)
+        assert report["probe_modulus"] == pytest.approx(0.7071067811865476 if n > k else 0.5,
+                                                        abs=1e-12)
+        listed = "probed sharpness check violated for beta=2.0" in report["violations"]
+        assert listed == violated
+        assert (report["probe_witness"] is not None) == violated
+        assert code == EXIT_VIOLATION  # the dual condition at beta 2 is refuted anyway
+
     def test_sqrt_with_matching_alpha_passes(self, capsys):
         code, out, _ = run_captured(
             capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5",
@@ -482,8 +489,8 @@ class TestVerifyWsm:
 
     def test_small_budget_with_every_sample_inside_keeps_its_verdict(self, capsys):
         # seed 1 draws its one quarter-budget sample inside St+(2, 1): that
-        # estimate is inf, and the dual refutation and the sharpness violation
-        # are still reported
+        # estimate is inf, and the dual refutation and both sharpness
+        # violations are still reported
         code, out, _ = run_captured(
             capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "2",
                      "--samples", "4", "--seed", "1"])
@@ -491,17 +498,25 @@ class TestVerifyWsm:
         report = json.loads(out)
         assert report["violations"] == [
             "dual necessary condition refuted for beta=2.0 with alpha=1.0",
-            "sampled sharpness check violated for beta=2.0"]
+            "sampled sharpness check violated for beta=2.0",
+            "probed sharpness check violated for beta=2.0"]
         assert report["modulus_trace"][0] == [1, "inf"]
 
     def test_single_sample_inside_gives_inf_modulus(self, capsys):
+        # the one sample lies inside St+, so it breaks nothing; the probe
+        # frame (-1, 0) does, at h / dist = 1 / sqrt(2) < alpha = 1
         code, out, _ = run_captured(
             capsys, ["verify-wsm", "--n", "2", "--k", "1", "--beta", "0.5",
                      "--samples", "1", "--seed", "1"])
-        assert code == EXIT_OK
+        assert code == EXIT_VIOLATION
         report = json.loads(out)
         assert report["modulus_trace"] == [[1, "inf"]]
-        assert report["violations"] == []
+        assert report["wsm_witness"] is None
+        assert report["violations"] == ["probed sharpness check violated for beta=0.5"]
+        assert report["probe_modulus"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        coords, fu, lb, ub = report["probe_witness"]
+        assert (coords, fu) == ([[-1.0], [0.0]], 1.0)
+        assert lb == ub == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 class TestVerifyConesFailures:
@@ -532,13 +547,13 @@ class TestVerifyConesFailures:
         assert all(0.0 <= r <= 5e-2 for _, r in residuals)
         assert [c["passed"] for c in report["dirderiv_checks"]] == [False] * 3
         assert report["pattern_cross_validation"] == {
-            "frames_checked": 2, "members_checked": 10, "violators_checked": 10,
-            "disagreements": 10}
+            "frames_checked": 2, "members_checked": 10, "violators_checked": 5,
+            "disagreements": 5}
         violations = [f"distance-subdifferential identity failed on {name}"
                       for name in ("halfplane", "nonnegative-arc", "fullspace")]
         violations += [f"directional-derivative identity residual {r:.3g} on {name}"
                        for name, r in residuals]
-        violations.append("10 cone-pattern disagreement(s)")
+        violations.append("5 cone-pattern disagreement(s)")
         assert report["violations"] == violations
         assert (report["exit_code"], report["reason"]) == (EXIT_VIOLATION, "; ".join(violations))
         table = csv_text_rows(("fixture", "max_residual"), residuals)

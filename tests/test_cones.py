@@ -12,6 +12,7 @@ from numpy.random import SeedSequence, default_rng
 
 import sharpmin.cones as cones_module
 import sharpmin.fixtures as fx
+import sharpmin.manifolds as manifolds_module
 from sharpmin.cones import (
     DEFAULT_SCHEDULE,
     GeometryError,
@@ -526,6 +527,9 @@ def _ref_value(f, u):
 
 
 def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+    """One covector, one point at a time: scale i draws its directions from
+    child i of SeedSequence(seed), the stream a refuter call with that seed
+    shares among its covectors."""
     f0 = _ref_value(f, p)
     xnorm = float(np.linalg.norm(x.vec))
     probes = [x.vec / xnorm, -x.vec / xnorm] if xnorm > 0 else []
@@ -664,7 +668,8 @@ class TestBlockKernelMatchesPerSampleReference:
     bit: same random stream, same trace, same witness, same skip count."""
 
     @pytest.mark.parametrize("case", REFUTER_CASES, ids=[c[0] for c in REFUTER_CASES])
-    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    # 2**128 + 3 is a seed of five 32-bit words, past SeedSequence's pool of four
+    @pytest.mark.parametrize("seed", [0, 5, 2024, 2**128 + 3])
     def test_subdiff_refute(self, case, seed):
         _, f, p, covectors, schedule = case
         for x in covectors:
@@ -699,7 +704,8 @@ class TestBlockKernelMatchesPerSampleReference:
         rng = np.random.default_rng(seed)
         candidates = list(cone.extreme_rays())
         candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
-        refs = [ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=int(rng.integers(2**31)))
+        refute_seed = int(rng.integers(2**31))  # one seed, drawn after the candidates
+        refs = [ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=refute_seed)
                 for x in candidates]
         want = [r.witness for r in refs if r.refuted]
         assert got.checked == len(refs)
@@ -842,6 +848,8 @@ def _ref_chart_vector(p, u):
 
 
 def ref_normal_refute(sampler, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+    """One covector, one point at a time, against the sample the call's
+    scale i draws from child i of SeedSequence(seed)."""
     streams = SeedSequence(seed).spawn(len(schedule.scales))
     trace, best = [], []
     for t, ss in zip(schedule.scales, streams):
@@ -890,7 +898,8 @@ def ref_contingent_cone_distance(sampler, p, v, schedule=DEFAULT_SCHEDULE, seed=
 
 def ref_cross_validate(n_frames, seed):
     """The cross-validation as one refuter call per covector: frames up to
-    6 x 3, five members and five violators per frame."""
+    6 x 3, five members and five violators per frame, then the frame's one
+    refuter seed."""
     from sharpmin.cones import _pattern_violators
 
     schedule = Schedule(scales=tuple(0.1 * 0.5**j for j in range(8)))
@@ -904,37 +913,35 @@ def ref_cross_validate(n_frames, seed):
         cone = stiefel_plus_normal_cone(p)
         sampler = ref_stiefel_plus_sampler(p)
         base = Point(stiefel(n, k), p)
-        for x in cone.sample_members(rng, 5):
+        frame_members = cone.sample_members(rng, 5)
+        frame_violators = _pattern_violators(cone, rng)
+        seed_of_frame = int(rng.integers(2**31))
+        for x in frame_members:
             members += 1
             if not cone.contains(x):
                 disagreements.append((idx, "member-not-in-pattern", x))
                 continue
             if ref_normal_refute(sampler, base, Tangent(base, x), schedule,
-                                 seed=int(rng.integers(2**31))).refuted:
+                                 seed=seed_of_frame).refuted:
                 disagreements.append((idx, "member-refuted", x))
-        for x in _pattern_violators(cone, rng):
+        for x in frame_violators:
             violators += 1
             if cone.contains(x):
                 disagreements.append((idx, "violator-in-pattern", x))
                 continue
             if not ref_normal_refute(sampler, base, Tangent(base, x), schedule,
-                                     seed=int(rng.integers(2**31))).refuted:
+                                     seed=seed_of_frame).refuted:
                 disagreements.append((idx, "violator-not-refuted", x))
     return members, violators, disagreements
 
 
 def ref_dist_subdiff_identity(fixture, n_covectors, seed):
     """Failures of the distance-subdifferential check, one refuter call per
-    covector."""
+    covector, each with the one seed drawn after the covectors."""
     margin = 0.1
     rng = np.random.default_rng(seed)
     p = fixture.point
-    inside = []
-    for _ in range(n_covectors):
-        x = fixture.cone_sample_in(rng)
-        v = ref_subdiff_refute(fixture.dist_fn, p, Tangent(p, x), seed=int(rng.integers(2**31)))
-        if v.refuted:
-            inside.append(v.witness)
+    inside_x = [fixture.cone_sample_in(rng) for _ in range(n_covectors)]
     outside_x, rays = [], list(fixture.cone_rays)
     for i in range(n_covectors):
         if rays and i % 2 == 0:
@@ -942,9 +949,11 @@ def ref_dist_subdiff_identity(fixture, n_covectors, seed):
                              * rays[(i // 2) % len(rays)])
         else:
             outside_x.append(fixture.cone_sample_out(rng, margin))
-    outside = [x for x in outside_x
-               if not ref_subdiff_refute(fixture.dist_fn, p, Tangent(p, x),
-                                         seed=int(rng.integers(2**31))).refuted]
+    refute_seed = int(rng.integers(2**31))
+    verdicts = [ref_subdiff_refute(fixture.dist_fn, p, Tangent(p, x), seed=refute_seed)
+                for x in inside_x + outside_x]
+    inside = [v.witness for v in verdicts[:n_covectors] if v.refuted]
+    outside = [x for x, v in zip(outside_x, verdicts[n_covectors:]) if not v.refuted]
     return inside, outside
 
 
@@ -1013,10 +1022,9 @@ def _stack_of(points, shape):
 
 
 class TestStackSamplersMatchPerSampleReference:
-    """Samplers return coordinate stacks and the refuters score each chunk of
-    covectors as one block; both must reproduce the one-Point-per-sample code
-    bit for bit: same stacks, traces, witnesses and skip counts, however the
-    covectors are split into chunks."""
+    """Samplers return coordinate stacks and the refuters score a stack of
+    covectors as one table; both must reproduce the one-Point-per-sample code
+    bit for bit: same stacks, traces, witnesses and skip counts."""
 
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     def test_stiefel_plus_sampler(self, n, k):
@@ -1031,28 +1039,25 @@ class TestStackSamplersMatchPerSampleReference:
                     assert got.shape == (len(want), n, k)
                     assert got.tobytes() == _stack_of(want, (n, k)).tobytes()
 
-    @pytest.mark.parametrize("cap", [1, 20_000, None], ids=["one-per-chunk", "split", "default"])
     @pytest.mark.parametrize("n,k", FRAME_GRID)
-    def test_normal_refute(self, n, k, cap, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+    def test_normal_refute(self, n, k):
         schedule = Schedule.geometric(n_scales=8, samples_per_scale=8)
         refuted = 0
         for f_idx, frame in enumerate(_grid_frames(n, k)):
             cone = stiefel_plus_normal_cone(frame)
             base = Point(stiefel(n, k), frame)
             xs = _grid_covectors(cone, np.random.default_rng(f_idx))
-            seeds = [17 * i + f_idx for i in range(len(xs))]
+            seed = 17 + f_idx
             got = frechet_normal_refute(stiefel_plus_sampler(cone), base, np.array(xs),
-                                        schedule, seed=seeds)
+                                        schedule, seed=seed)
             assert len(got) == len(xs)
-            for x, sd, v in zip(xs, seeds, got):
+            for x, v in zip(xs, got):
                 want = ref_normal_refute(ref_stiefel_plus_sampler(frame), base,
-                                         Tangent(base, x), schedule, seed=sd)
+                                         Tangent(base, x), schedule, seed=seed)
                 assert_same_verdict(v, want)
                 refuted += want.refuted
             one = refute_one(frechet_normal_refute, stiefel_plus_sampler(cone), base,
-                             Tangent(base, xs[0]), schedule, seed=seeds[0])
+                             Tangent(base, xs[0]), schedule, seed=seed)
             assert_same_verdict(one, got[0])
             assert got.refuted == sum(v.refuted for v in got)
         if n > k:
@@ -1086,10 +1091,7 @@ class TestStackSamplersMatchPerSampleReference:
                                                   seed=i)) == \
                 _bits(ref_contingent_cone_distance(ref, fixture.point, v, seed=i))
 
-    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
-    def test_cross_validation(self, cap, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
+    def test_cross_validation(self):
         got = cross_validate_pattern_cone(n_frames=12, seed=4)
         members, violators, disagreements = ref_cross_validate(12, 4)
         assert (got.counters["members_checked"], got.counters["violators_checked"]) == \
@@ -1099,8 +1101,7 @@ class TestStackSamplersMatchPerSampleReference:
 
     @pytest.mark.parametrize("builder", [fx.halfplane_fixture, fx.arc_fixture,
                                          fx.fullspace_fixture])
-    def test_dist_subdiff_identity(self, builder, monkeypatch):
-        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 5_000)  # several chunks
+    def test_dist_subdiff_identity(self, builder):
         base = builder()
         # the cone samplers swapped, so that both kinds of failure occur
         fixture = dataclasses.replace(
@@ -1116,42 +1117,17 @@ class TestStackSamplersMatchPerSampleReference:
                 assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
         assert _bits([x for tag, x in got.failures if tag == "outside"]) == _bits(outside)
 
-    @pytest.mark.parametrize("n,k", FRAME_GRID)
-    @pytest.mark.parametrize("beta", [0.5, 2.0])
-    def test_check_dual_nc_in_chunks(self, n, k, beta, monkeypatch):
-        # chunks of 16 covectors in the first wave (2 scales) and 3 in the
-        # second (9 scales), so both waves split each frame's 24
-        per_covector = 11 * 12 * 8 * n * k
-        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 3 * per_covector - 1)
-        rng = np.random.default_rng(1)
-        frame = random_stiefel_plus(n, k, rng)
-        p = Point(stiefel(n, k), frame)
-        cone = stiefel_plus_normal_cone(frame)
-        schedule = Schedule.geometric(samples_per_scale=10)
-        got = check_dual_nc(_penalty(beta), cone, alpha=1.0, seed=7, schedule=schedule)
-        rng = np.random.default_rng(7)
-        candidates = list(cone.extreme_rays())
-        candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
-        refs = [ref_subdiff_refute(_penalty(beta), p, Tangent(p, x), schedule,
-                                   seed=int(rng.integers(2**31))) for x in candidates]
-        want = [r.witness for r in refs if r.refuted]
-        assert got.checked == len(refs)
-        assert len(got.failures) == len(want)
-        for w_got, w_ref in zip(got.failures, want):
-            for field in ("covector", "point_coords", "scale", "quotient"):
-                assert _bits(getattr(w_got, field)) == _bits(getattr(w_ref, field))
-
-    def test_subdiff_stack_with_skips_in_chunks(self, monkeypatch):
-        monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", 1)
+    @pytest.mark.parametrize("seed", [3, 2**64 + 1])
+    def test_subdiff_stack_with_skips(self, seed):
         _, f, p, xs, schedule = REFUTER_CASES[-1]  # zero covector and NaN samples
         xs = np.array(xs + xs[::-1])
-        seeds = [3, 1, 4, 1]
-        got = frechet_subdiff_refute(f, p, xs, schedule, seed=seeds)
-        for x, sd, v in zip(xs, seeds, got):
-            assert_same_verdict(v, ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=sd))
+        got = frechet_subdiff_refute(f, p, xs, schedule, seed=seed)
+        for x, v in zip(xs, got):
+            assert_same_verdict(v, ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=seed))
         assert got.skipped_samples == sum(v.skipped_samples for v in got) > 0
 
-    def test_normal_refute_keeps_first_of_tied_samples(self):
+    @pytest.mark.parametrize("seed", [2, 2**128 + 3])
+    def test_normal_refute_keeps_first_of_tied_samples(self, seed):
         # mirror pairs (a, b), (a, -b) tie in quotient for x = (1, 0)
         p = Point(euclidean(2), np.zeros(2))
 
@@ -1163,20 +1139,19 @@ class TestStackSamplersMatchPerSampleReference:
             return [Point(p.manifold, u) for u in pairs(t, rng)]
 
         xs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = frechet_normal_refute(pairs, p, xs, seed=[2, 3])
-        for x, sd, v in zip(xs, [2, 3], got):
-            want = ref_normal_refute(ref_pairs, p, Tangent(p, x), seed=sd)
+        got = frechet_normal_refute(pairs, p, xs, seed=seed)
+        for x, v in zip(xs, got):
+            want = ref_normal_refute(ref_pairs, p, Tangent(p, x), seed=seed)
             assert want.refuted
             assert_same_verdict(v, want)
         assert got[0].witness.point_coords[1] < 0.0  # the first of the pair
 
-    def test_stack_needs_one_seed_per_covector(self):
+    def test_covector_stack_of_the_wrong_shape_refused(self):
         p = Point(euclidean(2), np.zeros(2))
-        with pytest.raises(GeometryError, match="seeds"):
-            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((2, 2)), seed=[1])
         with pytest.raises(GeometryError, match="shape"):
-            frechet_normal_refute(fx.axis_fixture().omega_sampler, p, np.zeros((2, 3)),
-                                  seed=[1, 2])
+            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((2, 3)), seed=1)
+        with pytest.raises(GeometryError, match="shape"):
+            frechet_normal_refute(fx.axis_fixture().omega_sampler, p, np.zeros((2, 3)), seed=1)
 
 
 def _growing_cone_value(u):
@@ -1195,12 +1170,11 @@ def _narrowing_set(t, rng):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-class TestTwoWaves:
-    """The refuters score the first two scales of every covector, then the
-    rest of the schedule for the unrefuted ones.  A mixed stack must give,
-    covector by covector, what one-covector calls and the per-sample
-    references give, however it is chunked; a refuted covector's trace and
-    skip count end at its refuting scale."""
+class TestMixedStack:
+    """A mixed stack must give, covector by covector, what one-covector calls
+    and the per-sample references give under the call's one seed; a refuted
+    covector's trace and skip count end at its refuting scale, and every
+    scale is drawn and checked whatever the verdicts."""
 
     ORIGIN = Point(euclidean(2), np.zeros(2))
     # refuted at the second scale, refuted at the fifth, consistent, zero
@@ -1218,38 +1192,56 @@ class TestTwoWaves:
             if v.refuted:
                 assert v.witness.scale == v.quotient_trace[-1][0]
 
-    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
-    def test_subdiff_refute(self, cap, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
-        p, seeds = self.ORIGIN, [3, 1, 4, 1]
-        got = frechet_subdiff_refute(_growing_cone_value, p, self.SUBDIFF_XS, seed=seeds)
+    def test_subdiff_refute(self):
+        p, seed = self.ORIGIN, 3
+        got = frechet_subdiff_refute(_growing_cone_value, p, self.SUBDIFF_XS, seed=seed)
         one_by_one = [refute_one(frechet_subdiff_refute, _growing_cone_value, p, Tangent(p, x),
-                                 seed=sd)
-                      for x, sd in zip(self.SUBDIFF_XS, seeds)]
-        refs = [ref_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=sd)
-                for x, sd in zip(self.SUBDIFF_XS, seeds)]
+                                 seed=seed) for x in self.SUBDIFF_XS]
+        refs = [ref_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=seed)
+                for x in self.SUBDIFF_XS]
         self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
         # the skips of the refuted covectors stop at their refuting scale
         assert all(v.skipped_samples > 0 for v in got)
         assert got[0].skipped_samples < got[1].skipped_samples < got[2].skipped_samples
 
-    @pytest.mark.parametrize("cap", [1, None], ids=["one-per-chunk", "default"])
-    def test_normal_refute(self, cap, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(cones_module, "REFUTE_BLOCK_BYTES", cap)
-        p, seeds = self.ORIGIN, [2, 7, 1, 8]
+    def test_normal_refute(self):
+        p, seed = self.ORIGIN, 2
 
         def ref_sampler(t, rng):
             return [Point(p.manifold, u) for u in _narrowing_set(t, rng)]
 
-        got = frechet_normal_refute(_narrowing_set, p, self.NORMAL_XS, seed=seeds)
+        got = frechet_normal_refute(_narrowing_set, p, self.NORMAL_XS, seed=seed)
         one_by_one = [refute_one(frechet_normal_refute, _narrowing_set, p, Tangent(p, x),
-                                 seed=sd)
-                      for x, sd in zip(self.NORMAL_XS, seeds)]
-        refs = [ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd)
-                for x, sd in zip(self.NORMAL_XS, seeds)]
+                                 seed=seed) for x in self.NORMAL_XS]
+        refs = [ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=seed)
+                for x in self.NORMAL_XS]
         self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
+
+    @pytest.mark.parametrize("case", REFUTER_CASES, ids=[c[0] for c in REFUTER_CASES])
+    def test_subdiff_verdict_independent_of_the_stack(self, case):
+        # alone, in the stack and in the reversed stack, under the same seed
+        _, f, p, xs, schedule = case
+        xs = np.array(xs, dtype=float)
+        stacked = frechet_subdiff_refute(f, p, xs, schedule, seed=11)
+        reversed_ = frechet_subdiff_refute(f, p, xs[::-1], schedule, seed=11)[::-1]
+        for x, a, b in zip(xs, stacked, reversed_):
+            alone = refute_one(frechet_subdiff_refute, f, p, Tangent(p, x), schedule, seed=11)
+            assert_same_verdict(a, alone)
+            assert_same_verdict(b, alone)
+
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    def test_normal_verdict_independent_of_the_stack(self, n, k):
+        frame = _grid_frames(n, k)[2]
+        cone = stiefel_plus_normal_cone(frame)
+        base = Point(stiefel(n, k), frame)
+        xs = np.array(_grid_covectors(cone, np.random.default_rng(5)))
+        sampler = stiefel_plus_sampler(cone)
+        stacked = frechet_normal_refute(sampler, base, xs, seed=11)
+        reversed_ = frechet_normal_refute(sampler, base, xs[::-1], seed=11)[::-1]
+        for x, a, b in zip(xs, stacked, reversed_):
+            alone = refute_one(frechet_normal_refute, sampler, base, Tangent(base, x), seed=11)
+            assert_same_verdict(a, alone)
+            assert_same_verdict(b, alone)
 
     @pytest.mark.parametrize("cutoff", [0.01, 1.0], ids=["late-scales-empty", "all-empty"])
     def test_normal_refute_scales_without_samples(self, cutoff):
@@ -1263,42 +1255,70 @@ class TestTwoWaves:
             return [Point(p.manifold, u) for u in sampler(t, rng)]
 
         xs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        got = frechet_normal_refute(sampler, p, xs, seed=[1, 2])
-        for x, sd, v in zip(xs, [1, 2], got):
-            assert_same_verdict(v, ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=sd))
+        got = frechet_normal_refute(sampler, p, xs, seed=1)
+        for x, v in zip(xs, got):
+            assert_same_verdict(v, ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=1))
         assert got[0].refuted == (cutoff < 0.1)
         assert got[1].quotient_trace[-1][1] == -math.inf
 
-    # the schedule's fifth scale and later are below this; the first wave is not
+    # the schedule's fifth scale and later are below this
     LATE = 0.01
 
-    def test_normal_refute_checks_only_scored_scales(self):
-        # a sampler with a bad shape past the first wave: a covector refuted at
-        # the second scale never reaches it, a consistent one must raise
+    def test_normal_refute_checks_every_scale(self):
+        # a sampler with a bad shape at the late scales: a covector refuted at
+        # the second scale raises as well, since every scale is drawn
         p = self.ORIGIN
 
         def sampler(t, rng):
             return np.zeros((1, 3)) if t < self.LATE else np.array([[t, 0.0]])
 
-        refuted = refute_one(frechet_normal_refute, sampler, p, tangent(p, 1.0, 0.0), seed=0)
-        assert refuted.refuted and len(refuted.quotient_trace) == 2
-        with pytest.raises(GeometryError, match="sampler gave shape"):
-            refute_one(frechet_normal_refute, sampler, p, tangent(p, 0.0, 1.0), seed=0)
-        with pytest.raises(GeometryError, match="sampler gave shape"):
-            frechet_normal_refute(sampler, p, np.array([[1.0, 0.0], [0.0, 1.0]]), seed=[0, 0])
+        for xs in ([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(GeometryError, match="sampler gave shape"):
+                frechet_normal_refute(sampler, p, np.array(xs), seed=0)
 
-    def test_subdiff_refute_checks_only_scored_scales(self):
-        # an objective that gives one value too few on a block holding rows past
-        # the first wave: the same split as for the sampler above
+    def test_subdiff_refute_checks_every_scale(self):
+        # an objective that gives one value too few on a block holding rows
+        # at the late scales: the same for a covector refuted at the second
         p = self.ORIGIN
 
         def f(u):
             values = np.linalg.norm(u, axis=1)
             return values[:-1] if ((values > 0) & (values < self.LATE)).any() else values
 
-        refuted = refute_one(frechet_subdiff_refute, f, p, tangent(p, 5.0, 0.0), seed=0)
-        assert refuted.refuted and len(refuted.quotient_trace) == 2
-        with pytest.raises(GeometryError, match="objective gave shape"):
-            refute_one(frechet_subdiff_refute, f, p, tangent(p, 0.5, 0.0), seed=0)
-        with pytest.raises(GeometryError, match="objective gave shape"):
-            frechet_subdiff_refute(f, p, np.array([[5.0, 0.0], [0.5, 0.0]]), seed=[0, 0])
+        for xs in ([[5.0, 0.0]], [[0.5, 0.0]], [[5.0, 0.0], [0.5, 0.0]]):
+            with pytest.raises(GeometryError, match="objective gave shape"):
+                frechet_subdiff_refute(f, p, np.array(xs), seed=0)
+
+    def test_table_past_the_cap_refused_before_any_draw(self, monkeypatch):
+        # 8 bytes x 2 entries x 11 scales x (2 probes + 32 directions) a
+        # covector in the plane: 11,968 bytes, so 5,608 covectors are refused
+        def draw(*args):
+            raise AssertionError("drawn")
+        monkeypatch.setattr(cones_module, "random_tangents", draw)
+        p = self.ORIGIN
+        unit = 8 * 2 * 11 * 34
+        count = STACK_BYTES // unit + 1
+        with pytest.raises(BudgetExceededError) as info:
+            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((count, 2)), seed=0)
+        assert str(info.value) == (f"the subdifferential refuter's quotient table needs "
+                                   f"{unit * count} bytes, cap is {STACK_BYTES}")
+        with pytest.raises(AssertionError, match="drawn"):
+            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((count - 1, 2)), seed=0)
+
+    def test_normal_table_past_the_cap_refused_before_scoring(self, monkeypatch):
+        # the table's size is known once the sampler has given its stacks: 2
+        # covectors x 8 axis points at each of the 11 scales x 2 entries
+        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 88 * 2 - 1)
+        ax, scales = fx.axis_fixture(), []
+
+        def sampler(t, rng):
+            scales.append(t)
+            return ax.omega_sampler(t, rng)
+
+        with pytest.raises(BudgetExceededError) as info:
+            frechet_normal_refute(sampler, ax.point, np.eye(2), seed=0)
+        assert str(info.value) == ("the normal refuter's quotient table needs 2816 bytes, "
+                                   "cap is 2815")
+        assert scales == list(DEFAULT_SCHEDULE.scales)
+        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 88 * 2)
+        assert len(frechet_normal_refute(ax.omega_sampler, ax.point, np.eye(2), seed=0)) == 2

@@ -24,7 +24,6 @@ from sharpmin.manifolds import (
     pairwise_distances,
     exp_coords,
     require_tangent,
-    spawned_generators,
     sphere,
     stiefel,
     tangent_project,
@@ -554,56 +553,3 @@ class TestLemmaMatchesPerSampleReference:
             want = [[ref_distance(Point(p.manifold, x), Point(p.manifold, y)) for y in b]
                     for x in a]
             assert got.tobytes() == np.array(want).tobytes()
-
-
-class TestSpawnedGenerators:
-    """``spawned_generators`` against numpy's own ``SeedSequence.spawn``."""
-
-    # the key step's constants depend on the seed's word count: 1, 2, 3, 4
-    # (2**128 - 1, the largest), 5, 6 (2**160) and 7 words
-    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**160, 2**200 + 11,
-             np.int64(7))
-
-    @staticmethod
-    def assert_same_streams(seeds, n):
-        ours = spawned_generators(seeds, range(n))
-        reference = [np.random.default_rng(c) for s in seeds
-                     for c in np.random.SeedSequence(s).spawn(n)]
-        assert len(ours) == len(reference) == len(seeds) * n
-        for a, b in zip(ours, reference):
-            assert a.bit_generator.state == b.bit_generator.state
-            assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
-
-    @pytest.mark.parametrize("n", [1, 11])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_one_seed(self, seed, n):
-        self.assert_same_streams([seed], n)
-
-    @pytest.mark.parametrize("n", [1, 11])
-    def test_seeds_of_mixed_word_counts(self, n):
-        # 1, 2, 3, 5 and 7 entropy words in one call, in seed-major order
-        self.assert_same_streams([2**200 + 11, 3, 2**128, 2**64 + 5, 2**32, 9, 2**200], n)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_tail_keys(self, seed):
-        # the last two of eleven children, as the contingent cone distance draws them
-        ours = spawned_generators([seed], (9, 10))
-        reference = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(11)[9:]]
-        assert len(ours) == 2
-        for a, b in zip(ours, reference):
-            assert a.bit_generator.state == b.bit_generator.state
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_largest_key(self, seed):
-        ours = spawned_generators([seed], (2**32 - 1,))
-        reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32 - 1,)))
-        assert len(ours) == 1
-        assert ours[0].bit_generator.state == reference.bit_generator.state
-
-    def test_empty(self):
-        assert spawned_generators([], range(11)) == []
-        assert spawned_generators([3, 4], range(0)) == []
-
-    def test_negative_seed_refused(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            spawned_generators([1, -1], range(2))

@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sharpmin.cheeger import wsm_penalty_check
-
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(r"^[0-9a-f]{64}  seed(\d+)/([\w-]+/\d+-[\w-]+)/([\w.]+)$")
 
@@ -45,20 +43,6 @@ def test_report_digests_smoke():
             assert digest[seed, job, "stdout"] == digest[seed, job, "report.json"]
     assert digest["1", "verify/0-verify-lemma", "report.json"] != \
         digest["2", "verify/0-verify-lemma", "report.json"]
-
-
-def test_beta_study():
-    out = _script("beta_study.py", "2", "1", "20")
-    assert out.returncode == 0, out.stderr
-    header, *rows = out.stdout.splitlines()
-    assert header == "beta,wsm_status,dual_consistent,modulus_estimate"
-    assert [row.split(",")[0] for row in rows] == ["0.25", "0.5", "0.75", "1.0", "1.25", "1.5",
-                                                   "2.0"]
-    assert rows[-1].split(",")[2] == "False"  # the smooth penalty fails the dual condition
-    # the modulus column is the sharpness verdict's own estimate, the one
-    # verify-wsm reports
-    study = wsm_penalty_check(2, 1, 0.5, n_samples=20, seed=0)
-    assert rows[1].split(",")[3] == repr(study.wsm.estimated_modulus)
 
 
 def test_report_digests_refusal_jobs(tmp_path):
