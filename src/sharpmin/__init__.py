@@ -17,7 +17,6 @@ from .manifolds import (
 from .cones import (
     PatternCone,
     RefutationVerdict,
-    Schedule,
     check_dirderiv_identity,
     check_dist_subdiff_identity,
     contingent_cone_distance,

@@ -13,8 +13,10 @@ The restarts advance as one stack of frames whose edge differences B U (B
 the signed incidence matrix) give each step's objective and, by a bincount
 scatter, B^T sign(B U); the penalty, the checks and the best iterates are
 taken once per block of iterates, and the oracle scores each assignment
-with k lookups in per-block tables over suffix subsets.  Each gives the
-bits of the one-frame, one-assignment loop it replaced.
+with k lookups in per-block tables over suffix subsets, keyed by cached
+label masks of the suffixes, and decodes the winner's parts from its masks
+once, after the scan.  Each gives the bits of the one-frame, one-assignment
+loop it replaced.
 
 The penalty study (``wsm_penalty_check``) probes whether the negative-part
 penalty with exponent beta makes the nonnegative slice a weakly sharp
@@ -62,7 +64,7 @@ from .stiefel import (
     random_stiefel_plus,
     slice_distances,
 )
-from .cones import Schedule, stiefel_plus_normal_cone
+from .cones import stiefel_plus_normal_cone
 from .wsm import WsmVerdict, check_dual_nc, verify_wsm_sampled
 
 
@@ -237,8 +239,8 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
             f"enumeration needs {k + 1}^{graph.n} assignments, budget is {budget}"
         )
     best_val = math.inf
-    best_assignment = None
-    for prefix, rows, values in _oracle_blocks(graph, k):
+    best = None  # the winner's prefix and the k label masks of its suffix
+    for prefix, masks, values in _oracle_blocks(graph, k):
         start = 0
         while True:  # a scan keeps each value below its best by more than 1e-15
             below = np.flatnonzero(values[start:] < best_val - 1e-15)
@@ -246,10 +248,13 @@ def exact_cheeger(graph: Graph, k: int, budget: int = 20_000_000):
                 break
             start += int(below[0])
             best_val = float(values[start])
-            best_assignment = np.concatenate([prefix, rows[:, start]])
+            best = prefix, masks[:, start].tolist()
             start += 1
-    parts = [frozenset(int(i) + 1 for i in np.flatnonzero(best_assignment == j))
-             for j in range(1, k + 1)]
+    prefix, masks = best
+    hi = prefix.size  # suffix bit b is vertex hi + b + 1
+    parts = [frozenset([int(i) + 1 for i in np.flatnonzero(prefix == j)]
+                       + [hi + b + 1 for b in range(graph.n - hi) if mask >> b & 1])
+             for j, mask in enumerate(masks, start=1)]
     return best_val, SubPartition(tuple(parts))
 
 
@@ -260,11 +265,12 @@ def _over_budget(n: int, k: int, budget: int) -> bool:
 
 
 def _oracle_blocks(graph: Graph, k: int):
-    """Yield (prefix, rows, values) blocks over the canonical assignments
+    """Yield (prefix, masks, values) blocks over the canonical assignments
     that leave no part empty, in product order.  A block fixes the first
     hi = n - low vertices to ``prefix`` (int8) and runs the last ``low``
-    vertices through the suffixes that complete it: ``rows[:, a]`` is the
-    suffix of assignment a, and ``values[a]`` is
+    vertices through the suffixes that complete it: ``masks[j - 1, a]`` is
+    the bitmask of the suffix vertices with label j in assignment a (bit b
+    for vertex hi + b), and ``values[a]`` is
     0 + b_1/sqrt(s_1) + ... + b_k/sqrt(s_k), summed in that order.
 
     Every edge has tail < head, so it is prefix-prefix, prefix-suffix (tail
@@ -312,8 +318,8 @@ def _oracle_blocks(graph: Graph, k: int):
     for prefix in product(range(k + 1), repeat=hi):
         if not _canonical(prefix):
             continue
-        rows, masks = suffixes[max(prefix, default=0)]
-        if not rows.shape[1]:
+        masks = suffixes[max(prefix, default=0)]
+        if not masks.shape[1]:
             continue
         prefix = np.array(prefix, dtype=np.int8)
         in_part = prefix == labels  # S of each part
@@ -322,27 +328,27 @@ def _oracle_blocks(graph: Graph, k: int):
         with np.errstate(divide="ignore", invalid="ignore"):
             tables = ((cut[:, None] + (degree - 2.0 * w) @ subset_rows + cut_suffix)
                       / np.sqrt(in_part.sum(axis=1)[:, None] + sizes))
-        values = np.zeros(rows.shape[1])
+        values = np.zeros(masks.shape[1])
         for table, mask in zip(tables, masks):
             np.add(values, np.take(table, mask), out=values)
-        yield prefix, rows, values
+        yield prefix, masks, values
 
 
 def _block_bytes(low: int, k: int) -> int:
     """Bytes one oracle block holds at suffix length ``low``: per suffix, its
-    int8 digits, its k label masks, its value and one gather temporary; per
-    suffix subset, the k tables and a float row per suffix vertex."""
+    k label masks, its value and one gather temporary; per suffix subset, the
+    k tables and a float row per suffix vertex."""
     mask = np.min_scalar_type((1 << low) - 1).itemsize
-    return (k + 1) ** low * (low + k * mask + 16) + (1 << low) * (k + low) * 8
+    return (k + 1) ** low * (k * mask + 16) + (1 << low) * (k + low) * 8
 
 
 @lru_cache(maxsize=None)
 def _canonical_suffixes(length: int, k: int) -> tuple:
-    """Read-only (digits, masks) of the suffixes in product order, by the
-    largest label t of the prefix: entry t holds the suffixes that keep
-    labels in first-occurrence order after t and end with largest label k.
-    ``digits`` is (length, count) int8; ``masks[j - 1]`` is, per suffix, the
-    bitmask of its positions with label j, in the smallest unsigned dtype."""
+    """Read-only label masks of the suffixes in product order, by the largest
+    label t of the prefix: entry t is a (k, count) table over the suffixes
+    that keep labels in first-occurrence order after t and end with largest
+    label k, whose row j - 1 is, per suffix, the bitmask of its positions
+    with label j, in the smallest unsigned dtype."""
     index = np.arange((k + 1) ** length, dtype=np.int32)  # under ORACLE_BLOCK_BYTES / 16 entries
     digits = np.empty((length, index.size), dtype=np.int8)
     for v in range(length):
@@ -357,10 +363,9 @@ def _canonical_suffixes(length: int, k: int) -> tuple:
         for row in digits:
             keep &= row <= top + 1
             top = np.maximum(top, row)
-        table = digits[:, keep & (top == k)]
-        masks = ((table == labels) * weights).sum(axis=1, dtype=dtype)
-        table.flags.writeable = masks.flags.writeable = False
-        tables.append((table, masks))
+        masks = ((digits[:, keep & (top == k)] == labels) * weights).sum(axis=1, dtype=dtype)
+        masks.flags.writeable = False
+        tables.append(masks)
     return tuple(tables)
 
 
@@ -721,11 +726,6 @@ class PenaltyStudy:
         return all(v.passed for v in self.dual)
 
 
-# extreme rays plus the +/- covector probes carry the refutations; a light
-# random-direction budget suffices for the study's dual checks
-STUDY_SCHEDULE = Schedule.geometric(samples_per_scale=10)
-
-
 def wsm_penalty_check(
     n: int,
     k: int,
@@ -795,6 +795,6 @@ def wsm_penalty_check(
     rng = default_rng(seed + 1)
     for _ in range(2):
         frames.append(random_stiefel_plus(n, k, rng))
-    dual = [check_dual_nc(f, stiefel_plus_normal_cone(frame), alpha=alpha, seed=seed + 101 * i,
-                          schedule=STUDY_SCHEDULE) for i, frame in enumerate(frames)]
+    dual = [check_dual_nc(f, stiefel_plus_normal_cone(frame), alpha=alpha, seed=seed + 101 * i)
+            for i, frame in enumerate(frames)]
     return PenaltyStudy(wsm=wsm_verdict, probes=probe_verdict, dual=tuple(dual))

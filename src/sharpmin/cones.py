@@ -18,28 +18,38 @@ f on that row alone.  Set samplers follow the contract of ``manifolds``:
 ``sampler(t, rng)`` returns one stack of set points, checked on the manifold
 by one call.
 
+Every sampled limit reads one fixed grid of approach scales, ``SCALES``
+(0.1 * 0.5**j for j < 11), and scale i draws its random part from child i
+of ``SeedSequence(seed)``.  ``frechet_subdiff_refute`` runs on every scale
+with ``samples`` random tangent directions each (SAMPLES_PER_SCALE unless
+told), ``frechet_normal_refute`` on NORMAL_SCALES, the first 8, and the
+two contingent estimates on the smallest TAIL_SCALES.
+
 Both refuters take a stack of covectors (one covector is a one-row stack)
-and one integer seed.  The random part of a scale does not depend on the
-covector, so scale i draws it once per call, from child i of
-``SeedSequence(seed)``, and the whole stack shares it; a covector's verdict
-does not depend on the stack it is scored in.  ``frechet_subdiff_refute``
-draws the scale's tangent directions in one seeded ``standard_normal`` draw
-each, adds the two probes of each nonzero covector, steps every row by its
-scale and maps the block in one call (the exact exponential map on euclidean
-spaces and spheres, the positive-diagonal QR retraction with its rank check
-on frames), checks it on the manifold by the rule of ``Point`` and scores it
-by one call of f.  ``frechet_normal_refute`` calls the set sampler once per
-scale.  Each refuter then scores every (covector, scale) pair from one
-quotient table, refused past STACK_BYTES, and every reduction keeps the
-order the one-sample-at-a-time loop used (the first extremal sample of a
-scale is its witness).  So the traces, witnesses and skip counts are bitwise
-those of that loop stopped at the refuting scale: a refuted covector's trace
-and skip count end at the scale that refutes it, and a consistent
-covector's cover the whole schedule.  Every scale is drawn and checked (the
-sampler's shapes, tangency, the retraction's rank, the manifold rule, the
-shape of f's values), whatever the verdicts.  ``contingent_cone_distance``
-concatenates its sampled stacks and pulls them back to chart vectors as one
-block.
+and one integer seed, and the whole stack shares each scale's draw, so a
+covector's verdict does not depend on the stack it is scored in.
+``frechet_subdiff_refute`` draws the scale's tangent directions in one seeded
+``standard_normal`` draw each, adds the two probes of each nonzero covector,
+steps every row by its scale and maps the block in one call (the exact
+exponential map on euclidean spaces and spheres, the positive-diagonal QR
+retraction with its rank check on frames), checks it on the manifold by the
+rule of ``Point`` and scores it by one call of f.  ``frechet_normal_refute``
+calls the set sampler once per scale.  Each refuter then scores every
+(covector, scale) pair from one quotient table, refused past STACK_BYTES,
+and every reduction keeps the order the one-sample-at-a-time loop used (the
+first extremal sample of a scale is its witness).  So the traces, witnesses
+and skip counts are bitwise those of that loop stopped at the refuting
+scale: a refuted covector's trace and skip count end at the scale that
+refutes it, and a consistent covector's cover all its refuter's scales.
+Every scale is drawn and checked (the sampler's shapes, tangency, the
+retraction's rank, the manifold rule, the shape of f's values), whatever
+the verdicts.
+
+The contingent estimates take a stack of tangent directions in the same
+way and give one value per direction: ``contingent_derivative`` maps one
+block of tail-scale steps and calls f once, and
+``contingent_cone_distance`` draws one set sample per call and scores every
+direction against it as one (directions, rays) table.
 
 The module also carries the exact sign/support description of the Frechet
 normal cone to the nonnegative Stiefel slice St+(n, k), together with a
@@ -59,7 +69,6 @@ from numpy.random import Generator, SeedSequence, default_rng
 from .manifolds import (
     GeometryError,
     Point,
-    Tangent,
     _per_row,
     exp_coords,
     log_coords,
@@ -81,32 +90,9 @@ MARGIN = 0.1           # cone distance of the covectors the checks must refute
 DIRDERIV_TOL = 5e-2    # estimator bias allowed in the directional-derivative identity
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Grid of approach scales for the sampled limit estimators; a verdict
-    needs an excess of REFUTE_TOL at two consecutive scales."""
-
-    scales: tuple
-    samples_per_scale: int = 32
-
-    def __post_init__(self):
-        if len(self.scales) < 2:
-            raise GeometryError("schedule needs at least two scales to refute anything")
-        if any(t <= 0 for t in self.scales):
-            raise GeometryError("scales must be positive")
-        if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
-            raise GeometryError("scales must be strictly decreasing")
-        if self.samples_per_scale < 1:
-            raise GeometryError("samples_per_scale must be >= 1")
-
-    @classmethod
-    def geometric(cls, n_scales: int = 11, samples_per_scale: int = 32) -> "Schedule":
-        """Scales 0.1 * 0.5**j for j < n_scales."""
-        scales = tuple(0.1 * 0.5**j for j in range(n_scales))
-        return cls(scales=scales, samples_per_scale=samples_per_scale)
-
-
-DEFAULT_SCHEDULE = Schedule.geometric()
+SCALES = tuple(0.1 * 0.5**j for j in range(11))  # approach scales of every sampled limit
+SAMPLES_PER_SCALE = 32  # random directions a scale of the subdifferential refuter
+NORMAL_SCALES = SCALES[:8]  # the normal refuter's scales
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +110,7 @@ class RefutationVerdict:
     """A refuter's verdict on one covector: refuted exactly when it holds a witness."""
 
     witness: Witness | None
-    # ((scale, extremal quotient), ...) over the schedule; when refuted, it
+    # ((scale, extremal quotient), ...) over the refuter's scales; when refuted, it
     # and the skip count end at the refuting scale
     quotient_trace: tuple
     skipped_samples: int = 0  # NaN samples skipped
@@ -148,7 +134,7 @@ class RefutationBlock(tuple):
 
 
 def _covectors(p: Point, x) -> np.ndarray:
-    """A stack of covectors at p, checked tangent."""
+    """A stack of covectors, or of tangent directions, at p, checked tangent."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.shape[1:] != p.manifold.ambient_shape or xs.ndim != len(p.manifold.ambient_shape) + 1:
         raise GeometryError(f"covector stack shape {xs.shape} does not match {p.manifold}")
@@ -164,13 +150,6 @@ def _chart_block(p: Point, coords: np.ndarray):
     else:
         vecs = coords - p.coords
     return vecs, row_norms(vecs)
-
-
-def _row_inner(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """<x, v> for each row v of a stack, where x is one vector or one per
-    row; each a single sum of the elementwise products, as ``np.sum`` of one
-    row gives it."""
-    return np.sum(x * vecs, axis=tuple(range(1, vecs.ndim)))
 
 
 def _table_inner(xs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -214,11 +193,27 @@ def _verdicts(xs: np.ndarray, scales: tuple, best: np.ndarray, skipped: np.ndarr
     return RefutationBlock(verdicts)
 
 
+def _set_sample(sampler: Callable[[float, Generator], np.ndarray], p: Point, seed: int,
+                indices: range) -> tuple:
+    """One set sample: the sampler called at SCALES[i] for each i of
+    ``indices``, with child i of ``SeedSequence(seed)``.  Each stack is
+    shape-checked, and the stacks are concatenated and checked on the
+    manifold by one call; returns the coordinates and each scale's count."""
+    shape = p.manifold.ambient_shape
+    stacks = []
+    for i in indices:
+        pts = np.asarray(sampler(SCALES[i], default_rng(SeedSequence(seed, spawn_key=(i,)))),
+                         dtype=float)
+        if pts.shape[1:] != shape:
+            raise GeometryError(f"sampler gave shape {pts.shape} for points of {p.manifold}")
+        stacks.append(pts)
+    return point_stack(p.manifold, np.concatenate(stacks)), [len(a) for a in stacks]
+
+
 def frechet_normal_refute(
     sampler: Callable[[float, Generator], np.ndarray],
     p: Point,
     x,
-    schedule: Schedule = DEFAULT_SCHEDULE,
     *,
     seed: int,
 ) -> RefutationBlock:
@@ -228,8 +223,9 @@ def frechet_normal_refute(
     ``sampler(t, rng)`` must return a stack of points of the set at distance
     in (0, t] from p, exactly on the set (constructive parameterizations
     only; the quotients are sensitive to O(t) feasibility error).  The
-    refuter estimates the limiting sup of <x, chart(u)> / d(u, p) and reports
-    ``refuted`` when the quotient exceeds +tol at two consecutive scales.
+    refuter estimates the limiting sup of <x, chart(u)> / d(u, p) over
+    NORMAL_SCALES and reports ``refuted`` when the quotient exceeds +tol at
+    two consecutive scales.
 
     ``x`` is a stack of covectors at p, and the verdicts come as a
     ``RefutationBlock``.  The sampler is called once per scale, at scale i
@@ -240,20 +236,13 @@ def frechet_normal_refute(
     its first largest quotient.
     """
     xs = _covectors(p, x)
-    scales, shape = schedule.scales, p.manifold.ambient_shape
-    stacks = []
-    for t, child in zip(scales, SeedSequence(seed).spawn(len(scales))):
-        pts = np.asarray(sampler(t, default_rng(child)), dtype=float)
-        if pts.shape[1:] != shape:
-            raise GeometryError(f"sampler gave shape {pts.shape} for points of {p.manifold}")
-        stacks.append(pts)
-    coords = point_stack(p.manifold, np.concatenate(stacks))
+    scales = NORMAL_SCALES
+    coords, counts = _set_sample(sampler, p, seed, range(len(scales)))
     require_within_stack_cap("the normal refuter's quotient table needs",
                              8 * len(xs) * coords.size)
-    counts = [len(a) for a in stacks]
     w, d = _chart_block(p, coords)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = _table_inner(xs, w.reshape(1, len(w), math.prod(shape))) / d
+        q = _table_inner(xs, w.reshape(1, len(w), math.prod(p.manifold.ambient_shape))) / d
     q[:, (d <= 0.0) | (d > 2.0 * np.repeat(scales, counts))] = -math.inf
     q[np.isnan(q)] = -math.inf
     # each scale keeps the first largest quotient of its samples, as a
@@ -307,9 +296,9 @@ def frechet_subdiff_refute(
     f: Callable[[np.ndarray], np.ndarray],
     p: Point,
     x,
-    schedule: Schedule = DEFAULT_SCHEDULE,
     *,
     seed: int,
+    samples: int = SAMPLES_PER_SCALE,
 ) -> RefutationBlock:
     """One-sided test of covectors against the Frechet subdifferential of f
     at p.
@@ -322,23 +311,25 @@ def frechet_subdiff_refute(
 
     ``x`` is a stack of covectors at p, and the verdicts come as a
     ``RefutationBlock``.  f maps a stack of point coordinates to one value
-    per row.  Scale i draws ``samples_per_scale`` random tangent directions
+    per row.  Scale i of SCALES draws ``samples`` random tangent directions
     from child i of ``SeedSequence(seed)``, shared by every covector, and
     each nonzero covector adds its two probes at each scale.  All steps are
     mapped in one block, f is called once, and every (covector, scale) pair
-    is scored from one (covectors, scales, 2 + samples_per_scale) quotient
+    is scored from one (covectors, scales, 2 + samples) quotient
     table with the two probes leading each scale; a zero covector has no
     probes, and its probe columns are never scored.  The table is refused
-    past STACK_BYTES before any draw.  A sample where f is NaN is skipped and
-    counted; the first sample attaining a scale's least quotient is that
-    scale's witness.
+    past STACK_BYTES before any draw, and fewer than one direction a scale is
+    refused.  A sample where f is NaN is skipped and counted; the first
+    sample attaining a scale's least quotient is that scale's witness.
     """
     xs = _covectors(p, x)
+    if samples < 1:  # with no direction a zero covector would pass vacuously
+        raise GeometryError(f"samples must be >= 1, got {samples}")
     shape = p.manifold.ambient_shape
     require_within_stack_cap("the subdifferential refuter's quotient table needs",
-                             8 * len(xs) * _subdiff_rows(schedule) * math.prod(shape))
+                             8 * len(xs) * _subdiff_rows(samples) * math.prod(shape))
     f0 = _base_value(f, p)
-    scales, samples = np.asarray(schedule.scales), schedule.samples_per_scale
+    scales = np.asarray(SCALES)
     n_s = len(scales)
     xnorm = row_norms(xs)
     nonzero = np.flatnonzero(xnorm > 0)
@@ -372,27 +363,27 @@ def frechet_subdiff_refute(
     q[excluded | np.isnan(q)] = math.inf
     first = np.argmin(q, axis=2)  # the first least quotient, as a strict-< scan finds it
     best = np.take_along_axis(q, first[..., None], axis=2)[..., 0]
-    return _verdicts(xs, schedule.scales, best, nan.sum(axis=2),
+    return _verdicts(xs, SCALES, best, nan.sum(axis=2),
                      lambda c, i: coords[rows[c, i, first[c, i]]], above=False)
 
 
-def _subdiff_rows(schedule: Schedule) -> int:
+def _subdiff_rows(samples: int) -> int:
     """Rows of the subdifferential refuter's quotient table per covector:
-    two probes and ``samples_per_scale`` directions at each scale of the
-    schedule."""
-    return len(schedule.scales) * (2 + schedule.samples_per_scale)
+    two probes and ``samples`` directions at each of the SCALES."""
+    return len(SCALES) * (2 + samples)
 
 
 def contingent_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     p: Point,
-    v: Tangent,
-) -> float:
-    """Ray quotient estimate of the lower directional derivative of f at p
-    along v: the least of (f(exp_p(t v)) - f(p)) / t over the smallest
-    TAIL_SCALES scales of DEFAULT_SCHEDULE (the QR retraction stands in for
-    exp on frames), from one block and one call of f.  A NaN value counts as
-    +inf.  No draw is made, so the estimate takes no seed.
+    vs,
+) -> np.ndarray:
+    """Ray quotient estimates of the lower directional derivative of f at p
+    along each direction v of the tangent stack ``vs``: the least of
+    (f(exp_p(t v)) - f(p)) / t over the smallest TAIL_SCALES of SCALES (the
+    QR retraction stands in for exp on frames), one value per direction,
+    from one block of steps and one call of f.  A NaN value counts as +inf.
+    No draw is made, so the estimate takes no seed.
 
     For f Lipschitz near p the limit along the ray equals the contingent
     lower limit (over directions tending to v as well), so the estimate is
@@ -402,47 +393,46 @@ def contingent_derivative(
     through the second-order term of the map has quotients of order
     t^(2 beta - 1) while nearby directions that stay in the slice give 0.
     """
+    vs = _covectors(p, vs)
     f0 = _base_value(f, p)
-    t = np.asarray(DEFAULT_SCHEDULE.scales[-TAIL_SCALES:])
-    fu = objective_values(f, _approach_block(p, _per_row(t, v.vec[None]) * v.vec))
+    t = np.tile(SCALES[-TAIL_SCALES:], len(vs))
+    steps = np.repeat(vs, TAIL_SCALES, axis=0)
+    fu = objective_values(f, _approach_block(p, _per_row(t, steps) * steps))
     with np.errstate(over="ignore"):
         q = np.where(np.isfinite(fu), (fu - f0) / t, math.inf)
-    return min(q.tolist(), default=math.inf)
-
-
-def _ray_distances(v: np.ndarray, ws: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Distance from v to each closed ray {s * w : s >= 0} of a stack of
-    nonzero w with their lengths."""
-    wh = ws / _per_row(lengths, ws)
-    s = np.maximum(_row_inner(v, wh), 0.0)
-    return row_norms(v - _per_row(s, wh) * wh)
+    return q.reshape(len(vs), TAIL_SCALES).min(axis=1)
 
 
 def contingent_cone_distance(
     sampler: Callable[[float, Generator], np.ndarray],
     p: Point,
-    v: Tangent,
+    vs,
     seed: int = 0,
-) -> float:
-    """Sampled distance from v to the contingent cone of a set at p.
+) -> np.ndarray:
+    """Sampled distance from each direction v of the tangent stack ``vs`` to
+    the contingent cone of a set at p, one value per direction.
 
-    Set points u at scale t are pulled back to normalized chart vectors; the
-    estimate is the least distance from v to the rays they span, restricted
-    to the smallest TAIL_SCALES scales of DEFAULT_SCHEDULE.  It decreases
-    toward the true cone distance as the budget grows and is exactly 0
-    whenever a sampled ray hits a contingent direction of v.  The sampler
-    runs only at the tail scales, scale i with ``SeedSequence(seed,
-    spawn_key=(i,))`` (keys 9 and 10), as in the refuters; their stacks are
-    checked on the manifold by one call and scored as one block."""
-    scales = DEFAULT_SCHEDULE.scales
-    tail = range(len(scales))[-TAIL_SCALES:]
-    stacks = [np.asarray(sampler(scales[i], default_rng(SeedSequence(seed, spawn_key=(i,)))),
-                         dtype=float) for i in tail]
-    if not len(stacks[-1]):
+    Set points u at the smallest TAIL_SCALES of SCALES are pulled back to
+    normalized chart vectors; a direction's estimate is its least distance
+    to the rays they span.  It decreases toward the true cone distance as
+    the budget grows and is exactly 0 whenever a sampled ray hits a
+    contingent direction of v.  One set sample serves the whole stack: the
+    sampler runs once at each tail scale i, with child i of
+    ``SeedSequence(seed)`` (children 9 and 10), as in the refuters, and the
+    directions are scored against the rays as one (directions, rays) table,
+    refused past STACK_BYTES."""
+    vs = _covectors(p, vs)
+    coords, counts = _set_sample(sampler, p, seed, range(len(SCALES))[-TAIL_SCALES:])
+    if not counts[-1]:
         raise GeometryError("no set samples at the smallest scale")
-    w, d = _chart_block(p, point_stack(p.manifold, np.concatenate(stacks)))
+    w, d = _chart_block(p, coords)
     keep = d > 0.0
-    return min([math.inf, *_ray_distances(v.vec, w[keep], d[keep]).tolist()])
+    n_rays, size = int(np.count_nonzero(keep)), math.prod(p.manifold.ambient_shape)
+    require_within_stack_cap("the cone distance's ray table needs", 8 * len(vs) * n_rays * size)
+    rays = w[keep].reshape(1, n_rays, size) / d[keep][:, None]
+    s = np.maximum(_table_inner(vs, rays), 0.0)  # each direction's foot on each ray
+    gaps = vs.reshape(len(vs), 1, size) - s[..., None] * rays
+    return np.min(row_norms(gaps.reshape(-1, size)).reshape(s.shape), axis=1, initial=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +616,11 @@ def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.n
     refuter cross-validation carries no false-positive risk from sampling
     bias.
 
-    Each move rotates by the angles theta, theta * u and -theta, with u from
-    one ``rng.uniform(0.3, 0.95, size=moves)`` draw; the angles and their
-    cosines and sines are scalar libm values, the rotations one block, and
-    the nonnegativity and distance filters masks, in move order.  theta and
-    the cosines and sines of +/-theta depend on t alone and are computed once
-    per scale; a call computes those of theta * u.
+    Each move rotates by the angles theta, theta * u and -theta, with theta
+    set by t and u from one ``rng.uniform(0.3, 0.95, size=moves)`` draw; the
+    angles and their cosines and sines are scalar libm values, the rotations
+    one block, and the nonnegativity and distance filters masks, in move
+    order.
     """
     mat = cone.base.coords
     moves = []  # (i, j, ||row j||): rotate rows i <- j, j supporting a column
@@ -645,20 +634,13 @@ def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.n
     block = np.arange(3 * len(moves))
     ri, rj = mat[rows_i], mat[rows_j]
 
-    rotations = {}  # t -> (thetas, cos and sin rows with the middle angles left to fill)
-
     def sampler(t: float, rng: Generator) -> np.ndarray:
-        if t not in rotations:
-            # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
-            thetas = [min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4) for wj in weights]
-            ends = [a for th in thetas for a in (th, 0.0, -th)]
-            rotations[t] = (thetas, np.array([math.cos(a) for a in ends])[:, None],
-                            np.array([math.sin(a) for a in ends])[:, None])
-        thetas, cos, sin = rotations[t]
-        middle = [th * u for th, u in zip(thetas, rng.uniform(0.3, 0.95, size=len(moves)).tolist())]
-        cos, sin = cos.copy(), sin.copy()
-        cos[1::3, 0] = [math.cos(a) for a in middle]
-        sin[1::3, 0] = [math.sin(a) for a in middle]
+        # 2 sin(theta/2) * wj ~ t; cap the angle away from the feasibility edge
+        thetas = [min(2.0 * math.asin(min(t / (2.0 * wj), 0.7)), math.pi / 4) for wj in weights]
+        middle = rng.uniform(0.3, 0.95, size=len(moves)).tolist()
+        angles = [a for th, u in zip(thetas, middle) for a in (th, th * u, -th)]
+        cos = np.array([math.cos(a) for a in angles])[:, None]
+        sin = np.array([math.sin(a) for a in angles])[:, None]
         out = np.repeat(mat[None], len(block), axis=0)
         out[block, rows_i] = cos * ri + sin * rj
         out[block, rows_j] = -sin * ri + cos * rj
@@ -669,7 +651,6 @@ def stiefel_plus_sampler(cone: PatternCone) -> Callable[[float, Generator], np.n
     return sampler
 
 
-CROSS_VALIDATION_SCHEDULE = Schedule.geometric(n_scales=8)
 PER_FRAME = 5  # cone members, and pattern violators, drawn per cross-validated frame
 
 
@@ -705,7 +686,7 @@ def cross_validate_pattern_cone(n_frames: int = 100, seed: int = 0) -> Check:
                   + [x for x, inside in zip(violators, violator_in) if not inside])
         verdicts = iter(frechet_normal_refute(
             stiefel_plus_sampler(cone), cone.base, np.array(scored).reshape(len(scored), n, k),
-            CROSS_VALIDATION_SCHEDULE, seed=refute_seed))
+            seed=refute_seed))
         for x, inside in zip(members, member_in):
             if not inside:
                 disagreements.append((idx, "member-not-in-pattern", x))
@@ -773,13 +754,13 @@ def check_dist_subdiff_identity(
     refuted, and each that is not fails as ("outside", covector).
     ``fixture`` supplies the analytic distance function and the cone
     samplers (see fixtures module).  The covectors are drawn first, then
-    one refuter seed, and all 2 x n_covectors are refuted as one stack on
-    DEFAULT_SCHEDULE.  A check whose refuter table, 2 x n_covectors rows of
-    ``_subdiff_rows`` each, needs more than STACK_BYTES is refused before
-    any draw (``BudgetExceededError``).
+    one refuter seed, and all 2 x n_covectors are refuted as one stack with
+    SAMPLES_PER_SCALE directions a scale.  A check whose refuter table,
+    2 x n_covectors rows of ``_subdiff_rows`` each, needs more than
+    STACK_BYTES is refused before any draw (``BudgetExceededError``).
     """
     p = fixture.point
-    rows = 2 * n_covectors * _subdiff_rows(DEFAULT_SCHEDULE)
+    rows = 2 * n_covectors * _subdiff_rows(SAMPLES_PER_SCALE)
     require_within_stack_cap("scoring one identity check needs", 8 * rows * p.coords.size)
     rng = default_rng(seed)
     inside = [fixture.cone_sample_in(rng) for _ in range(n_covectors)]
@@ -801,16 +782,14 @@ def check_dist_subdiff_identity(
                  {"inside_checked": len(inside), "outside_checked": len(outside)})
 
 
-def _directional_rows(f, sampler, p: Point, directions, seeds) -> list:
-    """(direction, lhs, rhs) along each direction at p, with one seed each:
-    lhs the contingent derivative of f, rhs the sampled distance from the
-    direction to the contingent cone of the sampler's set."""
-    rows = []
-    for vec, sd in zip(directions, seeds):
-        v = Tangent(p, vec)
-        rows.append((v.vec, contingent_derivative(f, p, v),
-                     contingent_cone_distance(sampler, p, v, seed=sd)))
-    return rows
+def _directional_rows(f, sampler, p: Point, directions, seed: int) -> list:
+    """(direction, lhs, rhs) along each direction at p: lhs the contingent
+    derivative of f, rhs the sampled distance from the direction to the
+    contingent cone of the sampler's set, each estimator called once on the
+    stack of directions, the cone distance with ``seed``."""
+    vs = np.array(directions, dtype=float).reshape(len(directions), *p.manifold.ambient_shape)
+    return list(zip(vs, contingent_derivative(f, p, vs).tolist(),
+                    contingent_cone_distance(sampler, p, vs, seed=seed).tolist()))
 
 
 def check_dirderiv_identity(fixture, seed: int = 0) -> Check:
@@ -820,9 +799,8 @@ def check_dirderiv_identity(fixture, seed: int = 0) -> Check:
     bounded by DIRDERIV_TOL.  A row (direction, lhs, rhs, residual) fails
     unless its residual is at most DIRDERIV_TOL, so a NaN residual (lhs and
     rhs both inf) fails, and the ``max_residual`` counter carries it."""
-    seeds = [seed + 7 * i + 3 for i in range(len(fixture.directions))]
     rows = _directional_rows(fixture.dist_fn, fixture.omega_sampler, fixture.point,
-                             fixture.directions, seeds)
+                             fixture.directions, seed + 3)
     residuals = [abs(lhs - rhs) for _, lhs, rhs in rows]
     failures = tuple((*row, r) for row, r in zip(rows, residuals) if not r <= DIRDERIV_TOL)
     return Check(fixture.name, len(rows), failures,

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from sharpmin.cheeger import _edge_differences, _incidence_plan, _subgradient
-from sharpmin.cones import DEFAULT_SCHEDULE
 from sharpmin.fixtures import arc_angular_distance
 from sharpmin.manifolds import Point, sphere, stiefel
 
@@ -34,11 +33,12 @@ def arc_chordal_distance(theta):
     return 2.0 * math.sin(arc_angular_distance(theta) / 2.0)
 
 
-def refute_one(refute, g, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+def refute_one(refute, g, p, x, seed=0, **kwargs):
     """The verdict of a refuter (``frechet_normal_refute`` with a sampler g
-    or ``frechet_subdiff_refute`` with an objective g) on one ``Tangent`` x
-    at p, scored as a one-row stack."""
-    return refute(g, p, x.vec[None], schedule, seed=seed)[0]
+    or ``frechet_subdiff_refute`` with an objective g, and its ``samples``
+    among the keywords) on one ``Tangent`` x at p, scored as a one-row
+    stack."""
+    return refute(g, p, x.vec[None], seed=seed, **kwargs)[0]
 
 
 def indicator_frame(graph, parts):

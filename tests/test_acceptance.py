@@ -15,7 +15,7 @@ import pytest
 import sharpmin as sm
 import sharpmin.fixtures as fx
 from sharpmin.cli import EXIT_OK, run
-from sharpmin.cones import DEFAULT_SCHEDULE
+from sharpmin.cones import SCALES
 from sharpmin.manifolds import Point, euclidean, geodesic_sphere_sampler, sphere, stiefel
 from helpers import circle_penalty, indicator_frame
 
@@ -56,7 +56,7 @@ def test_criterion_2_dist_subdiff_identity():
 
 
 def test_criterion_3_dirderiv_identity():
-    assert DEFAULT_SCHEDULE.scales[-1] <= 1e-4  # floor 0.1 * 0.5^10
+    assert SCALES[-1] <= 1e-4  # floor 0.1 * 0.5^10
     worst = 0.0
     for fixture in fx.dirderiv_fixtures():
         rep = sm.check_dirderiv_identity(fixture, seed=0)

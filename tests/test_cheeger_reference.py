@@ -183,6 +183,13 @@ def ref_scored(graph, k):
         yield assignment, sum(boundary[i] / math.sqrt(sizes[i]) for i in range(1, k + 1))
 
 
+def _suffix_labels(masks, low):
+    """(count, low) labels of an oracle block's suffixes, read off their k
+    label masks: position b has label j when bit b of mask j is set, else 0."""
+    bits = masks.astype(np.int64)[:, :, None] >> np.arange(low) & 1  # (k, count, low)
+    return (bits * np.arange(1, len(masks) + 1)[:, None, None]).sum(axis=0)
+
+
 def ref_exact_cheeger(graph, k):
     best_val, best_assignment = math.inf, None
     for assignment, val in ref_scored(graph, k):
@@ -383,7 +390,8 @@ class TestBatchedPipelineMatchesLoopReference:
             ref = list(ref_scored(graph, k))
             blocks = list(_oracle_blocks(graph, k))
             assignments = [tuple(prefix.tolist()) + tuple(row)
-                           for prefix, rows, _ in blocks for row in rows.T.tolist()]
+                           for prefix, masks, _ in blocks
+                           for row in _suffix_labels(masks, graph.n - prefix.size).tolist()]
             values = np.concatenate([v for _, _, v in blocks])
             assert assignments == [a for a, _ in ref]
             assert _bits(values) == _bits([v for _, v in ref])
@@ -404,14 +412,14 @@ class TestBatchedPipelineMatchesLoopReference:
     def test_oracle_block_tables_fit_the_cap(self, n, k, low):
         graph = gnp(n, 0.4, default_rng(n))
         blocks = 0
-        for prefix, rows, values in _oracle_blocks(graph, k):
-            assert rows.shape[0] == low
-            digits, masks = cheeger._canonical_suffixes(low, k)[max(prefix.tolist(), default=0)]
-            assert digits is rows and masks.shape == (k, values.size)
+        for prefix, masks, values in _oracle_blocks(graph, k):
+            assert prefix.size == n - low
+            assert masks is cheeger._canonical_suffixes(low, k)[max(prefix.tolist(), default=0)]
+            assert masks.shape == (k, values.size)
             assert masks.itemsize == (1 if low <= 8 else 2)
-            # digits, masks, values and one gather temporary; k subset tables
-            # and one float row per suffix vertex
-            held = digits.nbytes + masks.nbytes + 2 * values.nbytes + ((k + low) * 8 << low)
+            # masks, values and one gather temporary; k subset tables and one
+            # float row per suffix vertex
+            held = masks.nbytes + 2 * values.nbytes + ((k + low) * 8 << low)
             assert held <= ORACLE_BLOCK_BYTES
             blocks += 1
         assert blocks >= 1

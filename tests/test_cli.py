@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sharpmin
+import sharpmin.cheeger as cheeger
 import sharpmin.cli as cli
 import sharpmin.cones as cones
 import sharpmin.fixtures as fixtures
@@ -603,6 +604,19 @@ class TestReportCommand:
                  *common])) for beta in ("0.5", "2.0")],
             "relax": [vars(build_parser().parse_args(["relax", *graph, *common]))],
         }
+
+
+class TestOracleDominance:
+    @pytest.mark.parametrize("command", ["relax", "report"])
+    def test_rounded_value_below_the_oracle_refused(self, capsys, monkeypatch, c4_file, command):
+        # an oracle claiming 1e9 is beaten by every rounding; the run's report
+        # refuses the pair before any command reads it
+        monkeypatch.setattr(cheeger, "exact_cheeger", lambda *args: (1e9, None))
+        code, out, err = run_captured(capsys, [command, "--graph", c4_file, "--k", "2"])
+        reason = "rounded value beat the enumeration oracle; one of them is wrong"
+        assert code == EXIT_USAGE
+        assert json.loads(out) == {"exit_code": EXIT_USAGE, "reason": reason}
+        assert err == f"error: {reason}\n"
 
 
 class TestDeterminism:

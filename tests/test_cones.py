@@ -14,12 +14,13 @@ import sharpmin.cones as cones_module
 import sharpmin.fixtures as fx
 import sharpmin.manifolds as manifolds_module
 from sharpmin.cones import (
-    DEFAULT_SCHEDULE,
+    NORMAL_SCALES,
+    SAMPLES_PER_SCALE,
+    SCALES,
+    TAIL_SCALES,
     GeometryError,
     RefutationVerdict,
-    Schedule,
     Witness,
-    _ray_distances,
     _two_consecutive,
     check_dirderiv_identity,
     check_dist_subdiff_identity,
@@ -55,18 +56,18 @@ def tangent(p, *coords):
     return Tangent(p, np.array(coords, dtype=float))
 
 
-class TestSchedule:
-    def test_geometric_grid(self):
-        s = Schedule.geometric(n_scales=4)
-        assert s.scales == (0.1, 0.05, 0.025, 0.0125)
+class TestScales:
+    def test_grid(self):
+        # a refutation needs an excess at two consecutive scales
+        assert len(SCALES) >= 2
+        assert all(t > 0 for t in SCALES)
+        assert all(b < a for a, b in zip(SCALES, SCALES[1:]))
+        assert SCALES == tuple(0.1 * 0.5**j for j in range(len(SCALES)))
+        assert SAMPLES_PER_SCALE >= 1
 
-    def test_validation(self):
-        with pytest.raises(GeometryError):
-            Schedule(scales=(0.1, 0.2))
-        with pytest.raises(GeometryError):
-            Schedule(scales=())
-        with pytest.raises(GeometryError, match="two scales"):
-            Schedule(scales=(0.1,))
+    def test_normal_scales_are_a_prefix(self):
+        assert len(NORMAL_SCALES) >= 2
+        assert NORMAL_SCALES == SCALES[:len(NORMAL_SCALES)]
 
 
 class TestPatternCone:
@@ -247,6 +248,13 @@ class TestSubdiffRefuter:
         v = refute_one(frechet_subdiff_refute, f, p, Tangent(p, np.zeros(2)), seed=0)
         assert v.skipped_samples > 0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_direction_refused(self, samples):
+        p = Point(euclidean(2), np.zeros(2))
+        with pytest.raises(GeometryError, match="samples must be >= 1"):
+            frechet_subdiff_refute(lambda u: u[:, 0], p, np.zeros((1, 2)), seed=0,
+                                   samples=samples)
+
     def test_infinite_base_refused(self):
         m = euclidean(2)
         p = Point(m, np.zeros(2))
@@ -258,9 +266,7 @@ class TestSubdiffRefuter:
 class TestContingentDerivative:
     def test_distance_to_axis(self):
         ax = fx.axis_fixture()
-        p = ax.point
-        up = contingent_derivative(ax.dist_fn, p, tangent(p, 0.0, 1.0))
-        along = contingent_derivative(ax.dist_fn, p, tangent(p, 1.0, 0.0))
+        up, along = contingent_derivative(ax.dist_fn, ax.point, [[0.0, 1.0], [1.0, 0.0]])
         assert up == pytest.approx(1.0, abs=1e-10)
         assert along == pytest.approx(0.0, abs=1e-10)
 
@@ -274,7 +280,7 @@ class TestContingentDerivative:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        assert contingent_derivative(f, p, Tangent(p, v)) == pytest.approx(1.0, abs=1e-10)
+        assert contingent_derivative(f, p, v[None]).tolist() == pytest.approx([1.0], abs=1e-10)
 
     def test_linear_exact(self):
         # for a fixed linear function the estimate equals its value on v
@@ -286,16 +292,35 @@ class TestContingentDerivative:
         def f(u):
             return u @ c
 
-        got = contingent_derivative(f, p, Tangent(p, v))
+        got, = contingent_derivative(f, p, v[None])
         assert abs(got - float(c @ v)) <= 1e-10
+
+    def test_one_value_per_direction_from_one_call(self):
+        m = euclidean(2)
+        p = Point(m, np.zeros(2))
+        stacks = []
+
+        def f(u):
+            stacks.append(len(u))
+            return np.abs(u[:, 0])
+
+        got = contingent_derivative(f, p, [[1.0, 0.0], [0.0, 1.0], [-2.0, 0.0]])
+        assert got.tolist() == pytest.approx([1.0, 0.0, 2.0], abs=1e-12)
+        assert stacks == [1, 3 * TAIL_SCALES]  # the base point, then one block
+
+    def test_direction_stack_of_the_wrong_shape_refused(self):
+        p = Point(euclidean(2), np.zeros(2))
+        with pytest.raises(GeometryError, match="shape"):
+            contingent_derivative(lambda u: u[:, 0], p, np.zeros((2, 3)))
+        with pytest.raises(GeometryError, match="not tangent"):
+            contingent_derivative(lambda u: u[:, 0], circle_point(0.0), [[1.0, 0.0]])
 
 
 class TestContingentConeDistance:
     def test_axis_directions(self):
         ax = fx.axis_fixture()
-        p = ax.point
-        d_along = contingent_cone_distance(ax.omega_sampler, p, tangent(p, 1.0, 0.0))
-        d_up = contingent_cone_distance(ax.omega_sampler, p, tangent(p, 0.0, 1.0))
+        d_along, d_up = contingent_cone_distance(ax.omega_sampler, ax.point,
+                                                 [[1.0, 0.0], [0.0, 1.0]])
         assert d_along <= 1e-10
         assert d_up == pytest.approx(1.0, abs=1e-9)
 
@@ -307,21 +332,23 @@ class TestContingentConeDistance:
             xs = t * rng.uniform(0.1, 1.0, size=6)
             return np.column_stack([xs, xs * xs])
 
-        d = contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
+        d, = contingent_cone_distance(sampler, p, [[1.0, 0.0]])
         assert d <= 1e-3  # sampled rays tilt by O(t) at the smallest scales
 
-    def test_samples_only_the_tail_scales(self):
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_samples_only_the_tail_scales_once(self, count):
         ax = fx.axis_fixture()
-        v = tangent(ax.point, 1.0, 1.0)
+        vs = np.array([[1.0, 1.0], [0.0, -1.0]] * 4)[:count]
         seen = []
 
         def sampler(t, rng):
             seen.append(t)
             return ax.omega_sampler(t, rng)
 
-        got = contingent_cone_distance(sampler, ax.point, v, seed=5)
-        assert seen == list(DEFAULT_SCHEDULE.scales[-2:])
-        want = ref_contingent_cone_distance(ref_fixture_sampler(ax.name), ax.point, v, seed=5)
+        got = contingent_cone_distance(sampler, ax.point, vs, seed=5)
+        assert seen == list(SCALES[-TAIL_SCALES:])
+        want = ref_contingent_cone_distance(ref_fixture_sampler(ax.name), ax.point, vs, seed=5)
+        assert got.shape == (count,)
         assert _bits(got) == _bits(want)
 
     def test_empty_smallest_scale_refused(self):
@@ -332,16 +359,27 @@ class TestContingentConeDistance:
             return np.zeros((0, 2))
 
         with pytest.raises(GeometryError):
-            contingent_cone_distance(sampler, p, tangent(p, 1.0, 0.0))
+            contingent_cone_distance(sampler, p, [[1.0, 0.0]])
 
-    def test_ray_distance_helper(self):
-        def ray_distance(v, w):
-            return _ray_distances(np.array(v), np.array([w]), np.array([np.hypot(*w)]))[0]
+    def test_distances_to_one_ray(self):
+        # one set point on the ray through (1, 0): across it, along it, and
+        # behind it, where the distance is to the apex
+        p = Point(euclidean(2), np.zeros(2))
 
-        assert ray_distance([0.0, 1.0], [1.0, 0.0]) == 1.0
-        assert ray_distance([2.0, 0.0], [0.5, 0.0]) == 0.0
-        # behind the ray: distance to the apex
-        assert ray_distance([-1.0, 0.0], [1.0, 0.0]) == 1.0
+        def sampler(t, rng):
+            return np.array([[0.5 * t, 0.0]])
+
+        got = contingent_cone_distance(sampler, p, [[0.0, 1.0], [2.0, 0.0], [-1.0, 0.0]])
+        assert got.tolist() == [1.0, 0.0, 1.0]
+
+    def test_ray_table_past_the_cap_refused(self, monkeypatch):
+        # 3 directions x 16 axis rays (8 at each tail scale) x 2 entries
+        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 3 * 16 * 2 - 1)
+        ax = fx.axis_fixture()
+        with pytest.raises(BudgetExceededError) as info:
+            contingent_cone_distance(ax.omega_sampler, ax.point, np.eye(2)[[0, 1, 0]])
+        assert str(info.value) == "the cone distance's ray table needs 768 bytes, cap is 767"
+        assert len(contingent_cone_distance(ax.omega_sampler, ax.point, np.eye(2))) == 2
 
 
 class TestDistSubdiffIdentity:
@@ -352,9 +390,9 @@ class TestDistSubdiffIdentity:
         assert rep.passed, rep.failures
 
     def test_rows_past_the_cap_refused_before_any_draw(self):
-        # 2 x covectors covectors in the plane, each on the 11 scales of the
-        # default schedule with 2 probes and 32 directions a scale: 11,968
-        # bytes a covector, so the refusal starts at 5,608 covectors
+        # 2 x covectors covectors in the plane, each on the 11 scales with 2
+        # probes and 32 directions a scale: 11,968 bytes a covector, so the
+        # refusal starts at 5,608 covectors
         def draw(rng):
             raise AssertionError("drawn")
         fixture = dataclasses.replace(fx.halfplane_fixture(), cone_sample_in=draw)
@@ -389,11 +427,11 @@ class TestDirDerivIdentity:
     def test_arc_leaving_direction(self):
         arc = fx.arc_fixture()
         assert check_dirderiv_identity(arc, seed=0).passed
-        direction = arc.directions[0]
-        v = Tangent(arc.point, direction)
-        lhs = contingent_derivative(arc.dist_fn, arc.point, v)
-        rhs = contingent_cone_distance(arc.omega_sampler, arc.point, v, seed=3)  # the check's seed
-        assert direction.tolist() == [0.0, -1.0]
+        vs = np.array(arc.directions)
+        lhs = contingent_derivative(arc.dist_fn, arc.point, vs)[0]
+        # the check's seed
+        rhs = contingent_cone_distance(arc.omega_sampler, arc.point, vs, seed=3)[0]
+        assert vs[0].tolist() == [0.0, -1.0]
         assert lhs == pytest.approx(1.0, abs=1e-2)
         assert rhs == pytest.approx(1.0, abs=1e-9)
 
@@ -401,17 +439,32 @@ class TestDirDerivIdentity:
         # the second of the four halfplane directions gives lhs = rhs = inf,
         # so its residual is NaN; it must not hide behind the finite ones
         fixture = fx.halfplane_fixture()
-        values = [0.0, math.inf, 0.0, 0.0]
-        lhs, rhs = iter(values), iter(values)
-        monkeypatch.setattr(cones_module, "contingent_derivative", lambda *a, **kw: next(lhs))
-        monkeypatch.setattr(cones_module, "contingent_cone_distance",
-                            lambda *a, **kw: next(rhs))
+        values = np.array([0.0, math.inf, 0.0, 0.0])
+        monkeypatch.setattr(cones_module, "contingent_derivative", lambda *a, **kw: values)
+        monkeypatch.setattr(cones_module, "contingent_cone_distance", lambda *a, **kw: values)
         rep = check_dirderiv_identity(fixture, seed=0)
         assert not rep.passed
         assert math.isnan(rep.counters["max_residual"])
         (direction, got_lhs, got_rhs, residual), = rep.failures
         assert direction.tolist() == fixture.directions[1].tolist()
         assert (got_lhs, got_rhs) == (math.inf, math.inf) and math.isnan(residual)
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_one_set_sample_whatever_the_directions(self, count):
+        # the check calls its fixture's sampler once at each tail scale,
+        # however many directions it scores
+        base = fx.halfplane_fixture()
+        seen = []
+
+        def sampler(t, rng):
+            seen.append(t)
+            return base.omega_sampler(t, rng)
+
+        directions = tuple(base.directions[i % len(base.directions)] for i in range(count))
+        fixture = dataclasses.replace(base, omega_sampler=sampler, directions=directions)
+        rep = check_dirderiv_identity(fixture, seed=0)
+        assert rep.checked == count
+        assert seen == list(SCALES[-TAIL_SCALES:])
 
 
 class TestCrossValidation:
@@ -462,13 +515,13 @@ class TestChordalPath:
         return f
 
     def test_contingent_cone_distance_of_leaving_direction(self):
-        v = Tangent(self.p, np.array([[0.0], [-1.0]]))
-        assert contingent_cone_distance(self.sampler, self.p, v) == pytest.approx(1.0, abs=1e-9)
+        v = np.array([[[0.0], [-1.0]]])
+        assert contingent_cone_distance(self.sampler, self.p, v)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_directional_split(self):
-        v = Tangent(self.p, np.array([[0.0], [-1.0]]))
-        sharp = contingent_derivative(self.penalty(0.5), self.p, v)
-        smooth = contingent_derivative(self.penalty(2.0), self.p, v)
+        v = np.array([[[0.0], [-1.0]]])
+        sharp, = contingent_derivative(self.penalty(0.5), self.p, v)
+        smooth, = contingent_derivative(self.penalty(2.0), self.p, v)
         assert sharp > 10.0   # diverges like 1/sqrt(t) at the floor scale
         assert smooth < 1e-3  # vanishes like t
 
@@ -526,20 +579,20 @@ def _ref_value(f, u):
     return float(f(u.coords[None])[0])
 
 
-def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
-    """One covector, one point at a time: scale i draws its directions from
-    child i of SeedSequence(seed), the stream a refuter call with that seed
-    shares among its covectors."""
+def ref_subdiff_refute(f, p, x, samples=SAMPLES_PER_SCALE, seed=0):
+    """One covector, one point at a time: scale i draws its ``samples``
+    directions from child i of SeedSequence(seed), the stream a refuter call
+    with that seed shares among its covectors."""
     f0 = _ref_value(f, p)
     xnorm = float(np.linalg.norm(x.vec))
     probes = [x.vec / xnorm, -x.vec / xnorm] if xnorm > 0 else []
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
+    streams = SeedSequence(seed).spawn(len(SCALES))
     trace, best, skipped = [], [], 0
     exact_chart = p.manifold.kind in ("euclidean", "sphere")
-    for t, ss in zip(schedule.scales, streams):
+    for t, ss in zip(SCALES, streams):
         rng = default_rng(ss)
         dirs = list(probes)
-        for _ in range(schedule.samples_per_scale):
+        for _ in range(samples):
             dirs.append(ref_random_tangent(p, rng).vec)
         q_min, arg = math.inf, None
         for w in dirs:
@@ -570,30 +623,19 @@ def ref_subdiff_refute(f, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
     return RefutationVerdict(witness, tuple(trace), skipped)
 
 
-def ref_contingent_derivative(f, p, v, schedule=DEFAULT_SCHEDULE, seed=0,
-                              perturb_frac=0.5, n_perturb=8, tail_scales=2):
+def ref_contingent_derivative(f, p, vs):
+    """One direction, one scale at a time: the least ray quotient over the
+    smallest scales, a non-finite value counting as +inf."""
     f0 = _ref_value(f, p)
-    scales = schedule.scales
-    streams = SeedSequence(seed).spawn(len(scales))
-    tail_start = max(0, len(scales) - tail_scales)
-    estimate = math.inf
-    vnorm = max(float(np.linalg.norm(v.vec)), 1.0)
-    for j, (t, ss) in enumerate(zip(scales, streams)):
-        rng = default_rng(ss)
-        delta = 0.0 if j >= tail_start else perturb_frac * vnorm * (t / scales[0])
-        ws = [v.vec]
-        for _ in range(n_perturb if delta > 0 else 0):
-            ws.append(v.vec + delta * ref_random_tangent(p, rng).vec)
-        q_min = math.inf
-        for w in ws:
-            fu = _ref_value(f, _ref_step(p, Tangent(p, t * w)))
-            if math.isnan(fu):
-                continue
-            q = (fu - f0) / t if math.isfinite(fu) else math.inf
-            q_min = min(q_min, q)
-        if j >= tail_start:
-            estimate = min(estimate, q_min)
-    return estimate
+    out = []
+    for vec in vs:
+        v = Tangent(p, np.asarray(vec, dtype=float))
+        estimate = math.inf
+        for t in SCALES[-2:]:
+            fu = _ref_value(f, _ref_step(p, Tangent(p, t * v.vec)))
+            estimate = min(estimate, (fu - f0) / t if math.isfinite(fu) else math.inf)
+        out.append(estimate)
+    return out
 
 
 def _bits(values):
@@ -624,22 +666,20 @@ def _frame_point(n, k, seed):
 
 
 def _refuter_cases():
-    """(name, f, base point, covectors, schedule) over all three manifold kinds."""
+    """(name, f, base point, covectors, samples a scale) over all three
+    manifold kinds."""
     half, arc = fx.halfplane_fixture(), fx.arc_fixture()
     origin = Point(euclidean(2), np.zeros(2))
     ball = Point(sphere(3), np.array([0.0, 0.0, 1.0]))
-    light = Schedule.geometric(samples_per_scale=10)
+    light, full = 10, SAMPLES_PER_SCALE
     cases = [
         ("euclidean-halfplane", half.dist_fn, half.point,
-         [[0.0, 0.5], [0.0, 1.3], [0.4, 0.2], [0.0, -0.3]], DEFAULT_SCHEDULE),
-        ("euclidean-nan", _nan_right_half, origin, [[0.0, 0.0], [0.7, -0.2]],
-         DEFAULT_SCHEDULE),
-        ("sphere-arc", arc.dist_fn, arc.point, [[0.0, -0.5], [0.0, -1.1], [0.0, 0.4]],
-         DEFAULT_SCHEDULE),
-        ("sphere-square-penalty", _penalty(2.0), circle_point(0.0), [[0.0, -1.0]],
-         DEFAULT_SCHEDULE),
+         [[0.0, 0.5], [0.0, 1.3], [0.4, 0.2], [0.0, -0.3]], full),
+        ("euclidean-nan", _nan_right_half, origin, [[0.0, 0.0], [0.7, -0.2]], full),
+        ("sphere-arc", arc.dist_fn, arc.point, [[0.0, -0.5], [0.0, -1.1], [0.0, 0.4]], full),
+        ("sphere-square-penalty", _penalty(2.0), circle_point(0.0), [[0.0, -1.0]], full),
         ("sphere-3d", lambda u: np.abs(u[:, 0]), ball,
-         [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], DEFAULT_SCHEDULE),
+         [[0.5, 0.0, 0.0], [1.5, 0.3, 0.0]], full),
     ]
     for n, k, seed in ((4, 2, 3), (6, 3, 8)):
         p = _frame_point(n, k, seed)
@@ -663,6 +703,22 @@ def _nan_above(level, f):
 REFUTER_CASES = _refuter_cases()
 
 
+def _direction_cases():
+    """(f, base point, direction stack) over all three manifold kinds, with a
+    NaN objective and directions along which the estimate is 0."""
+    ax, half, arc = fx.axis_fixture(), fx.halfplane_fixture(), fx.arc_fixture()
+    frame = _frame_point(4, 2, 3)
+    raw = np.concatenate([np.arange(8.0).reshape(1, 4, 2),
+                          np.random.default_rng(4).standard_normal((3, 4, 2))])
+    return [(ax.dist_fn, ax.point, np.array(ax.directions)),
+            (half.dist_fn, half.point, np.array(half.directions)),
+            (arc.dist_fn, arc.point, np.array(arc.directions)),
+            (_nan_right_half, Point(euclidean(2), np.zeros(2)),
+             np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])),
+            (_penalty(0.5), frame,
+             np.stack([tangent_project(frame.manifold, frame.coords, z) for z in raw]))]
+
+
 class TestBlockKernelMatchesPerSampleReference:
     """The block kernel must reproduce the one-sample-at-a-time refuter bit for
     bit: same random stream, same trace, same witness, same skip count."""
@@ -671,11 +727,12 @@ class TestBlockKernelMatchesPerSampleReference:
     # 2**128 + 3 is a seed of five 32-bit words, past SeedSequence's pool of four
     @pytest.mark.parametrize("seed", [0, 5, 2024, 2**128 + 3])
     def test_subdiff_refute(self, case, seed):
-        _, f, p, covectors, schedule = case
+        _, f, p, covectors, samples = case
         for x in covectors:
             x = Tangent(p, np.asarray(x, dtype=float))
-            assert_same_verdict(refute_one(frechet_subdiff_refute, f, p, x, schedule, seed=seed),
-                                ref_subdiff_refute(f, p, x, schedule, seed=seed))
+            assert_same_verdict(
+                refute_one(frechet_subdiff_refute, f, p, x, seed=seed, samples=samples),
+                ref_subdiff_refute(f, p, x, samples, seed=seed))
 
     def test_cases_cover_refutations_and_skips(self):
         verdicts = [ref_subdiff_refute(f, p, Tangent(p, np.asarray(x, dtype=float)), s)
@@ -685,27 +742,27 @@ class TestBlockKernelMatchesPerSampleReference:
         assert any(v.skipped_samples > 0 for v in verdicts)
 
     def test_zero_covector_case_mixes_skips_and_scores(self):
-        _, f, p, xs, schedule = REFUTER_CASES[-1]
-        v = ref_subdiff_refute(f, p, Tangent(p, xs[0]), schedule)
-        assert 0 < v.skipped_samples < len(schedule.scales) * schedule.samples_per_scale
+        _, f, p, xs, samples = REFUTER_CASES[-1]
+        v = ref_subdiff_refute(f, p, Tangent(p, xs[0]), samples)
+        assert 0 < v.skipped_samples < len(SCALES) * samples
         assert all(math.isfinite(q) for _, q in v.quotient_trace)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 2), (8, 3)])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     @pytest.mark.parametrize("frame", [0, 1, 2])
     def test_check_dual_nc(self, n, k, beta, frame):
-        # the frames, covectors, seeds and schedule of the penalty study at seed 0
+        # the frames, covectors, seeds and samples of the penalty study at seed 0
         rng = np.random.default_rng(1)
         frames = [np.eye(n, k)] + [random_stiefel_plus(n, k, rng) for _ in range(2)]
         p = Point(stiefel(n, k), frames[frame])
         cone = stiefel_plus_normal_cone(p.coords)
-        f, seed, schedule = _penalty(beta), 101 * frame, Schedule.geometric(samples_per_scale=10)
-        got = check_dual_nc(f, cone, alpha=1.0, seed=seed, schedule=schedule)
+        f, seed = _penalty(beta), 101 * frame
+        got = check_dual_nc(f, cone, alpha=1.0, seed=seed)
         rng = np.random.default_rng(seed)
         candidates = list(cone.extreme_rays())
         candidates += cone.sample_members(rng, max(0, 24 - len(candidates)), radius=1.0)
         refute_seed = int(rng.integers(2**31))  # one seed, drawn after the candidates
-        refs = [ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=refute_seed)
+        refs = [ref_subdiff_refute(f, p, Tangent(p, x), 10, seed=refute_seed)
                 for x in candidates]
         want = [r.witness for r in refs if r.refuted]
         assert got.checked == len(refs)
@@ -723,18 +780,10 @@ class TestBlockKernelMatchesPerSampleReference:
             refute_one(frechet_subdiff_refute, lambda u: float(np.sum(u)), p,
                        tangent(p, 1.0, 0.0))
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_contingent_derivative(self, seed):
-        ax, arc = fx.axis_fixture(), fx.arc_fixture()
-        frame = _frame_point(4, 2, 3)
-        cases = [(ax.dist_fn, ax.point, d) for d in ax.directions]
-        cases += [(arc.dist_fn, arc.point, d) for d in arc.directions]
-        cases += [(_penalty(0.5), frame,
-                   tangent_project(frame.manifold, frame.coords, np.arange(8.0).reshape(4, 2)))]
-        for f, p, vec in cases:
-            v = Tangent(p, np.asarray(vec, dtype=float))
-            got = contingent_derivative(f, p, v)
-            assert _bits(got) == _bits(ref_contingent_derivative(f, p, v, seed=seed))
+    def test_contingent_derivative(self):
+        for f, p, vs in _direction_cases():
+            assert _bits(contingent_derivative(f, p, vs)) == \
+                _bits(ref_contingent_derivative(f, p, vs))
 
     @pytest.mark.parametrize("p", [
         Point(euclidean(3), np.array([1.0, -2.0, 0.5])),
@@ -847,12 +896,12 @@ def _ref_chart_vector(p, u):
     return chord, float(np.linalg.norm(chord))
 
 
-def ref_normal_refute(sampler, p, x, schedule=DEFAULT_SCHEDULE, seed=0):
+def ref_normal_refute(sampler, p, x, seed=0):
     """One covector, one point at a time, against the sample the call's
     scale i draws from child i of SeedSequence(seed)."""
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
+    streams = SeedSequence(seed).spawn(len(NORMAL_SCALES))
     trace, best = [], []
-    for t, ss in zip(schedule.scales, streams):
+    for t, ss in zip(NORMAL_SCALES, streams):
         rng = default_rng(ss)
         q_max, arg = -math.inf, None
         for u in sampler(t, rng):
@@ -881,19 +930,21 @@ def ref_ray_distance(v, w):
     return float(np.linalg.norm(v - s * wh))
 
 
-def ref_contingent_cone_distance(sampler, p, v, schedule=DEFAULT_SCHEDULE, seed=0):
-    streams = SeedSequence(seed).spawn(len(schedule.scales))
-    tail_start = max(0, len(schedule.scales) - 2)  # the two smallest scales
-    estimate = math.inf
-    for j, (t, ss) in enumerate(zip(schedule.scales, streams)):
-        pts = list(sampler(t, default_rng(ss)))
-        if j < tail_start:
-            continue
-        for u in pts:
+def ref_contingent_cone_distance(sampler, p, vs, seed=0):
+    """One direction, one ray at a time, against the call's one set sample:
+    the sampler at the two smallest scales, scale i with child i of
+    SeedSequence(seed)."""
+    streams = SeedSequence(seed).spawn(len(SCALES))
+    sample = [u for i in (-2, -1) for u in sampler(SCALES[i], default_rng(streams[i]))]
+    out = []
+    for vec in vs:
+        estimate = math.inf
+        for u in sample:
             w, d = _ref_chart_vector(p, u)
             if d > 0.0:
-                estimate = min(estimate, ref_ray_distance(v.vec, w))
-    return estimate
+                estimate = min(estimate, ref_ray_distance(np.asarray(vec, dtype=float), w))
+        out.append(estimate)
+    return out
 
 
 def ref_cross_validate(n_frames, seed):
@@ -902,7 +953,6 @@ def ref_cross_validate(n_frames, seed):
     refuter seed."""
     from sharpmin.cones import _pattern_violators
 
-    schedule = Schedule(scales=tuple(0.1 * 0.5**j for j in range(8)))
     rng = np.random.default_rng(seed)
     members = violators = 0
     disagreements = []
@@ -921,16 +971,14 @@ def ref_cross_validate(n_frames, seed):
             if not cone.contains(x):
                 disagreements.append((idx, "member-not-in-pattern", x))
                 continue
-            if ref_normal_refute(sampler, base, Tangent(base, x), schedule,
-                                 seed=seed_of_frame).refuted:
+            if ref_normal_refute(sampler, base, Tangent(base, x), seed=seed_of_frame).refuted:
                 disagreements.append((idx, "member-refuted", x))
         for x in frame_violators:
             violators += 1
             if cone.contains(x):
                 disagreements.append((idx, "violator-in-pattern", x))
                 continue
-            if not ref_normal_refute(sampler, base, Tangent(base, x), schedule,
-                                     seed=seed_of_frame).refuted:
+            if not ref_normal_refute(sampler, base, Tangent(base, x), seed=seed_of_frame).refuted:
                 disagreements.append((idx, "violator-not-refuted", x))
     return members, violators, disagreements
 
@@ -1030,7 +1078,7 @@ class TestStackSamplersMatchPerSampleReference:
     def test_stiefel_plus_sampler(self, n, k):
         for frame in _grid_frames(n, k):
             shared = stiefel_plus_sampler(stiefel_plus_normal_cone(frame))
-            # the repeated scales reuse the angles the shared sampler caches per scale
+            # a sampler called again at a scale it has seen gives the same bits
             for seed, t in enumerate((0.1, 0.0125, 1e-4, 0.1, 1e-4, 0.0125)):
                 want = ref_stiefel_plus_sampler(frame)(t, np.random.default_rng(seed))
                 for got in (stiefel_plus_sampler(stiefel_plus_normal_cone(frame))(
@@ -1041,23 +1089,21 @@ class TestStackSamplersMatchPerSampleReference:
 
     @pytest.mark.parametrize("n,k", FRAME_GRID)
     def test_normal_refute(self, n, k):
-        schedule = Schedule.geometric(n_scales=8, samples_per_scale=8)
         refuted = 0
         for f_idx, frame in enumerate(_grid_frames(n, k)):
             cone = stiefel_plus_normal_cone(frame)
             base = Point(stiefel(n, k), frame)
             xs = _grid_covectors(cone, np.random.default_rng(f_idx))
             seed = 17 + f_idx
-            got = frechet_normal_refute(stiefel_plus_sampler(cone), base, np.array(xs),
-                                        schedule, seed=seed)
+            got = frechet_normal_refute(stiefel_plus_sampler(cone), base, np.array(xs), seed=seed)
             assert len(got) == len(xs)
             for x, v in zip(xs, got):
                 want = ref_normal_refute(ref_stiefel_plus_sampler(frame), base,
-                                         Tangent(base, x), schedule, seed=seed)
+                                         Tangent(base, x), seed=seed)
                 assert_same_verdict(v, want)
                 refuted += want.refuted
             one = refute_one(frechet_normal_refute, stiefel_plus_sampler(cone), base,
-                             Tangent(base, xs[0]), schedule, seed=seed)
+                             Tangent(base, xs[0]), seed=seed)
             assert_same_verdict(one, got[0])
             assert got.refuted == sum(v.refuted for v in got)
         if n > k:
@@ -1069,10 +1115,11 @@ class TestStackSamplersMatchPerSampleReference:
             p = Point(stiefel(n, k), frame)
             rng = np.random.default_rng(f_idx)
             for seed in (0, 9):
-                v = Tangent(p, tangent_project(p.manifold, frame, rng.standard_normal((n, k))))
-                got = contingent_cone_distance(stiefel_plus_sampler(stiefel_plus_normal_cone(frame)),
-                                               p, v, seed=seed)
-                want = ref_contingent_cone_distance(ref_stiefel_plus_sampler(frame), p, v,
+                vs = np.stack([tangent_project(p.manifold, frame, rng.standard_normal((n, k)))
+                               for _ in range(3)])
+                sampler = stiefel_plus_sampler(stiefel_plus_normal_cone(frame))
+                got = contingent_cone_distance(sampler, p, vs, seed=seed)
+                want = ref_contingent_cone_distance(ref_stiefel_plus_sampler(frame), p, vs,
                                                     seed=seed)
                 assert _bits(got) == _bits(want)
 
@@ -1085,11 +1132,11 @@ class TestStackSamplersMatchPerSampleReference:
             got = fixture.omega_sampler(t, np.random.default_rng(seed))
             want = ref(t, np.random.default_rng(seed))
             assert got.tobytes() == _stack_of(want, fixture.point.manifold.ambient_shape).tobytes()
-        for i, vec in enumerate(fixture.directions):
-            v = Tangent(fixture.point, vec)
-            assert _bits(contingent_cone_distance(fixture.omega_sampler, fixture.point, v,
-                                                  seed=i)) == \
-                _bits(ref_contingent_cone_distance(ref, fixture.point, v, seed=i))
+        vs = np.array(fixture.directions)
+        for seed in (0, 3, 2**128 + 3):
+            assert _bits(contingent_cone_distance(fixture.omega_sampler, fixture.point, vs,
+                                                  seed=seed)) == \
+                _bits(ref_contingent_cone_distance(ref, fixture.point, vs, seed=seed))
 
     def test_cross_validation(self):
         got = cross_validate_pattern_cone(n_frames=12, seed=4)
@@ -1119,11 +1166,11 @@ class TestStackSamplersMatchPerSampleReference:
 
     @pytest.mark.parametrize("seed", [3, 2**64 + 1])
     def test_subdiff_stack_with_skips(self, seed):
-        _, f, p, xs, schedule = REFUTER_CASES[-1]  # zero covector and NaN samples
+        _, f, p, xs, samples = REFUTER_CASES[-1]  # zero covector and NaN samples
         xs = np.array(xs + xs[::-1])
-        got = frechet_subdiff_refute(f, p, xs, schedule, seed=seed)
+        got = frechet_subdiff_refute(f, p, xs, seed=seed, samples=samples)
         for x, v in zip(xs, got):
-            assert_same_verdict(v, ref_subdiff_refute(f, p, Tangent(p, x), schedule, seed=seed))
+            assert_same_verdict(v, ref_subdiff_refute(f, p, Tangent(p, x), samples, seed=seed))
         assert got.skipped_samples == sum(v.skipped_samples for v in got) > 0
 
     @pytest.mark.parametrize("seed", [2, 2**128 + 3])
@@ -1180,7 +1227,8 @@ class TestMixedStack:
     # refuted at the second scale, refuted at the fifth, consistent, zero
     SUBDIFF_XS = np.array([[5.0, 0.0], [1.5, 0.0], [0.5, 0.0], [0.0, 0.0]])
     NORMAL_XS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    TRACE_LENGTHS = [2, 5, 11, 11]
+    SUBDIFF_TRACE_LENGTHS = [2, 5, 11, 11]
+    NORMAL_TRACE_LENGTHS = [2, 5, 8, 8]
 
     @staticmethod
     def _check(got, one_by_one, refs, lengths):
@@ -1199,7 +1247,7 @@ class TestMixedStack:
                                  seed=seed) for x in self.SUBDIFF_XS]
         refs = [ref_subdiff_refute(_growing_cone_value, p, Tangent(p, x), seed=seed)
                 for x in self.SUBDIFF_XS]
-        self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
+        self._check(got, one_by_one, refs, self.SUBDIFF_TRACE_LENGTHS)
         # the skips of the refuted covectors stop at their refuting scale
         assert all(v.skipped_samples > 0 for v in got)
         assert got[0].skipped_samples < got[1].skipped_samples < got[2].skipped_samples
@@ -1215,17 +1263,18 @@ class TestMixedStack:
                                  seed=seed) for x in self.NORMAL_XS]
         refs = [ref_normal_refute(ref_sampler, p, Tangent(p, x), seed=seed)
                 for x in self.NORMAL_XS]
-        self._check(got, one_by_one, refs, self.TRACE_LENGTHS)
+        self._check(got, one_by_one, refs, self.NORMAL_TRACE_LENGTHS)
 
     @pytest.mark.parametrize("case", REFUTER_CASES, ids=[c[0] for c in REFUTER_CASES])
     def test_subdiff_verdict_independent_of_the_stack(self, case):
         # alone, in the stack and in the reversed stack, under the same seed
-        _, f, p, xs, schedule = case
+        _, f, p, xs, samples = case
         xs = np.array(xs, dtype=float)
-        stacked = frechet_subdiff_refute(f, p, xs, schedule, seed=11)
-        reversed_ = frechet_subdiff_refute(f, p, xs[::-1], schedule, seed=11)[::-1]
+        stacked = frechet_subdiff_refute(f, p, xs, seed=11, samples=samples)
+        reversed_ = frechet_subdiff_refute(f, p, xs[::-1], seed=11, samples=samples)[::-1]
         for x, a, b in zip(xs, stacked, reversed_):
-            alone = refute_one(frechet_subdiff_refute, f, p, Tangent(p, x), schedule, seed=11)
+            alone = refute_one(frechet_subdiff_refute, f, p, Tangent(p, x), seed=11,
+                               samples=samples)
             assert_same_verdict(a, alone)
             assert_same_verdict(b, alone)
 
@@ -1261,7 +1310,7 @@ class TestMixedStack:
         assert got[0].refuted == (cutoff < 0.1)
         assert got[1].quotient_trace[-1][1] == -math.inf
 
-    # the schedule's fifth scale and later are below this
+    # the fifth scale and later are below this
     LATE = 0.01
 
     def test_normal_refute_checks_every_scale(self):
@@ -1307,8 +1356,8 @@ class TestMixedStack:
 
     def test_normal_table_past_the_cap_refused_before_scoring(self, monkeypatch):
         # the table's size is known once the sampler has given its stacks: 2
-        # covectors x 8 axis points at each of the 11 scales x 2 entries
-        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 88 * 2 - 1)
+        # covectors x 8 axis points at each of the 8 scales x 2 entries
+        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 64 * 2 - 1)
         ax, scales = fx.axis_fixture(), []
 
         def sampler(t, rng):
@@ -1317,8 +1366,43 @@ class TestMixedStack:
 
         with pytest.raises(BudgetExceededError) as info:
             frechet_normal_refute(sampler, ax.point, np.eye(2), seed=0)
-        assert str(info.value) == ("the normal refuter's quotient table needs 2816 bytes, "
-                                   "cap is 2815")
-        assert scales == list(DEFAULT_SCHEDULE.scales)
-        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 88 * 2)
+        assert str(info.value) == ("the normal refuter's quotient table needs 2048 bytes, "
+                                   "cap is 2047")
+        assert scales == list(NORMAL_SCALES)
+        monkeypatch.setattr(manifolds_module, "STACK_BYTES", 8 * 2 * 64 * 2)
         assert len(frechet_normal_refute(ax.omega_sampler, ax.point, np.eye(2), seed=0)) == 2
+
+    @pytest.mark.parametrize("case", range(5), ids=["axis", "halfplane", "arc", "nan", "stiefel"])
+    def test_contingent_derivative_independent_of_the_stack(self, case):
+        f, p, vs = _direction_cases()[case]
+        stacked = contingent_derivative(f, p, vs)
+        assert _bits(contingent_derivative(f, p, vs[::-1])[::-1]) == _bits(stacked)
+        for v, got in zip(vs, stacked):
+            assert _bits(contingent_derivative(f, p, v[None])) == _bits([got])
+
+    @pytest.mark.parametrize("builder", [fx.axis_fixture, fx.halfplane_fixture, fx.arc_fixture])
+    def test_contingent_cone_distance_independent_of_the_stack(self, builder):
+        fixture = builder()
+        vs = np.array(fixture.directions)
+        stacked = contingent_cone_distance(fixture.omega_sampler, fixture.point, vs, seed=11)
+        reversed_ = contingent_cone_distance(fixture.omega_sampler, fixture.point, vs[::-1],
+                                             seed=11)[::-1]
+        assert _bits(reversed_) == _bits(stacked)
+        for v, got in zip(vs, stacked):
+            alone = contingent_cone_distance(fixture.omega_sampler, fixture.point, v[None],
+                                             seed=11)
+            assert _bits(alone) == _bits([got])
+
+    @pytest.mark.parametrize("n,k", FRAME_GRID)
+    def test_contingent_cone_distance_on_frames_independent_of_the_stack(self, n, k):
+        frame = _grid_frames(n, k)[2]
+        p = Point(stiefel(n, k), frame)
+        rng = np.random.default_rng(5)
+        vs = np.stack([tangent_project(p.manifold, frame, rng.standard_normal((n, k)))
+                       for _ in range(4)])
+        sampler = stiefel_plus_sampler(stiefel_plus_normal_cone(frame))
+        stacked = contingent_cone_distance(sampler, p, vs, seed=11)
+        assert _bits(contingent_cone_distance(sampler, p, vs[::-1], seed=11)[::-1]) == \
+            _bits(stacked)
+        for v, got in zip(vs, stacked):
+            assert _bits(contingent_cone_distance(sampler, p, v[None], seed=11)) == _bits([got])
